@@ -20,9 +20,7 @@ from .attacks import (
     build_sigma_table_trace,
     extended_attack,
     small_set_attack,
-    small_set_attack_trace,
     small_values_attack,
-    small_values_attack_trace,
     unbounded_small_values_attack,
 )
 from .campaign import ExperimentConfig, config_from_dict, run_campaign

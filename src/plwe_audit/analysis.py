@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import betainc
 
-from .fields import FieldElement, PrimeModulus, centered_value
+from .fields import FieldElement, PrimeModulus, centered_value, mult_order
 from .rings import RqContext, find_binomial_factors, find_fq_roots
 from .samplers import P0_UNTRUNCATED
 
@@ -85,6 +85,34 @@ def sigma_bar(case: VarianceCase, sigma: float) -> float:
         L * wgt * wgt for L, wgt in zip(case.block_lengths, case.weights)
     )
     return math.sqrt(var)
+
+
+@dataclass(frozen=True)
+class BlockStructure:
+    """How an error evaluated at a root of y^n - a (n = 1: an F_q root a)
+    collapses: r_eff blocks of blocklen raw coefficients weighted by powers
+    of a, out of n_terms coefficients per coordinate."""
+
+    order: int  # ord(a); 0 at the root 0
+    n_terms: int
+    r_eff: int
+    blocklen: int
+    case: VarianceCase
+    sigma_bar: float
+
+
+def block_structure(n: int, a: FieldElement, N: int, sigma: float) -> BlockStructure:
+    """Block structure of the evaluation point shared by plans, scans and
+    the analyze report."""
+    n_terms = max(1, N // n)
+    if a.value == 0:
+        # the root 0 kills every coefficient but the constant one
+        case = VarianceCase("fq", "general", (1,), (1,))
+        return BlockStructure(0, n_terms, 1, 1, case, sigma_bar(case, sigma))
+    order = mult_order(a)
+    case = classify_variance_case("fq" if n == 1 else "trace", a, order, n_terms)
+    blocklen = max(1, n_terms // order)
+    return BlockStructure(order, n_terms, order, blocklen, case, sigma_bar(case, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -489,37 +517,30 @@ def scan_instance(
     """
     q = ctx.q
     p0 = 1.0 if truncated else P0_UNTRUNCATED
-    roots = []
-    for alpha, order in find_fq_roots(ctx):
-        if order == 0:
-            # the root 0 kills every coefficient but the constant one
-            case = VarianceCase("fq", "general", (1,), (1,))
-            r_eff, blocklen = 1, 1
-        else:
-            case = classify_variance_case("fq", alpha, order, ctx.N)
-            r_eff, blocklen = order, max(1, ctx.N // order)
-        sbar = sigma_bar(case, sigma)
-        flags = (
-            _small_set_flag(q, p0, r_eff, blocklen, sigma, table_cap),
-            _small_values_flag(q, truncated, sbar, strict=False),
-            _usva_flag(q, sbar),
+
+    def flags(bs: BlockStructure, strict: bool) -> tuple[AttackFlag, ...]:
+        return (
+            _small_set_flag(q, p0, bs.r_eff, bs.blocklen, sigma, table_cap),
+            _small_values_flag(q, truncated, bs.sigma_bar, strict),
+            _usva_flag(q, bs.sigma_bar),
         )
-        roots.append(RootVuln(alpha.value, order, case.case_kind, sbar, flags))
+
+    roots = []
+    for alpha, _ in find_fq_roots(ctx):
+        bs = block_structure(1, alpha, ctx.N, sigma)
+        roots.append(
+            RootVuln(
+                alpha.value, bs.order, bs.case.case_kind, bs.sigma_bar, flags(bs, False)
+            )
+        )
     factors = []
     for n in range(2, min(n_max, ctx.N) + 1):
-        for a_elt, order in find_binomial_factors(ctx, n):
-            n_prime = max(1, ctx.N // n)
-            n_second = max(1, n_prime // order)
-            case = classify_variance_case("trace", a_elt, order, n_prime)
-            sbar = sigma_bar(case, sigma)
-            flags = (
-                _small_set_flag(q, p0, order, n_second, sigma, table_cap),
-                _small_values_flag(q, truncated, sbar, strict=True),
-                _usva_flag(q, sbar),
-            )
+        for a_elt, _ in find_binomial_factors(ctx, n):
+            bs = block_structure(n, a_elt, ctx.N, sigma)
             factors.append(
                 FactorVuln(
-                    n, a_elt.value, order, n_prime, n_second, case.case_kind, sbar, flags
+                    n, a_elt.value, bs.order, bs.n_terms, bs.blocklen,
+                    bs.case.case_kind, bs.sigma_bar, flags(bs, True),
                 )
             )
     return VulnReport(q, ctx.N, sigma, truncated, tuple(roots), tuple(factors))

@@ -4,10 +4,12 @@ Three basic procedures test candidate secrets against a membership predicate:
 the small-set attack checks tentative errors against a look-up table Sigma, the
 small-values attack checks them against the centered interval [-q/4, q/4), and
 the unbounded variant counts interval hits over every candidate at once.  Each
-has an F_q form (evaluation at a root alpha of f) and a trace form (samples
-restricted to the subring R_{q,0}, candidate values folded through the field
-trace).  A chunked driver turns the three-way basic verdicts into a two-way
-vote whenever single runs are unreliable.
+evaluates at a root alpha of an irreducible divisor y^n - a of f: samples are
+restricted to the subring R_{q,0} and candidate values folded through the field
+trace.  An F_q root alpha is the case n = 1, a = alpha, where the subring is
+all of R_q and the trace is the identity.  A chunked driver turns the
+three-way basic verdicts into a two-way vote whenever single runs are
+unreliable.
 
 Every attack is a pure function of (samples, parameters).  The candidate loop
 is evaluated sample-major with a shrinking survivor set, which returns exactly
@@ -22,9 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import usva_threshold
+from .analysis import extended_threshold, usva_threshold
 from .fields import ExtFieldCtx, FieldElement
-from .rings import RqContext
+from .rings import RqContext, eval_matrix
 from .samplers import Sample
 
 
@@ -137,12 +139,15 @@ class SigmaTable:
         return m
 
 
-def _build_table(
-    w: FieldElement, r: int, blocklen: int, sigma: float, cap: int
+def build_sigma_table_trace(
+    a: FieldElement, r: int, blocklen: int, sigma: float, cap: int = 10**8
 ) -> SigmaTable:
+    """Table for evaluation at a root of the binomial y^n - a, n = 1 included:
+    r blocks of blocklen raw error coefficients weighted by the powers of a
+    (of order r)."""
     if r < 1 or blocklen < 1:
         raise ValueError("need r >= 1 and block length >= 1")
-    q = w.q
+    q = a.q
     block_sigma = 2.0 * math.sqrt(blocklen) * sigma
     bound = math.floor(block_sigma)
     tuple_count = (2 * bound + 1) ** r
@@ -155,7 +160,7 @@ def _build_table(
     power = 1
     for _ in range(r):
         values = {(v + x * power) % q for v in values for x in offsets}
-        power = power * w.value % q
+        power = power * a.value % q
     analytic = (4.0 * math.sqrt(blocklen) * sigma + 1.0) ** r
     return SigmaTable(frozenset(values), analytic, r, block_sigma, q)
 
@@ -165,15 +170,7 @@ def build_sigma_table_fq(
 ) -> SigmaTable:
     """Table for evaluation at an F_q root of order r; each of the r blocks
     collects floor(N/r) raw error coefficients."""
-    return _build_table(alpha, r, max(1, N // r), sigma, cap)
-
-
-def build_sigma_table_trace(
-    a: FieldElement, r: int, n_second: int, sigma: float, cap: int = 10**8
-) -> SigmaTable:
-    """Table for traced evaluations: blocks of n_second coefficients weighted
-    by powers of the binomial constant a (of order r)."""
-    return _build_table(a, r, n_second, sigma, cap)
+    return build_sigma_table_trace(alpha, r, max(1, N // r), sigma, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -189,65 +186,28 @@ def _coeff_matrices(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray, 
     return A, B, ctx
 
 
-def _dot_mod(M: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
-    """Row-wise dot product mod q; falls back to Python integers when the
-    int64 accumulator could overflow."""
-    if (q - 1) ** 2 * M.shape[1] < 2**63:
-        return (M @ w) % q
-    return np.array(
-        [sum(int(x) * int(y) for x, y in zip(row, w)) % q for row in M],
-        dtype=np.int64 if q < 2**62 else object,
-    )
+def _pairs(samples, point: FieldElement | ExtFieldCtx):
+    """(targets, scales, q) with targets_i - scales_i * g equal to the
+    tentative error (1/n)(Tr(b_i(alpha)) - a_i(alpha)*g).
 
-
-def _eval_vector(M: np.ndarray, alpha: int, q: int) -> np.ndarray:
-    powers = np.empty(M.shape[1], dtype=np.int64)
-    acc = 1
-    for i in range(M.shape[1]):
-        powers[i] = acc
-        acc = acc * alpha % q
-    return _dot_mod(M, powers, q)
-
-
-def _trace_weights(N: int, ext: ExtFieldCtx) -> np.ndarray:
-    """w[i] = Tr(alpha^i): n * a^(i/n) when n | i, else 0."""
-    n, q, a = ext.n, ext.q, ext.a.value
-    w = np.zeros(N, dtype=np.int64)
-    power = 1
-    for j in range(0, N, n):
-        w[j] = n % q * power % q
-        power = power * a % q
-    return w
-
-
-def _coord0_weights(N: int, ext: ExtFieldCtx) -> np.ndarray:
-    """w[i] = coefficient of y^0 in alpha^i: a^(i/n) when n | i, else 0."""
-    n, q, a = ext.n, ext.q, ext.a.value
-    w = np.zeros(N, dtype=np.int64)
-    power = 1
-    for j in range(0, N, n):
-        w[j] = power
-        power = power * a % q
-    return w
-
-
-def _require_members(A: np.ndarray, ext: ExtFieldCtx) -> None:
-    """Witness sums sum_j a^j p_{nj+k} must vanish for k = 1..n-1."""
-    n, q, a = ext.n, ext.q, ext.a.value
-    N = A.shape[1]
-    for k in range(1, n):
-        wk = np.zeros(N, dtype=np.int64)
-        power = 1
-        for j in range(0, (N - k + n - 1) // n):
-            idx = n * j + k
-            if idx < N:
-                wk[idx] = power
-            power = power * a % q
-        bad = np.nonzero(_dot_mod(A, wk, q))[0]
-        if bad.size:
-            raise NonMemberSample(
-                f"sample {int(bad[0])} lies outside R_q0 (witness k={k})"
-            )
+    The point is a root alpha of y^n - a; an F_q root is coerced to the
+    degree-1 case.  Every a_i must lie in R_{q,0}, so a_i(alpha) is its y^0
+    coordinate, and Tr = n * (y^0 coordinate) makes the targets the y^0
+    coordinates of b_i(alpha).
+    """
+    A, B, ctx = _coeff_matrices(samples)
+    ext = point if isinstance(point, ExtFieldCtx) else ExtFieldCtx(1, point)
+    if ext.q != ctx.q:
+        raise AttackError("evaluation point and samples use different moduli")
+    q = ctx.q
+    W = eval_matrix(ext, ctx.N)
+    bad = np.argwhere(A @ W[:, 1:] % q)
+    if bad.size:
+        i, k = bad[0]
+        raise NonMemberSample(f"sample {i} lies outside R_q0 (witness k={k + 1})")
+    targets = B @ W[:, 0] % q
+    scales = (A @ W[:, 0] % q) * pow(ext.n, -1, q) % q
+    return targets, scales, q
 
 
 def _survivors(
@@ -271,69 +231,33 @@ def _quarter_mask(q: int) -> np.ndarray:
     return (4 * v < q) | (4 * v >= 3 * q)
 
 
-def _fq_pairs(samples, alpha: FieldElement):
-    A, B, ctx = _coeff_matrices(samples)
-    if alpha.q != ctx.q:
-        raise AttackError("root and samples use different moduli")
-    q = ctx.q
-    return _eval_vector(B, alpha.value, q), _eval_vector(A, alpha.value, q), q
-
-
-def _trace_pairs(samples, ext: ExtFieldCtx):
-    A, B, ctx = _coeff_matrices(samples)
-    if ext.q != ctx.q:
-        raise AttackError("extension and samples use different moduli")
-    q, n = ctx.q, ext.n
-    _require_members(A, ext)
-    ninv = pow(n, -1, q)
-    a_at_alpha = _dot_mod(A, _coord0_weights(ctx.N, ext), q)
-    tr_b = _dot_mod(B, _trace_weights(ctx.N, ext), q)
-    return tr_b * ninv % q, a_at_alpha * ninv % q, q
-
-
 # ---------------------------------------------------------------------------
 # basic attacks
 
 
 def small_set_attack(
-    samples: Sequence[Sample], table: SigmaTable, alpha: FieldElement
+    samples: Sequence[Sample], table: SigmaTable, point: FieldElement | ExtFieldCtx
 ) -> AttackVerdict:
     """Keep the candidates g for s(alpha) with b_i(alpha) - a_i(alpha)*g in
-    Sigma for every sample."""
-    targets, scales, q = _fq_pairs(samples, alpha)
-    if table.q != q:
-        raise AttackError("table was built for a different modulus")
-    return AttackVerdict(_survivors(targets, scales, table.mask(), q))
+    Sigma for every sample.
 
-
-def small_set_attack_trace(
-    samples: Sequence[Sample], table: SigmaTable, ext: ExtFieldCtx
-) -> AttackVerdict:
-    """Trace form over R_{q,0} samples: candidates g for Tr(s(alpha)) with
-    (1/n)(Tr(b_i(alpha)) - a_i(alpha)*g) in Sigma for every sample.
-
-    With a_i(alpha) in F_q the trace of the tentative error collapses to
-    Tr(b_i(alpha)) - a_i(alpha)*Tr(s(alpha)), so looping g over F_q covers all
-    secrets; the traces are precomputed once per sample.
+    At a root of a binomial divisor y^n - a the samples must lie in R_{q,0}
+    and g guesses Tr(s(alpha)): the test is (1/n)(Tr(b_i(alpha)) -
+    a_i(alpha)*g) in Sigma.  With a_i(alpha) in F_q the trace of the
+    tentative error collapses to Tr(b_i(alpha)) - a_i(alpha)*Tr(s(alpha)), so
+    looping g over F_q covers all secrets.
     """
-    targets, scales, q = _trace_pairs(samples, ext)
+    targets, scales, q = _pairs(samples, point)
     if table.q != q:
         raise AttackError("table was built for a different modulus")
     return AttackVerdict(_survivors(targets, scales, table.mask(), q))
 
 
 def small_values_attack(
-    samples: Sequence[Sample], alpha: FieldElement
+    samples: Sequence[Sample], point: FieldElement | ExtFieldCtx
 ) -> AttackVerdict:
     """Survivor test: the tentative error lands in [-q/4, q/4)."""
-    targets, scales, q = _fq_pairs(samples, alpha)
-    return AttackVerdict(_survivors(targets, scales, _quarter_mask(q), q))
-
-
-def small_values_attack_trace(
-    samples: Sequence[Sample], ext: ExtFieldCtx
-) -> AttackVerdict:
-    targets, scales, q = _trace_pairs(samples, ext)
+    targets, scales, q = _pairs(samples, point)
     return AttackVerdict(_survivors(targets, scales, _quarter_mask(q), q))
 
 
@@ -342,11 +266,7 @@ def small_values_attack_trace(
 
 
 def unbounded_small_values_attack(
-    samples: Sequence[Sample],
-    delta: float,
-    *,
-    alpha: FieldElement | None = None,
-    ext: ExtFieldCtx | None = None,
+    samples: Sequence[Sample], delta: float, point: FieldElement | ExtFieldCtx
 ) -> Decision:
     """Count quarter-interval hits over every candidate at once and compare
     against the expectation threshold T for a genuine PLWE batch.
@@ -354,12 +274,7 @@ def unbounded_small_values_attack(
     delta is the caller's estimate of P(error image in quarter interval) - 1/2;
     it is never derived here.
     """
-    if (alpha is None) == (ext is None):
-        raise ValueError("pass exactly one of alpha (F_q mode) or ext (trace mode)")
-    if alpha is not None:
-        targets, scales, q = _fq_pairs(samples, alpha)
-    else:
-        targets, scales, q = _trace_pairs(samples, ext)
+    targets, scales, q = _pairs(samples, point)
     threshold = usva_threshold(len(samples), q, delta)
     mask = _quarter_mask(q)
     g = np.arange(q, dtype=np.int64)
@@ -395,7 +310,7 @@ def extended_attack(
             f"chunk size {m0} exceeds the {len(samples)} available samples"
         )
     chunks = len(samples) // m0
-    threshold = math.ceil(chunks * p0 ** (m0 * r_eff))
+    threshold = extended_threshold(chunks, p0, m0, r_eff)
     votes = 0
     for j in range(chunks):
         verdict = sub(samples[j * m0 : (j + 1) * m0])

@@ -11,6 +11,7 @@ digest excludes only wall-clock fields.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,29 +20,26 @@ import numpy as np
 
 from . import analysis
 from .analysis import (
-    classify_variance_case,
+    block_structure,
     delta_probability,
     extended_gate,
     monte_carlo_delta,
     posterior_bounds,
-    sigma_bar,
 )
 from .attacks import (
     VERDICT_NOT_PLWE,
     AttackVerdict,
     Decision,
     SigmaTable,
-    build_sigma_table_fq,
+    TableTooLarge,
     build_sigma_table_trace,
     extended_attack,
     small_set_attack,
-    small_set_attack_trace,
     small_values_attack,
-    small_values_attack_trace,
     unbounded_small_values_attack,
 )
-from .fields import ExtFieldCtx, FieldElement, mult_order
-from .rings import RingPoly, RqContext, load_ring_doc
+from .fields import ExtFieldCtx
+from .rings import EXHAUSTIVE_SCAN_LIMIT, RingPoly, RqContext, eval_matrix, load_ring_doc
 from .samplers import (
     BudgetExhausted,
     GaussianSpec,
@@ -101,17 +99,42 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _int(value, name: str, optional: bool = False) -> Optional[int]:
+    """int(value); a failed conversion names the field.  Optional fields
+    pass None through."""
+    if optional and value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: expected an integer, got {value!r}") from exc
+
+
+def _delta(value) -> Optional[float | str]:
+    if value is None or value in ("series", "mc"):
+        return value
+    try:
+        delta = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"attack.delta: expected a number, 'series' or 'mc', got {value!r}"
+        ) from exc
+    if not math.isfinite(delta):
+        raise ConfigError(f"attack.delta: must be finite, got {value!r}")
+    return delta
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     inst = _need(doc, "instance", "config")
     try:
         ring = load_ring_doc(inst)
     except ValueError as exc:
         raise ConfigError(f"instance: {exc}") from exc
-    sigma = float(_need(inst, "sigma", "instance"))
+    sigma = _need(inst, "sigma", "instance")
     truncated = bool(_need(inst, "truncated", "instance"))
     try:
-        gauss = GaussianSpec(sigma, truncated)
-    except ValueError as exc:
+        gauss = GaussianSpec(float(sigma), truncated)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"instance.sigma: {exc}") from exc
 
     att = _need(doc, "attack", "config")
@@ -121,19 +144,19 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     mode = _need(att, "mode", "attack")
     if mode not in MODES:
         raise ConfigError(f"attack.mode: must be one of {MODES}")
-    trials = int(att.get("trials", 1))
+    trials = _int(att.get("trials", 1), "attack.trials")
     if trials < 1:
         raise ConfigError("attack.trials: must be >= 1")
     spec = AttackSpec(
         family=family,
         mode=mode,
-        M=int(att.get("M", 0)),
-        M0=int(att.get("M0", 0)),
-        ell=int(att.get("ell", 0)),
-        alpha=att.get("alpha"),
-        n=att.get("n"),
-        a=att.get("a"),
-        delta=att.get("delta"),
+        M=_int(att.get("M", 0), "attack.M"),
+        M0=_int(att.get("M0", 0), "attack.M0"),
+        ell=_int(att.get("ell", 0), "attack.ell"),
+        alpha=_int(att.get("alpha"), "attack.alpha", optional=True),
+        n=_int(att.get("n"), "attack.n", optional=True),
+        a=_int(att.get("a"), "attack.a", optional=True),
+        delta=_delta(att.get("delta")),
         trials=trials,
     )
     if family == "unbounded_small_values":
@@ -151,7 +174,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if mode == "trace" and (spec.n is None or spec.a is None):
         raise ConfigError("attack.n/attack.a: required in trace mode")
 
-    seed = int(doc.get("seed", 0))
+    seed = _int(doc.get("seed", 0), "seed")
     if not (0 <= seed < 2**64):
         raise ConfigError("seed: must be an unsigned 64-bit integer")
     sampling = doc.get("sampling", {})
@@ -161,8 +184,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         attack=spec,
         seed=seed,
         honest_sampling=bool(sampling.get("honest", False)),
-        table_cap=int(doc.get("table_cap", analysis.DEFAULT_TABLE_CAP)),
-        rq0_budget=int(doc.get("rq0_budget", 10**8)),
+        table_cap=_int(doc.get("table_cap", analysis.DEFAULT_TABLE_CAP), "table_cap"),
+        rq0_budget=_int(doc.get("rq0_budget", 10**8), "rq0_budget"),
         raw=doc,
     )
 
@@ -183,10 +206,8 @@ def load_config(path: str) -> ExperimentConfig:
 @dataclass
 class AttackPlan:
     cfg: ExperimentConfig
-    alpha: Optional[FieldElement] = None
-    ext: Optional[ExtFieldCtx] = None
-    order: int = 0
-    sigma_bar: float = 0.0
+    point: ExtFieldCtx
+    blocks: analysis.BlockStructure
     table: Optional[SigmaTable] = None
     delta: Optional[float] = None
     gate: Optional[analysis.GateReport] = None
@@ -204,64 +225,52 @@ def _check(plan: AttackPlan, ok: bool, text: str) -> None:
         raise PreconditionRefused(text)
 
 
+def _evaluation_point(cfg: ExperimentConfig) -> ExtFieldCtx:
+    """The root alpha of y^n - a the attack evaluates at; an F_q root alpha
+    is ExtFieldCtx(1, alpha).  It must be a root of f mod q."""
+    att, ring = cfg.attack, cfg.ring
+    q = ring.q
+    if att.mode == "fq":
+        point = ExtFieldCtx(1, ring.modulus.element(att.alpha))
+        missed = f"attack.alpha: {point.a.value} is not a root of f mod {q}"
+    else:
+        n, a = att.n, att.a % q
+        if n < 2 or n > ring.N:
+            raise ConfigError(f"attack.n: must satisfy 2 <= n <= {ring.N}")
+        try:
+            point = ExtFieldCtx(n, ring.modulus.element(a))
+        except ValueError as exc:
+            raise ConfigError(f"attack.a: x^{n} - {a} is reducible mod {q}") from exc
+        missed = f"attack.a: x^{n} - {a} does not divide f mod {q}"
+    f_at_point = np.array(ring.f_mod, dtype=np.int64) @ eval_matrix(point, ring.N + 1) % q
+    if f_at_point.any():
+        raise ConfigError(missed)
+    return point
+
+
 def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -> AttackPlan:
-    """Resolve evaluation points, tables, variance case and delta; refuse when
-    a documented precondition fails."""
+    """Resolve the evaluation point, tables, variance case and delta; refuse
+    when a documented precondition fails."""
     att = cfg.attack
     ring = cfg.ring
     q = ring.q
     p0 = cfg.gauss.p0
-    plan = AttackPlan(cfg)
-
-    if att.mode == "fq":
-        alpha = ring.modulus.element(int(att.alpha))
-        # alpha must be a root of f mod q
-        acc = 0
-        for c in reversed(ring.f_mod):
-            acc = (acc * alpha.value + c) % q
-        if acc != 0:
-            raise ConfigError(f"attack.alpha: {alpha.value} is not a root of f mod {q}")
-        plan.alpha = alpha
-        plan.order = 0 if alpha.value == 0 else mult_order(alpha)
-        case = classify_variance_case("fq", alpha, plan.order, ring.N)
-        plan.sigma_bar = sigma_bar(case, cfg.gauss.sigma)
-        if plan.order:
-            r_eff, blocklen = plan.order, max(1, ring.N // plan.order)
-        else:
-            # at the root 0 only the constant error coefficient survives
-            r_eff, blocklen = 1, 1
-    else:
-        n = int(att.n)
-        a_elt = ring.modulus.element(int(att.a))
-        from .fields import is_irreducible_binomial
-        from .rings import find_binomial_factors
-
-        if n < 2 or n > ring.N:
-            raise ConfigError(f"attack.n: must satisfy 2 <= n <= {ring.N}")
-        if not is_irreducible_binomial(n, a_elt):
-            raise ConfigError(f"attack.a: x^{n} - {a_elt.value} is reducible mod {q}")
-        if not any(v.value == a_elt.value for v, _ in find_binomial_factors(ring, n)):
-            raise ConfigError(
-                f"attack.a: x^{n} - {a_elt.value} does not divide f mod {q}"
-            )
-        plan.ext = ExtFieldCtx(n, a_elt)
-        plan.order = mult_order(a_elt)
-        n_prime = max(1, ring.N // n)
-        case = classify_variance_case("trace", a_elt, plan.order, n_prime)
-        plan.sigma_bar = sigma_bar(case, cfg.gauss.sigma)
-        r_eff = plan.order
-        blocklen = max(1, n_prime // plan.order)
+    if q >= EXHAUSTIVE_SCAN_LIMIT:
+        # candidate loops allocate O(q) arrays and products run in int64
+        raise PreconditionRefused(f"q = {q} < 2**22 = {EXHAUSTIVE_SCAN_LIMIT}")
+    point = _evaluation_point(cfg)
+    blocks = block_structure(point.n, point.a, ring.N, cfg.gauss.sigma)
+    plan = AttackPlan(cfg, point, blocks)
+    r_eff = blocks.r_eff
 
     family = att.family
     if family in ("small_set", "extended_small_set"):
-        if att.mode == "fq":
-            plan.table = build_sigma_table_fq(
-                plan.alpha, r_eff, ring.N, cfg.gauss.sigma, cfg.table_cap
-            )
-        else:
+        try:
             plan.table = build_sigma_table_trace(
-                plan.ext.a, r_eff, blocklen, cfg.gauss.sigma, cfg.table_cap
+                point.a, r_eff, blocks.blocklen, cfg.gauss.sigma, cfg.table_cap
             )
+        except TableTooLarge as exc:
+            raise PreconditionRefused(str(exc)) from exc
         budget = q * p0**r_eff
         _check(
             plan,
@@ -269,17 +278,17 @@ def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) ->
             f"|Sigma| = {plan.table.size} < q*p0^r = {budget:.1f}",
         )
     elif family in ("small_values", "extended_small_values"):
-        lhs, rhs = 2.0 * plan.sigma_bar, q / 4.0
-        if att.mode == "fq":
+        lhs, rhs = 2.0 * blocks.sigma_bar, q / 4.0
+        if point.n == 1:
             _check(plan, lhs <= rhs, f"2*sigma_bar = {lhs:.2f} <= q/4 = {rhs:.2f}")
         else:
             _check(plan, lhs < rhs, f"2*sigma_bar = {lhs:.2f} < q/4 = {rhs:.2f}")
     else:  # unbounded_small_values
         if att.delta is None or att.delta == "series":
-            plan.delta = delta_probability(q, plan.sigma_bar).delta
+            plan.delta = delta_probability(q, blocks.sigma_bar).delta
         elif att.delta == "mc":
             mc_rng = rng if rng is not None else np.random.default_rng([cfg.seed, 2**32])
-            plan.delta = monte_carlo_delta(q, plan.sigma_bar, mc_rng)
+            plan.delta = monte_carlo_delta(q, blocks.sigma_bar, mc_rng)
         else:
             plan.delta = float(att.delta)
         big_delta = plan.delta - float(analysis.uniform_offset(q))
@@ -302,74 +311,47 @@ def _generate_samples(
     plan: AttackPlan, truth_plwe: bool, rng: np.random.Generator
 ) -> tuple[list[Sample], int, Optional[RingPoly]]:
     """Samples for one trial plus the oracle invocation count and the secret
-    (None on uniform trials)."""
+    (None on uniform trials).  At an F_q root every sample is a member of
+    R_{q,0} = R_q, and both samplers draw the plain oracles' stream."""
     cfg = plan.cfg
     m = plan.samples_per_trial
     ring = cfg.ring
     secret = None
-    invocations = 0
-    samples: list[Sample] = []
-    if plan.ext is None:
+    if truth_plwe:
+        inst = PlweInstance.generate(ring, cfg.gauss, rng)
+        secret = inst.secret_for_tests()
+    if cfg.honest_sampling:
         if truth_plwe:
-            inst = PlweInstance.generate(ring, cfg.gauss, rng)
-            secret = inst.secret_for_tests()
-            for _ in range(m):
-                samples.append(plwe_oracle(inst, rng))
-        else:
-            for _ in range(m):
-                samples.append(uniform_oracle(ring, rng))
-        invocations = m
-    elif cfg.honest_sampling:
-        if truth_plwe:
-            inst = PlweInstance.generate(ring, cfg.gauss, rng)
-            secret = inst.secret_for_tests()
             source = lambda: plwe_oracle(inst, rng)
         else:
             source = lambda: uniform_oracle(ring, rng)
-        for _ in range(m):
-            draw = sample_rq0(source, plan.ext, cfg.rq0_budget)
-            samples.append(draw.sample)
-            invocations += draw.count
+        draws = [sample_rq0(source, plan.point, cfg.rq0_budget) for _ in range(m)]
+        return [d.sample for d in draws], sum(d.count for d in draws), secret
+    if truth_plwe:
+        samples = [plwe_oracle_rq0(inst, plan.point, rng) for _ in range(m)]
     else:
-        if truth_plwe:
-            inst = PlweInstance.generate(ring, cfg.gauss, rng)
-            secret = inst.secret_for_tests()
-            for _ in range(m):
-                samples.append(plwe_oracle_rq0(inst, plan.ext, rng))
-        else:
-            for _ in range(m):
-                samples.append(uniform_oracle_rq0(ring, plan.ext, rng))
-        invocations = m
-    return samples, invocations, secret
+        samples = [uniform_oracle_rq0(ring, plan.point, rng) for _ in range(m)]
+    return samples, m, secret
+
+
+_BASIC_ATTACKS = {
+    "small_set": lambda plan, samples: small_set_attack(samples, plan.table, plan.point),
+    "small_values": lambda plan, samples: small_values_attack(samples, plan.point),
+    "unbounded_small_values": lambda plan, samples: unbounded_small_values_attack(
+        samples, plan.delta, plan.point
+    ),
+}
 
 
 def run_attack_once(plan: AttackPlan, samples: list[Sample]):
     """Dispatch the configured attack on one sample batch."""
     att = plan.cfg.attack
-    if att.family == "small_set":
-        if plan.ext is None:
-            return small_set_attack(samples, plan.table, plan.alpha)
-        return small_set_attack_trace(samples, plan.table, plan.ext)
-    if att.family == "small_values":
-        if plan.ext is None:
-            return small_values_attack(samples, plan.alpha)
-        return small_values_attack_trace(samples, plan.ext)
-    if att.family == "extended_small_set":
-        r_eff = plan.table.r
-        if plan.ext is None:
-            sub = lambda chunk: small_set_attack(chunk, plan.table, plan.alpha)
-        else:
-            sub = lambda chunk: small_set_attack_trace(chunk, plan.table, plan.ext)
-        return extended_attack(samples, att.M0, sub, r_eff, plan.cfg.gauss.p0)
-    if att.family == "extended_small_values":
-        if plan.ext is None:
-            sub = lambda chunk: small_values_attack(chunk, plan.alpha)
-        else:
-            sub = lambda chunk: small_values_attack_trace(chunk, plan.ext)
-        return extended_attack(samples, att.M0, sub, 1, plan.cfg.gauss.p0)
-    if plan.ext is None:
-        return unbounded_small_values_attack(samples, plan.delta, alpha=plan.alpha)
-    return unbounded_small_values_attack(samples, plan.delta, ext=plan.ext)
+    basic = _BASIC_ATTACKS[att.family.removeprefix("extended_")]
+    if att.family not in EXTENDED_FAMILIES:
+        return basic(plan, samples)
+    r_eff = plan.table.r if plan.table is not None else 1
+    sub = lambda chunk: basic(plan, chunk)
+    return extended_attack(samples, att.M0, sub, r_eff, plan.cfg.gauss.p0)
 
 
 def _says_plwe(outcome) -> bool:
@@ -412,15 +394,11 @@ def run_trial(plan: AttackPlan, trial_index: int, record: list | None = None) ->
 
 
 def _true_value(plan: AttackPlan, secret: RingPoly) -> int:
-    """The quantity the basic attacks guess: s(alpha), or Tr(s(alpha)) in
-    trace mode."""
-    from .rings import eval_poly
-
-    if plan.ext is None:
-        return eval_poly(secret, plan.alpha).value
-    from .fields import trace
-
-    return trace(eval_poly(secret, plan.ext.alpha())).value
+    """The quantity the basic attacks guess, Tr(s(alpha)): in a binomial
+    extension Tr = n * (y^0 coordinate), and at an F_q root it is s(alpha)."""
+    q = plan.cfg.ring.q
+    coord0 = int(secret.as_array() @ eval_matrix(plan.point, secret.ctx.N)[:, 0] % q)
+    return plan.point.n * coord0 % q
 
 
 # ---------------------------------------------------------------------------
@@ -484,21 +462,21 @@ class CampaignReport:
 
 
 def _plan_summary(plan: AttackPlan) -> dict:
+    att = plan.cfg.attack
     out: dict = {
-        "mode": "trace" if plan.ext is not None else "fq",
-        "order": plan.order,
-        "sigma_bar": plan.sigma_bar,
+        "mode": att.mode,
+        "order": plan.blocks.order,
+        "sigma_bar": plan.blocks.sigma_bar,
         "preconditions": list(plan.preconditions),
     }
-    if plan.alpha is not None:
-        out["alpha"] = plan.alpha.value
-    if plan.ext is not None:
-        out["n"] = plan.ext.n
-        out["a"] = plan.ext.a.value
+    if att.mode == "fq":
+        out["alpha"] = plan.point.a.value
+    else:
+        out["n"] = plan.point.n
+        out["a"] = plan.point.a.value
     if plan.table is not None:
         out["sigma_table_size"] = plan.table.size
         out["sigma_table_analytic_bound"] = plan.table.analytic_bound
-        att = plan.cfg.attack
         q, p0 = plan.cfg.ring.q, plan.cfg.gauss.p0
         out["predicted_bounds"] = {
             "M": att.M,

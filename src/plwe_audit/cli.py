@@ -20,13 +20,12 @@ import numpy as np
 
 from . import analysis
 from .analysis import (
-    classify_variance_case,
+    block_structure,
     delta_probability,
     f_of_r_table,
     minimal_samples,
     monte_carlo_delta,
     scan_instance,
-    sigma_bar,
 )
 from .campaign import (
     ConfigError,
@@ -38,7 +37,6 @@ from .campaign import (
     run_campaign,
     save_samples,
 )
-from .fields import mult_order
 from .rings import load_ring_doc
 
 EXIT_OK = 0
@@ -176,36 +174,31 @@ def _cmd_analyze(args) -> int:
         return EXIT_CONFIG
     att = doc.get("attack", {})
     q = ring.q
-    ssa_size_r: tuple[float, int] | None = None
     if att.get("n") is not None and att.get("a") is not None:
         n = int(att["n"])
         a_elt = ring.modulus.element(int(att["a"]))
-        order = mult_order(a_elt)
-        n_prime = max(1, ring.N // n)
-        n_second = max(1, n_prime // order)
-        case = classify_variance_case("trace", a_elt, order, n_prime)
-        sbar = sigma_bar(case, sigma)
-        ssa_size_r = ((4.0 * (n_second**0.5) * sigma + 1.0) ** order, order)
-        point = {"n": n, "a": a_elt.value, "n_prime": n_prime, "n_second": n_second}
     elif att.get("alpha") is not None:
-        alpha = ring.modulus.element(int(att["alpha"]))
-        order = 0 if alpha.value == 0 else mult_order(alpha)
-        case = classify_variance_case("fq", alpha, order, ring.N)
-        sbar = sigma_bar(case, sigma)
-        point = {"alpha": alpha.value}
+        n, a_elt = 1, ring.modulus.element(int(att["alpha"]))
     else:
         print(
             "config error: attack.alpha (or attack.n/attack.a): required for analyze",
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    prob = delta_probability(q, sbar)
+    blocks = block_structure(n, a_elt, ring.N, sigma)
+    if n == 1:
+        point = {"alpha": a_elt.value}
+    else:
+        point = {
+            "n": n, "a": a_elt.value, "n_prime": blocks.n_terms, "n_second": blocks.blocklen
+        }
+    prob = delta_probability(q, blocks.sigma_bar)
     out = {
         "q": q,
         **point,
-        "order": order,
-        "case": case.case_kind,
-        "sigma_bar": sbar,
+        "order": blocks.order,
+        "case": blocks.case.case_kind,
+        "sigma_bar": blocks.sigma_bar,
         "p_event": prob.p_event,
         "delta": prob.delta,
         "big_delta": prob.big_delta,
@@ -219,7 +212,7 @@ def _cmd_analyze(args) -> int:
         )
     if args.mc_check:
         rng = np.random.default_rng(int(doc.get("seed", 0)))
-        mc = monte_carlo_delta(q, sbar, rng)
+        mc = monte_carlo_delta(q, blocks.sigma_bar, rng)
         out["delta_mc"] = mc
         if abs(mc - prob.delta) > 2e-3:
             out["warnings"].append(
@@ -233,18 +226,17 @@ def _cmd_analyze(args) -> int:
                 "small_values", truncated, args.min_M, q=q
             ),
         }
-        if ssa_size_r is None and order:
-            size = (4.0 * (max(1, ring.N // order) ** 0.5) * sigma + 1.0) ** order
-            ssa_size_r = (size, order)
-        if ssa_size_r is not None and ssa_size_r[0] < q:
-            out["min_M"]["small_set"] = minimal_samples(
-                "small_set",
-                truncated,
-                args.min_M,
-                q=q,
-                sigma_size=ssa_size_r[0],
-                r=ssa_size_r[1],
-            )
+        if blocks.order:
+            size = (4.0 * (blocks.blocklen**0.5) * sigma + 1.0) ** blocks.r_eff
+            if size < q:
+                out["min_M"]["small_set"] = minimal_samples(
+                    "small_set",
+                    truncated,
+                    args.min_M,
+                    q=q,
+                    sigma_size=size,
+                    r=blocks.r_eff,
+                )
     if args.f_of_r_csv:
         grid = [4.0 * 2.0**0.5 * (i + 1) / 1000.0 for i in range(1000)]
         with open(args.f_of_r_csv, "w", newline="", encoding="utf-8") as fh:

@@ -9,7 +9,7 @@ the context is constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,8 +24,15 @@ from .fields import (
     mult_order,
 )
 
-# Above this modulus, exhaustive scans over F_q are off the table.
+# Above this modulus, exhaustive scans over F_q are off the table, and so are
+# the int64 products of ring_mul and eval_matrix: below it, a sum of N products
+# of two residues stays under 2**63 for every N < 2**19.
 EXHAUSTIVE_SCAN_LIMIT = 1 << 22
+
+
+def _require_int64_modulus(q: int) -> None:
+    if q >= EXHAUSTIVE_SCAN_LIMIT:
+        raise ValueError(f"int64 arithmetic needs q < 2**22, got q = {q}")
 
 
 @dataclass(frozen=True)
@@ -126,18 +133,35 @@ def ring_mul(p: RingPoly, s: RingPoly) -> RingPoly:
     """Schoolbook product followed by reduction modulo the monic f."""
     ctx = _same_ctx(p, s)
     q, N = ctx.q, ctx.N
-    if q < EXHAUSTIVE_SCAN_LIMIT:
-        conv = np.convolve(p.as_array(), s.as_array())
-    else:
-        # int64 intermediates could overflow; fall back to Python integers
-        conv = np.convolve(
-            np.array(p.coeffs, dtype=object), np.array(s.coeffs, dtype=object)
-        )
-    low = conv[:N] % q
+    _require_int64_modulus(q)
+    conv = np.convolve(p.as_array(), s.as_array()) % q
+    low = conv[:N]
     if len(conv) > N:
         high = conv[N:]
         low = (low + high @ ctx._reduction_rows[: len(high)]) % q
     return RingPoly(tuple(int(c) for c in low), ctx)
+
+
+@lru_cache(maxsize=64)
+def eval_matrix(ext: ExtFieldCtx, length: int) -> np.ndarray:
+    """The (length, n) matrix W whose row i holds the y-coordinates of
+    alpha^i = a^(i // n) * y^(i mod n), alpha the root of y^n - a.
+
+    A coefficient vector p evaluates as p(alpha) = p @ W mod q.  Column 0
+    gives the F_q part, columns 1..n-1 the witness sums of rq0_membership.
+    An F_q root alpha is the degree-1 case ExtFieldCtx(1, alpha).  The
+    result is cached and read-only.
+    """
+    n, q, a = ext.n, ext.q, ext.a.value
+    _require_int64_modulus(q)
+    W = np.zeros((length, n), dtype=np.int64)
+    power = 1
+    for j in range(0, length, n):
+        for k in range(min(n, length - j)):
+            W[j + k, k] = power
+        power = power * a % q
+    W.setflags(write=False)
+    return W
 
 
 def eval_poly(p: RingPoly, point: FieldElement | ExtFieldElement):

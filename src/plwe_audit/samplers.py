@@ -13,7 +13,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import ExtFieldCtx
-from .rings import RingPoly, RqContext, ring_add, ring_mul, rq0_membership
+from .rings import (
+    RingPoly,
+    RqContext,
+    eval_matrix,
+    ring_add,
+    ring_mul,
+    rq0_membership,
+)
 
 # Mass of a centered normal on [-2s, 2s]; exact to 1e-6.
 P0_UNTRUNCATED = 0.954500
@@ -166,21 +173,14 @@ def uniform_rq0_poly(
     All coefficients are drawn uniformly, then coordinate k (the j = 0 term of
     each witness sum, whose weight is a^0 = 1) is solved so the sum vanishes.
     Fixing a complement of the solution space and solving for the pivots keeps
-    the distribution exactly uniform over the subring.
+    the distribution exactly uniform over the subring.  At n = 1 there are no
+    pivots, and the draw is uniform_poly's.
     """
-    n, q, a = ext.n, ext.q, ext.a.value
+    n, q = ext.n, ext.q
     if n > ctx.N:
         raise ValueError("extension degree exceeds the ring degree")
-    coeffs = list(rng.integers(0, q, size=ctx.N))
-    for k in range(1, n):
-        acc = 0
-        power = a
-        j = 1
-        while n * j + k < ctx.N:
-            acc = (acc + power * coeffs[n * j + k]) % q
-            power = power * a % q
-            j += 1
-        coeffs[k] = -acc % q
+    coeffs = rng.integers(0, q, size=ctx.N)
+    coeffs[1:n] = (coeffs[1:n] - coeffs @ eval_matrix(ext, ctx.N)[:, 1:]) % q
     return ctx.poly(coeffs)
 
 

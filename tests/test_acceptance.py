@@ -203,7 +203,7 @@ def test_criterion_09_unbounded_campaign_margin():
     trial in 74 contains such a sample, so the decision accuracy sits at
     1/2 + ~0.003, far below the 0.65 demanded here.  The criterion is asserted
     as stated and is expected to fail; see the measured accuracy in the line
-    below and docs/decisions for the full derivation.
+    below and the README paragraph on this check for the full derivation.
     """
     t0 = time.perf_counter()
     inst = USVA_INSTANCES[1]

@@ -22,9 +22,7 @@ from plwe_audit.attacks import (
     build_sigma_table_trace,
     extended_attack,
     small_set_attack,
-    small_set_attack_trace,
     small_values_attack,
-    small_values_attack_trace,
     unbounded_small_values_attack,
 )
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, in_quarter_value
@@ -168,14 +166,14 @@ class TestSmallSetTrace:
             )
             for _ in range(6)
         ]
-        verdict = small_set_attack_trace(samples, self.TABLE, EXT_B)
+        verdict = small_set_attack(samples, self.TABLE, EXT_B)
         target = trace(eval_poly(inst.secret_for_tests(), EXT_B.alpha())).value
         assert target in verdict.survivors
 
     def test_non_member_sample_rejected(self):
         sample = Sample(RING_B.monomial(1), RING_B.zero())
         with pytest.raises(NonMemberSample):
-            small_set_attack_trace([sample], self.TABLE, EXT_B)
+            small_set_attack([sample], self.TABLE, EXT_B)
 
     def test_degree_one_extension_matches_fq_attack(self):
         # with n = 1 the subring is everything and the trace is the identity,
@@ -191,7 +189,7 @@ class TestSmallSetTrace:
             else:
                 samples = _uniform_samples(ring, 4, seed)
             fq = small_set_attack(samples, table, alpha)
-            tr = small_set_attack_trace(samples, table, ext1)
+            tr = small_set_attack(samples, table, ext1)
             assert fq == tr
 
 
@@ -231,7 +229,7 @@ class TestSmallValues:
             )
             for _ in range(5)
         ]
-        verdict = small_values_attack_trace(samples, EXT_B)
+        verdict = small_values_attack(samples, EXT_B)
         target = trace(eval_poly(inst.secret_for_tests(), EXT_B.alpha())).value
         assert target in verdict.survivors
 
@@ -247,7 +245,7 @@ class TestSmallValues:
         for a_poly in members:
             for b0, b1 in product(range(5), repeat=2):
                 sample = Sample(a_poly, ring.poly([b0, b1]))
-                verdict = small_values_attack_trace([sample], ext)
+                verdict = small_values_attack([sample], ext)
                 for g in verdict.survivors:
                     hits[g] += 1
                 total += 1
@@ -307,7 +305,7 @@ class TestUnbounded:
             s = uniform_oracle(ring, rng)
             if eval_poly(s.a, alpha).value != 0:
                 samples.append(s)
-        decision = unbounded_small_values_attack(samples, 0.2, alpha=alpha)
+        decision = unbounded_small_values_attack(samples, 0.2, alpha)
         assert decision.votes == 11 * quarter_count(q)
 
     def test_small_q_distinguishing_accuracy(self):
@@ -328,13 +326,9 @@ class TestUnbounded:
                 samples = [plwe_oracle(inst, rng) for _ in range(ell)]
             else:
                 samples = [uniform_oracle(ring, rng) for _ in range(ell)]
-            decision = unbounded_small_values_attack(samples, delta, alpha=alpha)
+            decision = unbounded_small_values_attack(samples, delta, alpha)
             wins += decision.is_plwe == truth_plwe
         assert wins / trials > 0.58
-
-    def test_mode_argument_validation(self):
-        with pytest.raises(ValueError):
-            unbounded_small_values_attack([], 0.1)
 
     def test_trace_mode_matches_fq_for_degree_one(self):
         ring = RqContext((-1, 0, 1), PrimeModulus(5))
@@ -342,8 +336,8 @@ class TestUnbounded:
         alpha = m5.element(4)
         ext1 = ExtFieldCtx(1, alpha)
         samples = _uniform_samples(ring, 9, 3)
-        d_fq = unbounded_small_values_attack(samples, 0.1, alpha=alpha)
-        d_tr = unbounded_small_values_attack(samples, 0.1, ext=ext1)
+        d_fq = unbounded_small_values_attack(samples, 0.1, alpha)
+        d_tr = unbounded_small_values_attack(samples, 0.1, ext1)
         assert d_fq == d_tr
 
 
@@ -428,7 +422,7 @@ class TestTraceSmallValuesSoundness:
                 plwe_oracle(inst, rng, force_a=uniform_rq0_poly(RING_QUAD, EXT_QUAD, rng))
                 for _ in range(4)
             ]
-            verdict = small_values_attack_trace(samples, EXT_QUAD)
+            verdict = small_values_attack(samples, EXT_QUAD)
             assert verdict.kind != VERDICT_NOT_PLWE
 
 
@@ -448,7 +442,7 @@ class TestUniformRejectionTrace:
                        RING_B.poly(rng.integers(0, q, size=23)))
                 for _ in range(M)
             ]
-            verdict = small_set_attack_trace(samples, table, EXT_B)
+            verdict = small_set_attack(samples, table, EXT_B)
             rejected += verdict.kind == VERDICT_NOT_PLWE
         assert rejected / trials >= bound
 

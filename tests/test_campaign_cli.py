@@ -1,9 +1,15 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plwe_audit import cli
+from plwe_audit.analysis import scan_instance
 from plwe_audit.campaign import (
+    FAMILIES,
+    MODES,
     ConfigError,
     PreconditionRefused,
     build_plan,
@@ -15,6 +21,7 @@ from plwe_audit.instances import (
     TRACE_RING_A,
     USVA_INSTANCES,
 )
+from plwe_audit.rings import load_ring_doc
 
 ORDER6_INSTANCE = {"N": 6, "f": [-1, 0, 0, 0, 0, 0, 1], "q": 4099,
                    "sigma": 0.7, "truncated": True}
@@ -73,6 +80,34 @@ class TestConfigValidation:
         }
         with pytest.raises(ConfigError, match="does not divide"):
             build_plan(config_from_dict(doc))
+
+    @pytest.mark.parametrize(
+        "field,value", [("alpha", "x"), ("M", "five"), ("trials", None)]
+    )
+    def test_malformed_integer_is_named(self, field, value):
+        doc = _order6_config()
+        doc["attack"][field] = value
+        with pytest.raises(ConfigError, match=f"attack.{field}"):
+            config_from_dict(doc)
+
+    def test_table_cap_is_a_refusal(self):
+        doc = _order6_config()
+        doc["table_cap"] = 10  # the order-6 table enumerates 3^6 tuples
+        with pytest.raises(PreconditionRefused, match="exceeds the cap of 10"):
+            build_plan(config_from_dict(doc))
+
+    def test_root_zero_table_matches_scan(self):
+        # e(0) is the constant error coefficient alone: one block of length 1
+        inst = {"N": 6, "f": [0, 1, 0, 0, 0, 0, 1], "q": 4099,
+                "sigma": 0.7, "truncated": True}
+        plan = build_plan(config_from_dict({
+            "instance": inst,
+            "attack": {"family": "small_set", "mode": "fq", "alpha": 0, "M": 4},
+        }))
+        root = scan_instance(load_ring_doc(inst), 0.7, True).roots[0]
+        assert root.alpha == 0
+        flag = next(f for f in root.flags if f.attack == "small_set")
+        assert plan.table.size == flag.details["tuple_count"] == 3
 
 
 class TestCampaignRuns:
@@ -211,6 +246,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "refused" in err and "2*sigma_bar" in err and "q/4" in err
 
+    def test_attack_refuses_modulus_above_int64_range(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "big.json", {
+            "instance": {"N": 2, "f": [14, -9, 1], "q": 4194319,
+                         "sigma": 1.0, "truncated": True},
+            "attack": {"family": "small_set", "mode": "fq", "alpha": 2,
+                       "M": 2, "trials": 1},
+        })
+        assert cli.main(["attack", "--config", cfg]) == 3
+        assert "q = 4194319 < 2**22 = 4194304" in capsys.readouterr().err
+
     def test_replay_reproduces_recorded_verdict(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=1, M=6))
         samples = tmp_path / "samples.jsonl"
@@ -319,3 +364,48 @@ class TestExtendedSuccessProperty:
         if votes:
             genuine = sum(1 for t in votes if t["truth"] == "plwe")
             assert genuine / len(votes) >= 0.61
+
+
+# f = (x - 1)(x^2 - 3) over F_7: the root 1 and the irreducible divisor x^2 - 3
+MIXED_Q7 = {"N": 3, "f": [3, -3, -1, 1], "q": 7, "sigma": 0.7, "truncated": True}
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["", "x", "five", "1.5", "3", [1], {}]),
+    st.floats(-10, 10),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _attack_sections(draw):
+    """A well-formed attack section with up to two fields dropped or
+    replaced by junk."""
+    attack = {
+        "family": draw(st.sampled_from(FAMILIES)),
+        "mode": draw(st.sampled_from(MODES)),
+        "alpha": draw(st.integers(-8, 8)),
+        "n": draw(st.integers(0, 4)),
+        "a": draw(st.integers(-8, 8)),
+        "M": draw(st.integers(-1, 6)),
+        "M0": draw(st.integers(-1, 6)),
+        "ell": draw(st.integers(-1, 6)),
+        "delta": draw(
+            st.one_of(st.none(), st.sampled_from(["series", "mc"]), st.floats(-1, 1))
+        ),
+        "trials": draw(st.integers(-1, 2)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(attack)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del attack[key]
+        else:
+            attack[key] = draw(_JUNK)
+    return attack
+
+
+@given(attack=_attack_sections())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_attack_section_exits_cleanly(tmp_path, attack):
+    cfg = _write(tmp_path, "fuzz.json", {"instance": MIXED_Q7, "attack": attack, "seed": 1})
+    assert cli.main(["attack", "--config", cfg]) in (0, 2, 3)

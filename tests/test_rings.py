@@ -3,13 +3,21 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plwe_audit.fields import ContextMismatch, ExtFieldCtx, PrimeModulus
+from plwe_audit.campaign import _true_value, build_plan, config_from_dict
+from plwe_audit.fields import (
+    ContextMismatch,
+    ExtFieldCtx,
+    PrimeModulus,
+    is_irreducible_binomial,
+    trace,
+)
 from plwe_audit.instances import TRACE_RING_A, TRACE_RING_B
 from plwe_audit.rings import (
     RqContext,
+    eval_matrix,
     eval_poly,
     find_binomial_factors,
     find_fq_roots,
@@ -74,6 +82,25 @@ class TestRingMul:
         want = tuple(_slow_mul(p, s, list(ctx.f_mod), q))
         assert got == want
 
+    def test_large_modulus_against_python_integers(self):
+        # int64 products of unreduced convolution terms overflow here
+        q, N = 1048573, 256
+        rng = np.random.default_rng(41)
+        f_low = [int(c) for c in rng.integers(0, q, size=N)]
+        ctx = RqContext(tuple(f_low) + (1,), PrimeModulus(q))
+        p = [int(c) for c in rng.integers(0, q, size=N)]
+        s = [int(c) for c in rng.integers(0, q, size=N)]
+        got = ring_mul(ctx.poly(p), ctx.poly(s)).coeffs
+        assert got == tuple(_slow_mul(p, s, list(ctx.f_mod), q))
+
+    def test_int64_modulus_contract(self):
+        m = PrimeModulus(4194319)  # prime just above 2**22
+        ctx = RqContext((1, 0, 1), m)
+        with pytest.raises(ValueError, match="2\\*\\*22"):
+            ring_mul(ctx.one(), ctx.one())
+        with pytest.raises(ValueError, match="2\\*\\*22"):
+            eval_matrix(ExtFieldCtx(1, m.element(2)), 3)
+
 
 class TestEval:
     def test_monomial_and_constant(self):
@@ -104,6 +131,44 @@ class TestEval:
             lhs = eval_poly(ring_mul(p, s), alpha)
             rhs = eval_poly(p, alpha) * eval_poly(s, alpha)
             assert lhs == rhs
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_eval_matrix_matches_scalar_oracles(data):
+    """p @ W against Horner evaluation, the membership witness sums and,
+    through a plan whose point divides f, the field trace of s(alpha)."""
+    q = data.draw(st.sampled_from([3, 5, 7, 13]), label="q")
+    n = data.draw(st.integers(1, 3), label="n")
+    m = PrimeModulus(q)
+    if n == 1:
+        a = data.draw(st.integers(0, q - 1), label="a")
+    else:
+        irreducible = [a for a in range(1, q) if is_irreducible_binomial(n, m.element(a))]
+        assume(irreducible)
+        a = data.draw(st.sampled_from(irreducible), label="a")
+    ext = ExtFieldCtx(n, m.element(a))
+    # f = (x^n - a) * g for a random monic g, so the point is a root of f
+    g = data.draw(st.lists(st.integers(0, q - 1), max_size=5), label="g") + [1]
+    f = np.convolve([-a] + [0] * (n - 1) + [1], g).tolist()
+    ctx = RqContext(tuple(f), m)
+    W = eval_matrix(ext, ctx.N)
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=ctx.N, max_size=ctx.N))
+    p = ctx.poly(coeffs)
+    at_point = tuple(int(v) for v in p.as_array() @ W % q)
+    assert at_point == eval_poly(p, ext.alpha()).coeffs
+    assert at_point[1:] == rq0_membership(p, ext).witness_sums
+
+    attack = {"family": "unbounded_small_values", "ell": 1, "delta": 0.4}
+    if n == 1:
+        attack.update(mode="fq", alpha=a)
+    else:
+        attack.update(mode="trace", n=n, a=a)
+    plan = build_plan(config_from_dict({
+        "instance": {"N": ctx.N, "f": f, "q": q, "sigma": 1.0, "truncated": True},
+        "attack": attack,
+    }))
+    assert _true_value(plan, p) == trace(eval_poly(p, ext.alpha())).value
 
 
 class TestFindRoots:
@@ -168,8 +233,6 @@ class TestBinomialFactors:
         assert find_binomial_factors(ctx, 5) == []
 
     def test_every_hit_divides_and_is_irreducible(self):
-        from plwe_audit.fields import is_irreducible_binomial
-
         for n in (2, 3, 4):
             for a_elt, order in find_binomial_factors(RING_A, n):
                 assert is_irreducible_binomial(n, a_elt)

@@ -213,6 +213,19 @@ class TestDirectConstruction:
         resid = ring_sub(s.b, ring_mul(s.a, inst.secret_for_tests()))
         assert all(abs(centered_value(c, 3)) <= 1 for c in resid.coeffs)
 
+    def test_degree_one_draws_the_plain_stream(self):
+        # at an F_q root the subring is all of R_q: the direct constructions
+        # must consume the plain oracles' random stream draw for draw
+        ctx, ext = self.CTX, ExtFieldCtx(1, PrimeModulus(3).element(2))
+        inst = PlweInstance.generate(ctx, GaussianSpec(0.7, False), np.random.default_rng(36))
+        for direct, plain in (
+            (lambda rng: uniform_oracle_rq0(ctx, ext, rng), lambda rng: uniform_oracle(ctx, rng)),
+            (lambda rng: plwe_oracle_rq0(inst, ext, rng), lambda rng: plwe_oracle(inst, rng)),
+        ):
+            rng_d, rng_p = np.random.default_rng(37), np.random.default_rng(37)
+            for _ in range(20):
+                assert direct(rng_d) == plain(rng_p)
+
     def test_uniform_oracle_rq0(self):
         rng = np.random.default_rng(35)
         s = uniform_oracle_rq0(self.CTX, self.EXT, rng)
