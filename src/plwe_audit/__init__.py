@@ -45,14 +45,17 @@ from .rings import (
     find_fq_roots,
     ring_mul,
     rq0_membership,
+    rq0_witnesses,
 )
 from .samplers import (
     GaussianSpec,
     PlweInstance,
     Rq0Draw,
     Sample,
+    SampleBatch,
     draw_gaussian,
     plwe_oracle,
+    sample_batch,
     sample_rq0,
     uniform_oracle,
 )

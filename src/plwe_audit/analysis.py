@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc
@@ -220,6 +221,7 @@ def usva_threshold(ell: int, q, delta: float) -> int:
     return math.ceil(t)
 
 
+@lru_cache(maxsize=256)
 def hit_threshold(ell: int, q, delta: float) -> int:
     """Threshold tau on the best per-candidate hit count max_g h_g of the
     unbounded attack, h_g = #{i : t_i - u_i*g in [-q/4, q/4)}.
@@ -228,7 +230,8 @@ def hit_threshold(ell: int, q, delta: float) -> int:
     min(1, q * P(Bin(ell, quarter_count(q)/q) >= tau)), plus the miss rate of
     the true candidate, P(Bin(ell, 1/2 + delta) < tau); ties go to the larger
     tau, so a batch size with no distinguishing power gets ell + 1 and the
-    attack always says uniform.
+    attack always says uniform.  A campaign asks with the same arguments on
+    every trial, so results are cached.
     """
     if ell < 1:
         raise ValueError("need at least one sample")

@@ -26,8 +26,11 @@ import numpy as np
 
 from .analysis import extended_threshold, hit_threshold, usva_threshold
 from .fields import ExtFieldCtx, FieldElement
-from .rings import RqContext, eval_matrix
-from .samplers import Sample
+from .rings import eval_matrix, rq0_witnesses
+from .samplers import Sample, SampleBatch
+
+# Every attack takes a SampleBatch as it is, or a sequence of samples.
+Samples = SampleBatch | Sequence[Sample]
 
 
 class AttackError(Exception):
@@ -202,16 +205,14 @@ def build_sigma_table_fq(
 # shared sample preprocessing
 
 
-def _coeff_matrices(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray, RqContext]:
-    if not samples:
+def _as_batch(samples: Samples) -> SampleBatch:
+    """The samples as one batch; a batch is taken as it is."""
+    if not len(samples):
         raise NoSamples("the sample set is empty")
-    ctx = samples[0].a.ctx
-    A = np.array([s.a.coeffs for s in samples], dtype=np.int64)
-    B = np.array([s.b.coeffs for s in samples], dtype=np.int64)
-    return A, B, ctx
+    return samples if isinstance(samples, SampleBatch) else SampleBatch.from_samples(samples)
 
 
-def _pairs(samples, point: FieldElement | ExtFieldCtx):
+def _pairs(samples: Samples, point: FieldElement | ExtFieldCtx):
     """(targets, scales, q) with targets_i - scales_i * g equal to the
     tentative error (1/n)(Tr(b_i(alpha)) - a_i(alpha)*g).
 
@@ -220,18 +221,18 @@ def _pairs(samples, point: FieldElement | ExtFieldCtx):
     coordinate, and Tr = n * (y^0 coordinate) makes the targets the y^0
     coordinates of b_i(alpha).
     """
-    A, B, ctx = _coeff_matrices(samples)
+    batch = _as_batch(samples)
     ext = point if isinstance(point, ExtFieldCtx) else ExtFieldCtx(1, point)
-    if ext.q != ctx.q:
+    q = batch.ring.q
+    if ext.q != q:
         raise AttackError("evaluation point and samples use different moduli")
-    q = ctx.q
-    W = eval_matrix(ext, ctx.N)
-    bad = np.argwhere(A @ W[:, 1:] % q)
+    bad = np.argwhere(rq0_witnesses(batch.A, ext))
     if bad.size:
         i, k = bad[0]
         raise NonMemberSample(f"sample {i} lies outside R_q0 (witness k={k + 1})")
-    targets = B @ W[:, 0] % q
-    scales = (A @ W[:, 0] % q) * pow(ext.n, -1, q) % q
+    coord0 = eval_matrix(ext, batch.ring.N)[:, 0]
+    targets = batch.B @ coord0 % q
+    scales = (batch.A @ coord0 % q) * pow(ext.n, -1, q) % q
     return targets, scales, q
 
 
@@ -261,7 +262,7 @@ def _quarter_mask(q: int) -> np.ndarray:
 
 
 def small_set_attack(
-    samples: Sequence[Sample], table: SigmaTable, point: FieldElement | ExtFieldCtx
+    samples: Samples, table: SigmaTable, point: FieldElement | ExtFieldCtx
 ) -> AttackVerdict:
     """Keep the candidates g for s(alpha) with b_i(alpha) - a_i(alpha)*g in
     Sigma for every sample.
@@ -279,7 +280,7 @@ def small_set_attack(
 
 
 def small_values_attack(
-    samples: Sequence[Sample], point: FieldElement | ExtFieldCtx
+    samples: Samples, point: FieldElement | ExtFieldCtx
 ) -> AttackVerdict:
     """Survivor test: the tentative error lands in [-q/4, q/4)."""
     targets, scales, q = _pairs(samples, point)
@@ -291,7 +292,7 @@ def small_values_attack(
 
 
 def unbounded_small_values_attack(
-    samples: Sequence[Sample], delta: float, point: FieldElement | ExtFieldCtx
+    samples: Samples, delta: float, point: FieldElement | ExtFieldCtx
 ) -> HitCountDecision:
     """Count the quarter-interval hits h_g of every candidate g and say PLWE
     when the best candidate reaches hit_threshold(ell, q, delta).
@@ -326,9 +327,9 @@ def unbounded_small_values_attack(
 
 
 def extended_attack(
-    samples: Sequence[Sample],
+    samples: Samples,
     m0: int,
-    sub: Callable[[Sequence[Sample]], AttackVerdict],
+    sub: Callable[[SampleBatch], AttackVerdict],
     r_eff: int,
     p0: float,
 ) -> Decision:
@@ -338,19 +339,18 @@ def extended_attack(
     ceil(c * p0^(M0*r_eff)); r_eff is the table order for small-set
     subprocesses and 1 for small-values ones.
     """
-    if not samples:
-        raise NoSamples("the sample set is empty")
+    batch = _as_batch(samples)
     if m0 < 1:
         raise ValueError("chunk size must be >= 1")
-    if m0 > len(samples):
+    if m0 > len(batch):
         raise InsufficientSamples(
-            f"chunk size {m0} exceeds the {len(samples)} available samples"
+            f"chunk size {m0} exceeds the {len(batch)} available samples"
         )
-    chunks = len(samples) // m0
+    chunks = len(batch) // m0
     threshold = extended_threshold(chunks, p0, m0, r_eff)
     votes = 0
     for j in range(chunks):
-        verdict = sub(samples[j * m0 : (j + 1) * m0])
+        verdict = sub(batch[j * m0 : (j + 1) * m0])
         if verdict.kind != VERDICT_NOT_PLWE:
             votes += 1
     return Decision(votes, threshold)

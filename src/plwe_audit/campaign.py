@@ -38,18 +38,15 @@ from .attacks import (
     unbounded_small_values_attack,
 )
 from .fields import ExtFieldCtx
-from .rings import EXHAUSTIVE_SCAN_LIMIT, RingPoly, RqContext, eval_matrix, load_ring_doc
-from .samplers import (
-    BudgetExhausted,
-    GaussianSpec,
-    PlweInstance,
-    Sample,
-    plwe_oracle,
-    plwe_oracle_rq0,
-    sample_rq0,
-    uniform_oracle,
-    uniform_oracle_rq0,
+from .rings import (
+    EXHAUSTIVE_SCAN_LIMIT,
+    RingPoly,
+    RqContext,
+    eval_matrix,
+    load_ring_doc,
+    rq0_witnesses,
 )
+from .samplers import BudgetExhausted, GaussianSpec, Sample, SampleBatch, sample_batch
 
 
 class ConfigError(Exception):
@@ -309,29 +306,24 @@ def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) ->
 
 def _generate_samples(
     plan: AttackPlan, truth_plwe: bool, rng: np.random.Generator
-) -> tuple[list[Sample], int, Optional[RingPoly]]:
+) -> tuple[SampleBatch, int, Optional[np.ndarray]]:
     """Samples for one trial plus the oracle invocation count and the secret
-    (None on uniform trials).  At an F_q root every sample is a member of
-    R_{q,0} = R_q, and both samplers draw the plain oracles' stream."""
+    (None on uniform trials).  The secret is drawn first, as
+    PlweInstance.generate draws it."""
     cfg = plan.cfg
-    m = plan.samples_per_trial
     ring = cfg.ring
-    secret = None
-    if truth_plwe:
-        inst = PlweInstance.generate(ring, cfg.gauss, rng)
-        secret = inst.secret_for_tests()
-    if cfg.honest_sampling:
-        if truth_plwe:
-            source = lambda: plwe_oracle(inst, rng)
-        else:
-            source = lambda: uniform_oracle(ring, rng)
-        draws = [sample_rq0(source, plan.point, cfg.rq0_budget) for _ in range(m)]
-        return [d.sample for d in draws], sum(d.count for d in draws), secret
-    if truth_plwe:
-        samples = [plwe_oracle_rq0(inst, plan.point, rng) for _ in range(m)]
-    else:
-        samples = [uniform_oracle_rq0(ring, plan.point, rng) for _ in range(m)]
-    return samples, m, secret
+    secret = rng.integers(0, ring.q, size=ring.N) if truth_plwe else None
+    batch, invocations = sample_batch(
+        ring,
+        cfg.gauss,
+        plan.point,
+        plan.samples_per_trial,
+        rng,
+        secret=secret,
+        honest=cfg.honest_sampling,
+        max_invocations=cfg.rq0_budget,
+    )
+    return batch, invocations, secret
 
 
 _BASIC_ATTACKS = {
@@ -343,7 +335,7 @@ _BASIC_ATTACKS = {
 }
 
 
-def run_attack_once(plan: AttackPlan, samples: list[Sample]):
+def run_attack_once(plan: AttackPlan, samples: SampleBatch | list[Sample]):
     """Dispatch the configured attack on one sample batch."""
     att = plan.cfg.attack
     basic = _BASIC_ATTACKS[att.family.removeprefix("extended_")]
@@ -378,7 +370,7 @@ def run_trial(plan: AttackPlan, trial_index: int, record: list | None = None) ->
     outcome = run_attack_once(plan, samples)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     if record is not None:
-        record.extend(samples)
+        record.extend(samples.samples())
     row = {
         "trial": trial_index,
         "truth": "plwe" if truth_plwe else "uniform",
@@ -389,7 +381,8 @@ def run_trial(plan: AttackPlan, trial_index: int, record: list | None = None) ->
         "wall_time_ms": wall_ms,
     }
     if truth_plwe and isinstance(outcome, AttackVerdict) and secret is not None:
-        row["true_value_survives"] = _true_value(plan, secret) in outcome.survivors
+        true_value = _true_value(plan, plan.cfg.ring.poly(secret))
+        row["true_value_survives"] = true_value in outcome.survivors
     return row
 
 
@@ -508,15 +501,16 @@ def run_campaign(
 ) -> CampaignReport:
     plan = build_plan(cfg)
     trials = cfg.attack.trials
-    # workers rebuild the config from the raw document; recording needs the
-    # in-process sample list, so it forces the sequential path
-    if threads > 1 and cfg.raw and record is None:
+    # each worker receives the plan once; recording needs the in-process
+    # sample list, so it forces the sequential path
+    if threads > 1 and record is None:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(_trial_worker, [(cfg.raw, i) for i in range(trials)])
-            )
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_worker, initargs=(plan,)
+        ) as pool:
+            chunk = max(1, trials // (4 * threads))
+            rows = list(pool.map(_trial_worker, range(trials), chunksize=chunk))
     else:
         rows = [run_trial(plan, i, record) for i in range(trials)]
     echo = dict(cfg.raw) if cfg.raw else {}
@@ -524,10 +518,18 @@ def run_campaign(
     return CampaignReport(echo, _plan_summary(plan), rows)
 
 
-def _trial_worker(args: tuple[dict, int]) -> dict:
-    doc, index = args
-    cfg = config_from_dict(doc)
-    return run_trial(build_plan(cfg), index)
+# The plan of the campaign a pool worker serves; set once per worker process
+# by _init_worker, never in the parent.
+_worker_plan: Optional[AttackPlan] = None
+
+
+def _init_worker(plan: AttackPlan) -> None:
+    global _worker_plan
+    _worker_plan = plan
+
+
+def _trial_worker(index: int) -> dict:
+    return run_trial(_worker_plan, index)
 
 
 # ---------------------------------------------------------------------------
@@ -540,20 +542,38 @@ def save_samples(path: str, samples: list[Sample]) -> None:
             fh.write(json.dumps(s.to_doc()) + "\n")
 
 
-def load_samples(path: str, ring: RqContext) -> list[Sample]:
-    out = []
+def load_samples(path: str, plan: AttackPlan) -> SampleBatch:
+    """Read a sample file for a replay of plan's attack.  A malformed line,
+    a component without exactly N coefficients, an a outside R_{q,0} or
+    fewer samples than one chunk of an extended attack is a ConfigError
+    naming the file and the line."""
+    ring, att = plan.cfg.ring, plan.cfg.attack
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not any(line.strip() for line in lines):
         raise ConfigError(f"sample file {path}: empty")
+    samples, linenos = [], []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
-            a = ring.poly(doc["a"])
-            b = ring.poly(doc["b"])
+            sizes = (len(doc["a"]), len(doc["b"]))
+            if sizes != (ring.N, ring.N):
+                raise ValueError(f"a and b need N = {ring.N} coefficients, got {sizes}")
+            samples.append(Sample(ring.poly(doc["a"]), ring.poly(doc["b"])))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"sample file {path}: line {lineno}: {exc}") from exc
-        out.append(Sample(a, b))
-    return out
+        linenos.append(lineno)
+    batch = SampleBatch.from_samples(samples)
+    bad = np.argwhere(rq0_witnesses(batch.A, plan.point))
+    if bad.size:
+        i, k = bad[0]
+        raise ConfigError(
+            f"sample file {path}: line {linenos[i]}: a lies outside R_q0 (witness k={k + 1})"
+        )
+    if att.family in EXTENDED_FAMILIES and len(batch) < att.M0:
+        raise ConfigError(
+            f"sample file {path}: {len(batch)} samples, fewer than attack.M0 = {att.M0}"
+        )
+    return batch

@@ -252,7 +252,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_replay(args) -> int:
     cfg = _load_cfg(args)
     plan = build_plan(cfg)
-    samples = load_samples(args.samples, cfg.ring)
+    samples = load_samples(args.samples, plan)
     outcome = run_attack_once(plan, samples)
     _emit(outcome.to_dict(), args)
     return EXIT_OK

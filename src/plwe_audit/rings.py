@@ -61,18 +61,34 @@ class RqContext:
         return tuple(c % self.q for c in self.f_int)
 
     @cached_property
+    def _x_to_the_N(self) -> np.ndarray:
+        """x^N mod f = -(f_0 + ... + f_(N-1) x^(N-1))."""
+        return np.array([-c % self.q for c in self.f_mod[: self.N]], dtype=np.int64)
+
+    def _shift_rows(self, start: np.ndarray, count: int) -> np.ndarray:
+        """Rows x^k * start mod f for 0 <= k < count; start is canonical."""
+        base, q = self._x_to_the_N, self.q
+        rows = np.zeros((count, self.N), dtype=np.int64)
+        if count:
+            rows[0] = start
+        for k in range(1, count):
+            prev, row = rows[k - 1], rows[k]
+            row[1:] = prev[:-1]
+            row += prev[-1] * base
+            row %= q
+        return rows
+
+    @cached_property
     def _reduction_rows(self) -> np.ndarray:
         """Row k holds the coefficients of x^(N+k) mod f, for 0 <= k < N-1."""
-        N, q = self.N, self.q
-        rows = np.zeros((max(N - 1, 0), N), dtype=np.int64)
-        base = np.array([-c % q for c in self.f_mod[:N]], dtype=np.int64)
-        cur = base
-        for k in range(N - 1):
-            rows[k] = cur
-            nxt = np.zeros(N, dtype=np.int64)
-            nxt[1:] = cur[:-1]
-            cur = (nxt + cur[N - 1] * base) % q
-        return rows
+        return self._shift_rows(self._x_to_the_N, max(self.N - 1, 0))
+
+    def mul_matrix(self, s: np.ndarray) -> np.ndarray:
+        """The (N, N) matrix S of multiplication by s: row i holds x^i * s
+        mod f, so a * s = a @ S mod q for every coefficient row a.  Exact in
+        int64 while q < 2**22."""
+        _require_int64_modulus(self.q)
+        return self._shift_rows(np.asarray(s, dtype=np.int64) % self.q, self.N)
 
     def poly(self, coeffs: Iterable[int]) -> RingPoly:
         cs = [int(c) % self.q for c in coeffs]
@@ -392,6 +408,12 @@ def rq0_membership(p: RingPoly, ext: ExtFieldCtx) -> Rq0Membership:
             j += 1
         sums.append(acc)
     return Rq0Membership(all(s == 0 for s in sums), tuple(sums))
+
+
+def rq0_witnesses(A: np.ndarray, ext: ExtFieldCtx) -> np.ndarray:
+    """The witness sums of rq0_membership for every row of A at once: an
+    (M, n-1) array, zero in row i iff A[i] lies in R_{q,0}."""
+    return A @ eval_matrix(ext, A.shape[-1])[:, 1:] % ext.q
 
 
 def load_ring_doc(doc: dict) -> RqContext:

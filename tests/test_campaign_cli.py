@@ -1,11 +1,14 @@
+import dataclasses
+import hashlib
 import json
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plwe_audit import cli
+from plwe_audit import campaign, cli
 from plwe_audit.analysis import scan_instance
 from plwe_audit.campaign import (
     FAMILIES,
@@ -17,6 +20,7 @@ from plwe_audit.campaign import (
     run_campaign,
 )
 from plwe_audit.instances import (
+    REJECTION_REPLICA,
     TRACE_INSTANCE_B,
     TRACE_RING_A,
     USVA_INSTANCES,
@@ -199,6 +203,104 @@ class TestCampaignRuns:
             run_campaign(config_from_dict(doc))
 
 
+Q7_PAIR = {"N": 2, "f": [-3, 0, 1], "q": 7, "sigma": 0.7, "truncated": True}
+USVA_ROOT = USVA_INSTANCES[1]
+
+# Small campaigns covering both modes, direct and honest sampling, all five
+# families and truncated and untruncated errors, with the sha256 of their
+# digest_json(): a change in how trials consume their random streams shows
+# here.
+GOLDEN = {
+    "fq_small_set_direct_truncated": (
+        {
+            "instance": ORDER6_INSTANCE,
+            "attack": {"family": "small_set", "mode": "fq", "alpha": 2018,
+                       "M": 6, "trials": 6},
+            "seed": 11,
+        },
+        "a0e97d7b194f6d1f69696fcfea1d1de03b4a9c38797fe81b5ff56dc677d91e72",
+    ),
+    "fq_small_values_honest": (
+        {
+            "instance": USVA_ROOT["instance"],
+            "attack": {"family": "small_values", "mode": "fq",
+                       "alpha": USVA_ROOT["alpha"], "M": 8, "trials": 4},
+            "sampling": {"honest": True},
+            "seed": 17,
+        },
+        "ef003ec45879bc62e67fdb54fb211579e7c4cb5ad8ea5d58faf2cf363de49a79",
+    ),
+    "fq_unbounded_mc_direct": (
+        {
+            "instance": USVA_ROOT["instance"],
+            "attack": {"family": "unbounded_small_values", "mode": "fq",
+                       "alpha": USVA_ROOT["alpha"], "ell": 10, "delta": "mc",
+                       "trials": 4},
+            "seed": 13,
+        },
+        "940e3644616c1d5194544346dc3da753072dffb5e0f1d24f89f261af5a0e1fdb",
+    ),
+    "trace_extended_small_set_direct": (
+        {
+            "instance": TRACE_INSTANCE_B["instance"],
+            "attack": {"family": "extended_small_set", "mode": "trace",
+                       "n": 3, "a": 2017, "M": 60, "M0": 10, "trials": 4},
+            "seed": 14,
+        },
+        "3e95c3d569322fcadc5e62e4b779bbb4da7f0d87b95d25534acc477ff672df61",
+    ),
+    "trace_extended_small_values_honest": (
+        {
+            "instance": Q7_PAIR,
+            "attack": {"family": "extended_small_values", "mode": "trace",
+                       "n": 2, "a": 3, "M": 6, "M0": 2, "trials": 8},
+            "sampling": {"honest": True},
+            "seed": 21,
+        },
+        "505787e1d44a762c1808eed8b91a2cb2223b37e4abd08a7742b3ebd8256b290d",
+    ),
+    "trace_unbounded_honest": (
+        {
+            "instance": REJECTION_REPLICA["instance"],
+            "attack": {"family": "unbounded_small_values", "mode": "trace",
+                       "n": 3, "a": 3, "ell": 5, "delta": "series", "trials": 4},
+            "sampling": {"honest": True},
+            "seed": 16,
+        },
+        "fa9a0e308f457da31aef9b7903052149873d55fa2e09a60b582aa05d4a47c539",
+    ),
+}
+
+
+def _golden_config(name):
+    return config_from_dict(json.loads(json.dumps(GOLDEN[name][0])))
+
+
+class TestStreamUse:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_digest_is_pinned(self, name):
+        digest = run_campaign(_golden_config(name)).digest_json()
+        assert hashlib.sha256(digest.encode()).hexdigest() == GOLDEN[name][1]
+
+    @pytest.mark.parametrize("name", ["fq_unbounded_mc_direct", "trace_unbounded_honest"])
+    def test_thread_pool_matches_sequential(self, name):
+        a = run_campaign(_golden_config(name), threads=1)
+        b = run_campaign(_golden_config(name), threads=2)
+        assert a.digest_json() == b.digest_json()
+
+    def test_config_without_raw_runs_pooled(self, monkeypatch):
+        cfg = dataclasses.replace(config_from_dict(_order6_config()), raw={})
+        sequential = run_campaign(cfg).digest_json()
+        parent, run_trial = os.getpid(), campaign.run_trial
+
+        def in_worker_only(plan, index, record=None):
+            assert os.getpid() != parent, "trial ran in the parent process"
+            return run_trial(plan, index, record)
+
+        monkeypatch.setattr(campaign, "run_trial", in_worker_only)
+        assert run_campaign(cfg, threads=2).digest_json() == sequential
+
+
 def _write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -291,6 +393,47 @@ class TestCli:
         empty.write_text("")
         assert cli.main(["replay", "--config", cfg, str(empty)]) == 2
         assert "empty" in capsys.readouterr().err
+
+    def _recorded_trace_samples(self, tmp_path, capsys):
+        """A chunked trace config and the 20 samples of its one trial."""
+        cfg = _write(tmp_path, "t.json", {
+            "instance": dict(TRACE_INSTANCE_B["instance"]),
+            "attack": {"family": "extended_small_set", "mode": "trace",
+                       "n": 3, "a": 2017, "M": 20, "M0": 10, "trials": 1},
+            "seed": 4,
+        })
+        samples = tmp_path / "samples.jsonl"
+        assert cli.main(["attack", "--config", cfg,
+                         "--record-samples", str(samples)]) == 0
+        capsys.readouterr()
+        return cfg, samples, samples.read_text().splitlines()
+
+    def test_replay_refuses_fewer_samples_than_a_chunk(self, tmp_path, capsys):
+        cfg, samples, lines = self._recorded_trace_samples(tmp_path, capsys)
+        samples.write_text("\n".join(lines[:5]) + "\n")
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 2
+        err = capsys.readouterr().err
+        assert str(samples) in err and "5 samples, fewer than attack.M0 = 10" in err
+
+    def test_replay_refuses_a_outside_the_subring(self, tmp_path, capsys):
+        cfg, samples, lines = self._recorded_trace_samples(tmp_path, capsys)
+        doc = json.loads(lines[2])
+        doc["a"] = [0, 1] + [0] * 21  # x has a nonzero y^1 coordinate
+        lines[2] = json.dumps(doc)
+        samples.write_text("\n".join(lines) + "\n")
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 2
+        err = capsys.readouterr().err
+        assert str(samples) in err and "line 3" in err and "outside R_q0" in err
+
+    def test_replay_refuses_short_rows(self, tmp_path, capsys):
+        cfg, samples, lines = self._recorded_trace_samples(tmp_path, capsys)
+        doc = json.loads(lines[1])
+        doc["b"] = doc["b"][:-1]
+        lines[1] = json.dumps(doc)
+        samples.write_text("\n".join(lines) + "\n")
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 2
+        err = capsys.readouterr().err
+        assert str(samples) in err and "line 2" in err and "N = 23" in err
 
     @pytest.mark.parametrize("idx,listed", [(2, 0.00017), (3, 0.0001216)])
     def test_analyze_echoes_flat_margins(self, tmp_path, capsys, idx, listed):

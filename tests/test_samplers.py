@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value
-from plwe_audit.rings import RqContext, ring_mul, ring_sub, rq0_membership
+from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value, is_irreducible_binomial
+from plwe_audit.instances import TRACE_RING_B
+from plwe_audit.rings import RqContext, load_ring_doc, ring_mul, ring_sub, rq0_membership
 from plwe_audit.samplers import (
     BudgetExhausted,
     GaussianSpec,
     PlweInstance,
     Sample,
+    SampleBatch,
     draw_gaussian,
     gaussian_coeffs,
     plwe_oracle,
     plwe_oracle_rq0,
+    sample_batch,
     sample_rq0,
     uniform_oracle,
     uniform_oracle_rq0,
@@ -230,3 +235,88 @@ class TestDirectConstruction:
         rng = np.random.default_rng(35)
         s = uniform_oracle_rq0(self.CTX, self.EXT, rng)
         assert rq0_membership(s.a, self.EXT).is_member
+
+
+def _reference_draws(ctx, ext, gauss, m, seed, plwe, honest, budget):
+    """The per-sample path on a fresh stream: the secret, the samples and
+    the invocation count (None when the budget ran out)."""
+    rng = np.random.default_rng(seed)
+    inst = PlweInstance.generate(ctx, gauss, rng) if plwe else None
+    if honest:
+        oracle = (lambda: plwe_oracle(inst, rng)) if plwe else (lambda: uniform_oracle(ctx, rng))
+        try:
+            draws = [sample_rq0(oracle, ext, budget) for _ in range(m)]
+        except BudgetExhausted:
+            return inst, None, None
+        return inst, [d.sample for d in draws], sum(d.count for d in draws)
+    if plwe:
+        return inst, [plwe_oracle_rq0(inst, ext, rng) for _ in range(m)], m
+    return inst, [uniform_oracle_rq0(ctx, ext, rng) for _ in range(m)], m
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_sample_batch_matches_per_sample_oracles(data):
+    """Row for row, the batch sampler equals the per-sample oracles (direct)
+    or sample_rq0 over the plain oracles (honest) on the same stream."""
+    q = data.draw(st.sampled_from([3, 5, 7, 13]), label="q")
+    n = data.draw(st.integers(1, 3), label="n")
+    honest = data.draw(st.booleans(), label="honest")
+    assume(not honest or q ** (n - 1) <= 49)
+    mod = PrimeModulus(q)
+    if n == 1:
+        a = data.draw(st.integers(0, q - 1), label="a")
+    else:
+        irreducible = [a for a in range(1, q) if is_irreducible_binomial(n, mod.element(a))]
+        assume(irreducible)
+        a = data.draw(st.sampled_from(irreducible), label="a")
+    ext = ExtFieldCtx(n, mod.element(a))
+    g = data.draw(st.lists(st.integers(0, q - 1), max_size=4), label="g") + [1]
+    ctx = RqContext(tuple(np.convolve([-a] + [0] * (n - 1) + [1], g).tolist()), mod)
+    gauss = GaussianSpec(data.draw(st.sampled_from([0.7, 1.6]), label="sigma"),
+                         data.draw(st.booleans(), label="truncated"))
+    m = data.draw(st.integers(1, 6), label="m")
+    plwe = data.draw(st.booleans(), label="plwe")
+    budget = data.draw(st.sampled_from([10**8, 1, 3, 2 * q ** (n - 1)]), label="budget")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+    inst, ref, ref_count = _reference_draws(ctx, ext, gauss, m, seed, plwe, honest, budget)
+    rng = np.random.default_rng(seed)
+    secret = rng.integers(0, q, size=ctx.N) if plwe else None
+    if ref is None:
+        with pytest.raises(BudgetExhausted):
+            sample_batch(ctx, gauss, ext, m, rng, secret, honest, budget)
+        return
+    batch, count = sample_batch(ctx, gauss, ext, m, rng, secret, honest, budget)
+    assert count == ref_count
+    assert np.array_equal(batch.A, [s.a.coeffs for s in ref])
+    assert np.array_equal(batch.B, [s.b.coeffs for s in ref])
+    assert batch.samples() == ref
+    for sample in ref:
+        assert not any(rq0_membership(sample.a, ext).witness_sums)
+    if plwe:
+        s_poly = inst.secret_for_tests()
+        assert tuple(secret) == s_poly.coeffs
+        for sample in ref:
+            resid = ring_sub(sample.b, ring_mul(sample.a, s_poly))
+            assert resid.coeffs == tuple(e % q for e in sample.raw_error)
+
+
+def test_sample_batch_budget_ends_rejection_sampling():
+    # one call in q^2 = 16.8 million lands in R_q0 here; sample_rq0 gives up
+    # after the budget, and so must the batch sampler
+    ctx = load_ring_doc(TRACE_RING_B)
+    ext = ExtFieldCtx(3, PrimeModulus(4099).element(2017))
+    rng = np.random.default_rng(42)
+    secret = rng.integers(0, 4099, size=ctx.N)
+    with pytest.raises(BudgetExhausted, match="within 5 invocations"):
+        sample_batch(ctx, GaussianSpec(2.5, False), ext, 3, rng, secret,
+                     honest=True, max_invocations=5)
+
+
+def test_sample_batch_round_trips_and_slices():
+    rng = np.random.default_rng(41)
+    samples = [uniform_oracle(CTX13, rng) for _ in range(5)]
+    batch = SampleBatch.from_samples(samples)
+    assert len(batch) == 5 and batch.samples() == samples
+    assert batch[1:3].samples() == samples[1:3]
