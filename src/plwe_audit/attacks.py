@@ -6,21 +6,24 @@ small-values attack checks them against the centered interval [-q/4, q/4), and
 the unbounded variant counts interval hits per candidate and decides by the
 best candidate's count.  Each evaluates at a root alpha of an irreducible
 divisor y^n - a of f: samples are restricted to the subring R_{q,0} and
-candidate values folded through the field trace.  An F_q root alpha is the case n = 1, a = alpha, where the subring is
-all of R_q and the trace is the identity.  A chunked driver turns the
-three-way basic verdicts into a two-way vote whenever single runs are
-unreliable.
+candidate values folded through the field trace.  An F_q root alpha is the
+case n = 1, a = alpha, where the subring is all of R_q and the trace is the
+identity.  A chunked driver turns the three-way basic verdicts into a two-way
+vote whenever single runs are unreliable.
 
-Every attack is a pure function of (samples, parameters).  The candidate loop
-is evaluated sample-major with a shrinking survivor set, which returns exactly
-the survivor set of the naive candidate-major loop.
+Every attack is a pure function of (samples, parameters).  The small-set and
+small-values filter starts each chunk (a basic attack is one chunk) from the
+|Sigma| candidates g = (t_j - sigma) / u_j of its first sample j with u_j =
+a_j(alpha) != 0, and one sample-major pass over all chunks keeps exactly the
+survivor sets of the naive candidate-major loop over F_q.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -161,9 +164,11 @@ class SigmaTable:
     def size(self) -> int:
         return len(self.values)
 
+    @cached_property
     def mask(self) -> np.ndarray:
         m = np.zeros(self.q, dtype=bool)
         m[np.fromiter(self.values, dtype=np.int64, count=len(self.values))] = True
+        m.flags.writeable = False
         return m
 
 
@@ -236,23 +241,46 @@ def _pairs(samples: Samples, point: FieldElement | ExtFieldCtx):
     return targets, scales, q
 
 
-def _survivors(
-    targets: np.ndarray, scales: np.ndarray, member: np.ndarray, q: int
-) -> tuple[int, ...]:
-    """Candidates g with member[(targets_i - scales_i * g) mod q] for all i.
-
-    Processed sample-major over a shrinking candidate set; the result equals
-    the candidate-major loop exactly.
-    """
-    cand = np.arange(q, dtype=np.int64)
-    for t, u in zip(targets, scales):
-        cand = cand[member[(int(t) - int(u) * cand) % q]]
-        if cand.size == 0:
-            break
-    return tuple(int(g) for g in cand)
+_MAX_PAIRS = 2**20  # extended_attack holds at most max(q, _MAX_PAIRS) candidates
 
 
-def _quarter_mask(q: int) -> np.ndarray:
+def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
+    """(full, chunk, g): g survives chunk c, row c of the (chunks, m) arrays,
+    when member[(t_i - u_i * g) mod q] for all its samples i.  full[c] marks
+    a chunk without invertible u that keeps all of F_q; the other chunks'
+    surviving pairs come in ascending chunk order."""
+    q, m = member.size, scales.shape[1]
+    zero = scales == 0
+    alive = ~(zero & ~member[targets]).any(axis=1)  # u = 0 keeps all or nothing
+    rows = np.flatnonzero(alive & ~zero.all(axis=1))
+    first = zero[rows].argmin(axis=1)
+    inv = np.array([pow(u, -1, q) for u in scales[rows, first].tolist()], dtype=np.int64)
+    # (row, s in Sigma) stands for g = (t_first - s) * inv, whose tentative
+    # error at sample i is off_i + lam_i * s; every sample up to a row's
+    # first passes by construction, so passes start after the earliest first
+    lam = (scales[rows] * inv[:, None] % q).T
+    off = (targets[rows].T - lam * targets[rows, first]) % q
+    sigma = np.flatnonzero(member)
+    start = min(first.min(initial=m) + 1, m - 1)
+    x = lam[start, :, None] * sigma  # the first pass runs on the whole grid
+    x += off[start, :, None]
+    x %= q
+    pair, s = np.divmod(np.flatnonzero(member.take(x)), sigma.size)
+    s = sigma.take(s)
+    for i in range(start + 1, m):
+        keep = np.flatnonzero(member.take((lam[i].take(pair) * s + off[i].take(pair)) % q))
+        pair, s = pair.take(keep), s.take(keep)
+    g = (targets[rows, first].take(pair) - s) * inv.take(pair) % q
+    return alive & zero.all(axis=1), rows.take(pair), g
+
+
+def _verdict(targets: np.ndarray, scales: np.ndarray, member: np.ndarray) -> AttackVerdict:
+    """The basic verdict: all samples form one chunk."""
+    full, _, g = _filter(targets[None], scales[None], member)
+    return AttackVerdict(tuple(range(member.size)) if full[0] else tuple(np.sort(g).tolist()))
+
+
+def quarter_mask(q: int) -> np.ndarray:
     v = np.arange(q, dtype=np.int64)
     return (4 * v < q) | (4 * v >= 3 * q)
 
@@ -276,7 +304,7 @@ def small_set_attack(
     targets, scales, q = _pairs(samples, point)
     if table.q != q:
         raise AttackError("table was built for a different modulus")
-    return AttackVerdict(_survivors(targets, scales, table.mask(), q))
+    return _verdict(targets, scales, table.mask)
 
 
 def small_values_attack(
@@ -284,7 +312,7 @@ def small_values_attack(
 ) -> AttackVerdict:
     """Survivor test: the tentative error lands in [-q/4, q/4)."""
     targets, scales, q = _pairs(samples, point)
-    return AttackVerdict(_survivors(targets, scales, _quarter_mask(q), q))
+    return _verdict(targets, scales, quarter_mask(q))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +337,7 @@ def unbounded_small_values_attack(
     """
     targets, scales, q = _pairs(samples, point)
     ell = len(samples)
-    mask = _quarter_mask(q)
+    mask = quarter_mask(q)
     g = np.arange(q, dtype=np.int64)
     hits = np.zeros(q, dtype=np.int64)
     for t, u in zip(targets, scales):
@@ -329,15 +357,16 @@ def unbounded_small_values_attack(
 def extended_attack(
     samples: Samples,
     m0: int,
-    sub: Callable[[SampleBatch], AttackVerdict],
+    member: np.ndarray,
+    point: FieldElement | ExtFieldCtx,
     r_eff: int,
     p0: float,
 ) -> Decision:
-    """Run a basic attack on floor(M/M0) disjoint, index-ordered chunks of M0
-    samples and vote: a chunk counts when its verdict is anything but NOT
-    PLWE.  The threshold is the expected count for genuine PLWE input,
-    ceil(c * p0^(M0*r_eff)); r_eff is the table order for small-set
-    subprocesses and 1 for small-values ones.
+    """Filter floor(M/M0) disjoint, index-ordered chunks of M0 samples with
+    a basic attack's membership mask and vote: a chunk counts when it keeps
+    a survivor (its verdict is not NOT PLWE).  The threshold is the expected
+    count for genuine PLWE input, ceil(c * p0^(M0*r_eff)); r_eff is the table
+    order for small-set masks and 1 for the quarter interval.
     """
     batch = _as_batch(samples)
     if m0 < 1:
@@ -347,10 +376,13 @@ def extended_attack(
             f"chunk size {m0} exceeds the {len(batch)} available samples"
         )
     chunks = len(batch) // m0
-    threshold = extended_threshold(chunks, p0, m0, r_eff)
+    targets, scales, q = _pairs(batch[: chunks * m0], point)
+    if member.size != q:
+        raise AttackError("membership mask was built for a different modulus")
+    targets, scales = targets.reshape(chunks, m0), scales.reshape(chunks, m0)
+    step = max(1, max(q, _MAX_PAIRS) // max(1, np.count_nonzero(member)))
     votes = 0
-    for j in range(chunks):
-        verdict = sub(batch[j * m0 : (j + 1) * m0])
-        if verdict.kind != VERDICT_NOT_PLWE:
-            votes += 1
-    return Decision(votes, threshold)
+    for lo in range(0, chunks, step):
+        full, chunk, _ = _filter(targets[lo : lo + step], scales[lo : lo + step], member)
+        votes += int(full.sum()) + np.unique(chunk).size
+    return Decision(votes, extended_threshold(chunks, p0, m0, r_eff))

@@ -33,6 +33,7 @@ from .attacks import (
     TableTooLarge,
     build_sigma_table_trace,
     extended_attack,
+    quarter_mask,
     small_set_attack,
     small_values_attack,
     unbounded_small_values_attack,
@@ -95,15 +96,65 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _int(value, name: str, optional: bool = False) -> Optional[int]:
-    """int(value); a failed conversion names the field.  Optional fields
-    pass None through."""
+def section(value, name: str) -> dict:
+    """value when it is a JSON object; anything else names the field."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def int_field(
+    value, name: str, optional: bool = False, low: int | None = None, high: int | None = None
+) -> Optional[int]:
+    """int(value) within [low, high); a failed conversion or a value out of
+    range names the field.  Optional fields pass None through."""
     if optional and value is None:
         return None
     try:
-        return int(value)
+        number = int(value)
+        if isinstance(value, float) and number != value:
+            raise ValueError(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: expected an integer, got {value!r}") from exc
+    if low is not None and number < low:
+        raise ConfigError(f"{name}: must be >= {low}, got {number}")
+    if high is not None and number >= high:
+        raise ConfigError(f"{name}: must be < {high}, got {number}")
+    return number
+
+
+def read_config(path: str) -> dict:
+    """The JSON object in a config file; an unreadable file, invalid JSON or
+    any other top-level value is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError included
+        raise ConfigError(f"config: {exc}") from exc
+    return section(doc, "config")
+
+
+def instance_from_dict(inst) -> tuple[RqContext, GaussianSpec]:
+    """The ring and the error distribution of an instance section."""
+    section(inst, "instance")
+    try:
+        ring = load_ring_doc(inst)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"instance: {exc}") from exc
+    sigma = _need(inst, "sigma", "instance")
+    truncated = bool(_need(inst, "truncated", "instance"))
+    try:
+        return ring, GaussianSpec(float(sigma), truncated)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"instance.sigma: {exc}") from exc
+
+
+def seed_from_dict(doc: dict) -> int:
+    return int_field(doc.get("seed", 0), "seed", low=0, high=2**64)
+
+
+def table_cap_from_dict(doc: dict) -> int:
+    return int_field(doc.get("table_cap", analysis.DEFAULT_TABLE_CAP), "table_cap", low=1)
 
 
 def _delta(value) -> Optional[float | str]:
@@ -122,37 +173,25 @@ def _delta(value) -> Optional[float | str]:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    inst = _need(doc, "instance", "config")
-    try:
-        ring = load_ring_doc(inst)
-    except ValueError as exc:
-        raise ConfigError(f"instance: {exc}") from exc
-    sigma = _need(inst, "sigma", "instance")
-    truncated = bool(_need(inst, "truncated", "instance"))
-    try:
-        gauss = GaussianSpec(float(sigma), truncated)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"instance.sigma: {exc}") from exc
-
-    att = _need(doc, "attack", "config")
+    section(doc, "config")
+    ring, gauss = instance_from_dict(_need(doc, "instance", "config"))
+    att = section(_need(doc, "attack", "config"), "attack")
     family = _need(att, "family", "attack")
     if family not in FAMILIES:
         raise ConfigError(f"attack.family: unknown family {family!r}")
     mode = _need(att, "mode", "attack")
     if mode not in MODES:
         raise ConfigError(f"attack.mode: must be one of {MODES}")
-    trials = _int(att.get("trials", 1), "attack.trials")
-    if trials < 1:
-        raise ConfigError("attack.trials: must be >= 1")
+    trials = int_field(att.get("trials", 1), "attack.trials", low=1)
     spec = AttackSpec(
         family=family,
         mode=mode,
-        M=_int(att.get("M", 0), "attack.M"),
-        M0=_int(att.get("M0", 0), "attack.M0"),
-        ell=_int(att.get("ell", 0), "attack.ell"),
-        alpha=_int(att.get("alpha"), "attack.alpha", optional=True),
-        n=_int(att.get("n"), "attack.n", optional=True),
-        a=_int(att.get("a"), "attack.a", optional=True),
+        M=int_field(att.get("M", 0), "attack.M"),
+        M0=int_field(att.get("M0", 0), "attack.M0"),
+        ell=int_field(att.get("ell", 0), "attack.ell"),
+        alpha=int_field(att.get("alpha"), "attack.alpha", optional=True),
+        n=int_field(att.get("n"), "attack.n", optional=True),
+        a=int_field(att.get("a"), "attack.a", optional=True),
         delta=_delta(att.get("delta")),
         trials=trials,
     )
@@ -171,29 +210,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if mode == "trace" and (spec.n is None or spec.a is None):
         raise ConfigError("attack.n/attack.a: required in trace mode")
 
-    seed = _int(doc.get("seed", 0), "seed")
-    if not (0 <= seed < 2**64):
-        raise ConfigError("seed: must be an unsigned 64-bit integer")
-    sampling = doc.get("sampling", {})
     return ExperimentConfig(
         ring=ring,
         gauss=gauss,
         attack=spec,
-        seed=seed,
-        honest_sampling=bool(sampling.get("honest", False)),
-        table_cap=_int(doc.get("table_cap", analysis.DEFAULT_TABLE_CAP), "table_cap"),
-        rq0_budget=_int(doc.get("rq0_budget", 10**8), "rq0_budget"),
+        seed=seed_from_dict(doc),
+        honest_sampling=bool(section(doc.get("sampling", {}), "sampling").get("honest", False)),
+        table_cap=table_cap_from_dict(doc),
+        rq0_budget=int_field(doc.get("rq0_budget", 10**8), "rq0_budget"),
         raw=doc,
     )
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
-    return config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +352,18 @@ def _generate_samples(
     return batch, invocations, secret
 
 
-_BASIC_ATTACKS = {
-    "small_set": lambda plan, samples: small_set_attack(samples, plan.table, plan.point),
-    "small_values": lambda plan, samples: small_values_attack(samples, plan.point),
-    "unbounded_small_values": lambda plan, samples: unbounded_small_values_attack(
-        samples, plan.delta, plan.point
-    ),
-}
-
-
 def run_attack_once(plan: AttackPlan, samples: SampleBatch | list[Sample]):
     """Dispatch the configured attack on one sample batch."""
-    att = plan.cfg.attack
-    basic = _BASIC_ATTACKS[att.family.removeprefix("extended_")]
-    if att.family not in EXTENDED_FAMILIES:
-        return basic(plan, samples)
-    r_eff = plan.table.r if plan.table is not None else 1
-    sub = lambda chunk: basic(plan, chunk)
-    return extended_attack(samples, att.M0, sub, r_eff, plan.cfg.gauss.p0)
+    att, table, point = plan.cfg.attack, plan.table, plan.point
+    if att.family == "unbounded_small_values":
+        return unbounded_small_values_attack(samples, plan.delta, point)
+    if att.family in BASIC_FAMILIES:
+        if table is not None:
+            return small_set_attack(samples, table, point)
+        return small_values_attack(samples, point)
+    member = table.mask if table is not None else quarter_mask(plan.cfg.ring.q)
+    r_eff = table.r if table is not None else 1
+    return extended_attack(samples, att.M0, member, point, r_eff, plan.cfg.gauss.p0)
 
 
 def _says_plwe(outcome) -> bool:

@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import analysis
 from .analysis import (
     block_structure,
     delta_probability,
@@ -32,12 +31,17 @@ from .campaign import (
     PreconditionRefused,
     build_plan,
     config_from_dict,
+    instance_from_dict,
+    int_field,
     load_samples,
+    read_config,
     run_attack_once,
     run_campaign,
     save_samples,
+    section,
+    seed_from_dict,
+    table_cap_from_dict,
 )
-from .rings import load_ring_doc
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,26 +124,18 @@ def _write_csv(path: str, doc: dict) -> None:
 
 
 def _cmd_scan(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    inst = doc.get("instance", doc)
-    try:
-        ring = load_ring_doc(inst)
-        sigma = float(inst["sigma"])
-        truncated = bool(inst["truncated"])
-    except (ValueError, KeyError) as exc:
-        print(f"config error: instance: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    doc = _read_config(args)
+    ring, gauss = instance_from_dict(doc.get("instance", doc))
     report = scan_instance(
-        ring, sigma, truncated, n_max=args.n_max,
-        table_cap=int(doc.get("table_cap", analysis.DEFAULT_TABLE_CAP)),
+        ring, gauss.sigma, gauss.truncated, n_max=args.n_max,
+        table_cap=table_cap_from_dict(doc),
     )
     _emit(report.to_dict(), args)
     return EXIT_OK
 
 
 def _cmd_attack(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = config_from_dict(_read_config(args))
     record: list | None = [] if args.record_samples else None
     report = run_campaign(cfg, threads=args.threads, record=record)
     if record is not None:
@@ -149,42 +145,32 @@ def _cmd_attack(args) -> int:
     return EXIT_OK
 
 
-def _load_cfg(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _read_config(args) -> dict:
+    """The config file's JSON object with the command-line overrides; every
+    command reads its config through here."""
+    doc = read_config(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
-        doc.setdefault("attack", {})["trials"] = args.trials
+        section(doc.setdefault("attack", {}), "attack")["trials"] = args.trials
     if getattr(args, "honest_sampling", False):
-        doc.setdefault("sampling", {})["honest"] = True
-    return config_from_dict(doc)
+        section(doc.setdefault("sampling", {}), "sampling")["honest"] = True
+    return doc
 
 
 def _cmd_analyze(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    inst = doc.get("instance", doc)
-    try:
-        ring = load_ring_doc(inst)
-        sigma = float(inst["sigma"])
-        truncated = bool(inst["truncated"])
-    except (ValueError, KeyError) as exc:
-        print(f"config error: instance: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    att = doc.get("attack", {})
+    doc = _read_config(args)
+    ring, gauss = instance_from_dict(doc.get("instance", doc))
+    sigma, truncated = gauss.sigma, gauss.truncated
+    att = section(doc.get("attack", {}), "attack")
     q = ring.q
     if att.get("n") is not None and att.get("a") is not None:
-        n = int(att["n"])
-        a_elt = ring.modulus.element(int(att["a"]))
+        n = int_field(att["n"], "attack.n", low=1, high=ring.N + 1)
+        a_elt = ring.modulus.element(int_field(att["a"], "attack.a"))
     elif att.get("alpha") is not None:
-        n, a_elt = 1, ring.modulus.element(int(att["alpha"]))
+        n, a_elt = 1, ring.modulus.element(int_field(att["alpha"], "attack.alpha"))
     else:
-        print(
-            "config error: attack.alpha (or attack.n/attack.a): required for analyze",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
+        raise ConfigError("attack.alpha (or attack.n/attack.a): required for analyze")
     blocks = block_structure(n, a_elt, ring.N, sigma)
     if n == 1:
         point = {"alpha": a_elt.value}
@@ -211,7 +197,7 @@ def _cmd_analyze(args) -> int:
             "quarter interval, so the bounded small-values attack applies instead"
         )
     if args.mc_check:
-        rng = np.random.default_rng(int(doc.get("seed", 0)))
+        rng = np.random.default_rng(seed_from_dict(doc))
         mc = monte_carlo_delta(q, blocks.sigma_bar, rng)
         out["delta_mc"] = mc
         if abs(mc - prob.delta) > 2e-3:
@@ -250,7 +236,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = config_from_dict(_read_config(args))
     plan = build_plan(cfg)
     samples = load_samples(args.samples, plan)
     outcome = run_attack_once(plan, samples)

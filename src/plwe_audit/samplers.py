@@ -13,6 +13,7 @@ only the ring arithmetic runs on whole arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -45,8 +46,8 @@ class GaussianSpec:
     truncated: bool
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     @property
     def p0(self) -> float:

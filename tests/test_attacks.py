@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plwe_audit import attacks
 from plwe_audit.analysis import (
     hit_threshold,
     monte_carlo_delta,
@@ -396,44 +398,139 @@ class TestUnbounded:
 
 
 class TestExtended:
-    TABLE = build_sigma_table_fq(ALPHA_2018, 6, 6, 0.7)
-
-    def _sub(self, chunk):
-        return small_set_attack(chunk, self.TABLE, ALPHA_2018)
+    MASK = build_sigma_table_fq(ALPHA_2018, 6, 6, 0.7).mask
 
     def test_truncated_threshold_is_chunk_count(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 30, 0)
-        decision = extended_attack(samples, 3, self._sub, 6, p0=1.0)
+        decision = extended_attack(samples, 3, self.MASK, ALPHA_2018, 6, p0=1.0)
         assert decision.threshold == 10
         assert decision.is_plwe
 
     def test_untruncated_threshold_value(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, False), 100, 1)
-        decision = extended_attack(samples, 5, self._sub, 2, p0=0.954500)
+        decision = extended_attack(samples, 5, self.MASK, ALPHA_2018, 2, p0=0.954500)
         # ceil(20 * p0^10)
         assert decision.threshold == math.ceil(20 * 0.954500**10) == 13
 
     def test_remainder_samples_dropped(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 7, 2)
         poisoned = samples[:6] + [Sample(RING_ORDER6.zero(), RING_ORDER6.one())]
-        full = extended_attack(poisoned, 3, self._sub, 6, p0=1.0)
-        trimmed = extended_attack(samples[:6], 3, self._sub, 6, p0=1.0)
+        full = extended_attack(poisoned, 3, self.MASK, ALPHA_2018, 6, p0=1.0)
+        trimmed = extended_attack(samples[:6], 3, self.MASK, ALPHA_2018, 6, p0=1.0)
         assert (full.votes, full.threshold) == (trimmed.votes, trimmed.threshold)
 
     def test_chunking_is_deterministic(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, False), 40, 3)
-        d1 = extended_attack(samples, 5, self._sub, 6, p0=0.954500)
-        d2 = extended_attack(samples, 5, self._sub, 6, p0=0.954500)
+        d1 = extended_attack(samples, 5, self.MASK, ALPHA_2018, 6, p0=0.954500)
+        d2 = extended_attack(samples, 5, self.MASK, ALPHA_2018, 6, p0=0.954500)
         assert d1 == d2
 
     def test_insufficient_samples(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 4, 4)
         with pytest.raises(InsufficientSamples):
-            extended_attack(samples, 5, self._sub, 6, p0=1.0)
+            extended_attack(samples, 5, self.MASK, ALPHA_2018, 6, p0=1.0)
 
     def test_no_samples(self):
         with pytest.raises(NoSamples):
-            extended_attack([], 5, self._sub, 6, p0=1.0)
+            extended_attack([], 5, self.MASK, ALPHA_2018, 6, p0=1.0)
+
+
+# (ring, point) pairs for the filter property: F_q roots, and binomial
+# divisors y^2 - 2 of x^4 + 1 over F_5, y^2 - 3 of x^4 - 2 over F_7 and
+# y^3 - 2 of x^6 - 4 over F_13
+FILTER_POINTS = {
+    "fq5": (_usva_ring(4, 5, 4), PrimeModulus(5).element(4)),
+    "fq7": (_usva_ring(4, 7, 6), PrimeModulus(7).element(6)),
+    "fq13": (_usva_ring(4, 13, 12), PrimeModulus(13).element(12)),
+    "trace5": (RING_X4P1_5, EXT_X4P1_5),
+    "trace7": (RqContext((-2, 0, 0, 0, 1), PrimeModulus(7)),
+               ExtFieldCtx(2, PrimeModulus(7).element(3))),
+    "trace13": (RqContext((-4, 0, 0, 0, 0, 0, 1), PrimeModulus(13)),
+                ExtFieldCtx(3, PrimeModulus(13).element(2))),
+}
+
+
+def _scalar_pair(sample, point):
+    """(t, u) by scalar evaluation: the tentative error is (t - u*g)/n."""
+    if isinstance(point, ExtFieldCtx):
+        alpha = point.alpha()
+        return trace(eval_poly(sample.b, alpha)).value, eval_poly(sample.a, alpha).coeffs[0]
+    return eval_poly(sample.b, point).value, eval_poly(sample.a, point).value
+
+
+@st.composite
+def _filter_cases(draw):
+    """Samples in chunks of m0 plus a remainder; each chunk's a(alpha) = 0
+    pattern is none, leading (the chunk opens with such samples) or all
+    (no invertible sample)."""
+    ring, point = FILTER_POINTS[draw(st.sampled_from(sorted(FILTER_POINTS)))]
+    m0 = draw(st.integers(1, 4))
+    patterns = draw(st.lists(st.sampled_from(["none", "leading", "all"]), min_size=1, max_size=5))
+    rem = draw(st.integers(0, m0 - 1))
+    plwe = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inst = PlweInstance.generate(ring, GaussianSpec(0.7, True), rng)
+    zero_flags = []
+    for pattern in patterns:
+        lead = {"none": 0, "leading": draw(st.integers(1, m0)), "all": m0}[pattern]
+        zero_flags += [i < lead for i in range(m0)]
+    zero_flags += [draw(st.booleans()) for _ in range(rem)]
+    samples = []
+    for zero in zero_flags:
+        if isinstance(point, ExtFieldCtx):
+            a = uniform_rq0_poly(ring, point, rng)
+        else:
+            a = uniform_oracle(ring, rng).a
+        if zero:
+            u = _scalar_pair(Sample(a, a), point)[1]
+            a = ring.poly([(a.coeffs[0] - u) % ring.q, *a.coeffs[1:]])
+        if plwe:
+            samples.append(plwe_oracle(inst, rng, force_a=a))
+        else:
+            samples.append(Sample(a, uniform_oracle(ring, rng).b))
+    return point, m0, len(patterns), samples
+
+
+def _naive_survivors(pairs, member, n):
+    """Candidate-major loop over all of F_q."""
+    q = member.size
+    n_inv = pow(n, -1, q)
+    return {g for g in range(q) if all(member[n_inv * (t - u * g) % q] for t, u in pairs)}
+
+
+class TestFilterMatchesCandidateMajorLoop:
+    @given(case=_filter_cases(), sigma=st.sampled_from([0.3, 0.6, 1.1]))
+    @settings(max_examples=150, deadline=None)
+    def test_chunked_and_basic_survivors(self, case, sigma):
+        point, m0, chunks, samples = case
+        n = point.n if isinstance(point, ExtFieldCtx) else 1
+        a = point.a if isinstance(point, ExtFieldCtx) else point
+        table = build_sigma_table_trace(a, 2, 1, sigma)
+        quarter = attacks.quarter_mask(a.q)
+        pairs = [_scalar_pair(s, point) for s in samples]
+        for member in (table.mask, quarter):
+            expected = [
+                _naive_survivors(pairs[c * m0 : (c + 1) * m0], member, n)
+                for c in range(chunks)
+            ]
+            targets, scales, _ = attacks._pairs(samples[: chunks * m0], point)
+            full, chunk, g = attacks._filter(
+                targets.reshape(chunks, m0), scales.reshape(chunks, m0), member
+            )
+            got = [set(range(a.q)) if full[c] else set(g[chunk == c].tolist())
+                   for c in range(chunks)]
+            assert got == expected
+            votes = sum(1 for survivors in expected if survivors)
+            for max_pairs in (attacks._MAX_PAIRS, 0):  # 0: a few chunks per pass
+                with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
+                    decision = extended_attack(samples, m0, member, point, 2, 1.0)
+                assert decision.votes == votes
+        assert small_set_attack(samples, table, point).survivors == tuple(
+            sorted(_naive_survivors(pairs, table.mask, n))
+        )
+        assert small_values_attack(samples, point).survivors == tuple(
+            sorted(_naive_survivors(pairs, quarter, n))
+        )
 
 
 class TestVerdictShape:

@@ -86,7 +86,7 @@ class TestConfigValidation:
             build_plan(config_from_dict(doc))
 
     @pytest.mark.parametrize(
-        "field,value", [("alpha", "x"), ("M", "five"), ("trials", None)]
+        "field,value", [("alpha", "x"), ("M", "five"), ("M", 2.7), ("trials", None)]
     )
     def test_malformed_integer_is_named(self, field, value):
         doc = _order6_config()
@@ -268,6 +268,17 @@ GOLDEN = {
             "seed": 16,
         },
         "fa9a0e308f457da31aef9b7903052149873d55fa2e09a60b582aa05d4a47c539",
+    ),
+    # the campaign of perfbench's trace_n23 workload, at six trials
+    "trace_n23": (
+        {
+            "instance": TRACE_INSTANCE_B["instance"],
+            "attack": {"family": "extended_small_set", "mode": "trace",
+                       "n": 3, "a": 2017, "M": 500, "M0": 10, "trials": 6},
+            "sampling": {"honest": False},
+            "seed": 23,
+        },
+        "999a8124de514ccc11785113c382cac38d3f57d93f952793af323fbe92760c06",
     ),
 }
 
@@ -563,3 +574,61 @@ def _attack_sections(draw):
 def test_fuzzed_attack_section_exits_cleanly(tmp_path, attack):
     cfg = _write(tmp_path, "fuzz.json", {"instance": MIXED_Q7, "attack": attack, "seed": 1})
     assert cli.main(["attack", "--config", cfg]) in (0, 2, 3)
+
+
+@st.composite
+def _instance_sections(draw):
+    """MIXED_Q7 with up to two fields dropped or replaced by junk."""
+    instance = dict(MIXED_Q7)
+    for key in draw(st.lists(st.sampled_from(sorted(instance)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del instance[key]
+        else:
+            instance[key] = draw(st.one_of(_JUNK, st.sampled_from([0, 1, 4, 5, -1, [1, 2]])))
+    return instance
+
+
+@given(
+    command=st.sampled_from(["attack", "scan", "analyze"]),
+    instance=st.one_of(_instance_sections(), _JUNK),
+    attack=st.one_of(_attack_sections(), _JUNK),
+    extra=st.dictionaries(st.sampled_from(["seed", "table_cap", "sampling"]), _JUNK, max_size=2),
+    mc_check=st.booleans(),
+)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_configs_exit_cleanly(tmp_path, command, instance, attack, extra, mc_check):
+    cfg = _write(tmp_path, "fuzz.json", {"instance": instance, "attack": attack, **extra})
+    argv = [command, "--config", cfg] + (["--mc-check"] if command == "analyze" and mc_check else [])
+    assert cli.main(argv) in (0, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "command,doc,field",
+    [
+        ("scan", {"instance": {**MIXED_Q7, "sigma": None}}, "instance.sigma"),
+        ("scan", {"instance": {**MIXED_Q7, "sigma": -1}}, "instance.sigma"),
+        ("scan", {"instance": MIXED_Q7, "table_cap": "x"}, "table_cap"),
+        ("scan", {"instance": MIXED_Q7, "table_cap": 0}, "table_cap"),
+        ("analyze", {"instance": MIXED_Q7, "attack": {"n": "x", "a": 3}}, "attack.n"),
+        ("analyze", {"instance": MIXED_Q7, "attack": {"n": 0, "a": 3}}, "attack.n"),
+        ("analyze", {"instance": MIXED_Q7, "attack": [1]}, "attack"),
+        ("attack", {"instance": 5, "attack": {}}, "instance"),
+        ("scan", [MIXED_Q7], "config"),
+        ("analyze", [MIXED_Q7], "config"),
+        ("attack", [MIXED_Q7], "config"),
+    ],
+)
+def test_malformed_config_names_the_field(tmp_path, capsys, command, doc, field):
+    cfg = _write(tmp_path, "bad.json", doc)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+@pytest.mark.parametrize("command", ["scan", "analyze", "attack", "replay"])
+def test_invalid_json_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text('{"instance": ')
+    argv = [command, "--config", str(path)] + ([str(path)] if command == "replay" else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: config:")
