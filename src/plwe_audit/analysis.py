@@ -1,5 +1,5 @@
-"""Closed-form calculators behind the attacks: image variances, the erf-series
-distinguishing probability, cumulative binomial machinery, posterior and
+"""Closed-form calculators behind the attacks: image variances, the series of
+the distinguishing probability, cumulative binomial machinery, posterior and
 success bounds, decision thresholds, and the instance vulnerability scanner.
 """
 
@@ -117,7 +117,7 @@ def block_structure(n: int, a: FieldElement, N: int, sigma: float) -> BlockStruc
 
 
 # ---------------------------------------------------------------------------
-# erf series for the quarter-interval probability
+# series for the quarter-interval probability
 
 
 @dataclass(frozen=True)
@@ -150,25 +150,55 @@ def _erf_series(ratio: float, tol: float) -> tuple[float, int]:
     return total, terms
 
 
+def _dual_series(ratio: float, tol: float) -> tuple[float, int]:
+    """p - 1/2 by the Poisson-dual series of the wrapped Gaussian,
+    sum_{k>=1} 2 sin(pi k/2)/(pi k) exp(-pi^2 k^2 / ratio^2): only odd k
+    contribute, and the terms shrink with k, so it stops at the first term
+    below tol."""
+    total, terms, k = 0.0, 0, 1
+    while True:
+        term = 2.0 / (math.pi * k) * math.exp(-((math.pi * k / ratio) ** 2))
+        total += term if k % 4 == 1 else -term
+        terms += 1
+        if term < tol:
+            return total, terms
+        k += 2
+
+
+# Below this ratio the dual series needs fewer terms than the erf series,
+# which sums about 8/ratio of them (both need 3 at ratio 2).
+DUAL_SERIES_BELOW = 2.0
+
+
+def _quarter_mass(ratio: float, tol: float) -> tuple[float, float, int]:
+    """(p, p - 1/2, terms used): the dual series below DUAL_SERIES_BELOW,
+    where it keeps the relative precision of a tiny p - 1/2, and the erf
+    series from there on."""
+    if ratio < DUAL_SERIES_BELOW:
+        delta, terms = _dual_series(ratio, tol)
+        return 0.5 + delta, delta, terms
+    p, terms = _erf_series(ratio, tol)
+    return p, p - 0.5, terms
+
+
 def delta_probability(q, sigma_bar_value: float, tol: float = DEFAULT_SERIES_TOL) -> ProbabilityReport:
     """Probability that an evaluated error lands in [-q/4, q/4), via the
-    wrapped-Gaussian erf series, plus the derived margins delta and Delta."""
+    wrapped-Gaussian series, plus the derived margins delta and Delta."""
     if not sigma_bar_value > 0:
         raise DomainError("sigma_bar must be positive")
     qv = _q_of(q)
     ratio = qv / (math.sqrt(2.0) * sigma_bar_value)
-    p, terms = _erf_series(ratio, tol)
-    delta = p - 0.5
+    p, delta, terms = _quarter_mass(ratio, tol)
     big_delta = delta - float(uniform_offset(qv))
     return ProbabilityReport(p, delta, big_delta, ratio, terms)
 
 
 def f_of_r(ratio: float, tol: float = DEFAULT_SERIES_TOL) -> float:
-    """The one-parameter form of the erf series, as a function of the
+    """The one-parameter form of the series, as a function of the
     distribution ratio r = q / (sqrt(2) * sigma_bar)."""
     if ratio <= 0:
         raise DomainError(f"ratio must be positive, got {ratio}")
-    return _erf_series(ratio, tol)[0]
+    return _quarter_mass(ratio, tol)[0]
 
 
 def f_of_r_table(ratios) -> list[tuple[float, float]]:

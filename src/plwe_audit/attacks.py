@@ -11,11 +11,13 @@ case n = 1, a = alpha, where the subring is all of R_q and the trace is the
 identity.  A chunked driver turns the three-way basic verdicts into a two-way
 vote whenever single runs are unreliable.
 
-Every attack is a pure function of (samples, parameters).  The small-set and
-small-values filter starts each chunk (a basic attack is one chunk) from the
-|Sigma| candidates g = (t_j - sigma) / u_j of its first sample j with u_j =
-a_j(alpha) != 0, and one sample-major pass over all chunks keeps exactly the
-survivor sets of the naive candidate-major loop over F_q.
+Every attack is a pure function of (samples, parameters) and reads the
+samples only through their pairs (a_i(alpha), Tr(b_i(alpha))), which it also
+takes as they are.  The small-set and small-values filter starts each chunk
+(a basic attack is one chunk) from the |Sigma| candidates g = (t_j - sigma) /
+u_j of its first sample j with u_j = a_j(alpha) != 0, and one sample-major
+pass over all chunks keeps exactly the survivor sets of the naive
+candidate-major loop over F_q.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import numpy as np
 
 from .analysis import extended_threshold, hit_threshold, usva_threshold
 from .fields import ExtFieldCtx, FieldElement
-from .rings import eval_matrix, rq0_witnesses
-from .samplers import Sample, SampleBatch
+from .samplers import NonMemberSample, Pairs, Sample, SampleBatch
 
-# Every attack takes a SampleBatch as it is, or a sequence of samples.
-Samples = SampleBatch | Sequence[Sample]
+# Every attack takes the pairs of a batch, a SampleBatch or a sequence of
+# samples; NonMemberSample is raised when an a_i lies outside R_{q,0}.
+Samples = Pairs | SampleBatch | Sequence[Sample]
 
 
 class AttackError(Exception):
@@ -42,10 +44,6 @@ class AttackError(Exception):
 
 class NoSamples(AttackError):
     """The sample set is empty."""
-
-
-class NonMemberSample(AttackError):
-    """A trace attack received an a-component outside R_{q,0}."""
 
 
 class TableTooLarge(AttackError):
@@ -210,38 +208,31 @@ def build_sigma_table_fq(
 # shared sample preprocessing
 
 
-def _as_batch(samples: Samples) -> SampleBatch:
-    """The samples as one batch; a batch is taken as it is."""
+def _as_batch(samples: Samples) -> Pairs | SampleBatch:
+    """The samples as one batch; pairs and batches are taken as they are."""
     if not len(samples):
         raise NoSamples("the sample set is empty")
-    return samples if isinstance(samples, SampleBatch) else SampleBatch.from_samples(samples)
+    if isinstance(samples, (Pairs, SampleBatch)):
+        return samples
+    return SampleBatch.from_samples(samples)
 
 
-def _pairs(samples: Samples, point: FieldElement | ExtFieldCtx):
-    """(targets, scales, q) with targets_i - scales_i * g equal to the
-    tentative error (1/n)(Tr(b_i(alpha)) - a_i(alpha)*g).
-
-    The point is a root alpha of y^n - a; an F_q root is coerced to the
-    degree-1 case.  Every a_i must lie in R_{q,0}, so a_i(alpha) is its y^0
-    coordinate, and Tr = n * (y^0 coordinate) makes the targets the y^0
-    coordinates of b_i(alpha).
-    """
+def _pairs(samples: Samples, point: FieldElement | ExtFieldCtx) -> Pairs:
+    """The pairs of the samples at the point, a root alpha of y^n - a (an
+    F_q root is coerced to the degree-1 case); pairs pass through as they
+    are."""
     batch = _as_batch(samples)
+    if isinstance(batch, Pairs):
+        return batch
     ext = point if isinstance(point, ExtFieldCtx) else ExtFieldCtx(1, point)
-    q = batch.ring.q
-    if ext.q != q:
+    if ext.q != batch.ring.q:
         raise AttackError("evaluation point and samples use different moduli")
-    bad = np.argwhere(rq0_witnesses(batch.A, ext))
-    if bad.size:
-        i, k = bad[0]
-        raise NonMemberSample(f"sample {i} lies outside R_q0 (witness k={k + 1})")
-    coord0 = eval_matrix(ext, batch.ring.N)[:, 0]
-    targets = batch.B @ coord0 % q
-    scales = (batch.A @ coord0 % q) * pow(ext.n, -1, q) % q
-    return targets, scales, q
+    return batch.pairs(ext)
 
 
-_MAX_PAIRS = 2**20  # extended_attack holds at most max(q, _MAX_PAIRS) candidates
+# extended_attack holds at most max(q, _MAX_PAIRS) candidates at a time, and
+# the unbounded attack at most as many entries of its hit grid
+_MAX_PAIRS = 2**20
 
 
 def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
@@ -301,18 +292,18 @@ def small_set_attack(
     tentative error collapses to Tr(b_i(alpha)) - a_i(alpha)*Tr(s(alpha)), so
     looping g over F_q covers all secrets.
     """
-    targets, scales, q = _pairs(samples, point)
-    if table.q != q:
+    pairs = _pairs(samples, point)
+    if table.q != pairs.q:
         raise AttackError("table was built for a different modulus")
-    return _verdict(targets, scales, table.mask)
+    return _verdict(pairs.targets, pairs.scales, table.mask)
 
 
 def small_values_attack(
     samples: Samples, point: FieldElement | ExtFieldCtx
 ) -> AttackVerdict:
     """Survivor test: the tentative error lands in [-q/4, q/4)."""
-    targets, scales, q = _pairs(samples, point)
-    return _verdict(targets, scales, quarter_mask(q))
+    pairs = _pairs(samples, point)
+    return _verdict(pairs.targets, pairs.scales, quarter_mask(pairs.q))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +326,17 @@ def unbounded_small_values_attack(
     delta is the caller's estimate of P(error image in quarter interval) - 1/2;
     it is never derived here.
     """
-    targets, scales, q = _pairs(samples, point)
-    ell = len(samples)
+    pairs = _pairs(samples, point)
+    q, ell = pairs.q, len(pairs)
     mask = quarter_mask(q)
     g = np.arange(q, dtype=np.int64)
     hits = np.zeros(q, dtype=np.int64)
-    for t, u in zip(targets, scales):
-        hits += mask[(int(t) - int(u) * g) % q]
+    rows = max(q, _MAX_PAIRS) // q  # the (rows, q) hit grid of a group
+    for lo in range(0, ell, rows):
+        grid = np.multiply.outer(pairs.scales[lo : lo + rows], g)
+        np.subtract(pairs.targets[lo : lo + rows, None], grid, out=grid)
+        grid %= q
+        hits += mask.take(grid).sum(axis=0)
     return HitCountDecision(
         votes=int(hits.sum()),
         threshold=usva_threshold(ell, q, delta),
@@ -376,13 +371,19 @@ def extended_attack(
             f"chunk size {m0} exceeds the {len(batch)} available samples"
         )
     chunks = len(batch) // m0
-    targets, scales, q = _pairs(batch[: chunks * m0], point)
+    pairs = _pairs(batch[: chunks * m0], point)
+    q = pairs.q
     if member.size != q:
         raise AttackError("membership mask was built for a different modulus")
-    targets, scales = targets.reshape(chunks, m0), scales.reshape(chunks, m0)
-    step = max(1, max(q, _MAX_PAIRS) // max(1, np.count_nonzero(member)))
-    votes = 0
-    for lo in range(0, chunks, step):
-        full, chunk, _ = _filter(targets[lo : lo + step], scales[lo : lo + step], member)
-        votes += int(full.sum()) + np.unique(chunk).size
+    if m0 == 1:
+        # a lone sample keeps the |Sigma| candidates of its invertible u,
+        # or all of F_q or nothing when u = 0: no filter pass is needed
+        votes = int(np.where(pairs.scales != 0, member.any(), member[pairs.targets]).sum())
+    else:
+        targets, scales = pairs.targets.reshape(chunks, m0), pairs.scales.reshape(chunks, m0)
+        step = max(1, max(q, _MAX_PAIRS) // max(1, np.count_nonzero(member)))
+        votes = 0
+        for lo in range(0, chunks, step):
+            full, chunk, _ = _filter(targets[lo : lo + step], scales[lo : lo + step], member)
+            votes += int(full.sum()) + np.unique(chunk).size
     return Decision(votes, extended_threshold(chunks, p0, m0, r_eff))

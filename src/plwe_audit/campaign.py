@@ -47,7 +47,7 @@ from .rings import (
     load_ring_doc,
     rq0_witnesses,
 )
-from .samplers import BudgetExhausted, GaussianSpec, Sample, SampleBatch, sample_batch
+from .samplers import BudgetExhausted, GaussianSpec, Pairs, Sample, SampleBatch, sample_batch
 
 
 class ConfigError(Exception):
@@ -271,6 +271,13 @@ def _evaluation_point(cfg: ExperimentConfig) -> ExtFieldCtx:
     return point
 
 
+def check_modulus(q: int) -> None:
+    """Refuse q >= 2**22: candidate loops and divisor searches allocate O(q)
+    arrays, and ring products run in int64."""
+    if q >= EXHAUSTIVE_SCAN_LIMIT:
+        raise PreconditionRefused(f"q = {q} < 2**22 = {EXHAUSTIVE_SCAN_LIMIT}")
+
+
 def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -> AttackPlan:
     """Resolve the evaluation point, tables, variance case and delta; refuse
     when a documented precondition fails."""
@@ -278,9 +285,7 @@ def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) ->
     ring = cfg.ring
     q = ring.q
     p0 = cfg.gauss.p0
-    if q >= EXHAUSTIVE_SCAN_LIMIT:
-        # candidate loops allocate O(q) arrays and products run in int64
-        raise PreconditionRefused(f"q = {q} < 2**22 = {EXHAUSTIVE_SCAN_LIMIT}")
+    check_modulus(q)
     point = _evaluation_point(cfg)
     blocks = block_structure(point.n, point.a, ring.N, cfg.gauss.sigma)
     plan = AttackPlan(cfg, point, blocks)
@@ -335,7 +340,8 @@ def _generate_samples(
 ) -> tuple[SampleBatch, int, Optional[np.ndarray]]:
     """Samples for one trial plus the oracle invocation count and the secret
     (None on uniform trials).  The secret is drawn first, as
-    PlweInstance.generate draws it."""
+    PlweInstance.generate draws it; sample_batch then draws the errors (or
+    b rows) and last the a rows."""
     cfg = plan.cfg
     ring = cfg.ring
     secret = rng.integers(0, ring.q, size=ring.N) if truth_plwe else None
@@ -352,8 +358,8 @@ def _generate_samples(
     return batch, invocations, secret
 
 
-def run_attack_once(plan: AttackPlan, samples: SampleBatch | list[Sample]):
-    """Dispatch the configured attack on one sample batch."""
+def run_attack_once(plan: AttackPlan, samples: Pairs | SampleBatch | list[Sample]):
+    """Dispatch the configured attack on one sample batch or its pairs."""
     att, table, point = plan.cfg.attack, plan.table, plan.point
     if att.family == "unbounded_small_values":
         return unbounded_small_values_attack(samples, plan.delta, point)
@@ -377,7 +383,7 @@ def run_trial(plan: AttackPlan, trial_index: int, record: list | None = None) ->
     truth_plwe = bool(rng.integers(0, 2))
     t0 = time.perf_counter()
     try:
-        samples, invocations, secret = _generate_samples(plan, truth_plwe, rng)
+        batch, invocations, secret = _generate_samples(plan, truth_plwe, rng)
     except BudgetExhausted as exc:
         return {
             "trial": trial_index,
@@ -387,17 +393,18 @@ def run_trial(plan: AttackPlan, trial_index: int, record: list | None = None) ->
             "oracle_invocations": plan.cfg.rq0_budget,
             "wall_time_ms": 1000.0 * (time.perf_counter() - t0),
         }
-    outcome = run_attack_once(plan, samples)
+    # evaluated at the root first: B is formed only for a recording
+    outcome = run_attack_once(plan, batch.pairs(plan.point))
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     if record is not None:
-        record.extend(samples.samples())
+        record.extend(batch.samples())
     row = {
         "trial": trial_index,
         "truth": "plwe" if truth_plwe else "uniform",
         "outcome": outcome.to_dict(),
         "correct": _says_plwe(outcome) == truth_plwe,
         "oracle_invocations": invocations,
-        "samples_used": len(samples),
+        "samples_used": len(batch),
         "wall_time_ms": wall_ms,
     }
     if truth_plwe and isinstance(outcome, AttackVerdict) and secret is not None:

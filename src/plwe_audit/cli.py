@@ -30,6 +30,7 @@ from .campaign import (
     ConfigError,
     PreconditionRefused,
     build_plan,
+    check_modulus,
     config_from_dict,
     instance_from_dict,
     int_field,
@@ -80,9 +81,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--min-M", type=float, default=None, metavar="TARGET",
                     help="report the minimal sample count reaching this posterior")
     sp.add_argument("--f-of-r-csv", default=None,
-                    help="write a (ratio, value) grid of the erf series to this CSV")
+                    help="write a (ratio, value) grid of the series to this CSV")
     sp.add_argument("--mc-check", action="store_true",
-                    help="cross-check the erf series against the Monte Carlo oracle")
+                    help="cross-check the series against the Monte Carlo oracle")
 
     sp = sub.add_parser("replay", help="re-run an attack on recorded samples")
     common(sp)
@@ -126,6 +127,7 @@ def _write_csv(path: str, doc: dict) -> None:
 def _cmd_scan(args) -> int:
     doc = _read_config(args)
     ring, gauss = instance_from_dict(doc.get("instance", doc))
+    check_modulus(ring.q)
     report = scan_instance(
         ring, gauss.sigma, gauss.truncated, n_max=args.n_max,
         table_cap=table_cap_from_dict(doc),
@@ -202,7 +204,7 @@ def _cmd_analyze(args) -> int:
         out["delta_mc"] = mc
         if abs(mc - prob.delta) > 2e-3:
             out["warnings"].append(
-                f"erf series delta {prob.delta:.6f} disagrees with the Monte Carlo "
+                f"series delta {prob.delta:.6f} disagrees with the Monte Carlo "
                 f"oracle {mc:.6f}; trust the oracle for campaign thresholds"
             )
     if args.min_M is not None:

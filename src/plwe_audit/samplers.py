@@ -6,15 +6,18 @@ one private stream per trial and replay any run bit for bit.
 
 The per-sample oracles return RingPoly pairs and are the reference.
 sample_batch draws a whole trial's samples as one SampleBatch of (M, N)
-arrays: it makes the same generator calls in the same order as the
-per-sample path, so both produce the same samples from the same stream, and
-only the ring arithmetic runs on whole arrays.
+arrays: after the secret, it draws all M errors (or uniform b rows) in one
+call and then the a rows, and its samples are the ones the per-sample path
+builds from the same draws (plwe_oracle takes the error through
+force_error).  A batch evaluates at a root without forming B = A S + E; B
+is built only on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,6 +39,10 @@ P0_UNTRUNCATED = 0.954500
 
 class BudgetExhausted(Exception):
     """The rejection sampler ran past its invocation cap."""
+
+
+class NonMemberSample(Exception):
+    """An a-component outside R_{q,0} reached an evaluation at the root."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +72,10 @@ def draw_gaussian(spec: GaussianSpec, rng: np.random.Generator) -> int:
             return int(np.rint(x))
 
 
-def _gaussian_reals(spec: GaussianSpec, rng: np.random.Generator, size) -> np.ndarray:
-    """The continuous draws behind gaussian_coeffs, before rounding."""
+def gaussian_coeffs(spec: GaussianSpec, rng: np.random.Generator, size) -> np.ndarray:
+    """Vectorized draw of signed integer errors with the same law as
+    draw_gaussian: one normal call of the whole size, then rejected
+    positions, in row-major order, are redrawn in place until none is left."""
     x = rng.normal(0.0, spec.sigma, size=size)
     if spec.truncated:
         bound = 2 * spec.sigma
@@ -74,13 +83,7 @@ def _gaussian_reals(spec: GaussianSpec, rng: np.random.Generator, size) -> np.nd
         while bad.any():
             x[bad] = rng.normal(0.0, spec.sigma, size=int(bad.sum()))
             bad = np.abs(x) > bound
-    return x
-
-
-def gaussian_coeffs(spec: GaussianSpec, rng: np.random.Generator, size) -> np.ndarray:
-    """Vectorized draw of signed integer errors with the same law as
-    draw_gaussian.  Rejected positions are redrawn in place."""
-    return np.rint(_gaussian_reals(spec, rng, size)).astype(np.int64)
+    return np.rint(x).astype(np.int64)
 
 
 def uniform_poly(ctx: RqContext, rng: np.random.Generator) -> RingPoly:
@@ -101,13 +104,36 @@ class Sample:
 
 
 @dataclass(frozen=True, eq=False)
+class Pairs:
+    """What every attack reads of M samples at a root alpha of y^n - a:
+    targets_i - scales_i * g is the tentative error (1/n)(Tr(b_i(alpha)) -
+    a_i(alpha)*g) of candidate g, all residues mod q."""
+
+    targets: np.ndarray
+    scales: np.ndarray
+    q: int
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, rows: slice) -> "Pairs":
+        return Pairs(self.targets[rows], self.scales[rows], self.q)
+
+
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """M samples as the rows of two (M, N) int64 arrays of canonical
-    residues: A[i] and B[i] hold the coefficients of a_i and b_i."""
+    """M samples as (M, N) int64 rows: A[i] holds the coefficients of a_i.
+
+    Without a secret, X[i] holds those of b_i.  A PLWE batch from
+    sample_batch keeps its secret s (coefficients) and in X the signed
+    errors e_i; its B = A S + E mod q, S the multiplication matrix of s, is
+    built only when read.
+    """
 
     ring: RqContext
     A: np.ndarray
-    B: np.ndarray
+    X: np.ndarray
+    secret: Optional[np.ndarray] = None
 
     @classmethod
     def from_samples(cls, samples: Sequence[Sample]) -> "SampleBatch":
@@ -120,11 +146,41 @@ class SampleBatch:
         return len(self.A)
 
     def __getitem__(self, rows: slice) -> "SampleBatch":
-        return SampleBatch(self.ring, self.A[rows], self.B[rows])
+        return SampleBatch(self.ring, self.A[rows], self.X[rows], self.secret)
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """The canonical coefficient rows of the b_i."""
+        if self.secret is None:
+            return self.X
+        return (self.A @ self.ring.mul_matrix(self.secret) + self.X) % self.ring.q
 
     def samples(self) -> list[Sample]:
         poly = self.ring.poly
         return [Sample(poly(a), poly(b)) for a, b in zip(self.A.tolist(), self.B.tolist())]
+
+    def pairs(self, ext: ExtFieldCtx) -> Pairs:
+        """The attack pairs at the root alpha of y^n - a.
+
+        Every a_i must lie in R_{q,0}, so u_i = a_i(alpha) is its y^0
+        coordinate c0, and Tr = n * (y^0 coordinate) makes the targets the y^0
+        coordinates of b_i(alpha).  A batch with a secret evaluates first:
+        evaluation is a ring homomorphism and u_i lies in F_q, so the target
+        is u_i * c0(s) + c0(e_i) and B is never formed.
+        """
+        q = self.ring.q
+        W = eval_matrix(ext, self.ring.N)
+        AW = self.A @ W % q  # column 0: u_i; the others: the witness sums
+        bad = np.argwhere(AW[:, 1:])
+        if bad.size:
+            i, k = bad[0]
+            raise NonMemberSample(f"sample {i} lies outside R_q0 (witness k={k + 1})")
+        coord0, u = W[:, 0], AW[:, 0]
+        if self.secret is None:
+            targets = self.X @ coord0 % q
+        else:
+            targets = (u * (self.secret @ coord0 % q) + self.X % q @ coord0) % q
+        return Pairs(targets, u * pow(ext.n, -1, q) % q, q)
 
 
 @dataclass(frozen=True)
@@ -244,67 +300,40 @@ def plwe_oracle_rq0(
 _REJECTION_BLOCK = 1024
 
 
-def _oracle_draws(
-    ring: RqContext,
-    gauss: GaussianSpec,
-    rng: np.random.Generator,
-    calls: int,
-    secret: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The raw draws of `calls` oracle invocations, in the per-sample order:
-    a, then the rounded error (PLWE, a secret given) or a uniform b.
-
-    Back-to-back integers calls consume the stream like one call of the
-    stacked size, so the uniform oracle's draws come in one call.
-    """
-    q, N = ring.q, ring.N
-    if secret is None:
-        draws = rng.integers(0, q, size=(calls, 2, N))
-        return draws[:, 0], draws[:, 1]
-    A = np.empty((calls, N), dtype=np.int64)
-    X = np.empty((calls, N))
-    integers = rng.integers
-    for i in range(calls):
-        A[i] = integers(0, q, size=N)
-        X[i] = _gaussian_reals(gauss, rng, N)
-    return A, np.rint(X).astype(np.int64)
-
-
-def _rejection_draws(
-    ring: RqContext,
-    gauss: GaussianSpec,
+def _rejection_rows(
     ext: ExtFieldCtx,
+    N: int,
     m: int,
     rng: np.random.Generator,
-    secret: np.ndarray | None,
     max_invocations: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """m calls of sample_rq0 over the plain oracle: the accepted draws and
-    the invocation count.
+) -> tuple[np.ndarray, int]:
+    """The a rows of m calls of sample_rq0 and the invocation count.
 
-    Oracle calls come in blocks sized by the expected need, q^(n-1) calls
-    per sample, or by the budget when it is smaller; membership is tested on
-    a whole block at once.  Draws after the m-th acceptance are never used.
+    Candidate rows come in blocks of one integers call, sized by the
+    expected need, q^(n-1) calls per sample, or by the budget when it is
+    smaller; membership is tested on a whole block at once.  Back-to-back
+    integers calls consume the stream like one call of the stacked size, so
+    the block sizes do not change which rows are drawn.  Draws after the
+    m-th acceptance are never used.
     """
     exhausted = f"no R_q0 sample within {max_invocations} invocations"
     per_sample = min(ext.q ** (ext.n - 1), max_invocations)
-    kept_a, kept_x = [], []
+    kept = []
     invocations = 0
     since = 0  # invocations since the last acceptance
     while m:
-        A, X = _oracle_draws(ring, gauss, rng, min(m * per_sample, _REJECTION_BLOCK), secret)
+        A = rng.integers(0, ext.q, size=(min(m * per_sample, _REJECTION_BLOCK), N))
         hits = np.flatnonzero(~rq0_witnesses(A, ext).any(axis=1))[:m]
         counts = np.diff(hits, prepend=-1 - since)
         if (counts > max_invocations).any():
             raise BudgetExhausted(exhausted)
-        kept_a.append(A[hits])
-        kept_x.append(X[hits])
+        kept.append(A[hits])
         invocations += int(counts.sum())
         since = len(A) - 1 - hits[-1] if hits.size else since + len(A)
         m -= hits.size
         if m and since >= max_invocations:
             raise BudgetExhausted(exhausted)
-    return np.concatenate(kept_a), np.concatenate(kept_x), invocations
+    return np.concatenate(kept), invocations
 
 
 def sample_batch(
@@ -320,18 +349,20 @@ def sample_batch(
     """m samples with a in R_{q,0} and the oracle invocations spent on them.
 
     With a secret (coefficients of s) the samples are PLWE, else uniform.
-    Direct construction (honest=False) draws as m calls of plwe_oracle_rq0
-    or uniform_oracle_rq0 and spends m invocations; honest sampling draws as
-    m calls of sample_rq0 over plwe_oracle or uniform_oracle.  Either way
-    the rows equal those of the per-sample path on the same stream.  PLWE
-    rows are B = A @ S + E mod q, S the multiplication matrix of s.
+    The stream is consumed in a fixed order: all m errors in one normal
+    call, with truncation redraws over the whole matrix (a uniform batch:
+    all m b rows in one integers call), then the a rows.  Direct
+    construction (honest=False) draws the a rows in one integers call,
+    solves their R_{q,0} pivots and spends m invocations; honest sampling
+    draws uniform a rows and keeps the members, as m calls of sample_rq0
+    would.  B is not formed here.
     """
-    q = ring.q
+    q, N = ring.q, ring.N
+    X = rng.integers(0, q, size=(m, N)) if secret is None else gaussian_coeffs(gauss, rng, (m, N))
     if honest:
-        A, X, invocations = _rejection_draws(ring, gauss, ext, m, rng, secret, max_invocations)
+        A, invocations = _rejection_rows(ext, N, m, rng, max_invocations)
     else:
-        A, X = _oracle_draws(ring, gauss, rng, m, secret)
+        A = rng.integers(0, q, size=(m, N))
         A[:, 1 : ext.n] = (A[:, 1 : ext.n] - rq0_witnesses(A, ext)) % q
         invocations = m
-    B = X if secret is None else (A @ ring.mul_matrix(secret) + X) % q
-    return SampleBatch(ring, A, B), invocations
+    return SampleBatch(ring, A, X, secret), invocations

@@ -35,6 +35,7 @@ from plwe_audit.samplers import (
     GaussianSpec,
     PlweInstance,
     plwe_oracle,
+    sample_batch,
     sample_rq0,
     uniform_oracle,
 )
@@ -235,15 +236,14 @@ def test_criterion_09_unbounded_campaign_margin():
 
 
 def test_criterion_10_scaled_rejection_replica():
-    """Rejection-count replica at q = 7, n = 3: expected 49 invocations."""
+    """Rejection-count replica at q = 7, n = 3: expected 49 invocations,
+    counted by the campaigns' honest batch sampler over 10^4 samples."""
     t0 = time.perf_counter()
     ctx = load_ring_doc(REJECTION_REPLICA["instance"])
     ext = ExtFieldCtx(3, PrimeModulus(7).element(3))
     rng = np.random.default_rng(1010)
     runs = 10**4
-    total = sum(
-        sample_rq0(lambda: uniform_oracle(ctx, rng), ext).count for _ in range(runs)
-    )
+    _, total = sample_batch(ctx, GaussianSpec(1.0, True), ext, runs, rng, honest=True)
     mean = total / runs
     elapsed = time.perf_counter() - t0
     ok = abs(mean - 49) <= 0.15 * 49

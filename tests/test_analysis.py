@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plwe_audit.analysis import (
+    DEFAULT_SERIES_TOL,
+    DUAL_SERIES_BELOW,
     DomainError,
+    _dual_series,
+    _erf_series,
     classify_variance_case,
     cumulative_binomial,
     delta_probability,
@@ -111,6 +115,31 @@ class TestDeltaProbability:
     def test_domain(self):
         with pytest.raises(DomainError):
             delta_probability(13, 0.0)
+
+    def test_dual_and_erf_series_agree(self):
+        for ratio in np.geomspace(0.1, 50.0, 80):
+            p, _ = _erf_series(ratio, DEFAULT_SERIES_TOL)
+            delta, _ = _dual_series(ratio, DEFAULT_SERIES_TOL)
+            assert abs((p - 0.5) - delta) < 1e-12
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5, 3.0, 6.0])
+    def test_both_series_match_monte_carlo(self, ratio):
+        q = 4099
+        sbar = q / (math.sqrt(2.0) * ratio)
+        mc = monte_carlo_delta(q, sbar, np.random.default_rng([43, int(10 * ratio)]))
+        assert abs(_dual_series(ratio, DEFAULT_SERIES_TOL)[0] - mc) < 2e-3
+        assert abs(_erf_series(ratio, DEFAULT_SERIES_TOL)[0] - 0.5 - mc) < 2e-3
+
+    def test_crossover_picks_the_shorter_series(self):
+        below, above = DUAL_SERIES_BELOW * 0.99, DUAL_SERIES_BELOW
+        assert f_of_r(below) == 0.5 + _dual_series(below, DEFAULT_SERIES_TOL)[0]
+        assert f_of_r(above) == _erf_series(above, DEFAULT_SERIES_TOL)[0]
+
+    def test_large_sigma_needs_one_term(self):
+        # the erf series sums about 8/ratio terms: 1.6 million here, and
+        # 1.6e12 at sigma_bar = 1e12, which never finished
+        rep = delta_probability(7, 1e6)
+        assert rep.terms_used == 1 and rep.delta == 0.0
 
 
 class TestFofR:

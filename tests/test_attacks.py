@@ -353,6 +353,18 @@ class TestUnbounded:
         d_tr = unbounded_small_values_attack(samples, 0.1, ext1)
         assert d_fq == d_tr
 
+    def test_hit_grid_row_groups_match_one_group(self):
+        # at _MAX_PAIRS = 0 every group of the hit grid is one row of q
+        # entries; at 2q groups of two rows leave a short last group
+        q = 3677
+        ring, alpha = _usva_ring(8, q, q - 1), PrimeModulus(q).element(q - 1)
+        for samples in (_plwe_samples(ring, GaussianSpec(1.0, False), 25, 31)[1],
+                        _uniform_samples(ring, 25, 32)):
+            whole = unbounded_small_values_attack(samples, 0.3, alpha)
+            for max_pairs in (0, 2 * q):
+                with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
+                    assert unbounded_small_values_attack(samples, 0.3, alpha) == whole
+
     @given(
         st.sampled_from(["fq5", "fq13", "trace5"]),
         st.integers(1, 8),
@@ -390,11 +402,13 @@ class TestUnbounded:
             sum(in_quarter_value(n_inv * (t - u * g), q) for t, u in pairs)
             for g in range(q)
         ]
-        decision = unbounded_small_values_attack(samples, 0.3, point)
-        assert decision.best_hits == max(hits)
-        assert decision.votes == sum(hits)
-        assert decision.hit_threshold == hit_threshold(ell, q, 0.3)
-        assert decision.is_plwe == (max(hits) >= decision.hit_threshold)
+        for max_pairs in (attacks._MAX_PAIRS, 0):  # 0: one sample per group
+            with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
+                decision = unbounded_small_values_attack(samples, 0.3, point)
+            assert decision.best_hits == max(hits)
+            assert decision.votes == sum(hits)
+            assert decision.hit_threshold == hit_threshold(ell, q, 0.3)
+            assert decision.is_plwe == (max(hits) >= decision.hit_threshold)
 
 
 class TestExtended:
@@ -513,9 +527,9 @@ class TestFilterMatchesCandidateMajorLoop:
                 _naive_survivors(pairs[c * m0 : (c + 1) * m0], member, n)
                 for c in range(chunks)
             ]
-            targets, scales, _ = attacks._pairs(samples[: chunks * m0], point)
+            evaluated = attacks._pairs(samples[: chunks * m0], point)
             full, chunk, g = attacks._filter(
-                targets.reshape(chunks, m0), scales.reshape(chunks, m0), member
+                evaluated.targets.reshape(chunks, m0), evaluated.scales.reshape(chunks, m0), member
             )
             got = [set(range(a.q)) if full[c] else set(g[chunk == c].tolist())
                    for c in range(chunks)]
@@ -531,6 +545,21 @@ class TestFilterMatchesCandidateMajorLoop:
         assert small_values_attack(samples, point).survivors == tuple(
             sorted(_naive_survivors(pairs, quarter, n))
         )
+
+
+    @given(case=_filter_cases(), sigma=st.sampled_from([0.3, 0.6, 1.1]))
+    @settings(max_examples=100, deadline=None)
+    def test_single_sample_chunks_vote_as_the_filter(self, case, sigma):
+        # at M0 = 1 the driver votes without a filter pass
+        point, _, _, samples = case
+        a = point.a if isinstance(point, ExtFieldCtx) else point
+        evaluated = attacks._pairs(samples, point)
+        for member in (build_sigma_table_trace(a, 2, 1, sigma).mask, attacks.quarter_mask(a.q)):
+            full, chunk, _ = attacks._filter(
+                evaluated.targets[:, None], evaluated.scales[:, None], member
+            )
+            votes = int(full.sum()) + np.unique(chunk).size
+            assert extended_attack(samples, 1, member, point, 2, 1.0).votes == votes
 
 
 class TestVerdictShape:

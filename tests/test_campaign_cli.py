@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+from datetime import timedelta
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +26,8 @@ from plwe_audit.instances import (
     TRACE_RING_A,
     USVA_INSTANCES,
 )
-from plwe_audit.rings import load_ring_doc
+from plwe_audit.rings import RqContext, load_ring_doc
+from reference import reference_sample_batch
 
 ORDER6_INSTANCE = {"N": 6, "f": [-1, 0, 0, 0, 0, 0, 1], "q": 4099,
                    "sigma": 0.7, "truncated": True}
@@ -209,7 +211,9 @@ USVA_ROOT = USVA_INSTANCES[1]
 # Small campaigns covering both modes, direct and honest sampling, all five
 # families and truncated and untruncated errors, with the sha256 of their
 # digest_json(): a change in how trials consume their random streams shows
-# here.
+# here.  The values come from the per-sample reference path
+# (reference.reference_sample_batch) feeding the attacks; the two fq direct
+# entries have outcomes that no stream order can move.
 GOLDEN = {
     "fq_small_set_direct_truncated": (
         {
@@ -228,7 +232,7 @@ GOLDEN = {
             "sampling": {"honest": True},
             "seed": 17,
         },
-        "ef003ec45879bc62e67fdb54fb211579e7c4cb5ad8ea5d58faf2cf363de49a79",
+        "772267e44b126673e005e760b0fa8ac61f62e4c78ef37c846df82d7088234d58",
     ),
     "fq_unbounded_mc_direct": (
         {
@@ -247,7 +251,7 @@ GOLDEN = {
                        "n": 3, "a": 2017, "M": 60, "M0": 10, "trials": 4},
             "seed": 14,
         },
-        "3e95c3d569322fcadc5e62e4b779bbb4da7f0d87b95d25534acc477ff672df61",
+        "eae94a2d3182514910d866d09ada9c4cc5d89a4674130f6fb8d01f9dca53e500",
     ),
     "trace_extended_small_values_honest": (
         {
@@ -257,7 +261,7 @@ GOLDEN = {
             "sampling": {"honest": True},
             "seed": 21,
         },
-        "505787e1d44a762c1808eed8b91a2cb2223b37e4abd08a7742b3ebd8256b290d",
+        "ea59f674bc492d31026d276549ae937879c96b1614bf2cf42db0c85fdb39228e",
     ),
     "trace_unbounded_honest": (
         {
@@ -267,7 +271,7 @@ GOLDEN = {
             "sampling": {"honest": True},
             "seed": 16,
         },
-        "fa9a0e308f457da31aef9b7903052149873d55fa2e09a60b582aa05d4a47c539",
+        "eede509a30543d6c1b5ff778ea193c8dedee97d17d016573d8aa31ef7804e5b9",
     ),
     # the campaign of perfbench's trace_n23 workload, at six trials
     "trace_n23": (
@@ -278,7 +282,7 @@ GOLDEN = {
             "sampling": {"honest": False},
             "seed": 23,
         },
-        "999a8124de514ccc11785113c382cac38d3f57d93f952793af323fbe92760c06",
+        "fef94be5ba03cb7ac4f2ceb761d0e763efe580e0d70da171521595233ac81e82",
     ),
 }
 
@@ -292,6 +296,27 @@ class TestStreamUse:
     def test_digest_is_pinned(self, name):
         digest = run_campaign(_golden_config(name)).digest_json()
         assert hashlib.sha256(digest.encode()).hexdigest() == GOLDEN[name][1]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_reference_sampler_gives_the_pinned_digest(self, name, monkeypatch):
+        monkeypatch.setattr(campaign, "sample_batch", reference_sample_batch)
+        digest = run_campaign(_golden_config(name)).digest_json()
+        assert hashlib.sha256(digest.encode()).hexdigest() == GOLDEN[name][1]
+
+    def test_trials_form_b_only_when_recording(self, monkeypatch):
+        calls = []
+        mul_matrix = RqContext.mul_matrix
+
+        def counted(ring, s):
+            calls.append(1)
+            return mul_matrix(ring, s)
+
+        monkeypatch.setattr(RqContext, "mul_matrix", counted)
+        cfg = _golden_config("trace_extended_small_set_direct")
+        run_campaign(cfg)
+        assert not calls
+        rows = run_campaign(cfg, record=[]).trials
+        assert len(calls) == sum(1 for r in rows if r["truth"] == "plwe") > 0
 
     @pytest.mark.parametrize("name", ["fq_unbounded_mc_direct", "trace_unbounded_honest"])
     def test_thread_pool_matches_sequential(self, name):
@@ -380,6 +405,16 @@ class TestCli:
         assert cli.main(["attack", "--config", cfg]) == 3
         assert "q = 4194319 < 2**22 = 4194304" in capsys.readouterr().err
 
+    def test_scan_refuses_modulus_above_int64_range(self, tmp_path, capsys, monkeypatch):
+        # x^256 + 1 mod 8380417: the root search alone took seconds before
+        # the binomial divisor search raised, so the refusal comes first
+        cfg = _write(tmp_path, "dilithium.json", {
+            "instance": {"N": 256, "f": [1] + [0] * 255 + [1], "q": 8380417,
+                         "sigma": 2.0, "truncated": True}})
+        monkeypatch.setattr(cli, "scan_instance", None)
+        assert cli.main(["scan", "--config", cfg]) == 3
+        assert "q = 8380417 < 2**22 = 4194304" in capsys.readouterr().err
+
     def test_replay_reproduces_recorded_verdict(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=1, M=6))
         samples = tmp_path / "samples.jsonl"
@@ -390,6 +425,28 @@ class TestCli:
         assert cli.main(["replay", "--config", cfg, str(samples)]) == 0
         replayed = json.loads(capsys.readouterr().out)
         assert replayed == recorded
+
+    @pytest.mark.parametrize(
+        "name", ["fq_small_values_honest", "trace_extended_small_set_direct", "trace_unbounded_honest"]
+    )
+    def test_recorded_samples_replay_every_trial(self, name, tmp_path, capsys):
+        # recording materialises B; the trials themselves attack the pairs
+        # evaluated without it, and replay reads B back from the file
+        cfg = _write(tmp_path, "c.json", GOLDEN[name][0])
+        samples = tmp_path / "samples.jsonl"
+        assert cli.main(["attack", "--config", cfg, "--record-samples", str(samples)]) == 0
+        rows = json.loads(capsys.readouterr().out)["trials"]
+        assert [r["outcome"] for r in rows] == [
+            r["outcome"] for r in run_campaign(_golden_config(name)).trials
+        ]
+        lines = samples.read_text().splitlines()
+        for row in rows:
+            trial = tmp_path / f"trial{row['trial']}.jsonl"
+            trial.write_text("\n".join(lines[: row["samples_used"]]) + "\n")
+            del lines[: row["samples_used"]]
+            assert cli.main(["replay", "--config", cfg, str(trial)]) == 0
+            assert json.loads(capsys.readouterr().out) == row["outcome"]
+        assert not lines
 
     def test_replay_rejects_malformed_line(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=1))
@@ -578,8 +635,9 @@ def test_fuzzed_attack_section_exits_cleanly(tmp_path, attack):
 
 @st.composite
 def _instance_sections(draw):
-    """MIXED_Q7 with up to two fields dropped or replaced by junk."""
-    instance = dict(MIXED_Q7)
+    """MIXED_Q7 with a sigma from a log range up to 1e15, and up to two
+    fields dropped or replaced by junk."""
+    instance = {**MIXED_Q7, "sigma": draw(st.floats(-3, 15).map(lambda e: 10.0**e))}
     for key in draw(st.lists(st.sampled_from(sorted(instance)), max_size=2, unique=True)):
         if draw(st.booleans()):
             del instance[key]
@@ -595,7 +653,7 @@ def _instance_sections(draw):
     extra=st.dictionaries(st.sampled_from(["seed", "table_cap", "sampling"]), _JUNK, max_size=2),
     mc_check=st.booleans(),
 )
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=150, deadline=timedelta(seconds=5),
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzzed_configs_exit_cleanly(tmp_path, command, instance, attack, extra, mc_check):
     cfg = _write(tmp_path, "fuzz.json", {"instance": instance, "attack": attack, **extra})

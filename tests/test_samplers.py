@@ -7,6 +7,7 @@ from scipy.stats import chisquare
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value, is_irreducible_binomial
 from plwe_audit.instances import TRACE_RING_B
 from plwe_audit.rings import RqContext, load_ring_doc, ring_mul, ring_sub, rq0_membership
+from plwe_audit.attacks import _pairs
 from plwe_audit.samplers import (
     BudgetExhausted,
     GaussianSpec,
@@ -23,6 +24,8 @@ from plwe_audit.samplers import (
     uniform_oracle_rq0,
     uniform_rq0_poly,
 )
+
+from reference import reference_samples
 
 CHI2_ALPHA = 0.001
 
@@ -55,6 +58,18 @@ class TestGaussian:
         rng = np.random.default_rng(3)
         draws = gaussian_coeffs(GaussianSpec(8.0, False), rng, 10**6)
         assert abs(draws.mean()) < 0.05
+
+    def test_truncation_redraws_fill_rejects_in_row_major_order(self):
+        # the batch sampler draws a trial's errors as one matrix: one normal
+        # call, then one call per round for the rejected positions
+        spec = GaussianSpec(0.7, True)
+        got = gaussian_coeffs(spec, np.random.default_rng(8), (40, 6))
+        rng = np.random.default_rng(8)
+        x = list(rng.normal(0.0, 0.7, size=240))
+        while bad := [i for i, v in enumerate(x) if abs(v) > 1.4]:
+            for i, v in zip(bad, rng.normal(0.0, 0.7, size=len(bad))):
+                x[i] = v
+        assert got.tolist() == np.rint(np.reshape(x, (40, 6))).astype(int).tolist()
 
     def test_scalar_draw_matches_contract(self):
         rng = np.random.default_rng(4)
@@ -237,28 +252,12 @@ class TestDirectConstruction:
         assert rq0_membership(s.a, self.EXT).is_member
 
 
-def _reference_draws(ctx, ext, gauss, m, seed, plwe, honest, budget):
-    """The per-sample path on a fresh stream: the secret, the samples and
-    the invocation count (None when the budget ran out)."""
-    rng = np.random.default_rng(seed)
-    inst = PlweInstance.generate(ctx, gauss, rng) if plwe else None
-    if honest:
-        oracle = (lambda: plwe_oracle(inst, rng)) if plwe else (lambda: uniform_oracle(ctx, rng))
-        try:
-            draws = [sample_rq0(oracle, ext, budget) for _ in range(m)]
-        except BudgetExhausted:
-            return inst, None, None
-        return inst, [d.sample for d in draws], sum(d.count for d in draws)
-    if plwe:
-        return inst, [plwe_oracle_rq0(inst, ext, rng) for _ in range(m)], m
-    return inst, [uniform_oracle_rq0(ctx, ext, rng) for _ in range(m)], m
-
-
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_sample_batch_matches_per_sample_oracles(data):
-    """Row for row, the batch sampler equals the per-sample oracles (direct)
-    or sample_rq0 over the plain oracles (honest) on the same stream."""
+    """Row for row, the batch sampler equals the per-sample oracles handed
+    the same errors or b rows, and its evaluate-first pairs equal the pairs
+    of the materialised batch."""
     q = data.draw(st.sampled_from([3, 5, 7, 13]), label="q")
     n = data.draw(st.integers(1, 3), label="n")
     honest = data.draw(st.booleans(), label="honest")
@@ -280,10 +279,14 @@ def test_sample_batch_matches_per_sample_oracles(data):
     budget = data.draw(st.sampled_from([10**8, 1, 3, 2 * q ** (n - 1)]), label="budget")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
-    inst, ref, ref_count = _reference_draws(ctx, ext, gauss, m, seed, plwe, honest, budget)
+    rng_ref = np.random.default_rng(seed)
+    inst = PlweInstance.generate(ctx, gauss, rng_ref) if plwe else None
+    secret_ref = inst.secret_for_tests().as_array() if plwe else None
     rng = np.random.default_rng(seed)
     secret = rng.integers(0, q, size=ctx.N) if plwe else None
-    if ref is None:
+    try:
+        ref, ref_count = reference_samples(ctx, gauss, ext, m, rng_ref, secret_ref, honest, budget)
+    except BudgetExhausted:
         with pytest.raises(BudgetExhausted):
             sample_batch(ctx, gauss, ext, m, rng, secret, honest, budget)
         return
@@ -294,11 +297,15 @@ def test_sample_batch_matches_per_sample_oracles(data):
     assert batch.samples() == ref
     for sample in ref:
         assert not any(rq0_membership(sample.a, ext).witness_sums)
+    materialised = _pairs(ref, ext)
+    pairs = batch.pairs(ext)
+    assert np.array_equal(pairs.targets, materialised.targets)
+    assert np.array_equal(pairs.scales, materialised.scales)
     if plwe:
-        s_poly = inst.secret_for_tests()
-        assert tuple(secret) == s_poly.coeffs
+        assert np.array_equal(secret, secret_ref)
+        assert np.array_equal(batch.X, [s.raw_error for s in ref])
         for sample in ref:
-            resid = ring_sub(sample.b, ring_mul(sample.a, s_poly))
+            resid = ring_sub(sample.b, ring_mul(sample.a, inst.secret_for_tests()))
             assert resid.coeffs == tuple(e % q for e in sample.raw_error)
 
 
