@@ -71,12 +71,19 @@ def classify_variance_case(
         return VarianceCase(setting, "pm_one", (1,), (n_terms,))
     if order and order < n_terms:
         blocklen = max(1, n_terms // order)
-        weights = tuple(
-            centered_value(pow(w.value, i, q), q) for i in range(order)
-        )
+        weights = _centered_powers(w.value, q, order)
         return VarianceCase(setting, "small_order", weights, (blocklen,) * order)
-    weights = tuple(centered_value(pow(w.value, i, q), q) for i in range(n_terms))
+    weights = _centered_powers(w.value, q, n_terms)
     return VarianceCase(setting, "general", weights, (1,) * n_terms)
+
+
+def _centered_powers(w: int, q: int, count: int) -> tuple[int, ...]:
+    """Centered w^i mod q for 0 <= i < count, by one running product."""
+    out, power = [], 1
+    for _ in range(count):
+        out.append(centered_value(power, q))
+        power = power * w % q
+    return tuple(out)
 
 
 def sigma_bar(case: VarianceCase, sigma: float) -> float:

@@ -271,11 +271,15 @@ def _evaluation_point(cfg: ExperimentConfig) -> ExtFieldCtx:
     return point
 
 
-def check_modulus(q: int) -> None:
-    """Refuse q >= 2**22: candidate loops and divisor searches allocate O(q)
-    arrays, and ring products run in int64."""
+def check_ring(ring: RqContext) -> None:
+    """Refuse q >= 2**22 and (N+1)*q^2 >= 2**63: candidate loops and the
+    divisor fold allocate O(q) arrays, and ring products, evaluations and
+    the fold sum N + 1 products of residues in int64."""
+    q, N = ring.q, ring.N
     if q >= EXHAUSTIVE_SCAN_LIMIT:
         raise PreconditionRefused(f"q = {q} < 2**22 = {EXHAUSTIVE_SCAN_LIMIT}")
+    if (N + 1) * q * q >= 1 << 63:
+        raise PreconditionRefused(f"(N+1)*q^2 = {(N + 1) * q * q} < 2**63 = {1 << 63}")
 
 
 def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -> AttackPlan:
@@ -285,7 +289,7 @@ def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) ->
     ring = cfg.ring
     q = ring.q
     p0 = cfg.gauss.p0
-    check_modulus(q)
+    check_ring(ring)
     point = _evaluation_point(cfg)
     blocks = block_structure(point.n, point.a, ring.N, cfg.gauss.sigma)
     plan = AttackPlan(cfg, point, blocks)

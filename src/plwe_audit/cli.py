@@ -30,7 +30,7 @@ from .campaign import (
     ConfigError,
     PreconditionRefused,
     build_plan,
-    check_modulus,
+    check_ring,
     config_from_dict,
     instance_from_dict,
     int_field,
@@ -127,7 +127,7 @@ def _write_csv(path: str, doc: dict) -> None:
 def _cmd_scan(args) -> int:
     doc = _read_config(args)
     ring, gauss = instance_from_dict(doc.get("instance", doc))
-    check_modulus(ring.q)
+    check_ring(ring)
     report = scan_instance(
         ring, gauss.sigma, gauss.truncated, n_max=args.n_max,
         table_cap=table_cap_from_dict(doc),

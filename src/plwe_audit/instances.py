@@ -1,9 +1,11 @@
-"""Bundled demonstration instances.
+"""Bundled demonstration instances and published rings.
 
-All are toy-scale rings whose defining polynomials carry a deliberately
-planted weakness: an F_q root of small order, or an irreducible binomial
-divisor x^n - a with a of small order.  They drive the example scripts, the
-CLI walkthroughs in the README, and the regression suite.
+The demonstration instances are toy-scale rings whose defining polynomials
+carry a deliberately planted weakness: an F_q root of small order, or an
+irreducible binomial divisor x^n - a with a of small order.  They drive the
+example scripts, the CLI walkthroughs in the README, and the regression
+suite.  CRYPTO_RINGS holds the rings of published lattice schemes, which the
+scanner audits as they are.
 """
 
 from __future__ import annotations
@@ -62,13 +64,22 @@ USVA_INSTANCES = [
     {"instance": {**_root_adjusted_ring(256, 4111, 1055), "sigma": 8.0, "truncated": False}, "alpha": 1055},
 ]
 
+# Rings of published lattice schemes (public parameters), as ring documents.
+# x^N + 1 splits into linear factors mod q when 2N | q - 1 (Falcon); mod 3329,
+# x^256 + 1 splits into 128 irreducible x^2 - a with a of order 256 (Kyber);
+# x^761 - x - 1 stays irreducible mod 4591 (NTRU Prime); Dilithium's modulus
+# 8380417 is above the scanner's 2**22 limit.
+CRYPTO_RINGS = {
+    "kyber": {"N": 256, "f": _coeff_list(256, {0: 1}), "q": 3329},
+    "falcon512": {"N": 512, "f": _coeff_list(512, {0: 1}), "q": 12289},
+    "falcon1024": {"N": 1024, "f": _coeff_list(1024, {0: 1}), "q": 12289},
+    "ntru_prime761": {"N": 761, "f": _coeff_list(761, {0: -1, 1: -1}), "q": 4591},
+    "dilithium": {"N": 256, "f": _coeff_list(256, {0: 1}), "q": 8380417},
+}
+
 # NIST-style cyclotomic ring: no F_q roots, only order-256 quadratic binomial
 # divisors, so every look-up table is infeasible.
-KYBER_STYLE_RING = {
-    "N": 256,
-    "f": _coeff_list(256, {0: 1}),
-    "q": 3329,
-}
+KYBER_STYLE_RING = CRYPTO_RINGS["kyber"]
 
 # Small ring for exercising the honest rejection sampler: x^3 - 3 is
 # irreducible mod 7 (3 generates F_7*), membership probability 1/49.

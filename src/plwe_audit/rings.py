@@ -22,11 +22,14 @@ from .fields import (
     PrimeModulus,
     is_irreducible_binomial,
     mult_order,
+    prime_factors,
 )
 
-# Above this modulus, exhaustive scans over F_q are off the table, and so are
-# the int64 products of ring_mul and eval_matrix: below it, a sum of N products
-# of two residues stays under 2**63 for every N < 2**19.
+# Below this modulus, roots and binomial divisors come from one fold over a
+# table of all q - 1 generator powers, in O(q) memory, and the int64 sums of
+# ring_mul, eval_matrix and the fold stay exact: N + 1 products of two
+# residues, (N+1)*q^2 < 2**63, for every N < 2**19 - 1.  Above it, roots go
+# through gcd(f, x^q - x) and binomial divisors are refused.
 EXHAUSTIVE_SCAN_LIMIT = 1 << 22
 
 
@@ -292,24 +295,65 @@ def _poly_quot(a: list[int], d: list[int], q: int) -> list[int]:
     return out
 
 
+def _generator_powers(q: int) -> np.ndarray:
+    """G[i] = g^i mod q for 0 <= i < q - 1, g the least generator of F_q*,
+    in about log2 q doubling steps."""
+    factors = prime_factors(q - 1)
+    g = 2
+    while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
+        g += 1
+    G = np.empty(q - 1, dtype=np.int64)
+    G[0] = 1
+    size, step = 1, g  # step = g^size
+    while size < q - 1:
+        take = min(size, q - 1 - size)
+        G[size : size + take] = G[:take] * step % q
+        size += take
+        step = step * step % q
+    return G
+
+
+def _binomial_fold(ctx: RqContext, n: int) -> np.ndarray:
+    """The sorted a in F_q* with x^n - a dividing f mod q; n = 1 gives the
+    nonzero roots.
+
+    With a = g^i, the remainder of f upon division by x^n - a has coordinate
+    j = sum_t f_(tn+j) a^t, and a^t = G[i*t mod (q-1)] for every i at once.
+    Only the nonzero f_k contribute, and each residue class j only narrows
+    the survivors of the previous ones.  Each class sums at most N+1
+    products of two residues, exact in int64 while (N+1)*q^2 < 2**63.
+    """
+    q, N = ctx.q, ctx.N
+    if (N + 1) * q * q >= 1 << 63:
+        raise ValueError(f"the fold needs (N+1)*q^2 < 2**63, got N = {N}, q = {q}")
+    G = _generator_powers(q)
+    idx = np.arange(q - 1, dtype=np.int64)
+    for j in range(n):
+        terms = [(t, c) for t, c in enumerate(ctx.f_mod[j::n]) if c]
+        if not terms:
+            continue
+        acc = np.zeros(len(idx), dtype=np.int64)
+        for t, c in terms:
+            acc += c * G[idx * t % (q - 1)]
+        idx = idx[acc % q == 0]
+    return np.sort(G[idx])
+
+
 def find_fq_roots(ctx: RqContext, r_max: int = 0) -> list[tuple[FieldElement, int]]:
-    """All roots of f in F_q, annotated with multiplicative orders.
+    """All roots of f in F_q in increasing order, annotated with
+    multiplicative orders.
 
     The root 0 carries the sentinel order 0.  When r_max > 0 the list is
-    filtered to orders <= r_max.  Exhaustive evaluation is used for desk-scale
-    q; larger moduli go through gcd(f, x^q - x) and equal-degree splitting.
+    filtered to orders <= r_max.  For q < 2**22 the nonzero roots come from
+    one fold over a table of generator powers (_binomial_fold with n = 1),
+    and 0 is a root iff f_0 = 0 mod q; larger moduli go through
+    gcd(f, x^q - x) and equal-degree splitting.
     """
     q = ctx.q
-    fm = np.array(ctx.f_mod, dtype=np.int64)
-    roots: list[int] = []
     if q < EXHAUSTIVE_SCAN_LIMIT:
-        chunk = 1 << 20
-        for start in range(0, q, chunk):
-            xs = np.arange(start, min(start + chunk, q), dtype=np.int64)
-            acc = np.full_like(xs, fm[-1])
-            for c in fm[-2::-1]:
-                acc = (acc * xs + c) % q
-            roots.extend(int(x) for x in xs[acc == 0])
+        roots = [int(x) for x in _binomial_fold(ctx, 1)]
+        if ctx.f_mod[0] == 0:
+            roots.insert(0, 0)
     else:
         f_list = list(ctx.f_mod)
         xq = _poly_powmod([0, 1], q, f_list, q)
@@ -328,52 +372,21 @@ def find_fq_roots(ctx: RqContext, r_max: int = 0) -> list[tuple[FieldElement, in
 
 
 def find_binomial_factors(ctx: RqContext, n: int) -> list[tuple[FieldElement, int]]:
-    """All a in F_q* with x^n - a irreducible and dividing f mod q.
-
-    Divisibility is decided by folding: the remainder of f upon division by
-    x^n - a has coordinates sum_t f_{tn+j} a^t for j = 0..n-1.
-    """
+    """All a in F_q* with x^n - a irreducible and dividing f mod q, in
+    increasing order: the divisors of _binomial_fold that pass
+    is_irreducible_binomial."""
     if n < 2:
         raise ValueError("binomial factor degree must be >= 2")
     if n > ctx.N:
         return []
-    q = ctx.q
-    if q >= EXHAUSTIVE_SCAN_LIMIT:
-        raise ValueError("binomial divisor search is exhaustive; needs q < 2**22")
-    cands = np.arange(1, q, dtype=np.int64)
-    rem = np.zeros((n, q - 1), dtype=np.int64)
-    power = np.ones(q - 1, dtype=np.int64)
-    t = 0
-    while t * n <= ctx.N:
-        for j in range(n):
-            k = t * n + j
-            if k <= ctx.N and ctx.f_mod[k]:
-                rem[j] = (rem[j] + ctx.f_mod[k] * power) % q
-        power = power * cands % q
-        t += 1
-    hits = cands[np.all(rem == 0, axis=0)]
+    if ctx.q >= EXHAUSTIVE_SCAN_LIMIT:
+        raise ValueError(f"the binomial divisor fold needs q < 2**22, got q = {ctx.q}")
     out = []
-    for a_val in hits:
+    for a_val in _binomial_fold(ctx, n):
         elt = ctx.modulus.element(int(a_val))
         if is_irreducible_binomial(n, elt):
             out.append((elt, mult_order(elt)))
     return out
-
-
-@dataclass(frozen=True)
-class RootReport:
-    """Vulnerable evaluation points of a ring: F_q roots and binomial divisors."""
-
-    fq_roots: tuple[tuple[FieldElement, int], ...]
-    binomial_factors: tuple[tuple[int, FieldElement, int], ...]
-
-
-def root_report(ctx: RqContext, n_max: int = 4, r_max: int = 0) -> RootReport:
-    factors = []
-    for n in range(2, min(n_max, ctx.N) + 1):
-        for a_elt, order in find_binomial_factors(ctx, n):
-            factors.append((n, a_elt, order))
-    return RootReport(tuple(find_fq_roots(ctx, r_max)), tuple(factors))
 
 
 # ---------------------------------------------------------------------------

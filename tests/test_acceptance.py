@@ -4,6 +4,7 @@ Each test exercises one numbered acceptance criterion at its stated tolerance
 and prints a single PASS/FAIL line (run with -s to see the lines as they go).
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -23,9 +24,11 @@ from plwe_audit.attacks import (
     small_set_attack,
     small_values_attack,
 )
+from plwe_audit import cli
 from plwe_audit.campaign import config_from_dict, run_campaign
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, in_quarter_value, trace
 from plwe_audit.instances import (
+    CRYPTO_RINGS,
     REJECTION_REPLICA,
     TRACE_INSTANCE_B,
     USVA_INSTANCES,
@@ -36,8 +39,6 @@ from plwe_audit.samplers import (
     PlweInstance,
     plwe_oracle,
     sample_batch,
-    sample_rq0,
-    uniform_oracle,
 )
 
 
@@ -93,15 +94,14 @@ def test_criterion_03_subring_dimension_count():
 
 
 def test_criterion_04_rejection_sampler_mean():
-    """Mean invocation count of the restricted sampler at q=5, n=2."""
+    """Mean invocation count of the restricted sampler at q=5, n=2, counted
+    by the campaigns' honest batch sampler over a uniform batch."""
     t0 = time.perf_counter()
     ctx = RqContext((-2, 0, 1), PrimeModulus(5))
     ext = ExtFieldCtx(2, PrimeModulus(5).element(2))
     rng = np.random.default_rng(404)
     runs = 10**4
-    total = sum(
-        sample_rq0(lambda: uniform_oracle(ctx, rng), ext).count for _ in range(runs)
-    )
+    _, total = sample_batch(ctx, GaussianSpec(1.0, True), ext, runs, rng, honest=True)
     mean = total / runs
     elapsed = time.perf_counter() - t0
     ok = 4.5 <= mean <= 5.5 and elapsed < 5.0
@@ -285,3 +285,34 @@ def test_criterion_11_truncated_soundness():
     _criterion(
         11, ok, f"2x500 truncated trials: zero NOT PLWE, true value kept ({elapsed:.1f}s)"
     )
+
+
+def test_crypto_rings_scan_findings(tmp_path, capsys):
+    """The scan of the published rings matches the theory of x^N + 1 and of
+    NTRU Prime's irreducible trinomial; Dilithium's modulus is refused."""
+    for name in ("falcon512", "falcon1024"):
+        ctx = load_ring_doc(CRYPTO_RINGS[name])
+        q, N = ctx.q, ctx.N
+        assert (q - 1) % (2 * N) == 0
+        rep = scan_instance(ctx, 1.0, False)
+        # the roots of x^N + 1 are the N primitive 2N-th roots of unity
+        assert len(rep.roots) == N and not rep.factors, name
+        assert all(rt.order == 2 * N and pow(rt.alpha, N, q) == q - 1 for rt in rep.roots)
+        assert [rt.alpha for rt in rep.roots] == sorted({rt.alpha for rt in rep.roots})
+
+    kyber = scan_instance(load_ring_doc(CRYPTO_RINGS["kyber"]), 1.0, False)
+    # 512 does not divide 3328, so no roots; x^2 - a divides x^256 + 1 iff
+    # a^128 = -1, and the 128 such a of order 256 are non-squares
+    assert not kyber.roots and len(kyber.factors) == 128
+    assert all(fc.n == 2 and fc.order == 256 for fc in kyber.factors)
+    assert len({fc.a for fc in kyber.factors}) == 128
+
+    ntru = scan_instance(load_ring_doc(CRYPTO_RINGS["ntru_prime761"]), 1.0, False)
+    assert not ntru.roots and not ntru.factors
+
+    cfg = tmp_path / "dilithium.json"
+    cfg.write_text(json.dumps(
+        {"instance": {**CRYPTO_RINGS["dilithium"], "sigma": 1.0, "truncated": False}}
+    ))
+    assert cli.main(["scan", "--config", str(cfg)]) == 3
+    assert "q = 8380417 < 2**22 = 4194304" in capsys.readouterr().err

@@ -415,6 +415,17 @@ class TestCli:
         assert cli.main(["scan", "--config", cfg]) == 3
         assert "q = 8380417 < 2**22 = 4194304" in capsys.readouterr().err
 
+    def test_scan_refuses_degree_beyond_int64_sums(self, tmp_path, capsys, monkeypatch):
+        # the fold and the ring products sum N + 1 products of residues
+        q = 4194301
+        N = 2**63 // q**2
+        cfg = _write(tmp_path, "huge.json", {
+            "instance": {"N": N, "f": [1] + [0] * (N - 1) + [1], "q": q,
+                         "sigma": 2.0, "truncated": True}})
+        monkeypatch.setattr(cli, "scan_instance", None)
+        assert cli.main(["scan", "--config", cfg]) == 3
+        assert f"(N+1)*q^2 = {(N + 1) * q * q} < 2**63" in capsys.readouterr().err
+
     def test_replay_reproduces_recorded_verdict(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=1, M=6))
         samples = tmp_path / "samples.jsonl"

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from plwe_audit.analysis import scan_instance
 from plwe_audit.campaign import _true_value, build_plan, config_from_dict
 from plwe_audit.fields import (
     ContextMismatch,
     ExtFieldCtx,
     PrimeModulus,
     is_irreducible_binomial,
+    is_prime,
     trace,
 )
 from plwe_audit.instances import TRACE_RING_A, TRACE_RING_B
@@ -25,7 +27,6 @@ from plwe_audit.rings import (
     ring_add,
     ring_mul,
     ring_sub,
-    root_report,
     rq0_membership,
 )
 
@@ -244,8 +245,68 @@ class TestBinomialFactors:
                 assert all(v == 0 for v in rem)
 
     def test_report_combines_roots_and_factors(self):
-        rep = root_report(RING_A, n_max=3)
-        assert any(n == 3 and a.value == 2018 for n, a, _ in rep.binomial_factors)
+        rep = scan_instance(RING_A, 0.7, False, n_max=3)
+        assert any(fc.n == 3 and fc.a == 2018 for fc in rep.factors)
+
+
+# Primes whose q - 1 ranges over powers of two (17, 257), 2 * prime (7, 11,
+# 23, 47), smooth (31, 61, 181, 211) and other shapes.
+FOLD_PRIMES = [p for p in range(3, 300) if is_prime(p)]
+
+
+def _brute_order(a, q):
+    r, x = 1, a
+    while x != 1:
+        x, r = x * a % q, r + 1
+    return r
+
+
+@st.composite
+def fold_rings(draw):
+    """Small rings with sparse or dense f, f_0 = 0 mod q half the time."""
+    q = draw(st.sampled_from(FOLD_PRIMES))
+    N = draw(st.integers(1, 24))
+    coeff = st.integers(-2 * q, 2 * q)
+    if draw(st.booleans()):
+        f = draw(st.lists(coeff, min_size=N, max_size=N))
+    else:
+        f = [0] * N
+        for k, c in draw(st.dictionaries(st.integers(0, N - 1), coeff, max_size=3)).items():
+            f[k] = c
+    if draw(st.booleans()):
+        f[0] = q * draw(st.integers(-1, 1))
+    return RqContext(tuple(f) + (1,), PrimeModulus(q))
+
+
+class TestFoldOracle:
+    """The generator-power fold against per-point evaluation over all of F_q."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(fold_rings())
+    def test_roots_match_horner(self, ctx):
+        q, m = ctx.q, ctx.modulus
+        want = []
+        for x in range(q):
+            acc = 0
+            for c in reversed(ctx.f_int):
+                acc = (acc * x + c) % q
+            if acc == 0:
+                want.append((m.element(x), 0 if x == 0 else _brute_order(x, q)))
+        assert find_fq_roots(ctx) == want
+
+    @settings(max_examples=120, deadline=None)
+    @given(fold_rings())
+    def test_binomial_factors_match_per_point_fold(self, ctx):
+        q, m = ctx.q, ctx.modulus
+        for n in (2, 3, 4):
+            want = []
+            for a in range(1, q):
+                rem = [0] * n
+                for k, c in enumerate(ctx.f_int):
+                    rem[k % n] = (rem[k % n] + c * pow(a, k // n, q)) % q
+                if not any(rem) and is_irreducible_binomial(n, m.element(a)):
+                    want.append((m.element(a), _brute_order(a, q)))
+            assert find_binomial_factors(ctx, n) == want, n
 
 
 class TestRq0Membership:
