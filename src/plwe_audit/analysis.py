@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .fields import FieldElement, PrimeModulus, centered_value, mult_order
-from .rings import RqContext, find_binomial_factors, find_fq_roots
+from .rings import RqContext, binomial_logs, generator_powers, log_orders
 from .samplers import P0_UNTRUNCATED
 
 DEFAULT_SERIES_TOL = 1e-12
@@ -105,22 +105,66 @@ class BlockStructure:
     n_terms: int
     r_eff: int
     blocklen: int
-    case: VarianceCase
+    case_kind: str
     sigma_bar: float
 
 
 def block_structure(n: int, a: FieldElement, N: int, sigma: float) -> BlockStructure:
-    """Block structure of the evaluation point shared by plans, scans and
-    the analyze report."""
+    """Block structure of one evaluation point, for plans and the analyze
+    report; scans take block_structures."""
     n_terms = max(1, N // n)
     if a.value == 0:
         # the root 0 kills every coefficient but the constant one
         case = VarianceCase("fq", "general", (1,), (1,))
-        return BlockStructure(0, n_terms, 1, 1, case, sigma_bar(case, sigma))
+        return BlockStructure(0, n_terms, 1, 1, case.case_kind, sigma_bar(case, sigma))
     order = mult_order(a)
     case = classify_variance_case("fq" if n == 1 else "trace", a, order, n_terms)
     blocklen = max(1, n_terms // order)
-    return BlockStructure(order, n_terms, order, blocklen, case, sigma_bar(case, sigma))
+    return BlockStructure(
+        order, n_terms, order, blocklen, case.case_kind, sigma_bar(case, sigma)
+    )
+
+
+# block_structures gathers at most this many weights at once, so each of its
+# int64 temporaries stays near 8 MB however many points share an order.
+_GATHER_ENTRIES = 1 << 20
+
+
+def block_structures(
+    n: int, idx: np.ndarray, N: int, sigma: float, G: np.ndarray
+) -> list[BlockStructure]:
+    """block_structure(n, G[i], N, sigma) for every discrete log i in idx,
+    G = generator_powers(q), computed together.
+
+    The order of G[i] is (q-1)/gcd(i, q-1).  The points of one order share
+    their weight count K and block length L, and their centered weights
+    G[i*k mod (q-1)], k < K, come from one gather.  The sums of L*w^2 are
+    exact in int64 while (N+1)*q^2 < 2**63, so sigma_bar is the scalar
+    path's sqrt(sigma^2 * sum) bit for bit.
+    """
+    q = len(G) + 1
+    n_terms = max(1, N // n)
+    orders = log_orders(idx, q)
+    sums = np.empty(len(idx), dtype=np.int64)
+    for order in np.unique(orders).tolist():
+        rows = np.flatnonzero(orders == order)
+        count, length = (order, n_terms // order) if order < n_terms else (n_terms, 1)
+        k = np.arange(count, dtype=np.int64)
+        step = max(1, _GATHER_ENTRIES // count)
+        for lo in range(0, len(rows), step):
+            part = rows[lo : lo + step]
+            w = G[idx[part, None] * k % (q - 1)]
+            w -= q * (2 * w > q)
+            sums[part] = length * (w * w).sum(axis=1)
+    values = G[idx]
+    pm_one = (values == 1) | (values == q - 1)
+    sums[pm_one] = n_terms
+    out = []
+    for order, pm, total in zip(orders.tolist(), pm_one.tolist(), sums.tolist()):
+        kind = "pm_one" if pm else "small_order" if order < n_terms else "general"
+        sbar = math.sqrt(sigma * sigma * total)
+        out.append(BlockStructure(order, n_terms, order, max(1, n_terms // order), kind, sbar))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +541,18 @@ class VulnReport:
         return not self.roots and not self.factors
 
 
+def log_small_set_size(blocklen: int, sigma: float, r: int) -> float:
+    """Log of the analytic Sigma-table size (4*sqrt(blocklen)*sigma + 1)^r,
+    which overflows a float at high orders."""
+    return r * math.log(4.0 * math.sqrt(blocklen) * sigma + 1.0)
+
+
 def _small_set_flag(
     q: int, p0: float, r: int, blocklen: int, sigma: float, table_cap: int
 ) -> AttackFlag:
     bound_int = math.floor(2.0 * math.sqrt(blocklen) * sigma)
     log10_tuples = r * math.log10(2 * bound_int + 1)
-    log_analytic = r * math.log(4.0 * math.sqrt(blocklen) * sigma + 1.0)
+    log_analytic = log_small_set_size(blocklen, sigma, r)
     analytic = math.exp(log_analytic) if log_analytic < 700.0 else None
     budget = q * p0**r
     feasible = log10_tuples <= math.log10(table_cap)
@@ -513,9 +563,13 @@ def _small_set_flag(
         )
         ok = False
     else:
-        ok = analytic < budget
+        ok = log_analytic < math.log(q) + r * math.log(p0)
         rel = "<" if ok else ">="
-        cond = f"(4*sqrt({blocklen})*sigma+1)^{r} = {analytic:.1f} {rel} q*p0^{r} = {budget:.1f}"
+        shown = (
+            f"{analytic:.1f}" if analytic is not None
+            else f"10^{log_analytic / math.log(10):.0f}"
+        )
+        cond = f"(4*sqrt({blocklen})*sigma+1)^{r} = {shown} {rel} q*p0^{r} = {budget:.1f}"
     details = {
         "r": r,
         "blocklen": blocklen,
@@ -578,35 +632,46 @@ def scan_instance(
     which attacks their preconditions admit.
 
     Extensions are scanned up to degree n_max (default 4: the look-up work
-    grows steeply with the degree, so higher extensions are opt-in).
+    grows steeply with the degree, so higher extensions are opt-in).  One
+    table of generator powers serves the root and divisor search and the
+    block structures of every degree, and each distinct (r_eff, blocklen,
+    sigma_bar) gets its flags once: all roots of x^N + 1 share them.
     """
-    q = ctx.q
+    q, N = ctx.q, ctx.N
     p0 = 1.0 if truncated else P0_UNTRUNCATED
+    G = generator_powers(q)
+    seen: dict[tuple, tuple[AttackFlag, ...]] = {}
 
     def flags(bs: BlockStructure, strict: bool) -> tuple[AttackFlag, ...]:
-        return (
-            _small_set_flag(q, p0, bs.r_eff, bs.blocklen, sigma, table_cap),
-            _small_values_flag(q, truncated, bs.sigma_bar, strict),
-            _usva_flag(q, bs.sigma_bar),
-        )
-
-    roots = []
-    for alpha, _ in find_fq_roots(ctx):
-        bs = block_structure(1, alpha, ctx.N, sigma)
-        roots.append(
-            RootVuln(
-                alpha.value, bs.order, bs.case.case_kind, bs.sigma_bar, flags(bs, False)
+        key = (bs.r_eff, bs.blocklen, bs.sigma_bar, strict)
+        if key not in seen:
+            seen[key] = (
+                _small_set_flag(q, p0, bs.r_eff, bs.blocklen, sigma, table_cap),
+                _small_values_flag(q, truncated, bs.sigma_bar, strict),
+                _usva_flag(q, bs.sigma_bar),
             )
-        )
-    factors = []
-    for n in range(2, min(n_max, ctx.N) + 1):
-        for a_elt, _ in find_binomial_factors(ctx, n):
-            bs = block_structure(n, a_elt, ctx.N, sigma)
-            factors.append(
-                FactorVuln(
-                    n, a_elt.value, bs.order, bs.n_terms, bs.blocklen,
-                    bs.case.case_kind, bs.sigma_bar, flags(bs, True),
-                )
-            )
-    return VulnReport(q, ctx.N, sigma, truncated, tuple(roots), tuple(factors))
+        return seen[key]
 
+    def points(n: int) -> list[tuple[int, BlockStructure]]:
+        idx = binomial_logs(ctx, n, G)
+        return list(zip(G[idx].tolist(), block_structures(n, idx, N, sigma, G)))
+
+    roots = points(1)
+    if ctx.f_mod[0] == 0:
+        roots.insert(0, (0, block_structure(1, ctx.modulus.element(0), N, sigma)))
+    factors = [
+        FactorVuln(
+            n, a, bs.order, bs.n_terms, bs.blocklen, bs.case_kind, bs.sigma_bar,
+            flags(bs, True),
+        )
+        for n in range(2, min(n_max, N) + 1)
+        for a, bs in points(n)
+    ]
+    return VulnReport(
+        q, N, sigma, truncated,
+        tuple(
+            RootVuln(a, bs.order, bs.case_kind, bs.sigma_bar, flags(bs, False))
+            for a, bs in roots
+        ),
+        tuple(factors),
+    )

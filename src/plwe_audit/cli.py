@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from .analysis import (
     block_structure,
     delta_probability,
     f_of_r_table,
+    log_small_set_size,
     minimal_samples,
     monte_carlo_delta,
     scan_instance,
@@ -185,7 +187,7 @@ def _cmd_analyze(args) -> int:
         "q": q,
         **point,
         "order": blocks.order,
-        "case": blocks.case.case_kind,
+        "case": blocks.case_kind,
         "sigma_bar": blocks.sigma_bar,
         "p_event": prob.p_event,
         "delta": prob.delta,
@@ -214,17 +216,16 @@ def _cmd_analyze(args) -> int:
                 "small_values", truncated, args.min_M, q=q
             ),
         }
-        if blocks.order:
-            size = (4.0 * (blocks.blocklen**0.5) * sigma + 1.0) ** blocks.r_eff
-            if size < q:
-                out["min_M"]["small_set"] = minimal_samples(
-                    "small_set",
-                    truncated,
-                    args.min_M,
-                    q=q,
-                    sigma_size=size,
-                    r=blocks.r_eff,
-                )
+        log_size = log_small_set_size(blocks.blocklen, sigma, blocks.r_eff)
+        if blocks.order and log_size < math.log(q):
+            out["min_M"]["small_set"] = minimal_samples(
+                "small_set",
+                truncated,
+                args.min_M,
+                q=q,
+                sigma_size=math.exp(log_size),
+                r=blocks.r_eff,
+            )
     if args.f_of_r_csv:
         grid = [4.0 * 2.0**0.5 * (i + 1) / 1000.0 for i in range(1000)]
         with open(args.f_of_r_csv, "w", newline="", encoding="utf-8") as fh:

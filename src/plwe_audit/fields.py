@@ -187,14 +187,17 @@ def is_irreducible_binomial(n: int, a: FieldElement) -> bool:
         return True
     if a.value == 0:
         return False
-    e = mult_order(a)
-    cofactor = (a.q - 1) // e
+    return binomial_order_irreducible(n, mult_order(a), a.q)
+
+
+def binomial_order_irreducible(n: int, order: int, q: int) -> bool:
+    """The criterion of is_irreducible_binomial for n >= 1 and a nonzero
+    a of multiplicative order `order` mod q."""
+    cofactor = (q - 1) // order
     for p in prime_factors(n):
-        if e % p != 0 or cofactor % p == 0:
+        if order % p != 0 or cofactor % p == 0:
             return False
-    if n % 4 == 0 and a.q % 4 != 1:
-        return False
-    return True
+    return n % 4 != 0 or q % 4 == 1
 
 
 @dataclass(frozen=True)

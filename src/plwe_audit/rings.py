@@ -20,7 +20,7 @@ from .fields import (
     ExtFieldElement,
     FieldElement,
     PrimeModulus,
-    is_irreducible_binomial,
+    binomial_order_irreducible,
     mult_order,
     prime_factors,
 )
@@ -295,9 +295,12 @@ def _poly_quot(a: list[int], d: list[int], q: int) -> list[int]:
     return out
 
 
-def _generator_powers(q: int) -> np.ndarray:
+def generator_powers(q: int) -> np.ndarray:
     """G[i] = g^i mod q for 0 <= i < q - 1, g the least generator of F_q*,
-    in about log2 q doubling steps."""
+    in about log2 q doubling steps.  Refused for q >= 2**22, where the
+    table would take 32 MB or more."""
+    if q >= EXHAUSTIVE_SCAN_LIMIT:
+        raise ValueError(f"the generator-power table needs q < 2**22, got q = {q}")
     factors = prime_factors(q - 1)
     g = 2
     while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
@@ -313,9 +316,14 @@ def _generator_powers(q: int) -> np.ndarray:
     return G
 
 
-def _binomial_fold(ctx: RqContext, n: int) -> np.ndarray:
-    """The sorted a in F_q* with x^n - a dividing f mod q; n = 1 gives the
-    nonzero roots.
+def log_orders(idx: np.ndarray, q: int) -> np.ndarray:
+    """The multiplicative orders (q-1)/gcd(i, q-1) of the g^i, i in idx."""
+    return (q - 1) // np.gcd(idx, q - 1)
+
+
+def _binomial_fold(ctx: RqContext, n: int, G: np.ndarray) -> np.ndarray:
+    """The discrete logs i, in increasing order, of the a = G[i] in F_q*
+    with x^n - a dividing f mod q; n = 1 gives the nonzero roots.
 
     With a = g^i, the remainder of f upon division by x^n - a has coordinate
     j = sum_t f_(tn+j) a^t, and a^t = G[i*t mod (q-1)] for every i at once.
@@ -326,7 +334,6 @@ def _binomial_fold(ctx: RqContext, n: int) -> np.ndarray:
     q, N = ctx.q, ctx.N
     if (N + 1) * q * q >= 1 << 63:
         raise ValueError(f"the fold needs (N+1)*q^2 < 2**63, got N = {N}, q = {q}")
-    G = _generator_powers(q)
     idx = np.arange(q - 1, dtype=np.int64)
     for j in range(n):
         terms = [(t, c) for t, c in enumerate(ctx.f_mod[j::n]) if c]
@@ -336,7 +343,27 @@ def _binomial_fold(ctx: RqContext, n: int) -> np.ndarray:
         for t, c in terms:
             acc += c * G[idx * t % (q - 1)]
         idx = idx[acc % q == 0]
-    return np.sort(G[idx])
+    return idx
+
+
+def binomial_logs(ctx: RqContext, n: int, G: np.ndarray) -> np.ndarray:
+    """The discrete logs i of the a = G[i] with x^n - a irreducible and
+    dividing f mod q, in increasing order of a; n = 1 gives the nonzero
+    roots.  G is generator_powers(q)."""
+    q = ctx.q
+    idx = _binomial_fold(ctx, n, G)
+    if n > 1 and idx.size:
+        orders = log_orders(idx, q)
+        keep = [r for r in np.unique(orders).tolist() if binomial_order_irreducible(n, r, q)]
+        idx = idx[np.isin(orders, keep)]
+    return idx[np.argsort(G[idx])]
+
+
+def _fold_points(ctx: RqContext, n: int) -> list[tuple[int, int]]:
+    """The (a, ord(a)) of binomial_logs, with a table built for this call."""
+    G = generator_powers(ctx.q)
+    idx = binomial_logs(ctx, n, G)
+    return list(zip(G[idx].tolist(), log_orders(idx, ctx.q).tolist()))
 
 
 def find_fq_roots(ctx: RqContext, r_max: int = 0) -> list[tuple[FieldElement, int]]:
@@ -344,16 +371,16 @@ def find_fq_roots(ctx: RqContext, r_max: int = 0) -> list[tuple[FieldElement, in
     multiplicative orders.
 
     The root 0 carries the sentinel order 0.  When r_max > 0 the list is
-    filtered to orders <= r_max.  For q < 2**22 the nonzero roots come from
-    one fold over a table of generator powers (_binomial_fold with n = 1),
-    and 0 is a root iff f_0 = 0 mod q; larger moduli go through
-    gcd(f, x^q - x) and equal-degree splitting.
+    filtered to orders <= r_max.  For q < 2**22 the nonzero roots and their
+    orders come from binomial_logs with n = 1, and 0 is a root iff
+    f_0 = 0 mod q; larger moduli go through gcd(f, x^q - x) and
+    equal-degree splitting.
     """
     q = ctx.q
     if q < EXHAUSTIVE_SCAN_LIMIT:
-        roots = [int(x) for x in _binomial_fold(ctx, 1)]
+        found = _fold_points(ctx, 1)
         if ctx.f_mod[0] == 0:
-            roots.insert(0, 0)
+            found.insert(0, (0, 0))
     else:
         f_list = list(ctx.f_mod)
         xq = _poly_powmod([0, 1], q, f_list, q)
@@ -361,32 +388,22 @@ def find_fq_roots(ctx: RqContext, r_max: int = 0) -> list[tuple[FieldElement, in
         xq_minus_x[1] = (xq_minus_x[1] - 1) % q
         g = _poly_gcd(f_list, xq_minus_x, q)
         roots = sorted(_roots_by_splitting(g, q))
-    out = []
-    for root in roots:
-        elt = ctx.modulus.element(root)
-        order = 0 if root == 0 else mult_order(elt)
-        if r_max > 0 and order > r_max:
-            continue
-        out.append((elt, order))
-    return out
+        found = [(x, mult_order(ctx.modulus.element(x)) if x else 0) for x in roots]
+    return [
+        (ctx.modulus.element(x), order)
+        for x, order in found
+        if r_max <= 0 or order <= r_max
+    ]
 
 
 def find_binomial_factors(ctx: RqContext, n: int) -> list[tuple[FieldElement, int]]:
     """All a in F_q* with x^n - a irreducible and dividing f mod q, in
-    increasing order: the divisors of _binomial_fold that pass
-    is_irreducible_binomial."""
+    increasing order, with their multiplicative orders (binomial_logs)."""
     if n < 2:
         raise ValueError("binomial factor degree must be >= 2")
     if n > ctx.N:
         return []
-    if ctx.q >= EXHAUSTIVE_SCAN_LIMIT:
-        raise ValueError(f"the binomial divisor fold needs q < 2**22, got q = {ctx.q}")
-    out = []
-    for a_val in _binomial_fold(ctx, n):
-        elt = ctx.modulus.element(int(a_val))
-        if is_irreducible_binomial(n, elt):
-            out.append((elt, mult_order(elt)))
-    return out
+    return [(ctx.modulus.element(a), order) for a, order in _fold_points(ctx, n)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from plwe_audit.analysis import (
     delta_probability,
@@ -26,7 +27,7 @@ from plwe_audit.attacks import (
 )
 from plwe_audit import cli
 from plwe_audit.campaign import config_from_dict, run_campaign
-from plwe_audit.fields import ExtFieldCtx, PrimeModulus, in_quarter_value, trace
+from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value, in_quarter_value, trace
 from plwe_audit.instances import (
     CRYPTO_RINGS,
     REJECTION_REPLICA,
@@ -309,6 +310,30 @@ def test_crypto_rings_scan_findings(tmp_path, capsys):
 
     ntru = scan_instance(load_ring_doc(CRYPTO_RINGS["ntru_prime761"]), 1.0, False)
     assert not ntru.roots and not ntru.factors
+
+    # At each scheme's published error width (Kyber: eta = 2, sigma = 1;
+    # Falcon: 1.17*sqrt(q/2N)) no attack applies.  Every point of a ring has
+    # order r = 2 * n_terms, so its weights a^t, t < r/2, meet each pair
+    # {x, -x} of the subgroup mu_r once: all points share one sigma_bar,
+    # sigma * sqrt(1/2 * sum over mu_r of c(x)^2), summed here over mu_r
+    # found by brute force.
+    for name, sigma in (
+        ("kyber", 1.0),
+        ("falcon512", 1.17 * math.sqrt(12289 / 1024)),
+        ("falcon1024", 1.17 * math.sqrt(12289 / 2048)),
+    ):
+        ctx = load_ring_doc(CRYPTO_RINGS[name])
+        q = ctx.q
+        report = scan_instance(ctx, sigma, False)
+        points = report.roots + report.factors
+        flags = [fl for pt in points for fl in pt.flags]
+        assert flags and not any(fl.applicable for fl in flags), name
+        (r,) = {pt.order for pt in points}
+        mu = [x for x in range(1, q) if pow(x, r, q) == 1]
+        assert len(mu) == r
+        oracle = sigma * math.sqrt(sum(centered_value(x, q) ** 2 for x in mu) / 2)
+        (sigma_bar,) = {pt.sigma_bar for pt in points}
+        assert sigma_bar == pytest.approx(oracle, rel=1e-12), name
 
     cfg = tmp_path / "dilithium.json"
     cfg.write_text(json.dumps(

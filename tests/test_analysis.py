@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plwe_audit import instances
 from plwe_audit.analysis import (
     DEFAULT_SERIES_TOL,
     DUAL_SERIES_BELOW,
     DomainError,
     _dual_series,
     _erf_series,
+    block_structure,
+    block_structures,
     classify_variance_case,
     cumulative_binomial,
     delta_probability,
@@ -29,13 +33,13 @@ from plwe_audit.analysis import (
     uniform_offset,
     usva_threshold,
 )
-from plwe_audit.fields import PrimeModulus
+from plwe_audit.fields import PrimeModulus, is_prime
 from plwe_audit.instances import (
     KYBER_STYLE_RING,
     TRACE_RING_A,
     USVA_INSTANCES,
 )
-from plwe_audit.rings import load_ring_doc
+from plwe_audit.rings import generator_powers, load_ring_doc
 
 P0 = 0.954500
 FOUR_ROOT_TWO = 4.0 * math.sqrt(2.0)
@@ -336,3 +340,86 @@ class TestScanner:
         report = scan_instance(ctx, 0.7, truncated=False)
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["q"] == 4099 and doc["binomial_factors"]
+
+
+SMALL_PRIMES = [p for p in range(3, 2**14) if is_prime(p)]
+
+
+class TestBlockStructures:
+    """The batch path of scans against the scalar one of plans."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # primes below 100 half the time, where orders below N are common
+        st.one_of(st.sampled_from(SMALL_PRIMES[:24]), st.sampled_from(SMALL_PRIMES)),
+        st.integers(1, 4),
+        st.integers(1, 64),
+        st.floats(0.05, 50.0),
+        st.data(),
+    )
+    def test_matches_block_structure(self, q, n, N, sigma, data):
+        G = generator_powers(q)
+        idx = data.draw(st.lists(st.integers(0, q - 2), min_size=1, max_size=12))
+        # the points +-1 take the pm_one case
+        idx += data.draw(st.lists(st.sampled_from([0, (q - 1) // 2]), max_size=2))
+        batch = block_structures(n, np.array(idx, dtype=np.int64), N, sigma, G)
+        m = PrimeModulus(q)
+        assert batch == [block_structure(n, m.element(int(G[i])), N, sigma) for i in idx]
+
+
+def _falcon_sigma(N):
+    # Falcon's published width 1.17 * sqrt(q / 2N)
+    return 1.17 * math.sqrt(12289 / (2 * N))
+
+
+PINNED_SCANS = [
+    *(
+        (f"bundled{k}", doc, sigma)
+        for k, (doc, sigma) in enumerate([
+            (instances.TRACE_INSTANCE_A["instance"], 0.7),
+            (instances.TRACE_INSTANCE_B["instance"], 2.5),
+            *[(inst["instance"], 8.0) for inst in USVA_INSTANCES],
+            (KYBER_STYLE_RING, 2.0),
+        ])
+    ),
+    ("kyber", instances.CRYPTO_RINGS["kyber"], 1.0),
+    ("falcon512", instances.CRYPTO_RINGS["falcon512"], _falcon_sigma(512)),
+    ("falcon1024", instances.CRYPTO_RINGS["falcon1024"], _falcon_sigma(1024)),
+    ("ntru_prime761", instances.CRYPTO_RINGS["ntru_prime761"], 1.0),
+]
+
+# sha256 of the sorted-key JSON of each scan report, taken from the
+# per-point scanner (one mult_order and one Python weight loop per point)
+# before scans were batched
+SCAN_DIGESTS = {
+    "bundled0-False": "e7bd64d3f2a81da0097209973c86d233897815ac4082158ae4f3b1aec6e301af",
+    "bundled0-True": "ae5bc18e9f29f50418578b3e6b960adb0b67fbe1d45b6421aa199865e7340e48",
+    "bundled1-False": "54f52948d0b03399030dc2f1964488b61cccdc2a6184591262c8b032d414518c",
+    "bundled1-True": "c553fab4df9931eaf401d84accae81c36addeb50b5136b064839e7958b926c37",
+    "bundled2-False": "ee298652f478031dc46aa6f2e01082e5c455e535afd64ac7ec285b73daaa4d56",
+    "bundled2-True": "eb4e293494a5e341524c2523be1a71d65321695b63443d847b2ee26a79530deb",
+    "bundled3-False": "d6ed3c7709cef32b71dc4685497b34795b705c0875a4a0bbc7e37bf4ef0e52a6",
+    "bundled3-True": "39d2c10a4659c001f3db1925d25e92f8d5dfc92b35de4918717a8e2fb8a91160",
+    "bundled4-False": "6ce1ca779661ae8573b52b88762af94597cdae5c13d6d17fc69abcbcfbbcf180",
+    "bundled4-True": "f0d41106b24a610b4614c6b8f4f298ba6c2cd290fec4dd9be62bc8fbaae4d19d",
+    "bundled5-False": "78cf6c96216d74ad81a9c954fc2c08eef193eb9d00e1bcb675aae1b45cc87b54",
+    "bundled5-True": "d054bbedbec0c1e7d2099bef1faecec77bb6509c8870310f099d81a0051b7629",
+    "bundled6-False": "7f72715f12106737c53357d0a0c1e6382a9fa09c7419fea4dbd760addac30348",
+    "bundled6-True": "5e9e3832cebbdee40dfd914e19cebc0fc72569cabaa299d26eb94264a3ef3b67",
+    "kyber-False": "b43fadf9e03292df4383f7c6b16f6d165e56e24c67c7d2c2f7a1e54939d062ca",
+    "kyber-True": "b4c83da92a95933216e7486fd7f87f013227230bf6981f0ed7663bb07523f78c",
+    "falcon512-False": "393222f888f639614f1aa7b5c2e375d82f1da88dbff71886b045b417b2db864b",
+    "falcon512-True": "94c98bcfd072dbd6e2bf01bfee1bc2d0fbbf9fe1fd424ed074e666ab7bf92f78",
+    "falcon1024-False": "96f662cb8be5d1f10b04412b6c856da96a4cf808b6dce6356699cae9a5944ef7",
+    "falcon1024-True": "00071935fd3037eadef53df8b50a47b6cc69754a21dcb4eda42cf0afc5ea4220",
+    "ntru_prime761-False": "5999f6ebc22f4711a87534b76680b164e8f2943d674107e4816884a35c5d43e2",
+    "ntru_prime761-True": "a121ffa8468cef2038f6e6818b28973e8ebafd296a1cf6ce995fba36f9114241",
+}
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+@pytest.mark.parametrize("name,doc,sigma", PINNED_SCANS, ids=[c[0] for c in PINNED_SCANS])
+def test_scan_reports_are_pinned(name, doc, sigma, truncated):
+    report = scan_instance(load_ring_doc(doc), sigma, truncated).to_dict()
+    blob = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SCAN_DIGESTS[f"{name}-{truncated}"]

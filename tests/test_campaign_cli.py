@@ -21,6 +21,7 @@ from plwe_audit.campaign import (
     run_campaign,
 )
 from plwe_audit.instances import (
+    CRYPTO_RINGS,
     REJECTION_REPLICA,
     TRACE_INSTANCE_B,
     TRACE_RING_A,
@@ -369,6 +370,30 @@ class TestCli:
         assert cli.main(["scan", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["fq_roots"] == [] and doc["binomial_factors"] == []
+
+    def test_scan_small_sigma_on_high_order_roots(self, tmp_path, capsys):
+        # floor(2*sigma) = 0 makes every table feasible, while
+        # (4*sigma+1)^2048 overflows a float; the flag compares logs
+        cfg = _write(tmp_path, "f.json", {
+            "instance": {**CRYPTO_RINGS["falcon1024"], "sigma": 0.2, "truncated": False}})
+        assert cli.main(["scan", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["fq_roots"]) == 1024
+        for root in doc["fq_roots"]:
+            flag = next(f for f in root["attacks"] if f["attack"] == "small_set")
+            assert not flag["applicable"]
+            assert flag["details"]["tuple_count"] == 1
+            assert "10^523 >=" in flag["condition"]
+
+    def test_analyze_min_m_on_large_order_root(self, tmp_path, capsys):
+        # 7 has order 2048 mod 12289: (4*sigma+1)^2048 overflows a float
+        cfg = _write(tmp_path, "f.json", {
+            "instance": {**CRYPTO_RINGS["falcon1024"], "sigma": 2.87, "truncated": False},
+            "attack": {"alpha": 7}})
+        assert cli.main(["analyze", "--config", cfg, "--min-M", "0.99"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["order"] == 2048
+        assert "small_set" not in doc["min_M"] and doc["min_M"]["small_values"]
 
     def test_attack_writes_report(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=4))
