@@ -260,11 +260,26 @@ def monte_carlo_delta(
     q, sigma_bar_value: float, rng: np.random.Generator, draws: int = 10**6
 ) -> float:
     """Empirical quarter-interval excess over 1/2 for rounded N(0, sigma_bar^2)
-    reduced mod q.  This is the independent oracle for delta_probability."""
+    reduced mod q.  This is the independent oracle for delta_probability.
+
+    The draws are counted per rounded value with one bincount over their
+    span, and only the distinct values are reduced mod q.  When the span
+    exceeds the number of draws (sigma_bar far above draws), the draws are
+    reduced mod q first and counted per residue, so memory stays
+    O(draws + q).  The result equals the per-draw count mod q bit for bit.
+    """
     qv = _q_of(q)
-    x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws)).astype(np.int64) % qv
-    hits = (4 * x < qv) | (4 * x >= 3 * qv)
-    return float(hits.mean()) - 0.5
+    x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws))
+    lo, hi = x.min(), x.max()
+    if hi - lo < draws:
+        x -= lo
+        counts = np.bincount(x.astype(np.intp))
+        values = np.arange(int(lo), int(lo) + counts.size) % qv
+    else:
+        counts = np.bincount(x.astype(np.int64) % qv, minlength=qv)
+        values = np.arange(qv)
+    hits = int(counts[(4 * values < qv) | (4 * values >= 3 * qv)].sum())
+    return hits / draws - 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +302,14 @@ def cumulative_binomial(k: int, trials: int, p: float) -> float:
     return float(betainc(trials - k, k + 1, 1.0 - p))
 
 
+@lru_cache(maxsize=256)
 def usva_threshold(ell: int, q, delta: float) -> int:
     """Vote threshold of the unbounded attack:
     T = ceil(l(q-1)(1/2 +- 1/(2q)) + l(1/2 + delta)), the sign fixed by q mod 4.
 
     Evaluated in exact rational arithmetic so both published closed forms agree
-    to the integer.
+    to the integer.  A campaign asks with the same arguments on every trial,
+    so results are cached.
     """
     if ell < 1:
         raise ValueError("need at least one sample")
@@ -383,10 +400,14 @@ class PosteriorBounds:
 
 
 def _one_minus_q_pow(q: int, x: float, m: int) -> float:
-    """1 - q * x^M without underflow in the power."""
+    """1 - q * x^M without underflow in the power; -inf when q * x^M
+    exceeds a float."""
     if x <= 0.0:
         return 1.0
-    return 1.0 - math.exp(math.log(q) + m * math.log(x))
+    try:
+        return 1.0 - math.exp(math.log(q) + m * math.log(x))
+    except OverflowError:
+        return -math.inf
 
 
 def posterior_bounds(

@@ -23,14 +23,17 @@ candidate-major loop over F_q.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import extended_threshold, hit_threshold, usva_threshold
+from .analysis import extended_threshold, hit_threshold, log_small_set_size, usva_threshold
 from .fields import ExtFieldCtx, FieldElement
+from .rings import generator_powers
 from .samplers import NonMemberSample, Pairs, Sample, SampleBatch
 
 # Every attack takes the pairs of a batch, a SampleBatch or a sequence of
@@ -149,7 +152,8 @@ class SigmaTable:
 
     values holds the exact residue set sum_j x_j w^j mod q over integer tuples
     with |x_j| <= floor(block_sigma); analytic_bound keeps the real-width
-    cardinality estimate (4*sqrt(blocklen)*sigma + 1)^r for reporting.
+    cardinality estimate (4*sqrt(blocklen)*sigma + 1)^r for reporting, or
+    inf when that exceeds a float.
     """
 
     values: frozenset[int]
@@ -168,6 +172,10 @@ class SigmaTable:
         m[np.fromiter(self.values, dtype=np.int64, count=len(self.values))] = True
         m.flags.writeable = False
         return m
+
+
+# log of the largest float, less a margin for the rounding of the log itself
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
 
 
 def build_sigma_table_trace(
@@ -192,7 +200,10 @@ def build_sigma_table_trace(
     for _ in range(r):
         values = {(v + x * power) % q for v in values for x in offsets}
         power = power * a.value % q
-    analytic = (4.0 * math.sqrt(blocklen) * sigma + 1.0) ** r
+    if log_small_set_size(blocklen, sigma, r) < _LOG_FLOAT_MAX:
+        analytic = (4.0 * math.sqrt(blocklen) * sigma + 1.0) ** r
+    else:
+        analytic = math.inf
     return SigmaTable(frozenset(values), analytic, r, block_sigma, q)
 
 
@@ -271,9 +282,31 @@ def _verdict(targets: np.ndarray, scales: np.ndarray, member: np.ndarray) -> Att
     return AttackVerdict(tuple(range(member.size)) if full[0] else tuple(np.sort(g).tolist()))
 
 
+@lru_cache(maxsize=16)
 def quarter_mask(q: int) -> np.ndarray:
+    """Read-only mask of the residues mod q whose centered form lies in
+    [-q/4, q/4); cached, since every trial of a campaign asks for it."""
     v = np.arange(q, dtype=np.int64)
-    return (4 * v < q) | (4 * v >= 3 * q)
+    mask = (4 * v < q) | (4 * v >= 3 * q)
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=4)
+def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only tables of the log-domain hit count, for q < 2**22.
+
+    With G = generator_powers(q), windows[l] is the row G[l : l + q - 1] of
+    the doubled table G || G (a sliding-window view), logs[G[j]] = j (logs[0]
+    is unused) and mask2 is the quarter mask twice over, as bytes.  In int32
+    they hold 8q + 4q + 2q bytes, about 56 MB at q near 2**22.
+    """
+    G = generator_powers(q).astype(np.int32)
+    logs = np.zeros(q, dtype=np.int32)
+    logs[G] = np.arange(q - 1, dtype=np.int32)
+    mask2 = np.tile(quarter_mask(q), 2).view(np.uint8)
+    logs.flags.writeable = mask2.flags.writeable = False
+    return sliding_window_view(np.tile(G, 2), q - 1), logs, mask2
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +356,36 @@ def unbounded_small_values_attack(
     batch hits with probability 1/2 + delta per sample, any candidate of a
     uniform batch with quarter_count(q)/q.
 
+    The counts are taken in the log domain, with no reduction mod q: with
+    g = G[j] and u_i = G[l_i] for the generator powers G, u_i*g = G[l_i + j]
+    is row l_i of the doubled table G || G, and t_i - u_i*g + q, in [1, 2q),
+    indexes the quarter mask written twice.  A row with u_i = 0 adds its
+    constant hit to every candidate, and g = 0 scores the hits of the t_i.
+    The per-q tables (_log_tables) are cached and take about 14q bytes, so
+    q must stay below 2**22; the rows are taken in groups of at most
+    max(q, _MAX_PAIRS) entries.
+
     delta is the caller's estimate of P(error image in quarter interval) - 1/2;
     it is never derived here.
     """
     pairs = _pairs(samples, point)
     q, ell = pairs.q, len(pairs)
-    mask = quarter_mask(q)
-    g = np.arange(q, dtype=np.int64)
-    hits = np.zeros(q, dtype=np.int64)
-    rows = max(q, _MAX_PAIRS) // q  # the (rows, q) hit grid of a group
-    for lo in range(0, ell, rows):
-        grid = np.multiply.outer(pairs.scales[lo : lo + rows], g)
-        np.subtract(pairs.targets[lo : lo + rows, None], grid, out=grid)
-        grid %= q
-        hits += mask.take(grid).sum(axis=0)
+    windows, logs, mask2 = _log_tables(q)
+    at_zero = quarter_mask(q).take(pairs.targets)  # t_i - u_i*0 = t_i
+    zero = pairs.scales == 0
+    hits = np.full(q - 1, int(at_zero[zero].sum()), dtype=np.int64)  # h_G[j]
+    h0 = int(at_zero.sum())
+    shifted = pairs.targets[~zero].astype(np.int32) + np.int32(q)
+    l = logs.take(pairs.scales[~zero])
+    rows = max(q, _MAX_PAIRS) // q
+    for lo in range(0, l.size, rows):
+        grid = windows[l[lo : lo + rows]]
+        np.subtract(shifted[lo : lo + rows, None], grid, out=grid)
+        hits += mask2.take(grid).sum(axis=0, dtype=np.int32)
     return HitCountDecision(
-        votes=int(hits.sum()),
+        votes=int(hits.sum()) + h0,
         threshold=usva_threshold(ell, q, delta),
-        best_hits=int(hits.max()),
+        best_hits=max(int(hits.max()), h0),
         hit_threshold=hit_threshold(ell, q, delta),
     )
 

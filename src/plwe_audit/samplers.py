@@ -63,7 +63,7 @@ class GaussianSpec:
 
 def draw_gaussian(spec: GaussianSpec, rng: np.random.Generator) -> int:
     """Round a continuous N(0, sigma^2) draw; truncation rejects on the
-    continuous value before rounding, so the support is [-floor(2s), floor(2s)].
+    continuous value before rounding, so the support is [-round(2s), round(2s)].
     """
     bound = 2 * spec.sigma
     while True:
@@ -75,7 +75,9 @@ def draw_gaussian(spec: GaussianSpec, rng: np.random.Generator) -> int:
 def gaussian_coeffs(spec: GaussianSpec, rng: np.random.Generator, size) -> np.ndarray:
     """Vectorized draw of signed integer errors with the same law as
     draw_gaussian: one normal call of the whole size, then rejected
-    positions, in row-major order, are redrawn in place until none is left."""
+    positions, in row-major order, are redrawn in place until none is left.
+    Rejection reads the continuous values, so a truncated error lies in
+    [-round(2s), round(2s)]."""
     x = rng.normal(0.0, spec.sigma, size=size)
     if spec.truncated:
         bound = 2 * spec.sigma

@@ -1,4 +1,6 @@
-"""The per-sample reference path of samplers.sample_batch.
+"""Reference paths that the fast code is pinned to.
+
+The per-sample reference path of samplers.sample_batch:
 
 reference_sample_batch consumes a trial's stream in the batch sampler's
 order, but builds every sample through the per-sample oracles and ring_mul:
@@ -8,7 +10,14 @@ forced error E[i], or as (a, B[i]) with a drawn like uniform_oracle's.  Its
 a is drawn by uniform_rq0_poly (direct) or by sample_rq0 over such calls
 (honest).  The batch is materialised from the oracles' RingPoly samples, so
 it has no secret and the attacks read it through B.
+
+The unbounded attack's hit counts on the (ell, q) grid (t_i - u_i*g) mod q,
+and the Monte Carlo delta as a per-draw count mod q: the forms that
+attacks.unbounded_small_values_attack and analysis.monte_carlo_delta
+replaced by the log-domain count and the histogram.
 """
+
+import numpy as np
 
 from plwe_audit.samplers import (
     PlweInstance,
@@ -45,3 +54,17 @@ def reference_sample_batch(ring, gauss, ext, m, rng, secret=None, honest=False,
     materialised batch, and the invocation count."""
     samples, count = reference_samples(ring, gauss, ext, m, rng, secret, honest, max_invocations)
     return SampleBatch.from_samples(samples), count
+
+
+def reference_hit_counts(targets, scales, q):
+    """h_g = #{i : (t_i - u_i*g) mod q in [-q/4, q/4)} for every g in F_q,
+    from the full modular grid."""
+    g = np.arange(q, dtype=np.int64)
+    grid = (np.asarray(targets)[:, None] - np.multiply.outer(scales, g)) % q
+    return ((4 * grid < q) | (4 * grid >= 3 * q)).sum(axis=0)
+
+
+def reference_monte_carlo_delta(q, sigma_bar_value, rng, draws=10**6):
+    """The quarter-interval share of the rounded draws reduced mod q, less 1/2."""
+    x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws)).astype(np.int64) % q
+    return float(((4 * x < q) | (4 * x >= 3 * q)).mean()) - 0.5

@@ -40,6 +40,7 @@ from plwe_audit.instances import (
     USVA_INSTANCES,
 )
 from plwe_audit.rings import generator_powers, load_ring_doc
+from reference import reference_monte_carlo_delta
 
 P0 = 0.954500
 FOUR_ROOT_TWO = 4.0 * math.sqrt(2.0)
@@ -119,6 +120,17 @@ class TestDeltaProbability:
     def test_domain(self):
         with pytest.raises(DomainError):
             delta_probability(13, 0.0)
+
+    @pytest.mark.parametrize("q", [3677, 4099])
+    @pytest.mark.parametrize("sbar", [0.5, 128.0, 1e4, 1e12])
+    def test_histogram_equals_count_mod_q(self, q, sbar):
+        # the same stream counted per draw mod q; at 1e12 the rounded draws
+        # span more values than there are draws, so they are reduced first
+        seed = [47, q, int(2 * sbar)]
+        got = monte_carlo_delta(q, sbar, np.random.default_rng(seed))
+        assert got == reference_monte_carlo_delta(q, sbar, np.random.default_rng(seed))
+        x = np.rint(np.random.default_rng(seed).normal(0.0, sbar, size=10**6))
+        assert (x.max() - x.min() >= 10**6) == (sbar == 1e12)
 
     def test_dual_and_erf_series_agree(self):
         for ratio in np.geomspace(0.1, 50.0, 80):
@@ -235,6 +247,11 @@ class TestPosteriorBounds:
             "small_set", False, M=m, q=4099, sigma_size=3471, r=3, p0=P0
         )
         assert b.vote_posterior >= 0.99
+
+    def test_overflowing_union_bound_is_vacuous(self):
+        # q * (sigma_size/q)^M exceeds a float: the bound reads -inf
+        b = posterior_bounds("small_set", False, M=5, q=12289, sigma_size=1e300, r=2048)
+        assert b.vote_posterior == b.success_on_uniform == -math.inf
 
     def test_minimal_samples_unreachable(self):
         assert minimal_samples(

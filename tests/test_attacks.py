@@ -47,6 +47,7 @@ from plwe_audit.fields import (
 from plwe_audit.rings import RqContext, eval_poly, load_ring_doc
 from plwe_audit.samplers import (
     GaussianSpec,
+    Pairs,
     PlweInstance,
     Sample,
     plwe_oracle,
@@ -55,6 +56,7 @@ from plwe_audit.samplers import (
     uniform_rq0_poly,
 )
 from plwe_audit.instances import TRACE_RING_B
+from reference import reference_hit_counts
 
 M4099 = PrimeModulus(4099)
 RING_B = load_ring_doc(TRACE_RING_B)
@@ -82,6 +84,12 @@ class TestSigmaTables:
         for xs in product(range(-1, 2), repeat=6):
             oracle.add(sum(x * pow(2018, j, 4099) for j, x in enumerate(xs)) % 4099)
         assert table.values == frozenset(oracle)
+
+    def test_analytic_bound_beyond_a_float_is_inf(self):
+        # 7 has order 2048 mod 12289: 1.8^2048 overflows, 1.8^1024 does not
+        seven = PrimeModulus(12289).element(7)
+        assert build_sigma_table_trace(seven, 2048, 1, 0.2).analytic_bound == math.inf
+        assert build_sigma_table_trace(seven, 1024, 1, 0.2).analytic_bound == 1.8**1024
 
     def test_trace_table_order3(self):
         a = M4099.element(2017)
@@ -420,6 +428,35 @@ class TestUnbounded:
             assert decision.votes == sum(hits)
             assert decision.hit_threshold == hit_threshold(ell, q, 0.3)
             assert decision.is_plwe == (max(hits) >= decision.hit_threshold)
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+class TestLogDomainHitCounts:
+    @given(
+        st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(11, 4000).map(_next_prime)),
+        st.integers(1, 60),
+        st.sampled_from([0.0, 0.2, 1.0]),
+        st.sampled_from(["default", 0, "2q"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_modular_grid(self, q, ell, zero_share, max_pairs, seed):
+        # rows with u = 0 are drawn with the given share; _MAX_PAIRS = 0
+        # makes every row group one row, 2q groups of two rows
+        rng = np.random.default_rng(seed)
+        targets = rng.integers(0, q, size=ell)
+        scales = np.where(rng.random(ell) < zero_share, 0, rng.integers(1, q, size=ell))
+        hits = reference_hit_counts(targets, scales, q)
+        limit = {"default": attacks._MAX_PAIRS, "2q": 2 * q}.get(max_pairs, max_pairs)
+        with mock.patch.object(attacks, "_MAX_PAIRS", limit):
+            decision = unbounded_small_values_attack(Pairs(targets, scales, q), 0.3, None)
+        assert decision.votes == int(hits.sum())
+        assert decision.best_hits == int(hits.max())
 
 
 class TestExtended:

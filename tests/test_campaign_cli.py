@@ -395,6 +395,24 @@ class TestCli:
         assert doc["order"] == 2048
         assert "small_set" not in doc["min_M"] and doc["min_M"]["small_values"]
 
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_small_set_attack_on_large_order_root(self, tmp_path, capsys, truncated):
+        # (4*sigma+1)^2048 overflows a float while the table has one tuple;
+        # untruncated, p0^2048 leaves no budget and the plan is refused
+        cfg = _write(tmp_path, "f.json", {
+            "instance": {**CRYPTO_RINGS["falcon1024"], "sigma": 0.2, "truncated": truncated},
+            "attack": {"family": "small_set", "mode": "fq", "alpha": 7, "M": 5, "trials": 2},
+            "seed": 1})
+        if not truncated:
+            assert cli.main(["attack", "--config", cfg]) == 3
+            assert "|Sigma| = 1 < q*p0^r" in capsys.readouterr().err
+            return
+        assert cli.main(["attack", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["plan"]["sigma_table_size"] == 1
+        assert doc["plan"]["sigma_table_analytic_bound"] == math.inf
+        assert doc["aggregate"]["accuracy"] == 1.0
+
     def test_attack_writes_report(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=4))
         out = tmp_path / "report.json"
