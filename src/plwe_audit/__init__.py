@@ -28,36 +28,26 @@ from .attacks import (
 from .campaign import ExperimentConfig, config_from_dict, run_campaign
 from .fields import (
     ExtFieldCtx,
-    ExtFieldElement,
     FieldElement,
     PrimeModulus,
     centered,
     in_quarter_interval,
     is_irreducible_binomial,
     mult_order,
-    trace,
 )
 from .rings import (
     RingPoly,
     RqContext,
-    eval_poly,
     find_binomial_factors,
     find_fq_roots,
-    ring_mul,
-    rq0_membership,
     rq0_witnesses,
 )
 from .samplers import (
     GaussianSpec,
     PlweInstance,
-    Rq0Draw,
     Sample,
     SampleBatch,
-    draw_gaussian,
-    plwe_oracle,
     sample_batch,
-    sample_rq0,
-    uniform_oracle,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ digest excludes only wall-clock fields.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -217,7 +218,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         seed=seed_from_dict(doc),
         honest_sampling=bool(section(doc.get("sampling", {}), "sampling").get("honest", False)),
         table_cap=table_cap_from_dict(doc),
-        rq0_budget=int_field(doc.get("rq0_budget", 10**8), "rq0_budget"),
+        rq0_budget=int_field(doc.get("rq0_budget", 10**8), "rq0_budget", low=1),
         raw=doc,
     )
 
@@ -343,9 +344,10 @@ def _generate_samples(
     plan: AttackPlan, truth_plwe: bool, rng: np.random.Generator
 ) -> tuple[SampleBatch, int, Optional[np.ndarray]]:
     """Samples for one trial plus the oracle invocation count and the secret
-    (None on uniform trials).  The secret is drawn first, as
-    PlweInstance.generate draws it; sample_batch then draws the errors (or
-    b rows) and last the a rows."""
+    (None on uniform trials).  The secret is drawn first, as N uniform
+    residues in one integers call, the draw of PlweInstance.generate that
+    the per-sample reference path in tests/reference.py starts with;
+    sample_batch then draws the errors (or b rows) and last the a rows."""
     cfg = plan.cfg
     ring = cfg.ring
     secret = rng.integers(0, ring.q, size=ring.N) if truth_plwe else None
@@ -470,7 +472,7 @@ class CampaignReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def digest_json(self) -> str:
         """Deterministic serialization: wall-clock fields stripped."""
@@ -482,7 +484,17 @@ class CampaignReport:
                 return [strip(v) for v in obj]
             return obj
 
-        return json.dumps(strip(self.to_dict()), sort_keys=True)
+        return json.dumps(strip(self.to_dict()), sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(value):
+    """value with every non-finite float in it replaced by None, which JSON
+    writes as null; strict JSON has no Infinity or NaN."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _plan_summary(plan: AttackPlan) -> dict:
@@ -522,7 +534,7 @@ def _plan_summary(plan: AttackPlan) -> dict:
             "rhs": plan.gate.rhs,
             "satisfied": plan.gate.satisfied,
         }
-    return out
+    return _finite_or_null(out)
 
 
 def run_campaign(
@@ -532,15 +544,17 @@ def run_campaign(
 ) -> CampaignReport:
     plan = build_plan(cfg)
     trials = cfg.attack.trials
-    # each worker receives the plan once; recording needs the in-process
-    # sample list, so it forces the sequential path
-    if threads > 1 and record is None:
+    # each worker receives the plan once, and a pool starts all its workers
+    # at the first submit, so it has no more workers than trials; recording
+    # needs the in-process sample list, so it forces the sequential path
+    workers = min(threads, trials)
+    if workers > 1 and record is None:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(plan,)
+            max_workers=workers, initializer=_init_worker, initargs=(plan,)
         ) as pool:
-            chunk = max(1, trials // (4 * threads))
+            chunk = max(1, trials // (4 * workers))
             rows = list(pool.map(_trial_worker, range(trials), chunksize=chunk))
     else:
         rows = [run_trial(plan, i, record) for i in range(trials)]

@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -68,7 +69,8 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("attack", help="run an attack campaign")
     common(sp)
     sp.add_argument("--trials", type=int, default=None, help="override trial count")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes, 1 to the CPU count")
     sp.add_argument(
         "--honest-sampling",
         action="store_true",
@@ -139,6 +141,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.threads <= cpus:
+        raise ConfigError(f"--threads: must be in 1..{cpus} (the CPU count), got {args.threads}")
     cfg = config_from_dict(_read_config(args))
     record: list | None = [] if args.record_samples else None
     report = run_campaign(cfg, threads=args.threads, record=record)

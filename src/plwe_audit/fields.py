@@ -1,4 +1,5 @@
-"""Exact arithmetic in F_q and in binomial extension fields F_q[y]/(y^n - a).
+"""Exact arithmetic in F_q, and the binomial extension fields F_q[y]/(y^n - a)
+that the attacks evaluate at.
 
 Residues are stored canonically in [0, q).  Centered representatives and the
 quarter-interval test are exposed as exact integer predicates so that interval
@@ -205,7 +206,9 @@ class ExtFieldCtx:
     """The extension F_{q^n} presented as F_q[y]/(y^n - a).
 
     Irreducibility of the defining binomial is checked at construction, so a
-    context is always a genuine field.
+    context is always a genuine field.  Samples are evaluated at its root
+    alpha = y in bulk, through rings.eval_matrix; tests/reference.py keeps
+    the scalar element arithmetic and the trace.
     """
 
     n: int
@@ -228,122 +231,3 @@ class ExtFieldCtx:
     @property
     def q(self) -> int:
         return self.a.q
-
-    def element(self, coeffs) -> ExtFieldElement:
-        cs = tuple(int(c) % self.q for c in coeffs)
-        if len(cs) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(cs)}")
-        return ExtFieldElement(cs, self)
-
-    def from_base(self, x: FieldElement | int) -> ExtFieldElement:
-        v = x.value if isinstance(x, FieldElement) else int(x) % self.q
-        return ExtFieldElement((v,) + (0,) * (self.n - 1), self)
-
-    def zero(self) -> ExtFieldElement:
-        return self.from_base(0)
-
-    def one(self) -> ExtFieldElement:
-        return self.from_base(1)
-
-    def alpha(self) -> ExtFieldElement:
-        """The class of y, a root of y^n - a."""
-        if self.n == 1:
-            return self.from_base(self.a)
-        return ExtFieldElement((0, 1) + (0,) * (self.n - 2), self)
-
-
-@dataclass(frozen=True)
-class ExtFieldElement:
-    """An element of F_{q^n}; coordinate i is the coefficient of y^i."""
-
-    coeffs: tuple[int, ...]
-    ctx: ExtFieldCtx
-
-    def _same(self, other: ExtFieldElement) -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatch("extension contexts differ")
-
-    @property
-    def q(self) -> int:
-        return self.ctx.q
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def in_base_field(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def to_base(self) -> FieldElement:
-        if not self.in_base_field():
-            raise FieldError(f"{self.coeffs} does not lie in F_q")
-        return FieldElement(self.coeffs[0], self.ctx.modulus)
-
-    def __add__(self, other: ExtFieldElement) -> ExtFieldElement:
-        self._same(other)
-        q = self.q
-        return ExtFieldElement(
-            tuple((x + y) % q for x, y in zip(self.coeffs, other.coeffs)), self.ctx
-        )
-
-    def __sub__(self, other: ExtFieldElement) -> ExtFieldElement:
-        self._same(other)
-        q = self.q
-        return ExtFieldElement(
-            tuple((x - y) % q for x, y in zip(self.coeffs, other.coeffs)), self.ctx
-        )
-
-    def __neg__(self) -> ExtFieldElement:
-        q = self.q
-        return ExtFieldElement(tuple(-c % q for c in self.coeffs), self.ctx)
-
-    def scale(self, k: FieldElement | int) -> ExtFieldElement:
-        v = k.value if isinstance(k, FieldElement) else int(k) % self.q
-        q = self.q
-        return ExtFieldElement(tuple(c * v % q for c in self.coeffs), self.ctx)
-
-    def __mul__(self, other: ExtFieldElement) -> ExtFieldElement:
-        self._same(other)
-        n, q, a = self.ctx.n, self.q, self.ctx.a.value
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                prod[i + j] += x * y
-        # reduce y^n -> a
-        for k in range(2 * n - 2, n - 1, -1):
-            prod[k - n] += prod[k] * a
-        return ExtFieldElement(tuple(c % q for c in prod[:n]), self.ctx)
-
-    def __pow__(self, exponent: int) -> ExtFieldElement:
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        result = self.ctx.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def inv(self) -> ExtFieldElement:
-        if self.is_zero():
-            raise DivisionByZero("zero is not invertible")
-        return self ** (self.q**self.ctx.n - 2)
-
-
-def trace(beta: ExtFieldElement) -> FieldElement:
-    """The field trace Tr(beta) = sum of beta**(q**i) for i = 0..n-1.
-
-    The Frobenius orbit sum always lands in F_q; a nonzero higher coordinate
-    would indicate a broken context and raises.
-    """
-    ctx = beta.ctx
-    acc = beta
-    frob = beta
-    for _ in range(ctx.n - 1):
-        frob = frob ** ctx.q
-        acc = acc + frob
-    return acc.to_base()

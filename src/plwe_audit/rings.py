@@ -15,21 +15,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fields import (
-    ContextMismatch,
     ExtFieldCtx,
-    ExtFieldElement,
     FieldElement,
     PrimeModulus,
     binomial_order_irreducible,
-    mult_order,
     prime_factors,
 )
 
 # Below this modulus, roots and binomial divisors come from one fold over a
 # table of all q - 1 generator powers, in O(q) memory, and the int64 sums of
-# ring_mul, eval_matrix and the fold stay exact: N + 1 products of two
-# residues, (N+1)*q^2 < 2**63, for every N < 2**19 - 1.  Above it, roots go
-# through gcd(f, x^q - x) and binomial divisors are refused.
+# mul_matrix, eval_matrix and the fold stay exact: N + 1 products of two
+# residues, (N+1)*q^2 < 2**63, for every N < 2**19 - 1.  Above it, root and
+# divisor searches are refused, as campaign.check_ring refuses the ring.
 EXHAUSTIVE_SCAN_LIMIT = 1 << 22
 
 
@@ -130,44 +127,13 @@ class RingPoly:
         return np.array(self.coeffs, dtype=np.int64)
 
 
-def _same_ctx(p: RingPoly, s: RingPoly) -> RqContext:
-    if p.ctx != s.ctx:
-        raise ContextMismatch("ring contexts differ")
-    return p.ctx
-
-
-def ring_add(p: RingPoly, s: RingPoly) -> RingPoly:
-    ctx = _same_ctx(p, s)
-    q = ctx.q
-    return RingPoly(tuple((x + y) % q for x, y in zip(p.coeffs, s.coeffs)), ctx)
-
-
-def ring_sub(p: RingPoly, s: RingPoly) -> RingPoly:
-    ctx = _same_ctx(p, s)
-    q = ctx.q
-    return RingPoly(tuple((x - y) % q for x, y in zip(p.coeffs, s.coeffs)), ctx)
-
-
-def ring_mul(p: RingPoly, s: RingPoly) -> RingPoly:
-    """Schoolbook product followed by reduction modulo the monic f."""
-    ctx = _same_ctx(p, s)
-    q, N = ctx.q, ctx.N
-    _require_int64_modulus(q)
-    conv = np.convolve(p.as_array(), s.as_array()) % q
-    low = conv[:N]
-    if len(conv) > N:
-        high = conv[N:]
-        low = (low + high @ ctx._reduction_rows[: len(high)]) % q
-    return RingPoly(tuple(int(c) for c in low), ctx)
-
-
 @lru_cache(maxsize=64)
 def eval_matrix(ext: ExtFieldCtx, length: int) -> np.ndarray:
     """The (length, n) matrix W whose row i holds the y-coordinates of
     alpha^i = a^(i // n) * y^(i mod n), alpha the root of y^n - a.
 
     A coefficient vector p evaluates as p(alpha) = p @ W mod q.  Column 0
-    gives the F_q part, columns 1..n-1 the witness sums of rq0_membership.
+    gives the F_q part, columns 1..n-1 the witness sums of rq0_witnesses.
     An F_q root alpha is the degree-1 case ExtFieldCtx(1, alpha).  The
     result is cached and read-only.
     """
@@ -183,116 +149,8 @@ def eval_matrix(ext: ExtFieldCtx, length: int) -> np.ndarray:
     return W
 
 
-def eval_poly(p: RingPoly, point: FieldElement | ExtFieldElement):
-    """Horner evaluation at a point of F_q or of an extension of it."""
-    if isinstance(point, FieldElement):
-        if point.q != p.ctx.q:
-            raise ContextMismatch("evaluation point uses a different modulus")
-        q = p.ctx.q
-        acc = 0
-        for c in reversed(p.coeffs):
-            acc = (acc * point.value + c) % q
-        return FieldElement(acc, point.modulus)
-    if point.ctx.q != p.ctx.q:
-        raise ContextMismatch("evaluation point uses a different modulus")
-    ectx = point.ctx
-    acc = ectx.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * point + ectx.from_base(c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # root discovery
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a: list[int], m: list[int], q: int) -> list[int]:
-    a = a[:]
-    inv_lead = pow(m[-1], q - 2, q)
-    while len(a) >= len(m):
-        factor = a[-1] * inv_lead % q
-        shift = len(a) - len(m)
-        if factor:
-            for i, c in enumerate(m):
-                a[shift + i] = (a[shift + i] - factor * c) % q
-        a.pop()
-        _poly_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        a, b = b, _poly_mod(a, b, q)
-    if a:
-        inv_lead = pow(a[-1], q - 2, q)
-        a = [c * inv_lead % q for c in a]
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], m: list[int], q: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % q
-    return _poly_mod(prod, m, q)
-
-
-def _poly_powmod(base: list[int], e: int, m: list[int], q: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(base[:], m, q)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, m, q)
-        base = _poly_mulmod(base, base, m, q)
-        e >>= 1
-    return result
-
-
-def _roots_by_splitting(g: list[int], q: int) -> list[int]:
-    """Roots of a squarefree product of distinct linear factors over F_q."""
-    g = _poly_trim(g[:])
-    if len(g) <= 1:
-        return []
-    if len(g) == 2:
-        return [(-g[0] * pow(g[1], q - 2, q)) % q]
-    shift = 0
-    while True:
-        shift += 1
-        h = _poly_powmod([shift, 1], (q - 1) // 2, g, q)
-        h = h[:]
-        if h:
-            h[0] = (h[0] - 1) % q
-        d = _poly_gcd(g, h, q)
-        if 0 < len(d) - 1 < len(g) - 1:
-            other = _poly_quot(g, d, q)
-            return _roots_by_splitting(d, q) + _roots_by_splitting(other, q)
-
-
-def _poly_quot(a: list[int], d: list[int], q: int) -> list[int]:
-    a = a[:]
-    out = [0] * (len(a) - len(d) + 1)
-    inv_lead = pow(d[-1], q - 2, q)
-    while len(a) >= len(d):
-        factor = a[-1] * inv_lead % q
-        shift = len(a) - len(d)
-        out[shift] = factor
-        for i, c in enumerate(d):
-            a[shift + i] = (a[shift + i] - factor * c) % q
-        a.pop()
-        _poly_trim(a)
-        if not a:
-            break
-    return out
 
 
 def generator_powers(q: int) -> np.ndarray:
@@ -366,34 +224,19 @@ def _fold_points(ctx: RqContext, n: int) -> list[tuple[int, int]]:
     return list(zip(G[idx].tolist(), log_orders(idx, ctx.q).tolist()))
 
 
-def find_fq_roots(ctx: RqContext, r_max: int = 0) -> list[tuple[FieldElement, int]]:
+def find_fq_roots(ctx: RqContext) -> list[tuple[FieldElement, int]]:
     """All roots of f in F_q in increasing order, annotated with
     multiplicative orders.
 
-    The root 0 carries the sentinel order 0.  When r_max > 0 the list is
-    filtered to orders <= r_max.  For q < 2**22 the nonzero roots and their
+    The root 0 carries the sentinel order 0.  The nonzero roots and their
     orders come from binomial_logs with n = 1, and 0 is a root iff
-    f_0 = 0 mod q; larger moduli go through gcd(f, x^q - x) and
-    equal-degree splitting.
+    f_0 = 0 mod q.  Like find_binomial_factors, this needs q < 2**22 and
+    raises ValueError through generator_powers otherwise.
     """
-    q = ctx.q
-    if q < EXHAUSTIVE_SCAN_LIMIT:
-        found = _fold_points(ctx, 1)
-        if ctx.f_mod[0] == 0:
-            found.insert(0, (0, 0))
-    else:
-        f_list = list(ctx.f_mod)
-        xq = _poly_powmod([0, 1], q, f_list, q)
-        xq_minus_x = xq[:] + [0] * max(0, 2 - len(xq))
-        xq_minus_x[1] = (xq_minus_x[1] - 1) % q
-        g = _poly_gcd(f_list, xq_minus_x, q)
-        roots = sorted(_roots_by_splitting(g, q))
-        found = [(x, mult_order(ctx.modulus.element(x)) if x else 0) for x in roots]
-    return [
-        (ctx.modulus.element(x), order)
-        for x, order in found
-        if r_max <= 0 or order <= r_max
-    ]
+    found = _fold_points(ctx, 1)
+    if ctx.f_mod[0] == 0:
+        found.insert(0, (0, 0))
+    return [(ctx.modulus.element(x), order) for x, order in found]
 
 
 def find_binomial_factors(ctx: RqContext, n: int) -> list[tuple[FieldElement, int]]:
@@ -410,39 +253,10 @@ def find_binomial_factors(ctx: RqContext, n: int) -> list[tuple[FieldElement, in
 # the subring of polynomials evaluating into F_q
 
 
-@dataclass(frozen=True)
-class Rq0Membership:
-    """Outcome of the subring test, with its n-1 witness sums."""
-
-    is_member: bool
-    witness_sums: tuple[int, ...]
-
-
-def rq0_membership(p: RingPoly, ext: ExtFieldCtx) -> Rq0Membership:
-    """Test p(alpha) in F_q via the witness sums sum_j a^j p_{nj+k}, k=1..n-1.
-
-    Coordinate k of p(alpha) in the y-basis equals exactly that sum, so
-    membership holds iff every witness vanishes.
-    """
-    if ext.q != p.ctx.q:
-        raise ContextMismatch("extension context uses a different modulus")
-    n, q, a = ext.n, ext.q, ext.a.value
-    sums = []
-    for k in range(1, n):
-        acc = 0
-        power = 1
-        j = 0
-        while n * j + k < p.ctx.N:
-            acc = (acc + power * p.coeffs[n * j + k]) % q
-            power = power * a % q
-            j += 1
-        sums.append(acc)
-    return Rq0Membership(all(s == 0 for s in sums), tuple(sums))
-
-
 def rq0_witnesses(A: np.ndarray, ext: ExtFieldCtx) -> np.ndarray:
-    """The witness sums of rq0_membership for every row of A at once: an
-    (M, n-1) array, zero in row i iff A[i] lies in R_{q,0}."""
+    """The witness sums sum_j a^j A[i, nj+k], k = 1..n-1, of every row of A
+    at once: coordinate k of A[i](alpha) in the y-basis.  An (M, n-1)
+    array, zero in row i iff A[i] lies in R_{q,0}."""
     return A @ eval_matrix(ext, A.shape[-1])[:, 1:] % ext.q
 
 

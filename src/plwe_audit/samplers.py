@@ -1,37 +1,28 @@
-"""Randomness sources: discrete Gaussians, uniform ring elements, the two
-sample oracles, and samplers restricted to the subring R_{q,0}.
+"""Randomness sources: discrete Gaussian errors, uniform ring elements and
+whole-trial sample batches restricted to the subring R_{q,0}.
 
 Every function takes an explicit numpy Generator so that campaigns can derive
 one private stream per trial and replay any run bit for bit.
 
-The per-sample oracles return RingPoly pairs and are the reference.
 sample_batch draws a whole trial's samples as one SampleBatch of (M, N)
 arrays: after the secret, it draws all M errors (or uniform b rows) in one
-call and then the a rows, and its samples are the ones the per-sample path
-builds from the same draws (plwe_oracle takes the error through
-force_error).  A batch evaluates at a root without forming B = A S + E; B
-is built only on request.
+call and then the a rows.  A batch evaluates at a root without forming
+B = A S + E; B is built only on request.  The per-sample oracles that build
+the same samples one RingPoly pair at a time live in tests/reference.py,
+which pins this module to them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .fields import ExtFieldCtx
-from .rings import (
-    RingPoly,
-    RqContext,
-    eval_matrix,
-    ring_add,
-    ring_mul,
-    rq0_membership,
-    rq0_witnesses,
-)
+from .rings import RingPoly, RqContext, eval_matrix, rq0_witnesses
 
 # Mass of a centered normal on [-2s, 2s]; exact to 1e-6.
 P0_UNTRUNCATED = 0.954500
@@ -61,23 +52,11 @@ class GaussianSpec:
         return 1.0 if self.truncated else P0_UNTRUNCATED
 
 
-def draw_gaussian(spec: GaussianSpec, rng: np.random.Generator) -> int:
-    """Round a continuous N(0, sigma^2) draw; truncation rejects on the
-    continuous value before rounding, so the support is [-round(2s), round(2s)].
-    """
-    bound = 2 * spec.sigma
-    while True:
-        x = rng.normal(0.0, spec.sigma)
-        if not spec.truncated or abs(x) <= bound:
-            return int(np.rint(x))
-
-
 def gaussian_coeffs(spec: GaussianSpec, rng: np.random.Generator, size) -> np.ndarray:
-    """Vectorized draw of signed integer errors with the same law as
-    draw_gaussian: one normal call of the whole size, then rejected
-    positions, in row-major order, are redrawn in place until none is left.
-    Rejection reads the continuous values, so a truncated error lies in
-    [-round(2s), round(2s)]."""
+    """Signed integer errors, rounded N(0, sigma^2) draws: one normal call of
+    the whole size, then rejected positions, in row-major order, are redrawn
+    in place until none is left.  Rejection reads the continuous values, so
+    a truncated error lies in [-round(2s), round(2s)]."""
     x = rng.normal(0.0, spec.sigma, size=size)
     if spec.truncated:
         bound = 2 * spec.sigma
@@ -94,12 +73,10 @@ def uniform_poly(ctx: RqContext, rng: np.random.Generator) -> RingPoly:
 
 @dataclass(frozen=True)
 class Sample:
-    """One oracle output (a(x), b(x)).  The raw signed error vector, when the
-    oracle knows it, rides along for diagnostics only."""
+    """One sample (a(x), b(x)), as a recording stores it."""
 
     a: RingPoly
     b: RingPoly
-    raw_error: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
     def to_doc(self) -> dict:
         return {"a": list(self.a.coeffs), "b": list(self.b.coeffs)}
@@ -185,15 +162,7 @@ class SampleBatch:
         return Pairs(targets, u * pow(ext.n, -1, q) % q, q)
 
 
-@dataclass(frozen=True)
-class Rq0Draw:
-    """An accepted restricted sample plus the number of oracle invocations
-    spent obtaining it (the successful one included)."""
-
-    sample: Sample
-    count: int
-
-
+# perfbench/tracer.py patches PlweInstance.generate in every traced run.
 class PlweInstance:
     """A PLWE problem instance.  The secret is generated (or injected) at
     construction and deliberately kept off the public surface; tests reach it
@@ -220,81 +189,6 @@ class PlweInstance:
         return self._secret
 
 
-def uniform_oracle(ctx: RqContext, rng: np.random.Generator) -> Sample:
-    """Both components independently uniform over R_q."""
-    return Sample(uniform_poly(ctx, rng), uniform_poly(ctx, rng))
-
-
-def plwe_oracle(
-    inst: PlweInstance,
-    rng: np.random.Generator,
-    *,
-    force_a: RingPoly | None = None,
-    force_error: tuple[int, ...] | None = None,
-) -> Sample:
-    """Draw (a, a*s + e); the force_* hooks exist for tests that need a known
-    component."""
-    ctx = inst.ctx
-    a = force_a if force_a is not None else uniform_poly(ctx, rng)
-    if force_error is not None:
-        e = np.array(force_error, dtype=np.int64)
-    else:
-        e = gaussian_coeffs(inst.gauss, rng, ctx.N)
-    b = ring_add(ring_mul(a, inst._secret), ctx.poly(e))
-    return Sample(a, b, raw_error=tuple(int(v) for v in e))
-
-
-def sample_rq0(
-    source: Callable[[], Sample],
-    ext: ExtFieldCtx,
-    max_invocations: int = 10**8,
-) -> Rq0Draw:
-    """Invoke source until the a-component lands in R_{q,0}.
-
-    The returned count includes the successful invocation, so its mean over
-    uniform sources is q^(n-1).
-    """
-    count = 0
-    while count < max_invocations:
-        sample = source()
-        count += 1
-        if rq0_membership(sample.a, ext).is_member:
-            return Rq0Draw(sample, count)
-    raise BudgetExhausted(f"no R_q0 sample within {max_invocations} invocations")
-
-
-def uniform_rq0_poly(
-    ctx: RqContext, ext: ExtFieldCtx, rng: np.random.Generator
-) -> RingPoly:
-    """Uniform element of R_{q,0} by direct construction.
-
-    All coefficients are drawn uniformly, then coordinate k (the j = 0 term of
-    each witness sum, whose weight is a^0 = 1) is solved so the sum vanishes.
-    Fixing a complement of the solution space and solving for the pivots keeps
-    the distribution exactly uniform over the subring.  At n = 1 there are no
-    pivots, and the draw is uniform_poly's.
-    """
-    n, q = ext.n, ext.q
-    if n > ctx.N:
-        raise ValueError("extension degree exceeds the ring degree")
-    coeffs = rng.integers(0, q, size=ctx.N)
-    coeffs[1:n] = (coeffs[1:n] - coeffs @ eval_matrix(ext, ctx.N)[:, 1:]) % q
-    return ctx.poly(coeffs)
-
-
-def uniform_oracle_rq0(
-    ctx: RqContext, ext: ExtFieldCtx, rng: np.random.Generator
-) -> Sample:
-    return Sample(uniform_rq0_poly(ctx, ext, rng), uniform_poly(ctx, rng))
-
-
-def plwe_oracle_rq0(
-    inst: PlweInstance, ext: ExtFieldCtx, rng: np.random.Generator
-) -> Sample:
-    a = uniform_rq0_poly(inst.ctx, ext, rng)
-    return plwe_oracle(inst, rng, force_a=a)
-
-
 # ---------------------------------------------------------------------------
 # whole-trial batches
 
@@ -309,7 +203,9 @@ def _rejection_rows(
     rng: np.random.Generator,
     max_invocations: int,
 ) -> tuple[np.ndarray, int]:
-    """The a rows of m calls of sample_rq0 and the invocation count.
+    """The a rows that m rounds of rejection sampling accept, and the
+    invocation count: each round draws uniform rows until one lies in
+    R_{q,0}, as the reference sample_rq0 in tests/reference.py does.
 
     Candidate rows come in blocks of one integers call, sized by the
     expected need, q^(n-1) calls per sample, or by the budget when it is
@@ -356,8 +252,8 @@ def sample_batch(
     all m b rows in one integers call), then the a rows.  Direct
     construction (honest=False) draws the a rows in one integers call,
     solves their R_{q,0} pivots and spends m invocations; honest sampling
-    draws uniform a rows and keeps the members, as m calls of sample_rq0
-    would.  B is not formed here.
+    draws uniform a rows and keeps the members (_rejection_rows).  B is not
+    formed here.
     """
     q, N = ring.q, ring.N
     X = rng.integers(0, q, size=(m, N)) if secret is None else gaussian_coeffs(gauss, rng, (m, N))

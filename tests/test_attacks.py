@@ -42,21 +42,25 @@ from plwe_audit.fields import (
     in_quarter_value,
     is_irreducible_binomial,
     is_prime,
-    trace,
 )
-from plwe_audit.rings import RqContext, eval_poly, load_ring_doc
+from plwe_audit.rings import RqContext, load_ring_doc
 from plwe_audit.samplers import (
     GaussianSpec,
     Pairs,
     PlweInstance,
     Sample,
-    plwe_oracle,
     sample_batch,
+)
+from plwe_audit.instances import TRACE_RING_B
+from reference import (
+    eval_poly,
+    ext_alpha,
+    plwe_oracle,
+    reference_hit_counts,
+    trace,
     uniform_oracle,
     uniform_rq0_poly,
 )
-from plwe_audit.instances import TRACE_RING_B
-from reference import reference_hit_counts
 
 M4099 = PrimeModulus(4099)
 RING_B = load_ring_doc(TRACE_RING_B)
@@ -180,7 +184,7 @@ class TestSmallSetTrace:
     TABLE = build_sigma_table_trace(M4099.element(2017), 3, 2, 2.5)
 
     def test_zero_error_survivor_is_trace_of_secret(self):
-        from plwe_audit.fields import trace
+        from reference import trace
 
         rng = np.random.default_rng(77)
         inst = PlweInstance.generate(RING_B, GaussianSpec(2.5, False), rng)
@@ -194,7 +198,7 @@ class TestSmallSetTrace:
             for _ in range(6)
         ]
         verdict = small_set_attack(samples, self.TABLE, EXT_B)
-        target = trace(eval_poly(inst.secret_for_tests(), EXT_B.alpha())).value
+        target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B))).value
         assert target in verdict.survivors
 
     def test_non_member_sample_rejected(self):
@@ -243,7 +247,7 @@ class TestSmallValues:
         assert len(verdict.survivors) == quarter_count(13)
 
     def test_trace_zero_error_keeps_true_value(self):
-        from plwe_audit.fields import trace
+        from reference import trace
 
         rng = np.random.default_rng(5)
         inst = PlweInstance.generate(RING_B, GaussianSpec(2.5, True), rng)
@@ -257,7 +261,7 @@ class TestSmallValues:
             for _ in range(5)
         ]
         verdict = small_values_attack(samples, EXT_B)
-        target = trace(eval_poly(inst.secret_for_tests(), EXT_B.alpha())).value
+        target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B))).value
         assert target in verdict.survivors
 
     def test_trace_per_guess_survival_exact(self):
@@ -414,8 +418,8 @@ class TestUnbounded:
             if n == 1:
                 pairs.append((eval_poly(s.b, point).value, eval_poly(s.a, point).value))
             else:
-                a_val = eval_poly(s.a, point.alpha())
-                pairs.append((trace(eval_poly(s.b, point.alpha())).value, a_val.coeffs[0]))
+                a_val = eval_poly(s.a, ext_alpha(point))
+                pairs.append((trace(eval_poly(s.b, ext_alpha(point))).value, a_val.coeffs[0]))
         n_inv = pow(n, -1, q)
         hits = [
             sum(in_quarter_value(n_inv * (t - u * g), q) for t, u in pairs)
@@ -515,7 +519,7 @@ FILTER_POINTS = {
 def _scalar_pair(sample, point):
     """(t, u) by scalar evaluation: the tentative error is (t - u*g)/n."""
     if isinstance(point, ExtFieldCtx):
-        alpha = point.alpha()
+        alpha = ext_alpha(point)
         return trace(eval_poly(sample.b, alpha)).value, eval_poly(sample.a, alpha).coeffs[0]
     return eval_poly(sample.b, point).value, eval_poly(sample.a, point).value
 
@@ -715,7 +719,7 @@ class TestTruncatedTraceSoundness:
         secret = rng.integers(0, ring.q, size=ring.N)
         batch, _ = sample_batch(ring, GaussianSpec(sigma, True), ext, M, rng, secret=secret)
         verdict = small_values_attack(batch, ext)
-        target = trace(eval_poly(ring.poly(secret.tolist()), ext.alpha())).value
+        target = trace(eval_poly(ring.poly(secret.tolist()), ext_alpha(ext))).value
         assert target in verdict.survivors
         assert verdict.kind != VERDICT_NOT_PLWE
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -194,6 +195,37 @@ class TestCampaignRuns:
         report = run_campaign(config_from_dict(doc))
         assert len(report.trials) == 10
         assert any("error" in t for t in report.trials)
+
+    def test_pool_has_no_more_workers_than_trials(self, monkeypatch):
+        # a pool starts all its workers at the first submit
+        seen = []
+
+        class NoPool:
+            def __init__(self, max_workers, **kwargs):
+                seen.append(max_workers)
+                raise RuntimeError("no pool in this test")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(RuntimeError, match="no pool"):
+            run_campaign(config_from_dict(_order6_config(trials=2)), threads=64)
+        assert seen == [2]
+        assert run_campaign(config_from_dict(_order6_config(trials=1)), threads=64).n_trials == 1
+        assert seen == [2]
+
+    def test_reports_are_strict_json(self):
+        # 7 has order 2048 mod 12289: the analytic Sigma bound overflows a
+        # float and the predicted posterior is -inf; the plan writes null
+        report = run_campaign(config_from_dict({
+            "instance": {**CRYPTO_RINGS["falcon1024"], "sigma": 0.2, "truncated": True},
+            "attack": {"family": "small_set", "mode": "fq", "alpha": 7, "M": 5, "trials": 2},
+            "seed": 1}))
+        plan = json.loads(report.to_json())["plan"]
+        assert plan["sigma_table_analytic_bound"] is None
+        assert plan["predicted_bounds"]["vote_posterior"] is None
+        report.trials[0]["leak"] = math.inf
+        for serialise in (report.to_json, report.digest_json):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                serialise()
 
     def test_refusal_small_values_wide_image(self):
         doc = {
@@ -410,7 +442,7 @@ class TestCli:
         assert cli.main(["attack", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["plan"]["sigma_table_size"] == 1
-        assert doc["plan"]["sigma_table_analytic_bound"] == math.inf
+        assert doc["plan"]["sigma_table_analytic_bound"] is None
         assert doc["aggregate"]["accuracy"] == 1.0
 
     def test_attack_writes_report(self, tmp_path, capsys):
@@ -420,6 +452,30 @@ class TestCli:
         capsys.readouterr()
         doc = json.loads(out.read_text())
         assert doc["aggregate"]["trials"] == 4
+
+    @pytest.mark.parametrize("threads", ["0", "-1", str((os.cpu_count() or 1) + 1)])
+    def test_attack_refuses_threads_outside_cpu_count(self, tmp_path, capsys, monkeypatch,
+                                                      threads):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        cfg = _write(tmp_path, "c.json", _order6_config(trials=4))
+        assert cli.main(["attack", "--config", cfg, "--threads", threads]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --threads:")
+        assert f"1..{os.cpu_count() or 1}" in err
+
+    @pytest.mark.parametrize("budget", [-3, 0])
+    def test_attack_refuses_rq0_budget_below_one(self, tmp_path, capsys, budget):
+        cfg = _write(tmp_path, "r.json", {
+            "instance": REJECTION_REPLICA["instance"],
+            "attack": {"family": "unbounded_small_values", "mode": "trace",
+                       **REJECTION_REPLICA["extension"], "ell": 20, "delta": "series",
+                       "trials": 2},
+            "sampling": {"honest": True},
+            "rq0_budget": budget,
+            "seed": 1,
+        })
+        assert cli.main(["attack", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: rq0_budget: must be >= 1")
 
     def test_attack_trials_override(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=4))

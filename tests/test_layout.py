@@ -1,0 +1,59 @@
+"""The package ships one arithmetic path.  The scalar algebra that the tests
+compare the numpy path against lives in tests/reference.py; no module of
+src/plwe_audit or scripts defines, imports or reads it, and the package does
+not export it."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import plwe_audit
+from plwe_audit.fields import ExtFieldCtx
+from plwe_audit.rings import find_fq_roots
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_ONLY = frozenset({
+    # samplers
+    "draw_gaussian", "uniform_oracle", "plwe_oracle", "uniform_oracle_rq0",
+    "plwe_oracle_rq0", "sample_rq0", "Rq0Draw", "uniform_rq0_poly", "raw_error",
+    # rings
+    "ring_add", "ring_sub", "ring_mul", "_same_ctx", "eval_poly",
+    "rq0_membership", "Rq0Membership",
+    # fields
+    "ExtFieldElement", "trace",
+})
+# the pure-Python gcd(f, x^q - x) root search, for moduli no command accepts
+DELETED = frozenset({
+    "_poly_trim", "_poly_mod", "_poly_gcd", "_poly_mulmod", "_poly_powmod",
+    "_poly_quot", "_roots_by_splitting",
+})
+EXT_ELEMENT_CONSTRUCTORS = frozenset({"element", "from_base", "zero", "one", "alpha"})
+
+
+def _names(path: Path) -> set[str]:
+    """Every name a module defines, imports, binds, reads or reads as an
+    attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_one_arithmetic_path():
+    paths = sorted((ROOT / "src" / "plwe_audit").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py")
+    )
+    assert len(paths) > 10
+    for path in paths:
+        found = _names(path) & (REFERENCE_ONLY | DELETED)
+        assert not found, f"{path.relative_to(ROOT)} uses {sorted(found)}"
+    assert not REFERENCE_ONLY & set(vars(plwe_audit))
+    assert not EXT_ELEMENT_CONSTRUCTORS & set(vars(ExtFieldCtx))
+    assert list(inspect.signature(find_fq_roots).parameters) == ["ctx"]
