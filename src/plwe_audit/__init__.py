@@ -10,7 +10,6 @@ from .analysis import (
     monte_carlo_delta,
     posterior_bounds,
     scan_instance,
-    sigma_bar,
     usva_threshold,
 )
 from .attacks import (
@@ -18,7 +17,6 @@ from .attacks import (
     Decision,
     HitCountDecision,
     SigmaTable,
-    build_sigma_table_fq,
     build_sigma_table_trace,
     extended_attack,
     small_set_attack,
@@ -45,7 +43,6 @@ from .rings import (
 from .samplers import (
     GaussianSpec,
     PlweInstance,
-    Sample,
     SampleBatch,
     sample_batch,
 )

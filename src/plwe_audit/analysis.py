@@ -47,55 +47,6 @@ def quarter_count(q) -> int:
 
 
 @dataclass(frozen=True)
-class VarianceCase:
-    """How an evaluated error collapses into weighted Gaussian blocks.
-
-    weights are centered representatives of the powers of the evaluation
-    weight; block_lengths give how many raw coefficients feed each weight.
-    """
-
-    setting: str  # "fq" | "trace"
-    case_kind: str  # "pm_one" | "small_order" | "general"
-    weights: tuple[int, ...]
-    block_lengths: tuple[int, ...]
-
-
-def classify_variance_case(
-    setting: str, w: FieldElement, order: int, n_terms: int
-) -> VarianceCase:
-    """Pick the variance case for evaluation weight w with n_terms raw
-    coefficients in play (the ring degree, or the per-block trace count)."""
-    q = w.q
-    c = centered_value(w.value, q)
-    if c in (1, -1):
-        return VarianceCase(setting, "pm_one", (1,), (n_terms,))
-    if order and order < n_terms:
-        blocklen = max(1, n_terms // order)
-        weights = _centered_powers(w.value, q, order)
-        return VarianceCase(setting, "small_order", weights, (blocklen,) * order)
-    weights = _centered_powers(w.value, q, n_terms)
-    return VarianceCase(setting, "general", weights, (1,) * n_terms)
-
-
-def _centered_powers(w: int, q: int, count: int) -> tuple[int, ...]:
-    """Centered w^i mod q for 0 <= i < count, by one running product."""
-    out, power = [], 1
-    for _ in range(count):
-        out.append(centered_value(power, q))
-        power = power * w % q
-    return tuple(out)
-
-
-def sigma_bar(case: VarianceCase, sigma: float) -> float:
-    """Standard deviation of the collapsed error image:
-    sigma_bar^2 = sum_i block_length_i * sigma^2 * weight_i^2."""
-    var = sigma * sigma * sum(
-        L * wgt * wgt for L, wgt in zip(case.block_lengths, case.weights)
-    )
-    return math.sqrt(var)
-
-
-@dataclass(frozen=True)
 class BlockStructure:
     """How an error evaluated at a root of y^n - a (n = 1: an F_q root a)
     collapses: r_eff blocks of blocklen raw coefficients weighted by powers
@@ -111,17 +62,28 @@ class BlockStructure:
 
 def block_structure(n: int, a: FieldElement, N: int, sigma: float) -> BlockStructure:
     """Block structure of one evaluation point, for plans and the analyze
-    report; scans take block_structures."""
+    report; scans take block_structures.
+
+    sigma_bar^2 = sigma^2 * sum_k L*w_k^2: the weights w_k are the centered
+    powers a^k, k < order, each fed by L = n_terms // order coefficients
+    when the order is below n_terms, else the first n_terms powers with
+    L = 1; at a = +-1 the sum is n_terms.  The sum is an exact integer."""
     n_terms = max(1, N // n)
     if a.value == 0:
         # the root 0 kills every coefficient but the constant one
-        case = VarianceCase("fq", "general", (1,), (1,))
-        return BlockStructure(0, n_terms, 1, 1, case.case_kind, sigma_bar(case, sigma))
-    order = mult_order(a)
-    case = classify_variance_case("fq" if n == 1 else "trace", a, order, n_terms)
-    blocklen = max(1, n_terms // order)
+        return BlockStructure(0, n_terms, 1, 1, "general", math.sqrt(sigma * sigma))
+    q, order = a.q, mult_order(a)
+    if centered_value(a.value, q) in (1, -1):
+        kind, total = "pm_one", n_terms
+    else:
+        kind = "small_order" if order < n_terms else "general"
+        count, length = (order, n_terms // order) if order < n_terms else (n_terms, 1)
+        total, power = 0, 1
+        for _ in range(count):
+            total += length * centered_value(power, q) ** 2
+            power = power * a.value % q
     return BlockStructure(
-        order, n_terms, order, blocklen, case.case_kind, sigma_bar(case, sigma)
+        order, n_terms, order, max(1, n_terms // order), kind, math.sqrt(sigma * sigma * total)
     )
 
 
@@ -410,6 +372,25 @@ def _one_minus_q_pow(q: int, x: float, m: int) -> float:
         return -math.inf
 
 
+def _per_sample_mass(
+    family: str, truncated: bool, qv: int, sigma_size, r, p0
+) -> tuple[float, float, float]:
+    """(x_plain, x_adj, p0) of one family: the chance x_plain that a wrong
+    candidate passes one sample's test, |Sigma|/q or the quarter share u,
+    and x_adj = x_plain / p0^r (r = 1 for small values), the untruncated
+    form; p0 defaults to the truncation mode's mass."""
+    if p0 is None:
+        p0 = 1.0 if truncated else P0_UNTRUNCATED
+    if family == "small_set":
+        if sigma_size is None or r is None:
+            raise ValueError("small_set bounds need sigma_size and r")
+        return sigma_size / qv, sigma_size / (qv * p0**r), p0
+    if family == "small_values":
+        u = float(Fraction(1, 2) + uniform_offset(qv))
+        return u, u / p0, p0
+    raise ValueError(f"unknown family {family!r}")
+
+
 def posterior_bounds(
     family: str,
     truncated: bool,
@@ -422,27 +403,13 @@ def posterior_bounds(
 ) -> PosteriorBounds:
     """Bounds for "small_set" (needs sigma_size and r) or "small_values"."""
     qv = _q_of(q)
-    if p0 is None:
-        p0 = 1.0 if truncated else P0_UNTRUNCATED
-    if family == "small_set":
-        if sigma_size is None or r is None:
-            raise ValueError("small_set bounds need sigma_size and r")
-        x_plain = sigma_size / qv
-        x_adj = sigma_size / (qv * p0**r)
-        success_plwe = 1.0 if truncated else p0 ** (M * r)
-    elif family == "small_values":
-        u = float(Fraction(1, 2) + uniform_offset(qv))
-        x_plain = u
-        x_adj = u / p0
-        success_plwe = 1.0 if truncated else p0**M
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    vote_posterior = _one_minus_q_pow(qv, x_plain if truncated else x_adj, M)
+    x_plain, x_adj, p0 = _per_sample_mass(family, truncated, qv, sigma_size, r, p0)
+    success_plwe = 1.0 if truncated else p0 ** (M * (r if family == "small_set" else 1))
     return PosteriorBounds(
         family=family,
         truncated=truncated,
         M=M,
-        vote_posterior=vote_posterior,
+        vote_posterior=_one_minus_q_pow(qv, x_plain if truncated else x_adj, M),
         not_plwe_posterior=1.0 if truncated else None,
         success_on_plwe=success_plwe,
         success_on_uniform=_one_minus_q_pow(qv, x_plain, M),
@@ -462,15 +429,8 @@ def minimal_samples(
     """Smallest M whose vote posterior reaches the target, or None when the
     bound cannot reach it for any M."""
     qv = _q_of(q)
-    if p0 is None:
-        p0 = 1.0 if truncated else P0_UNTRUNCATED
-    if family == "small_set":
-        x = (sigma_size / qv) if truncated else sigma_size / (qv * p0 ** (r or 1))
-    elif family == "small_values":
-        u = float(Fraction(1, 2) + uniform_offset(qv))
-        x = u if truncated else u / p0
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    x_plain, x_adj, _ = _per_sample_mass(family, truncated, qv, sigma_size, r or 1, p0)
+    x = x_plain if truncated else x_adj
     if x >= 1.0 or not (0.0 < target < 1.0):
         return None
     m = math.ceil((math.log(qv) - math.log(1.0 - target)) / -math.log(x))

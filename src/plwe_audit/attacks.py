@@ -11,13 +11,13 @@ case n = 1, a = alpha, where the subring is all of R_q and the trace is the
 identity.  A chunked driver turns the three-way basic verdicts into a two-way
 vote whenever single runs are unreliable.
 
-Every attack is a pure function of (samples, parameters) and reads the
-samples only through their pairs (a_i(alpha), Tr(b_i(alpha))), which it also
-takes as they are.  The small-set and small-values filter starts each chunk
-(a basic attack is one chunk) from the |Sigma| candidates g = (t_j - sigma) /
-u_j of its first sample j with u_j = a_j(alpha) != 0, and one sample-major
-pass over all chunks keeps exactly the survivor sets of the naive
-candidate-major loop over F_q.
+Every attack is a pure function of (pairs, parameters): it reads M samples
+only as the Pairs (a_i(alpha), Tr(b_i(alpha))) that SampleBatch.pairs
+evaluates at the root, and takes no point.  The small-set and small-values
+filter starts each chunk (a basic attack is one chunk) from the |Sigma|
+candidates g = (t_j - sigma) / u_j of its first sample j with u_j =
+a_j(alpha) != 0, and one sample-major pass over all chunks keeps exactly the
+survivor sets of the naive candidate-major loop over F_q.
 """
 
 from __future__ import annotations
@@ -26,19 +26,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import extended_threshold, hit_threshold, log_small_set_size, usva_threshold
-from .fields import ExtFieldCtx, FieldElement
+from .fields import FieldElement
 from .rings import generator_powers
-from .samplers import NonMemberSample, Pairs, Sample, SampleBatch
-
-# Every attack takes the pairs of a batch, a SampleBatch or a sequence of
-# samples; NonMemberSample is raised when an a_i lies outside R_{q,0}.
-Samples = Pairs | SampleBatch | Sequence[Sample]
+from .samplers import Pairs
 
 
 class AttackError(Exception):
@@ -207,38 +201,13 @@ def build_sigma_table_trace(
     return SigmaTable(frozenset(values), analytic, r, block_sigma, q)
 
 
-def build_sigma_table_fq(
-    alpha: FieldElement, r: int, N: int, sigma: float, cap: int = 10**8
-) -> SigmaTable:
-    """Table for evaluation at an F_q root of order r; each of the r blocks
-    collects floor(N/r) raw error coefficients."""
-    return build_sigma_table_trace(alpha, r, max(1, N // r), sigma, cap)
-
-
 # ---------------------------------------------------------------------------
-# shared sample preprocessing
+# the survivor filter
 
 
-def _as_batch(samples: Samples) -> Pairs | SampleBatch:
-    """The samples as one batch; pairs and batches are taken as they are."""
-    if not len(samples):
+def _require_samples(pairs: Pairs) -> None:
+    if not len(pairs):
         raise NoSamples("the sample set is empty")
-    if isinstance(samples, (Pairs, SampleBatch)):
-        return samples
-    return SampleBatch.from_samples(samples)
-
-
-def _pairs(samples: Samples, point: FieldElement | ExtFieldCtx) -> Pairs:
-    """The pairs of the samples at the point, a root alpha of y^n - a (an
-    F_q root is coerced to the degree-1 case); pairs pass through as they
-    are."""
-    batch = _as_batch(samples)
-    if isinstance(batch, Pairs):
-        return batch
-    ext = point if isinstance(point, ExtFieldCtx) else ExtFieldCtx(1, point)
-    if ext.q != batch.ring.q:
-        raise AttackError("evaluation point and samples use different moduli")
-    return batch.pairs(ext)
 
 
 # extended_attack holds at most max(q, _MAX_PAIRS) candidates at a time, and
@@ -276,9 +245,10 @@ def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
     return alive & zero.all(axis=1), rows.take(pair), g
 
 
-def _verdict(targets: np.ndarray, scales: np.ndarray, member: np.ndarray) -> AttackVerdict:
+def _verdict(pairs: Pairs, member: np.ndarray) -> AttackVerdict:
     """The basic verdict: all samples form one chunk."""
-    full, _, g = _filter(targets[None], scales[None], member)
+    _require_samples(pairs)
+    full, _, g = _filter(pairs.targets[None], pairs.scales[None], member)
     return AttackVerdict(tuple(range(member.size)) if full[0] else tuple(np.sort(g).tolist()))
 
 
@@ -313,9 +283,7 @@ def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # basic attacks
 
 
-def small_set_attack(
-    samples: Samples, table: SigmaTable, point: FieldElement | ExtFieldCtx
-) -> AttackVerdict:
+def small_set_attack(pairs: Pairs, table: SigmaTable) -> AttackVerdict:
     """Keep the candidates g for s(alpha) with b_i(alpha) - a_i(alpha)*g in
     Sigma for every sample.
 
@@ -325,27 +293,21 @@ def small_set_attack(
     tentative error collapses to Tr(b_i(alpha)) - a_i(alpha)*Tr(s(alpha)), so
     looping g over F_q covers all secrets.
     """
-    pairs = _pairs(samples, point)
     if table.q != pairs.q:
         raise AttackError("table was built for a different modulus")
-    return _verdict(pairs.targets, pairs.scales, table.mask)
+    return _verdict(pairs, table.mask)
 
 
-def small_values_attack(
-    samples: Samples, point: FieldElement | ExtFieldCtx
-) -> AttackVerdict:
+def small_values_attack(pairs: Pairs) -> AttackVerdict:
     """Survivor test: the tentative error lands in [-q/4, q/4)."""
-    pairs = _pairs(samples, point)
-    return _verdict(pairs.targets, pairs.scales, quarter_mask(pairs.q))
+    return _verdict(pairs, quarter_mask(pairs.q))
 
 
 # ---------------------------------------------------------------------------
 # unbounded attack
 
 
-def unbounded_small_values_attack(
-    samples: Samples, delta: float, point: FieldElement | ExtFieldCtx
-) -> HitCountDecision:
+def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecision:
     """Count the quarter-interval hits h_g of every candidate g and say PLWE
     when the best candidate reaches hit_threshold(ell, q, delta).
 
@@ -368,7 +330,7 @@ def unbounded_small_values_attack(
     delta is the caller's estimate of P(error image in quarter interval) - 1/2;
     it is never derived here.
     """
-    pairs = _pairs(samples, point)
+    _require_samples(pairs)
     q, ell = pairs.q, len(pairs)
     windows, logs, mask2 = _log_tables(q)
     at_zero = quarter_mask(q).take(pairs.targets)  # t_i - u_i*0 = t_i
@@ -395,12 +357,7 @@ def unbounded_small_values_attack(
 
 
 def extended_attack(
-    samples: Samples,
-    m0: int,
-    member: np.ndarray,
-    point: FieldElement | ExtFieldCtx,
-    r_eff: int,
-    p0: float,
+    pairs: Pairs, m0: int, member: np.ndarray, r_eff: int, p0: float
 ) -> Decision:
     """Filter floor(M/M0) disjoint, index-ordered chunks of M0 samples with
     a basic attack's membership mask and vote: a chunk counts when it keeps
@@ -408,15 +365,15 @@ def extended_attack(
     count for genuine PLWE input, ceil(c * p0^(M0*r_eff)); r_eff is the table
     order for small-set masks and 1 for the quarter interval.
     """
-    batch = _as_batch(samples)
+    _require_samples(pairs)
     if m0 < 1:
         raise ValueError("chunk size must be >= 1")
-    if m0 > len(batch):
+    if m0 > len(pairs):
         raise InsufficientSamples(
-            f"chunk size {m0} exceeds the {len(batch)} available samples"
+            f"chunk size {m0} exceeds the {len(pairs)} available samples"
         )
-    chunks = len(batch) // m0
-    pairs = _pairs(batch[: chunks * m0], point)
+    chunks = len(pairs) // m0
+    pairs = pairs[: chunks * m0]
     q = pairs.q
     if member.size != q:
         raise AttackError("membership mask was built for a different modulus")

@@ -40,15 +40,8 @@ from .attacks import (
     unbounded_small_values_attack,
 )
 from .fields import ExtFieldCtx
-from .rings import (
-    EXHAUSTIVE_SCAN_LIMIT,
-    RingPoly,
-    RqContext,
-    eval_matrix,
-    load_ring_doc,
-    rq0_witnesses,
-)
-from .samplers import BudgetExhausted, GaussianSpec, Pairs, Sample, SampleBatch, sample_batch
+from .rings import EXHAUSTIVE_SCAN_LIMIT, RqContext, eval_matrix, load_ring_doc, rq0_witnesses
+from .samplers import BudgetExhausted, GaussianSpec, Pairs, SampleBatch, sample_batch
 
 
 class ConfigError(Exception):
@@ -145,9 +138,16 @@ def instance_from_dict(inst) -> tuple[RqContext, GaussianSpec]:
     sigma = _need(inst, "sigma", "instance")
     truncated = bool(_need(inst, "truncated", "instance"))
     try:
-        return ring, GaussianSpec(float(sigma), truncated)
+        gauss = GaussianSpec(float(sigma), truncated)
+        # sigma_bar^2 = sigma^2 * sum L*w^2 lies in [sigma^2, sigma^2*N*q^2]
+        square = gauss.sigma * gauss.sigma
+        if not square > 0:
+            raise ValueError(f"need sigma*sigma > 0, got sigma = {gauss.sigma!r}")
+        if not math.isfinite(square * ring.N * ring.q * ring.q):
+            raise ValueError(f"need sigma*sigma*N*q*q finite, got sigma = {gauss.sigma!r}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"instance.sigma: {exc}") from exc
+    return ring, gauss
 
 
 def seed_from_dict(doc: dict) -> int:
@@ -364,18 +364,18 @@ def _generate_samples(
     return batch, invocations, secret
 
 
-def run_attack_once(plan: AttackPlan, samples: Pairs | SampleBatch | list[Sample]):
-    """Dispatch the configured attack on one sample batch or its pairs."""
-    att, table, point = plan.cfg.attack, plan.table, plan.point
+def run_attack_once(plan: AttackPlan, pairs: Pairs):
+    """Dispatch the configured attack on the pairs of one sample batch."""
+    att, table = plan.cfg.attack, plan.table
     if att.family == "unbounded_small_values":
-        return unbounded_small_values_attack(samples, plan.delta, point)
+        return unbounded_small_values_attack(pairs, plan.delta)
     if att.family in BASIC_FAMILIES:
         if table is not None:
-            return small_set_attack(samples, table, point)
-        return small_values_attack(samples, point)
+            return small_set_attack(pairs, table)
+        return small_values_attack(pairs)
     member = table.mask if table is not None else quarter_mask(plan.cfg.ring.q)
     r_eff = table.r if table is not None else 1
-    return extended_attack(samples, att.M0, member, point, r_eff, plan.cfg.gauss.p0)
+    return extended_attack(pairs, att.M0, member, r_eff, plan.cfg.gauss.p0)
 
 
 def _says_plwe(outcome) -> bool:
@@ -403,7 +403,7 @@ def run_trial(plan: AttackPlan, trial_index: int, record: list | None = None) ->
     outcome = run_attack_once(plan, batch.pairs(plan.point))
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     if record is not None:
-        record.extend(batch.samples())
+        record.append((batch.A, batch.B))
     row = {
         "trial": trial_index,
         "truth": "plwe" if truth_plwe else "uniform",
@@ -414,16 +414,16 @@ def run_trial(plan: AttackPlan, trial_index: int, record: list | None = None) ->
         "wall_time_ms": wall_ms,
     }
     if truth_plwe and isinstance(outcome, AttackVerdict) and secret is not None:
-        true_value = _true_value(plan, plan.cfg.ring.poly(secret))
-        row["true_value_survives"] = true_value in outcome.survivors
+        row["true_value_survives"] = _true_value(plan, secret) in outcome.survivors
     return row
 
 
-def _true_value(plan: AttackPlan, secret: RingPoly) -> int:
-    """The quantity the basic attacks guess, Tr(s(alpha)): in a binomial
-    extension Tr = n * (y^0 coordinate), and at an F_q root it is s(alpha)."""
+def _true_value(plan: AttackPlan, secret: np.ndarray) -> int:
+    """The quantity the basic attacks guess, Tr(s(alpha)), from the
+    coefficients of s: in a binomial extension Tr = n * (y^0 coordinate),
+    and at an F_q root it is s(alpha)."""
     q = plan.cfg.ring.q
-    coord0 = int(secret.as_array() @ eval_matrix(plan.point, secret.ctx.N)[:, 0] % q)
+    coord0 = int(secret @ eval_matrix(plan.point, len(secret))[:, 0] % q)
     return plan.point.n * coord0 % q
 
 
@@ -581,10 +581,13 @@ def _trial_worker(index: int) -> dict:
 # sample files (one JSON document per line)
 
 
-def save_samples(path: str, samples: list[Sample]) -> None:
+def save_samples(path: str, record: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Write the (A, B) coefficient rows of each recorded trial, one sample
+    {"a": [...], "b": [...]} per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps(s.to_doc()) + "\n")
+        for A, B in record:
+            for a, b in zip(A.tolist(), B.tolist()):
+                fh.write(json.dumps({"a": a, "b": b}) + "\n")
 
 
 def load_samples(path: str, plan: AttackPlan) -> SampleBatch:
@@ -592,12 +595,12 @@ def load_samples(path: str, plan: AttackPlan) -> SampleBatch:
     a component without exactly N coefficients, an a outside R_{q,0} or
     fewer samples than one chunk of an extended attack is a ConfigError
     naming the file and the line."""
-    ring, att = plan.cfg.ring, plan.cfg.attack
+    ring, att, q = plan.cfg.ring, plan.cfg.attack, plan.cfg.ring.q
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not any(line.strip() for line in lines):
         raise ConfigError(f"sample file {path}: empty")
-    samples, linenos = [], []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -606,11 +609,12 @@ def load_samples(path: str, plan: AttackPlan) -> SampleBatch:
             sizes = (len(doc["a"]), len(doc["b"]))
             if sizes != (ring.N, ring.N):
                 raise ValueError(f"a and b need N = {ring.N} coefficients, got {sizes}")
-            samples.append(Sample(ring.poly(doc["a"]), ring.poly(doc["b"])))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            rows.append([int(c) % q for c in doc["a"]] + [int(c) % q for c in doc["b"]])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"sample file {path}: line {lineno}: {exc}") from exc
         linenos.append(lineno)
-    batch = SampleBatch.from_samples(samples)
+    AB = np.array(rows, dtype=np.int64)
+    batch = SampleBatch(ring, AB[:, : ring.N], AB[:, ring.N :])
     bad = np.argwhere(rq0_witnesses(batch.A, plan.point))
     if bad.size:
         i, k = bad[0]

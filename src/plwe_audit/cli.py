@@ -246,8 +246,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_replay(args) -> int:
     cfg = config_from_dict(_read_config(args))
     plan = build_plan(cfg)
-    samples = load_samples(args.samples, plan)
-    outcome = run_attack_once(plan, samples)
+    outcome = run_attack_once(plan, load_samples(args.samples, plan).pairs(plan.point))
     _emit(outcome.to_dict(), args)
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -71,17 +71,6 @@ def uniform_poly(ctx: RqContext, rng: np.random.Generator) -> RingPoly:
     return ctx.poly(rng.integers(0, ctx.q, size=ctx.N))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One sample (a(x), b(x)), as a recording stores it."""
-
-    a: RingPoly
-    b: RingPoly
-
-    def to_doc(self) -> dict:
-        return {"a": list(self.a.coeffs), "b": list(self.b.coeffs)}
-
-
 @dataclass(frozen=True, eq=False)
 class Pairs:
     """What every attack reads of M samples at a root alpha of y^n - a:
@@ -114,13 +103,6 @@ class SampleBatch:
     X: np.ndarray
     secret: Optional[np.ndarray] = None
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[Sample]) -> "SampleBatch":
-        ring = samples[0].a.ctx
-        A = np.array([s.a.coeffs for s in samples], dtype=np.int64)
-        B = np.array([s.b.coeffs for s in samples], dtype=np.int64)
-        return cls(ring, A, B)
-
     def __len__(self) -> int:
         return len(self.A)
 
@@ -133,10 +115,6 @@ class SampleBatch:
         if self.secret is None:
             return self.X
         return (self.A @ self.ring.mul_matrix(self.secret) + self.X) % self.ring.q
-
-    def samples(self) -> list[Sample]:
-        poly = self.ring.poly
-        return [Sample(poly(a), poly(b)) for a, b in zip(self.A.tolist(), self.B.tolist())]
 
     def pairs(self, ext: ExtFieldCtx) -> Pairs:
         """The attack pairs at the root alpha of y^n - a.

@@ -5,7 +5,9 @@ The scalar algebra.  The package evaluates samples only through numpy
 generator-power fold); the tests check that path against the scalar forms
 kept here: elements of F_q[y]/(y^n - a) and their trace, RingPoly sums and
 products, Horner evaluation, the subring witness sums, and the per-sample
-oracles that draw one (a, b) pair at a time.
+oracles that draw one (a, b) pair at a time as a Sample of two RingPolys.
+Samples become a SampleBatch through from_samples, and pairs_at evaluates
+them at a root as the Pairs that the attacks read.
 
 The per-sample reference path of samplers.sample_batch:
 
@@ -42,8 +44,8 @@ from plwe_audit.rings import RingPoly, RqContext, _require_int64_modulus, eval_m
 from plwe_audit.samplers import (
     BudgetExhausted,
     GaussianSpec,
+    Pairs,
     PlweInstance,
-    Sample,
     SampleBatch,
     gaussian_coeffs,
     uniform_poly,
@@ -258,6 +260,38 @@ def rq0_membership(p: RingPoly, ext: ExtFieldCtx) -> Rq0Membership:
 
 
 # ---------------------------------------------------------------------------
+# samples one RingPoly pair at a time
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One sample (a(x), b(x))."""
+
+    a: RingPoly
+    b: RingPoly
+
+
+def from_samples(samples: list[Sample]) -> SampleBatch:
+    """The samples as a batch without a secret, its X rows the b_i."""
+    A = np.array([s.a.coeffs for s in samples], dtype=np.int64)
+    B = np.array([s.b.coeffs for s in samples], dtype=np.int64)
+    return SampleBatch(samples[0].a.ctx, A, B)
+
+
+def to_samples(batch: SampleBatch) -> list[Sample]:
+    poly = batch.ring.poly
+    return [Sample(poly(a), poly(b)) for a, b in zip(batch.A.tolist(), batch.B.tolist())]
+
+
+def pairs_at(samples: list[Sample], point: FieldElement | ExtFieldCtx) -> Pairs:
+    """The attack pairs of the samples at a root of y^n - a; an F_q root
+    alpha is the case ExtFieldCtx(1, alpha).  NonMemberSample when an a
+    lies outside R_{q,0}."""
+    ext = point if isinstance(point, ExtFieldCtx) else ExtFieldCtx(1, point)
+    return from_samples(samples).pairs(ext)
+
+
+# ---------------------------------------------------------------------------
 # the per-sample oracles
 
 
@@ -390,7 +424,7 @@ def reference_sample_batch(ring, gauss, ext, m, rng, secret=None, honest=False,
     samples, count, _ = reference_samples(
         ring, gauss, ext, m, rng, secret, honest, max_invocations
     )
-    return SampleBatch.from_samples(samples), count
+    return from_samples(samples), count
 
 
 def reference_hit_counts(targets, scales, q):

@@ -20,7 +20,6 @@ from plwe_audit.analysis import (
 )
 from plwe_audit.attacks import (
     VERDICT_NOT_PLWE,
-    build_sigma_table_fq,
     build_sigma_table_trace,
     small_set_attack,
     small_values_attack,
@@ -40,7 +39,7 @@ from plwe_audit.samplers import (
     PlweInstance,
     sample_batch,
 )
-from reference import eval_poly, ext_alpha, plwe_oracle, trace
+from reference import eval_poly, ext_alpha, pairs_at, plwe_oracle, trace
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:
@@ -257,14 +256,14 @@ def test_criterion_11_truncated_soundness():
     q = 4099
     ring6 = RqContext((-1, 0, 0, 0, 0, 0, 1), PrimeModulus(q))
     alpha6 = PrimeModulus(q).element(2018)
-    table = build_sigma_table_fq(alpha6, 6, 6, 0.7)
+    table = build_sigma_table_trace(alpha6, 6, 1, 0.7)
     gauss6 = GaussianSpec(0.7, True)
     ok = True
     for seed in range(500):
         rng = np.random.default_rng([7000, seed])
         inst = PlweInstance.generate(ring6, gauss6, rng)
         samples = [plwe_oracle(inst, rng) for _ in range(5)]
-        verdict = small_set_attack(samples, table, alpha6)
+        verdict = small_set_attack(pairs_at(samples, alpha6), table)
         target = eval_poly(inst.secret_for_tests(), alpha6).value
         ok &= verdict.kind != VERDICT_NOT_PLWE and target in verdict.survivors
 
@@ -278,7 +277,7 @@ def test_criterion_11_truncated_soundness():
         rng = np.random.default_rng([7500, seed])
         inst = PlweInstance.generate(ring16, gauss16, rng)
         samples = [plwe_oracle(inst, rng) for _ in range(8)]
-        verdict = small_values_attack(samples, alpha16)
+        verdict = small_values_attack(pairs_at(samples, alpha16))
         target = eval_poly(inst.secret_for_tests(), alpha16).value
         ok &= verdict.kind != VERDICT_NOT_PLWE and target in verdict.survivors
     elapsed = time.perf_counter() - t0

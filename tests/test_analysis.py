@@ -17,7 +17,6 @@ from plwe_audit.analysis import (
     _erf_series,
     block_structure,
     block_structures,
-    classify_variance_case,
     cumulative_binomial,
     delta_probability,
     extended_gate,
@@ -29,7 +28,6 @@ from plwe_audit.analysis import (
     posterior_bounds,
     quarter_count,
     scan_instance,
-    sigma_bar,
     uniform_offset,
     usva_threshold,
 )
@@ -59,35 +57,36 @@ class TestOffsets:
 class TestSigmaBar:
     def test_minus_one_root(self):
         m = PrimeModulus(3677)
-        case = classify_variance_case("fq", m.element(3676), 2, 256)
-        assert case.case_kind == "pm_one"
-        assert sigma_bar(case, 8.0) == pytest.approx(math.sqrt(256) * 8.0)
+        bs = block_structure(1, m.element(3676), 256, 8.0)
+        assert bs.case_kind == "pm_one"
+        assert bs.sigma_bar == pytest.approx(math.sqrt(256) * 8.0)
 
     def test_unit_trace_weight(self):
         m = PrimeModulus(13)
-        case = classify_variance_case("trace", m.element(1), 1, 7)
-        assert sigma_bar(case, 2.0) == pytest.approx(math.sqrt(7) * 2.0)
+        bs = block_structure(2, m.element(1), 14, 2.0)  # 7 coefficients per coordinate
+        assert bs.sigma_bar == pytest.approx(math.sqrt(7) * 2.0)
 
     def test_small_order_uses_centered_powers(self):
+        # the centered powers of 698 mod 2887 are 1, 698, -699, 85 apiece
         m = PrimeModulus(2887)
-        case = classify_variance_case("fq", m.element(698), 3, 256)
-        assert case.case_kind == "small_order"
-        assert case.weights == (1, 698, -699)
-        assert case.block_lengths == (85, 85, 85)
+        bs = block_structure(1, m.element(698), 256, 8.0)
+        assert bs.case_kind == "small_order"
+        assert (bs.order, bs.r_eff, bs.blocklen) == (3, 3, 85)
         expected = math.sqrt(85 * 64 * (1 + 698**2 + 699**2))
-        assert sigma_bar(case, 8.0) == pytest.approx(expected)
+        assert bs.sigma_bar == pytest.approx(expected)
 
     def test_large_order_flattens_probability(self):
         m = PrimeModulus(2887)
-        case = classify_variance_case("fq", m.element(698), 3, 256)
-        rep = delta_probability(2887, sigma_bar(case, 8.0))
+        bs = block_structure(1, m.element(698), 256, 8.0)
+        rep = delta_probability(2887, bs.sigma_bar)
         assert abs(rep.p_event - 0.5) < 1e-4
 
     def test_general_case(self):
+        # order 12 > N = 4: four weights 1, 2, 4, 8 = -5 mod 13, one apiece
         m = PrimeModulus(13)
-        case = classify_variance_case("fq", m.element(2), 12, 4)
-        assert case.case_kind == "general"
-        assert len(case.weights) == 4
+        bs = block_structure(1, m.element(2), 4, 1.0)
+        assert bs.case_kind == "general"
+        assert bs.sigma_bar == pytest.approx(math.sqrt(1 + 4 + 16 + 25))
 
 
 class TestDeltaProbability:
@@ -106,8 +105,7 @@ class TestDeltaProbability:
 
     def test_instance_4081_margin(self):
         m = PrimeModulus(4111)
-        case = classify_variance_case("fq", m.element(1055), 3, 256)
-        rep = delta_probability(4111, sigma_bar(case, 8.0))
+        rep = delta_probability(4111, block_structure(1, m.element(1055), 256, 8.0).sigma_bar)
         assert rep.big_delta == pytest.approx(0.0001216, abs=2e-5)
 
     def test_against_monte_carlo_oracle(self):

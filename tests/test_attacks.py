@@ -26,9 +26,7 @@ from plwe_audit.attacks import (
     HitCountDecision,
     InsufficientSamples,
     NoSamples,
-    NonMemberSample,
     TableTooLarge,
-    build_sigma_table_fq,
     build_sigma_table_trace,
     extended_attack,
     small_set_attack,
@@ -46,15 +44,17 @@ from plwe_audit.fields import (
 from plwe_audit.rings import RqContext, load_ring_doc
 from plwe_audit.samplers import (
     GaussianSpec,
+    NonMemberSample,
     Pairs,
     PlweInstance,
-    Sample,
     sample_batch,
 )
 from plwe_audit.instances import TRACE_RING_B
 from reference import (
+    Sample,
     eval_poly,
     ext_alpha,
+    pairs_at,
     plwe_oracle,
     reference_hit_counts,
     trace,
@@ -70,12 +70,13 @@ EXT_B = ExtFieldCtx(3, M4099.element(2017))
 # coefficient and truncated errors always stay inside the table
 RING_ORDER6 = RqContext((-1, 0, 0, 0, 0, 0, 1), M4099)
 ALPHA_2018 = M4099.element(2018)
+NO_PAIRS = Pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 4099)
 
 
 class TestSigmaTables:
     def test_single_block_is_an_interval(self):
         m = PrimeModulus(13)
-        table = build_sigma_table_fq(m.element(1), 1, 4, 1.0)
+        table = build_sigma_table_trace(m.element(1), 1, 4, 1.0)
         assert table.values == frozenset(v % 13 for v in range(-4, 5))
         assert table.size == 9
 
@@ -111,7 +112,7 @@ class TestSigmaTables:
 
     def test_cap(self):
         with pytest.raises(TableTooLarge):
-            build_sigma_table_fq(ALPHA_2018, 6, 6, 8.0, cap=10**4)
+            build_sigma_table_trace(ALPHA_2018, 6, 1, 8.0, cap=10**4)
 
 
 def _plwe_samples(ctx, gauss, m, seed, rq0_ext=None):
@@ -134,14 +135,14 @@ def _uniform_samples(ctx, m, seed):
 
 
 class TestSmallSetFq:
-    TABLE = build_sigma_table_fq(ALPHA_2018, 6, 6, 0.7)
+    TABLE = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.7)
 
     def test_truncated_true_value_always_survives(self):
         for seed in range(30):
             inst, samples = _plwe_samples(
                 RING_ORDER6, GaussianSpec(0.7, True), 8, seed
             )
-            verdict = small_set_attack(samples, self.TABLE, ALPHA_2018)
+            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE)
             target = eval_poly(inst.secret_for_tests(), ALPHA_2018).value
             assert verdict.kind in (VERDICT_GUESS, VERDICT_NOT_ENOUGH)
             assert target in verdict.survivors
@@ -149,10 +150,10 @@ class TestSmallSetFq:
     def test_singleton_miss_is_not_plwe(self):
         # sigma = 0.1 collapses the table to {0}; a sample with a = 0, b = 1
         # then rejects every guess
-        table = build_sigma_table_fq(ALPHA_2018, 6, 6, 0.1)
+        table = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.1)
         assert table.values == frozenset({0})
         sample = Sample(RING_ORDER6.zero(), RING_ORDER6.one())
-        verdict = small_set_attack([sample], table, ALPHA_2018)
+        verdict = small_set_attack(pairs_at([sample], ALPHA_2018), table)
         assert verdict.kind == VERDICT_NOT_PLWE
         assert verdict.survivors == ()
 
@@ -163,7 +164,7 @@ class TestSmallSetFq:
         not_plwe = 0
         for seed in range(trials):
             samples = _uniform_samples(RING_ORDER6, M, 1000 + seed)
-            verdict = small_set_attack(samples, self.TABLE, ALPHA_2018)
+            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE)
             not_plwe += verdict.kind == VERDICT_NOT_PLWE
         assert not_plwe / trials >= max(0.0, bound)
 
@@ -177,7 +178,7 @@ class TestSmallSetFq:
 
     def test_no_samples(self):
         with pytest.raises(NoSamples):
-            small_set_attack([], self.TABLE, ALPHA_2018)
+            small_set_attack(NO_PAIRS, self.TABLE)
 
 
 class TestSmallSetTrace:
@@ -197,30 +198,31 @@ class TestSmallSetTrace:
             )
             for _ in range(6)
         ]
-        verdict = small_set_attack(samples, self.TABLE, EXT_B)
+        verdict = small_set_attack(pairs_at(samples, EXT_B), self.TABLE)
         target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B))).value
         assert target in verdict.survivors
 
     def test_non_member_sample_rejected(self):
         sample = Sample(RING_B.monomial(1), RING_B.zero())
         with pytest.raises(NonMemberSample):
-            small_set_attack([sample], self.TABLE, EXT_B)
+            small_set_attack(pairs_at([sample], EXT_B), self.TABLE)
 
     def test_degree_one_extension_matches_fq_attack(self):
         # with n = 1 the subring is everything and the trace is the identity,
-        # so both procedures must agree verdict for verdict
+        # so the batch's pairs at ExtFieldCtx(1, alpha) and the scalar pairs
+        # at alpha must agree verdict for verdict
         ring = RqContext((-1, 0, 1), PrimeModulus(5))  # x^2 - 1, root 4 of order 2
         m5 = PrimeModulus(5)
         alpha = m5.element(4)
         ext1 = ExtFieldCtx(1, alpha)
-        table = build_sigma_table_fq(alpha, 2, 2, 0.7)
+        table = build_sigma_table_trace(alpha, 2, 1, 0.7)
         for seed in range(20):
             if seed % 2:
                 _, samples = _plwe_samples(ring, GaussianSpec(0.7, True), 4, seed)
             else:
                 samples = _uniform_samples(ring, 4, seed)
-            fq = small_set_attack(samples, table, alpha)
-            tr = small_set_attack(samples, table, ext1)
+            fq = small_set_attack(_scalar_pairs(samples, alpha), table)
+            tr = small_set_attack(pairs_at(samples, ext1), table)
             assert fq == tr
 
 
@@ -233,7 +235,7 @@ class TestSmallValues:
         alpha = PrimeModulus(5).element(0)
         for a0, b0 in product(range(5), repeat=2):
             sample = Sample(ring.poly([a0]), ring.poly([b0]))
-            verdict = small_values_attack([sample], alpha)
+            verdict = small_values_attack(pairs_at([sample], alpha))
             oracle = tuple(
                 g for g in range(5) if in_quarter_value(b0 - a0 * g, 5)
             )
@@ -242,7 +244,7 @@ class TestSmallValues:
     def test_zero_b_unit_a_survivor_count(self):
         alpha = PrimeModulus(13).element(0)
         sample = Sample(RING_X.poly([1]), RING_X.poly([0]))
-        verdict = small_values_attack([sample], alpha)
+        verdict = small_values_attack(pairs_at([sample], alpha))
         assert set(verdict.survivors) == {g for g in range(13) if in_quarter_value(-g, 13)}
         assert len(verdict.survivors) == quarter_count(13)
 
@@ -260,7 +262,7 @@ class TestSmallValues:
             )
             for _ in range(5)
         ]
-        verdict = small_values_attack(samples, EXT_B)
+        verdict = small_values_attack(pairs_at(samples, EXT_B))
         target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B))).value
         assert target in verdict.survivors
 
@@ -276,7 +278,7 @@ class TestSmallValues:
         for a_poly in members:
             for b0, b1 in product(range(5), repeat=2):
                 sample = Sample(a_poly, ring.poly([b0, b1]))
-                verdict = small_values_attack([sample], ext)
+                verdict = small_values_attack(pairs_at([sample], ext))
                 for g in verdict.survivors:
                     hits[g] += 1
                 total += 1
@@ -341,7 +343,7 @@ class TestUnbounded:
             s = uniform_oracle(ring, rng)
             if eval_poly(s.a, alpha).value != 0:
                 samples.append(s)
-        decision = unbounded_small_values_attack(samples, 0.2, alpha)
+        decision = unbounded_small_values_attack(pairs_at(samples, alpha), 0.2)
         assert decision.votes == 11 * quarter_count(q)
 
     def test_small_q_distinguishing_accuracy(self):
@@ -362,18 +364,19 @@ class TestUnbounded:
                 samples = [plwe_oracle(inst, rng) for _ in range(ell)]
             else:
                 samples = [uniform_oracle(ring, rng) for _ in range(ell)]
-            decision = unbounded_small_values_attack(samples, delta, alpha)
+            decision = unbounded_small_values_attack(pairs_at(samples, alpha), delta)
             wins += decision.is_plwe == truth_plwe
         assert wins / trials > 0.58
 
     def test_trace_mode_matches_fq_for_degree_one(self):
+        # the batch's pairs at ExtFieldCtx(1, alpha) against scalar evaluation
         ring = RqContext((-1, 0, 1), PrimeModulus(5))
         m5 = PrimeModulus(5)
         alpha = m5.element(4)
         ext1 = ExtFieldCtx(1, alpha)
         samples = _uniform_samples(ring, 9, 3)
-        d_fq = unbounded_small_values_attack(samples, 0.1, alpha)
-        d_tr = unbounded_small_values_attack(samples, 0.1, ext1)
+        d_fq = unbounded_small_values_attack(_scalar_pairs(samples, alpha), 0.1)
+        d_tr = unbounded_small_values_attack(pairs_at(samples, ext1), 0.1)
         assert d_fq == d_tr
 
     def test_hit_grid_row_groups_match_one_group(self):
@@ -383,10 +386,10 @@ class TestUnbounded:
         ring, alpha = _usva_ring(8, q, q - 1), PrimeModulus(q).element(q - 1)
         for samples in (_plwe_samples(ring, GaussianSpec(1.0, False), 25, 31)[1],
                         _uniform_samples(ring, 25, 32)):
-            whole = unbounded_small_values_attack(samples, 0.3, alpha)
+            whole = unbounded_small_values_attack(pairs_at(samples, alpha), 0.3)
             for max_pairs in (0, 2 * q):
                 with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
-                    assert unbounded_small_values_attack(samples, 0.3, alpha) == whole
+                    assert unbounded_small_values_attack(pairs_at(samples, alpha), 0.3) == whole
 
     @given(
         st.sampled_from(["fq5", "fq13", "trace5"]),
@@ -427,7 +430,7 @@ class TestUnbounded:
         ]
         for max_pairs in (attacks._MAX_PAIRS, 0):  # 0: one sample per group
             with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
-                decision = unbounded_small_values_attack(samples, 0.3, point)
+                decision = unbounded_small_values_attack(pairs_at(samples, point), 0.3)
             assert decision.best_hits == max(hits)
             assert decision.votes == sum(hits)
             assert decision.hit_threshold == hit_threshold(ell, q, 0.3)
@@ -458,47 +461,47 @@ class TestLogDomainHitCounts:
         hits = reference_hit_counts(targets, scales, q)
         limit = {"default": attacks._MAX_PAIRS, "2q": 2 * q}.get(max_pairs, max_pairs)
         with mock.patch.object(attacks, "_MAX_PAIRS", limit):
-            decision = unbounded_small_values_attack(Pairs(targets, scales, q), 0.3, None)
+            decision = unbounded_small_values_attack(Pairs(targets, scales, q), 0.3)
         assert decision.votes == int(hits.sum())
         assert decision.best_hits == int(hits.max())
 
 
 class TestExtended:
-    MASK = build_sigma_table_fq(ALPHA_2018, 6, 6, 0.7).mask
+    MASK = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.7).mask
 
     def test_truncated_threshold_is_chunk_count(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 30, 0)
-        decision = extended_attack(samples, 3, self.MASK, ALPHA_2018, 6, p0=1.0)
+        decision = extended_attack(pairs_at(samples, ALPHA_2018), 3, self.MASK, 6, p0=1.0)
         assert decision.threshold == 10
         assert decision.is_plwe
 
     def test_untruncated_threshold_value(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, False), 100, 1)
-        decision = extended_attack(samples, 5, self.MASK, ALPHA_2018, 2, p0=0.954500)
+        decision = extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK, 2, p0=0.954500)
         # ceil(20 * p0^10)
         assert decision.threshold == math.ceil(20 * 0.954500**10) == 13
 
     def test_remainder_samples_dropped(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 7, 2)
         poisoned = samples[:6] + [Sample(RING_ORDER6.zero(), RING_ORDER6.one())]
-        full = extended_attack(poisoned, 3, self.MASK, ALPHA_2018, 6, p0=1.0)
-        trimmed = extended_attack(samples[:6], 3, self.MASK, ALPHA_2018, 6, p0=1.0)
+        full = extended_attack(pairs_at(poisoned, ALPHA_2018), 3, self.MASK, 6, p0=1.0)
+        trimmed = extended_attack(pairs_at(samples[:6], ALPHA_2018), 3, self.MASK, 6, p0=1.0)
         assert (full.votes, full.threshold) == (trimmed.votes, trimmed.threshold)
 
     def test_chunking_is_deterministic(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, False), 40, 3)
-        d1 = extended_attack(samples, 5, self.MASK, ALPHA_2018, 6, p0=0.954500)
-        d2 = extended_attack(samples, 5, self.MASK, ALPHA_2018, 6, p0=0.954500)
+        d1 = extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK, 6, p0=0.954500)
+        d2 = extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK, 6, p0=0.954500)
         assert d1 == d2
 
     def test_insufficient_samples(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 4, 4)
         with pytest.raises(InsufficientSamples):
-            extended_attack(samples, 5, self.MASK, ALPHA_2018, 6, p0=1.0)
+            extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK, 6, p0=1.0)
 
     def test_no_samples(self):
         with pytest.raises(NoSamples):
-            extended_attack([], 5, self.MASK, ALPHA_2018, 6, p0=1.0)
+            extended_attack(NO_PAIRS, 5, self.MASK, 6, p0=1.0)
 
 
 # (ring, point) pairs for the filter property: F_q roots, and binomial
@@ -522,6 +525,14 @@ def _scalar_pair(sample, point):
         alpha = ext_alpha(point)
         return trace(eval_poly(sample.b, alpha)).value, eval_poly(sample.a, alpha).coeffs[0]
     return eval_poly(sample.b, point).value, eval_poly(sample.a, point).value
+
+
+def _scalar_pairs(samples, point):
+    """The Pairs of the samples by scalar evaluation: (t/n, u/n) mod q."""
+    q = samples[0].a.ctx.q
+    n_inv = pow(point.n if isinstance(point, ExtFieldCtx) else 1, -1, q)
+    t, u = np.array([_scalar_pair(s, point) for s in samples], dtype=np.int64).T * n_inv % q
+    return Pairs(t, u, q)
 
 
 @st.composite
@@ -579,7 +590,7 @@ class TestFilterMatchesCandidateMajorLoop:
                 _naive_survivors(pairs[c * m0 : (c + 1) * m0], member, n)
                 for c in range(chunks)
             ]
-            evaluated = attacks._pairs(samples[: chunks * m0], point)
+            evaluated = pairs_at(samples[: chunks * m0], point)
             full, chunk, g = attacks._filter(
                 evaluated.targets.reshape(chunks, m0), evaluated.scales.reshape(chunks, m0), member
             )
@@ -589,12 +600,12 @@ class TestFilterMatchesCandidateMajorLoop:
             votes = sum(1 for survivors in expected if survivors)
             for max_pairs in (attacks._MAX_PAIRS, 0):  # 0: a few chunks per pass
                 with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
-                    decision = extended_attack(samples, m0, member, point, 2, 1.0)
+                    decision = extended_attack(pairs_at(samples, point), m0, member, 2, 1.0)
                 assert decision.votes == votes
-        assert small_set_attack(samples, table, point).survivors == tuple(
+        assert small_set_attack(pairs_at(samples, point), table).survivors == tuple(
             sorted(_naive_survivors(pairs, table.mask, n))
         )
-        assert small_values_attack(samples, point).survivors == tuple(
+        assert small_values_attack(pairs_at(samples, point)).survivors == tuple(
             sorted(_naive_survivors(pairs, quarter, n))
         )
 
@@ -605,13 +616,13 @@ class TestFilterMatchesCandidateMajorLoop:
         # at M0 = 1 the driver votes without a filter pass
         point, _, _, samples = case
         a = point.a if isinstance(point, ExtFieldCtx) else point
-        evaluated = attacks._pairs(samples, point)
+        evaluated = pairs_at(samples, point)
         for member in (build_sigma_table_trace(a, 2, 1, sigma).mask, attacks.quarter_mask(a.q)):
             full, chunk, _ = attacks._filter(
                 evaluated.targets[:, None], evaluated.scales[:, None], member
             )
             votes = int(full.sum()) + np.unique(chunk).size
-            assert extended_attack(samples, 1, member, point, 2, 1.0).votes == votes
+            assert extended_attack(pairs_at(samples, point), 1, member, 2, 1.0).votes == votes
 
 
 class TestVerdictShape:
@@ -667,7 +678,7 @@ class TestTraceSmallValuesSoundness:
                 plwe_oracle(inst, rng, force_a=uniform_rq0_poly(RING_QUAD, EXT_QUAD, rng))
                 for _ in range(4)
             ]
-            verdict = small_values_attack(samples, EXT_QUAD)
+            verdict = small_values_attack(pairs_at(samples, EXT_QUAD))
             assert verdict.kind != VERDICT_NOT_PLWE
 
 
@@ -718,7 +729,7 @@ class TestTruncatedTraceSoundness:
         rng = np.random.default_rng(seed)
         secret = rng.integers(0, ring.q, size=ring.N)
         batch, _ = sample_batch(ring, GaussianSpec(sigma, True), ext, M, rng, secret=secret)
-        verdict = small_values_attack(batch, ext)
+        verdict = small_values_attack(batch.pairs(ext))
         target = trace(eval_poly(ring.poly(secret.tolist()), ext_alpha(ext))).value
         assert target in verdict.survivors
         assert verdict.kind != VERDICT_NOT_PLWE
@@ -740,7 +751,7 @@ class TestUniformRejectionTrace:
                        RING_B.poly(rng.integers(0, q, size=23)))
                 for _ in range(M)
             ]
-            verdict = small_set_attack(samples, table, EXT_B)
+            verdict = small_set_attack(pairs_at(samples, EXT_B), table)
             rejected += verdict.kind == VERDICT_NOT_PLWE
         assert rejected / trials >= bound
 
@@ -763,7 +774,7 @@ class TestSigmaTableInvariants:
         cases = [
             build_sigma_table_trace(M4099.element(2018), 6, 1, 0.7),
             build_sigma_table_trace(M4099.element(2017), 3, 2, 2.5),
-            build_sigma_table_fq(PrimeModulus(13).element(1), 1, 4, 1.0),
+            build_sigma_table_trace(PrimeModulus(13).element(1), 1, 4, 1.0),
         ]
         for table in cases:
             assert table.size <= table.analytic_bound

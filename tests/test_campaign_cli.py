@@ -565,6 +565,15 @@ class TestCli:
         assert cli.main(["replay", "--config", cfg, str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_replay_rejects_non_finite_coefficient(self, tmp_path, capsys):
+        # Python's json reads Infinity, which int() cannot convert
+        cfg = _write(tmp_path, "c.json", _order6_config(trials=1))
+        bad = tmp_path / "inf.jsonl"
+        bad.write_text('{"a": [0,0,0,0,0,0], "b": [0,0,0,0,0,0]}\n'
+                       '{"a": [Infinity,0,0,0,0,0], "b": [0,0,0,0,0,0]}\n')
+        assert cli.main(["replay", "--config", cfg, str(bad)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_replay_rejects_empty_file(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=1))
         empty = tmp_path / "empty.jsonl"
@@ -791,6 +800,24 @@ def test_malformed_config_names_the_field(tmp_path, capsys, command, doc, field)
     cfg = _write(tmp_path, "bad.json", doc)
     assert cli.main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+@pytest.mark.parametrize("command", ["scan", "analyze", "attack"])
+@pytest.mark.parametrize(
+    "sigma,violated",
+    [(1e-200, "sigma*sigma > 0"), (1e200, "sigma*sigma*N*q*q finite")],
+)
+def test_extreme_sigma_is_a_config_error(tmp_path, capsys, command, sigma, violated):
+    # sigma^2 underflows to 0 (sigma_bar = 0) or sigma_bar overflows to inf;
+    # either used to end the series for delta in a traceback
+    cfg = _write(tmp_path, "sigma.json", {
+        "instance": {**USVA_ROOT["instance"], "sigma": sigma},
+        "attack": {"family": "unbounded_small_values", "mode": "fq",
+                   "alpha": USVA_ROOT["alpha"], "ell": 5},
+    })
+    assert cli.main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: instance.sigma:") and violated in err
 
 
 @pytest.mark.parametrize("command", ["scan", "analyze", "attack", "replay"])

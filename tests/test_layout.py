@@ -1,13 +1,15 @@
-"""The package ships one arithmetic path.  The scalar algebra that the tests
-compare the numpy path against lives in tests/reference.py; no module of
-src/plwe_audit or scripts defines, imports or reads it, and the package does
-not export it."""
+"""The package ships one arithmetic path and one sample path.  The scalar
+algebra that the tests compare the numpy path against, and the per-sample
+Sample objects, live in tests/reference.py; no module of src/plwe_audit or
+scripts defines, imports or reads them, and the package does not export
+them.  The attacks read Pairs only and take no evaluation point."""
 
 import ast
 import inspect
 from pathlib import Path
 
 import plwe_audit
+from plwe_audit import attacks
 from plwe_audit.fields import ExtFieldCtx
 from plwe_audit.rings import find_fq_roots
 
@@ -21,12 +23,20 @@ REFERENCE_ONLY = frozenset({
     "rq0_membership", "Rq0Membership",
     # fields
     "ExtFieldElement", "trace",
+    # per-sample objects
+    "Sample", "from_samples",
 })
 # the pure-Python gcd(f, x^q - x) root search, for moduli no command accepts
 DELETED = frozenset({
     "_poly_trim", "_poly_mod", "_poly_gcd", "_poly_mulmod", "_poly_powmod",
     "_poly_quot", "_roots_by_splitting",
+    # the variance-case layer, inlined into analysis.block_structure
+    "VarianceCase", "classify_variance_case", "_centered_powers",
+    # the F_q table wrapper and the per-sample adaptors of the attacks
+    "build_sigma_table_fq", "_as_batch", "_pairs",
 })
+ATTACKS = ("small_set_attack", "small_values_attack", "unbounded_small_values_attack",
+           "extended_attack")
 EXT_ELEMENT_CONSTRUCTORS = frozenset({"element", "from_base", "zero", "one", "alpha"})
 
 
@@ -55,5 +65,9 @@ def test_one_arithmetic_path():
         found = _names(path) & (REFERENCE_ONLY | DELETED)
         assert not found, f"{path.relative_to(ROOT)} uses {sorted(found)}"
     assert not REFERENCE_ONLY & set(vars(plwe_audit))
+    assert not {"sigma_bar", "Sample"} & set(vars(plwe_audit))
     assert not EXT_ELEMENT_CONSTRUCTORS & set(vars(ExtFieldCtx))
     assert list(inspect.signature(find_fq_roots).parameters) == ["ctx"]
+    for name in ATTACKS:
+        params = inspect.signature(getattr(attacks, name)).parameters
+        assert list(params)[0] == "pairs" and "point" not in params, name

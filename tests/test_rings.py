@@ -173,7 +173,7 @@ def test_eval_matrix_matches_scalar_oracles(data):
         "instance": {"N": ctx.N, "f": f, "q": q, "sigma": 1.0, "truncated": True},
         "attack": attack,
     }))
-    assert _true_value(plan, p) == trace(eval_poly(p, ext_alpha(ext))).value
+    assert _true_value(plan, p.as_array()) == trace(eval_poly(p, ext_alpha(ext))).value
 
 
 class TestFindRoots:

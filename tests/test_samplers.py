@@ -7,19 +7,19 @@ from scipy.stats import chisquare
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value, is_irreducible_binomial
 from plwe_audit.instances import TRACE_RING_B
 from plwe_audit.rings import RqContext, load_ring_doc
-from plwe_audit.attacks import _pairs
 from plwe_audit.samplers import (
     BudgetExhausted,
     GaussianSpec,
     PlweInstance,
-    Sample,
-    SampleBatch,
     gaussian_coeffs,
     sample_batch,
 )
 
 from reference import (
+    Sample,
     draw_gaussian,
+    from_samples,
+    pairs_at,
     plwe_draw,
     plwe_oracle,
     plwe_oracle_rq0,
@@ -28,6 +28,7 @@ from reference import (
     ring_sub,
     rq0_membership,
     sample_rq0,
+    to_samples,
     uniform_oracle,
     uniform_oracle_rq0,
     uniform_rq0_poly,
@@ -301,10 +302,10 @@ def test_sample_batch_matches_per_sample_oracles(data):
     assert count == ref_count
     assert np.array_equal(batch.A, [s.a.coeffs for s in ref])
     assert np.array_equal(batch.B, [s.b.coeffs for s in ref])
-    assert batch.samples() == ref
+    assert to_samples(batch) == ref
     for sample in ref:
         assert not any(rq0_membership(sample.a, ext).witness_sums)
-    materialised = _pairs(ref, ext)
+    materialised = pairs_at(ref, ext)
     pairs = batch.pairs(ext)
     assert np.array_equal(pairs.targets, materialised.targets)
     assert np.array_equal(pairs.scales, materialised.scales)
@@ -331,6 +332,6 @@ def test_sample_batch_budget_ends_rejection_sampling():
 def test_sample_batch_round_trips_and_slices():
     rng = np.random.default_rng(41)
     samples = [uniform_oracle(CTX13, rng) for _ in range(5)]
-    batch = SampleBatch.from_samples(samples)
-    assert len(batch) == 5 and batch.samples() == samples
-    assert batch[1:3].samples() == samples[1:3]
+    batch = from_samples(samples)
+    assert len(batch) == 5 and to_samples(batch) == samples
+    assert to_samples(batch[1:3]) == samples[1:3]
