@@ -202,8 +202,13 @@ def delta_probability(q, sigma_bar_value: float, tol: float = DEFAULT_SERIES_TOL
     qv = _q_of(q)
     ratio = qv / (math.sqrt(2.0) * sigma_bar_value)
     p, delta, terms = _quarter_mass(ratio, tol)
-    big_delta = delta - float(uniform_offset(qv))
-    return ProbabilityReport(p, delta, big_delta, ratio, terms)
+    return ProbabilityReport(p, delta, big_delta(qv, delta), ratio, terms)
+
+
+def big_delta(q, delta: float) -> float:
+    """Delta = delta - (+-1/(2q)): the margin of an error image's
+    quarter-interval mass 1/2 + delta over a uniform residue's."""
+    return delta - float(uniform_offset(q))
 
 
 def f_of_r(ratio: float, tol: float = DEFAULT_SERIES_TOL) -> float:
@@ -522,84 +527,93 @@ class VulnReport:
         return not self.roots and not self.factors
 
 
-def log_small_set_size(blocklen: int, sigma: float, r: int) -> float:
-    """Log of the analytic Sigma-table size (4*sqrt(blocklen)*sigma + 1)^r,
-    which overflows a float at high orders."""
-    return r * math.log(4.0 * math.sqrt(blocklen) * sigma + 1.0)
+@dataclass(frozen=True)
+class SmallSetSize:
+    """The Sigma table of r blocks of blocklen error coefficients at width
+    sigma, before it is built: the enumeration bound, the tuple count
+    against the cap, and the analytic size."""
+
+    bound: int  # floor(2*sqrt(blocklen)*sigma): each block value has |x_j| <= bound
+    tuples_log10: float  # log10 of the (2*bound+1)^r enumerated tuples
+    tuple_count: int | None  # (2*bound+1)^r, None from 10^18 on
+    feasible: bool  # the tuple count is at most the cap
+    log_analytic: float  # log of the analytic size
+    analytic: float  # (4*sqrt(blocklen)*sigma+1)^r, inf beyond a float
 
 
-def _small_set_flag(
+def small_set_size(r: int, blocklen: int, sigma: float, cap=DEFAULT_TABLE_CAP) -> SmallSetSize:
+    """The size of the Sigma table, for tables, flags and analyze alike."""
+    bound = math.floor(2.0 * math.sqrt(blocklen) * sigma)
+    tuples_log10 = r * math.log10(2 * bound + 1)
+    tuple_count = (2 * bound + 1) ** r if tuples_log10 < 18 else None
+    feasible = tuples_log10 <= math.log10(cap) if tuple_count is None else tuple_count <= cap
+    base = 4.0 * math.sqrt(blocklen) * sigma + 1.0
+    try:
+        analytic = base**r
+    except OverflowError:
+        analytic = math.inf
+    return SmallSetSize(bound, tuples_log10, tuple_count, feasible, r * math.log(base), analytic)
+
+
+def small_set_flag(
     q: int, p0: float, r: int, blocklen: int, sigma: float, table_cap: int
 ) -> AttackFlag:
-    bound_int = math.floor(2.0 * math.sqrt(blocklen) * sigma)
-    log10_tuples = r * math.log10(2 * bound_int + 1)
-    log_analytic = log_small_set_size(blocklen, sigma, r)
-    analytic = math.exp(log_analytic) if log_analytic < 700.0 else None
+    """The small-set precondition: a table feasible under the cap whose
+    analytic size stays below q*p0^r."""
+    size = small_set_size(r, blocklen, sigma, table_cap)
+    # the report takes the size as exp of its log, which may differ from
+    # the table's power in the last bit; the pinned scan reports read it so
+    analytic = math.exp(size.log_analytic) if math.isfinite(size.analytic) else None
     budget = q * p0**r
-    feasible = log10_tuples <= math.log10(table_cap)
-    if not feasible:
+    ok = size.feasible and size.log_analytic < math.log(q) + r * math.log(p0)
+    if not size.feasible:
         cond = (
-            f"table infeasible: ({2 * bound_int + 1})^{r} ~ 10^{log10_tuples:.0f} "
+            f"table infeasible: ({2 * size.bound + 1})^{r} ~ 10^{size.tuples_log10:.0f} "
             f"> cap {table_cap:.1e} (order too large)"
         )
-        ok = False
     else:
-        ok = log_analytic < math.log(q) + r * math.log(p0)
         rel = "<" if ok else ">="
         shown = (
             f"{analytic:.1f}" if analytic is not None
-            else f"10^{log_analytic / math.log(10):.0f}"
+            else f"10^{size.log_analytic / math.log(10):.0f}"
         )
         cond = f"(4*sqrt({blocklen})*sigma+1)^{r} = {shown} {rel} q*p0^{r} = {budget:.1f}"
     details = {
         "r": r,
         "blocklen": blocklen,
-        "tuple_count": (2 * bound_int + 1) ** r if log10_tuples < 18 else None,
-        "tuple_count_log10": log10_tuples,
+        "tuple_count": size.tuple_count,
+        "tuple_count_log10": size.tuples_log10,
         "analytic_bound": analytic,
         "size_budget": budget,
     }
     if ok:
-        m99 = minimal_samples(
+        details["min_M_for_0.99"] = minimal_samples(
             "small_set", p0 == 1.0, 0.99, q=q, sigma_size=analytic, r=r, p0=p0
         )
-        details["min_M_for_0.99"] = m99
     return AttackFlag("small_set", ok, cond, details)
 
 
-def _small_values_flag(
-    q: int, truncated: bool, sbar: float, strict: bool
-) -> AttackFlag:
-    lhs = 2.0 * sbar
-    rhs = q / 4.0
-    ok = lhs < rhs if strict else lhs <= rhs
-    rel = "<" if strict else "<="
-    shown = rel if ok else (">=" if strict else ">")
+def small_values_flag(q: int, truncated: bool, sbar: float, n: int) -> AttackFlag:
+    """The small-values precondition 2*sigma_bar against q/4 at a root of
+    y^n - a: <= at an F_q root (n = 1), < from n = 2 on."""
+    lhs, rhs = 2.0 * sbar, q / 4.0
+    ok = lhs <= rhs if n == 1 else lhs < rhs
+    shown = ("<=" if n == 1 else "<") if ok else (">" if n == 1 else ">=")
     cond = f"2*sigma_bar = {lhs:.2f} {shown} q/4 = {rhs:.2f}"
     details = {"sigma_bar": sbar}
     if ok:
-        details["min_M_for_0.99"] = minimal_samples(
-            "small_values", truncated, 0.99, q=q
-        )
+        details["min_M_for_0.99"] = minimal_samples("small_values", truncated, 0.99, q=q)
     return AttackFlag("small_values", ok, cond, details)
 
 
-def _usva_flag(q: int, sbar: float) -> AttackFlag:
-    report = delta_probability(q, sbar)
-    ok = report.big_delta > 0
-    rel = ">" if ok else "<="
-    cond = f"Delta = {report.big_delta:.6g} {rel} 0"
-    return AttackFlag(
-        "unbounded_small_values",
-        ok,
-        cond,
-        {
-            "delta": report.delta,
-            "big_delta": report.big_delta,
-            "ratio": report.ratio,
-            "p_event": report.p_event,
-        },
-    )
+def unbounded_flag(q: int, delta: float, **details) -> AttackFlag:
+    """The unbounded precondition Delta > 0 for the caller's delta (the
+    series, a Monte Carlo estimate or a given value), with extra details."""
+    margin = big_delta(q, delta)
+    ok = margin > 0
+    cond = f"Delta = {margin:.6g} {'>' if ok else '<='} 0"
+    details = {"delta": delta, "big_delta": margin, **details}
+    return AttackFlag("unbounded_small_values", ok, cond, details)
 
 
 def scan_instance(
@@ -623,13 +637,14 @@ def scan_instance(
     G = generator_powers(q)
     seen: dict[tuple, tuple[AttackFlag, ...]] = {}
 
-    def flags(bs: BlockStructure, strict: bool) -> tuple[AttackFlag, ...]:
-        key = (bs.r_eff, bs.blocklen, bs.sigma_bar, strict)
+    def flags(bs: BlockStructure, n: int) -> tuple[AttackFlag, ...]:
+        key = (bs.r_eff, bs.blocklen, bs.sigma_bar, n)
         if key not in seen:
+            prob = delta_probability(q, bs.sigma_bar)
             seen[key] = (
-                _small_set_flag(q, p0, bs.r_eff, bs.blocklen, sigma, table_cap),
-                _small_values_flag(q, truncated, bs.sigma_bar, strict),
-                _usva_flag(q, bs.sigma_bar),
+                small_set_flag(q, p0, bs.r_eff, bs.blocklen, sigma, table_cap),
+                small_values_flag(q, truncated, bs.sigma_bar, n),
+                unbounded_flag(q, prob.delta, ratio=prob.ratio, p_event=prob.p_event),
             )
         return seen[key]
 
@@ -643,7 +658,7 @@ def scan_instance(
     factors = [
         FactorVuln(
             n, a, bs.order, bs.n_terms, bs.blocklen, bs.case_kind, bs.sigma_bar,
-            flags(bs, True),
+            flags(bs, n),
         )
         for n in range(2, min(n_max, N) + 1)
         for a, bs in points(n)
@@ -651,7 +666,7 @@ def scan_instance(
     return VulnReport(
         q, N, sigma, truncated,
         tuple(
-            RootVuln(a, bs.order, bs.case_kind, bs.sigma_bar, flags(bs, False))
+            RootVuln(a, bs.order, bs.case_kind, bs.sigma_bar, flags(bs, 1))
             for a, bs in roots
         ),
         tuple(factors),

@@ -22,14 +22,12 @@ survivor sets of the naive candidate-major loop over F_q.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import extended_threshold, hit_threshold, log_small_set_size, usva_threshold
+from .analysis import extended_threshold, hit_threshold, small_set_size, usva_threshold
 from .fields import FieldElement
 from .rings import generator_powers
 from .samplers import Pairs
@@ -140,36 +138,30 @@ class HitCountDecision(Decision):
 # Sigma tables
 
 
-@dataclass(frozen=True)
+# a Sigma table build and extended_attack hold at most max(q, _MAX_PAIRS)
+# entries or candidates at a time, and the unbounded attack at most as many
+# entries of its hit grid
+_MAX_PAIRS = 2**20
+
+
+@dataclass(frozen=True, eq=False)  # an ndarray field: tables compare by identity
 class SigmaTable:
     """The set of residues a collapsed error value can plausibly take.
 
-    values holds the exact residue set sum_j x_j w^j mod q over integer tuples
-    with |x_j| <= floor(block_sigma); analytic_bound keeps the real-width
-    cardinality estimate (4*sqrt(blocklen)*sigma + 1)^r for reporting, or
-    inf when that exceeds a float.
+    mask is the read-only membership mask of the exact residue set
+    sum_j x_j w^j mod q over integer tuples with |x_j| <= the bound of
+    analysis.small_set_size; analytic_bound keeps the real-width cardinality
+    estimate (4*sqrt(blocklen)*sigma + 1)^r for reporting, or inf when that
+    exceeds a float.
     """
 
-    values: frozenset[int]
+    mask: np.ndarray
     analytic_bound: float
     r: int
-    block_sigma: float  # 2*sqrt(blocklen)*sigma
-    q: int
 
     @property
     def size(self) -> int:
-        return len(self.values)
-
-    @cached_property
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.q, dtype=bool)
-        m[np.fromiter(self.values, dtype=np.int64, count=len(self.values))] = True
-        m.flags.writeable = False
-        return m
-
-
-# log of the largest float, less a margin for the rounding of the log itself
-_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
+        return int(np.count_nonzero(self.mask))
 
 
 def build_sigma_table_trace(
@@ -177,28 +169,33 @@ def build_sigma_table_trace(
 ) -> SigmaTable:
     """Table for evaluation at a root of the binomial y^n - a, n = 1 included:
     r blocks of blocklen raw error coefficients weighted by the powers of a
-    (of order r)."""
+    (of order r).
+
+    Round j adds x * a^j, |x| <= bound, to every residue reached so far; a
+    round with bound 0 adds nothing, and 2*bound+1 >= q offsets reach all
+    of F_q at once.  Each round takes its residues in groups, so every
+    temporary holds at most max(q, _MAX_PAIRS) entries.
+    """
     if r < 1 or blocklen < 1:
         raise ValueError("need r >= 1 and block length >= 1")
     q = a.q
-    block_sigma = 2.0 * math.sqrt(blocklen) * sigma
-    bound = math.floor(block_sigma)
-    tuple_count = (2 * bound + 1) ** r
-    if tuple_count > cap:
+    size = small_set_size(r, blocklen, sigma, cap)
+    if not size.feasible:
         raise TableTooLarge(
-            f"enumeration of {tuple_count} tuples exceeds the cap of {cap}"
+            f"enumeration of {2 * size.bound + 1}^{r} tuples exceeds the cap of {cap}"
         )
-    offsets = range(-bound, bound + 1)
-    values = {0}
-    power = 1
-    for _ in range(r):
-        values = {(v + x * power) % q for v in values for x in offsets}
-        power = power * a.value % q
-    if log_small_set_size(blocklen, sigma, r) < _LOG_FLOAT_MAX:
-        analytic = (4.0 * math.sqrt(blocklen) * sigma + 1.0) ** r
-    else:
-        analytic = math.inf
-    return SigmaTable(frozenset(values), analytic, r, block_sigma, q)
+    mask = np.full(q, 2 * size.bound + 1 >= q)
+    mask[0] = True
+    if 0 < size.bound < q // 2:  # 2*bound+1 < q
+        offsets = np.arange(-size.bound, size.bound + 1, dtype=np.int64)
+        step = max(q, _MAX_PAIRS) // offsets.size
+        for j in range(r):
+            shifts = offsets * pow(a.value, j, q) % q
+            reached = np.flatnonzero(mask)
+            for lo in range(0, reached.size, step):
+                mask[(reached[lo : lo + step, None] + shifts) % q] = True
+    mask.flags.writeable = False
+    return SigmaTable(mask, size.analytic, r)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +205,6 @@ def build_sigma_table_trace(
 def _require_samples(pairs: Pairs) -> None:
     if not len(pairs):
         raise NoSamples("the sample set is empty")
-
-
-# extended_attack holds at most max(q, _MAX_PAIRS) candidates at a time, and
-# the unbounded attack at most as many entries of its hit grid
-_MAX_PAIRS = 2**20
 
 
 def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
@@ -243,13 +235,6 @@ def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
         pair, s = pair.take(keep), s.take(keep)
     g = (targets[rows, first].take(pair) - s) * inv.take(pair) % q
     return alive & zero.all(axis=1), rows.take(pair), g
-
-
-def _verdict(pairs: Pairs, member: np.ndarray) -> AttackVerdict:
-    """The basic verdict: all samples form one chunk."""
-    _require_samples(pairs)
-    full, _, g = _filter(pairs.targets[None], pairs.scales[None], member)
-    return AttackVerdict(tuple(range(member.size)) if full[0] else tuple(np.sort(g).tolist()))
 
 
 @lru_cache(maxsize=16)
@@ -283,24 +268,28 @@ def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # basic attacks
 
 
-def small_set_attack(pairs: Pairs, table: SigmaTable) -> AttackVerdict:
+def small_set_attack(pairs: Pairs, member: np.ndarray) -> AttackVerdict:
     """Keep the candidates g for s(alpha) with b_i(alpha) - a_i(alpha)*g in
-    Sigma for every sample.
+    Sigma for every sample, Sigma given by its membership mask mod q: a
+    SigmaTable's mask, or the quarter interval of the small-values attack.
 
     At a root of a binomial divisor y^n - a the samples must lie in R_{q,0}
     and g guesses Tr(s(alpha)): the test is (1/n)(Tr(b_i(alpha)) -
     a_i(alpha)*g) in Sigma.  With a_i(alpha) in F_q the trace of the
     tentative error collapses to Tr(b_i(alpha)) - a_i(alpha)*Tr(s(alpha)), so
-    looping g over F_q covers all secrets.
+    looping g over F_q covers all secrets.  All samples form one chunk of
+    the survivor filter.
     """
-    if table.q != pairs.q:
-        raise AttackError("table was built for a different modulus")
-    return _verdict(pairs, table.mask)
+    _require_samples(pairs)
+    if member.size != pairs.q:
+        raise AttackError("membership mask was built for a different modulus")
+    full, _, g = _filter(pairs.targets[None], pairs.scales[None], member)
+    return AttackVerdict(tuple(range(member.size)) if full[0] else tuple(np.sort(g).tolist()))
 
 
 def small_values_attack(pairs: Pairs) -> AttackVerdict:
-    """Survivor test: the tentative error lands in [-q/4, q/4)."""
-    return _verdict(pairs, quarter_mask(pairs.q))
+    """The small-set attack with Sigma the interval [-q/4, q/4)."""
+    return small_set_attack(pairs, quarter_mask(pairs.q))
 
 
 # ---------------------------------------------------------------------------

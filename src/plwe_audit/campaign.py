@@ -25,6 +25,8 @@ from .analysis import (
     extended_gate,
     monte_carlo_delta,
     posterior_bounds,
+    small_values_flag,
+    unbounded_flag,
 )
 from .attacks import (
     VERDICT_NOT_PLWE,
@@ -36,7 +38,6 @@ from .attacks import (
     extended_attack,
     quarter_mask,
     small_set_attack,
-    small_values_attack,
     unbounded_small_values_attack,
 )
 from .fields import ExtFieldCtx
@@ -233,6 +234,9 @@ class AttackPlan:
     point: ExtFieldCtx
     blocks: analysis.BlockStructure
     table: Optional[SigmaTable] = None
+    # the filter families' mask, the table's or the quarter interval's
+    member: Optional[np.ndarray] = None
+    member_r: int = 1
     delta: Optional[float] = None
     gate: Optional[analysis.GateReport] = None
     preconditions: list[str] = field(default_factory=list)
@@ -249,27 +253,32 @@ def _check(plan: AttackPlan, ok: bool, text: str) -> None:
         raise PreconditionRefused(text)
 
 
-def _evaluation_point(cfg: ExperimentConfig) -> ExtFieldCtx:
-    """The root alpha of y^n - a the attack evaluates at; an F_q root alpha
-    is ExtFieldCtx(1, alpha).  It must be a root of f mod q."""
-    att, ring = cfg.attack, cfg.ring
+def resolve_point(
+    ring: RqContext, sigma: float, alpha: int | None = None,
+    n: int | None = None, a: int | None = None,
+) -> tuple[ExtFieldCtx, analysis.BlockStructure]:
+    """The root an attack evaluates at, with its block structure: the F_q
+    root alpha (ExtFieldCtx(1, alpha)) when given, else the root of y^n - a.
+    A point that is not a root of f mod q (a reducible y^n - a included) is
+    a ConfigError naming the field; the test is exact in Python ints at any q."""
     q = ring.q
-    if att.mode == "fq":
-        point = ExtFieldCtx(1, ring.modulus.element(att.alpha))
+    if alpha is not None:
+        point = ExtFieldCtx(1, ring.modulus.element(alpha))
         missed = f"attack.alpha: {point.a.value} is not a root of f mod {q}"
     else:
-        n, a = att.n, att.a % q
         if n < 2 or n > ring.N:
             raise ConfigError(f"attack.n: must satisfy 2 <= n <= {ring.N}")
         try:
             point = ExtFieldCtx(n, ring.modulus.element(a))
         except ValueError as exc:
-            raise ConfigError(f"attack.a: x^{n} - {a} is reducible mod {q}") from exc
-        missed = f"attack.a: x^{n} - {a} does not divide f mod {q}"
-    f_at_point = np.array(ring.f_mod, dtype=np.int64) @ eval_matrix(point, ring.N + 1) % q
-    if f_at_point.any():
+            raise ConfigError(f"attack.a: x^{n} - {a % q} is reducible mod {q}") from exc
+        missed = f"attack.a: x^{n} - {point.a.value} does not divide f mod {q}"
+    # coordinate j of the remainder sums f_k a^(k // n) over k = j mod n
+    n, a = point.n, point.a.value
+    terms = [(k, c) for k, c in enumerate(ring.f_mod) if c]
+    if any(sum(c * pow(a, k // n, q) for k, c in terms if k % n == j) % q for j in range(n)):
         raise ConfigError(missed)
-    return point
+    return point, block_structure(n, point.a, ring.N, sigma)
 
 
 def check_ring(ring: RqContext) -> None:
@@ -291,31 +300,25 @@ def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) ->
     q = ring.q
     p0 = cfg.gauss.p0
     check_ring(ring)
-    point = _evaluation_point(cfg)
-    blocks = block_structure(point.n, point.a, ring.N, cfg.gauss.sigma)
+    point, blocks = resolve_point(
+        ring, cfg.gauss.sigma, att.alpha if att.mode == "fq" else None, att.n, att.a
+    )
     plan = AttackPlan(cfg, point, blocks)
-    r_eff = blocks.r_eff
 
-    family = att.family
-    if family in ("small_set", "extended_small_set"):
+    if att.family in ("small_set", "extended_small_set"):
         try:
             plan.table = build_sigma_table_trace(
-                point.a, r_eff, blocks.blocklen, cfg.gauss.sigma, cfg.table_cap
+                point.a, blocks.r_eff, blocks.blocklen, cfg.gauss.sigma, cfg.table_cap
             )
         except TableTooLarge as exc:
             raise PreconditionRefused(str(exc)) from exc
-        budget = q * p0**r_eff
-        _check(
-            plan,
-            plan.table.size < budget,
-            f"|Sigma| = {plan.table.size} < q*p0^r = {budget:.1f}",
-        )
-    elif family in ("small_values", "extended_small_values"):
-        lhs, rhs = 2.0 * blocks.sigma_bar, q / 4.0
-        if point.n == 1:
-            _check(plan, lhs <= rhs, f"2*sigma_bar = {lhs:.2f} <= q/4 = {rhs:.2f}")
-        else:
-            _check(plan, lhs < rhs, f"2*sigma_bar = {lhs:.2f} < q/4 = {rhs:.2f}")
+        plan.member, plan.member_r = plan.table.mask, blocks.r_eff
+        size, budget = plan.table.size, q * p0**blocks.r_eff
+        _check(plan, size < budget, f"|Sigma| = {size} < q*p0^r = {budget:.1f}")
+    elif att.family in ("small_values", "extended_small_values"):
+        plan.member = quarter_mask(q)
+        flag = small_values_flag(q, cfg.gauss.truncated, blocks.sigma_bar, point.n)
+        _check(plan, flag.applicable, flag.condition)
     else:  # unbounded_small_values
         if att.delta is None or att.delta == "series":
             plan.delta = delta_probability(q, blocks.sigma_bar).delta
@@ -324,15 +327,13 @@ def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) ->
             plan.delta = monte_carlo_delta(q, blocks.sigma_bar, mc_rng)
         else:
             plan.delta = float(att.delta)
-        big_delta = plan.delta - float(analysis.uniform_offset(q))
-        _check(plan, big_delta > 0, f"Delta = {big_delta:.6g} > 0")
+        flag = unbounded_flag(q, plan.delta)
+        _check(plan, flag.applicable, flag.condition)
 
-    if family in EXTENDED_FAMILIES:
+    if att.family in EXTENDED_FAMILIES:
         _check(plan, att.M0 <= att.M, f"M0 = {att.M0} <= M = {att.M}")
-        if plan.table is not None:
-            plan.gate = extended_gate(plan.table.size, q, p0, att.M0, r_eff)
-        else:
-            plan.gate = extended_gate(analysis.quarter_count(q), q, p0, att.M0, 1)
+        size = int(np.count_nonzero(plan.member))  # |Sigma| or quarter_count(q)
+        plan.gate = extended_gate(size, q, p0, att.M0, plan.member_r)
     return plan
 
 
@@ -366,16 +367,12 @@ def _generate_samples(
 
 def run_attack_once(plan: AttackPlan, pairs: Pairs):
     """Dispatch the configured attack on the pairs of one sample batch."""
-    att, table = plan.cfg.attack, plan.table
+    att = plan.cfg.attack
     if att.family == "unbounded_small_values":
         return unbounded_small_values_attack(pairs, plan.delta)
     if att.family in BASIC_FAMILIES:
-        if table is not None:
-            return small_set_attack(pairs, table)
-        return small_values_attack(pairs)
-    member = table.mask if table is not None else quarter_mask(plan.cfg.ring.q)
-    r_eff = table.r if table is not None else 1
-    return extended_attack(pairs, att.M0, member, r_eff, plan.cfg.gauss.p0)
+        return small_set_attack(pairs, plan.member)
+    return extended_attack(pairs, att.M0, plan.member, plan.member_r, plan.cfg.gauss.p0)
 
 
 def _says_plwe(outcome) -> bool:
@@ -592,9 +589,9 @@ def save_samples(path: str, record: list[tuple[np.ndarray, np.ndarray]]) -> None
 
 def load_samples(path: str, plan: AttackPlan) -> SampleBatch:
     """Read a sample file for a replay of plan's attack.  A malformed line,
-    a component without exactly N coefficients, an a outside R_{q,0} or
-    fewer samples than one chunk of an extended attack is a ConfigError
-    naming the file and the line."""
+    a component without exactly N coefficients, a coefficient that is not a
+    JSON integer, an a outside R_{q,0} or fewer samples than one chunk of an
+    extended attack is a ConfigError naming the file and the line."""
     ring, att, q = plan.cfg.ring, plan.cfg.attack, plan.cfg.ring.q
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -609,7 +606,10 @@ def load_samples(path: str, plan: AttackPlan) -> SampleBatch:
             sizes = (len(doc["a"]), len(doc["b"]))
             if sizes != (ring.N, ring.N):
                 raise ValueError(f"a and b need N = {ring.N} coefficients, got {sizes}")
-            rows.append([int(c) % q for c in doc["a"]] + [int(c) % q for c in doc["b"]])
+            coeffs = doc["a"] + doc["b"]
+            if bad := [c for c in coeffs if type(c) is not int]:  # int() takes 2.5 and true
+                raise ValueError(f"coefficients must be integers, got {bad[0]!r}")
+            rows.append([c % q for c in coeffs])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"sample file {path}: line {lineno}: {exc}") from exc
         linenos.append(lineno)

@@ -14,20 +14,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .analysis import (
-    block_structure,
     delta_probability,
     f_of_r_table,
-    log_small_set_size,
     minimal_samples,
     monte_carlo_delta,
     scan_instance,
+    small_set_size,
+    small_values_flag,
 )
 from .campaign import (
     ConfigError,
@@ -39,6 +38,7 @@ from .campaign import (
     int_field,
     load_samples,
     read_config,
+    resolve_point,
     run_attack_once,
     run_campaign,
     save_samples,
@@ -174,23 +174,20 @@ def _cmd_analyze(args) -> int:
     att = section(doc.get("attack", {}), "attack")
     q = ring.q
     if att.get("n") is not None and att.get("a") is not None:
-        n = int_field(att["n"], "attack.n", low=1, high=ring.N + 1)
-        a_elt = ring.modulus.element(int_field(att["a"], "attack.a"))
+        n, a = int_field(att["n"], "attack.n"), int_field(att["a"], "attack.a")
+        point, blocks = resolve_point(ring, sigma, None, n, a)
+        where = {
+            "n": n, "a": point.a.value, "n_prime": blocks.n_terms, "n_second": blocks.blocklen
+        }
     elif att.get("alpha") is not None:
-        n, a_elt = 1, ring.modulus.element(int_field(att["alpha"], "attack.alpha"))
+        point, blocks = resolve_point(ring, sigma, int_field(att["alpha"], "attack.alpha"))
+        where = {"alpha": point.a.value}
     else:
         raise ConfigError("attack.alpha (or attack.n/attack.a): required for analyze")
-    blocks = block_structure(n, a_elt, ring.N, sigma)
-    if n == 1:
-        point = {"alpha": a_elt.value}
-    else:
-        point = {
-            "n": n, "a": a_elt.value, "n_prime": blocks.n_terms, "n_second": blocks.blocklen
-        }
     prob = delta_probability(q, blocks.sigma_bar)
     out = {
         "q": q,
-        **point,
+        **where,
         "order": blocks.order,
         "case": blocks.case_kind,
         "sigma_bar": blocks.sigma_bar,
@@ -200,10 +197,11 @@ def _cmd_analyze(args) -> int:
         "ratio": prob.ratio,
         "warnings": [],
     }
-    if prob.ratio > 4.0 * 2.0**0.5:
+    fits = small_values_flag(q, truncated, blocks.sigma_bar, point.n)
+    if fits.applicable:
         out["warnings"].append(
-            f"ratio {prob.ratio:.3f} exceeds 4*sqrt(2): the error image fits in the "
-            "quarter interval, so the bounded small-values attack applies instead"
+            f"{fits.condition}: the error image fits in the quarter interval, "
+            "so the bounded small-values attack applies instead"
         )
     if args.mc_check:
         rng = np.random.default_rng(seed_from_dict(doc))
@@ -221,15 +219,10 @@ def _cmd_analyze(args) -> int:
                 "small_values", truncated, args.min_M, q=q
             ),
         }
-        log_size = log_small_set_size(blocks.blocklen, sigma, blocks.r_eff)
-        if blocks.order and log_size < math.log(q):
+        size = small_set_size(blocks.r_eff, blocks.blocklen, sigma).analytic
+        if blocks.order and size < q:
             out["min_M"]["small_set"] = minimal_samples(
-                "small_set",
-                truncated,
-                args.min_M,
-                q=q,
-                sigma_size=math.exp(log_size),
-                r=blocks.r_eff,
+                "small_set", truncated, args.min_M, q=q, sigma_size=size, r=blocks.r_eff
             )
     if args.f_of_r_csv:
         grid = [4.0 * 2.0**0.5 * (i + 1) / 1000.0 for i in range(1000)]

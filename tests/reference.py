@@ -24,10 +24,14 @@ The unbounded attack's hit counts on the (ell, q) grid (t_i - u_i*g) mod q,
 and the Monte Carlo delta as a per-draw count mod q: the forms that
 attacks.unbounded_small_values_attack and analysis.monte_carlo_delta
 replaced by the log-domain count and the histogram.
+
+The Sigma residue set by enumeration, one Python set per round: the form
+that attacks.build_sigma_table_trace replaced by its numpy mask.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -439,3 +443,16 @@ def reference_monte_carlo_delta(q, sigma_bar_value, rng, draws=10**6):
     """The quarter-interval share of the rounded draws reduced mod q, less 1/2."""
     x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws)).astype(np.int64) % q
     return float(((4 * x < q) | (4 * x >= 3 * q)).mean()) - 0.5
+
+
+def reference_sigma_values(a: FieldElement, r: int, blocklen: int, sigma: float) -> frozenset:
+    """The residues sum_j x_j a^j mod q, j < r, over the integer tuples with
+    |x_j| <= floor(2*sqrt(blocklen)*sigma)."""
+    q = a.q
+    bound = math.floor(2.0 * math.sqrt(blocklen) * sigma)
+    values = {0}
+    power = 1
+    for _ in range(r):
+        values = {(v + x * power) % q for v in values for x in range(-bound, bound + 1)}
+        power = power * a.value % q
+    return frozenset(values)

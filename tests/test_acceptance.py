@@ -263,7 +263,7 @@ def test_criterion_11_truncated_soundness():
         rng = np.random.default_rng([7000, seed])
         inst = PlweInstance.generate(ring6, gauss6, rng)
         samples = [plwe_oracle(inst, rng) for _ in range(5)]
-        verdict = small_set_attack(pairs_at(samples, alpha6), table)
+        verdict = small_set_attack(pairs_at(samples, alpha6), table.mask)
         target = eval_poly(inst.secret_for_tests(), alpha6).value
         ok &= verdict.kind != VERDICT_NOT_PLWE and target in verdict.survivors
 

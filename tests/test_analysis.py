@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -31,6 +32,7 @@ from plwe_audit.analysis import (
     uniform_offset,
     usva_threshold,
 )
+from plwe_audit.campaign import PreconditionRefused, build_plan, config_from_dict
 from plwe_audit.fields import PrimeModulus, is_prime
 from plwe_audit.instances import (
     KYBER_STYLE_RING,
@@ -438,3 +440,28 @@ def test_scan_reports_are_pinned(name, doc, sigma, truncated):
     report = scan_instance(load_ring_doc(doc), sigma, truncated).to_dict()
     blob = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == SCAN_DIGESTS[f"{name}-{truncated}"]
+
+
+@pytest.mark.parametrize("name,doc,sigma", PINNED_SCANS, ids=[c[0] for c in PINNED_SCANS])
+def test_plan_and_scan_agree(name, doc, sigma):
+    """At every point a scan lists, build_plan passes the small-values and
+    the series unbounded precondition exactly when the scan flags them
+    applicable, and records the flag's condition."""
+    report = scan_instance(load_ring_doc(doc), sigma, False)
+    points = [({"mode": "fq", "alpha": root.alpha}, root.flags) for root in report.roots]
+    points += [({"mode": "trace", "n": fac.n, "a": fac.a}, fac.flags) for fac in report.factors]
+    instance = {**doc, "sigma": sigma, "truncated": False}
+    for family, extra in [("small_values", {"M": 1}),
+                          ("unbounded_small_values", {"ell": 1, "delta": "series"})]:
+        cfg = config_from_dict({"instance": instance, "attack": {
+            "family": family, "mode": "fq", "alpha": 1, **extra}})
+        for where, flags in points:
+            flag = next(f for f in flags if f.attack == family)
+            attack = dataclasses.replace(cfg.attack, **where)
+            try:
+                plan = build_plan(dataclasses.replace(cfg, attack=attack))
+            except PreconditionRefused as exc:
+                assert not flag.applicable and str(exc) == flag.condition, (where, family)
+                continue
+            assert flag.applicable, (where, family)
+            assert plan.preconditions == ["ok: " + flag.condition]

@@ -1,4 +1,6 @@
 import math
+import timeit
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -15,6 +17,7 @@ from plwe_audit.analysis import (
     hit_threshold,
     monte_carlo_delta,
     quarter_count,
+    small_set_size,
     usva_threshold,
 )
 from plwe_audit.attacks import (
@@ -57,6 +60,7 @@ from reference import (
     pairs_at,
     plwe_oracle,
     reference_hit_counts,
+    reference_sigma_values,
     trace,
     uniform_oracle,
     uniform_rq0_poly,
@@ -73,11 +77,15 @@ ALPHA_2018 = M4099.element(2018)
 NO_PAIRS = Pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 4099)
 
 
+def _residues(table):
+    return frozenset(np.flatnonzero(table.mask).tolist())
+
+
 class TestSigmaTables:
     def test_single_block_is_an_interval(self):
         m = PrimeModulus(13)
         table = build_sigma_table_trace(m.element(1), 1, 4, 1.0)
-        assert table.values == frozenset(v % 13 for v in range(-4, 5))
+        assert _residues(table) == frozenset(v % 13 for v in range(-4, 5))
         assert table.size == 9
 
     def test_trace_table_order6(self):
@@ -88,7 +96,7 @@ class TestSigmaTables:
         oracle = set()
         for xs in product(range(-1, 2), repeat=6):
             oracle.add(sum(x * pow(2018, j, 4099) for j, x in enumerate(xs)) % 4099)
-        assert table.values == frozenset(oracle)
+        assert _residues(table) == frozenset(oracle)
 
     def test_analytic_bound_beyond_a_float_is_inf(self):
         # 7 has order 2048 mod 12289: 1.8^2048 overflows, 1.8^1024 does not
@@ -103,12 +111,13 @@ class TestSigmaTables:
         oracle = set()
         for xs in product(range(-7, 8), repeat=3):
             oracle.add(sum(x * pow(2017, j, 4099) for j, x in enumerate(xs)) % 4099)
-        assert table.values == frozenset(oracle)
+        assert _residues(table) == frozenset(oracle)
         assert table.size <= 15**3
 
     def test_block_sigma_recorded(self):
-        table = build_sigma_table_trace(M4099.element(2017), 3, 2, 2.5)
-        assert table.block_sigma == pytest.approx(2 * math.sqrt(2) * 2.5)
+        size = small_set_size(3, 2, 2.5)
+        assert size.bound == math.floor(2 * math.sqrt(2) * 2.5) == 7
+        assert size.tuple_count == 15**3 and size.feasible
 
     def test_cap(self):
         with pytest.raises(TableTooLarge):
@@ -142,7 +151,7 @@ class TestSmallSetFq:
             inst, samples = _plwe_samples(
                 RING_ORDER6, GaussianSpec(0.7, True), 8, seed
             )
-            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE)
+            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE.mask)
             target = eval_poly(inst.secret_for_tests(), ALPHA_2018).value
             assert verdict.kind in (VERDICT_GUESS, VERDICT_NOT_ENOUGH)
             assert target in verdict.survivors
@@ -151,9 +160,9 @@ class TestSmallSetFq:
         # sigma = 0.1 collapses the table to {0}; a sample with a = 0, b = 1
         # then rejects every guess
         table = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.1)
-        assert table.values == frozenset({0})
+        assert _residues(table) == frozenset({0})
         sample = Sample(RING_ORDER6.zero(), RING_ORDER6.one())
-        verdict = small_set_attack(pairs_at([sample], ALPHA_2018), table)
+        verdict = small_set_attack(pairs_at([sample], ALPHA_2018), table.mask)
         assert verdict.kind == VERDICT_NOT_PLWE
         assert verdict.survivors == ()
 
@@ -164,7 +173,7 @@ class TestSmallSetFq:
         not_plwe = 0
         for seed in range(trials):
             samples = _uniform_samples(RING_ORDER6, M, 1000 + seed)
-            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE)
+            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE.mask)
             not_plwe += verdict.kind == VERDICT_NOT_PLWE
         assert not_plwe / trials >= max(0.0, bound)
 
@@ -178,7 +187,7 @@ class TestSmallSetFq:
 
     def test_no_samples(self):
         with pytest.raises(NoSamples):
-            small_set_attack(NO_PAIRS, self.TABLE)
+            small_set_attack(NO_PAIRS, self.TABLE.mask)
 
 
 class TestSmallSetTrace:
@@ -198,14 +207,14 @@ class TestSmallSetTrace:
             )
             for _ in range(6)
         ]
-        verdict = small_set_attack(pairs_at(samples, EXT_B), self.TABLE)
+        verdict = small_set_attack(pairs_at(samples, EXT_B), self.TABLE.mask)
         target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B))).value
         assert target in verdict.survivors
 
     def test_non_member_sample_rejected(self):
         sample = Sample(RING_B.monomial(1), RING_B.zero())
         with pytest.raises(NonMemberSample):
-            small_set_attack(pairs_at([sample], EXT_B), self.TABLE)
+            small_set_attack(pairs_at([sample], EXT_B), self.TABLE.mask)
 
     def test_degree_one_extension_matches_fq_attack(self):
         # with n = 1 the subring is everything and the trace is the identity,
@@ -221,8 +230,8 @@ class TestSmallSetTrace:
                 _, samples = _plwe_samples(ring, GaussianSpec(0.7, True), 4, seed)
             else:
                 samples = _uniform_samples(ring, 4, seed)
-            fq = small_set_attack(_scalar_pairs(samples, alpha), table)
-            tr = small_set_attack(pairs_at(samples, ext1), table)
+            fq = small_set_attack(_scalar_pairs(samples, alpha), table.mask)
+            tr = small_set_attack(pairs_at(samples, ext1), table.mask)
             assert fq == tr
 
 
@@ -602,7 +611,7 @@ class TestFilterMatchesCandidateMajorLoop:
                 with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
                     decision = extended_attack(pairs_at(samples, point), m0, member, 2, 1.0)
                 assert decision.votes == votes
-        assert small_set_attack(pairs_at(samples, point), table).survivors == tuple(
+        assert small_set_attack(pairs_at(samples, point), table.mask).survivors == tuple(
             sorted(_naive_survivors(pairs, table.mask, n))
         )
         assert small_values_attack(pairs_at(samples, point)).survivors == tuple(
@@ -751,7 +760,7 @@ class TestUniformRejectionTrace:
                        RING_B.poly(rng.integers(0, q, size=23)))
                 for _ in range(M)
             ]
-            verdict = small_set_attack(pairs_at(samples, EXT_B), table)
+            verdict = small_set_attack(pairs_at(samples, EXT_B), table.mask)
             rejected += verdict.kind == VERDICT_NOT_PLWE
         assert rejected / trials >= bound
 
@@ -783,4 +792,79 @@ class TestSigmaTableInvariants:
         m = PrimeModulus(4099)
         table = build_sigma_table_trace(m.element(1), 1, 7, 2.5)
         limit = math.floor(2 * math.sqrt(7) * 2.5)
-        assert table.values == frozenset(v % 4099 for v in range(-limit, limit + 1))
+        assert _residues(table) == frozenset(v % 4099 for v in range(-limit, limit + 1))
+
+
+def _peak_bytes(build):
+    """The result of build() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSigmaMask:
+    """The numpy mask of build_sigma_table_trace against the set enumeration
+    of reference.reference_sigma_values."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([p for p in range(3, 102) if is_prime(p)]),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.floats(0.0, 60.0),
+        st.sampled_from([None, -1, 0, 1]),
+        st.data(),
+    )
+    def test_matches_set_enumeration(self, q, r, blocklen, sigma, near_cap, data):
+        # sigma up to 60 takes 2*bound+1 past q for every q here
+        a = PrimeModulus(q).element(data.draw(st.integers(0, q - 1)))
+        bound = math.floor(2.0 * math.sqrt(blocklen) * sigma)
+        tuples = (2 * bound + 1) ** r
+        cap = 10**8 if near_cap is None else max(1, tuples + near_cap)
+        if tuples > cap:
+            with pytest.raises(TableTooLarge):
+                build_sigma_table_trace(a, r, blocklen, sigma, cap)
+            return
+        table = build_sigma_table_trace(a, r, blocklen, sigma, cap)
+        assert _residues(table) == reference_sigma_values(a, r, blocklen, sigma)
+        assert table.size == len(reference_sigma_values(a, r, blocklen, sigma))
+        assert not table.mask.flags.writeable
+
+    def test_offsets_past_q_give_the_full_mask_in_o_q_memory(self):
+        # q near 2**22, r = 1 and 2*bound+1 = 4400001 > q: the offsets alone
+        # would take more than max(q, _MAX_PAIRS) int64 entries
+        q = 4194301
+        table, peak = _peak_bytes(
+            lambda: build_sigma_table_trace(PrimeModulus(q).element(1), 1, 1, 1.1e6)
+        )
+        assert table.mask.all()
+        assert peak <= 8 * max(q, attacks._MAX_PAIRS)
+
+    def test_rounds_hold_bounded_temporaries(self, monkeypatch):
+        # round 2 adds 2001 offsets to 2001 residues: 4e6 int64 sums at once
+        # unless the residues go in groups of max(q, _MAX_PAIRS) entries
+        monkeypatch.setattr(attacks, "_MAX_PAIRS", 2**12)
+        q = 4099
+        table, peak = _peak_bytes(
+            lambda: build_sigma_table_trace(M4099.element(q - 1), 2, 1, 500.0)
+        )
+        assert _residues(table) == frozenset(v % q for v in range(-2000, 2001))
+        # a few temporaries of at most max(q, _MAX_PAIRS) int64 entries each
+        assert peak <= 6 * 8 * max(q, attacks._MAX_PAIRS)
+
+    def test_zero_bound_rounds_add_nothing(self):
+        # Falcon-1024's root 7 has order 2048; at sigma = 0.2 each of the
+        # 2048 rounds adds only x = 0, so the mask is {0} at once, no slower
+        # than the set enumeration it replaced
+        seven = PrimeModulus(12289).element(7)
+        table = build_sigma_table_trace(seven, 2048, 1, 0.2)
+        assert _residues(table) == frozenset({0})
+
+        def best(build):
+            return min(timeit.repeat(build, number=1, repeat=5))
+
+        assert best(lambda: build_sigma_table_trace(seven, 2048, 1, 0.2)) <= best(
+            lambda: reference_sigma_values(seven, 2048, 1, 0.2)
+        )

@@ -622,6 +622,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(samples) in err and "line 2" in err and "N = 23" in err
 
+    @pytest.mark.parametrize("edit", [lambda c: c + 0.5, lambda c: True], ids=["half", "true"])
+    def test_replay_refuses_non_integer_coefficients(self, tmp_path, capsys, edit):
+        # int() would read 2.5 as 2 and true as 1, and the line would replay
+        cfg, samples, lines = self._recorded_trace_samples(tmp_path, capsys)
+        doc = json.loads(lines[3])
+        doc["b"][0] = edit(doc["b"][0])
+        lines[3] = json.dumps(doc)
+        samples.write_text("\n".join(lines) + "\n")
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 2
+        err = capsys.readouterr().err
+        assert str(samples) in err and "line 4" in err and "must be integers" in err
+
     @pytest.mark.parametrize("idx,listed", [(2, 0.00017), (3, 0.0001216)])
     def test_analyze_echoes_flat_margins(self, tmp_path, capsys, idx, listed):
         inst = USVA_INSTANCES[idx]
@@ -643,6 +655,15 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ratio"] > 4 * 2**0.5
         assert any("bounded" in w for w in doc["warnings"])
+
+    def test_analyze_resolves_roots_above_the_int64_range(self, tmp_path, capsys):
+        # 1753 is a root of x^256 + 1 mod 8380417 of order 512; the root test
+        # sums in Python ints, so analyze needs no int64 bound
+        cfg = _write(tmp_path, "d.json", {
+            "instance": {**CRYPTO_RINGS["dilithium"], "sigma": 2.0, "truncated": True},
+            "attack": {"alpha": 1753}})
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 512
 
     def test_analyze_min_m_brackets_published_counts(self, tmp_path, capsys):
         cfg = _write(tmp_path, "an.json", {
@@ -794,6 +815,14 @@ def test_fuzzed_configs_exit_cleanly(tmp_path, command, instance, attack, extra,
         ("scan", [MIXED_Q7], "config"),
         ("analyze", [MIXED_Q7], "config"),
         ("attack", [MIXED_Q7], "config"),
+        # not points of f: 5 is no root, 2017 has order 3 so x^4 - 2017 is
+        # reducible mod 4099, and x^2 - 0 is reducible
+        ("analyze", {"instance": TRACE_INSTANCE_B["instance"], "attack": {"alpha": 5}},
+         "attack.alpha"),
+        ("analyze", {"instance": TRACE_INSTANCE_B["instance"], "attack": {"n": 4, "a": 2017}},
+         "attack.a"),
+        ("analyze", {"instance": TRACE_INSTANCE_B["instance"], "attack": {"n": 2, "a": 0}},
+         "attack.a"),
     ],
 )
 def test_malformed_config_names_the_field(tmp_path, capsys, command, doc, field):

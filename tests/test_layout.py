@@ -2,14 +2,18 @@
 algebra that the tests compare the numpy path against, and the per-sample
 Sample objects, live in tests/reference.py; no module of src/plwe_audit or
 scripts defines, imports or reads them, and the package does not export
-them.  The attacks read Pairs only and take no evaluation point."""
+them.  The attacks read Pairs only and take no evaluation point.  A Sigma
+table is its mask alone, and the analyze command judges a point through
+the resolver and analysis functions that plans and scans use."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import plwe_audit
 from plwe_audit import attacks
+from plwe_audit.attacks import SigmaTable
 from plwe_audit.fields import ExtFieldCtx
 from plwe_audit.rings import find_fq_roots
 
@@ -34,6 +38,9 @@ DELETED = frozenset({
     "VarianceCase", "classify_variance_case", "_centered_powers",
     # the F_q table wrapper and the per-sample adaptors of the attacks
     "build_sigma_table_fq", "_as_batch", "_pairs",
+    # the precondition formulas outside analysis's flags and small_set_size
+    "log_small_set_size", "_evaluation_point", "_small_set_flag", "_small_values_flag",
+    "_usva_flag",
 })
 ATTACKS = ("small_set_attack", "small_values_attack", "unbounded_small_values_attack",
            "extended_attack")
@@ -71,3 +78,16 @@ def test_one_arithmetic_path():
     for name in ATTACKS:
         params = inspect.signature(getattr(attacks, name)).parameters
         assert list(params)[0] == "pairs" and "point" not in params, name
+
+
+def test_one_precondition_path():
+    assert "values" not in {f.name for f in dataclasses.fields(SigmaTable)}
+    assert not hasattr(SigmaTable, "values")
+    cli = ROOT / "src" / "plwe_audit" / "cli.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not {"block_structure", "log_small_set_size"} & imported
