@@ -232,8 +232,10 @@ def monte_carlo_delta(
     The draws are counted per rounded value with one bincount over their
     span, and only the distinct values are reduced mod q.  When the span
     exceeds the number of draws (sigma_bar far above draws), the draws are
-    reduced mod q first and counted per residue, so memory stays
-    O(draws + q).  The result equals the per-draw count mod q bit for bit.
+    reduced mod q first, by fmod on the floats, and counted per residue, so
+    memory stays O(draws + q).  fmod is exact for every finite float, so the
+    result equals the per-draw count mod q bit for bit, also past the int64
+    range.
     """
     qv = _q_of(q)
     x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws))
@@ -243,7 +245,9 @@ def monte_carlo_delta(
         counts = np.bincount(x.astype(np.intp))
         values = np.arange(int(lo), int(lo) + counts.size) % qv
     else:
-        counts = np.bincount(x.astype(np.int64) % qv, minlength=qv)
+        x = np.fmod(x, qv)  # in (-q, q), with the sign of the draw
+        x[x < 0] += qv
+        counts = np.bincount(x.astype(np.intp), minlength=qv)
         values = np.arange(qv)
     hits = int(counts[(4 * values < qv) | (4 * values >= 3 * qv)].sum())
     return hits / draws - 0.5

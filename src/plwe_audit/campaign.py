@@ -42,7 +42,14 @@ from .attacks import (
 )
 from .fields import ExtFieldCtx
 from .rings import EXHAUSTIVE_SCAN_LIMIT, RqContext, eval_matrix, load_ring_doc, rq0_witnesses
-from .samplers import BudgetExhausted, GaussianSpec, Pairs, SampleBatch, sample_batch
+from .samplers import (
+    NORMAL_DRAW_MAX,
+    BudgetExhausted,
+    GaussianSpec,
+    Pairs,
+    SampleBatch,
+    sample_batch,
+)
 
 
 class ConfigError(Exception):
@@ -292,6 +299,20 @@ def check_ring(ring: RqContext) -> None:
         raise PreconditionRefused(f"(N+1)*q^2 = {(N + 1) * q * q} < 2**63 = {1 << 63}")
 
 
+def check_draws(ring: RqContext, gauss: GaussianSpec) -> None:
+    """Refuse 16*sigma + N*q^2 >= 2**63 for a campaign: a rounded error lies
+    within NORMAL_DRAW_MAX * sigma, and it meets int64 in gaussian_coeffs's
+    cast and in B = A S + E, whose product term stays below N*q^2.  The
+    test is exact: 16*sigma is a float without rounding error, and Python
+    compares it with the integer exactly."""
+    bound = (1 << 63) - ring.N * ring.q * ring.q
+    if not NORMAL_DRAW_MAX * gauss.sigma < bound:
+        total = NORMAL_DRAW_MAX * gauss.sigma + ring.N * ring.q * ring.q
+        raise PreconditionRefused(
+            f"{NORMAL_DRAW_MAX}*sigma + N*q^2 = {total:.6g} < 2**63 = {1 << 63}"
+        )
+
+
 def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -> AttackPlan:
     """Resolve the evaluation point, tables, variance case and delta; refuse
     when a documented precondition fails."""
@@ -539,6 +560,7 @@ def run_campaign(
     threads: int = 1,
     record: list | None = None,
 ) -> CampaignReport:
+    check_draws(cfg.ring, cfg.gauss)
     plan = build_plan(cfg)
     trials = cfg.attack.trials
     # each worker receives the plan once, and a pool starts all its workers

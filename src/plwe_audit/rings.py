@@ -256,8 +256,14 @@ def find_binomial_factors(ctx: RqContext, n: int) -> list[tuple[FieldElement, in
 def rq0_witnesses(A: np.ndarray, ext: ExtFieldCtx) -> np.ndarray:
     """The witness sums sum_j a^j A[i, nj+k], k = 1..n-1, of every row of A
     at once: coordinate k of A[i](alpha) in the y-basis.  An (M, n-1)
-    array, zero in row i iff A[i] lies in R_{q,0}."""
-    return A @ eval_matrix(ext, A.shape[-1])[:, 1:] % ext.q
+    array, zero in row i iff A[i] lies in R_{q,0}.
+
+    The sums are formed one witness per row, (n-1, M), and returned as
+    the transposed view, so a test of each row of A reduces over
+    contiguous rows of M entries."""
+    S = eval_matrix(ext, A.shape[-1])[:, 1:].T @ A.T
+    S -= S // ext.q * ext.q  # S % q: numpy divides int64 by a scalar faster
+    return S.T
 
 
 def load_ring_doc(doc: dict) -> RqContext:

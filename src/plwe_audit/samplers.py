@@ -27,6 +27,10 @@ from .rings import RingPoly, RqContext, eval_matrix, rq0_witnesses
 # Mass of a centered normal on [-2s, 2s]; exact to 1e-6.
 P0_UNTRUNCATED = 0.954500
 
+# A bound on |z| for Generator.normal's standard draws: its ziggurat returns
+# at most r + x with r < 3.66 and, from 53-bit uniforms, a tail step x < 8.6.
+NORMAL_DRAW_MAX = 16
+
 
 class BudgetExhausted(Exception):
     """The rejection sampler ran past its invocation cap."""
@@ -61,8 +65,8 @@ def gaussian_coeffs(spec: GaussianSpec, rng: np.random.Generator, size) -> np.nd
     if spec.truncated:
         bound = 2 * spec.sigma
         bad = np.abs(x) > bound
-        while bad.any():
-            x[bad] = rng.normal(0.0, spec.sigma, size=int(bad.sum()))
+        while redraws := np.count_nonzero(bad):
+            x[bad] = rng.normal(0.0, spec.sigma, size=redraws)
             bad = np.abs(x) > bound
     return np.rint(x).astype(np.int64)
 
@@ -128,9 +132,8 @@ class SampleBatch:
         q = self.ring.q
         W = eval_matrix(ext, self.ring.N)
         AW = self.A @ W % q  # column 0: u_i; the others: the witness sums
-        bad = np.argwhere(AW[:, 1:])
-        if bad.size:
-            i, k = bad[0]
+        if AW[:, 1:].any():
+            i, k = np.argwhere(AW[:, 1:])[0]
             raise NonMemberSample(f"sample {i} lies outside R_q0 (witness k={k + 1})")
         coord0, u = W[:, 0], AW[:, 0]
         if self.secret is None:
@@ -191,6 +194,12 @@ def _rejection_rows(
     integers calls consume the stream like one call of the stacked size, so
     the block sizes do not change which rows are drawn.  Draws after the
     m-th acceptance are never used.
+
+    The invocation counts are read from the hit positions of a block: the
+    first accepted row took hits[0] + 1 + since calls, the later ones the
+    gaps hits[1:] - hits[:-1], so the block spends hits[-1] + 1 + since in
+    all.  A round that needs more than max_invocations calls raises
+    BudgetExhausted, as in the reference.
     """
     exhausted = f"no R_q0 sample within {max_invocations} invocations"
     per_sample = min(ext.q ** (ext.n - 1), max_invocations)
@@ -199,14 +208,20 @@ def _rejection_rows(
     since = 0  # invocations since the last acceptance
     while m:
         A = rng.integers(0, ext.q, size=(min(m * per_sample, _REJECTION_BLOCK), N))
-        hits = np.flatnonzero(~rq0_witnesses(A, ext).any(axis=1))[:m]
-        counts = np.diff(hits, prepend=-1 - since)
-        if (counts > max_invocations).any():
-            raise BudgetExhausted(exhausted)
-        kept.append(A[hits])
-        invocations += int(counts.sum())
-        since = len(A) - 1 - hits[-1] if hits.size else since + len(A)
-        m -= hits.size
+        hits = (~rq0_witnesses(A, ext).any(axis=1)).nonzero()[0][:m]
+        if hits.size:
+            # a gap inside the block is shorter than the block
+            if hits[0] + 1 + since > max_invocations or (
+                len(A) > max_invocations and (hits[1:] - hits[:-1] > max_invocations).any()
+            ):
+                raise BudgetExhausted(exhausted)
+            kept.append(A.take(hits, axis=0))
+            last = int(hits[-1])
+            invocations += last + 1 + since
+            since = len(A) - 1 - last
+            m -= hits.size
+        else:
+            since += len(A)
         if m and since >= max_invocations:
             raise BudgetExhausted(exhausted)
     return np.concatenate(kept), invocations

@@ -408,6 +408,15 @@ def reference_samples(ring, gauss, ext, m, rng, secret=None, honest=False,
     """The samples, the invocation count and, on a PLWE trial, the signed
     error rows the oracle was handed (None on a uniform one); BudgetExhausted
     as sample_rq0 raises it."""
+    draws, errors = reference_draws(ring, gauss, ext, m, rng, secret, honest, max_invocations)
+    return [d.sample for d in draws], sum(d.count for d in draws), errors
+
+
+def reference_draws(ring, gauss, ext, m, rng, secret=None, honest=False,
+                    max_invocations=10**8):
+    """The samples of reference_samples as one Rq0Draw each, so every sample
+    keeps its own invocation count (1 under direct construction), and the
+    error rows."""
     if secret is None:
         forced, errors = [ring.poly(b) for b in rng.integers(0, ring.q, size=(m, ring.N))], None
         oracle = lambda b, a=None: Sample(uniform_poly(ring, rng) if a is None else a, b)
@@ -416,9 +425,8 @@ def reference_samples(ring, gauss, ext, m, rng, secret=None, honest=False,
         forced = errors = [tuple(e) for e in gaussian_coeffs(gauss, rng, (m, ring.N)).tolist()]
         oracle = lambda e, a=None: plwe_oracle(inst, rng, force_a=a, force_error=e)
     if not honest:
-        return [oracle(x, uniform_rq0_poly(ring, ext, rng)) for x in forced], m, errors
-    draws = [sample_rq0(lambda: oracle(x), ext, max_invocations) for x in forced]
-    return [d.sample for d in draws], sum(d.count for d in draws), errors
+        return [Rq0Draw(oracle(x, uniform_rq0_poly(ring, ext, rng)), 1) for x in forced], errors
+    return [sample_rq0(lambda: oracle(x), ext, max_invocations) for x in forced], errors
 
 
 def reference_sample_batch(ring, gauss, ext, m, rng, secret=None, honest=False,

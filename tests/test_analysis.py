@@ -132,6 +132,18 @@ class TestDeltaProbability:
         x = np.rint(np.random.default_rng(seed).normal(0.0, sbar, size=10**6))
         assert (x.max() - x.min() >= 10**6) == (sbar == 1e12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_draws_past_int64_are_reduced_exactly(self):
+        # at sigma_bar = 1e20 most rounded draws leave int64; the cast of
+        # them made the estimate -0.463 where the series gives 0
+        q, sbar, seed, draws = 3677, 1e20, [53, 3677], 10**5
+        got = monte_carlo_delta(q, sbar, np.random.default_rng(seed), draws=draws)
+        x = np.rint(np.random.default_rng(seed).normal(0.0, sbar, size=draws))
+        residues = [int(v) % q for v in x.tolist()]
+        hits = sum(4 * r < q or 4 * r >= 3 * q for r in residues)
+        assert got == hits / draws - 0.5
+        assert abs(got - delta_probability(q, sbar).delta) < 0.01
+
     def test_dual_and_erf_series_agree(self):
         for ratio in np.geomspace(0.1, 50.0, 80):
             p, _ = _erf_series(ratio, DEFAULT_SERIES_TOL)

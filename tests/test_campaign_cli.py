@@ -6,6 +6,7 @@ import math
 import os
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from plwe_audit.campaign import (
     ConfigError,
     PreconditionRefused,
     build_plan,
+    check_draws,
     config_from_dict,
     run_campaign,
 )
@@ -28,8 +30,10 @@ from plwe_audit.instances import (
     TRACE_RING_A,
     USVA_INSTANCES,
 )
+from plwe_audit.fields import ExtFieldCtx, PrimeModulus
 from plwe_audit.rings import RqContext, load_ring_doc
-from reference import reference_sample_batch
+from plwe_audit.samplers import GaussianSpec, sample_batch
+from reference import reference_sample_batch, ring_add, ring_mul
 
 ORDER6_INSTANCE = {"N": 6, "f": [-1, 0, 0, 0, 0, 0, 1], "q": 4099,
                    "sigma": 0.7, "truncated": True}
@@ -316,6 +320,18 @@ GOLDEN = {
             "seed": 23,
         },
         "fef94be5ba03cb7ac4f2ceb761d0e763efe580e0d70da171521595233ac81e82",
+    ),
+    # the campaign of perfbench's honest_q7 workload, at its 20 trials: each
+    # trial rejects about 980 rows, and the longer ones span two blocks
+    "honest_q7": (
+        {
+            "instance": REJECTION_REPLICA["instance"],
+            "attack": {"family": "unbounded_small_values", "mode": "trace",
+                       "n": 3, "a": 3, "ell": 20, "delta": "series", "trials": 20},
+            "sampling": {"honest": True},
+            "seed": 7,
+        },
+        "8546a7fb45eca566c13739a0fef349b9b0bda51ef1cf91ad97bda063ee684b24",
     ),
 }
 
@@ -612,6 +628,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(samples) in err and "line 3" in err and "outside R_q0" in err
 
+    @pytest.mark.parametrize("first,later,named", [
+        ([0, 0, 1], [0, 1], "line 2: a lies outside R_q0 (witness k=2)"),
+        ([0, 1, 1], [0, 0, 1], "line 2: a lies outside R_q0 (witness k=1)"),
+    ], ids=["k2-first", "k1-and-k2"])
+    def test_replay_names_the_first_non_member_and_witness(self, tmp_path, capsys,
+                                                           first, later, named):
+        # x^2 has only a y^2 coordinate (k = 2), x + x^2 has both; the first
+        # bad line is named, with its least nonzero witness
+        cfg, samples, lines = self._recorded_trace_samples(tmp_path, capsys)
+        for index, a in ((1, first), (3, later)):
+            doc = json.loads(lines[index])
+            doc["a"] = a + [0] * (23 - len(a))
+            lines[index] = json.dumps(doc)
+        samples.write_text("\n".join(lines) + "\n")
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 2
+        assert f"{samples}: {named}" in capsys.readouterr().err
+
     def test_replay_refuses_short_rows(self, tmp_path, capsys):
         cfg, samples, lines = self._recorded_trace_samples(tmp_path, capsys)
         doc = json.loads(lines[1])
@@ -829,6 +862,50 @@ def test_malformed_config_names_the_field(tmp_path, capsys, command, doc, field)
     cfg = _write(tmp_path, "bad.json", doc)
     assert cli.main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigma_whose_draws_leave_int64_refuses_the_campaign(tmp_path, capsys):
+    # sigma = 1e20 used to cast rounded errors past 2**63 to garbage and
+    # exit 0; scan and analyze draw nothing and still answer
+    cfg = _write(tmp_path, "sigma.json", {
+        "instance": {**TRACE_INSTANCE_B["instance"], "sigma": 1e20},
+        "attack": {"family": "unbounded_small_values", "mode": "trace",
+                   "n": 3, "a": 2017, "ell": 20, "trials": 2},
+    })
+    assert cli.main(["attack", "--config", cfg]) == 3
+    assert capsys.readouterr().err == (
+        "refused: 16*sigma + N*q^2 = 1.6e+21 < 2**63 = 9223372036854775808\n"
+    )
+    for command in ("scan", "analyze"):
+        assert cli.main([command, "--config", cfg]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_draw_bound_boundary_is_exact():
+    ring = load_ring_doc(TRACE_INSTANCE_B["instance"])
+    limit = (1 << 63) - ring.N * ring.q**2
+    sigma = limit / 16
+    while 16 * sigma >= limit:
+        sigma = math.nextafter(sigma, 0)
+    above = math.nextafter(sigma, math.inf)
+    assert 16 * above >= limit
+    check_draws(ring, GaussianSpec(sigma, False))
+    with pytest.raises(PreconditionRefused, match=r"16\*sigma \+ N\*q\^2 = .* < 2\*\*63"):
+        check_draws(ring, GaussianSpec(above, False))
+    # at the largest accepted sigma the errors and B are exact integers
+    rng = np.random.default_rng(9)
+    secret = rng.integers(0, ring.q, size=ring.N)
+    state = rng.bit_generator.state
+    ext = ExtFieldCtx(3, PrimeModulus(ring.q).element(2017))
+    batch, _ = sample_batch(ring, GaussianSpec(sigma, False), ext, 8, rng, secret)
+    rng.bit_generator.state = state
+    draws = np.rint(rng.normal(0.0, sigma, size=(8, ring.N)))
+    assert batch.X.tolist() == [[int(v) for v in row] for row in draws.tolist()]
+    s = ring.poly(secret)
+    want = [ring_add(ring_mul(ring.poly(a), s), ring.poly(e)).coeffs
+            for a, e in zip(batch.A.tolist(), batch.X.tolist())]
+    assert [tuple(row) for row in batch.B.tolist()] == want
 
 
 @pytest.mark.parametrize("command", ["scan", "analyze", "attack"])

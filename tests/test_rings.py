@@ -22,6 +22,7 @@ from plwe_audit.rings import (
     find_binomial_factors,
     find_fq_roots,
     load_ring_doc,
+    rq0_witnesses,
 )
 from reference import (
     ext_alpha,
@@ -302,6 +303,33 @@ class TestFoldOracle:
                 if not any(rem) and is_irreducible_binomial(n, m.element(a)):
                     want.append((m.element(a), _brute_order(a, q)))
             assert find_binomial_factors(ctx, n) == want, n
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_rq0_witnesses_match_the_membership_oracle(data):
+    """Row i of rq0_witnesses is the witness sums of A[i], for n = 1..4 and
+    M = 0, 1 or many rows; an F_q root (n = 1) gives the (M, 0) shape."""
+    q = data.draw(st.sampled_from([3, 5, 7, 13, 17]), label="q")
+    n = data.draw(st.integers(1, 4), label="n")
+    m = PrimeModulus(q)
+    if n == 1:
+        a = data.draw(st.integers(0, q - 1), label="a")
+    else:
+        irreducible = [a for a in range(1, q) if is_irreducible_binomial(n, m.element(a))]
+        assume(irreducible)
+        a = data.draw(st.sampled_from(irreducible), label="a")
+    ext = ExtFieldCtx(n, m.element(a))
+    g = data.draw(st.lists(st.integers(0, q - 1), max_size=5), label="g") + [1]
+    ctx = RqContext(tuple(np.convolve([-a] + [0] * (n - 1) + [1], g).tolist()), m)
+    rows = data.draw(st.sampled_from([0, 1, 40]), label="M")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    A = np.random.default_rng(seed).integers(0, q, size=(rows, ctx.N))
+    A[1::3, 1:] = 0  # constants are members: keep zero witness rows in play
+    got = rq0_witnesses(A, ext)
+    assert got.shape == (rows, n - 1)
+    want = [rq0_membership(ctx.poly(row), ext).witness_sums for row in A.tolist()]
+    assert got.tolist() == [list(w) for w in want]
 
 
 class TestRq0Membership:

@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from plwe_audit import samplers
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value, is_irreducible_binomial
-from plwe_audit.instances import TRACE_RING_B
+from plwe_audit.instances import REJECTION_REPLICA, TRACE_RING_B
 from plwe_audit.rings import RqContext, load_ring_doc
 from plwe_audit.samplers import (
     BudgetExhausted,
@@ -23,6 +24,7 @@ from reference import (
     plwe_draw,
     plwe_oracle,
     plwe_oracle_rq0,
+    reference_draws,
     reference_samples,
     ring_mul,
     ring_sub,
@@ -327,6 +329,82 @@ def test_sample_batch_budget_ends_rejection_sampling():
     with pytest.raises(BudgetExhausted, match="within 5 invocations"):
         sample_batch(ctx, GaussianSpec(2.5, False), ext, 3, rng, secret,
                      honest=True, max_invocations=5)
+
+
+REPLICA = load_ring_doc(REJECTION_REPLICA["instance"])
+REPLICA_EXT = ExtFieldCtx(3, PrimeModulus(7).element(3))
+
+
+def _replica_trial(seed):
+    """The secret, and a generator positioned where a PLWE trial on the
+    q = 7 rejection replica starts drawing its errors."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 7, size=REPLICA.N), rng
+
+
+@pytest.mark.parametrize("block", [1, 5, samplers._REJECTION_BLOCK])
+@pytest.mark.parametrize("seed", [3, 7, 16])
+def test_rejection_blocks_do_not_change_rows_or_counts(monkeypatch, block, seed):
+    # m = 20 at q^(n-1) = 49 asks for 980-row blocks, and a trial needs
+    # about 980 rows, so the default block often ends before the 20th hit
+    gauss = GaussianSpec(1.0, True)
+    secret, rng_ref = _replica_trial(seed)
+    ref, ref_count, _ = reference_samples(REPLICA, gauss, REPLICA_EXT, 20, rng_ref, secret,
+                                          honest=True)
+    monkeypatch.setattr(samplers, "_REJECTION_BLOCK", block)
+    _, rng = _replica_trial(seed)
+    batch, count = sample_batch(REPLICA, gauss, REPLICA_EXT, 20, rng, secret, honest=True)
+    assert count == ref_count
+    assert np.array_equal(batch.A, [s.a.coeffs for s in ref])
+    assert np.array_equal(batch.B, [s.b.coeffs for s in ref])
+
+
+@pytest.mark.parametrize("block", [5, samplers._REJECTION_BLOCK])
+@pytest.mark.parametrize("plwe", [True, False])
+def test_budget_equal_to_the_largest_gap_passes(monkeypatch, block, plwe):
+    gauss = GaussianSpec(1.0, True)
+    secret, rng_ref = _replica_trial(5)
+    secret = secret if plwe else None
+    draws, _ = reference_draws(REPLICA, gauss, REPLICA_EXT, 20, rng_ref, secret, honest=True)
+    gaps = [d.count for d in draws]
+    largest = max(gaps)
+    monkeypatch.setattr(samplers, "_REJECTION_BLOCK", block)
+    _, rng = _replica_trial(5)
+    batch, count = sample_batch(REPLICA, gauss, REPLICA_EXT, 20, rng, secret, honest=True,
+                                max_invocations=largest)
+    assert count == sum(gaps)
+    assert np.array_equal(batch.A, [d.sample.a.coeffs for d in draws])
+    _, rng = _replica_trial(5)
+    with pytest.raises(BudgetExhausted, match=f"within {largest - 1} invocations"):
+        sample_batch(REPLICA, gauss, REPLICA_EXT, 20, rng, secret, honest=True,
+                     max_invocations=largest - 1)
+
+
+class _RowStream:
+    """Stands in for a generator: each integers call returns the next rows
+    of a fixed list."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=np.int64)
+
+    def integers(self, low, high, size):
+        out, self.rows = self.rows[: size[0]], self.rows[size[0] :]
+        return out
+
+
+@pytest.mark.parametrize("budget", [5, 4])
+def test_gap_between_two_hits_of_one_block_meets_the_budget(budget):
+    # on the replica a row is a member iff its x and x^2 coefficients
+    # vanish; hits at rows 0 and 5 of one block (2 * budget rows) give the
+    # second sample a gap of 5 calls
+    member, other = [1, 0, 0], [1, 1, 0]
+    rows = [member] + [other] * 4 + [member] + [other] * 10
+    if budget < 5:
+        with pytest.raises(BudgetExhausted, match=f"within {budget} invocations"):
+            samplers._rejection_rows(REPLICA_EXT, 3, 2, _RowStream(rows), budget)
+        return
+    A, count = samplers._rejection_rows(REPLICA_EXT, 3, 2, _RowStream(rows), budget)
+    assert A.tolist() == [member, member] and count == 6
 
 
 def test_sample_batch_round_trips_and_slices():
