@@ -30,16 +30,9 @@ from .fields import (
     PrimeModulus,
     centered,
     in_quarter_interval,
-    is_irreducible_binomial,
     mult_order,
 )
-from .rings import (
-    RingPoly,
-    RqContext,
-    find_binomial_factors,
-    find_fq_roots,
-    rq0_witnesses,
-)
+from .rings import RingPoly, RqContext, rq0_witnesses
 from .samplers import (
     GaussianSpec,
     PlweInstance,

@@ -13,9 +13,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc
 
-from .fields import FieldElement, PrimeModulus, centered_value, mult_order
+from .fields import FieldElement, centered_value, mult_order
 from .rings import RqContext, binomial_logs, generator_powers, log_orders
-from .samplers import P0_UNTRUNCATED
+from .samplers import p0_of
 
 DEFAULT_SERIES_TOL = 1e-12
 DEFAULT_TABLE_CAP = 10**8
@@ -25,21 +25,31 @@ class DomainError(ValueError):
     """Argument outside the function's domain."""
 
 
-def _q_of(q) -> int:
-    return q.q if isinstance(q, PrimeModulus) else int(q)
-
-
 def uniform_offset(q) -> Fraction:
     """The signed deviation of the quarter-interval mass of a uniform residue
     from 1/2: +1/(2q) when q == 1 (mod 4), -1/(2q) when q == 3 (mod 4)."""
-    qv = _q_of(q)
+    qv = int(q)
     return Fraction(1, 2 * qv) if qv % 4 == 1 else Fraction(-1, 2 * qv)
 
 
 def quarter_count(q) -> int:
     """Number of residues mod q whose centered form lies in [-q/4, q/4)."""
-    qv = _q_of(q)
+    qv = int(q)
     return (qv + 1) // 2 if qv % 4 == 1 else (qv - 1) // 2
+
+
+def in_quarter_residues(v: np.ndarray, q: int) -> np.ndarray:
+    """fields.in_quarter_value of every residue in v, each in [0, q)."""
+    return (4 * v < q) | (4 * v >= 3 * q)
+
+
+@lru_cache(maxsize=16)
+def quarter_mask(q: int) -> np.ndarray:
+    """Read-only mask of the residues mod q whose centered form lies in
+    [-q/4, q/4); cached, since every trial of a campaign asks for it."""
+    mask = in_quarter_residues(np.arange(q, dtype=np.int64), q)
+    mask.flags.writeable = False
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +209,7 @@ def delta_probability(q, sigma_bar_value: float, tol: float = DEFAULT_SERIES_TOL
     wrapped-Gaussian series, plus the derived margins delta and Delta."""
     if not sigma_bar_value > 0:
         raise DomainError("sigma_bar must be positive")
-    qv = _q_of(q)
+    qv = int(q)
     ratio = qv / (math.sqrt(2.0) * sigma_bar_value)
     p, delta, terms = _quarter_mass(ratio, tol)
     return ProbabilityReport(p, delta, big_delta(qv, delta), ratio, terms)
@@ -237,7 +247,7 @@ def monte_carlo_delta(
     result equals the per-draw count mod q bit for bit, also past the int64
     range.
     """
-    qv = _q_of(q)
+    qv = int(q)
     x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws))
     lo, hi = x.min(), x.max()
     if hi - lo < draws:
@@ -249,7 +259,7 @@ def monte_carlo_delta(
         x[x < 0] += qv
         counts = np.bincount(x.astype(np.intp), minlength=qv)
         values = np.arange(qv)
-    hits = int(counts[(4 * values < qv) | (4 * values >= 3 * qv)].sum())
+    hits = int(counts[in_quarter_residues(values, qv)].sum())
     return hits / draws - 0.5
 
 
@@ -284,7 +294,7 @@ def usva_threshold(ell: int, q, delta: float) -> int:
     """
     if ell < 1:
         raise ValueError("need at least one sample")
-    qv = _q_of(q)
+    qv = int(q)
     base = Fraction(1, 2) + uniform_offset(qv)
     t = ell * (qv - 1) * base + ell * (Fraction(1, 2) + Fraction(delta))
     return math.ceil(t)
@@ -304,7 +314,7 @@ def hit_threshold(ell: int, q, delta: float) -> int:
     """
     if ell < 1:
         raise ValueError("need at least one sample")
-    qv = _q_of(q)
+    qv = int(q)
     p_uniform = quarter_count(qv) / qv
     p_true = 0.5 + delta
     best_tau, best_err = 0, math.inf
@@ -340,7 +350,7 @@ class GateReport:
 def extended_gate(
     sigma_size: float, q, p0: float, m0: int, r_eff: int
 ) -> GateReport:
-    qv = _q_of(q)
+    qv = int(q)
     lhs = 1.0 - (sigma_size / qv) ** m0
     rhs = p0 ** (m0 * r_eff)
     return GateReport(lhs, rhs, lhs < rhs)
@@ -389,7 +399,7 @@ def _per_sample_mass(
     and x_adj = x_plain / p0^r (r = 1 for small values), the untruncated
     form; p0 defaults to the truncation mode's mass."""
     if p0 is None:
-        p0 = 1.0 if truncated else P0_UNTRUNCATED
+        p0 = p0_of(truncated)
     if family == "small_set":
         if sigma_size is None or r is None:
             raise ValueError("small_set bounds need sigma_size and r")
@@ -411,7 +421,7 @@ def posterior_bounds(
     p0: float | None = None,
 ) -> PosteriorBounds:
     """Bounds for "small_set" (needs sigma_size and r) or "small_values"."""
-    qv = _q_of(q)
+    qv = int(q)
     x_plain, x_adj, p0 = _per_sample_mass(family, truncated, qv, sigma_size, r, p0)
     success_plwe = 1.0 if truncated else p0 ** (M * (r if family == "small_set" else 1))
     return PosteriorBounds(
@@ -437,7 +447,7 @@ def minimal_samples(
 ) -> int | None:
     """Smallest M whose vote posterior reaches the target, or None when the
     bound cannot reach it for any M."""
-    qv = _q_of(q)
+    qv = int(q)
     x_plain, x_adj, _ = _per_sample_mass(family, truncated, qv, sigma_size, r or 1, p0)
     x = x_plain if truncated else x_adj
     if x >= 1.0 or not (0.0 < target < 1.0):
@@ -637,7 +647,7 @@ def scan_instance(
     sigma_bar) gets its flags once: all roots of x^N + 1 share them.
     """
     q, N = ctx.q, ctx.N
-    p0 = 1.0 if truncated else P0_UNTRUNCATED
+    p0 = p0_of(truncated)
     G = generator_powers(q)
     seen: dict[tuple, tuple[AttackFlag, ...]] = {}
 

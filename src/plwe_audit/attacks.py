@@ -27,7 +27,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import extended_threshold, hit_threshold, small_set_size, usva_threshold
+from .analysis import (
+    extended_threshold,
+    hit_threshold,
+    quarter_mask,
+    small_set_size,
+    usva_threshold,
+)
 from .fields import FieldElement
 from .rings import generator_powers
 from .samplers import Pairs
@@ -235,16 +241,6 @@ def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
         pair, s = pair.take(keep), s.take(keep)
     g = (targets[rows, first].take(pair) - s) * inv.take(pair) % q
     return alive & zero.all(axis=1), rows.take(pair), g
-
-
-@lru_cache(maxsize=16)
-def quarter_mask(q: int) -> np.ndarray:
-    """Read-only mask of the residues mod q whose centered form lies in
-    [-q/4, q/4); cached, since every trial of a campaign asks for it."""
-    v = np.arange(q, dtype=np.int64)
-    mask = (4 * v < q) | (4 * v >= 3 * q)
-    mask.flags.writeable = False
-    return mask
 
 
 @lru_cache(maxsize=4)

@@ -25,6 +25,7 @@ from .analysis import (
     extended_gate,
     monte_carlo_delta,
     posterior_bounds,
+    quarter_mask,
     small_values_flag,
     unbounded_flag,
 )
@@ -36,7 +37,6 @@ from .attacks import (
     TableTooLarge,
     build_sigma_table_trace,
     extended_attack,
-    quarter_mask,
     small_set_attack,
     unbounded_small_values_attack,
 )
@@ -73,6 +73,7 @@ class AttackSpec:
     M: int = 0
     M0: int = 0
     ell: int = 0
+    # point_from_dict's point: alpha in fq mode, n and a in trace mode
     alpha: Optional[int] = None
     n: Optional[int] = None
     a: Optional[int] = None
@@ -181,6 +182,31 @@ def _delta(value) -> Optional[float | str]:
     return delta
 
 
+def point_from_dict(att: dict) -> tuple[Optional[int], Optional[int], Optional[int]]:
+    """The evaluation point of an attack section as (alpha, n, a) for
+    resolve_point: (alpha, None, None) in fq mode, (None, n, a) in trace
+    mode.  A section without a mode (analyze's) takes n and a when both
+    are given, else alpha.  Every point field given must be an integer."""
+    alpha = int_field(att.get("alpha"), "attack.alpha", optional=True)
+    n = int_field(att.get("n"), "attack.n", optional=True)
+    a = int_field(att.get("a"), "attack.a", optional=True)
+    if "mode" in att:
+        mode = att["mode"]
+    elif alpha is None and (n is None or a is None):
+        raise ConfigError("attack.alpha (or attack.n/attack.a): required for analyze")
+    else:
+        mode = "fq" if n is None or a is None else "trace"
+    if mode not in MODES:
+        raise ConfigError(f"attack.mode: must be one of {MODES}")
+    if mode == "fq":
+        if alpha is None:
+            raise ConfigError("attack.alpha: required in fq mode")
+        return alpha, None, None
+    if n is None or a is None:
+        raise ConfigError("attack.n/attack.a: required in trace mode")
+    return None, n, a
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     section(doc, "config")
     ring, gauss = instance_from_dict(_need(doc, "instance", "config"))
@@ -189,8 +215,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if family not in FAMILIES:
         raise ConfigError(f"attack.family: unknown family {family!r}")
     mode = _need(att, "mode", "attack")
-    if mode not in MODES:
-        raise ConfigError(f"attack.mode: must be one of {MODES}")
+    alpha, n, a = point_from_dict(att)
     trials = int_field(att.get("trials", 1), "attack.trials", low=1)
     spec = AttackSpec(
         family=family,
@@ -198,9 +223,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         M=int_field(att.get("M", 0), "attack.M"),
         M0=int_field(att.get("M0", 0), "attack.M0"),
         ell=int_field(att.get("ell", 0), "attack.ell"),
-        alpha=int_field(att.get("alpha"), "attack.alpha", optional=True),
-        n=int_field(att.get("n"), "attack.n", optional=True),
-        a=int_field(att.get("a"), "attack.a", optional=True),
+        alpha=alpha,
+        n=n,
+        a=a,
         delta=_delta(att.get("delta")),
         trials=trials,
     )
@@ -214,11 +239,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             raise ConfigError("attack.M0: must be >= 1 for extended families")
         if spec.M0 > spec.M:
             raise ConfigError("attack.M0: must not exceed attack.M")
-    if mode == "fq" and spec.alpha is None:
-        raise ConfigError("attack.alpha: required in fq mode")
-    if mode == "trace" and (spec.n is None or spec.a is None):
-        raise ConfigError("attack.n/attack.a: required in trace mode")
-
     return ExperimentConfig(
         ring=ring,
         gauss=gauss,
@@ -321,9 +341,7 @@ def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) ->
     q = ring.q
     p0 = cfg.gauss.p0
     check_ring(ring)
-    point, blocks = resolve_point(
-        ring, cfg.gauss.sigma, att.alpha if att.mode == "fq" else None, att.n, att.a
-    )
+    point, blocks = resolve_point(ring, cfg.gauss.sigma, att.alpha, att.n, att.a)
     plan = AttackPlan(cfg, point, blocks)
 
     if att.family in ("small_set", "extended_small_set"):

@@ -35,8 +35,8 @@ from .campaign import (
     check_ring,
     config_from_dict,
     instance_from_dict,
-    int_field,
     load_samples,
+    point_from_dict,
     read_config,
     resolve_point,
     run_attack_once,
@@ -171,19 +171,15 @@ def _cmd_analyze(args) -> int:
     doc = _read_config(args)
     ring, gauss = instance_from_dict(doc.get("instance", doc))
     sigma, truncated = gauss.sigma, gauss.truncated
-    att = section(doc.get("attack", {}), "attack")
+    alpha, n, a = point_from_dict(section(doc.get("attack", {}), "attack"))
+    point, blocks = resolve_point(ring, sigma, alpha, n, a)
     q = ring.q
-    if att.get("n") is not None and att.get("a") is not None:
-        n, a = int_field(att["n"], "attack.n"), int_field(att["a"], "attack.a")
-        point, blocks = resolve_point(ring, sigma, None, n, a)
+    if alpha is None:
         where = {
             "n": n, "a": point.a.value, "n_prime": blocks.n_terms, "n_second": blocks.blocklen
         }
-    elif att.get("alpha") is not None:
-        point, blocks = resolve_point(ring, sigma, int_field(att["alpha"], "attack.alpha"))
-        where = {"alpha": point.a.value}
     else:
-        raise ConfigError("attack.alpha (or attack.n/attack.a): required for analyze")
+        where = {"alpha": point.a.value}
     prob = delta_probability(q, blocks.sigma_bar)
     out = {
         "q": q,

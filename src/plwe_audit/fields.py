@@ -176,24 +176,13 @@ def mult_order(a: FieldElement) -> int:
     return order
 
 
-def is_irreducible_binomial(n: int, a: FieldElement) -> bool:
-    """Decide whether y**n - a is irreducible over F_q.
+def binomial_order_irreducible(n: int, order: int, q: int) -> bool:
+    """Whether y**n - a is irreducible over F_q, n >= 1, for a nonzero a of
+    multiplicative order `order` mod q.
 
     Classical criterion: every prime factor of n must divide ord(a) and must
     not divide (q-1)/ord(a); when 4 | n, additionally q == 1 (mod 4).
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    if n == 1:
-        return True
-    if a.value == 0:
-        return False
-    return binomial_order_irreducible(n, mult_order(a), a.q)
-
-
-def binomial_order_irreducible(n: int, order: int, q: int) -> bool:
-    """The criterion of is_irreducible_binomial for n >= 1 and a nonzero
-    a of multiplicative order `order` mod q."""
     cofactor = (q - 1) // order
     for p in prime_factors(n):
         if order % p != 0 or cofactor % p == 0:
@@ -217,9 +206,11 @@ class ExtFieldCtx:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.n}")
-        if self.n >= 2 and self.a.value == 0:
+        if self.n == 1:
+            return
+        if self.a.value == 0:
             raise ValueError("the binomial constant must be nonzero for n >= 2")
-        if not is_irreducible_binomial(self.n, self.a):
+        if not binomial_order_irreducible(self.n, mult_order(self.a), self.q):
             raise ValueError(
                 f"y^{self.n} - {self.a.value} is reducible mod {self.a.q}"
             )

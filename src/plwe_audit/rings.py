@@ -14,13 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import (
-    ExtFieldCtx,
-    FieldElement,
-    PrimeModulus,
-    binomial_order_irreducible,
-    prime_factors,
-)
+from .fields import ExtFieldCtx, PrimeModulus, binomial_order_irreducible, prime_factors
 
 # Below this modulus, roots and binomial divisors come from one fold over a
 # table of all q - 1 generator powers, in O(q) memory, and the int64 sums of
@@ -215,38 +209,6 @@ def binomial_logs(ctx: RqContext, n: int, G: np.ndarray) -> np.ndarray:
         keep = [r for r in np.unique(orders).tolist() if binomial_order_irreducible(n, r, q)]
         idx = idx[np.isin(orders, keep)]
     return idx[np.argsort(G[idx])]
-
-
-def _fold_points(ctx: RqContext, n: int) -> list[tuple[int, int]]:
-    """The (a, ord(a)) of binomial_logs, with a table built for this call."""
-    G = generator_powers(ctx.q)
-    idx = binomial_logs(ctx, n, G)
-    return list(zip(G[idx].tolist(), log_orders(idx, ctx.q).tolist()))
-
-
-def find_fq_roots(ctx: RqContext) -> list[tuple[FieldElement, int]]:
-    """All roots of f in F_q in increasing order, annotated with
-    multiplicative orders.
-
-    The root 0 carries the sentinel order 0.  The nonzero roots and their
-    orders come from binomial_logs with n = 1, and 0 is a root iff
-    f_0 = 0 mod q.  Like find_binomial_factors, this needs q < 2**22 and
-    raises ValueError through generator_powers otherwise.
-    """
-    found = _fold_points(ctx, 1)
-    if ctx.f_mod[0] == 0:
-        found.insert(0, (0, 0))
-    return [(ctx.modulus.element(x), order) for x, order in found]
-
-
-def find_binomial_factors(ctx: RqContext, n: int) -> list[tuple[FieldElement, int]]:
-    """All a in F_q* with x^n - a irreducible and dividing f mod q, in
-    increasing order, with their multiplicative orders (binomial_logs)."""
-    if n < 2:
-        raise ValueError("binomial factor degree must be >= 2")
-    if n > ctx.N:
-        return []
-    return [(ctx.modulus.element(a), order) for a, order in _fold_points(ctx, n)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ P0_UNTRUNCATED = 0.954500
 NORMAL_DRAW_MAX = 16
 
 
+def p0_of(truncated: bool) -> float:
+    """p0, the error mass inside [-2s, 2s]: 1 for truncated errors."""
+    return 1.0 if truncated else P0_UNTRUNCATED
+
+
 class BudgetExhausted(Exception):
     """The rejection sampler ran past its invocation cap."""
 
@@ -53,7 +58,7 @@ class GaussianSpec:
 
     @property
     def p0(self) -> float:
-        return 1.0 if self.truncated else P0_UNTRUNCATED
+        return p0_of(self.truncated)
 
 
 def gaussian_coeffs(spec: GaussianSpec, rng: np.random.Generator, size) -> np.ndarray:

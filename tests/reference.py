@@ -27,12 +27,16 @@ replaced by the log-domain count and the histogram.
 
 The Sigma residue set by enumeration, one Python set per round: the form
 that attacks.build_sigma_table_trace replaced by its numpy mask.
+
+The irreducible binomials y^n - a, n <= 4, by factor search: the oracle
+for the order criterion that fields.ExtFieldCtx applies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -464,3 +468,18 @@ def reference_sigma_values(a: FieldElement, r: int, blocklen: int, sigma: float)
         values = {(v + x * power) % q for v in values for x in range(-bound, bound + 1)}
         power = power * a.value % q
     return frozenset(values)
+
+
+@lru_cache(maxsize=None)
+def irreducible_constants(q: int, n: int) -> tuple[int, ...]:
+    """The a in F_q* with y^n - a irreducible over F_q, 1 <= n <= 4, by
+    factor search: such a binomial is reducible iff it has a root, or (n = 4
+    only) a quadratic divisor y^2 + by + c."""
+    reducible = {pow(x, n, q) for x in range(q)} if n > 1 else set()
+    if n == 4:
+        # y^4 - a mod (y^2 + by + c) leaves y*(2bc - b^3) + (c^2 - b^2*c - a),
+        # whose y term vanishes for b = 0 at every c, else at c = b^2/2 only
+        half = (q + 1) // 2
+        divisors = [(0, c) for c in range(q)] + [(b, b * b * half % q) for b in range(1, q)]
+        reducible |= {(c * c - b * b * c) % q for b, c in divisors}
+    return tuple(a for a in range(1, q) if a not in reducible)

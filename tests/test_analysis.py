@@ -461,7 +461,9 @@ def test_plan_and_scan_agree(name, doc, sigma):
     applicable, and records the flag's condition."""
     report = scan_instance(load_ring_doc(doc), sigma, False)
     points = [({"mode": "fq", "alpha": root.alpha}, root.flags) for root in report.roots]
-    points += [({"mode": "trace", "n": fac.n, "a": fac.a}, fac.flags) for fac in report.factors]
+    # a spec carries the point fields of its mode only, as config_from_dict reads them
+    points += [({"mode": "trace", "alpha": None, "n": fac.n, "a": fac.a}, fac.flags)
+               for fac in report.factors]
     instance = {**doc, "sigma": sigma, "truncated": False}
     for family, extra in [("small_values", {"M": 1}),
                           ("unbounded_small_values", {"ell": 1, "delta": "series"})]:

@@ -667,6 +667,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(samples) in err and "line 4" in err and "must be integers" in err
 
+    def test_analyze_reads_the_point_that_attack_reads(self, tmp_path, capsys):
+        # an fq section that also carries n and a: attack evaluates at alpha,
+        # and analyze used to take n/a and call x^2 - 3676 reducible
+        inst = USVA_INSTANCES[1]
+        cfg = _write(tmp_path, "fq.json", {
+            "instance": dict(inst["instance"]),
+            "attack": {"family": "unbounded_small_values", "mode": "fq", "alpha": 3676,
+                       "n": 2, "a": 3676, "ell": 20, "trials": 2},
+        })
+        assert cli.main(["attack", "--config", cfg]) == 0
+        plan = json.loads(capsys.readouterr().out)["plan"]
+        assert (plan["alpha"], plan["order"]) == (3676, 2)
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "n" not in doc and "a" not in doc
+        assert [doc[k] for k in ("alpha", "order", "sigma_bar")] == [
+            plan[k] for k in ("alpha", "order", "sigma_bar")
+        ]
+
+    @pytest.mark.parametrize(
+        "attack,message",
+        [
+            ({"mode": "trace", "alpha": 5}, "attack.n/attack.a: required in trace mode"),
+            ({"mode": "fq", "n": 3, "a": 2017}, "attack.alpha: required in fq mode"),
+            ({"mode": "Fq", "alpha": 5}, "attack.mode: must be one of ('fq', 'trace')"),
+            ({"mode": None, "alpha": 5}, "attack.mode: must be one of ('fq', 'trace')"),
+        ],
+    )
+    def test_analyze_follows_attack_mode(self, tmp_path, capsys, attack, message):
+        cfg = _write(tmp_path, "mode.json", {
+            "instance": dict(TRACE_INSTANCE_B["instance"]),
+            "attack": {"family": "small_set", "M": 5, **attack},
+        })
+        for command in ("attack", "analyze"):
+            assert cli.main([command, "--config", cfg]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("idx,listed", [(2, 0.00017), (3, 0.0001216)])
     def test_analyze_echoes_flat_margins(self, tmp_path, capsys, idx, listed):
         inst = USVA_INSTANCES[idx]

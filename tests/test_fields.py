@@ -15,11 +15,10 @@ from plwe_audit.fields import (
     centered_value,
     in_quarter_interval,
     in_quarter_value,
-    is_irreducible_binomial,
     is_prime,
     mult_order,
 )
-from reference import ext_alpha, ext_element, ext_one, trace
+from reference import ext_alpha, ext_element, ext_one, irreducible_constants, trace
 
 Q4099 = PrimeModulus(4099)
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -171,47 +170,42 @@ class TestTrace:
             assert trace(combo).value == expected
 
 
-def _brute_irreducible_binomial(n: int, a: int, q: int) -> bool:
-    """Factor search: a degree <= 4 binomial is reducible iff it has a root,
-    or (degree 4 only) an irreducible quadratic divisor."""
-    if n == 1:
-        return True
-    if any(pow(x, n, q) == a % q for x in range(q)):
+def _accepts(n: int, a) -> bool:
+    """Whether ExtFieldCtx takes y^n - a as a field."""
+    try:
+        ExtFieldCtx(n, a)
+    except ValueError:
         return False
-    if n == 4:
-        # x^4 - a mod (x^2 + bx + c): remainder x*(2bc - b^3) + (c^2 - b^2*c - a)
-        for b in range(q):
-            for c in range(q):
-                if (2 * b * c - b**3) % q == 0 and (c * c - b * b * c - a) % q == 0:
-                    return False
     return True
 
 
 class TestIrreducibleBinomial:
+    """ExtFieldCtx's order criterion against the factor search of
+    reference.irreducible_constants."""
+
     def test_paper_ring_cubics(self):
-        assert is_irreducible_binomial(3, Q4099.element(2018))
-        assert is_irreducible_binomial(3, Q4099.element(2017))
+        assert _accepts(3, Q4099.element(2018))
+        assert _accepts(3, Q4099.element(2017))
 
     def test_linear_always(self):
-        assert is_irreducible_binomial(1, PrimeModulus(7).element(3))
+        assert _accepts(1, PrimeModulus(7).element(3))
+        assert _accepts(1, PrimeModulus(7).element(0))
 
     def test_square_difference(self):
-        assert not is_irreducible_binomial(2, PrimeModulus(5).element(1))
+        assert not _accepts(2, PrimeModulus(5).element(1))
 
     def test_quartic_with_mod4_condition(self):
         # 733 has order 4 mod 4133 and 4133 == 1 (mod 4)
         m = PrimeModulus(4133)
         assert mult_order(m.element(733)) == 4
-        assert is_irreducible_binomial(4, m.element(733))
+        assert _accepts(4, m.element(733))
 
     @pytest.mark.parametrize("q", SMALL_PRIMES)
     def test_against_brute_force(self, q):
         m = PrimeModulus(q)
         for n in range(1, 5):
-            for a in range(1, q):
-                got = is_irreducible_binomial(n, m.element(a))
-                want = _brute_irreducible_binomial(n, a, q)
-                assert got == want, (q, n, a)
+            got = tuple(a for a in range(1, q) if _accepts(n, m.element(a)))
+            assert got == irreducible_constants(q, n), (q, n)
 
 
 class TestCenteredAndQuarter:

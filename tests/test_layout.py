@@ -3,8 +3,10 @@ algebra that the tests compare the numpy path against, and the per-sample
 Sample objects, live in tests/reference.py; no module of src/plwe_audit or
 scripts defines, imports or reads them, and the package does not export
 them.  The attacks read Pairs only and take no evaluation point.  A Sigma
-table is its mask alone, and the analyze command judges a point through
-the resolver and analysis functions that plans and scans use."""
+table is its mask alone, and the analyze command reads and judges a point
+through the reader, resolver and analysis functions that plans use.  Roots
+and divisors come from the scan's fold alone, and ExtFieldCtx is the one
+irreducibility test."""
 
 import ast
 import dataclasses
@@ -15,7 +17,7 @@ import plwe_audit
 from plwe_audit import attacks
 from plwe_audit.attacks import SigmaTable
 from plwe_audit.fields import ExtFieldCtx
-from plwe_audit.rings import find_fq_roots
+from plwe_audit.rings import binomial_logs
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_ONLY = frozenset({
@@ -41,6 +43,10 @@ DELETED = frozenset({
     # the precondition formulas outside analysis's flags and small_set_size
     "log_small_set_size", "_evaluation_point", "_small_set_flag", "_small_values_flag",
     "_usva_flag",
+    # the wrappers of the fold, the irreducibility test outside ExtFieldCtx,
+    # and analysis's PrimeModulus fallback
+    "find_fq_roots", "find_binomial_factors", "_fold_points", "is_irreducible_binomial",
+    "_q_of",
 })
 ATTACKS = ("small_set_attack", "small_values_attack", "unbounded_small_values_attack",
            "extended_attack")
@@ -74,7 +80,7 @@ def test_one_arithmetic_path():
     assert not REFERENCE_ONLY & set(vars(plwe_audit))
     assert not {"sigma_bar", "Sample"} & set(vars(plwe_audit))
     assert not EXT_ELEMENT_CONSTRUCTORS & set(vars(ExtFieldCtx))
-    assert list(inspect.signature(find_fq_roots).parameters) == ["ctx"]
+    assert list(inspect.signature(binomial_logs).parameters) == ["ctx", "n", "G"]
     for name in ATTACKS:
         params = inspect.signature(getattr(attacks, name)).parameters
         assert list(params)[0] == "pairs" and "point" not in params, name
@@ -84,10 +90,20 @@ def test_one_precondition_path():
     assert "values" not in {f.name for f in dataclasses.fields(SigmaTable)}
     assert not hasattr(SigmaTable, "values")
     cli = ROOT / "src" / "plwe_audit" / "cli.py"
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
     imported = {
         alias.name
-        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert not {"block_structure", "log_small_set_size"} & imported
+    assert not {"block_structure", "log_small_set_size", "int_field"} & imported
+    # the attack section's point fields are read by campaign.point_from_dict
+    keys = {
+        node.slice.value if isinstance(node, ast.Subscript) else node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get" and node.args and isinstance(node.args[0], ast.Constant)
+    }
+    assert "attack" in keys and not {"alpha", "n", "a"} & keys

@@ -7,27 +7,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plwe_audit.analysis import scan_instance
-from plwe_audit.campaign import _true_value, build_plan, config_from_dict
-from plwe_audit.fields import (
-    ContextMismatch,
-    ExtFieldCtx,
-    PrimeModulus,
-    is_irreducible_binomial,
-    is_prime,
+from plwe_audit.campaign import (
+    ConfigError,
+    _true_value,
+    build_plan,
+    config_from_dict,
+    resolve_point,
 )
+from plwe_audit.fields import ContextMismatch, ExtFieldCtx, PrimeModulus, is_prime
 from plwe_audit.instances import TRACE_RING_A, TRACE_RING_B
 from plwe_audit.rings import (
     RqContext,
+    binomial_logs,
     eval_matrix,
-    find_binomial_factors,
-    find_fq_roots,
+    generator_powers,
     load_ring_doc,
+    log_orders,
     rq0_witnesses,
 )
 from reference import (
     ext_alpha,
     ext_from_base,
     eval_poly,
+    irreducible_constants,
     ring_add,
     ring_mul,
     ring_sub,
@@ -150,7 +152,7 @@ def test_eval_matrix_matches_scalar_oracles(data):
     if n == 1:
         a = data.draw(st.integers(0, q - 1), label="a")
     else:
-        irreducible = [a for a in range(1, q) if is_irreducible_binomial(n, m.element(a))]
+        irreducible = irreducible_constants(q, n)
         assume(irreducible)
         a = data.draw(st.sampled_from(irreducible), label="a")
     ext = ExtFieldCtx(n, m.element(a))
@@ -177,28 +179,39 @@ def test_eval_matrix_matches_scalar_oracles(data):
     assert _true_value(plan, p.as_array()) == trace(eval_poly(p, ext_alpha(ext))).value
 
 
+def _fold(ctx, n):
+    """The (a, ord(a)) of binomial_logs at degree n, in increasing order of
+    a; n = 1 gives the nonzero roots."""
+    G = generator_powers(ctx.q)
+    idx = binomial_logs(ctx, n, G)
+    return list(zip(G[idx].tolist(), log_orders(idx, ctx.q).tolist()))
+
+
+def _scan_roots(ctx):
+    """The scan's (alpha, order) of every root of f in F_q, in increasing
+    order; the root 0 carries the order 0."""
+    return [(r.alpha, r.order) for r in scan_instance(ctx, 1.0, True, n_max=1).roots]
+
+
 class TestFindRoots:
     def test_x2_plus_1_mod_5(self):
         ctx = RqContext((1, 0, 1), PrimeModulus(5))
-        assert find_fq_roots(ctx) == [
-            (PrimeModulus(5).element(2), 4),
-            (PrimeModulus(5).element(3), 4),
-        ]
+        assert _fold(ctx, 1) == [(2, 4), (3, 4)]
 
     def test_irreducible_has_none(self):
         # x^5 + 4x + 1 has no roots mod 7
         ctx = RqContext((1, 4, 0, 0, 0, 1), PrimeModulus(7))
-        assert find_fq_roots(ctx) == []
+        assert _fold(ctx, 1) == []
 
     def test_minus_one_root_with_order_two(self):
         q = 3677
         m = -(pow(3676, 8, q) + 2 * 3676) % q
         ctx = RqContext((m + q, 2, 0, 0, 0, 0, 0, 0, 1), PrimeModulus(q))
-        assert (PrimeModulus(q).element(3676), 2) in find_fq_roots(ctx)
+        assert (3676, 2) in _fold(ctx, 1)
 
     def test_matches_exhaustive_evaluation(self):
         q = RING_A.q
-        found = {a.value for a, _ in find_fq_roots(RING_A)}
+        found = {alpha for alpha, _ in _scan_roots(RING_A)}
         xs = np.arange(q, dtype=np.int64)
         acc = np.full(q, RING_A.f_mod[-1], dtype=np.int64)
         for c in RING_A.f_mod[-2::-1]:
@@ -210,34 +223,35 @@ class TestFindRoots:
         # runs there, as for the binomial divisors
         ctx = RqContext((14, -9, 1), PrimeModulus(4194319))
         with pytest.raises(ValueError, match="q < 2\\*\\*22, got q = 4194319"):
-            find_fq_roots(ctx)
+            scan_instance(ctx, 1.0, True)
 
 
 class TestBinomialFactors:
     def test_ring_a_cubic_divisor(self):
-        assert (PrimeModulus(4099).element(2018), 6) in find_binomial_factors(RING_A, 3)
+        assert (2018, 6) in _fold(RING_A, 3)
 
     def test_ring_b_cubic_divisor_unique(self):
-        hits = find_binomial_factors(RING_B, 3)
-        assert hits == [(PrimeModulus(4099).element(2017), 3)]
+        assert _fold(RING_B, 3) == [(2017, 3)]
 
     def test_small_example(self):
         ctx = RqContext((-2, 0, 1), PrimeModulus(3))
-        assert find_binomial_factors(ctx, 2) == [(PrimeModulus(3).element(2), 2)]
+        assert _fold(ctx, 2) == [(2, 2)]
 
     def test_degree_too_large(self):
         ctx = RqContext((-2, 0, 1), PrimeModulus(3))
-        assert find_binomial_factors(ctx, 5) == []
+        assert _fold(ctx, 5) == []
+        factors = scan_instance(ctx, 1.0, True, n_max=5).factors
+        assert [(fc.n, fc.a) for fc in factors] == [(2, 2)]
 
     def test_every_hit_divides_and_is_irreducible(self):
+        q = 4099
         for n in (2, 3, 4):
-            for a_elt, order in find_binomial_factors(RING_A, n):
-                assert is_irreducible_binomial(n, a_elt)
+            for a, order in _fold(RING_A, n):
+                ExtFieldCtx(n, PrimeModulus(q).element(a))  # refuses a reducible y^n - a
                 # remainder of f mod (x^n - a): fold coefficients
-                q = 4099
                 rem = [0] * n
                 for k, c in enumerate(RING_A.f_mod):
-                    rem[k % n] = (rem[k % n] + c * pow(a_elt.value, k // n, q)) % q
+                    rem[k % n] = (rem[k % n] + c * pow(a, k // n, q)) % q
                 assert all(v == 0 for v in rem)
 
     def test_report_combines_roots_and_factors(self):
@@ -274,35 +288,82 @@ def fold_rings(draw):
     return RqContext(tuple(f) + (1,), PrimeModulus(q))
 
 
+@st.composite
+def planted_rings(draw):
+    """A fold_rings f times a planted x^n - a, n <= 4, whose a has an order
+    dividing some d <= 12 half the time, so small orders and divisors show."""
+    ctx = draw(fold_rings())
+    q = ctx.q
+    n = draw(st.integers(1, 4))
+    b = draw(st.integers(0, q - 1))
+    small = [(q - 1) // d for d in range(2, 13) if (q - 1) % d == 0]
+    a = pow(b, draw(st.sampled_from([1] + small)), q)
+    f = [0] * (len(ctx.f_int) + n)
+    for k, c in enumerate(ctx.f_int):
+        f[k] -= a * c
+        f[k + n] += c
+    return RqContext(tuple(f), ctx.modulus)
+
+
 class TestFoldOracle:
     """The generator-power fold against per-point evaluation over all of F_q."""
 
     @settings(max_examples=120, deadline=None)
     @given(fold_rings())
     def test_roots_match_horner(self, ctx):
-        q, m = ctx.q, ctx.modulus
+        q = ctx.q
         want = []
         for x in range(q):
             acc = 0
             for c in reversed(ctx.f_int):
                 acc = (acc * x + c) % q
             if acc == 0:
-                want.append((m.element(x), 0 if x == 0 else _brute_order(x, q)))
-        assert find_fq_roots(ctx) == want
+                want.append((x, 0 if x == 0 else _brute_order(x, q)))
+        assert _scan_roots(ctx) == want
 
     @settings(max_examples=120, deadline=None)
     @given(fold_rings())
     def test_binomial_factors_match_per_point_fold(self, ctx):
-        q, m = ctx.q, ctx.modulus
+        q = ctx.q
         for n in (2, 3, 4):
             want = []
             for a in range(1, q):
                 rem = [0] * n
                 for k, c in enumerate(ctx.f_int):
                     rem[k % n] = (rem[k % n] + c * pow(a, k // n, q)) % q
-                if not any(rem) and is_irreducible_binomial(n, m.element(a)):
-                    want.append((m.element(a), _brute_order(a, q)))
-            assert find_binomial_factors(ctx, n) == want, n
+                if not any(rem) and a in irreducible_constants(q, n):
+                    want.append((a, _brute_order(a, q)))
+            assert _fold(ctx, n) == want, n
+
+    @settings(max_examples=40, deadline=None)
+    @given(planted_rings())
+    def test_resolver_accepts_exactly_the_scanned_points(self, ctx):
+        """resolve_point, which plans and analyze use, against the scan at
+        every a in F_q and every degree n <= min(4, N): its exact divisor
+        test accepts (n, a) iff the fold lists it (the root 0 included), and
+        its scalar block structure equals the scan's batch one bit for bit."""
+        sigma = 1.3
+        report = scan_instance(ctx, sigma, True)
+        listed = {(1, r.alpha): (r.order, r.case_kind, r.sigma_bar) for r in report.roots}
+        listed.update(
+            ((f.n, f.a), (f.order, f.case_kind, f.n_prime, f.n_second, f.sigma_bar))
+            for f in report.factors
+        )
+        resolved = {}
+        for n in range(1, min(4, ctx.N) + 1):
+            for a in range(ctx.q):
+                try:
+                    if n == 1:
+                        _, bs = resolve_point(ctx, sigma, a)
+                        resolved[n, a] = (bs.order, bs.case_kind, bs.sigma_bar)
+                    else:
+                        _, bs = resolve_point(ctx, sigma, None, n, a)
+                        resolved[n, a] = (
+                            bs.order, bs.case_kind, bs.n_terms, bs.blocklen, bs.sigma_bar
+                        )
+                except ConfigError:
+                    pass
+        assert resolved == listed
 
 
 @given(st.data())
@@ -316,7 +377,7 @@ def test_rq0_witnesses_match_the_membership_oracle(data):
     if n == 1:
         a = data.draw(st.integers(0, q - 1), label="a")
     else:
-        irreducible = [a for a in range(1, q) if is_irreducible_binomial(n, m.element(a))]
+        irreducible = irreducible_constants(q, n)
         assume(irreducible)
         a = data.draw(st.sampled_from(irreducible), label="a")
     ext = ExtFieldCtx(n, m.element(a))
