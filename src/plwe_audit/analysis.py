@@ -33,9 +33,9 @@ def uniform_offset(q) -> Fraction:
 
 
 def quarter_count(q) -> int:
-    """Number of residues mod q whose centered form lies in [-q/4, q/4)."""
+    """Number of residues mod q in [-q/4, q/4): ceil(q/4) + q - ceil(3q/4), q >= 2."""
     qv = int(q)
-    return (qv + 1) // 2 if qv % 4 == 1 else (qv - 1) // 2
+    return (qv + 3) // 4 + qv - (3 * qv + 3) // 4
 
 
 def in_quarter_residues(v: np.ndarray, q: int) -> np.ndarray:

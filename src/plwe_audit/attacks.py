@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .analysis import (
     extended_threshold,
     hit_threshold,
+    quarter_count,
     quarter_mask,
     small_set_size,
     usva_threshold,
@@ -244,20 +245,19 @@ def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
 
 
 @lru_cache(maxsize=4)
-def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only tables of the log-domain hit count, for q < 2**22.
 
     With G = generator_powers(q), windows[l] is the row G[l : l + q - 1] of
-    the doubled table G || G (a sliding-window view), logs[G[j]] = j (logs[0]
-    is unused) and mask2 is the quarter mask twice over, as bytes.  In int32
-    they hold 8q + 4q + 2q bytes, about 56 MB at q near 2**22.
+    the doubled table G || G (a sliding-window view) and logs[G[j]] = j
+    (logs[0] is unused).  In int32 they hold 8q + 4q bytes, about 48 MB at
+    q near 2**22.
     """
     G = generator_powers(q).astype(np.int32)
     logs = np.zeros(q, dtype=np.int32)
     logs[G] = np.arange(q - 1, dtype=np.int32)
-    mask2 = np.tile(quarter_mask(q), 2).view(np.uint8)
-    logs.flags.writeable = mask2.flags.writeable = False
-    return sliding_window_view(np.tile(G, 2), q - 1), logs, mask2
+    logs.flags.writeable = False
+    return sliding_window_view(np.tile(G, 2), q - 1), logs
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +292,32 @@ def small_values_attack(pairs: Pairs) -> AttackVerdict:
 # unbounded attack
 
 
+def _quarter_hits(pairs: Pairs) -> tuple[int, np.ndarray]:
+    """h_0, and the hits of the candidates g = G[j] (G = generator_powers(q))
+    in log order: u_i*g = G[l_i + j] for u_i = G[l_i] is row l_i of G || G.
+    The quarter residues are the cyclic interval [c, c + w), c = ceil(3q/4)
+    mod q, w = quarter_count(q); t_i - u_i*g hits iff d = ((t_i - c) mod q) -
+    u_i*g, in (-q, q), read as uint32 is below w, or d < w - q.  A row with
+    u_i = 0 adds its constant hit to every g != 0; rows come in groups of at
+    most max(q, _MAX_PAIRS) entries."""
+    q = pairs.q
+    windows, logs = _log_tables(q)
+    c, w = -(-3 * q // 4) % q, quarter_count(q)
+    at_zero = quarter_mask(q).take(pairs.targets)  # t_i - u_i*0 = t_i
+    zero = pairs.scales == 0
+    hits = np.full(q - 1, int(at_zero[zero].sum()), dtype=np.int64)
+    shifted = ((pairs.targets[~zero] - c) % q).astype(np.int32)
+    l = logs.take(pairs.scales[~zero])
+    rows = max(q, _MAX_PAIRS) // q
+    for lo in range(0, l.size, rows):
+        d = windows[l[lo : lo + rows]]
+        np.subtract(shifted[lo : lo + rows, None], d, out=d)
+        hit = d.view(np.uint32) < w
+        hit |= d < w - q
+        hits += hit.sum(axis=0, dtype=np.int32)
+    return int(at_zero.sum()), hits
+
+
 def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecision:
     """Count the quarter-interval hits h_g of every candidate g and say PLWE
     when the best candidate reaches hit_threshold(ell, q, delta).
@@ -303,37 +329,19 @@ def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecisio
     batch hits with probability 1/2 + delta per sample, any candidate of a
     uniform batch with quarter_count(q)/q.
 
-    The counts are taken in the log domain, with no reduction mod q: with
-    g = G[j] and u_i = G[l_i] for the generator powers G, u_i*g = G[l_i + j]
-    is row l_i of the doubled table G || G, and t_i - u_i*g + q, in [1, 2q),
-    indexes the quarter mask written twice.  A row with u_i = 0 adds its
-    constant hit to every candidate, and g = 0 scores the hits of the t_i.
-    The per-q tables (_log_tables) are cached and take about 14q bytes, so
-    q must stay below 2**22; the rows are taken in groups of at most
-    max(q, _MAX_PAIRS) entries.
+    _quarter_hits counts in the log domain with two integer comparisons per
+    entry; its cached _log_tables take about 12q bytes, so q < 2**22.
 
     delta is the caller's estimate of P(error image in quarter interval) - 1/2;
     it is never derived here.
     """
     _require_samples(pairs)
-    q, ell = pairs.q, len(pairs)
-    windows, logs, mask2 = _log_tables(q)
-    at_zero = quarter_mask(q).take(pairs.targets)  # t_i - u_i*0 = t_i
-    zero = pairs.scales == 0
-    hits = np.full(q - 1, int(at_zero[zero].sum()), dtype=np.int64)  # h_G[j]
-    h0 = int(at_zero.sum())
-    shifted = pairs.targets[~zero].astype(np.int32) + np.int32(q)
-    l = logs.take(pairs.scales[~zero])
-    rows = max(q, _MAX_PAIRS) // q
-    for lo in range(0, l.size, rows):
-        grid = windows[l[lo : lo + rows]]
-        np.subtract(shifted[lo : lo + rows, None], grid, out=grid)
-        hits += mask2.take(grid).sum(axis=0, dtype=np.int32)
+    h0, hits = _quarter_hits(pairs)
     return HitCountDecision(
         votes=int(hits.sum()) + h0,
-        threshold=usva_threshold(ell, q, delta),
+        threshold=usva_threshold(len(pairs), pairs.q, delta),
         best_hits=max(int(hits.max()), h0),
-        hit_threshold=hit_threshold(ell, q, delta),
+        hit_threshold=hit_threshold(len(pairs), pairs.q, delta),
     )
 
 

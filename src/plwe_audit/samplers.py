@@ -132,7 +132,8 @@ class SampleBatch:
         coordinate c0, and Tr = n * (y^0 coordinate) makes the targets the y^0
         coordinates of b_i(alpha).  A batch with a secret evaluates first:
         evaluation is a ring homomorphism and u_i lies in F_q, so the target
-        is u_i * c0(s) + c0(e_i) and B is never formed.
+        is u_i * c0(s) + c0(e_i) and B is never formed; X - X // q * q reduces
+        the errors faster than int64 %, exactly within campaign.check_draws.
         """
         q = self.ring.q
         W = eval_matrix(ext, self.ring.N)
@@ -144,7 +145,7 @@ class SampleBatch:
         if self.secret is None:
             targets = self.X @ coord0 % q
         else:
-            targets = (u * (self.secret @ coord0 % q) + self.X % q @ coord0) % q
+            targets = (u * (self.secret @ coord0 % q) + (self.X - self.X // q * q) @ coord0) % q
         return Pairs(targets, u * pow(ext.n, -1, q) % q, q)
 
 

@@ -28,6 +28,7 @@ from plwe_audit.analysis import (
     monte_carlo_delta,
     posterior_bounds,
     quarter_count,
+    quarter_mask,
     scan_instance,
     uniform_offset,
     usva_threshold,
@@ -54,6 +55,16 @@ class TestOffsets:
     def test_quarter_count(self):
         assert quarter_count(13) == 7
         assert quarter_count(4099) == 2049
+        # the unbounded attack compares with the cyclic interval [c, c + w),
+        # c = ceil(3q/4) mod q, w = quarter_count(q); q = 2 holds only 0
+        assert quarter_count(2) == 1
+        for q in range(2, 400):
+            mask = quarter_mask(q)
+            assert quarter_count(q) == np.count_nonzero(mask)
+            c = -(-3 * q // 4) % q
+            interval = np.zeros(q, dtype=bool)
+            interval[(c + np.arange(quarter_count(q))) % q] = True
+            assert interval.tolist() == mask.tolist()
 
 
 class TestSigmaBar:

@@ -470,8 +470,31 @@ class TestLogDomainHitCounts:
         limit = {"default": attacks._MAX_PAIRS, "2q": 2 * q}.get(max_pairs, max_pairs)
         with mock.patch.object(attacks, "_MAX_PAIRS", limit):
             decision = unbounded_small_values_attack(Pairs(targets, scales, q), 0.3)
+            h0, by_log = attacks._quarter_hits(Pairs(targets, scales, q))
         assert decision.votes == int(hits.sum())
         assert decision.best_hits == int(hits.max())
+        # votes alone is ell * quarter_count(q) on invertible rows, whatever
+        # the candidate order: compare every candidate's count
+        assert h0 == hits[0]
+        assert by_log.tolist() == hits[generator_powers(q)].tolist()
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 3677, 4099])
+    def test_interval_edges(self, q):
+        # targets just inside and outside the cyclic quarter interval
+        # [c, c + w), for q = 1 and 3 (mod 4), against every scale for
+        # small q and the scales 0, 1, 2, q - 2, q - 1 and five more for large q
+        c, w = -(-3 * q // 4) % q, quarter_count(q)
+        edges = np.array([c - 1, c, c + w - 1, c + w]) % q
+        rng = np.random.default_rng(q)
+        if q < 50:
+            scales = np.arange(q)
+        else:
+            scales = np.r_[0, 1, 2, q - 2, q - 1, rng.integers(1, q, 5)]
+        targets, scales = np.repeat(edges, scales.size), np.tile(scales, edges.size)
+        hits = reference_hit_counts(targets, scales, q)
+        h0, by_log = attacks._quarter_hits(Pairs(targets, scales, q))
+        assert h0 == hits[0]
+        assert by_log.tolist() == hits[generator_powers(q)].tolist()
 
 
 class TestExtended:

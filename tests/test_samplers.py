@@ -12,6 +12,7 @@ from plwe_audit.samplers import (
     BudgetExhausted,
     GaussianSpec,
     PlweInstance,
+    SampleBatch,
     gaussian_coeffs,
     sample_batch,
 )
@@ -414,3 +415,27 @@ def test_sample_batch_round_trips_and_slices():
     batch = from_samples(samples)
     assert len(batch) == 5 and to_samples(batch) == samples
     assert to_samples(batch[1:3]) == samples[1:3]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pairs_reduce_errors_exactly_at_the_int64_edge(n):
+    # errors of +-(2**63 - N*q^2 - 1), the largest campaign.check_draws
+    # admits, must reduce exactly: the targets match Python-int arithmetic.
+    # x^N - 17^N has the F_q root 17 (n = 1); y^2 - 2 divides x^N - 2^(N/2)
+    # over F_3677, where 2 is a non-residue, and A = 0 lies in R_{q,0}
+    N, q = 64, 3677
+    a = 17 if n == 1 else 2
+    ring = RqContext((-pow(a, N // n, q) % q,) + (0,) * (N - 1) + (1,), PrimeModulus(q))
+    ext = ExtFieldCtx(n, PrimeModulus(q).element(a))
+    rng = np.random.default_rng(n)
+    edge = 2**63 - N * q * q - 1
+    X = np.where(rng.random((6, N)) < 0.5, -edge, edge).astype(np.int64)
+    A = rng.integers(0, q, (6, N)) if n == 1 else np.zeros((6, N), dtype=np.int64)
+    secret = rng.integers(0, q, N)
+    pairs = SampleBatch(ring, A, X, secret).pairs(ext)
+    coord0 = [pow(a, k // n, q) if k % n == 0 else 0 for k in range(N)]
+
+    def c0(row):
+        return sum(int(v) % q * c for v, c in zip(row, coord0))
+
+    assert pairs.targets.tolist() == [(c0(A[i]) * c0(secret) + c0(X[i])) % q for i in range(6)]
