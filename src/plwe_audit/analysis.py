@@ -25,22 +25,27 @@ class DomainError(ValueError):
     """Argument outside the function's domain."""
 
 
-def uniform_offset(q) -> Fraction:
-    """The signed deviation of the quarter-interval mass of a uniform residue
-    from 1/2: +1/(2q) when q == 1 (mod 4), -1/(2q) when q == 3 (mod 4)."""
-    qv = int(q)
-    return Fraction(1, 2 * qv) if qv % 4 == 1 else Fraction(-1, 2 * qv)
-
-
 def quarter_count(q) -> int:
-    """Number of residues mod q in [-q/4, q/4): ceil(q/4) + q - ceil(3q/4), q >= 2."""
+    """Number of residues mod q in [-q/4, q/4): ceil(q/4) + q - ceil(3q/4), q >= 2.
+    A uniform residue lands there with probability quarter_count(q)/q,
+    1/2 + 1/(2q) when q == 1 (mod 4) and 1/2 - 1/(2q) when q == 3 (mod 4)."""
     qv = int(q)
     return (qv + 3) // 4 + qv - (3 * qv + 3) // 4
 
 
+def quarter_interval(q: int) -> tuple[int, int]:
+    """(c, w): the quarter residues mod q are the cyclic interval [c, c + w),
+    c = ceil(3q/4) mod q, w = quarter_count(q)."""
+    return -(-3 * q // 4) % q, quarter_count(q)
+
+
 def in_quarter_residues(v: np.ndarray, q: int) -> np.ndarray:
-    """fields.in_quarter_value of every residue in v, each in [0, q)."""
-    return (4 * v < q) | (4 * v >= 3 * q)
+    """fields.in_quarter_value of every residue in v, each in [0, q), for
+    every q < 2**62: with d = v - c in (-q, q), v lies in [c, c + w) iff
+    0 <= d < w or d < w - q, and no term leaves int64."""
+    c, w = quarter_interval(q)
+    d = v - c
+    return (d >= 0) & (d < w) | (d < w - q)
 
 
 @lru_cache(maxsize=16)
@@ -217,8 +222,10 @@ def delta_probability(q, sigma_bar_value: float, tol: float = DEFAULT_SERIES_TOL
 
 def big_delta(q, delta: float) -> float:
     """Delta = delta - (+-1/(2q)): the margin of an error image's
-    quarter-interval mass 1/2 + delta over a uniform residue's."""
-    return delta - float(uniform_offset(q))
+    quarter-interval mass 1/2 + delta over a uniform residue's,
+    quarter_count(q)/q = 1/2 + (2*quarter_count(q) - q)/(2q)."""
+    qv = int(q)
+    return delta - (2 * quarter_count(qv) - qv) / (2 * qv)  # int / int is correctly rounded
 
 
 def f_of_r(ratio: float, tol: float = DEFAULT_SERIES_TOL) -> float:
@@ -241,11 +248,11 @@ def monte_carlo_delta(
 
     The draws are counted per rounded value with one bincount over their
     span, and only the distinct values are reduced mod q.  When the span
-    exceeds the number of draws (sigma_bar far above draws), the draws are
-    reduced mod q first, by fmod on the floats, and counted per residue, so
-    memory stays O(draws + q).  fmod is exact for every finite float, so the
-    result equals the per-draw count mod q bit for bit, also past the int64
-    range.
+    exceeds the number of draws (sigma_bar far above draws), each draw is
+    reduced mod q and tested, in O(draws) memory.  Below 2**53, q is a
+    float and fmod is exact for every finite float; above, the draws are
+    reduced in Python ints.  So the result equals the per-draw count mod q
+    bit for bit at every q < 2**62, also past the int64 range.
     """
     qv = int(q)
     x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws))
@@ -254,12 +261,14 @@ def monte_carlo_delta(
         x -= lo
         counts = np.bincount(x.astype(np.intp))
         values = np.arange(int(lo), int(lo) + counts.size) % qv
+        hits = int(counts[in_quarter_residues(values, qv)].sum())
     else:
-        x = np.fmod(x, qv)  # in (-q, q), with the sign of the draw
-        x[x < 0] += qv
-        counts = np.bincount(x.astype(np.intp), minlength=qv)
-        values = np.arange(qv)
-    hits = int(counts[in_quarter_residues(values, qv)].sum())
+        if qv < 1 << 53:
+            r = np.fmod(x, qv).astype(np.int64)  # in (-q, q), with the sign of the draw
+            r[r < 0] += qv
+        else:
+            r = np.array([int(v) % qv for v in x.tolist()], dtype=np.int64)
+        hits = int(np.count_nonzero(in_quarter_residues(r, qv)))
     return hits / draws - 0.5
 
 
@@ -295,8 +304,8 @@ def usva_threshold(ell: int, q, delta: float) -> int:
     if ell < 1:
         raise ValueError("need at least one sample")
     qv = int(q)
-    base = Fraction(1, 2) + uniform_offset(qv)
-    t = ell * (qv - 1) * base + ell * (Fraction(1, 2) + Fraction(delta))
+    t = ell * (qv - 1) * Fraction(quarter_count(qv), qv)
+    t += ell * (Fraction(1, 2) + Fraction(delta))
     return math.ceil(t)
 
 
@@ -405,7 +414,7 @@ def _per_sample_mass(
             raise ValueError("small_set bounds need sigma_size and r")
         return sigma_size / qv, sigma_size / (qv * p0**r), p0
     if family == "small_values":
-        u = float(Fraction(1, 2) + uniform_offset(qv))
+        u = quarter_count(qv) / qv
         return u, u / p0, p0
     raise ValueError(f"unknown family {family!r}")
 
@@ -476,44 +485,46 @@ class AttackFlag:
         }
 
 
-@dataclass(frozen=True)
-class RootVuln:
-    alpha: int
-    order: int
-    case_kind: str
-    sigma_bar: float
-    flags: tuple[AttackFlag, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "order": self.order,
-            "case": self.case_kind,
-            "sigma_bar": self.sigma_bar,
-            "attacks": [f.to_dict() for f in self.flags],
-        }
+def point_keys(n: int, a: int, blocks: BlockStructure) -> dict:
+    """How scan and analyze reports spell the root of y^n - a: alpha at an
+    F_q root (n = 1, alpha = a), else n, a and the block counts n_prime and
+    n_second; then order, case and sigma_bar."""
+    if n == 1:
+        where = {"alpha": a}
+    else:
+        where = {"n": n, "a": a, "n_prime": blocks.n_terms, "n_second": blocks.blocklen}
+    return {
+        **where, "order": blocks.order, "case": blocks.case_kind, "sigma_bar": blocks.sigma_bar
+    }
 
 
 @dataclass(frozen=True)
-class FactorVuln:
+class PointVuln:
+    """A point a scan lists, the root of an irreducible divisor y^n - a of f
+    mod q (an F_q root alpha = a as n = 1), with its block structure and the
+    flags of the attacks there."""
+
     n: int
     a: int
-    order: int
-    n_prime: int
-    n_second: int
-    case_kind: str
-    sigma_bar: float
+    blocks: BlockStructure
     flags: tuple[AttackFlag, ...]
+
+    # the names that scripts/scan_rings.py and perfbench read
+    @property
+    def alpha(self) -> int:
+        return self.a
+
+    @property
+    def order(self) -> int:
+        return self.blocks.order
+
+    @property
+    def sigma_bar(self) -> float:
+        return self.blocks.sigma_bar
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "a": self.a,
-            "order": self.order,
-            "n_prime": self.n_prime,
-            "n_second": self.n_second,
-            "case": self.case_kind,
-            "sigma_bar": self.sigma_bar,
+            **point_keys(self.n, self.a, self.blocks),
             "attacks": [f.to_dict() for f in self.flags],
         }
 
@@ -524,8 +535,8 @@ class VulnReport:
     N: int
     sigma: float
     truncated: bool
-    roots: tuple[RootVuln, ...]
-    factors: tuple[FactorVuln, ...]
+    roots: tuple[PointVuln, ...]  # n = 1
+    factors: tuple[PointVuln, ...]  # n >= 2
 
     def to_dict(self) -> dict:
         return {
@@ -651,7 +662,7 @@ def scan_instance(
     G = generator_powers(q)
     seen: dict[tuple, tuple[AttackFlag, ...]] = {}
 
-    def flags(bs: BlockStructure, n: int) -> tuple[AttackFlag, ...]:
+    def point(n: int, a: int, bs: BlockStructure) -> PointVuln:
         key = (bs.r_eff, bs.blocklen, bs.sigma_bar, n)
         if key not in seen:
             prob = delta_probability(q, bs.sigma_bar)
@@ -660,28 +671,15 @@ def scan_instance(
                 small_values_flag(q, truncated, bs.sigma_bar, n),
                 unbounded_flag(q, prob.delta, ratio=prob.ratio, p_event=prob.p_event),
             )
-        return seen[key]
+        return PointVuln(n, a, bs, seen[key])
 
-    def points(n: int) -> list[tuple[int, BlockStructure]]:
+    def points(n: int) -> list[PointVuln]:
         idx = binomial_logs(ctx, n, G)
-        return list(zip(G[idx].tolist(), block_structures(n, idx, N, sigma, G)))
+        structures = block_structures(n, idx, N, sigma, G)
+        return [point(n, a, bs) for a, bs in zip(G[idx].tolist(), structures)]
 
     roots = points(1)
     if ctx.f_mod[0] == 0:
-        roots.insert(0, (0, block_structure(1, ctx.modulus.element(0), N, sigma)))
-    factors = [
-        FactorVuln(
-            n, a, bs.order, bs.n_terms, bs.blocklen, bs.case_kind, bs.sigma_bar,
-            flags(bs, n),
-        )
-        for n in range(2, min(n_max, N) + 1)
-        for a, bs in points(n)
-    ]
-    return VulnReport(
-        q, N, sigma, truncated,
-        tuple(
-            RootVuln(a, bs.order, bs.case_kind, bs.sigma_bar, flags(bs, 1))
-            for a, bs in roots
-        ),
-        tuple(factors),
-    )
+        roots.insert(0, point(1, 0, block_structure(1, ctx.modulus.element(0), N, sigma)))
+    factors = [p for n in range(2, min(n_max, N) + 1) for p in points(n)]
+    return VulnReport(q, N, sigma, truncated, tuple(roots), tuple(factors))

@@ -28,9 +28,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import (
+    DEFAULT_TABLE_CAP,
     extended_threshold,
     hit_threshold,
-    quarter_count,
+    quarter_interval,
     quarter_mask,
     small_set_size,
     usva_threshold,
@@ -172,7 +173,7 @@ class SigmaTable:
 
 
 def build_sigma_table_trace(
-    a: FieldElement, r: int, blocklen: int, sigma: float, cap: int = 10**8
+    a: FieldElement, r: int, blocklen: int, sigma: float, cap: int = DEFAULT_TABLE_CAP
 ) -> SigmaTable:
     """Table for evaluation at a root of the binomial y^n - a, n = 1 included:
     r blocks of blocklen raw error coefficients weighted by the powers of a
@@ -295,14 +296,14 @@ def small_values_attack(pairs: Pairs) -> AttackVerdict:
 def _quarter_hits(pairs: Pairs) -> tuple[int, np.ndarray]:
     """h_0, and the hits of the candidates g = G[j] (G = generator_powers(q))
     in log order: u_i*g = G[l_i + j] for u_i = G[l_i] is row l_i of G || G.
-    The quarter residues are the cyclic interval [c, c + w), c = ceil(3q/4)
-    mod q, w = quarter_count(q); t_i - u_i*g hits iff d = ((t_i - c) mod q) -
+    The quarter residues are the cyclic interval [c, c + w) of
+    analysis.quarter_interval; t_i - u_i*g hits iff d = ((t_i - c) mod q) -
     u_i*g, in (-q, q), read as uint32 is below w, or d < w - q.  A row with
     u_i = 0 adds its constant hit to every g != 0; rows come in groups of at
     most max(q, _MAX_PAIRS) entries."""
     q = pairs.q
     windows, logs = _log_tables(q)
-    c, w = -(-3 * q // 4) % q, quarter_count(q)
+    c, w = quarter_interval(q)
     at_zero = quarter_mask(q).take(pairs.targets)  # t_i - u_i*0 = t_i
     zero = pairs.scales == 0
     hits = np.full(q - 1, int(at_zero[zero].sum()), dtype=np.int64)

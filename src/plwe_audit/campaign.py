@@ -41,8 +41,16 @@ from .attacks import (
     unbounded_small_values_attack,
 )
 from .fields import ExtFieldCtx
-from .rings import EXHAUSTIVE_SCAN_LIMIT, RqContext, eval_matrix, load_ring_doc, rq0_witnesses
+from .rings import (
+    EXHAUSTIVE_SCAN_LIMIT,
+    RqContext,
+    eval_matrix,
+    exact_int,
+    load_ring_doc,
+    rq0_witnesses,
+)
 from .samplers import (
+    DEFAULT_RQ0_BUDGET,
     NORMAL_DRAW_MAX,
     BudgetExhausted,
     GaussianSpec,
@@ -69,14 +77,11 @@ MODES = ("fq", "trace")
 @dataclass(frozen=True)
 class AttackSpec:
     family: str
-    mode: str
-    M: int = 0
+    # point_from_dict's point: the root of y^n - a, an F_q root alpha as (1, alpha)
+    n: int
+    a: int
+    M: int = 0  # samples per trial; attack.ell for the unbounded family
     M0: int = 0
-    ell: int = 0
-    # point_from_dict's point: alpha in fq mode, n and a in trace mode
-    alpha: Optional[int] = None
-    n: Optional[int] = None
-    a: Optional[int] = None
     delta: Optional[float | str] = None
     trials: int = 1
 
@@ -89,7 +94,7 @@ class ExperimentConfig:
     seed: int
     honest_sampling: bool = False
     table_cap: int = analysis.DEFAULT_TABLE_CAP
-    rq0_budget: int = 10**8
+    rq0_budget: int = DEFAULT_RQ0_BUDGET
     raw: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -109,21 +114,26 @@ def section(value, name: str) -> dict:
 def int_field(
     value, name: str, optional: bool = False, low: int | None = None, high: int | None = None
 ) -> Optional[int]:
-    """int(value) within [low, high); a failed conversion or a value out of
-    range names the field.  Optional fields pass None through."""
+    """rings.exact_int(value) within [low, high); a value that is no integer
+    or out of range names the field.  Optional fields pass None through."""
     if optional and value is None:
         return None
     try:
-        number = int(value)
-        if isinstance(value, float) and number != value:
-            raise ValueError(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: expected an integer, got {value!r}") from exc
+        number = exact_int(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if low is not None and number < low:
         raise ConfigError(f"{name}: must be >= {low}, got {number}")
     if high is not None and number >= high:
         raise ConfigError(f"{name}: must be < {high}, got {number}")
     return number
+
+
+def bool_field(value, name: str) -> bool:
+    """value when it is a JSON boolean; anything else names the field."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}: expected true or false, got {value!r}")
+    return value
 
 
 def read_config(path: str) -> dict:
@@ -145,7 +155,7 @@ def instance_from_dict(inst) -> tuple[RqContext, GaussianSpec]:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"instance: {exc}") from exc
     sigma = _need(inst, "sigma", "instance")
-    truncated = bool(_need(inst, "truncated", "instance"))
+    truncated = bool_field(_need(inst, "truncated", "instance"), "instance.truncated")
     try:
         gauss = GaussianSpec(float(sigma), truncated)
         # sigma_bar^2 = sigma^2 * sum L*w^2 lies in [sigma^2, sigma^2*N*q^2]
@@ -182,11 +192,12 @@ def _delta(value) -> Optional[float | str]:
     return delta
 
 
-def point_from_dict(att: dict) -> tuple[Optional[int], Optional[int], Optional[int]]:
-    """The evaluation point of an attack section as (alpha, n, a) for
-    resolve_point: (alpha, None, None) in fq mode, (None, n, a) in trace
-    mode.  A section without a mode (analyze's) takes n and a when both
-    are given, else alpha.  Every point field given must be an integer."""
+def point_from_dict(att: dict, N: int) -> tuple[int, int]:
+    """The evaluation point of an attack section as the (n, a) of its
+    binomial y^n - a for resolve_point: (1, alpha) in fq mode, an F_q root
+    being the degree-1 case, and (n, a) with 2 <= n <= N in trace mode.  A
+    section without a mode (analyze's) takes n and a when both are given,
+    else alpha.  Every point field given must be an integer."""
     alpha = int_field(att.get("alpha"), "attack.alpha", optional=True)
     n = int_field(att.get("n"), "attack.n", optional=True)
     a = int_field(att.get("a"), "attack.a", optional=True)
@@ -201,10 +212,12 @@ def point_from_dict(att: dict) -> tuple[Optional[int], Optional[int], Optional[i
     if mode == "fq":
         if alpha is None:
             raise ConfigError("attack.alpha: required in fq mode")
-        return alpha, None, None
+        return 1, alpha
     if n is None or a is None:
         raise ConfigError("attack.n/attack.a: required in trace mode")
-    return None, n, a
+    if not 2 <= n <= N:
+        raise ConfigError(f"attack.n: must satisfy 2 <= n <= {N}")
+    return n, a
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -214,39 +227,34 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     family = _need(att, "family", "attack")
     if family not in FAMILIES:
         raise ConfigError(f"attack.family: unknown family {family!r}")
-    mode = _need(att, "mode", "attack")
-    alpha, n, a = point_from_dict(att)
+    _need(att, "mode", "attack")
+    n, a = point_from_dict(att, ring.N)
     trials = int_field(att.get("trials", 1), "attack.trials", low=1)
-    spec = AttackSpec(
-        family=family,
-        mode=mode,
-        M=int_field(att.get("M", 0), "attack.M"),
-        M0=int_field(att.get("M0", 0), "attack.M0"),
-        ell=int_field(att.get("ell", 0), "attack.ell"),
-        alpha=alpha,
-        n=n,
-        a=a,
-        delta=_delta(att.get("delta")),
-        trials=trials,
-    )
+    M = int_field(att.get("M", 0), "attack.M")
+    M0 = int_field(att.get("M0", 0), "attack.M0")
+    ell = int_field(att.get("ell", 0), "attack.ell")
+    delta = _delta(att.get("delta"))
     if family == "unbounded_small_values":
-        if spec.ell < 1:
+        if ell < 1:
             raise ConfigError("attack.ell: must be >= 1 for the unbounded family")
-    elif spec.M < 1:
+        M = ell
+    elif M < 1:
         raise ConfigError("attack.M: must be >= 1")
     if family in EXTENDED_FAMILIES:
-        if spec.M0 < 1:
+        if M0 < 1:
             raise ConfigError("attack.M0: must be >= 1 for extended families")
-        if spec.M0 > spec.M:
+        if M0 > M:
             raise ConfigError("attack.M0: must not exceed attack.M")
     return ExperimentConfig(
         ring=ring,
         gauss=gauss,
-        attack=spec,
+        attack=AttackSpec(family, n, a, M, M0, delta, trials),
         seed=seed_from_dict(doc),
-        honest_sampling=bool(section(doc.get("sampling", {}), "sampling").get("honest", False)),
+        honest_sampling=bool_field(
+            section(doc.get("sampling", {}), "sampling").get("honest", False), "sampling.honest"
+        ),
         table_cap=table_cap_from_dict(doc),
-        rq0_budget=int_field(doc.get("rq0_budget", 10**8), "rq0_budget", low=1),
+        rq0_budget=int_field(doc.get("rq0_budget", DEFAULT_RQ0_BUDGET), "rq0_budget", low=1),
         raw=doc,
     )
 
@@ -268,11 +276,6 @@ class AttackPlan:
     gate: Optional[analysis.GateReport] = None
     preconditions: list[str] = field(default_factory=list)
 
-    @property
-    def samples_per_trial(self) -> int:
-        att = self.cfg.attack
-        return att.ell if att.family == "unbounded_small_values" else att.M
-
 
 def _check(plan: AttackPlan, ok: bool, text: str) -> None:
     plan.preconditions.append(("ok: " if ok else "violated: ") + text)
@@ -281,30 +284,25 @@ def _check(plan: AttackPlan, ok: bool, text: str) -> None:
 
 
 def resolve_point(
-    ring: RqContext, sigma: float, alpha: int | None = None,
-    n: int | None = None, a: int | None = None,
+    ring: RqContext, sigma: float, n: int, a: int
 ) -> tuple[ExtFieldCtx, analysis.BlockStructure]:
-    """The root an attack evaluates at, with its block structure: the F_q
-    root alpha (ExtFieldCtx(1, alpha)) when given, else the root of y^n - a.
-    A point that is not a root of f mod q (a reducible y^n - a included) is
-    a ConfigError naming the field; the test is exact in Python ints at any q."""
+    """The root of y^n - a that an attack evaluates at, with its block
+    structure; an F_q root alpha is n = 1, a = alpha.  A point that is not
+    a root of f mod q (a reducible y^n - a included) is a ConfigError naming
+    the field; the test is exact in Python ints at any q."""
     q = ring.q
-    if alpha is not None:
-        point = ExtFieldCtx(1, ring.modulus.element(alpha))
-        missed = f"attack.alpha: {point.a.value} is not a root of f mod {q}"
-    else:
-        if n < 2 or n > ring.N:
-            raise ConfigError(f"attack.n: must satisfy 2 <= n <= {ring.N}")
-        try:
-            point = ExtFieldCtx(n, ring.modulus.element(a))
-        except ValueError as exc:
-            raise ConfigError(f"attack.a: x^{n} - {a % q} is reducible mod {q}") from exc
-        missed = f"attack.a: x^{n} - {point.a.value} does not divide f mod {q}"
+    try:
+        point = ExtFieldCtx(n, ring.modulus.element(a))
+    except ValueError as exc:
+        raise ConfigError(f"attack.a: x^{n} - {a % q} is reducible mod {q}") from exc
     # coordinate j of the remainder sums f_k a^(k // n) over k = j mod n
-    n, a = point.n, point.a.value
+    a = point.a.value
     terms = [(k, c) for k, c in enumerate(ring.f_mod) if c]
     if any(sum(c * pow(a, k // n, q) for k, c in terms if k % n == j) % q for j in range(n)):
-        raise ConfigError(missed)
+        raise ConfigError(
+            f"attack.alpha: {a} is not a root of f mod {q}" if n == 1
+            else f"attack.a: x^{n} - {a} does not divide f mod {q}"
+        )
     return point, block_structure(n, point.a, ring.N, sigma)
 
 
@@ -334,14 +332,15 @@ def check_draws(ring: RqContext, gauss: GaussianSpec) -> None:
 
 
 def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -> AttackPlan:
-    """Resolve the evaluation point, tables, variance case and delta; refuse
-    when a documented precondition fails."""
+    """Resolve the evaluation point, its block structure, the membership
+    mask or delta and the extended gate; refuse when a documented
+    precondition fails."""
     att = cfg.attack
     ring = cfg.ring
     q = ring.q
     p0 = cfg.gauss.p0
     check_ring(ring)
-    point, blocks = resolve_point(ring, cfg.gauss.sigma, att.alpha, att.n, att.a)
+    point, blocks = resolve_point(ring, cfg.gauss.sigma, att.n, att.a)
     plan = AttackPlan(cfg, point, blocks)
 
     if att.family in ("small_set", "extended_small_set"):
@@ -395,7 +394,7 @@ def _generate_samples(
         ring,
         cfg.gauss,
         plan.point,
-        plan.samples_per_trial,
+        cfg.attack.M,
         rng,
         secret=secret,
         honest=cfg.honest_sampling,
@@ -535,17 +534,14 @@ def _finite_or_null(value):
 
 def _plan_summary(plan: AttackPlan) -> dict:
     att = plan.cfg.attack
+    n, a = plan.point.n, plan.point.a.value
     out: dict = {
-        "mode": att.mode,
+        "mode": "fq" if n == 1 else "trace",
         "order": plan.blocks.order,
         "sigma_bar": plan.blocks.sigma_bar,
         "preconditions": list(plan.preconditions),
+        **({"alpha": a} if n == 1 else {"n": n, "a": a}),
     }
-    if att.mode == "fq":
-        out["alpha"] = plan.point.a.value
-    else:
-        out["n"] = plan.point.n
-        out["a"] = plan.point.a.value
     if plan.table is not None:
         out["sigma_table_size"] = plan.table.size
         out["sigma_table_analytic_bound"] = plan.table.analytic_bound

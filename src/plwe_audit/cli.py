@@ -24,6 +24,7 @@ from .analysis import (
     f_of_r_table,
     minimal_samples,
     monte_carlo_delta,
+    point_keys,
     scan_instance,
     small_set_size,
     small_values_flag,
@@ -171,22 +172,13 @@ def _cmd_analyze(args) -> int:
     doc = _read_config(args)
     ring, gauss = instance_from_dict(doc.get("instance", doc))
     sigma, truncated = gauss.sigma, gauss.truncated
-    alpha, n, a = point_from_dict(section(doc.get("attack", {}), "attack"))
-    point, blocks = resolve_point(ring, sigma, alpha, n, a)
+    n, a = point_from_dict(section(doc.get("attack", {}), "attack"), ring.N)
+    point, blocks = resolve_point(ring, sigma, n, a)
     q = ring.q
-    if alpha is None:
-        where = {
-            "n": n, "a": point.a.value, "n_prime": blocks.n_terms, "n_second": blocks.blocklen
-        }
-    else:
-        where = {"alpha": point.a.value}
     prob = delta_probability(q, blocks.sigma_bar)
     out = {
         "q": q,
-        **where,
-        "order": blocks.order,
-        "case": blocks.case_kind,
-        "sigma_bar": blocks.sigma_bar,
+        **point_keys(n, point.a.value, blocks),
         "p_event": prob.p_event,
         "delta": prob.delta,
         "big_delta": prob.big_delta,

@@ -228,12 +228,25 @@ def rq0_witnesses(A: np.ndarray, ext: ExtFieldCtx) -> np.ndarray:
     return S.T
 
 
+def exact_int(value, name: str) -> int:
+    """value as an int: an integer, or a float without a fractional part
+    such as 23.0.  A boolean, 23.5, a string or anything else is a
+    ValueError naming the field."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
 def load_ring_doc(doc: dict) -> RqContext:
-    """Build a context from the {"N": int, "f": [c0..cN], "q": int} document."""
+    """Build a context from the {"N": int, "f": [c0..cN], "q": int} document;
+    N, q and every coefficient are read by exact_int."""
     for key in ("N", "f", "q"):
         if key not in doc:
             raise ValueError(f"ring document is missing {key!r}")
-    N, f, q = doc["N"], doc["f"], doc["q"]
+    N, f, q = exact_int(doc["N"], "N"), doc["f"], exact_int(doc["q"], "q")
     if not isinstance(f, Sequence) or len(f) != N + 1:
         raise ValueError(f"f must list N+1 = {N + 1} coefficients")
-    return RqContext(tuple(int(c) for c in f), PrimeModulus(int(q)))
+    coeffs = tuple(c if type(c) is int else exact_int(c, f"f[{k}]") for k, c in enumerate(f))
+    return RqContext(coeffs, PrimeModulus(q))

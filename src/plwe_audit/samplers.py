@@ -31,6 +31,10 @@ P0_UNTRUNCATED = 0.954500
 # at most r + x with r < 3.66 and, from 53-bit uniforms, a tail step x < 8.6.
 NORMAL_DRAW_MAX = 16
 
+# The oracle invocations a trial may spend on its samples, unless the
+# config's rq0_budget says otherwise.
+DEFAULT_RQ0_BUDGET = 10**8
+
 
 def p0_of(truncated: bool) -> float:
     """p0, the error mass inside [-2s, 2s]: 1 for truncated errors."""
@@ -241,7 +245,7 @@ def sample_batch(
     rng: np.random.Generator,
     secret: np.ndarray | None = None,
     honest: bool = False,
-    max_invocations: int = 10**8,
+    max_invocations: int = DEFAULT_RQ0_BUDGET,
 ) -> tuple[SampleBatch, int]:
     """m samples with a in R_{q,0} and the oracle invocations spent on them.
 

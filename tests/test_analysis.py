@@ -24,17 +24,17 @@ from plwe_audit.analysis import (
     f_of_r,
     f_of_r_table,
     hit_threshold,
+    in_quarter_residues,
     minimal_samples,
     monte_carlo_delta,
     posterior_bounds,
     quarter_count,
     quarter_mask,
     scan_instance,
-    uniform_offset,
     usva_threshold,
 )
 from plwe_audit.campaign import PreconditionRefused, build_plan, config_from_dict
-from plwe_audit.fields import PrimeModulus, is_prime
+from plwe_audit.fields import PrimeModulus, in_quarter_value, is_prime
 from plwe_audit.instances import (
     KYBER_STYLE_RING,
     TRACE_RING_A,
@@ -49,8 +49,20 @@ FOUR_ROOT_TWO = 4.0 * math.sqrt(2.0)
 
 class TestOffsets:
     def test_sign_by_residue(self):
-        assert uniform_offset(3677) == Fraction(1, 2 * 3677)
-        assert uniform_offset(4099) == Fraction(-1, 2 * 4099)
+        # a uniform residue's quarter mass quarter_count(q)/q is 1/2 +- 1/(2q),
+        # the sign fixed by q mod 4; big_delta and usva_threshold read it so
+        for q in filter(is_prime, range(3, 400, 2)):
+            offset = Fraction(1, 2 * q) if q % 4 == 1 else Fraction(-1, 2 * q)
+            assert Fraction(quarter_count(q), q) - Fraction(1, 2) == offset
+
+    def test_quarter_residues_past_two_to_the_61(self):
+        # 4*v leaves int64 from v = 2**61 on and wrapped 0.6q into the interval
+        q = 2**62 - 57
+        assert is_prime(q)
+        v = [0, 1, q // 4, q // 4 + 1, q // 2, int(0.6 * q), (3 * q + 3) // 4 - 1,
+             (3 * q + 3) // 4, q - 1]
+        got = in_quarter_residues(np.array(v, dtype=np.int64), q).tolist()
+        assert got == [in_quarter_value(x, q) for x in v]
 
     def test_quarter_count(self):
         assert quarter_count(13) == 7
@@ -154,6 +166,16 @@ class TestDeltaProbability:
         hits = sum(4 * r < q or 4 * r >= 3 * q for r in residues)
         assert got == hits / draws - 0.5
         assert abs(got - delta_probability(q, sbar).delta) < 0.01
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_draws_are_reduced_exactly_above_two_to_the_53(self):
+        # float(q) = 2**61 is not q, so fmod would reduce by the wrong
+        # modulus, and a bincount over all q residues asked 8q bytes
+        q, sbar, seed, draws = 2**61 - 1, 1e20, [59, 61], 10**4
+        got = monte_carlo_delta(q, sbar, np.random.default_rng(seed), draws=draws)
+        x = np.rint(np.random.default_rng(seed).normal(0.0, sbar, size=draws))
+        hits = sum(in_quarter_value(int(v), q) for v in x.tolist())
+        assert got == hits / draws - 0.5
 
     def test_dual_and_erf_series_agree(self):
         for ratio in np.geomspace(0.1, 50.0, 80):
@@ -345,7 +367,7 @@ class TestScanner:
         report = scan_instance(ctx, 0.7, truncated=False)
         entry = next(f for f in report.factors if f.n == 3 and f.a == 2018)
         assert entry.order == 6
-        assert entry.n_prime == 7 and entry.n_second == 1
+        assert entry.blocks.n_terms == 7 and entry.blocks.blocklen == 1
         flag = next(f for f in entry.flags if f.attack == "small_set")
         assert flag.applicable
         assert "3010.9" in flag.condition and "<" in flag.condition
@@ -360,7 +382,7 @@ class TestScanner:
         ctx = load_ring_doc(doc["instance"])
         report = scan_instance(ctx, 8.0, truncated=False)
         entry = next(r for r in report.roots if r.alpha == 3676)
-        assert entry.order == 2 and entry.case_kind == "pm_one"
+        assert entry.order == 2 and entry.blocks.case_kind == "pm_one"
         flag = next(f for f in entry.flags if f.attack == "unbounded_small_values")
         assert flag.applicable
         assert flag.details["big_delta"] > 0
@@ -471,10 +493,7 @@ def test_plan_and_scan_agree(name, doc, sigma):
     the series unbounded precondition exactly when the scan flags them
     applicable, and records the flag's condition."""
     report = scan_instance(load_ring_doc(doc), sigma, False)
-    points = [({"mode": "fq", "alpha": root.alpha}, root.flags) for root in report.roots]
-    # a spec carries the point fields of its mode only, as config_from_dict reads them
-    points += [({"mode": "trace", "alpha": None, "n": fac.n, "a": fac.a}, fac.flags)
-               for fac in report.factors]
+    points = [({"n": p.n, "a": p.a}, p.flags) for p in report.roots + report.factors]
     instance = {**doc, "sigma": sigma, "truncated": False}
     for family, extra in [("small_values", {"M": 1}),
                           ("unbounded_small_values", {"ell": 1, "delta": "series"})]:

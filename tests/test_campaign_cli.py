@@ -94,7 +94,9 @@ class TestConfigValidation:
             build_plan(config_from_dict(doc))
 
     @pytest.mark.parametrize(
-        "field,value", [("alpha", "x"), ("M", "five"), ("M", 2.7), ("trials", None)]
+        "field,value",
+        [("alpha", "x"), ("M", "five"), ("M", 2.7), ("trials", None), ("trials", True),
+         ("M", "5")],
     )
     def test_malformed_integer_is_named(self, field, value):
         doc = _order6_config()
@@ -843,24 +845,46 @@ def test_fuzzed_attack_section_exits_cleanly(tmp_path, attack):
     assert cli.main(["attack", "--config", cfg]) in (0, 2, 3)
 
 
+_FIELD_JUNK = st.sampled_from([0, 1, 4, 5, -1, [1, 2], 7.0, 7.5, 3.0, 0.5, 2**64])
+
+
 @st.composite
 def _instance_sections(draw):
-    """MIXED_Q7 with a sigma from a log range up to 1e15, and up to two
-    fields dropped or replaced by junk."""
+    """MIXED_Q7 with a sigma from a log range up to 1e15, maybe junk in q
+    and in one coefficient of f, and up to two fields dropped or replaced
+    by junk."""
     instance = {**MIXED_Q7, "sigma": draw(st.floats(-3, 15).map(lambda e: 10.0**e))}
+    if draw(st.booleans()):
+        instance["q"] = draw(st.one_of(_JUNK, _FIELD_JUNK))
+    if draw(st.booleans()):
+        f = list(instance["f"])
+        f[draw(st.integers(0, len(f) - 1))] = draw(st.one_of(_JUNK, _FIELD_JUNK))
+        instance["f"] = f
     for key in draw(st.lists(st.sampled_from(sorted(instance)), max_size=2, unique=True)):
         if draw(st.booleans()):
             del instance[key]
         else:
-            instance[key] = draw(st.one_of(_JUNK, st.sampled_from([0, 1, 4, 5, -1, [1, 2]])))
+            instance[key] = draw(st.one_of(_JUNK, _FIELD_JUNK))
     return instance
+
+
+@st.composite
+def _extra_fields(draw):
+    """Junk seed, table_cap or sampling section, and maybe junk in
+    sampling.honest."""
+    extra = draw(
+        st.dictionaries(st.sampled_from(["seed", "table_cap", "sampling"]), _JUNK, max_size=2)
+    )
+    if draw(st.booleans()):
+        extra["sampling"] = {"honest": draw(_JUNK)}
+    return extra
 
 
 @given(
     command=st.sampled_from(["attack", "scan", "analyze"]),
     instance=st.one_of(_instance_sections(), _JUNK),
     attack=st.one_of(_attack_sections(), _JUNK),
-    extra=st.dictionaries(st.sampled_from(["seed", "table_cap", "sampling"]), _JUNK, max_size=2),
+    extra=_extra_fields(),
     mc_check=st.booleans(),
 )
 @settings(max_examples=150, deadline=timedelta(seconds=5),
@@ -899,6 +923,59 @@ def test_malformed_config_names_the_field(tmp_path, capsys, command, doc, field)
     cfg = _write(tmp_path, "bad.json", doc)
     assert cli.main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+_TRACE_B_SMALL_SET = {
+    "instance": TRACE_INSTANCE_B["instance"],
+    "attack": {"family": "small_set", "mode": "trace", "n": 3, "a": 2017, "M": 5},
+}
+_COMMANDS = ("scan", "analyze", "attack", "replay")
+_F_HALF = [0.5] + TRACE_INSTANCE_B["instance"]["f"][1:]
+
+
+@pytest.mark.parametrize(
+    "where,key,value,message,commands",
+    [
+        # bool() read "false" as true and "no" as honest sampling, and int()
+        # read true as 1 and truncated 4099.5 to 4099
+        ("instance", "truncated", "false",
+         "instance.truncated: expected true or false, got 'false'", _COMMANDS),
+        ("instance", "truncated", 0, "instance.truncated: expected true or false, got 0",
+         _COMMANDS),
+        ("instance", "q", 4099.5, "instance: q: expected an integer, got 4099.5", _COMMANDS),
+        ("instance", "N", True, "instance: N: expected an integer, got True", _COMMANDS),
+        ("instance", "f", _F_HALF, "instance: f[0]: expected an integer, got 0.5", _COMMANDS),
+        ("sampling", "honest", "no", "sampling.honest: expected true or false, got 'no'",
+         ("attack", "replay")),
+        (None, "seed", True, "seed: expected an integer, got True", ("attack", "replay")),
+        ("attack", "trials", True, "attack.trials: expected an integer, got True",
+         ("attack", "replay")),
+    ],
+    ids=["truncated-str", "truncated-int", "q-fraction", "N-bool", "f-fraction", "honest-str",
+         "seed-bool", "trials-bool"],
+)
+def test_config_booleans_and_integers_are_exact(
+    tmp_path, capsys, where, key, value, message, commands
+):
+    doc = json.loads(json.dumps(_TRACE_B_SMALL_SET))
+    (doc.setdefault(where, {}) if where else doc)[key] = value
+    cfg = _write(tmp_path, "exact.json", doc)
+    for command in commands:
+        argv = [command, "--config", cfg] + ([str(tmp_path / "none")] if command == "replay" else [])
+        assert cli.main(argv) == 2, command
+        assert capsys.readouterr().err == f"config error: {message}\n", command
+
+
+def test_integral_floats_read_as_integers(tmp_path, capsys):
+    inst = TRACE_INSTANCE_B["instance"]
+    floats = {**inst, "N": 23.0, "q": 4099.0, "f": [float(c) for c in inst["f"]]}
+    for command in ("scan", "analyze"):
+        outputs = []
+        for instance in (inst, floats):
+            cfg = _write(tmp_path, "ints.json", {**_TRACE_B_SMALL_SET, "instance": instance})
+            assert cli.main([command, "--config", cfg]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

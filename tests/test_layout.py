@@ -6,7 +6,8 @@ them.  The attacks read Pairs only and take no evaluation point.  A Sigma
 table is its mask alone, and the analyze command reads and judges a point
 through the reader, resolver and analysis functions that plans use.  Roots
 and divisors come from the scan's fold alone, and ExtFieldCtx is the one
-irreducibility test."""
+irreducibility test.  A point is the (n, a) of its binomial y^n - a from the
+config reader on, an F_q root alpha being (1, alpha)."""
 
 import ast
 import dataclasses
@@ -16,6 +17,7 @@ from pathlib import Path
 import plwe_audit
 from plwe_audit import attacks
 from plwe_audit.attacks import SigmaTable
+from plwe_audit.campaign import AttackSpec, resolve_point
 from plwe_audit.fields import ExtFieldCtx
 from plwe_audit.rings import binomial_logs
 
@@ -47,6 +49,9 @@ DELETED = frozenset({
     # and analysis's PrimeModulus fallback
     "find_fq_roots", "find_binomial_factors", "_fold_points", "is_irreducible_binomial",
     "_q_of",
+    # the per-kind scan points and the mode-dependent spec, and the uniform
+    # quarter offset, which quarter_count(q)/q - 1/2 gives
+    "RootVuln", "FactorVuln", "samples_per_trial", "uniform_offset",
 })
 ATTACKS = ("small_set_attack", "small_values_attack", "unbounded_small_values_attack",
            "extended_attack")
@@ -107,3 +112,10 @@ def test_one_precondition_path():
         and node.func.attr == "get" and node.args and isinstance(node.args[0], ast.Constant)
     }
     assert "attack" in keys and not {"alpha", "n", "a"} & keys
+
+
+def test_one_point_form():
+    assert [f.name for f in dataclasses.fields(AttackSpec)] == [
+        "family", "n", "a", "M", "M0", "delta", "trials"
+    ]
+    assert list(inspect.signature(resolve_point).parameters) == ["ring", "sigma", "n", "a"]

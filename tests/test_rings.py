@@ -344,23 +344,12 @@ class TestFoldOracle:
         its scalar block structure equals the scan's batch one bit for bit."""
         sigma = 1.3
         report = scan_instance(ctx, sigma, True)
-        listed = {(1, r.alpha): (r.order, r.case_kind, r.sigma_bar) for r in report.roots}
-        listed.update(
-            ((f.n, f.a), (f.order, f.case_kind, f.n_prime, f.n_second, f.sigma_bar))
-            for f in report.factors
-        )
+        listed = {(p.n, p.a): p.blocks for p in report.roots + report.factors}
         resolved = {}
         for n in range(1, min(4, ctx.N) + 1):
             for a in range(ctx.q):
                 try:
-                    if n == 1:
-                        _, bs = resolve_point(ctx, sigma, a)
-                        resolved[n, a] = (bs.order, bs.case_kind, bs.sigma_bar)
-                    else:
-                        _, bs = resolve_point(ctx, sigma, None, n, a)
-                        resolved[n, a] = (
-                            bs.order, bs.case_kind, bs.n_terms, bs.blocklen, bs.sigma_bar
-                        )
+                    resolved[n, a] = resolve_point(ctx, sigma, n, a)[1]
                 except ConfigError:
                     pass
         assert resolved == listed
