@@ -16,7 +16,6 @@ from .attacks import (
     AttackVerdict,
     Decision,
     HitCountDecision,
-    SigmaTable,
     build_sigma_table_trace,
     extended_attack,
     small_set_attack,

@@ -152,31 +152,13 @@ class HitCountDecision(Decision):
 _MAX_PAIRS = 2**20
 
 
-@dataclass(frozen=True, eq=False)  # an ndarray field: tables compare by identity
-class SigmaTable:
-    """The set of residues a collapsed error value can plausibly take.
-
-    mask is the read-only membership mask of the exact residue set
-    sum_j x_j w^j mod q over integer tuples with |x_j| <= the bound of
-    analysis.small_set_size; analytic_bound keeps the real-width cardinality
-    estimate (4*sqrt(blocklen)*sigma + 1)^r for reporting, or inf when that
-    exceeds a float.
-    """
-
-    mask: np.ndarray
-    analytic_bound: float
-    r: int
-
-    @property
-    def size(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-
 def build_sigma_table_trace(
     a: FieldElement, r: int, blocklen: int, sigma: float, cap: int = DEFAULT_TABLE_CAP
-) -> SigmaTable:
-    """Table for evaluation at a root of the binomial y^n - a, n = 1 included:
-    r blocks of blocklen raw error coefficients weighted by the powers of a
+) -> np.ndarray:
+    """The Sigma table for evaluation at a root of the binomial y^n - a, n = 1
+    included, as the read-only membership mask over F_q of the residues
+    sum_j x_j a^j mod q, |x_j| <= the bound of analysis.small_set_size: r
+    blocks of blocklen raw error coefficients weighted by the powers of a
     (of order r).
 
     Round j adds x * a^j, |x| <= bound, to every residue reached so far; a
@@ -203,7 +185,7 @@ def build_sigma_table_trace(
             for lo in range(0, reached.size, step):
                 mask[(reached[lo : lo + step, None] + shifts) % q] = True
     mask.flags.writeable = False
-    return SigmaTable(mask, size.analytic, r)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +250,7 @@ def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
 def small_set_attack(pairs: Pairs, member: np.ndarray) -> AttackVerdict:
     """Keep the candidates g for s(alpha) with b_i(alpha) - a_i(alpha)*g in
     Sigma for every sample, Sigma given by its membership mask mod q: a
-    SigmaTable's mask, or the quarter interval of the small-values attack.
+    Sigma table, or the quarter interval of the small-values attack.
 
     At a root of a binomial divisor y^n - a the samples must lie in R_{q,0}
     and g guesses Tr(s(alpha)): the test is (1/n)(Tr(b_i(alpha)) -

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .analysis import (
     monte_carlo_delta,
     posterior_bounds,
     quarter_mask,
+    small_set_size,
     small_values_flag,
     unbounded_flag,
 )
@@ -33,7 +35,6 @@ from .attacks import (
     VERDICT_NOT_PLWE,
     AttackVerdict,
     Decision,
-    SigmaTable,
     TableTooLarge,
     build_sigma_table_trace,
     extended_attack,
@@ -69,6 +70,7 @@ class PreconditionRefused(Exception):
 
 
 BASIC_FAMILIES = ("small_set", "small_values")
+SMALL_SET_FAMILIES = ("small_set", "extended_small_set")
 EXTENDED_FAMILIES = ("extended_small_set", "extended_small_values")
 FAMILIES = BASIC_FAMILIES + EXTENDED_FAMILIES + ("unbounded_small_values",)
 MODES = ("fq", "trace")
@@ -129,6 +131,11 @@ def int_field(
     return number
 
 
+def _is_number(value) -> bool:
+    """Whether value is a JSON number: an int or a float, not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def bool_field(value, name: str) -> bool:
     """value when it is a JSON boolean; anything else names the field."""
     if not isinstance(value, bool):
@@ -147,15 +154,18 @@ def read_config(path: str) -> dict:
     return section(doc, "config")
 
 
-def instance_from_dict(inst) -> tuple[RqContext, GaussianSpec]:
-    """The ring and the error distribution of an instance section."""
-    section(inst, "instance")
+def instance_from_dict(doc: dict) -> tuple[RqContext, GaussianSpec]:
+    """The ring and the error distribution of a config's instance section,
+    which every command reads."""
+    inst = section(_need(doc, "instance", "config"), "instance")
     try:
         ring = load_ring_doc(inst)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"instance: {exc}") from exc
     sigma = _need(inst, "sigma", "instance")
     truncated = bool_field(_need(inst, "truncated", "instance"), "instance.truncated")
+    if not _is_number(sigma):
+        raise ConfigError(f"instance.sigma: expected a number, got {sigma!r}")
     try:
         gauss = GaussianSpec(float(sigma), truncated)
         # sigma_bar^2 = sigma^2 * sum L*w^2 lies in [sigma^2, sigma^2*N*q^2]
@@ -180,16 +190,12 @@ def table_cap_from_dict(doc: dict) -> int:
 def _delta(value) -> Optional[float | str]:
     if value is None or value in ("series", "mc"):
         return value
-    try:
-        delta = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"attack.delta: expected a number, 'series' or 'mc', got {value!r}"
-        ) from exc
-    if not -0.5 <= delta <= 0.5:
+    if not _is_number(value):
+        raise ConfigError(f"attack.delta: expected a number, 'series' or 'mc', got {value!r}")
+    if not -0.5 <= value <= 0.5:
         # delta = P(error image in quarter interval) - 1/2
         raise ConfigError(f"attack.delta: must lie in [-1/2, 1/2], got {value!r}")
-    return delta
+    return float(value)
 
 
 def point_from_dict(att: dict, N: int) -> tuple[int, int]:
@@ -222,7 +228,7 @@ def point_from_dict(att: dict, N: int) -> tuple[int, int]:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     section(doc, "config")
-    ring, gauss = instance_from_dict(_need(doc, "instance", "config"))
+    ring, gauss = instance_from_dict(doc)
     att = section(_need(doc, "attack", "config"), "attack")
     family = _need(att, "family", "attack")
     if family not in FAMILIES:
@@ -263,22 +269,20 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 # attack plan: resolved parameters, tables and preconditions
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # member is an ndarray: plans compare by identity
 class AttackPlan:
     cfg: ExperimentConfig
     point: ExtFieldCtx
     blocks: analysis.BlockStructure
-    table: Optional[SigmaTable] = None
-    # the filter families' mask, the table's or the quarter interval's
-    member: Optional[np.ndarray] = None
-    member_r: int = 1
-    delta: Optional[float] = None
-    gate: Optional[analysis.GateReport] = None
-    preconditions: list[str] = field(default_factory=list)
+    # the filter families' mask: the Sigma table or the quarter interval
+    member: Optional[np.ndarray]
+    member_r: int  # the mask's order, blocks.r_eff for a Sigma table and 1 otherwise
+    delta: Optional[float]  # the unbounded family's
+    preconditions: tuple[str, ...]
 
 
-def _check(plan: AttackPlan, ok: bool, text: str) -> None:
-    plan.preconditions.append(("ok: " if ok else "violated: ") + text)
+def _check(lines: list[str], ok: bool, text: str) -> None:
+    lines.append(("ok: " if ok else "violated: ") + text)
     if not ok:
         raise PreconditionRefused(text)
 
@@ -332,75 +336,46 @@ def check_draws(ring: RqContext, gauss: GaussianSpec) -> None:
 
 
 def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -> AttackPlan:
-    """Resolve the evaluation point, its block structure, the membership
-    mask or delta and the extended gate; refuse when a documented
-    precondition fails."""
+    """Resolve the evaluation point, its block structure and the membership
+    mask or delta; refuse when a documented precondition fails."""
     att = cfg.attack
-    ring = cfg.ring
-    q = ring.q
+    q = cfg.ring.q
     p0 = cfg.gauss.p0
-    check_ring(ring)
-    point, blocks = resolve_point(ring, cfg.gauss.sigma, att.n, att.a)
-    plan = AttackPlan(cfg, point, blocks)
-
-    if att.family in ("small_set", "extended_small_set"):
+    check_ring(cfg.ring)
+    point, blocks = resolve_point(cfg.ring, cfg.gauss.sigma, att.n, att.a)
+    lines: list[str] = []
+    member, member_r, delta = None, 1, None
+    if att.family in SMALL_SET_FAMILIES:
+        member_r = blocks.r_eff
         try:
-            plan.table = build_sigma_table_trace(
-                point.a, blocks.r_eff, blocks.blocklen, cfg.gauss.sigma, cfg.table_cap
+            member = build_sigma_table_trace(
+                point.a, member_r, blocks.blocklen, cfg.gauss.sigma, cfg.table_cap
             )
         except TableTooLarge as exc:
             raise PreconditionRefused(str(exc)) from exc
-        plan.member, plan.member_r = plan.table.mask, blocks.r_eff
-        size, budget = plan.table.size, q * p0**blocks.r_eff
-        _check(plan, size < budget, f"|Sigma| = {size} < q*p0^r = {budget:.1f}")
+        size, budget = np.count_nonzero(member), q * p0**member_r
+        _check(lines, size < budget, f"|Sigma| = {size} < q*p0^r = {budget:.1f}")
     elif att.family in ("small_values", "extended_small_values"):
-        plan.member = quarter_mask(q)
+        member = quarter_mask(q)
         flag = small_values_flag(q, cfg.gauss.truncated, blocks.sigma_bar, point.n)
-        _check(plan, flag.applicable, flag.condition)
+        _check(lines, flag.applicable, flag.condition)
     else:  # unbounded_small_values
         if att.delta is None or att.delta == "series":
-            plan.delta = delta_probability(q, blocks.sigma_bar).delta
+            delta = delta_probability(q, blocks.sigma_bar).delta
         elif att.delta == "mc":
             mc_rng = rng if rng is not None else np.random.default_rng([cfg.seed, 2**32])
-            plan.delta = monte_carlo_delta(q, blocks.sigma_bar, mc_rng)
+            delta = monte_carlo_delta(q, blocks.sigma_bar, mc_rng)
         else:
-            plan.delta = float(att.delta)
-        flag = unbounded_flag(q, plan.delta)
-        _check(plan, flag.applicable, flag.condition)
-
+            delta = float(att.delta)
+        flag = unbounded_flag(q, delta)
+        _check(lines, flag.applicable, flag.condition)
     if att.family in EXTENDED_FAMILIES:
-        _check(plan, att.M0 <= att.M, f"M0 = {att.M0} <= M = {att.M}")
-        size = int(np.count_nonzero(plan.member))  # |Sigma| or quarter_count(q)
-        plan.gate = extended_gate(size, q, p0, att.M0, plan.member_r)
-    return plan
+        _check(lines, att.M0 <= att.M, f"M0 = {att.M0} <= M = {att.M}")
+    return AttackPlan(cfg, point, blocks, member, member_r, delta, tuple(lines))
 
 
 # ---------------------------------------------------------------------------
 # trial execution
-
-
-def _generate_samples(
-    plan: AttackPlan, truth_plwe: bool, rng: np.random.Generator
-) -> tuple[SampleBatch, int, Optional[np.ndarray]]:
-    """Samples for one trial plus the oracle invocation count and the secret
-    (None on uniform trials).  The secret is drawn first, as N uniform
-    residues in one integers call, the draw of PlweInstance.generate that
-    the per-sample reference path in tests/reference.py starts with;
-    sample_batch then draws the errors (or b rows) and last the a rows."""
-    cfg = plan.cfg
-    ring = cfg.ring
-    secret = rng.integers(0, ring.q, size=ring.N) if truth_plwe else None
-    batch, invocations = sample_batch(
-        ring,
-        cfg.gauss,
-        plan.point,
-        cfg.attack.M,
-        rng,
-        secret=secret,
-        honest=cfg.honest_sampling,
-        max_invocations=cfg.rq0_budget,
-    )
-    return batch, invocations, secret
 
 
 def run_attack_once(plan: AttackPlan, pairs: Pairs):
@@ -419,26 +394,38 @@ def _says_plwe(outcome) -> bool:
     return outcome.kind != VERDICT_NOT_PLWE
 
 
-def run_trial(plan: AttackPlan, trial_index: int, record: list | None = None) -> dict:
-    rng = np.random.default_rng([plan.cfg.seed, trial_index])
+def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None) -> dict:
+    """One trial of plan's campaign.  Its (A, B) coefficient rows are written
+    to samples, one sample {"a": [...], "b": [...]} per line."""
+    cfg = plan.cfg
+    rng = np.random.default_rng([cfg.seed, trial_index])
     truth_plwe = bool(rng.integers(0, 2))
     t0 = time.perf_counter()
+    # the secret is drawn first, as N uniform residues in one integers call,
+    # the draw of PlweInstance.generate that the per-sample reference path in
+    # tests/reference.py starts with; sample_batch then draws the errors (or
+    # b rows) and last the a rows
+    secret = rng.integers(0, cfg.ring.q, size=cfg.ring.N) if truth_plwe else None
     try:
-        batch, invocations, secret = _generate_samples(plan, truth_plwe, rng)
+        batch, invocations = sample_batch(
+            cfg.ring, cfg.gauss, plan.point, cfg.attack.M, rng, secret=secret,
+            honest=cfg.honest_sampling, max_invocations=cfg.rq0_budget,
+        )
     except BudgetExhausted as exc:
         return {
             "trial": trial_index,
             "truth": "plwe" if truth_plwe else "uniform",
             "error": str(exc),
             "correct": False,
-            "oracle_invocations": plan.cfg.rq0_budget,
+            "oracle_invocations": cfg.rq0_budget,
             "wall_time_ms": 1000.0 * (time.perf_counter() - t0),
         }
     # evaluated at the root first: B is formed only for a recording
     outcome = run_attack_once(plan, batch.pairs(plan.point))
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    if record is not None:
-        record.append((batch.A, batch.B))
+    if samples is not None:
+        for a, b in zip(batch.A.tolist(), batch.B.tolist()):
+            samples.write(json.dumps({"a": a, "b": b}) + "\n")
     row = {
         "trial": trial_index,
         "truth": "plwe" if truth_plwe else "uniform",
@@ -533,55 +520,54 @@ def _finite_or_null(value):
 
 
 def _plan_summary(plan: AttackPlan) -> dict:
-    att = plan.cfg.attack
+    """The plan's report fields; the Sigma table size, its analytic bound
+    and the extended gate are worked out here, from the plan's mask."""
+    cfg, att, blocks = plan.cfg, plan.cfg.attack, plan.blocks
     n, a = plan.point.n, plan.point.a.value
+    q, p0 = cfg.ring.q, cfg.gauss.p0
+    # |Sigma|, or quarter_count(q) for the quarter interval
+    count = None if plan.member is None else int(np.count_nonzero(plan.member))
     out: dict = {
         "mode": "fq" if n == 1 else "trace",
-        "order": plan.blocks.order,
-        "sigma_bar": plan.blocks.sigma_bar,
+        "order": blocks.order,
+        "sigma_bar": blocks.sigma_bar,
         "preconditions": list(plan.preconditions),
         **({"alpha": a} if n == 1 else {"n": n, "a": a}),
     }
-    if plan.table is not None:
-        out["sigma_table_size"] = plan.table.size
-        out["sigma_table_analytic_bound"] = plan.table.analytic_bound
-        q, p0 = plan.cfg.ring.q, plan.cfg.gauss.p0
+    if att.family in SMALL_SET_FAMILIES:
+        analytic = small_set_size(plan.member_r, blocks.blocklen, cfg.gauss.sigma).analytic
+        out["sigma_table_size"] = count
+        out["sigma_table_analytic_bound"] = analytic
         out["predicted_bounds"] = {
             "M": att.M,
             "vote_posterior": posterior_bounds(
-                "small_set",
-                plan.cfg.gauss.truncated,
-                M=max(att.M, 1),
-                q=q,
-                sigma_size=plan.table.analytic_bound,
-                r=plan.table.r,
-                p0=p0,
+                "small_set", cfg.gauss.truncated, M=att.M, q=q, sigma_size=analytic,
+                r=plan.member_r, p0=p0,
             ).vote_posterior,
         }
     if plan.delta is not None:
         out["delta"] = plan.delta
-    if plan.gate is not None:
-        out["extended_gate"] = {
-            "lhs": plan.gate.lhs,
-            "rhs": plan.gate.rhs,
-            "satisfied": plan.gate.satisfied,
-        }
+    if att.family in EXTENDED_FAMILIES:
+        gate = extended_gate(count, q, p0, att.M0, plan.member_r)
+        out["extended_gate"] = {"lhs": gate.lhs, "rhs": gate.rhs, "satisfied": gate.satisfied}
     return _finite_or_null(out)
 
 
 def run_campaign(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    record: list | None = None,
+    cfg: ExperimentConfig, threads: int = 1, record: str | None = None
 ) -> CampaignReport:
+    """Run cfg's trials; record names a file that receives their samples.
+    It is opened only once the plan is built, so a refused campaign leaves
+    no file."""
     check_draws(cfg.ring, cfg.gauss)
     plan = build_plan(cfg)
     trials = cfg.attack.trials
     # each worker receives the plan once, and a pool starts all its workers
-    # at the first submit, so it has no more workers than trials; recording
-    # needs the in-process sample list, so it forces the sequential path
+    # at the first submit, so it has no more workers than trials; the
+    # sample file is written from this process, so recording runs the
+    # trials here
     workers = min(threads, trials)
-    if workers > 1 and record is None:
+    if workers > 1 and not record:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
@@ -590,7 +576,8 @@ def run_campaign(
             chunk = max(1, trials // (4 * workers))
             rows = list(pool.map(_trial_worker, range(trials), chunksize=chunk))
     else:
-        rows = [run_trial(plan, i, record) for i in range(trials)]
+        with open(record, "w", encoding="utf-8") if record else nullcontext() as fh:
+            rows = [run_trial(plan, i, fh) for i in range(trials)]
     echo = dict(cfg.raw) if cfg.raw else {}
     echo.setdefault("seed", cfg.seed)
     return CampaignReport(echo, _plan_summary(plan), rows)
@@ -612,15 +599,6 @@ def _trial_worker(index: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # sample files (one JSON document per line)
-
-
-def save_samples(path: str, record: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Write the (A, B) coefficient rows of each recorded trial, one sample
-    {"a": [...], "b": [...]} per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for A, B in record:
-            for a, b in zip(A.tolist(), B.tolist()):
-                fh.write(json.dumps({"a": a, "b": b}) + "\n")
 
 
 def load_samples(path: str, plan: AttackPlan) -> SampleBatch:

@@ -42,7 +42,6 @@ from .campaign import (
     resolve_point,
     run_attack_once,
     run_campaign,
-    save_samples,
     section,
     seed_from_dict,
     table_cap_from_dict,
@@ -130,8 +129,10 @@ def _write_csv(path: str, doc: dict) -> None:
 
 
 def _cmd_scan(args) -> int:
+    if args.n_max < 1:
+        raise ConfigError(f"--n-max: must be >= 1, got {args.n_max}")
     doc = _read_config(args)
-    ring, gauss = instance_from_dict(doc.get("instance", doc))
+    ring, gauss = instance_from_dict(doc)
     check_ring(ring)
     report = scan_instance(
         ring, gauss.sigma, gauss.truncated, n_max=args.n_max,
@@ -146,12 +147,8 @@ def _cmd_attack(args) -> int:
     if not 1 <= args.threads <= cpus:
         raise ConfigError(f"--threads: must be in 1..{cpus} (the CPU count), got {args.threads}")
     cfg = config_from_dict(_read_config(args))
-    record: list | None = [] if args.record_samples else None
-    report = run_campaign(cfg, threads=args.threads, record=record)
-    if record is not None:
-        save_samples(args.record_samples, record)
-    doc = report.to_dict()
-    _emit(doc, args)
+    report = run_campaign(cfg, threads=args.threads, record=args.record_samples)
+    _emit(report.to_dict(), args)
     return EXIT_OK
 
 
@@ -170,7 +167,7 @@ def _read_config(args) -> dict:
 
 def _cmd_analyze(args) -> int:
     doc = _read_config(args)
-    ring, gauss = instance_from_dict(doc.get("instance", doc))
+    ring, gauss = instance_from_dict(doc)
     sigma, truncated = gauss.sigma, gauss.truncated
     n, a = point_from_dict(section(doc.get("attack", {}), "attack"), ring.N)
     point, blocks = resolve_point(ring, sigma, n, a)

@@ -10,6 +10,8 @@ in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from math import gcd
 
 
 class FieldError(Exception):
@@ -58,19 +60,54 @@ def is_prime(m: int) -> bool:
     return True
 
 
+_SMALL_PRIMES = tuple(p for p in range(2, 1 << 10) if is_prime(p))
+
+
+def _rho_divisor(m: int) -> int:
+    """A proper divisor of the odd composite m by Brent's variant of
+    Pollard's rho, on the maps x -> x^2 + c mod m for c = 1, 2, ... in turn:
+    x keeps the walk's value at each power of two, and y is compared with it
+    by a gcd at every later step."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+                g = gcd(x - y, m)
+                if g != 1:
+                    break
+            r *= 2
+        if g != m:
+            return g
+
+
 def prime_factors(m: int) -> list[int]:
-    """Distinct prime factors by trial division."""
+    """Distinct prime factors of m in ascending order.
+
+    Trial division by the primes below 2**10 stops once d*d > m, and what
+    is left of m is then 1 or prime.  A cofactor with no prime factor
+    below 2**10 is split by _rho_divisor until is_prime holds for every
+    part, in time about the fourth root of m; is_prime is exact below
+    3.3e24, past every q - 1 of a PrimeModulus.
+    """
     out: list[int] = []
-    d = 2
-    while d * d <= m:
+    for d in _SMALL_PRIMES:
+        if d * d > m:
+            return out + [m] if m > 1 else out
         if m % d == 0:
             out.append(d)
             while m % d == 0:
                 m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
+    large, parts = set(), [m] if m > 1 else []
+    while parts:
+        k = parts.pop()
+        if is_prime(k):
+            large.add(k)
+        else:
+            d = _rho_divisor(k)
+            parts += [d, k // d]
+    return out + sorted(large)
 
 
 @dataclass(frozen=True)

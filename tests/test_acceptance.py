@@ -17,6 +17,7 @@ from plwe_audit.analysis import (
     monte_carlo_delta,
     posterior_bounds,
     scan_instance,
+    small_set_size,
 )
 from plwe_audit.attacks import (
     VERDICT_NOT_PLWE,
@@ -112,10 +113,8 @@ def test_criterion_05_published_posterior_figures():
     """The four published vote posteriors from the analytic table bounds."""
     t0 = time.perf_counter()
     q, p0 = 4099, 0.954500
-    bound_a = math.floor(build_sigma_table_trace(
-        PrimeModulus(q).element(2018), 6, 1, 0.7).analytic_bound)
-    bound_b = math.floor(build_sigma_table_trace(
-        PrimeModulus(q).element(2017), 3, 2, 2.5).analytic_bound)
+    bound_a = math.floor(small_set_size(6, 1, 0.7).analytic)
+    bound_b = math.floor(small_set_size(3, 2, 2.5).analytic)
     figures = [
         (bound_a, 6, 350, 0.861),
         (bound_a, 6, 500, 0.998),
@@ -263,7 +262,7 @@ def test_criterion_11_truncated_soundness():
         rng = np.random.default_rng([7000, seed])
         inst = PlweInstance.generate(ring6, gauss6, rng)
         samples = [plwe_oracle(inst, rng) for _ in range(5)]
-        verdict = small_set_attack(pairs_at(samples, alpha6), table.mask)
+        verdict = small_set_attack(pairs_at(samples, alpha6), table)
         target = eval_poly(inst.secret_for_tests(), alpha6).value
         ok &= verdict.kind != VERDICT_NOT_PLWE and target in verdict.survivors
 

@@ -508,4 +508,4 @@ def test_plan_and_scan_agree(name, doc, sigma):
                 assert not flag.applicable and str(exc) == flag.condition, (where, family)
                 continue
             assert flag.applicable, (where, family)
-            assert plan.preconditions == ["ok: " + flag.condition]
+            assert plan.preconditions == ("ok: " + flag.condition,)

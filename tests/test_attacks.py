@@ -76,8 +76,8 @@ ALPHA_2018 = M4099.element(2018)
 NO_PAIRS = Pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 4099)
 
 
-def _residues(table):
-    return frozenset(np.flatnonzero(table.mask).tolist())
+def _residues(mask):
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 class TestSigmaTables:
@@ -85,12 +85,13 @@ class TestSigmaTables:
         m = PrimeModulus(13)
         table = build_sigma_table_trace(m.element(1), 1, 4, 1.0)
         assert _residues(table) == frozenset(v % 13 for v in range(-4, 5))
-        assert table.size == 9
+        assert np.count_nonzero(table) == 9
 
     def test_trace_table_order6(self):
         table = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.7)
-        assert abs(table.analytic_bound - 3.8**6) < 1e-9
-        assert table.analytic_bound < 4099 * 0.954500**6
+        analytic = small_set_size(6, 1, 0.7).analytic
+        assert abs(analytic - 3.8**6) < 1e-9
+        assert analytic < 4099 * 0.954500**6
         # oracle: full tuple enumeration
         oracle = set()
         for xs in product(range(-1, 2), repeat=6):
@@ -99,19 +100,18 @@ class TestSigmaTables:
 
     def test_analytic_bound_beyond_a_float_is_inf(self):
         # 7 has order 2048 mod 12289: 1.8^2048 overflows, 1.8^1024 does not
-        seven = PrimeModulus(12289).element(7)
-        assert build_sigma_table_trace(seven, 2048, 1, 0.2).analytic_bound == math.inf
-        assert build_sigma_table_trace(seven, 1024, 1, 0.2).analytic_bound == 1.8**1024
+        assert small_set_size(2048, 1, 0.2).analytic == math.inf
+        assert small_set_size(1024, 1, 0.2).analytic == 1.8**1024
 
     def test_trace_table_order3(self):
         a = M4099.element(2017)
         table = build_sigma_table_trace(a, 3, 2, 2.5)
-        assert abs(table.analytic_bound - (4 * math.sqrt(2) * 2.5 + 1) ** 3) < 1e-9
+        assert abs(small_set_size(3, 2, 2.5).analytic - (4 * math.sqrt(2) * 2.5 + 1) ** 3) < 1e-9
         oracle = set()
         for xs in product(range(-7, 8), repeat=3):
             oracle.add(sum(x * pow(2017, j, 4099) for j, x in enumerate(xs)) % 4099)
         assert _residues(table) == frozenset(oracle)
-        assert table.size <= 15**3
+        assert np.count_nonzero(table) <= 15**3
 
     def test_block_sigma_recorded(self):
         size = small_set_size(3, 2, 2.5)
@@ -150,7 +150,7 @@ class TestSmallSetFq:
             inst, samples = _plwe_samples(
                 RING_ORDER6, GaussianSpec(0.7, True), 8, seed
             )
-            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE.mask)
+            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE)
             target = eval_poly(inst.secret_for_tests(), ALPHA_2018).value
             assert verdict.kind in (VERDICT_GUESS, VERDICT_NOT_ENOUGH)
             assert target in verdict.survivors
@@ -161,18 +161,18 @@ class TestSmallSetFq:
         table = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.1)
         assert _residues(table) == frozenset({0})
         sample = Sample(RING_ORDER6.zero(), RING_ORDER6.one())
-        verdict = small_set_attack(pairs_at([sample], ALPHA_2018), table.mask)
+        verdict = small_set_attack(pairs_at([sample], ALPHA_2018), table)
         assert verdict.kind == VERDICT_NOT_PLWE
         assert verdict.survivors == ()
 
     def test_uniform_rejection_rate_beats_posterior_bound(self):
         # with M = 5 the survivor bound q*(|Sigma|/q)^M is essentially zero
         q, M, trials = 4099, 5, 200
-        bound = 1 - q * (self.TABLE.size / q) ** M
+        bound = 1 - q * (np.count_nonzero(self.TABLE) / q) ** M
         not_plwe = 0
         for seed in range(trials):
             samples = _uniform_samples(RING_ORDER6, M, 1000 + seed)
-            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE.mask)
+            verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE)
             not_plwe += verdict.kind == VERDICT_NOT_PLWE
         assert not_plwe / trials >= max(0.0, bound)
 
@@ -180,13 +180,13 @@ class TestSmallSetFq:
         # the analytic cardinality estimate makes the M = 30 union bound
         # vacuous, but the exact residue set is small enough to salvage it
         table = build_sigma_table_trace(M4099.element(2017), 3, 2, 2.5)
-        analytic = 1 - 4099 * (table.analytic_bound / 4099) ** 30
-        exact = 1 - 4099 * (table.size / 4099) ** 30
+        analytic = 1 - 4099 * (small_set_size(3, 2, 2.5).analytic / 4099) ** 30
+        exact = 1 - 4099 * (np.count_nonzero(table) / 4099) ** 30
         assert analytic < 0 < 0.999 < exact
 
     def test_no_samples(self):
         with pytest.raises(NoSamples):
-            small_set_attack(NO_PAIRS, self.TABLE.mask)
+            small_set_attack(NO_PAIRS, self.TABLE)
 
 
 class TestSmallSetTrace:
@@ -206,14 +206,14 @@ class TestSmallSetTrace:
             )
             for _ in range(6)
         ]
-        verdict = small_set_attack(pairs_at(samples, EXT_B), self.TABLE.mask)
+        verdict = small_set_attack(pairs_at(samples, EXT_B), self.TABLE)
         target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B))).value
         assert target in verdict.survivors
 
     def test_non_member_sample_rejected(self):
         sample = Sample(RING_B.monomial(1), RING_B.zero())
         with pytest.raises(NonMemberSample):
-            small_set_attack(pairs_at([sample], EXT_B), self.TABLE.mask)
+            small_set_attack(pairs_at([sample], EXT_B), self.TABLE)
 
     def test_degree_one_extension_matches_fq_attack(self):
         # with n = 1 the subring is everything and the trace is the identity,
@@ -229,8 +229,8 @@ class TestSmallSetTrace:
                 _, samples = _plwe_samples(ring, GaussianSpec(0.7, True), 4, seed)
             else:
                 samples = _uniform_samples(ring, 4, seed)
-            fq = small_set_attack(_scalar_pairs(samples, alpha), table.mask)
-            tr = small_set_attack(pairs_at(samples, ext1), table.mask)
+            fq = small_set_attack(_scalar_pairs(samples, alpha), table)
+            tr = small_set_attack(pairs_at(samples, ext1), table)
             assert fq == tr
 
 
@@ -498,7 +498,7 @@ class TestLogDomainHitCounts:
 
 
 class TestExtended:
-    MASK = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.7).mask
+    MASK = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.7)
 
     def test_truncated_threshold_is_chunk_count(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 30, 0)
@@ -616,7 +616,7 @@ class TestFilterMatchesCandidateMajorLoop:
         table = build_sigma_table_trace(a, 2, 1, sigma)
         quarter = attacks.quarter_mask(a.q)
         pairs = [_scalar_pair(s, point) for s in samples]
-        for member in (table.mask, quarter):
+        for member in (table, quarter):
             expected = [
                 _naive_survivors(pairs[c * m0 : (c + 1) * m0], member, n)
                 for c in range(chunks)
@@ -633,8 +633,8 @@ class TestFilterMatchesCandidateMajorLoop:
                 with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
                     decision = extended_attack(pairs_at(samples, point), m0, member, 2, 1.0)
                 assert decision.votes == votes
-        assert small_set_attack(pairs_at(samples, point), table.mask).survivors == tuple(
-            sorted(_naive_survivors(pairs, table.mask, n))
+        assert small_set_attack(pairs_at(samples, point), table).survivors == tuple(
+            sorted(_naive_survivors(pairs, table, n))
         )
         assert small_values_attack(pairs_at(samples, point)).survivors == tuple(
             sorted(_naive_survivors(pairs, quarter, n))
@@ -648,7 +648,7 @@ class TestFilterMatchesCandidateMajorLoop:
         point, _, _, samples = case
         a = point.a if isinstance(point, ExtFieldCtx) else point
         evaluated = pairs_at(samples, point)
-        for member in (build_sigma_table_trace(a, 2, 1, sigma).mask, attacks.quarter_mask(a.q)):
+        for member in (build_sigma_table_trace(a, 2, 1, sigma), attacks.quarter_mask(a.q)):
             full, chunk, _ = attacks._filter(
                 evaluated.targets[:, None], evaluated.scales[:, None], member
             )
@@ -766,7 +766,7 @@ class TestUniformRejectionTrace:
         # 200 uniform batches must come back NOT PLWE
         table = build_sigma_table_trace(M4099.element(2017), 3, 2, 2.5)
         q, M, trials = 4099, 30, 200
-        bound = 1 - q * (table.size / q) ** M
+        bound = 1 - q * (np.count_nonzero(table) / q) ** M
         assert bound > 1 - 1e-12
         rejected = 0
         for seed in range(trials):
@@ -776,7 +776,7 @@ class TestUniformRejectionTrace:
                        RING_B.poly(rng.integers(0, q, size=23)))
                 for _ in range(M)
             ]
-            verdict = small_set_attack(pairs_at(samples, EXT_B), table.mask)
+            verdict = small_set_attack(pairs_at(samples, EXT_B), table)
             rejected += verdict.kind == VERDICT_NOT_PLWE
         assert rejected / trials >= bound
 
@@ -797,12 +797,13 @@ class TestQuarterPassRate:
 class TestSigmaTableInvariants:
     def test_size_never_exceeds_analytic_bound(self):
         cases = [
-            build_sigma_table_trace(M4099.element(2018), 6, 1, 0.7),
-            build_sigma_table_trace(M4099.element(2017), 3, 2, 2.5),
-            build_sigma_table_trace(PrimeModulus(13).element(1), 1, 4, 1.0),
+            (M4099.element(2018), 6, 1, 0.7),
+            (M4099.element(2017), 3, 2, 2.5),
+            (PrimeModulus(13).element(1), 1, 4, 1.0),
         ]
-        for table in cases:
-            assert table.size <= table.analytic_bound
+        for a, r, blocklen, sigma in cases:
+            table = build_sigma_table_trace(a, r, blocklen, sigma)
+            assert np.count_nonzero(table) <= small_set_size(r, blocklen, sigma).analytic
 
     def test_unit_weight_trace_table_is_interval(self):
         m = PrimeModulus(4099)
@@ -845,8 +846,8 @@ class TestSigmaMask:
             return
         table = build_sigma_table_trace(a, r, blocklen, sigma, cap)
         assert _residues(table) == reference_sigma_values(a, r, blocklen, sigma)
-        assert table.size == len(reference_sigma_values(a, r, blocklen, sigma))
-        assert not table.mask.flags.writeable
+        assert np.count_nonzero(table) == len(reference_sigma_values(a, r, blocklen, sigma))
+        assert not table.flags.writeable
 
     def test_offsets_past_q_give_the_full_mask_in_o_q_memory(self):
         # q near 2**22, r = 1 and 2*bound+1 = 4400001 > q: the offsets alone
@@ -855,7 +856,7 @@ class TestSigmaMask:
         table, peak = _peak_bytes(
             lambda: build_sigma_table_trace(PrimeModulus(q).element(1), 1, 1, 1.1e6)
         )
-        assert table.mask.all()
+        assert table.all()
         assert peak <= 8 * max(q, attacks._MAX_PAIRS)
 
     def test_rounds_hold_bounded_temporaries(self, monkeypatch):

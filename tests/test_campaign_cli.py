@@ -96,13 +96,27 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field,value",
         [("alpha", "x"), ("M", "five"), ("M", 2.7), ("trials", None), ("trials", True),
-         ("M", "5")],
+         ("M", "5"), ("M", 0)],
     )
     def test_malformed_integer_is_named(self, field, value):
         doc = _order6_config()
         doc["attack"][field] = value
         with pytest.raises(ConfigError, match=f"attack.{field}"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "family,field,message",
+        [("extended_small_set", "M0", "attack.M0: must be >= 1 for extended families"),
+         ("extended_small_values", "M0", "attack.M0: must be >= 1 for extended families"),
+         ("unbounded_small_values", "ell", "attack.ell: must be >= 1 for the unbounded family")],
+    )
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_family_count_below_one_is_malformed(self, family, field, message, value):
+        doc = _order6_config()
+        doc["attack"].update({"family": family, "M0": 2, "ell": 6, field: value})
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("delta", [0.7, -0.6, math.nan, math.inf])
     def test_delta_outside_half_interval_is_malformed(self, delta):
@@ -132,7 +146,7 @@ class TestConfigValidation:
         root = scan_instance(load_ring_doc(inst), 0.7, True).roots[0]
         assert root.alpha == 0
         flag = next(f for f in root.flags if f.attack == "small_set")
-        assert plan.table.size == flag.details["tuple_count"] == 3
+        assert np.count_nonzero(plan.member) == flag.details["tuple_count"] == 3
 
 
 class TestCampaignRuns:
@@ -354,7 +368,7 @@ class TestStreamUse:
         digest = run_campaign(_golden_config(name)).digest_json()
         assert hashlib.sha256(digest.encode()).hexdigest() == GOLDEN[name][1]
 
-    def test_trials_form_b_only_when_recording(self, monkeypatch):
+    def test_trials_form_b_only_when_recording(self, tmp_path, monkeypatch):
         calls = []
         mul_matrix = RqContext.mul_matrix
 
@@ -366,8 +380,23 @@ class TestStreamUse:
         cfg = _golden_config("trace_extended_small_set_direct")
         run_campaign(cfg)
         assert not calls
-        rows = run_campaign(cfg, record=[]).trials
+        rows = run_campaign(cfg, record=str(tmp_path / "samples.jsonl")).trials
         assert len(calls) == sum(1 for r in rows if r["truth"] == "plwe") > 0
+
+    def test_recording_writes_each_trial_as_it_finishes(self, tmp_path, monkeypatch):
+        # before each trial the file holds the samples of every earlier one
+        path = tmp_path / "samples.jsonl"
+        lines, run_trial = [], campaign.run_trial
+
+        def observed(plan, index, samples=None):
+            samples.flush()
+            lines.append(len(path.read_text().splitlines()))
+            return run_trial(plan, index, samples)
+
+        monkeypatch.setattr(campaign, "run_trial", observed)
+        run_campaign(_golden_config("trace_extended_small_set_direct"), record=str(path))
+        assert lines == [0, 60, 120, 180]
+        assert len(path.read_text().splitlines()) == 240
 
     @pytest.mark.parametrize("name", ["fq_unbounded_mc_direct", "trace_unbounded_honest"])
     def test_thread_pool_matches_sequential(self, name):
@@ -380,9 +409,9 @@ class TestStreamUse:
         sequential = run_campaign(cfg).digest_json()
         parent, run_trial = os.getpid(), campaign.run_trial
 
-        def in_worker_only(plan, index, record=None):
+        def in_worker_only(plan, index, samples=None):
             assert os.getpid() != parent, "trial ran in the parent process"
-            return run_trial(plan, index, record)
+            return run_trial(plan, index, samples)
 
         monkeypatch.setattr(campaign, "run_trial", in_worker_only)
         assert run_campaign(cfg, threads=2).digest_json() == sequential
@@ -412,6 +441,12 @@ class TestCli:
         assert entry["order"] == 6
         flag = next(f for f in entry["attacks"] if f["attack"] == "small_set")
         assert flag["applicable"]
+
+    @pytest.mark.parametrize("n_max", ["-3", "0"])
+    def test_scan_refuses_n_max_below_one(self, tmp_path, capsys, n_max):
+        cfg = _write(tmp_path, "s.json", {"instance": MIXED_Q7})
+        assert cli.main(["scan", "--config", cfg, "--n-max", n_max]) == 2
+        assert capsys.readouterr().err == f"config error: --n-max: must be >= 1, got {n_max}\n"
 
     def test_scan_empty_report_is_success(self, tmp_path, capsys):
         cfg = _write(tmp_path, "e.json", {
@@ -495,6 +530,21 @@ class TestCli:
         assert cli.main(["attack", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: rq0_budget: must be >= 1")
 
+    def test_attack_seed_and_honest_sampling_overrides(self, tmp_path, capsys):
+        # the golden campaign's seed and sampling section, given on the
+        # command line instead, reproduce its report
+        name = "fq_small_values_honest"
+        doc = {**GOLDEN[name][0], "seed": 3}
+        del doc["sampling"]
+        cfg = _write(tmp_path, "c.json", doc)
+        assert cli.main(["attack", "--config", cfg, "--seed", "17", "--honest-sampling"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        want = json.loads(run_campaign(_golden_config(name)).to_json())
+        for report in (got, want):
+            for row in report["trials"]:
+                del row["wall_time_ms"]
+        assert got == want
+
     def test_attack_trials_override(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=4))
         assert cli.main(["attack", "--config", cfg, "--trials", "2"]) == 0
@@ -511,6 +561,17 @@ class TestCli:
         assert cli.main(["attack", "--config", cfg]) == 3
         err = capsys.readouterr().err
         assert "refused" in err and "2*sigma_bar" in err and "q/4" in err
+
+    def test_refused_recording_leaves_no_file(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "r.json", {
+            "instance": dict(USVA_INSTANCES[2]["instance"]),
+            "attack": {"family": "small_values", "mode": "fq",
+                       "alpha": 698, "M": 10, "trials": 2},
+        })
+        samples = tmp_path / "samples.jsonl"
+        assert cli.main(["attack", "--config", cfg, "--record-samples", str(samples)]) == 3
+        assert "refused" in capsys.readouterr().err
+        assert not samples.exists()
 
     def test_attack_refuses_modulus_above_int64_range(self, tmp_path, capsys):
         cfg = _write(tmp_path, "big.json", {
@@ -728,6 +789,30 @@ class TestCli:
         assert doc["ratio"] > 4 * 2**0.5
         assert any("bounded" in w for w in doc["warnings"])
 
+    def test_analyze_warns_when_the_oracle_disagrees(self, tmp_path, capsys, monkeypatch):
+        inst = USVA_INSTANCES[1]
+        cfg = _write(tmp_path, "an.json", {
+            "instance": dict(inst["instance"]),
+            "attack": {"alpha": inst["alpha"]},
+        })
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        delta = json.loads(capsys.readouterr().out)["delta"]
+        monkeypatch.setattr(cli, "monte_carlo_delta", lambda q, sbar, rng: delta + 0.01)
+        assert cli.main(["analyze", "--config", cfg, "--mc-check"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["delta_mc"] == delta + 0.01
+        assert any("disagrees with the Monte Carlo oracle" in w for w in doc["warnings"])
+
+    def test_analyze_at_a_61_bit_safe_prime(self, tmp_path, capsys):
+        # q - 1 = 2p with p prime: the order of alpha needs p, and trial
+        # division did not find it in 20 s
+        q = 2305843009213691579
+        cfg = _write(tmp_path, "safe.json", {
+            "instance": {"N": 1, "f": [-5, 1], "q": q, "sigma": 1.0, "truncated": False},
+            "attack": {"alpha": 5}})
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == (q - 1) // 2
+
     def test_analyze_resolves_roots_above_the_int64_range(self, tmp_path, capsys):
         # 1753 is a root of x^256 + 1 mod 8380417 of order 512; the root test
         # sums in Python ints, so analyze needs no int64 bound
@@ -825,7 +910,8 @@ def _attack_sections(draw):
         "M0": draw(st.integers(-1, 6)),
         "ell": draw(st.integers(-1, 6)),
         "delta": draw(
-            st.one_of(st.none(), st.sampled_from(["series", "mc"]), st.floats(-1, 1))
+            st.one_of(st.none(), st.sampled_from(["series", "mc", "0.1", True, False]),
+                      st.floats(-1, 1))
         ),
         "trials": draw(st.integers(-1, 2)),
     }
@@ -850,10 +936,11 @@ _FIELD_JUNK = st.sampled_from([0, 1, 4, 5, -1, [1, 2], 7.0, 7.5, 3.0, 0.5, 2**64
 
 @st.composite
 def _instance_sections(draw):
-    """MIXED_Q7 with a sigma from a log range up to 1e15, maybe junk in q
-    and in one coefficient of f, and up to two fields dropped or replaced
-    by junk."""
-    instance = {**MIXED_Q7, "sigma": draw(st.floats(-3, 15).map(lambda e: 10.0**e))}
+    """MIXED_Q7 with a sigma from a log range up to 1e15 or a boolean or
+    numeric string, maybe junk in q and in one coefficient of f, and up to
+    two fields dropped or replaced by junk."""
+    sigma = st.one_of(st.floats(-3, 15).map(lambda e: 10.0**e), st.sampled_from([True, "2.5"]))
+    instance = {**MIXED_Q7, "sigma": draw(sigma)}
     if draw(st.booleans()):
         instance["q"] = draw(st.one_of(_JUNK, _FIELD_JUNK))
     if draw(st.booleans()):
@@ -917,6 +1004,14 @@ def test_fuzzed_configs_exit_cleanly(tmp_path, command, instance, attack, extra,
          "attack.a"),
         ("analyze", {"instance": TRACE_INSTANCE_B["instance"], "attack": {"n": 2, "a": 0}},
          "attack.a"),
+        # scan and analyze read the instance section as attack does
+        ("scan", {}, "config.instance"),
+        ("analyze", {}, "config.instance"),
+        ("scan", MIXED_Q7, "config.instance"),
+        ("analyze", {**MIXED_Q7, "attack": {"alpha": 1}}, "config.instance"),
+        ("analyze", {"instance": MIXED_Q7}, "attack.alpha (or attack.n/attack.a)"),
+        ("analyze", {"instance": MIXED_Q7, "attack": {"a": 3}},
+         "attack.alpha (or attack.n/attack.a)"),
     ],
 )
 def test_malformed_config_names_the_field(tmp_path, capsys, command, doc, field):
@@ -950,9 +1045,17 @@ _F_HALF = [0.5] + TRACE_INSTANCE_B["instance"]["f"][1:]
         (None, "seed", True, "seed: expected an integer, got True", ("attack", "replay")),
         ("attack", "trials", True, "attack.trials: expected an integer, got True",
          ("attack", "replay")),
+        # float() read true as sigma 1.0 and the strings "2.5" and "0.1"
+        ("instance", "sigma", True, "instance.sigma: expected a number, got True", _COMMANDS),
+        ("instance", "sigma", "2.5", "instance.sigma: expected a number, got '2.5'",
+         _COMMANDS),
+        ("attack", "delta", "0.1",
+         "attack.delta: expected a number, 'series' or 'mc', got '0.1'", ("attack", "replay")),
+        ("attack", "delta", False,
+         "attack.delta: expected a number, 'series' or 'mc', got False", ("attack", "replay")),
     ],
     ids=["truncated-str", "truncated-int", "q-fraction", "N-bool", "f-fraction", "honest-str",
-         "seed-bool", "trials-bool"],
+         "seed-bool", "trials-bool", "sigma-bool", "sigma-str", "delta-str", "delta-bool"],
 )
 def test_config_booleans_and_integers_are_exact(
     tmp_path, capsys, where, key, value, message, commands

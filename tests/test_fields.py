@@ -17,6 +17,7 @@ from plwe_audit.fields import (
     in_quarter_value,
     is_prime,
     mult_order,
+    prime_factors,
 )
 from reference import ext_alpha, ext_element, ext_one, irreducible_constants, trace
 
@@ -129,6 +130,50 @@ class TestMultOrder:
         for d in range(1, r):
             if r % d == 0:
                 assert pow(a, d, q) != 1
+
+
+def _trial_division(m):
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out + [m] if m > 1 else out
+
+
+class TestPrimeFactors:
+    @pytest.mark.parametrize("q,factors", [
+        # a 61-bit safe prime, q - 1 = 2p: trial division ran past 20 s
+        (2305843009213691579, [2, 1152921504606845789]),
+        # q - 1 = 12 * 472239827 * 323318243, two cofactor primes near 2**28
+        (1832205013683167533, [2, 3, 323318243, 472239827]),
+    ])
+    def test_factors_of_q_minus_one(self, q, factors):
+        assert PrimeModulus(q).q == q
+        assert prime_factors(q - 1) == factors
+
+    def test_matches_trial_division(self):
+        for m in range(3000):
+            assert prime_factors(m) == _trial_division(m), m
+
+    @pytest.mark.parametrize("m", [1021**2, 2 * 1021**2, 1021**3, 1021**2 * 1031])
+    def test_trial_division_past_its_last_prime(self, m):
+        # 1021 is the last prime below 2**10: dividing it out of these leaves
+        # 1 or a prime, and no cofactor for the rho step
+        assert prime_factors(m) == _trial_division(m)
+
+    @given(st.integers(2**20, 2**31), st.integers(2**10, 2**31), st.integers(1, 2**12))
+    @settings(max_examples=30, deadline=None)
+    def test_products_of_large_primes(self, x, y, small):
+        # cofactors without prime factors below 2**10: prime powers and
+        # products of two primes, each split by the rho step
+        p, r = (next(k for k in range(v, 2 * v) if is_prime(k)) for v in (x, y))
+        cases = [(p * p, {p}), (p**3, {p}), (p * p * r, {p, r}),
+                 (p * r * small, {p, r, *_trial_division(small)})]
+        for m, factors in cases:
+            assert prime_factors(m) == sorted(factors), m
 
 
 class TestTrace:

@@ -3,7 +3,8 @@ algebra that the tests compare the numpy path against, and the per-sample
 Sample objects, live in tests/reference.py; no module of src/plwe_audit or
 scripts defines, imports or reads them, and the package does not export
 them.  The attacks read Pairs only and take no evaluation point.  A Sigma
-table is its mask alone, and the analyze command reads and judges a point
+table is its mask alone, an AttackPlan holds what its trials read and is
+built once and frozen, and the analyze command reads and judges a point
 through the reader, resolver and analysis functions that plans use.  Roots
 and divisors come from the scan's fold alone, and ExtFieldCtx is the one
 irreducibility test.  A point is the (n, a) of its binomial y^n - a from the
@@ -14,11 +15,12 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import plwe_audit
 from plwe_audit import attacks
-from plwe_audit.attacks import SigmaTable
-from plwe_audit.campaign import AttackSpec, resolve_point
-from plwe_audit.fields import ExtFieldCtx
+from plwe_audit.campaign import AttackPlan, AttackSpec, resolve_point
+from plwe_audit.fields import ExtFieldCtx, PrimeModulus
 from plwe_audit.rings import binomial_logs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,6 +54,9 @@ DELETED = frozenset({
     # the per-kind scan points and the mode-dependent spec, and the uniform
     # quarter offset, which quarter_count(q)/q - 1/2 gives
     "RootVuln", "FactorVuln", "samples_per_trial", "uniform_offset",
+    # the Sigma table wrapper, the plan's sample helper and the end-of-campaign
+    # sample writer
+    "SigmaTable", "_generate_samples", "save_samples",
 })
 ATTACKS = ("small_set_attack", "small_values_attack", "unbounded_small_values_attack",
            "extended_attack")
@@ -92,8 +97,9 @@ def test_one_arithmetic_path():
 
 
 def test_one_precondition_path():
-    assert "values" not in {f.name for f in dataclasses.fields(SigmaTable)}
-    assert not hasattr(SigmaTable, "values")
+    mask = attacks.build_sigma_table_trace(PrimeModulus(13).element(1), 1, 4, 1.0)
+    assert type(mask) is np.ndarray and mask.dtype == bool and mask.shape == (13,)
+    assert not hasattr(attacks, "SigmaTable")
     cli = ROOT / "src" / "plwe_audit" / "cli.py"
     tree = ast.parse(cli.read_text(encoding="utf-8"))
     imported = {
@@ -119,3 +125,10 @@ def test_one_point_form():
         "family", "n", "a", "M", "M0", "delta", "trials"
     ]
     assert list(inspect.signature(resolve_point).parameters) == ["ring", "sigma", "n", "a"]
+
+
+def test_plan_is_frozen_and_holds_what_trials_read():
+    assert AttackPlan.__dataclass_params__.frozen
+    assert [f.name for f in dataclasses.fields(AttackPlan)] == [
+        "cfg", "point", "blocks", "member", "member_r", "delta", "preconditions"
+    ]
