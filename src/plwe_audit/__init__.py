@@ -23,14 +23,7 @@ from .attacks import (
     unbounded_small_values_attack,
 )
 from .campaign import ExperimentConfig, config_from_dict, run_campaign
-from .fields import (
-    ExtFieldCtx,
-    FieldElement,
-    PrimeModulus,
-    centered,
-    in_quarter_interval,
-    mult_order,
-)
+from .fields import ExtFieldCtx, PrimeModulus, mult_order
 from .rings import RingPoly, RqContext, rq0_witnesses
 from .samplers import (
     GaussianSpec,

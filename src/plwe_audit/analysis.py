@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betainc
 
-from .fields import FieldElement, centered_value, mult_order
+from .fields import ExtFieldCtx, centered_value
 from .rings import RqContext, binomial_logs, generator_powers, log_orders
 from .samplers import p0_of
 
@@ -40,9 +40,11 @@ def quarter_interval(q: int) -> tuple[int, int]:
 
 
 def in_quarter_residues(v: np.ndarray, q: int) -> np.ndarray:
-    """fields.in_quarter_value of every residue in v, each in [0, q), for
-    every q < 2**62: with d = v - c in (-q, q), v lies in [c, c + w) iff
-    0 <= d < w or d < w - q, and no term leaves int64."""
+    """Whether the centered form of each residue in v, each in [0, q), lies
+    in [-q/4, q/4), for every q < 2**62; in_quarter_value in
+    tests/reference.py is its scalar oracle.  With d = v - c in (-q, q), v
+    lies in [c, c + w) iff 0 <= d < w or d < w - q, and no term leaves
+    int64."""
     c, w = quarter_interval(q)
     d = v - c
     return (d >= 0) & (d < w) | (d < w - q)
@@ -75,7 +77,7 @@ class BlockStructure:
     sigma_bar: float
 
 
-def block_structure(n: int, a: FieldElement, N: int, sigma: float) -> BlockStructure:
+def block_structure(point: ExtFieldCtx, N: int, sigma: float) -> BlockStructure:
     """Block structure of one evaluation point, for plans and the analyze
     report; scans take block_structures.
 
@@ -83,12 +85,12 @@ def block_structure(n: int, a: FieldElement, N: int, sigma: float) -> BlockStruc
     powers a^k, k < order, each fed by L = n_terms // order coefficients
     when the order is below n_terms, else the first n_terms powers with
     L = 1; at a = +-1 the sum is n_terms.  The sum is an exact integer."""
-    n_terms = max(1, N // n)
-    if a.value == 0:
+    n_terms = max(1, N // point.n)
+    q, a, order = point.q, point.a, point.order
+    if a == 0:
         # the root 0 kills every coefficient but the constant one
         return BlockStructure(0, n_terms, 1, 1, "general", math.sqrt(sigma * sigma))
-    q, order = a.q, mult_order(a)
-    if centered_value(a.value, q) in (1, -1):
+    if centered_value(a, q) in (1, -1):
         kind, total = "pm_one", n_terms
     else:
         kind = "small_order" if order < n_terms else "general"
@@ -96,7 +98,7 @@ def block_structure(n: int, a: FieldElement, N: int, sigma: float) -> BlockStruc
         total, power = 0, 1
         for _ in range(count):
             total += length * centered_value(power, q) ** 2
-            power = power * a.value % q
+            power = power * a % q
     return BlockStructure(
         order, n_terms, order, max(1, n_terms // order), kind, math.sqrt(sigma * sigma * total)
     )
@@ -110,8 +112,8 @@ _GATHER_ENTRIES = 1 << 20
 def block_structures(
     n: int, idx: np.ndarray, N: int, sigma: float, G: np.ndarray
 ) -> list[BlockStructure]:
-    """block_structure(n, G[i], N, sigma) for every discrete log i in idx,
-    G = generator_powers(q), computed together.
+    """block_structure at the root of y^n - G[i], for every discrete log i
+    in idx, G = generator_powers(q), computed together.
 
     The order of G[i] is (q-1)/gcd(i, q-1).  The points of one order share
     their weight count K and block length L, and their centered weights
@@ -455,14 +457,22 @@ def minimal_samples(
     p0: float | None = None,
 ) -> int | None:
     """Smallest M whose vote posterior reaches the target, or None when the
-    bound cannot reach it for any M."""
+    bound cannot reach it for any M.
+
+    The closed form can miss by a rounding step where the posterior meets
+    the target, so posterior_bounds's own arithmetic settles the last
+    samples."""
     qv = int(q)
     x_plain, x_adj, _ = _per_sample_mass(family, truncated, qv, sigma_size, r or 1, p0)
     x = x_plain if truncated else x_adj
     if x >= 1.0 or not (0.0 < target < 1.0):
         return None
-    m = math.ceil((math.log(qv) - math.log(1.0 - target)) / -math.log(x))
-    return max(m, 1)
+    m = max(1, math.ceil((math.log(qv) - math.log(1.0 - target)) / -math.log(x)))
+    while _one_minus_q_pow(qv, x, m) < target:
+        m += 1
+    while m > 1 and _one_minus_q_pow(qv, x, m - 1) >= target:
+        m -= 1
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +690,6 @@ def scan_instance(
 
     roots = points(1)
     if ctx.f_mod[0] == 0:
-        roots.insert(0, point(1, 0, block_structure(1, ctx.modulus.element(0), N, sigma)))
+        roots.insert(0, point(1, 0, block_structure(ExtFieldCtx(1, 0, ctx.modulus), N, sigma)))
     factors = [p for n in range(2, min(n_max, N) + 1) for p in points(n)]
     return VulnReport(q, N, sigma, truncated, tuple(roots), tuple(factors))

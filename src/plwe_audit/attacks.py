@@ -36,7 +36,6 @@ from .analysis import (
     small_set_size,
     usva_threshold,
 )
-from .fields import FieldElement
 from .rings import generator_powers
 from .samplers import Pairs
 
@@ -84,6 +83,10 @@ class AttackVerdict:
         if len(self.survivors) == 1:
             return VERDICT_GUESS
         return VERDICT_NOT_ENOUGH
+
+    @property
+    def is_plwe(self) -> bool:
+        return self.kind != VERDICT_NOT_PLWE
 
     @property
     def guess(self) -> int | None:
@@ -153,7 +156,7 @@ _MAX_PAIRS = 2**20
 
 
 def build_sigma_table_trace(
-    a: FieldElement, r: int, blocklen: int, sigma: float, cap: int = DEFAULT_TABLE_CAP
+    a: int, q: int, r: int, blocklen: int, sigma: float, cap: int = DEFAULT_TABLE_CAP
 ) -> np.ndarray:
     """The Sigma table for evaluation at a root of the binomial y^n - a, n = 1
     included, as the read-only membership mask over F_q of the residues
@@ -168,7 +171,6 @@ def build_sigma_table_trace(
     """
     if r < 1 or blocklen < 1:
         raise ValueError("need r >= 1 and block length >= 1")
-    q = a.q
     size = small_set_size(r, blocklen, sigma, cap)
     if not size.feasible:
         raise TableTooLarge(
@@ -180,7 +182,7 @@ def build_sigma_table_trace(
         offsets = np.arange(-size.bound, size.bound + 1, dtype=np.int64)
         step = max(q, _MAX_PAIRS) // offsets.size
         for j in range(r):
-            shifts = offsets * pow(a.value, j, q) % q
+            shifts = offsets * pow(a, j, q) % q
             reached = np.flatnonzero(mask)
             for lo in range(0, reached.size, step):
                 mask[(reached[lo : lo + step, None] + shifts) % q] = True

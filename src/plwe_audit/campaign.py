@@ -32,9 +32,7 @@ from .analysis import (
     unbounded_flag,
 )
 from .attacks import (
-    VERDICT_NOT_PLWE,
     AttackVerdict,
-    Decision,
     TableTooLarge,
     build_sigma_table_trace,
     extended_attack,
@@ -296,18 +294,18 @@ def resolve_point(
     the field; the test is exact in Python ints at any q."""
     q = ring.q
     try:
-        point = ExtFieldCtx(n, ring.modulus.element(a))
+        point = ExtFieldCtx(n, a, ring.modulus)
     except ValueError as exc:
         raise ConfigError(f"attack.a: x^{n} - {a % q} is reducible mod {q}") from exc
     # coordinate j of the remainder sums f_k a^(k // n) over k = j mod n
-    a = point.a.value
+    a = point.a
     terms = [(k, c) for k, c in enumerate(ring.f_mod) if c]
     if any(sum(c * pow(a, k // n, q) for k, c in terms if k % n == j) % q for j in range(n)):
         raise ConfigError(
             f"attack.alpha: {a} is not a root of f mod {q}" if n == 1
             else f"attack.a: x^{n} - {a} does not divide f mod {q}"
         )
-    return point, block_structure(n, point.a, ring.N, sigma)
+    return point, block_structure(point, ring.N, sigma)
 
 
 def check_ring(ring: RqContext) -> None:
@@ -335,7 +333,14 @@ def check_draws(ring: RqContext, gauss: GaussianSpec) -> None:
         )
 
 
-def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) -> AttackPlan:
+def mc_delta(q: int, sigma_bar: float, seed: int) -> float:
+    """monte_carlo_delta on the stream [seed, 2**32], apart from every
+    trial's [seed, trial_index]: the delta of a "delta": "mc" plan, which
+    analyze --mc-check prints."""
+    return monte_carlo_delta(q, sigma_bar, np.random.default_rng([seed, 2**32]))
+
+
+def build_plan(cfg: ExperimentConfig) -> AttackPlan:
     """Resolve the evaluation point, its block structure and the membership
     mask or delta; refuse when a documented precondition fails."""
     att = cfg.attack
@@ -349,7 +354,7 @@ def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) ->
         member_r = blocks.r_eff
         try:
             member = build_sigma_table_trace(
-                point.a, member_r, blocks.blocklen, cfg.gauss.sigma, cfg.table_cap
+                point.a, q, member_r, blocks.blocklen, cfg.gauss.sigma, cfg.table_cap
             )
         except TableTooLarge as exc:
             raise PreconditionRefused(str(exc)) from exc
@@ -363,8 +368,7 @@ def build_plan(cfg: ExperimentConfig, rng: np.random.Generator | None = None) ->
         if att.delta is None or att.delta == "series":
             delta = delta_probability(q, blocks.sigma_bar).delta
         elif att.delta == "mc":
-            mc_rng = rng if rng is not None else np.random.default_rng([cfg.seed, 2**32])
-            delta = monte_carlo_delta(q, blocks.sigma_bar, mc_rng)
+            delta = mc_delta(q, blocks.sigma_bar, cfg.seed)
         else:
             delta = float(att.delta)
         flag = unbounded_flag(q, delta)
@@ -386,12 +390,6 @@ def run_attack_once(plan: AttackPlan, pairs: Pairs):
     if att.family in BASIC_FAMILIES:
         return small_set_attack(pairs, plan.member)
     return extended_attack(pairs, att.M0, plan.member, plan.member_r, plan.cfg.gauss.p0)
-
-
-def _says_plwe(outcome) -> bool:
-    if isinstance(outcome, Decision):
-        return outcome.is_plwe
-    return outcome.kind != VERDICT_NOT_PLWE
 
 
 def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None) -> dict:
@@ -430,12 +428,12 @@ def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None)
         "trial": trial_index,
         "truth": "plwe" if truth_plwe else "uniform",
         "outcome": outcome.to_dict(),
-        "correct": _says_plwe(outcome) == truth_plwe,
+        "correct": outcome.is_plwe == truth_plwe,
         "oracle_invocations": invocations,
         "samples_used": len(batch),
         "wall_time_ms": wall_ms,
     }
-    if truth_plwe and isinstance(outcome, AttackVerdict) and secret is not None:
+    if truth_plwe and isinstance(outcome, AttackVerdict):
         row["true_value_survives"] = _true_value(plan, secret) in outcome.survivors
     return row
 
@@ -523,7 +521,7 @@ def _plan_summary(plan: AttackPlan) -> dict:
     """The plan's report fields; the Sigma table size, its analytic bound
     and the extended gate are worked out here, from the plan's mask."""
     cfg, att, blocks = plan.cfg, plan.cfg.attack, plan.blocks
-    n, a = plan.point.n, plan.point.a.value
+    n, a = plan.point.n, plan.point.a
     q, p0 = cfg.ring.q, cfg.gauss.p0
     # |Sigma|, or quarter_count(q) for the quarter interval
     count = None if plan.member is None else int(np.count_nonzero(plan.member))

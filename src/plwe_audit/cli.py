@@ -17,13 +17,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .analysis import (
     delta_probability,
     f_of_r_table,
     minimal_samples,
-    monte_carlo_delta,
     point_keys,
     scan_instance,
     small_set_size,
@@ -37,6 +34,7 @@ from .campaign import (
     config_from_dict,
     instance_from_dict,
     load_samples,
+    mc_delta,
     point_from_dict,
     read_config,
     resolve_point,
@@ -175,7 +173,7 @@ def _cmd_analyze(args) -> int:
     prob = delta_probability(q, blocks.sigma_bar)
     out = {
         "q": q,
-        **point_keys(n, point.a.value, blocks),
+        **point_keys(n, point.a, blocks),
         "p_event": prob.p_event,
         "delta": prob.delta,
         "big_delta": prob.big_delta,
@@ -189,8 +187,7 @@ def _cmd_analyze(args) -> int:
             "so the bounded small-values attack applies instead"
         )
     if args.mc_check:
-        rng = np.random.default_rng(seed_from_dict(doc))
-        mc = monte_carlo_delta(q, blocks.sigma_bar, rng)
+        mc = mc_delta(q, blocks.sigma_bar, seed_from_dict(doc))
         out["delta_mc"] = mc
         if abs(mc - prob.delta) > 2e-3:
             out["warnings"].append(
@@ -238,6 +235,8 @@ def main(argv=None) -> int:
         "replay": _cmd_replay,
     }
     try:
+        if args.format == "csv" and not args.output:
+            raise ConfigError("--format: csv needs --output, the file the CSV is written to")
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

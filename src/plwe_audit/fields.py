@@ -1,32 +1,22 @@
-"""Exact arithmetic in F_q, and the binomial extension fields F_q[y]/(y^n - a)
+"""The prime modulus q, and the binomial extension fields F_q[y]/(y^n - a)
 that the attacks evaluate at.
 
-Residues are stored canonically in [0, q).  Centered representatives and the
-quarter-interval test are exposed as exact integer predicates so that interval
-counts agree with rational enumeration; no floating point is involved anywhere
-in this module.
+Residues are plain ints, stored canonically in [0, q).  Primality,
+factoring, multiplicative orders, centered representatives and the
+irreducibility criterion are exact integer functions; no floating point is
+involved anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from math import gcd
+from operator import index
 
 
-class FieldError(Exception):
-    """Base class for arithmetic errors raised by this module."""
-
-
-class DivisionByZero(FieldError):
-    """Inversion of the zero element."""
-
-
-class ContextMismatch(FieldError):
-    """Operands belong to different moduli or extension contexts."""
-
-
-class ZeroHasNoOrder(FieldError):
+class ZeroHasNoOrder(Exception):
     """The multiplicative order of zero is undefined."""
 
 
@@ -122,60 +112,6 @@ class PrimeModulus:
         if not is_prime(self.q):
             raise ValueError(f"q must be prime, got {self.q}")
 
-    @property
-    def q_mod4(self) -> int:
-        return self.q % 4
-
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value % self.q, self)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical residue in [0, q)."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.modulus.q)
-
-    @property
-    def q(self) -> int:
-        return self.modulus.q
-
-    def _same(self, other: FieldElement) -> None:
-        if self.modulus != other.modulus:
-            raise ContextMismatch(f"moduli differ: {self.q} vs {other.q}")
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._same(other)
-        return FieldElement((self.value + other.value) % self.q, self.modulus)
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        self._same(other)
-        return FieldElement((self.value - other.value) % self.q, self.modulus)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._same(other)
-        return FieldElement(self.value * other.value % self.q, self.modulus)
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(-self.value % self.q, self.modulus)
-
-    def __pow__(self, exponent: int) -> FieldElement:
-        if exponent < 0 and self.value == 0:
-            raise DivisionByZero("cannot raise zero to a negative power")
-        return FieldElement(pow(self.value, exponent, self.q), self.modulus)
-
-    def inv(self) -> FieldElement:
-        if self.value == 0:
-            raise DivisionByZero(f"zero is not invertible mod {self.q}")
-        return FieldElement(pow(self.value, self.q - 2, self.q), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
 
 def centered_value(v: int, q: int) -> int:
     """The unique c with c == v (mod q) and -(q-1)/2 <= c <= (q-1)/2."""
@@ -183,32 +119,13 @@ def centered_value(v: int, q: int) -> int:
     return v - q if 2 * v > q else v
 
 
-def centered(x: FieldElement) -> int:
-    return centered_value(x.value, x.q)
-
-
-def in_quarter_value(v: int, q: int) -> bool:
-    """True iff the centered representative c of v satisfies -q <= 4c < q.
-
-    Exact integer form of membership in [-q/4, q/4); the lower bound is
-    inclusive, the upper exclusive.
-    """
-    v %= q
-    return 4 * v < q or 4 * v >= 3 * q
-
-
-def in_quarter_interval(x: FieldElement) -> bool:
-    return in_quarter_value(x.value, x.q)
-
-
-def mult_order(a: FieldElement) -> int:
-    """Least r >= 1 with a**r == 1, via the factorization of q - 1."""
-    if a.value == 0:
+def mult_order(a: int, q: int) -> int:
+    """Least r >= 1 with a**r == 1 mod q, via the factorization of q - 1."""
+    if a % q == 0:
         raise ZeroHasNoOrder("the zero element has no multiplicative order")
-    q = a.q
     order = q - 1
     for p in prime_factors(q - 1):
-        while order % p == 0 and pow(a.value, order // p, q) == 1:
+        while order % p == 0 and pow(a, order // p, q) == 1:
             order //= p
     return order
 
@@ -229,33 +146,35 @@ def binomial_order_irreducible(n: int, order: int, q: int) -> bool:
 
 @dataclass(frozen=True)
 class ExtFieldCtx:
-    """The extension F_{q^n} presented as F_q[y]/(y^n - a).
+    """The extension F_{q^n} presented as F_q[y]/(y^n - a); an F_q root
+    alpha is the case n = 1, a = alpha.
 
-    Irreducibility of the defining binomial is checked at construction, so a
-    context is always a genuine field.  Samples are evaluated at its root
-    alpha = y in bulk, through rings.eval_matrix; tests/reference.py keeps
-    the scalar element arithmetic and the trace.
+    The constructor stores a mod q and checks that the binomial is
+    irreducible, so a context is always a genuine field.  Samples are
+    evaluated at its root alpha = y in bulk, through rings.eval_matrix;
+    tests/reference.py keeps the scalar element arithmetic and the trace.
     """
 
     n: int
-    a: FieldElement
+    a: int
+    modulus: PrimeModulus
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"extension degree must be >= 1, got {self.n}")
+        object.__setattr__(self, "a", index(self.a) % self.q)
         if self.n == 1:
             return
-        if self.a.value == 0:
+        if self.a == 0:
             raise ValueError("the binomial constant must be nonzero for n >= 2")
-        if not binomial_order_irreducible(self.n, mult_order(self.a), self.q):
-            raise ValueError(
-                f"y^{self.n} - {self.a.value} is reducible mod {self.a.q}"
-            )
-
-    @property
-    def modulus(self) -> PrimeModulus:
-        return self.a.modulus
+        if not binomial_order_irreducible(self.n, self.order, self.q):
+            raise ValueError(f"y^{self.n} - {self.a} is reducible mod {self.q}")
 
     @property
     def q(self) -> int:
-        return self.a.q
+        return self.modulus.q
+
+    @cached_property
+    def order(self) -> int:
+        """The multiplicative order of a mod q; 0 at a = 0."""
+        return mult_order(self.a, self.q) if self.a else 0

@@ -91,16 +91,6 @@ class RqContext:
         cs.extend([0] * (self.N - len(cs)))
         return RingPoly(tuple(cs), self)
 
-    def zero(self) -> RingPoly:
-        return self.poly([])
-
-    def one(self) -> RingPoly:
-        return self.poly([1])
-
-    def monomial(self, degree: int, coeff: int = 1) -> RingPoly:
-        if degree >= self.N:
-            raise ValueError("monomial degree must be < N")
-        return self.poly([0] * degree + [coeff])
 
 
 @dataclass(frozen=True)
@@ -114,9 +104,6 @@ class RingPoly:
         if len(self.coeffs) != self.ctx.N:
             raise ValueError("RingPoly must carry exactly N coefficients")
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.coeffs, dtype=np.int64)
 
@@ -128,10 +115,10 @@ def eval_matrix(ext: ExtFieldCtx, length: int) -> np.ndarray:
 
     A coefficient vector p evaluates as p(alpha) = p @ W mod q.  Column 0
     gives the F_q part, columns 1..n-1 the witness sums of rq0_witnesses.
-    An F_q root alpha is the degree-1 case ExtFieldCtx(1, alpha).  The
+    An F_q root alpha is the degree-1 case ExtFieldCtx(1, alpha, modulus).  The
     result is cached and read-only.
     """
-    n, q, a = ext.n, ext.q, ext.a.value
+    n, q, a = ext.n, ext.q, ext.a
     _require_int64_modulus(q)
     W = np.zeros((length, n), dtype=np.int64)
     power = 1

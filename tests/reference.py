@@ -1,7 +1,8 @@
 """Reference paths that the fast code is pinned to.
 
-The scalar algebra.  The package evaluates samples only through numpy
-(eval_matrix, rq0_witnesses, RqContext.mul_matrix, sample_batch and the
+The scalar algebra.  in_quarter_value tests one residue against the
+quarter interval, in integers.  The package evaluates samples only through
+numpy (eval_matrix, rq0_witnesses, RqContext.mul_matrix, sample_batch and the
 generator-power fold); the tests check that path against the scalar forms
 kept here: elements of F_q[y]/(y^n - a) and their trace, RingPoly sums and
 products, Horner evaluation, the subring witness sums, and the per-sample
@@ -41,13 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from plwe_audit.fields import (
-    ContextMismatch,
-    DivisionByZero,
-    ExtFieldCtx,
-    FieldElement,
-    FieldError,
-)
+from plwe_audit.fields import ExtFieldCtx
 from plwe_audit.rings import RingPoly, RqContext, _require_int64_modulus, eval_matrix
 from plwe_audit.samplers import (
     BudgetExhausted,
@@ -58,6 +53,19 @@ from plwe_audit.samplers import (
     gaussian_coeffs,
     uniform_poly,
 )
+
+# ---------------------------------------------------------------------------
+# the quarter interval
+
+
+def in_quarter_value(v: int, q: int) -> bool:
+    """True iff the centered representative c of v satisfies -q <= 4c < q:
+    membership in [-q/4, q/4), the lower bound inclusive and the upper
+    exclusive, in exact integers.  The oracle for
+    analysis.in_quarter_residues."""
+    v %= q
+    return 4 * v < q or 4 * v >= 3 * q
+
 
 # ---------------------------------------------------------------------------
 # the extension field F_q[y]/(y^n - a)
@@ -72,7 +80,7 @@ class ExtFieldElement:
 
     def _same(self, other: ExtFieldElement) -> None:
         if self.ctx != other.ctx:
-            raise ContextMismatch("extension contexts differ")
+            raise ValueError("extension contexts differ")
 
     @property
     def q(self) -> int:
@@ -84,10 +92,10 @@ class ExtFieldElement:
     def in_base_field(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def to_base(self) -> FieldElement:
+    def to_base(self) -> int:
         if not self.in_base_field():
-            raise FieldError(f"{self.coeffs} does not lie in F_q")
-        return FieldElement(self.coeffs[0], self.ctx.modulus)
+            raise ValueError(f"{self.coeffs} does not lie in F_q")
+        return self.coeffs[0]
 
     def __add__(self, other: ExtFieldElement) -> ExtFieldElement:
         self._same(other)
@@ -107,14 +115,13 @@ class ExtFieldElement:
         q = self.q
         return ExtFieldElement(tuple(-c % q for c in self.coeffs), self.ctx)
 
-    def scale(self, k: FieldElement | int) -> ExtFieldElement:
-        v = k.value if isinstance(k, FieldElement) else int(k) % self.q
+    def scale(self, k: int) -> ExtFieldElement:
         q = self.q
-        return ExtFieldElement(tuple(c * v % q for c in self.coeffs), self.ctx)
+        return ExtFieldElement(tuple(c * k % q for c in self.coeffs), self.ctx)
 
     def __mul__(self, other: ExtFieldElement) -> ExtFieldElement:
         self._same(other)
-        n, q, a = self.ctx.n, self.q, self.ctx.a.value
+        n, q, a = self.ctx.n, self.q, self.ctx.a
         prod = [0] * (2 * n - 1)
         for i, x in enumerate(self.coeffs):
             if x == 0:
@@ -141,7 +148,7 @@ class ExtFieldElement:
 
     def inv(self) -> ExtFieldElement:
         if self.is_zero():
-            raise DivisionByZero("zero is not invertible")
+            raise ZeroDivisionError("zero is not invertible")
         return self ** (self.q**self.ctx.n - 2)
 
 
@@ -152,9 +159,8 @@ def ext_element(ext: ExtFieldCtx, coeffs) -> ExtFieldElement:
     return ExtFieldElement(cs, ext)
 
 
-def ext_from_base(ext: ExtFieldCtx, x: FieldElement | int) -> ExtFieldElement:
-    v = x.value if isinstance(x, FieldElement) else int(x) % ext.q
-    return ExtFieldElement((v,) + (0,) * (ext.n - 1), ext)
+def ext_from_base(ext: ExtFieldCtx, x: int) -> ExtFieldElement:
+    return ExtFieldElement((int(x) % ext.q,) + (0,) * (ext.n - 1), ext)
 
 
 def ext_one(ext: ExtFieldCtx) -> ExtFieldElement:
@@ -168,7 +174,7 @@ def ext_alpha(ext: ExtFieldCtx) -> ExtFieldElement:
     return ExtFieldElement((0, 1) + (0,) * (ext.n - 2), ext)
 
 
-def trace(beta: ExtFieldElement) -> FieldElement:
+def trace(beta: ExtFieldElement) -> int:
     """The field trace Tr(beta) = sum of beta**(q**i) for i = 0..n-1.
 
     The Frobenius orbit sum always lands in F_q; a nonzero higher coordinate
@@ -189,7 +195,7 @@ def trace(beta: ExtFieldElement) -> FieldElement:
 
 def _same_ctx(p: RingPoly, s: RingPoly) -> RqContext:
     if p.ctx != s.ctx:
-        raise ContextMismatch("ring contexts differ")
+        raise ValueError("ring contexts differ")
     return p.ctx
 
 
@@ -218,18 +224,17 @@ def ring_mul(p: RingPoly, s: RingPoly) -> RingPoly:
     return RingPoly(tuple(int(c) for c in low), ctx)
 
 
-def eval_poly(p: RingPoly, point: FieldElement | ExtFieldElement):
-    """Horner evaluation at a point of F_q or of an extension of it."""
-    if isinstance(point, FieldElement):
-        if point.q != p.ctx.q:
-            raise ContextMismatch("evaluation point uses a different modulus")
+def eval_poly(p: RingPoly, point: int | ExtFieldElement):
+    """Horner evaluation at a residue of F_q, read mod q, or at a point of
+    an extension of F_q."""
+    if not isinstance(point, ExtFieldElement):
         q = p.ctx.q
         acc = 0
         for c in reversed(p.coeffs):
-            acc = (acc * point.value + c) % q
-        return FieldElement(acc, point.modulus)
+            acc = (acc * point + c) % q
+        return acc
     if point.ctx.q != p.ctx.q:
-        raise ContextMismatch("evaluation point uses a different modulus")
+        raise ValueError("evaluation point uses a different modulus")
     ectx = point.ctx
     acc = ext_from_base(ectx, 0)
     for c in reversed(p.coeffs):
@@ -252,8 +257,8 @@ def rq0_membership(p: RingPoly, ext: ExtFieldCtx) -> Rq0Membership:
     membership holds iff every witness vanishes.
     """
     if ext.q != p.ctx.q:
-        raise ContextMismatch("extension context uses a different modulus")
-    n, q, a = ext.n, ext.q, ext.a.value
+        raise ValueError("extension context uses a different modulus")
+    n, q, a = ext.n, ext.q, ext.a
     sums = []
     for k in range(1, n):
         acc = 0
@@ -291,12 +296,14 @@ def to_samples(batch: SampleBatch) -> list[Sample]:
     return [Sample(poly(a), poly(b)) for a, b in zip(batch.A.tolist(), batch.B.tolist())]
 
 
-def pairs_at(samples: list[Sample], point: FieldElement | ExtFieldCtx) -> Pairs:
+def pairs_at(samples: list[Sample], point: int | ExtFieldCtx) -> Pairs:
     """The attack pairs of the samples at a root of y^n - a; an F_q root
-    alpha is the case ExtFieldCtx(1, alpha).  NonMemberSample when an a
-    lies outside R_{q,0}."""
-    ext = point if isinstance(point, ExtFieldCtx) else ExtFieldCtx(1, point)
-    return from_samples(samples).pairs(ext)
+    alpha, given as the residue, is the case ExtFieldCtx(1, alpha, modulus).
+    NonMemberSample when an a lies outside R_{q,0}."""
+    batch = from_samples(samples)
+    if not isinstance(point, ExtFieldCtx):
+        point = ExtFieldCtx(1, point, batch.ring.modulus)
+    return batch.pairs(point)
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +464,15 @@ def reference_monte_carlo_delta(q, sigma_bar_value, rng, draws=10**6):
     return float(((4 * x < q) | (4 * x >= 3 * q)).mean()) - 0.5
 
 
-def reference_sigma_values(a: FieldElement, r: int, blocklen: int, sigma: float) -> frozenset:
+def reference_sigma_values(a: int, q: int, r: int, blocklen: int, sigma: float) -> frozenset:
     """The residues sum_j x_j a^j mod q, j < r, over the integer tuples with
     |x_j| <= floor(2*sqrt(blocklen)*sigma)."""
-    q = a.q
     bound = math.floor(2.0 * math.sqrt(blocklen) * sigma)
     values = {0}
     power = 1
     for _ in range(r):
         values = {(v + x * power) % q for v in values for x in range(-bound, bound + 1)}
-        power = power * a.value % q
+        power = power * a % q
     return frozenset(values)
 
 

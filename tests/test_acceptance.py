@@ -27,7 +27,7 @@ from plwe_audit.attacks import (
 )
 from plwe_audit import cli
 from plwe_audit.campaign import config_from_dict, run_campaign
-from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value, in_quarter_value
+from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value
 from plwe_audit.instances import (
     CRYPTO_RINGS,
     REJECTION_REPLICA,
@@ -40,7 +40,7 @@ from plwe_audit.samplers import (
     PlweInstance,
     sample_batch,
 )
-from reference import eval_poly, ext_alpha, pairs_at, plwe_oracle, trace
+from reference import eval_poly, ext_alpha, in_quarter_value, pairs_at, plwe_oracle, trace
 
 
 def _criterion(num: int, ok: bool, detail: str) -> None:
@@ -66,10 +66,10 @@ def test_criterion_02_power_trace_identities():
     t0 = time.perf_counter()
     ok = True
     for a_val in (2017, 2018):
-        ctx = ExtFieldCtx(3, PrimeModulus(4099).element(a_val))
+        ctx = ExtFieldCtx(3, a_val, PrimeModulus(4099))
         alpha = ext_alpha(ctx)
         for j in range(1, 31):
-            got = trace(alpha**j).value
+            got = trace(alpha**j)
             want = 0 if j % 3 else 3 * pow(a_val, j // 3, 4099) % 4099
             ok &= got == want
     elapsed = time.perf_counter() - t0
@@ -85,7 +85,7 @@ def test_criterion_03_subring_dimension_count():
 
     t0 = time.perf_counter()
     ctx = RqContext((0, 0, 0, 0, 1), PrimeModulus(3))
-    ext = ExtFieldCtx(2, PrimeModulus(3).element(2))
+    ext = ExtFieldCtx(2, 2, PrimeModulus(3))
     members = sum(
         rq0_membership(ctx.poly(c), ext).is_member for c in product(range(3), repeat=4)
     )
@@ -99,7 +99,7 @@ def test_criterion_04_rejection_sampler_mean():
     by the campaigns' honest batch sampler over a uniform batch."""
     t0 = time.perf_counter()
     ctx = RqContext((-2, 0, 1), PrimeModulus(5))
-    ext = ExtFieldCtx(2, PrimeModulus(5).element(2))
+    ext = ExtFieldCtx(2, 2, PrimeModulus(5))
     rng = np.random.default_rng(404)
     runs = 10**4
     _, total = sample_batch(ctx, GaussianSpec(1.0, True), ext, runs, rng, honest=True)
@@ -239,7 +239,7 @@ def test_criterion_10_scaled_rejection_replica():
     counted by the campaigns' honest batch sampler over 10^4 samples."""
     t0 = time.perf_counter()
     ctx = load_ring_doc(REJECTION_REPLICA["instance"])
-    ext = ExtFieldCtx(3, PrimeModulus(7).element(3))
+    ext = ExtFieldCtx(3, 3, PrimeModulus(7))
     rng = np.random.default_rng(1010)
     runs = 10**4
     _, total = sample_batch(ctx, GaussianSpec(1.0, True), ext, runs, rng, honest=True)
@@ -254,8 +254,8 @@ def test_criterion_11_truncated_soundness():
     t0 = time.perf_counter()
     q = 4099
     ring6 = RqContext((-1, 0, 0, 0, 0, 0, 1), PrimeModulus(q))
-    alpha6 = PrimeModulus(q).element(2018)
-    table = build_sigma_table_trace(alpha6, 6, 1, 0.7)
+    alpha6 = 2018
+    table = build_sigma_table_trace(alpha6, q, 6, 1, 0.7)
     gauss6 = GaussianSpec(0.7, True)
     ok = True
     for seed in range(500):
@@ -263,13 +263,13 @@ def test_criterion_11_truncated_soundness():
         inst = PlweInstance.generate(ring6, gauss6, rng)
         samples = [plwe_oracle(inst, rng) for _ in range(5)]
         verdict = small_set_attack(pairs_at(samples, alpha6), table)
-        target = eval_poly(inst.secret_for_tests(), alpha6).value
+        target = eval_poly(inst.secret_for_tests(), alpha6)
         ok &= verdict.kind != VERDICT_NOT_PLWE and target in verdict.survivors
 
     q2 = 3677
     m2 = PrimeModulus(q2)
     ring16 = RqContext((q2, 1) + (0,) * 14 + (1,), m2)  # x^16 + x + q2, root -1
-    alpha16 = m2.element(q2 - 1)
+    alpha16 = q2 - 1
     gauss16 = GaussianSpec(2.5, True)
     # 2*sigma_bar = 2*sqrt(16)*2.5 = 20 <= q/4; worst-case |e(-1)| <= 16*5 = 80
     for seed in range(500):
@@ -277,7 +277,7 @@ def test_criterion_11_truncated_soundness():
         inst = PlweInstance.generate(ring16, gauss16, rng)
         samples = [plwe_oracle(inst, rng) for _ in range(8)]
         verdict = small_values_attack(pairs_at(samples, alpha16))
-        target = eval_poly(inst.secret_for_tests(), alpha16).value
+        target = eval_poly(inst.secret_for_tests(), alpha16)
         ok &= verdict.kind != VERDICT_NOT_PLWE and target in verdict.survivors
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 120.0

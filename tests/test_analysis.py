@@ -21,6 +21,7 @@ from plwe_audit.analysis import (
     cumulative_binomial,
     delta_probability,
     extended_gate,
+    extended_threshold,
     f_of_r,
     f_of_r_table,
     hit_threshold,
@@ -34,14 +35,14 @@ from plwe_audit.analysis import (
     usva_threshold,
 )
 from plwe_audit.campaign import PreconditionRefused, build_plan, config_from_dict
-from plwe_audit.fields import PrimeModulus, in_quarter_value, is_prime
+from plwe_audit.fields import ExtFieldCtx, PrimeModulus, is_prime
 from plwe_audit.instances import (
     KYBER_STYLE_RING,
     TRACE_RING_A,
     USVA_INSTANCES,
 )
 from plwe_audit.rings import generator_powers, load_ring_doc
-from reference import reference_monte_carlo_delta
+from reference import in_quarter_value, reference_monte_carlo_delta
 
 P0 = 0.954500
 FOUR_ROOT_TWO = 4.0 * math.sqrt(2.0)
@@ -82,19 +83,19 @@ class TestOffsets:
 class TestSigmaBar:
     def test_minus_one_root(self):
         m = PrimeModulus(3677)
-        bs = block_structure(1, m.element(3676), 256, 8.0)
+        bs = block_structure(ExtFieldCtx(1, 3676, m), 256, 8.0)
         assert bs.case_kind == "pm_one"
         assert bs.sigma_bar == pytest.approx(math.sqrt(256) * 8.0)
 
     def test_unit_trace_weight(self):
-        m = PrimeModulus(13)
-        bs = block_structure(2, m.element(1), 14, 2.0)  # 7 coefficients per coordinate
+        # y^2 + 1 is irreducible mod 11, and its weights (-1)^k are units
+        bs = block_structure(ExtFieldCtx(2, -1, PrimeModulus(11)), 14, 2.0)  # 7 per coordinate
         assert bs.sigma_bar == pytest.approx(math.sqrt(7) * 2.0)
 
     def test_small_order_uses_centered_powers(self):
         # the centered powers of 698 mod 2887 are 1, 698, -699, 85 apiece
         m = PrimeModulus(2887)
-        bs = block_structure(1, m.element(698), 256, 8.0)
+        bs = block_structure(ExtFieldCtx(1, 698, m), 256, 8.0)
         assert bs.case_kind == "small_order"
         assert (bs.order, bs.r_eff, bs.blocklen) == (3, 3, 85)
         expected = math.sqrt(85 * 64 * (1 + 698**2 + 699**2))
@@ -102,14 +103,14 @@ class TestSigmaBar:
 
     def test_large_order_flattens_probability(self):
         m = PrimeModulus(2887)
-        bs = block_structure(1, m.element(698), 256, 8.0)
+        bs = block_structure(ExtFieldCtx(1, 698, m), 256, 8.0)
         rep = delta_probability(2887, bs.sigma_bar)
         assert abs(rep.p_event - 0.5) < 1e-4
 
     def test_general_case(self):
         # order 12 > N = 4: four weights 1, 2, 4, 8 = -5 mod 13, one apiece
         m = PrimeModulus(13)
-        bs = block_structure(1, m.element(2), 4, 1.0)
+        bs = block_structure(ExtFieldCtx(1, 2, m), 4, 1.0)
         assert bs.case_kind == "general"
         assert bs.sigma_bar == pytest.approx(math.sqrt(1 + 4 + 16 + 25))
 
@@ -129,8 +130,8 @@ class TestDeltaProbability:
         assert rep.big_delta == pytest.approx(0.000173, abs=2e-5)
 
     def test_instance_4081_margin(self):
-        m = PrimeModulus(4111)
-        rep = delta_probability(4111, block_structure(1, m.element(1055), 256, 8.0).sigma_bar)
+        point = ExtFieldCtx(1, 1055, PrimeModulus(4111))
+        rep = delta_probability(4111, block_structure(point, 256, 8.0).sigma_bar)
         assert rep.big_delta == pytest.approx(0.0001216, abs=2e-5)
 
     def test_against_monte_carlo_oracle(self):
@@ -298,6 +299,29 @@ class TestPosteriorBounds:
         b = posterior_bounds("small_set", False, M=5, q=12289, sigma_size=1e300, r=2048)
         assert b.vote_posterior == b.success_on_uniform == -math.inf
 
+    @given(
+        st.sampled_from(["small_set", "small_values"]),
+        st.booleans(),
+        st.sampled_from([5, 13, 3677, 4099, 12289]),
+        st.floats(0.01, 0.9999),
+        st.floats(0.001, 1.0),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_minimal_samples_is_the_least_m_reaching_the_target(
+        self, family, truncated, q, target, share, r
+    ):
+        # share is |Sigma|/q; the small-values family reads neither it nor r
+        kw = {"q": q, "sigma_size": share * q, "r": r} if family == "small_set" else {"q": q}
+        m = minimal_samples(family, truncated, target, **kw)
+        posterior = lambda M: posterior_bounds(family, truncated, M=M, **kw).vote_posterior
+        if m is None:
+            # a wrong candidate passes every sample: q * x^M >= q for all M
+            assert posterior(1) < target and posterior(10**6) < target
+        else:
+            assert posterior(m) >= target
+            assert m == 1 or posterior(m - 1) < target
+
     def test_minimal_samples_unreachable(self):
         assert minimal_samples(
             "small_set", False, 0.99, q=4099, sigma_size=4099.0, r=1, p0=1.0
@@ -335,6 +359,13 @@ class TestThresholds:
         want = max(tau for tau, err in enumerate(errors) if err == best)
         tau = hit_threshold(ell, q, delta)
         assert tau == want or 0 < errors[tau] - best < 1e-9
+
+    @given(st.integers(1, 1000), st.sampled_from([1.0, P0]), st.integers(1, 199), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_extended_threshold_is_exact(self, chunks, p0, m0, data):
+        r = data.draw(st.integers(1, 199 // m0))
+        want = math.ceil(chunks * Fraction(p0) ** (m0 * r))
+        assert extended_threshold(chunks, p0, m0, r) == want
 
     def test_hit_threshold_without_power_is_unreachable(self):
         # every tau errs with total probability >= 1, so the tie rule picks
@@ -425,8 +456,12 @@ class TestBlockStructures:
         # the points +-1 take the pm_one case
         idx += data.draw(st.lists(st.sampled_from([0, (q - 1) // 2]), max_size=2))
         batch = block_structures(n, np.array(idx, dtype=np.int64), N, sigma, G)
+        # a point's structure reads n only through its N // n coefficients
+        # per coordinate, so degree-1 points stand in for every y^n - a,
+        # the reducible ones included
         m = PrimeModulus(q)
-        assert batch == [block_structure(n, m.element(int(G[i])), N, sigma) for i in idx]
+        assert batch == [block_structure(ExtFieldCtx(1, int(G[i]), m), N // n, sigma)
+                         for i in idx]
 
 
 def _falcon_sigma(N):
@@ -485,6 +520,30 @@ def test_scan_reports_are_pinned(name, doc, sigma, truncated):
     report = scan_instance(load_ring_doc(doc), sigma, truncated).to_dict()
     blob = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == SCAN_DIGESTS[f"{name}-{truncated}"]
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_scan_min_m_is_minimal_samples_of_the_flag(truncated):
+    """Every min_M_for_0.99 a scan prints is minimal_samples recomputed from
+    its flag's details, the least M whose vote posterior reaches 0.99."""
+    seen = set()
+    for _, doc, sigma in PINNED_SCANS[:7]:
+        report = scan_instance(load_ring_doc(doc), sigma, truncated)
+        for point in report.roots + report.factors:
+            for flag in point.flags:
+                if "min_M_for_0.99" not in flag.details:
+                    continue
+                seen.add(flag.attack)
+                d = flag.details
+                kw = {"q": report.q}
+                if flag.attack == "small_set":
+                    kw.update(sigma_size=d["analytic_bound"], r=d["r"])
+                m = d["min_M_for_0.99"]
+                assert m == minimal_samples(flag.attack, truncated, 0.99, **kw)
+                posterior = lambda M: posterior_bounds(
+                    flag.attack, truncated, M=M, **kw).vote_posterior
+                assert posterior(m) >= 0.99 and (m == 1 or posterior(m - 1) < 0.99)
+    assert seen == {"small_set", "small_values"}
 
 
 @pytest.mark.parametrize("name,doc,sigma", PINNED_SCANS, ids=[c[0] for c in PINNED_SCANS])

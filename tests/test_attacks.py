@@ -15,6 +15,7 @@ from plwe_audit.analysis import (
     block_structure,
     hit_threshold,
     monte_carlo_delta,
+    posterior_bounds,
     quarter_count,
     small_set_size,
     usva_threshold,
@@ -35,13 +36,7 @@ from plwe_audit.attacks import (
     small_values_attack,
     unbounded_small_values_attack,
 )
-from plwe_audit.fields import (
-    ExtFieldCtx,
-    PrimeModulus,
-    centered_value,
-    in_quarter_value,
-    is_prime,
-)
+from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value, is_prime
 from plwe_audit.rings import RqContext, binomial_logs, generator_powers, load_ring_doc, log_orders
 from plwe_audit.samplers import (
     GaussianSpec,
@@ -55,6 +50,7 @@ from reference import (
     Sample,
     eval_poly,
     ext_alpha,
+    in_quarter_value,
     irreducible_constants,
     pairs_at,
     plwe_oracle,
@@ -67,12 +63,12 @@ from reference import (
 
 M4099 = PrimeModulus(4099)
 RING_B = load_ring_doc(TRACE_RING_B)
-EXT_B = ExtFieldCtx(3, M4099.element(2017))
+EXT_B = ExtFieldCtx(3, 2017, M4099)
 
 # degree-6 ring whose root 2018 has order 6, so every table block is a single
 # coefficient and truncated errors always stay inside the table
 RING_ORDER6 = RqContext((-1, 0, 0, 0, 0, 0, 1), M4099)
-ALPHA_2018 = M4099.element(2018)
+ALPHA_2018 = 2018
 NO_PAIRS = Pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 4099)
 
 
@@ -82,13 +78,12 @@ def _residues(mask):
 
 class TestSigmaTables:
     def test_single_block_is_an_interval(self):
-        m = PrimeModulus(13)
-        table = build_sigma_table_trace(m.element(1), 1, 4, 1.0)
+        table = build_sigma_table_trace(1, 13, 1, 4, 1.0)
         assert _residues(table) == frozenset(v % 13 for v in range(-4, 5))
         assert np.count_nonzero(table) == 9
 
     def test_trace_table_order6(self):
-        table = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.7)
+        table = build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 0.7)
         analytic = small_set_size(6, 1, 0.7).analytic
         assert abs(analytic - 3.8**6) < 1e-9
         assert analytic < 4099 * 0.954500**6
@@ -104,8 +99,8 @@ class TestSigmaTables:
         assert small_set_size(1024, 1, 0.2).analytic == 1.8**1024
 
     def test_trace_table_order3(self):
-        a = M4099.element(2017)
-        table = build_sigma_table_trace(a, 3, 2, 2.5)
+        a = 2017
+        table = build_sigma_table_trace(a, 4099, 3, 2, 2.5)
         assert abs(small_set_size(3, 2, 2.5).analytic - (4 * math.sqrt(2) * 2.5 + 1) ** 3) < 1e-9
         oracle = set()
         for xs in product(range(-7, 8), repeat=3):
@@ -120,7 +115,7 @@ class TestSigmaTables:
 
     def test_cap(self):
         with pytest.raises(TableTooLarge):
-            build_sigma_table_trace(ALPHA_2018, 6, 1, 8.0, cap=10**4)
+            build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 8.0, cap=10**4)
 
 
 def _plwe_samples(ctx, gauss, m, seed, rq0_ext=None):
@@ -143,7 +138,7 @@ def _uniform_samples(ctx, m, seed):
 
 
 class TestSmallSetFq:
-    TABLE = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.7)
+    TABLE = build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 0.7)
 
     def test_truncated_true_value_always_survives(self):
         for seed in range(30):
@@ -151,16 +146,16 @@ class TestSmallSetFq:
                 RING_ORDER6, GaussianSpec(0.7, True), 8, seed
             )
             verdict = small_set_attack(pairs_at(samples, ALPHA_2018), self.TABLE)
-            target = eval_poly(inst.secret_for_tests(), ALPHA_2018).value
+            target = eval_poly(inst.secret_for_tests(), ALPHA_2018)
             assert verdict.kind in (VERDICT_GUESS, VERDICT_NOT_ENOUGH)
             assert target in verdict.survivors
 
     def test_singleton_miss_is_not_plwe(self):
         # sigma = 0.1 collapses the table to {0}; a sample with a = 0, b = 1
         # then rejects every guess
-        table = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.1)
+        table = build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 0.1)
         assert _residues(table) == frozenset({0})
-        sample = Sample(RING_ORDER6.zero(), RING_ORDER6.one())
+        sample = Sample(RING_ORDER6.poly([]), RING_ORDER6.poly([1]))
         verdict = small_set_attack(pairs_at([sample], ALPHA_2018), table)
         assert verdict.kind == VERDICT_NOT_PLWE
         assert verdict.survivors == ()
@@ -176,10 +171,29 @@ class TestSmallSetFq:
             not_plwe += verdict.kind == VERDICT_NOT_PLWE
         assert not_plwe / trials >= max(0.0, bound)
 
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_uniform_survivor_count_matches_the_union_bound(self, M):
+        # on uniform pairs with u != 0 each candidate passes a sample with
+        # probability |Sigma|/q, so the survivors number q*(|Sigma|/q)^M on
+        # average: 1 - vote_posterior of the truncated bound
+        q, trials = 4099, 400
+        size = int(np.count_nonzero(self.TABLE))
+        expected = 1 - posterior_bounds(
+            "small_set", True, M=M, q=q, sigma_size=size, r=6).vote_posterior
+        rng = np.random.default_rng([4099, M])
+        counts = [
+            len(small_set_attack(
+                Pairs(rng.integers(0, q, size=M), rng.integers(1, q, size=M), q), self.TABLE
+            ).survivors)
+            for _ in range(trials)
+        ]
+        se = np.std(counts, ddof=1) / math.sqrt(trials)
+        assert abs(np.mean(counts) - expected) <= 4 * se
+
     def test_uniform_rejection_bound_exact_vs_analytic(self):
         # the analytic cardinality estimate makes the M = 30 union bound
         # vacuous, but the exact residue set is small enough to salvage it
-        table = build_sigma_table_trace(M4099.element(2017), 3, 2, 2.5)
+        table = build_sigma_table_trace(2017, 4099, 3, 2, 2.5)
         analytic = 1 - 4099 * (small_set_size(3, 2, 2.5).analytic / 4099) ** 30
         exact = 1 - 4099 * (np.count_nonzero(table) / 4099) ** 30
         assert analytic < 0 < 0.999 < exact
@@ -190,7 +204,7 @@ class TestSmallSetFq:
 
 
 class TestSmallSetTrace:
-    TABLE = build_sigma_table_trace(M4099.element(2017), 3, 2, 2.5)
+    TABLE = build_sigma_table_trace(2017, 4099, 3, 2, 2.5)
 
     def test_zero_error_survivor_is_trace_of_secret(self):
         from reference import trace
@@ -207,11 +221,11 @@ class TestSmallSetTrace:
             for _ in range(6)
         ]
         verdict = small_set_attack(pairs_at(samples, EXT_B), self.TABLE)
-        target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B))).value
+        target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B)))
         assert target in verdict.survivors
 
     def test_non_member_sample_rejected(self):
-        sample = Sample(RING_B.monomial(1), RING_B.zero())
+        sample = Sample(RING_B.poly([0, 1]), RING_B.poly([]))
         with pytest.raises(NonMemberSample):
             small_set_attack(pairs_at([sample], EXT_B), self.TABLE)
 
@@ -221,9 +235,9 @@ class TestSmallSetTrace:
         # at alpha must agree verdict for verdict
         ring = RqContext((-1, 0, 1), PrimeModulus(5))  # x^2 - 1, root 4 of order 2
         m5 = PrimeModulus(5)
-        alpha = m5.element(4)
-        ext1 = ExtFieldCtx(1, alpha)
-        table = build_sigma_table_trace(alpha, 2, 1, 0.7)
+        alpha = 4
+        ext1 = ExtFieldCtx(1, alpha, m5)
+        table = build_sigma_table_trace(alpha, 5, 2, 1, 0.7)
         for seed in range(20):
             if seed % 2:
                 _, samples = _plwe_samples(ring, GaussianSpec(0.7, True), 4, seed)
@@ -240,7 +254,7 @@ RING_X = RqContext((0, 1), PrimeModulus(13))  # f = x over F_13, root 0
 class TestSmallValues:
     def test_exhaustive_single_sample_q5(self):
         ring = RqContext((0, 1), PrimeModulus(5))
-        alpha = PrimeModulus(5).element(0)
+        alpha = 0
         for a0, b0 in product(range(5), repeat=2):
             sample = Sample(ring.poly([a0]), ring.poly([b0]))
             verdict = small_values_attack(pairs_at([sample], alpha))
@@ -250,7 +264,7 @@ class TestSmallValues:
             assert verdict.survivors == oracle
 
     def test_zero_b_unit_a_survivor_count(self):
-        alpha = PrimeModulus(13).element(0)
+        alpha = 0
         sample = Sample(RING_X.poly([1]), RING_X.poly([0]))
         verdict = small_values_attack(pairs_at([sample], alpha))
         assert set(verdict.survivors) == {g for g in range(13) if in_quarter_value(-g, 13)}
@@ -271,7 +285,7 @@ class TestSmallValues:
             for _ in range(5)
         ]
         verdict = small_values_attack(pairs_at(samples, EXT_B))
-        target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B))).value
+        target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B)))
         assert target in verdict.survivors
 
     def test_trace_per_guess_survival_exact(self):
@@ -279,7 +293,7 @@ class TestSmallValues:
         # survive exactly (1/2 + 1/(2q)) of the 125 cases
         m5 = PrimeModulus(5)
         ring = RqContext((-2, 0, 1), m5)
-        ext = ExtFieldCtx(2, m5.element(2))
+        ext = ExtFieldCtx(2, 2, m5)
         members = [ring.poly([c, 0]) for c in range(5)]
         hits = {g: 0 for g in range(5)}
         total = 0
@@ -298,7 +312,7 @@ class TestSmallValues:
 
 # x^4 + 1 = (x^2 - 2)(x^2 - 3) over F_5, both factors irreducible
 RING_X4P1_5 = RqContext((1, 0, 0, 0, 1), PrimeModulus(5))
-EXT_X4P1_5 = ExtFieldCtx(2, PrimeModulus(5).element(2))
+EXT_X4P1_5 = ExtFieldCtx(2, 2, PrimeModulus(5))
 
 
 def _usva_ring(N, q, alpha):
@@ -344,12 +358,12 @@ class TestUnbounded:
         # sample contributes exactly quarter_count(q) votes
         q = 13
         ring = _usva_ring(4, q, q - 1)
-        alpha = PrimeModulus(q).element(q - 1)
+        alpha = q - 1
         rng = np.random.default_rng(9)
         samples = []
         while len(samples) < 11:
             s = uniform_oracle(ring, rng)
-            if eval_poly(s.a, alpha).value != 0:
+            if eval_poly(s.a, alpha) != 0:
                 samples.append(s)
         decision = unbounded_small_values_attack(pairs_at(samples, alpha), 0.2)
         assert decision.votes == 11 * quarter_count(q)
@@ -359,7 +373,7 @@ class TestUnbounded:
         # the union bound over the candidates is cheap enough for ell = 60
         q, N, ell, sigma = 13, 8, 60, 1.0
         ring = _usva_ring(N, q, q - 1)
-        alpha = PrimeModulus(q).element(q - 1)
+        alpha = q - 1
         sbar = math.sqrt(N) * sigma
         delta = monte_carlo_delta(q, sbar, np.random.default_rng(1))
         wins = 0
@@ -379,9 +393,8 @@ class TestUnbounded:
     def test_trace_mode_matches_fq_for_degree_one(self):
         # the batch's pairs at ExtFieldCtx(1, alpha) against scalar evaluation
         ring = RqContext((-1, 0, 1), PrimeModulus(5))
-        m5 = PrimeModulus(5)
-        alpha = m5.element(4)
-        ext1 = ExtFieldCtx(1, alpha)
+        alpha = 4
+        ext1 = ExtFieldCtx(1, alpha, PrimeModulus(5))
         samples = _uniform_samples(ring, 9, 3)
         d_fq = unbounded_small_values_attack(_scalar_pairs(samples, alpha), 0.1)
         d_tr = unbounded_small_values_attack(pairs_at(samples, ext1), 0.1)
@@ -391,7 +404,7 @@ class TestUnbounded:
         # at _MAX_PAIRS = 0 every group of the hit grid is one row of q
         # entries; at 2q groups of two rows leave a short last group
         q = 3677
-        ring, alpha = _usva_ring(8, q, q - 1), PrimeModulus(q).element(q - 1)
+        ring, alpha = _usva_ring(8, q, q - 1), q - 1
         for samples in (_plwe_samples(ring, GaussianSpec(1.0, False), 25, 31)[1],
                         _uniform_samples(ring, 25, 32)):
             whole = unbounded_small_values_attack(pairs_at(samples, alpha), 0.3)
@@ -415,7 +428,7 @@ class TestUnbounded:
             draw_a = lambda: uniform_rq0_poly(ring, point, rng)
         else:
             q, n = int(case[2:]), 1
-            ring, point = _usva_ring(4, q, q - 1), PrimeModulus(q).element(q - 1)
+            ring, point = _usva_ring(4, q, q - 1), q - 1
             draw_a = lambda: uniform_oracle(ring, rng).a
         inst = PlweInstance.generate(ring, GaussianSpec(0.7, True), rng)
         samples = [
@@ -427,10 +440,10 @@ class TestUnbounded:
         pairs = []
         for s in samples:
             if n == 1:
-                pairs.append((eval_poly(s.b, point).value, eval_poly(s.a, point).value))
+                pairs.append((eval_poly(s.b, point), eval_poly(s.a, point)))
             else:
                 a_val = eval_poly(s.a, ext_alpha(point))
-                pairs.append((trace(eval_poly(s.b, ext_alpha(point))).value, a_val.coeffs[0]))
+                pairs.append((trace(eval_poly(s.b, ext_alpha(point))), a_val.coeffs[0]))
         n_inv = pow(n, -1, q)
         hits = [
             sum(in_quarter_value(n_inv * (t - u * g), q) for t, u in pairs)
@@ -498,7 +511,7 @@ class TestLogDomainHitCounts:
 
 
 class TestExtended:
-    MASK = build_sigma_table_trace(ALPHA_2018, 6, 1, 0.7)
+    MASK = build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 0.7)
 
     def test_truncated_threshold_is_chunk_count(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 30, 0)
@@ -514,7 +527,7 @@ class TestExtended:
 
     def test_remainder_samples_dropped(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 7, 2)
-        poisoned = samples[:6] + [Sample(RING_ORDER6.zero(), RING_ORDER6.one())]
+        poisoned = samples[:6] + [Sample(RING_ORDER6.poly([]), RING_ORDER6.poly([1]))]
         full = extended_attack(pairs_at(poisoned, ALPHA_2018), 3, self.MASK, 6, p0=1.0)
         trimmed = extended_attack(pairs_at(samples[:6], ALPHA_2018), 3, self.MASK, 6, p0=1.0)
         assert (full.votes, full.threshold) == (trimmed.votes, trimmed.threshold)
@@ -539,14 +552,14 @@ class TestExtended:
 # divisors y^2 - 2 of x^4 + 1 over F_5, y^2 - 3 of x^4 - 2 over F_7 and
 # y^3 - 2 of x^6 - 4 over F_13
 FILTER_POINTS = {
-    "fq5": (_usva_ring(4, 5, 4), PrimeModulus(5).element(4)),
-    "fq7": (_usva_ring(4, 7, 6), PrimeModulus(7).element(6)),
-    "fq13": (_usva_ring(4, 13, 12), PrimeModulus(13).element(12)),
+    "fq5": (_usva_ring(4, 5, 4), 4),
+    "fq7": (_usva_ring(4, 7, 6), 6),
+    "fq13": (_usva_ring(4, 13, 12), 12),
     "trace5": (RING_X4P1_5, EXT_X4P1_5),
     "trace7": (RqContext((-2, 0, 0, 0, 1), PrimeModulus(7)),
-               ExtFieldCtx(2, PrimeModulus(7).element(3))),
+               ExtFieldCtx(2, 3, PrimeModulus(7))),
     "trace13": (RqContext((-4, 0, 0, 0, 0, 0, 1), PrimeModulus(13)),
-                ExtFieldCtx(3, PrimeModulus(13).element(2))),
+                ExtFieldCtx(3, 2, PrimeModulus(13))),
 }
 
 
@@ -554,8 +567,8 @@ def _scalar_pair(sample, point):
     """(t, u) by scalar evaluation: the tentative error is (t - u*g)/n."""
     if isinstance(point, ExtFieldCtx):
         alpha = ext_alpha(point)
-        return trace(eval_poly(sample.b, alpha)).value, eval_poly(sample.a, alpha).coeffs[0]
-    return eval_poly(sample.b, point).value, eval_poly(sample.a, point).value
+        return trace(eval_poly(sample.b, alpha)), eval_poly(sample.a, alpha).coeffs[0]
+    return eval_poly(sample.b, point), eval_poly(sample.a, point)
 
 
 def _scalar_pairs(samples, point):
@@ -613,8 +626,9 @@ class TestFilterMatchesCandidateMajorLoop:
         point, m0, chunks, samples = case
         n = point.n if isinstance(point, ExtFieldCtx) else 1
         a = point.a if isinstance(point, ExtFieldCtx) else point
-        table = build_sigma_table_trace(a, 2, 1, sigma)
-        quarter = attacks.quarter_mask(a.q)
+        q = samples[0].a.ctx.q
+        table = build_sigma_table_trace(a, q, 2, 1, sigma)
+        quarter = attacks.quarter_mask(q)
         pairs = [_scalar_pair(s, point) for s in samples]
         for member in (table, quarter):
             expected = [
@@ -625,7 +639,7 @@ class TestFilterMatchesCandidateMajorLoop:
             full, chunk, g = attacks._filter(
                 evaluated.targets.reshape(chunks, m0), evaluated.scales.reshape(chunks, m0), member
             )
-            got = [set(range(a.q)) if full[c] else set(g[chunk == c].tolist())
+            got = [set(range(q)) if full[c] else set(g[chunk == c].tolist())
                    for c in range(chunks)]
             assert got == expected
             votes = sum(1 for survivors in expected if survivors)
@@ -647,8 +661,9 @@ class TestFilterMatchesCandidateMajorLoop:
         # at M0 = 1 the driver votes without a filter pass
         point, _, _, samples = case
         a = point.a if isinstance(point, ExtFieldCtx) else point
+        q = samples[0].a.ctx.q
         evaluated = pairs_at(samples, point)
-        for member in (build_sigma_table_trace(a, 2, 1, sigma), attacks.quarter_mask(a.q)):
+        for member in (build_sigma_table_trace(a, q, 2, 1, sigma), attacks.quarter_mask(q)):
             full, chunk, _ = attacks._filter(
                 evaluated.targets[:, None], evaluated.scales[:, None], member
             )
@@ -663,6 +678,9 @@ class TestVerdictShape:
         assert AttackVerdict((3,)).guess == 3
         assert AttackVerdict((1, 2)).kind == VERDICT_NOT_ENOUGH
         assert AttackVerdict((1, 2)).guess is None
+        # every outcome answers is_plwe: only an empty survivor set says no
+        assert not AttackVerdict(()).is_plwe
+        assert AttackVerdict((3,)).is_plwe and AttackVerdict((1, 2)).is_plwe
 
     def test_serialization(self):
         assert AttackVerdict((3,)).to_dict() == {"verdict": "guess", "guess": 3}
@@ -690,7 +708,7 @@ class TestVerdictShape:
 
 # degree-8 ring divisible by x^2 + 1 mod 4099 (so a = -1 has order 2)
 RING_QUAD = RqContext((-2, 0, -2, 0, 0, 0, 1, 0, 1), M4099)
-EXT_QUAD = ExtFieldCtx(2, M4099.element(4098))
+EXT_QUAD = ExtFieldCtx(2, 4098, M4099)
 
 
 class TestTraceSmallValuesSoundness:
@@ -742,8 +760,9 @@ def _truncated_trace_cases(draw):
     E = draw(st.integers(1, bound))
     # |x| <= 2*sigma < E + 1/2 before rounding, so |e| <= E
     sigma = (E + draw(st.floats(-0.5, 0.49))) / 2
-    assume(2 * block_structure(n, m.element(a), ring.N, sigma).sigma_bar < q / 4)
-    return ring, ExtFieldCtx(n, m.element(a)), sigma
+    ext = ExtFieldCtx(n, a, m)
+    assume(2 * block_structure(ext, ring.N, sigma).sigma_bar < q / 4)
+    return ring, ext, sigma
 
 
 class TestTruncatedTraceSoundness:
@@ -755,7 +774,7 @@ class TestTruncatedTraceSoundness:
         secret = rng.integers(0, ring.q, size=ring.N)
         batch, _ = sample_batch(ring, GaussianSpec(sigma, True), ext, M, rng, secret=secret)
         verdict = small_values_attack(batch.pairs(ext))
-        target = trace(eval_poly(ring.poly(secret.tolist()), ext_alpha(ext))).value
+        target = trace(eval_poly(ring.poly(secret.tolist()), ext_alpha(ext)))
         assert target in verdict.survivors
         assert verdict.kind != VERDICT_NOT_PLWE
 
@@ -764,7 +783,7 @@ class TestUniformRejectionTrace:
     def test_thirty_samples_reject_uniform_with_exact_table(self):
         # the exact 631-value table drives q*(|Sigma|/q)^30 to ~1e-21, so all
         # 200 uniform batches must come back NOT PLWE
-        table = build_sigma_table_trace(M4099.element(2017), 3, 2, 2.5)
+        table = build_sigma_table_trace(2017, 4099, 3, 2, 2.5)
         q, M, trials = 4099, 30, 200
         bound = 1 - q * (np.count_nonzero(table) / q) ** M
         assert bound > 1 - 1e-12
@@ -797,17 +816,16 @@ class TestQuarterPassRate:
 class TestSigmaTableInvariants:
     def test_size_never_exceeds_analytic_bound(self):
         cases = [
-            (M4099.element(2018), 6, 1, 0.7),
-            (M4099.element(2017), 3, 2, 2.5),
-            (PrimeModulus(13).element(1), 1, 4, 1.0),
+            (2018, 4099, 6, 1, 0.7),
+            (2017, 4099, 3, 2, 2.5),
+            (1, 13, 1, 4, 1.0),
         ]
-        for a, r, blocklen, sigma in cases:
-            table = build_sigma_table_trace(a, r, blocklen, sigma)
+        for a, q, r, blocklen, sigma in cases:
+            table = build_sigma_table_trace(a, q, r, blocklen, sigma)
             assert np.count_nonzero(table) <= small_set_size(r, blocklen, sigma).analytic
 
     def test_unit_weight_trace_table_is_interval(self):
-        m = PrimeModulus(4099)
-        table = build_sigma_table_trace(m.element(1), 1, 7, 2.5)
+        table = build_sigma_table_trace(1, 4099, 1, 7, 2.5)
         limit = math.floor(2 * math.sqrt(7) * 2.5)
         assert _residues(table) == frozenset(v % 4099 for v in range(-limit, limit + 1))
 
@@ -836,17 +854,17 @@ class TestSigmaMask:
     )
     def test_matches_set_enumeration(self, q, r, blocklen, sigma, near_cap, data):
         # sigma up to 60 takes 2*bound+1 past q for every q here
-        a = PrimeModulus(q).element(data.draw(st.integers(0, q - 1)))
+        a = data.draw(st.integers(0, q - 1))
         bound = math.floor(2.0 * math.sqrt(blocklen) * sigma)
         tuples = (2 * bound + 1) ** r
         cap = 10**8 if near_cap is None else max(1, tuples + near_cap)
         if tuples > cap:
             with pytest.raises(TableTooLarge):
-                build_sigma_table_trace(a, r, blocklen, sigma, cap)
+                build_sigma_table_trace(a, q, r, blocklen, sigma, cap)
             return
-        table = build_sigma_table_trace(a, r, blocklen, sigma, cap)
-        assert _residues(table) == reference_sigma_values(a, r, blocklen, sigma)
-        assert np.count_nonzero(table) == len(reference_sigma_values(a, r, blocklen, sigma))
+        table = build_sigma_table_trace(a, q, r, blocklen, sigma, cap)
+        assert _residues(table) == reference_sigma_values(a, q, r, blocklen, sigma)
+        assert np.count_nonzero(table) == len(reference_sigma_values(a, q, r, blocklen, sigma))
         assert not table.flags.writeable
 
     def test_offsets_past_q_give_the_full_mask_in_o_q_memory(self):
@@ -854,7 +872,7 @@ class TestSigmaMask:
         # would take more than max(q, _MAX_PAIRS) int64 entries
         q = 4194301
         table, peak = _peak_bytes(
-            lambda: build_sigma_table_trace(PrimeModulus(q).element(1), 1, 1, 1.1e6)
+            lambda: build_sigma_table_trace(1, q, 1, 1, 1.1e6)
         )
         assert table.all()
         assert peak <= 8 * max(q, attacks._MAX_PAIRS)
@@ -865,7 +883,7 @@ class TestSigmaMask:
         monkeypatch.setattr(attacks, "_MAX_PAIRS", 2**12)
         q = 4099
         table, peak = _peak_bytes(
-            lambda: build_sigma_table_trace(M4099.element(q - 1), 2, 1, 500.0)
+            lambda: build_sigma_table_trace(q - 1, q, 2, 1, 500.0)
         )
         assert _residues(table) == frozenset(v % q for v in range(-2000, 2001))
         # a few temporaries of at most max(q, _MAX_PAIRS) int64 entries each
@@ -875,13 +893,12 @@ class TestSigmaMask:
         # Falcon-1024's root 7 has order 2048; at sigma = 0.2 each of the
         # 2048 rounds adds only x = 0, so the mask is {0} at once, no slower
         # than the set enumeration it replaced
-        seven = PrimeModulus(12289).element(7)
-        table = build_sigma_table_trace(seven, 2048, 1, 0.2)
+        table = build_sigma_table_trace(7, 12289, 2048, 1, 0.2)
         assert _residues(table) == frozenset({0})
 
         def best(build):
             return min(timeit.repeat(build, number=1, repeat=5))
 
-        assert best(lambda: build_sigma_table_trace(seven, 2048, 1, 0.2)) <= best(
-            lambda: reference_sigma_values(seven, 2048, 1, 0.2)
+        assert best(lambda: build_sigma_table_trace(7, 12289, 2048, 1, 0.2)) <= best(
+            lambda: reference_sigma_values(7, 12289, 2048, 1, 0.2)
         )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plwe_audit import campaign, cli
+from plwe_audit import campaign, cli, fields
 from plwe_audit.analysis import scan_instance
 from plwe_audit.campaign import (
     FAMILIES,
@@ -797,11 +797,25 @@ class TestCli:
         })
         assert cli.main(["analyze", "--config", cfg]) == 0
         delta = json.loads(capsys.readouterr().out)["delta"]
-        monkeypatch.setattr(cli, "monte_carlo_delta", lambda q, sbar, rng: delta + 0.01)
+        monkeypatch.setattr(cli, "mc_delta", lambda q, sbar, seed: delta + 0.01)
         assert cli.main(["analyze", "--config", cfg, "--mc-check"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["delta_mc"] == delta + 0.01
         assert any("disagrees with the Monte Carlo oracle" in w for w in doc["warnings"])
+
+    def test_analyze_mc_check_prints_the_campaign_delta(self, tmp_path, capsys):
+        # analyze and a "delta": "mc" plan draw from one stream; analyze's
+        # own stream printed -0.001352 here, where the plan's -0.000164
+        # gives Delta > 0 and the campaign runs
+        inst = USVA_INSTANCES[2]  # 698 mod 2887
+        doc = {"instance": dict(inst["instance"]),
+               "attack": {"family": "unbounded_small_values", "mode": "fq",
+                          "alpha": inst["alpha"], "ell": 5, "delta": "mc", "trials": 1},
+               "seed": 5}
+        cfg = _write(tmp_path, "mc.json", doc)
+        assert cli.main(["analyze", "--config", cfg, "--mc-check"]) == 0
+        delta_mc = json.loads(capsys.readouterr().out)["delta_mc"]
+        assert delta_mc == run_campaign(config_from_dict(doc)).plan_summary["delta"]
 
     def test_analyze_at_a_61_bit_safe_prime(self, tmp_path, capsys):
         # q - 1 = 2p with p prime: the order of alpha needs p, and trial
@@ -1012,11 +1026,14 @@ def test_fuzzed_configs_exit_cleanly(tmp_path, command, instance, attack, extra,
         ("analyze", {"instance": MIXED_Q7}, "attack.alpha (or attack.n/attack.a)"),
         ("analyze", {"instance": MIXED_Q7, "attack": {"a": 3}},
          "attack.alpha (or attack.n/attack.a)"),
+        # a CSV report needs a file: it used to print JSON and exit 0
+        ("scan --format csv", {"instance": TRACE_INSTANCE_B["instance"]}, "--format"),
+        ("attack --format csv", _order6_config(), "--format"),
     ],
 )
 def test_malformed_config_names_the_field(tmp_path, capsys, command, doc, field):
     cfg = _write(tmp_path, "bad.json", doc)
-    assert cli.main([command, "--config", cfg]) == 2
+    assert cli.main(command.split() + ["--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
 
 
@@ -1114,7 +1131,7 @@ def test_draw_bound_boundary_is_exact():
     rng = np.random.default_rng(9)
     secret = rng.integers(0, ring.q, size=ring.N)
     state = rng.bit_generator.state
-    ext = ExtFieldCtx(3, PrimeModulus(ring.q).element(2017))
+    ext = ExtFieldCtx(3, 2017, PrimeModulus(ring.q))
     batch, _ = sample_batch(ring, GaussianSpec(sigma, False), ext, 8, rng, secret)
     rng.bit_generator.state = state
     draws = np.rint(rng.normal(0.0, sigma, size=(8, ring.N)))
@@ -1150,3 +1167,17 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys, command):
     argv = [command, "--config", str(path)] + ([str(path)] if command == "replay" else [])
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: config:")
+
+
+@pytest.mark.parametrize("name", ["trace_unbounded_honest", "trace_extended_small_set_direct"])
+def test_plan_takes_the_order_once(name, monkeypatch):
+    # the point's cached order serves the irreducibility check and the block
+    # structure, so a trace plan factors q - 1 once, as an F_q plan does
+    calls = []
+    mult_order = fields.mult_order
+    monkeypatch.setattr(fields, "mult_order", lambda a, q: calls.append(a) or mult_order(a, q))
+    plan = build_plan(_golden_config(name))
+    assert calls == [plan.point.a]
+    calls.clear()
+    build_plan(config_from_dict(_order6_config()))
+    assert calls == [2018]

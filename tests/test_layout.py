@@ -8,7 +8,9 @@ built once and frozen, and the analyze command reads and judges a point
 through the reader, resolver and analysis functions that plans use.  Roots
 and divisors come from the scan's fold alone, and ExtFieldCtx is the one
 irreducibility test.  A point is the (n, a) of its binomial y^n - a from the
-config reader on, an F_q root alpha being (1, alpha)."""
+config reader on, an F_q root alpha being (1, alpha), and ExtFieldCtx(n,
+a, modulus) holds it with a as an int; the residue wrapper and the
+arithmetic only tests used are gone from src/."""
 
 import ast
 import dataclasses
@@ -18,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 import plwe_audit
-from plwe_audit import attacks
+from plwe_audit import attacks, fields
 from plwe_audit.campaign import AttackPlan, AttackSpec, resolve_point
-from plwe_audit.fields import ExtFieldCtx, PrimeModulus
-from plwe_audit.rings import binomial_logs
+from plwe_audit.fields import ExtFieldCtx, PrimeModulus, mult_order
+from plwe_audit.rings import RingPoly, RqContext, binomial_logs
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_ONLY = frozenset({
@@ -57,7 +59,17 @@ DELETED = frozenset({
     # the Sigma table wrapper, the plan's sample helper and the end-of-campaign
     # sample writer
     "SigmaTable", "_generate_samples", "save_samples",
+    # the residue wrapper and its errors, the test-only quarter and mod-4
+    # helpers (in_quarter_value lives in tests/reference.py), and the
+    # campaign's verdict dispatch, which AttackVerdict.is_plwe replaced
+    "FieldElement", "DivisionByZero", "ContextMismatch", "q_mod4", "in_quarter_interval",
+    "in_quarter_value", "_says_plwe",
 })
+# names too generic for the AST guard, checked on their owners
+DELETED_ATTRIBUTES = (
+    (PrimeModulus, "element"), (fields, "centered"), (RqContext, "zero"), (RqContext, "one"),
+    (RqContext, "monomial"), (RingPoly, "is_zero"),
+)
 ATTACKS = ("small_set_attack", "small_values_attack", "unbounded_small_values_attack",
            "extended_attack")
 EXT_ELEMENT_CONSTRUCTORS = frozenset({"element", "from_base", "zero", "one", "alpha"})
@@ -91,13 +103,15 @@ def test_one_arithmetic_path():
     assert not {"sigma_bar", "Sample"} & set(vars(plwe_audit))
     assert not EXT_ELEMENT_CONSTRUCTORS & set(vars(ExtFieldCtx))
     assert list(inspect.signature(binomial_logs).parameters) == ["ctx", "n", "G"]
+    for owner, name in DELETED_ATTRIBUTES:
+        assert not hasattr(owner, name), (owner, name)
     for name in ATTACKS:
         params = inspect.signature(getattr(attacks, name)).parameters
         assert list(params)[0] == "pairs" and "point" not in params, name
 
 
 def test_one_precondition_path():
-    mask = attacks.build_sigma_table_trace(PrimeModulus(13).element(1), 1, 4, 1.0)
+    mask = attacks.build_sigma_table_trace(1, 13, 1, 4, 1.0)
     assert type(mask) is np.ndarray and mask.dtype == bool and mask.shape == (13,)
     assert not hasattr(attacks, "SigmaTable")
     cli = ROOT / "src" / "plwe_audit" / "cli.py"
@@ -125,6 +139,9 @@ def test_one_point_form():
         "family", "n", "a", "M", "M0", "delta", "trials"
     ]
     assert list(inspect.signature(resolve_point).parameters) == ["ring", "sigma", "n", "a"]
+    assert [f.name for f in dataclasses.fields(ExtFieldCtx)] == ["n", "a", "modulus"]
+    assert list(inspect.signature(mult_order).parameters) == ["a", "q"]
+    assert list(inspect.signature(attacks.build_sigma_table_trace).parameters)[:2] == ["a", "q"]
 
 
 def test_plan_is_frozen_and_holds_what_trials_read():

@@ -125,7 +125,7 @@ class TestPlweOracle:
 
     def test_zero_a_exposes_error(self):
         inst, rng = self._instance(sigma=2.5)
-        s = plwe_oracle(inst, rng, force_a=self.CTX.zero())
+        s = plwe_oracle(inst, rng, force_a=self.CTX.poly([]))
         assert all(abs(centered_value(c, 4099)) <= 5 for c in s.b.coeffs)
 
     def test_residual_is_the_error(self):
@@ -150,7 +150,7 @@ class TestLinearCombinationsStayUniform:
         assert _chi2_uniform_ok(np.bincount(w, minlength=q))
 
 
-EXT5 = ExtFieldCtx(2, PrimeModulus(5).element(2))
+EXT5 = ExtFieldCtx(2, 2, PrimeModulus(5))
 CTX5 = RqContext((-2, 0, 1), PrimeModulus(5))
 
 
@@ -170,7 +170,7 @@ class TestRestrictedSampler:
         assert 4.4 < total / runs < 5.6
 
     def test_acceptance_rate_q3(self):
-        ext = ExtFieldCtx(2, PrimeModulus(3).element(2))
+        ext = ExtFieldCtx(2, 2, PrimeModulus(3))
         ctx = RqContext((-2, 0, 1), PrimeModulus(3))
         rng = np.random.default_rng(23)
         runs = 10**4
@@ -180,13 +180,13 @@ class TestRestrictedSampler:
         assert abs(runs / invocations - 1 / 3) < 0.02
 
     def test_degree_one_extension_accepts_everything(self):
-        ext = ExtFieldCtx(1, PrimeModulus(5).element(2))
+        ext = ExtFieldCtx(1, 2, PrimeModulus(5))
         rng = np.random.default_rng(24)
         for _ in range(50):
             assert sample_rq0(lambda: uniform_oracle(CTX5, rng), ext).count == 1
 
     def test_budget_exhausted(self):
-        bad = Sample(CTX5.monomial(1), CTX5.zero())
+        bad = Sample(CTX5.poly([0, 1]), CTX5.poly([]))
         with pytest.raises(BudgetExhausted):
             sample_rq0(lambda: bad, EXT5, max_invocations=10)
 
@@ -208,7 +208,7 @@ class TestRestrictedSampler:
 
 class TestDirectConstruction:
     CTX = RqContext((0, 0, 0, 0, 1), PrimeModulus(3))
-    EXT = ExtFieldCtx(2, PrimeModulus(3).element(2))
+    EXT = ExtFieldCtx(2, 2, PrimeModulus(3))
 
     def test_always_member(self):
         rng = np.random.default_rng(31)
@@ -247,7 +247,7 @@ class TestDirectConstruction:
     def test_degree_one_draws_the_plain_stream(self):
         # at an F_q root the subring is all of R_q: the direct constructions
         # must consume the plain oracles' random stream draw for draw
-        ctx, ext = self.CTX, ExtFieldCtx(1, PrimeModulus(3).element(2))
+        ctx, ext = self.CTX, ExtFieldCtx(1, 2, PrimeModulus(3))
         inst = PlweInstance.generate(ctx, GaussianSpec(0.7, False), np.random.default_rng(36))
         for direct, plain in (
             (lambda rng: uniform_oracle_rq0(ctx, ext, rng), lambda rng: uniform_oracle(ctx, rng)),
@@ -280,7 +280,7 @@ def test_sample_batch_matches_per_sample_oracles(data):
         irreducible = irreducible_constants(q, n)
         assume(irreducible)
         a = data.draw(st.sampled_from(irreducible), label="a")
-    ext = ExtFieldCtx(n, mod.element(a))
+    ext = ExtFieldCtx(n, a, mod)
     g = data.draw(st.lists(st.integers(0, q - 1), max_size=4), label="g") + [1]
     ctx = RqContext(tuple(np.convolve([-a] + [0] * (n - 1) + [1], g).tolist()), mod)
     gauss = GaussianSpec(data.draw(st.sampled_from([0.7, 1.6]), label="sigma"),
@@ -325,7 +325,7 @@ def test_sample_batch_budget_ends_rejection_sampling():
     # one call in q^2 = 16.8 million lands in R_q0 here; sample_rq0 gives up
     # after the budget, and so must the batch sampler
     ctx = load_ring_doc(TRACE_RING_B)
-    ext = ExtFieldCtx(3, PrimeModulus(4099).element(2017))
+    ext = ExtFieldCtx(3, 2017, PrimeModulus(4099))
     rng = np.random.default_rng(42)
     secret = rng.integers(0, 4099, size=ctx.N)
     with pytest.raises(BudgetExhausted, match="within 5 invocations"):
@@ -334,7 +334,7 @@ def test_sample_batch_budget_ends_rejection_sampling():
 
 
 REPLICA = load_ring_doc(REJECTION_REPLICA["instance"])
-REPLICA_EXT = ExtFieldCtx(3, PrimeModulus(7).element(3))
+REPLICA_EXT = ExtFieldCtx(3, 3, PrimeModulus(7))
 
 
 def _replica_trial(seed):
@@ -426,7 +426,7 @@ def test_pairs_reduce_errors_exactly_at_the_int64_edge(n):
     N, q = 64, 3677
     a = 17 if n == 1 else 2
     ring = RqContext((-pow(a, N // n, q) % q,) + (0,) * (N - 1) + (1,), PrimeModulus(q))
-    ext = ExtFieldCtx(n, PrimeModulus(q).element(a))
+    ext = ExtFieldCtx(n, a, PrimeModulus(q))
     rng = np.random.default_rng(n)
     edge = 2**63 - N * q * q - 1
     X = np.where(rng.random((6, N)) < 0.5, -edge, edge).astype(np.int64)
