@@ -24,7 +24,7 @@ def describe(name, instance_doc, sigma, truncated):
     for root in report.roots:
         live = [f.attack for f in root.flags if f.applicable]
         print(f"   root alpha={root.alpha} (order {root.order}, {root.blocks.case_kind}, "
-              f"sigma_bar={root.sigma_bar:.4g}) -> {live or 'no attack applies'}")
+              f"sigma_bar={root.blocks.sigma_bar:.4g}) -> {live or 'no attack applies'}")
     for fac in report.factors:
         live = [f.attack for f in fac.flags if f.applicable]
         print(f"   divisor x^{fac.n} - {fac.a} (order {fac.order}) "

@@ -162,7 +162,7 @@ class ProbabilityReport:
     terms_used: int
 
 
-def _erf_series(ratio: float, tol: float) -> tuple[float, int]:
+def _erf_series(ratio: float) -> tuple[float, int]:
     total = math.erf(ratio / 4.0)
     terms = 0
     j = 0
@@ -173,24 +173,24 @@ def _erf_series(ratio: float, tol: float) -> tuple[float, int]:
         total += term
         terms += 1
         j += 1
-        if term < tol and lo > 1.0:
+        if term < DEFAULT_SERIES_TOL and lo > 1.0:
             break
         if lo > 8.0:  # erf saturated; nothing left
             break
     return total, terms
 
 
-def _dual_series(ratio: float, tol: float) -> tuple[float, int]:
+def _dual_series(ratio: float) -> tuple[float, int]:
     """p - 1/2 by the Poisson-dual series of the wrapped Gaussian,
     sum_{k>=1} 2 sin(pi k/2)/(pi k) exp(-pi^2 k^2 / ratio^2): only odd k
     contribute, and the terms shrink with k, so it stops at the first term
-    below tol."""
+    below DEFAULT_SERIES_TOL."""
     total, terms, k = 0.0, 0, 1
     while True:
         term = 2.0 / (math.pi * k) * math.exp(-((math.pi * k / ratio) ** 2))
         total += term if k % 4 == 1 else -term
         terms += 1
-        if term < tol:
+        if term < DEFAULT_SERIES_TOL:
             return total, terms
         k += 2
 
@@ -200,25 +200,25 @@ def _dual_series(ratio: float, tol: float) -> tuple[float, int]:
 DUAL_SERIES_BELOW = 2.0
 
 
-def _quarter_mass(ratio: float, tol: float) -> tuple[float, float, int]:
+def _quarter_mass(ratio: float) -> tuple[float, float, int]:
     """(p, p - 1/2, terms used): the dual series below DUAL_SERIES_BELOW,
     where it keeps the relative precision of a tiny p - 1/2, and the erf
     series from there on."""
     if ratio < DUAL_SERIES_BELOW:
-        delta, terms = _dual_series(ratio, tol)
+        delta, terms = _dual_series(ratio)
         return 0.5 + delta, delta, terms
-    p, terms = _erf_series(ratio, tol)
+    p, terms = _erf_series(ratio)
     return p, p - 0.5, terms
 
 
-def delta_probability(q, sigma_bar_value: float, tol: float = DEFAULT_SERIES_TOL) -> ProbabilityReport:
+def delta_probability(q, sigma_bar_value: float) -> ProbabilityReport:
     """Probability that an evaluated error lands in [-q/4, q/4), via the
     wrapped-Gaussian series, plus the derived margins delta and Delta."""
     if not sigma_bar_value > 0:
         raise DomainError("sigma_bar must be positive")
     qv = int(q)
     ratio = qv / (math.sqrt(2.0) * sigma_bar_value)
-    p, delta, terms = _quarter_mass(ratio, tol)
+    p, delta, terms = _quarter_mass(ratio)
     return ProbabilityReport(p, delta, big_delta(qv, delta), ratio, terms)
 
 
@@ -230,16 +230,12 @@ def big_delta(q, delta: float) -> float:
     return delta - (2 * quarter_count(qv) - qv) / (2 * qv)  # int / int is correctly rounded
 
 
-def f_of_r(ratio: float, tol: float = DEFAULT_SERIES_TOL) -> float:
+def f_of_r(ratio: float) -> float:
     """The one-parameter form of the series, as a function of the
     distribution ratio r = q / (sqrt(2) * sigma_bar)."""
     if ratio <= 0:
         raise DomainError(f"ratio must be positive, got {ratio}")
-    return _quarter_mass(ratio, tol)[0]
-
-
-def f_of_r_table(ratios) -> list[tuple[float, float]]:
-    return [(float(r), f_of_r(float(r))) for r in ratios]
+    return _quarter_mass(ratio)[0]
 
 
 def monte_carlo_delta(
@@ -382,9 +378,6 @@ class PosteriorBounds:
     success_on_uniform  P(NOT PLWE | uniform)
     """
 
-    family: str
-    truncated: bool
-    M: int
     vote_posterior: float
     not_plwe_posterior: float | None
     success_on_plwe: float
@@ -403,14 +396,13 @@ def _one_minus_q_pow(q: int, x: float, m: int) -> float:
 
 
 def _per_sample_mass(
-    family: str, truncated: bool, qv: int, sigma_size, r, p0
+    family: str, truncated: bool, qv: int, sigma_size, r
 ) -> tuple[float, float, float]:
     """(x_plain, x_adj, p0) of one family: the chance x_plain that a wrong
     candidate passes one sample's test, |Sigma|/q or the quarter share u,
-    and x_adj = x_plain / p0^r (r = 1 for small values), the untruncated
-    form; p0 defaults to the truncation mode's mass."""
-    if p0 is None:
-        p0 = p0_of(truncated)
+    x_adj = x_plain / p0^r (r = 1 for small values), and p0, the truncation
+    mode's mass; truncated, p0 = 1 and x_adj is x_plain."""
+    p0 = p0_of(truncated)
     if family == "small_set":
         if sigma_size is None or r is None:
             raise ValueError("small_set bounds need sigma_size and r")
@@ -429,19 +421,14 @@ def posterior_bounds(
     q,
     sigma_size: float | None = None,
     r: int | None = None,
-    p0: float | None = None,
 ) -> PosteriorBounds:
     """Bounds for "small_set" (needs sigma_size and r) or "small_values"."""
     qv = int(q)
-    x_plain, x_adj, p0 = _per_sample_mass(family, truncated, qv, sigma_size, r, p0)
-    success_plwe = 1.0 if truncated else p0 ** (M * (r if family == "small_set" else 1))
+    x_plain, x_adj, p0 = _per_sample_mass(family, truncated, qv, sigma_size, r)
     return PosteriorBounds(
-        family=family,
-        truncated=truncated,
-        M=M,
-        vote_posterior=_one_minus_q_pow(qv, x_plain if truncated else x_adj, M),
+        vote_posterior=_one_minus_q_pow(qv, x_adj, M),
         not_plwe_posterior=1.0 if truncated else None,
-        success_on_plwe=success_plwe,
+        success_on_plwe=p0 ** (M * (r if family == "small_set" else 1)),
         success_on_uniform=_one_minus_q_pow(qv, x_plain, M),
     )
 
@@ -454,7 +441,6 @@ def minimal_samples(
     q,
     sigma_size: float | None = None,
     r: int | None = None,
-    p0: float | None = None,
 ) -> int | None:
     """Smallest M whose vote posterior reaches the target, or None when the
     bound cannot reach it for any M.
@@ -463,8 +449,7 @@ def minimal_samples(
     the target, so posterior_bounds's own arithmetic settles the last
     samples."""
     qv = int(q)
-    x_plain, x_adj, _ = _per_sample_mass(family, truncated, qv, sigma_size, r or 1, p0)
-    x = x_plain if truncated else x_adj
+    x = _per_sample_mass(family, truncated, qv, sigma_size, r)[1]
     if x >= 1.0 or not (0.0 < target < 1.0):
         return None
     m = max(1, math.ceil((math.log(qv) - math.log(1.0 - target)) / -math.log(x)))
@@ -528,10 +513,6 @@ class PointVuln:
     def order(self) -> int:
         return self.blocks.order
 
-    @property
-    def sigma_bar(self) -> float:
-        return self.blocks.sigma_bar
-
     def to_dict(self) -> dict:
         return {
             **point_keys(self.n, self.a, self.blocks),
@@ -591,10 +572,11 @@ def small_set_size(r: int, blocklen: int, sigma: float, cap=DEFAULT_TABLE_CAP) -
 
 
 def small_set_flag(
-    q: int, p0: float, r: int, blocklen: int, sigma: float, table_cap: int
+    q: int, truncated: bool, r: int, blocklen: int, sigma: float, table_cap: int
 ) -> AttackFlag:
     """The small-set precondition: a table feasible under the cap whose
     analytic size stays below q*p0^r."""
+    p0 = p0_of(truncated)
     size = small_set_size(r, blocklen, sigma, table_cap)
     # the report takes the size as exp of its log, which may differ from
     # the table's power in the last bit; the pinned scan reports read it so
@@ -623,7 +605,7 @@ def small_set_flag(
     }
     if ok:
         details["min_M_for_0.99"] = minimal_samples(
-            "small_set", p0 == 1.0, 0.99, q=q, sigma_size=analytic, r=r, p0=p0
+            "small_set", truncated, 0.99, q=q, sigma_size=analytic, r=r
         )
     return AttackFlag("small_set", ok, cond, details)
 
@@ -668,7 +650,6 @@ def scan_instance(
     sigma_bar) gets its flags once: all roots of x^N + 1 share them.
     """
     q, N = ctx.q, ctx.N
-    p0 = p0_of(truncated)
     G = generator_powers(q)
     seen: dict[tuple, tuple[AttackFlag, ...]] = {}
 
@@ -677,7 +658,7 @@ def scan_instance(
         if key not in seen:
             prob = delta_probability(q, bs.sigma_bar)
             seen[key] = (
-                small_set_flag(q, p0, bs.r_eff, bs.blocklen, sigma, table_cap),
+                small_set_flag(q, truncated, bs.r_eff, bs.blocklen, sigma, table_cap),
                 small_values_flag(q, truncated, bs.sigma_bar, n),
                 unbounded_flag(q, prob.delta, ratio=prob.ratio, p_event=prob.p_event),
             )

@@ -88,10 +88,6 @@ class AttackVerdict:
     def is_plwe(self) -> bool:
         return self.kind != VERDICT_NOT_PLWE
 
-    @property
-    def guess(self) -> int | None:
-        return self.survivors[0] if len(self.survivors) == 1 else None
-
     def to_dict(self) -> dict:
         out: dict = {"verdict": self.kind}
         if self.kind == VERDICT_GUESS:

@@ -141,6 +141,15 @@ def bool_field(value, name: str) -> bool:
     return value
 
 
+def open_path(path: str, mode: str, name: str, **kw) -> TextIO:
+    """The file at path, opened in mode as UTF-8 text; an OSError (a missing
+    file, a directory, no permission) is a ConfigError naming the path."""
+    try:
+        return open(path, mode, encoding="utf-8", **kw)
+    except OSError as exc:
+        raise ConfigError(f"{name} {path}: {exc.strerror or exc}") from exc
+
+
 def read_config(path: str) -> dict:
     """The JSON object in a config file; an unreadable file, invalid JSON or
     any other top-level value is a ConfigError."""
@@ -319,18 +328,27 @@ def check_ring(ring: RqContext) -> None:
         raise PreconditionRefused(f"(N+1)*q^2 = {(N + 1) * q * q} < 2**63 = {1 << 63}")
 
 
-def check_draws(ring: RqContext, gauss: GaussianSpec) -> None:
+# The most coefficients M*N that one trial's sample rows may hold: its A and
+# error rows are (M, N) int64 arrays.  This is 327 times the largest bundled
+# campaign (ell = 50 at N = 256).
+MAX_SAMPLE_ENTRIES = 1 << 22
+
+
+def check_draws(ring: RqContext, gauss: GaussianSpec, M: int) -> None:
     """Refuse 16*sigma + N*q^2 >= 2**63 for a campaign: a rounded error lies
     within NORMAL_DRAW_MAX * sigma, and it meets int64 in gaussian_coeffs's
     cast and in B = A S + E, whose product term stays below N*q^2.  The
     test is exact: 16*sigma is a float without rounding error, and Python
-    compares it with the integer exactly."""
+    compares it with the integer exactly.  Refuse M*N > MAX_SAMPLE_ENTRIES
+    too, before any sample matrix is allocated."""
     bound = (1 << 63) - ring.N * ring.q * ring.q
     if not NORMAL_DRAW_MAX * gauss.sigma < bound:
         total = NORMAL_DRAW_MAX * gauss.sigma + ring.N * ring.q * ring.q
         raise PreconditionRefused(
             f"{NORMAL_DRAW_MAX}*sigma + N*q^2 = {total:.6g} < 2**63 = {1 << 63}"
         )
+    if M * ring.N > MAX_SAMPLE_ENTRIES:
+        raise PreconditionRefused(f"M*N = {M * ring.N} <= 2**22 = {MAX_SAMPLE_ENTRIES}")
 
 
 def mc_delta(q: int, sigma_bar: float, seed: int) -> float:
@@ -540,7 +558,7 @@ def _plan_summary(plan: AttackPlan) -> dict:
             "M": att.M,
             "vote_posterior": posterior_bounds(
                 "small_set", cfg.gauss.truncated, M=att.M, q=q, sigma_size=analytic,
-                r=plan.member_r, p0=p0,
+                r=plan.member_r,
             ).vote_posterior,
         }
     if plan.delta is not None:
@@ -557,7 +575,7 @@ def run_campaign(
     """Run cfg's trials; record names a file that receives their samples.
     It is opened only once the plan is built, so a refused campaign leaves
     no file."""
-    check_draws(cfg.ring, cfg.gauss)
+    check_draws(cfg.ring, cfg.gauss, cfg.attack.M)
     plan = build_plan(cfg)
     trials = cfg.attack.trials
     # each worker receives the plan once, and a pool starts all its workers
@@ -574,7 +592,7 @@ def run_campaign(
             chunk = max(1, trials // (4 * workers))
             rows = list(pool.map(_trial_worker, range(trials), chunksize=chunk))
     else:
-        with open(record, "w", encoding="utf-8") if record else nullcontext() as fh:
+        with open_path(record, "w", "sample file") if record else nullcontext() as fh:
             rows = [run_trial(plan, i, fh) for i in range(trials)]
     echo = dict(cfg.raw) if cfg.raw else {}
     echo.setdefault("seed", cfg.seed)
@@ -605,7 +623,7 @@ def load_samples(path: str, plan: AttackPlan) -> SampleBatch:
     JSON integer, an a outside R_{q,0} or fewer samples than one chunk of an
     extended attack is a ConfigError naming the file and the line."""
     ring, att, q = plan.cfg.ring, plan.cfg.attack, plan.cfg.ring.q
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_path(path, "r", "sample file") as fh:
         lines = fh.read().splitlines()
     if not any(line.strip() for line in lines):
         raise ConfigError(f"sample file {path}: empty")

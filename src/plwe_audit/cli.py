@@ -6,7 +6,8 @@ Subcommands:
   analyze  print the probability report and sample-count tables for a root
   replay   re-run one attack on a recorded sample file
 
-Exit codes: 0 success, 2 malformed configuration, 3 refused precondition.
+Exit codes: 0 success, 2 malformed configuration, option value or path, 3
+refused precondition.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 from .analysis import (
     delta_probability,
-    f_of_r_table,
+    f_of_r,
     minimal_samples,
     point_keys,
     scan_instance,
@@ -35,6 +36,7 @@ from .campaign import (
     instance_from_dict,
     load_samples,
     mc_delta,
+    open_path,
     point_from_dict,
     read_config,
     resolve_point,
@@ -81,7 +83,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", help="probability report and bound tables")
     common(sp)
     sp.add_argument("--min-M", type=float, default=None, metavar="TARGET",
-                    help="report the minimal sample count reaching this posterior")
+                    help="report the minimal sample count reaching this posterior in (0, 1)")
     sp.add_argument("--f-of-r-csv", default=None,
                     help="write a (ratio, value) grid of the series to this CSV")
     sp.add_argument("--mc-check", action="store_true",
@@ -94,11 +96,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(doc: dict, args) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.output:
         if args.format == "json":
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with open_path(args.output, "w", "--output") as fh:
                 fh.write(text + "\n")
         else:
             _write_csv(args.output, doc)
@@ -119,7 +121,7 @@ def _flatten(doc: dict, prefix: str = "") -> dict:
 
 def _write_csv(path: str, doc: dict) -> None:
     flat = _flatten(doc)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_path(path, "w", "--output", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["key", "value"])
         for k in sorted(flat):
@@ -164,6 +166,8 @@ def _read_config(args) -> dict:
 
 
 def _cmd_analyze(args) -> int:
+    if args.min_M is not None and not 0 < args.min_M < 1:
+        raise ConfigError(f"--min-M: must lie in (0, 1), got {args.min_M}")
     doc = _read_config(args)
     ring, gauss = instance_from_dict(doc)
     sigma, truncated = gauss.sigma, gauss.truncated
@@ -208,11 +212,11 @@ def _cmd_analyze(args) -> int:
             )
     if args.f_of_r_csv:
         grid = [4.0 * 2.0**0.5 * (i + 1) / 1000.0 for i in range(1000)]
-        with open(args.f_of_r_csv, "w", newline="", encoding="utf-8") as fh:
+        with open_path(args.f_of_r_csv, "w", "--f-of-r-csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["ratio", "f"])
-            for r_val, f_val in f_of_r_table(grid):
-                writer.writerow([f"{r_val:.6f}", f"{f_val:.12f}"])
+            for ratio in grid:
+                writer.writerow([f"{ratio:.6f}", f"{f_of_r(ratio):.12f}"])
         out["f_of_r_csv"] = args.f_of_r_csv
     _emit(out, args)
     return EXIT_OK
@@ -244,9 +248,6 @@ def main(argv=None) -> int:
     except PreconditionRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

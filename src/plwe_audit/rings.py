@@ -59,30 +59,20 @@ class RqContext:
         """x^N mod f = -(f_0 + ... + f_(N-1) x^(N-1))."""
         return np.array([-c % self.q for c in self.f_mod[: self.N]], dtype=np.int64)
 
-    def _shift_rows(self, start: np.ndarray, count: int) -> np.ndarray:
-        """Rows x^k * start mod f for 0 <= k < count; start is canonical."""
-        base, q = self._x_to_the_N, self.q
-        rows = np.zeros((count, self.N), dtype=np.int64)
-        if count:
-            rows[0] = start
-        for k in range(1, count):
-            prev, row = rows[k - 1], rows[k]
-            row[1:] = prev[:-1]
-            row += prev[-1] * base
-            row %= q
-        return rows
-
-    @cached_property
-    def _reduction_rows(self) -> np.ndarray:
-        """Row k holds the coefficients of x^(N+k) mod f, for 0 <= k < N-1."""
-        return self._shift_rows(self._x_to_the_N, max(self.N - 1, 0))
-
     def mul_matrix(self, s: np.ndarray) -> np.ndarray:
         """The (N, N) matrix S of multiplication by s: row i holds x^i * s
         mod f, so a * s = a @ S mod q for every coefficient row a.  Exact in
         int64 while q < 2**22."""
         _require_int64_modulus(self.q)
-        return self._shift_rows(np.asarray(s, dtype=np.int64) % self.q, self.N)
+        base, q = self._x_to_the_N, self.q
+        rows = np.zeros((self.N, self.N), dtype=np.int64)
+        rows[0] = np.asarray(s, dtype=np.int64) % q
+        for k in range(1, self.N):
+            prev, row = rows[k - 1], rows[k]
+            row[1:] = prev[:-1]
+            row += prev[-1] * base
+            row %= q
+        return rows
 
     def poly(self, coeffs: Iterable[int]) -> RingPoly:
         cs = [int(c) % self.q for c in coeffs]
@@ -90,7 +80,6 @@ class RqContext:
             raise ValueError(f"too many coefficients for degree-{self.N} ring")
         cs.extend([0] * (self.N - len(cs)))
         return RingPoly(tuple(cs), self)
-
 
 
 @dataclass(frozen=True)
@@ -103,9 +92,6 @@ class RingPoly:
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.ctx.N:
             raise ValueError("RingPoly must carry exactly N coefficients")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64)
 
 
 @lru_cache(maxsize=64)

@@ -119,9 +119,6 @@ class SampleBatch:
     def __len__(self) -> int:
         return len(self.A)
 
-    def __getitem__(self, rows: slice) -> "SampleBatch":
-        return SampleBatch(self.ring, self.A[rows], self.X[rows], self.secret)
-
     @cached_property
     def B(self) -> np.ndarray:
         """The canonical coefficient rows of the b_i."""

@@ -212,16 +212,18 @@ def ring_sub(p: RingPoly, s: RingPoly) -> RingPoly:
 
 
 def ring_mul(p: RingPoly, s: RingPoly) -> RingPoly:
-    """Schoolbook product followed by reduction modulo the monic f."""
+    """Schoolbook product followed by reduction modulo the monic f, top
+    degree first, in Python ints: x^k = -x^(k-N) (f_0 + ... + f_(N-1) x^(N-1))."""
     ctx = _same_ctx(p, s)
     q, N = ctx.q, ctx.N
     _require_int64_modulus(q)
-    conv = np.convolve(p.as_array(), s.as_array()) % q
-    low = conv[:N]
-    if len(conv) > N:
-        high = conv[N:]
-        low = (low + high @ ctx._reduction_rows[: len(high)]) % q
-    return RingPoly(tuple(int(c) for c in low), ctx)
+    conv = (np.convolve(p.coeffs, s.coeffs) % q).tolist()
+    terms = [(j, c) for j, c in enumerate(ctx.f_mod[:N]) if c]
+    for k in range(len(conv) - 1, N - 1, -1):
+        top = conv.pop() % q
+        for j, c in terms:
+            conv[k - N + j] -= top * c
+    return RingPoly(tuple(c % q for c in conv), ctx)
 
 
 def eval_poly(p: RingPoly, point: int | ExtFieldElement):

@@ -112,7 +112,7 @@ def test_criterion_04_rejection_sampler_mean():
 def test_criterion_05_published_posterior_figures():
     """The four published vote posteriors from the analytic table bounds."""
     t0 = time.perf_counter()
-    q, p0 = 4099, 0.954500
+    q = 4099
     bound_a = math.floor(small_set_size(6, 1, 0.7).analytic)
     bound_b = math.floor(small_set_size(3, 2, 2.5).analytic)
     figures = [
@@ -125,7 +125,7 @@ def test_criterion_05_published_posterior_figures():
     got = []
     for size, r, M, figure in figures:
         v = posterior_bounds(
-            "small_set", False, M=M, q=q, sigma_size=size, r=r, p0=p0
+            "small_set", False, M=M, q=q, sigma_size=size, r=r
         ).vote_posterior
         got.append(round(v, 4))
         ok &= abs(v - figure) <= 0.02
@@ -185,7 +185,7 @@ def test_criterion_08_flat_image_margin():
     ctx = load_ring_doc(doc["instance"])
     report = scan_instance(ctx, 8.0, truncated=False)
     entry = next(r for r in report.roots if r.alpha == 698)
-    margin = delta_probability(2887, entry.sigma_bar).big_delta
+    margin = delta_probability(2887, entry.blocks.sigma_bar).big_delta
     ok = entry.order == 3 and abs(margin - 0.000173) <= 0.00002
     _criterion(8, ok, f"Delta = {margin:.6f} within 0.000173 +- 0.00002")
 
@@ -330,7 +330,7 @@ def test_crypto_rings_scan_findings(tmp_path, capsys):
         mu = [x for x in range(1, q) if pow(x, r, q) == 1]
         assert len(mu) == r
         oracle = sigma * math.sqrt(sum(centered_value(x, q) ** 2 for x in mu) / 2)
-        (sigma_bar,) = {pt.sigma_bar for pt in points}
+        (sigma_bar,) = {pt.blocks.sigma_bar for pt in points}
         assert sigma_bar == pytest.approx(oracle, rel=1e-12), name
 
     cfg = tmp_path / "dilithium.json"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from plwe_audit import instances
 from plwe_audit.analysis import (
-    DEFAULT_SERIES_TOL,
     DUAL_SERIES_BELOW,
     DomainError,
     _dual_series,
@@ -23,7 +22,6 @@ from plwe_audit.analysis import (
     extended_gate,
     extended_threshold,
     f_of_r,
-    f_of_r_table,
     hit_threshold,
     in_quarter_residues,
     minimal_samples,
@@ -180,8 +178,8 @@ class TestDeltaProbability:
 
     def test_dual_and_erf_series_agree(self):
         for ratio in np.geomspace(0.1, 50.0, 80):
-            p, _ = _erf_series(ratio, DEFAULT_SERIES_TOL)
-            delta, _ = _dual_series(ratio, DEFAULT_SERIES_TOL)
+            p, _ = _erf_series(ratio)
+            delta, _ = _dual_series(ratio)
             assert abs((p - 0.5) - delta) < 1e-12
 
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5, 3.0, 6.0])
@@ -189,13 +187,13 @@ class TestDeltaProbability:
         q = 4099
         sbar = q / (math.sqrt(2.0) * ratio)
         mc = monte_carlo_delta(q, sbar, np.random.default_rng([43, int(10 * ratio)]))
-        assert abs(_dual_series(ratio, DEFAULT_SERIES_TOL)[0] - mc) < 2e-3
-        assert abs(_erf_series(ratio, DEFAULT_SERIES_TOL)[0] - 0.5 - mc) < 2e-3
+        assert abs(_dual_series(ratio)[0] - mc) < 2e-3
+        assert abs(_erf_series(ratio)[0] - 0.5 - mc) < 2e-3
 
     def test_crossover_picks_the_shorter_series(self):
         below, above = DUAL_SERIES_BELOW * 0.99, DUAL_SERIES_BELOW
-        assert f_of_r(below) == 0.5 + _dual_series(below, DEFAULT_SERIES_TOL)[0]
-        assert f_of_r(above) == _erf_series(above, DEFAULT_SERIES_TOL)[0]
+        assert f_of_r(below) == 0.5 + _dual_series(below)[0]
+        assert f_of_r(above) == _erf_series(above)[0]
 
     def test_large_sigma_needs_one_term(self):
         # the erf series sums about 8/ratio terms: 1.6 million here, and
@@ -213,7 +211,7 @@ class TestFofR:
 
     def test_monotone_grid(self):
         grid = [FOUR_ROOT_TWO * (i + 1) / 1000.0 for i in range(1000)]
-        values = [v for _, v in f_of_r_table(grid)]
+        values = [f_of_r(r) for r in grid]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-9
 
@@ -267,9 +265,7 @@ class TestPosteriorBounds:
         ],
     )
     def test_published_vote_posteriors(self, size, r, M, figure):
-        b = posterior_bounds(
-            "small_set", False, M=M, q=4099, sigma_size=size, r=r, p0=P0
-        )
+        b = posterior_bounds("small_set", False, M=M, q=4099, sigma_size=size, r=r)
         assert b.vote_posterior == pytest.approx(figure, abs=0.02)
 
     def test_truncated_not_plwe_is_certain(self):
@@ -285,13 +281,9 @@ class TestPosteriorBounds:
         assert b.success_on_plwe == pytest.approx(P0**40)
 
     def test_minimal_samples_brackets_published_run(self):
-        m = minimal_samples(
-            "small_set", False, 0.99, q=4099, sigma_size=3471, r=3, p0=P0
-        )
+        m = minimal_samples("small_set", False, 0.99, q=4099, sigma_size=3471, r=3)
         assert 350 < m <= 500
-        b = posterior_bounds(
-            "small_set", False, M=m, q=4099, sigma_size=3471, r=3, p0=P0
-        )
+        b = posterior_bounds("small_set", False, M=m, q=4099, sigma_size=3471, r=3)
         assert b.vote_posterior >= 0.99
 
     def test_overflowing_union_bound_is_vacuous(self):
@@ -323,9 +315,11 @@ class TestPosteriorBounds:
             assert m == 1 or posterior(m - 1) < target
 
     def test_minimal_samples_unreachable(self):
-        assert minimal_samples(
-            "small_set", False, 0.99, q=4099, sigma_size=4099.0, r=1, p0=1.0
-        ) is None
+        # |Sigma| = q: a wrong candidate passes every sample, in both modes
+        for truncated in (False, True):
+            assert minimal_samples(
+                "small_set", truncated, 0.99, q=4099, sigma_size=4099.0, r=1
+            ) is None
 
 
 class TestThresholds:

@@ -675,9 +675,7 @@ class TestVerdictShape:
     def test_verdict_classification(self):
         assert AttackVerdict(()).kind == VERDICT_NOT_PLWE
         assert AttackVerdict((3,)).kind == VERDICT_GUESS
-        assert AttackVerdict((3,)).guess == 3
         assert AttackVerdict((1, 2)).kind == VERDICT_NOT_ENOUGH
-        assert AttackVerdict((1, 2)).guess is None
         # every outcome answers is_plwe: only an empty survivor set says no
         assert not AttackVerdict(()).is_plwe
         assert AttackVerdict((3,)).is_plwe and AttackVerdict((1, 2)).is_plwe

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plwe_audit import campaign, cli, fields
-from plwe_audit.analysis import scan_instance
+from plwe_audit.analysis import posterior_bounds, scan_instance
 from plwe_audit.campaign import (
     FAMILIES,
     MODES,
@@ -26,6 +26,7 @@ from plwe_audit.campaign import (
 from plwe_audit.instances import (
     CRYPTO_RINGS,
     REJECTION_REPLICA,
+    TRACE_INSTANCE_A,
     TRACE_INSTANCE_B,
     TRACE_RING_A,
     USVA_INSTANCES,
@@ -920,9 +921,10 @@ def _attack_sections(draw):
         "alpha": draw(st.integers(-8, 8)),
         "n": draw(st.integers(0, 4)),
         "a": draw(st.integers(-8, 8)),
-        "M": draw(st.integers(-1, 6)),
+        # 10**12 samples are refused by the M*N bound before any is drawn
+        "M": draw(st.one_of(st.integers(-1, 6), st.just(10**12))),
         "M0": draw(st.integers(-1, 6)),
-        "ell": draw(st.integers(-1, 6)),
+        "ell": draw(st.one_of(st.integers(-1, 6), st.just(10**12))),
         "delta": draw(
             st.one_of(st.none(), st.sampled_from(["series", "mc", "0.1", True, False]),
                       st.floats(-1, 1))
@@ -1124,9 +1126,9 @@ def test_draw_bound_boundary_is_exact():
         sigma = math.nextafter(sigma, 0)
     above = math.nextafter(sigma, math.inf)
     assert 16 * above >= limit
-    check_draws(ring, GaussianSpec(sigma, False))
+    check_draws(ring, GaussianSpec(sigma, False), 1)
     with pytest.raises(PreconditionRefused, match=r"16\*sigma \+ N\*q\^2 = .* < 2\*\*63"):
-        check_draws(ring, GaussianSpec(above, False))
+        check_draws(ring, GaussianSpec(above, False), 1)
     # at the largest accepted sigma the errors and B are exact integers
     rng = np.random.default_rng(9)
     secret = rng.integers(0, ring.q, size=ring.N)
@@ -1181,3 +1183,85 @@ def test_plan_takes_the_order_once(name, monkeypatch):
     calls.clear()
     build_plan(config_from_dict(_order6_config()))
     assert calls == [2018]
+
+
+@pytest.mark.parametrize("option", ["--output", "--f-of-r-csv", "--record-samples", "replay"])
+def test_a_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys, option):
+    # a directory where a file is read or written used to end in a traceback
+    cfg = _write(tmp_path, "c.json", _order6_config(trials=1))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "--output": ["scan", "--config", cfg, "--output", str(folder)],
+        "--f-of-r-csv": ["analyze", "--config", cfg, "--f-of-r-csv", str(folder)],
+        "--record-samples": ["attack", "--config", cfg, "--record-samples", str(folder)],
+        "replay": ["replay", "--config", cfg, str(folder)],
+    }[option]
+    assert cli.main(argv) == 2
+    name = "sample file" if option in ("--record-samples", "replay") else option
+    assert capsys.readouterr().err == f"config error: {name} {folder}: Is a directory\n"
+
+
+@pytest.mark.parametrize("target", ["nan", "inf", "-inf", "1.5", "1", "0", "-0.5"])
+def test_analyze_min_m_outside_the_unit_interval_is_refused(tmp_path, capsys, target):
+    cfg = _write(tmp_path, "c.json", _order6_config())
+    assert cli.main(["analyze", "--config", cfg, f"--min-M={target}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --min-M: must lie in (0, 1), got ")
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_analyze_min_m_report_is_strict_json(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", _order6_config())
+    assert cli.main(["analyze", "--config", cfg, "--min-M", "0.99"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["min_M"]["target"] == 0.99 and doc["min_M"]["small_values"] >= 1
+
+
+def test_sample_matrices_beyond_the_entry_bound_are_refused(tmp_path, capsys):
+    # M = 10**12 at N = 23 used to die allocating the sample rows
+    doc = _order6_config(trials=1)
+    doc["instance"] = dict(TRACE_INSTANCE_B["instance"])
+    doc["attack"].update(mode="trace", n=3, a=2017, M=10**12)
+    cfg = _write(tmp_path, "c.json", doc)
+    assert cli.main(["attack", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "refused: M*N = 23000000000000 <= 2**22 = 4194304\n"
+
+
+def test_sample_entry_bound_boundary_is_exact():
+    ring = load_ring_doc(TRACE_INSTANCE_B["instance"])
+    M = campaign.MAX_SAMPLE_ENTRIES // ring.N
+    check_draws(ring, GaussianSpec(1.0, False), M)
+    with pytest.raises(PreconditionRefused, match=r"M\*N = 4194326 <= 2\*\*22"):
+        check_draws(ring, GaussianSpec(1.0, False), M + 1)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the block model undercounts the coefficients of c0(e) and "
+    "the table bound is a Gaussian width, so a truncated error can leave Sigma"
+))
+@pytest.mark.parametrize("inst", [TRACE_INSTANCE_A, TRACE_INSTANCE_B], ids=["ring_a", "ring_b"])
+def test_truncated_small_set_keeps_the_true_value(inst):
+    # the truncated bound promises success 1 on PLWE batches, but ring A
+    # keeps the true value in 126 and ring B in 103 of the 164 PLWE trials
+    doc = {
+        "instance": {**inst["instance"], "truncated": True},
+        "attack": {"family": "small_set", "mode": "trace", **inst["extension"],
+                   "M": 40, "trials": 300},
+        "seed": 11,
+    }
+    report = run_campaign(config_from_dict(doc))
+    plan = report.plan_summary
+    promise = posterior_bounds("small_set", True, M=40, q=doc["instance"]["q"],
+                               sigma_size=plan["sigma_table_analytic_bound"],
+                               r=plan["order"]).success_on_plwe
+    assert promise == 1.0
+    kept = [t["true_value_survives"] for t in report.trials if t["truth"] == "plwe"]
+    assert len(kept) == 164 and all(kept)

@@ -10,7 +10,9 @@ and divisors come from the scan's fold alone, and ExtFieldCtx is the one
 irreducibility test.  A point is the (n, a) of its binomial y^n - a from the
 config reader on, an F_q root alpha being (1, alpha), and ExtFieldCtx(n,
 a, modulus) holds it with a as an int; the residue wrapper and the
-arithmetic only tests used are gone from src/."""
+arithmetic only tests used are gone from src/, and so are the members only
+tests read.  A closed form that takes the truncation mode derives p0 from
+it, and the series tolerance is a constant."""
 
 import ast
 import dataclasses
@@ -21,9 +23,12 @@ import numpy as np
 
 import plwe_audit
 from plwe_audit import attacks, fields
+from plwe_audit.analysis import PointVuln, PosteriorBounds, delta_probability, f_of_r
+from plwe_audit.attacks import AttackVerdict
 from plwe_audit.campaign import AttackPlan, AttackSpec, resolve_point
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, mult_order
 from plwe_audit.rings import RingPoly, RqContext, binomial_logs
+from plwe_audit.samplers import SampleBatch
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_ONLY = frozenset({
@@ -64,11 +69,16 @@ DELETED = frozenset({
     # campaign's verdict dispatch, which AttackVerdict.is_plwe replaced
     "FieldElement", "DivisionByZero", "ContextMismatch", "q_mod4", "in_quarter_interval",
     "in_quarter_value", "_says_plwe",
+    # the series grid, which analyze computes with f_of_r
+    "f_of_r_table",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
     (PrimeModulus, "element"), (fields, "centered"), (RqContext, "zero"), (RqContext, "one"),
     (RqContext, "monomial"), (RingPoly, "is_zero"),
+    # members only tests read
+    (AttackVerdict, "guess"), (PointVuln, "sigma_bar"), (SampleBatch, "__getitem__"),
+    (RqContext, "_reduction_rows"), (RingPoly, "as_array"),
 )
 ATTACKS = ("small_set_attack", "small_values_attack", "unbounded_small_values_attack",
            "extended_attack")
@@ -148,4 +158,21 @@ def test_plan_is_frozen_and_holds_what_trials_read():
     assert AttackPlan.__dataclass_params__.frozen
     assert [f.name for f in dataclasses.fields(AttackPlan)] == [
         "cfg", "point", "blocks", "member", "member_r", "delta", "preconditions"
+    ]
+
+
+def test_closed_forms_take_what_callers_vary():
+    """p0 is derived from the truncation mode wherever that mode is passed,
+    and no function takes a series tolerance."""
+    for path in sorted((ROOT / "src" / "plwe_audit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                assert not {"truncated", "p0"} <= params, (path.name, node.name)
+                assert "tol" not in params, (path.name, node.name)
+    assert list(inspect.signature(delta_probability).parameters) == ["q", "sigma_bar_value"]
+    assert list(inspect.signature(f_of_r).parameters) == ["ratio"]
+    assert [f.name for f in dataclasses.fields(PosteriorBounds)] == [
+        "vote_posterior", "not_plwe_posterior", "success_on_plwe", "success_on_uniform"
     ]

@@ -163,7 +163,7 @@ def test_eval_matrix_matches_scalar_oracles(data):
     W = eval_matrix(ext, ctx.N)
     coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=ctx.N, max_size=ctx.N))
     p = ctx.poly(coeffs)
-    at_point = tuple(int(v) for v in p.as_array() @ W % q)
+    at_point = tuple(int(v) for v in np.array(p.coeffs) @ W % q)
     assert at_point == eval_poly(p, ext_alpha(ext)).coeffs
     assert at_point[1:] == rq0_membership(p, ext).witness_sums
 
@@ -176,7 +176,7 @@ def test_eval_matrix_matches_scalar_oracles(data):
         "instance": {"N": ctx.N, "f": f, "q": q, "sigma": 1.0, "truncated": True},
         "attack": attack,
     }))
-    assert _true_value(plan, p.as_array()) == trace(eval_poly(p, ext_alpha(ext)))
+    assert _true_value(plan, np.array(p.coeffs)) == trace(eval_poly(p, ext_alpha(ext)))
 
 
 def _fold(ctx, n):

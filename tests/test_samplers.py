@@ -292,7 +292,7 @@ def test_sample_batch_matches_per_sample_oracles(data):
 
     rng_ref = np.random.default_rng(seed)
     inst = PlweInstance.generate(ctx, gauss, rng_ref) if plwe else None
-    secret_ref = inst.secret_for_tests().as_array() if plwe else None
+    secret_ref = np.array(inst.secret_for_tests().coeffs) if plwe else None
     rng = np.random.default_rng(seed)
     secret = rng.integers(0, q, size=ctx.N) if plwe else None
     try:
@@ -409,12 +409,11 @@ def test_gap_between_two_hits_of_one_block_meets_the_budget(budget):
     assert A.tolist() == [member, member] and count == 6
 
 
-def test_sample_batch_round_trips_and_slices():
+def test_sample_batch_round_trips():
     rng = np.random.default_rng(41)
     samples = [uniform_oracle(CTX13, rng) for _ in range(5)]
     batch = from_samples(samples)
     assert len(batch) == 5 and to_samples(batch) == samples
-    assert to_samples(batch[1:3]) == samples[1:3]
 
 
 @pytest.mark.parametrize("n", [1, 2])
