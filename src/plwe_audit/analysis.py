@@ -238,36 +238,53 @@ def f_of_r(ratio: float) -> float:
     return _quarter_mass(ratio)[0]
 
 
+# Monte Carlo draws are made and counted in blocks of this many, so the
+# oracle holds 512 KiB of floats, not all its draws, at once.
+MC_BLOCK = 1 << 16
+
+
 def monte_carlo_delta(
     q, sigma_bar_value: float, rng: np.random.Generator, draws: int = 10**6
 ) -> float:
     """Empirical quarter-interval excess over 1/2 for rounded N(0, sigma_bar^2)
     reduced mod q.  This is the independent oracle for delta_probability.
 
-    The draws are counted per rounded value with one bincount over their
-    span, and only the distinct values are reduced mod q.  When the span
-    exceeds the number of draws (sigma_bar far above draws), each draw is
-    reduced mod q and tested, in O(draws) memory.  Below 2**53, q is a
-    float and fmod is exact for every finite float; above, the draws are
-    reduced in Python ints.  So the result equals the per-draw count mod q
-    bit for bit at every q < 2**62, also past the int64 range.
+    The draws are those of rng.normal(0, sigma_bar, draws), made MC_BLOCK at
+    a time as standard normals scaled by sigma_bar and counted exactly by
+    _block_hits, so the result equals the per-draw count mod q bit for bit
+    at every q < 2**62 and every sigma_bar.
     """
     qv = int(q)
-    x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws))
+    block = np.empty(min(draws, MC_BLOCK))
+    hits = 0
+    for start in range(0, draws, MC_BLOCK):
+        x = block[: min(MC_BLOCK, draws - start)]
+        rng.standard_normal(out=x)
+        x *= sigma_bar_value
+        np.rint(x, out=x)
+        hits += _block_hits(x, qv)
+    return hits / draws - 0.5
+
+
+def _block_hits(x: np.ndarray, q: int) -> int:
+    """How many rounded draws x (overwritten) lie in the quarter interval
+    mod q.  Draws spanning fewer than MC_BLOCK values are counted per value
+    with one bincount, and only the distinct values are reduced mod q;
+    wider blocks are reduced draw by draw, in int64 as r - r // q * q while
+    every |draw| is below 2**62 (each term then stays in int64), and in
+    Python ints beyond."""
     lo, hi = x.min(), x.max()
-    if hi - lo < draws:
+    if max(-lo, hi) >= 2**62:
+        r = np.array([int(v) % q for v in x.tolist()], dtype=np.int64)
+    elif hi - lo >= MC_BLOCK:
+        r = x.astype(np.int64)
+        r -= r // q * q
+    else:
         x -= lo
         counts = np.bincount(x.astype(np.intp))
-        values = np.arange(int(lo), int(lo) + counts.size) % qv
-        hits = int(counts[in_quarter_residues(values, qv)].sum())
-    else:
-        if qv < 1 << 53:
-            r = np.fmod(x, qv).astype(np.int64)  # in (-q, q), with the sign of the draw
-            r[r < 0] += qv
-        else:
-            r = np.array([int(v) % qv for v in x.tolist()], dtype=np.int64)
-        hits = int(np.count_nonzero(in_quarter_residues(r, qv)))
-    return hits / draws - 0.5
+        values = np.arange(int(lo), int(lo) + counts.size) % q
+        return int(counts[in_quarter_residues(values, q)].sum())
+    return int(np.count_nonzero(in_quarter_residues(r, q)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -577,40 +578,77 @@ def run_campaign(
     no file."""
     check_draws(cfg.ring, cfg.gauss, cfg.attack.M)
     plan = build_plan(cfg)
-    trials = cfg.attack.trials
-    # each worker receives the plan once, and a pool starts all its workers
-    # at the first submit, so it has no more workers than trials; the
-    # sample file is written from this process, so recording runs the
-    # trials here
-    workers = min(threads, trials)
-    if workers > 1 and not record:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(plan,)
-        ) as pool:
-            chunk = max(1, trials // (4 * workers))
-            rows = list(pool.map(_trial_worker, range(trials), chunksize=chunk))
-    else:
-        with open_path(record, "w", "sample file") if record else nullcontext() as fh:
-            rows = [run_trial(plan, i, fh) for i in range(trials)]
+    # trial i runs in process i mod workers, no more processes than trials:
+    # this process runs share 0 and a child each other share; the sample
+    # file is written from this process, so recording runs every trial here
+    workers = 1 if record else min(threads, cfg.attack.trials)
+    with open_path(record, "w", "sample file") if record else nullcontext() as fh:
+        rows = _run_shares(plan, workers, fh)
     echo = dict(cfg.raw) if cfg.raw else {}
     echo.setdefault("seed", cfg.seed)
     return CampaignReport(echo, _plan_summary(plan), rows)
 
 
-# The plan of the campaign a pool worker serves; set once per worker process
-# by _init_worker, never in the parent.
-_worker_plan: Optional[AttackPlan] = None
+def _share(plan: AttackPlan, share: int, workers: int, samples: TextIO | None = None) -> list:
+    """The rows of trials share, share + workers, share + 2*workers, ..."""
+    return [run_trial(plan, i, samples) for i in range(share, plan.cfg.attack.trials, workers)]
 
 
-def _init_worker(plan: AttackPlan) -> None:
-    global _worker_plan
-    _worker_plan = plan
+def _run_shares(plan: AttackPlan, workers: int, samples: TextIO | None) -> list:
+    """Every trial's row, in trial order.  Share k > 0 runs in a child
+    process started with the platform's default method (a fork on Linux,
+    which inherits the plan), and comes back through one pipe; this process
+    runs share 0 meanwhile.  A child's exception is raised here, and so is
+    an error naming the exit code of a child that sent nothing.  Whatever
+    happens, every child has ended when this returns or raises."""
+    children = []
+    try:
+        for k in range(1, workers):
+            rows_in, rows_out = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_child_share, args=(rows_out, plan, k, workers),
+                name=f"trial share {k} of {workers}",
+            )
+            child.start()
+            rows_out.close()  # the child holds the one send end, so its exit ends the pipe
+            children.append((child, rows_in))
+        shares = [_share(plan, 0, workers, samples)]
+        shares += [_receive(child, rows_in) for child, rows_in in children]
+    finally:
+        for child, rows_in in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            rows_in.close()
+    rows: list = [None] * plan.cfg.attack.trials
+    for k, share in enumerate(shares):
+        rows[k::workers] = share
+    return rows
 
 
-def _trial_worker(index: int) -> dict:
-    return run_trial(_worker_plan, index)
+def _child_share(rows_out, plan: AttackPlan, share: int, workers: int) -> None:
+    """A child's share: its rows, or the exception that stopped it."""
+    try:
+        result = (True, _share(plan, share, workers))
+    except Exception as exc:
+        result = (False, exc)
+    rows_out.send(result)
+
+
+def _receive(child, rows_in) -> list:
+    """The rows that child sends, once it has exited; its exception is
+    raised here."""
+    try:
+        ok, value = rows_in.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(
+            f"{child.name} exited with code {child.exitcode} before sending its rows"
+        ) from None
+    child.join()
+    if not ok:
+        raise value
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .analysis import (
     delta_probability,
@@ -70,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--trials", type=int, default=None, help="override trial count")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes, 1 to the CPU count")
+                    help="processes that run the trials, 1 to the CPU count")
     sp.add_argument(
         "--honest-sampling",
         action="store_true",
@@ -95,15 +96,36 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(doc: dict, args) -> None:
+@contextmanager
+def _output(args):
+    """The --output file (None without the option), opened before the
+    command runs, so a path that cannot be written is refused first.  It
+    is opened to append, which leaves an existing file as it is until
+    _emit rewrites it; a file that a failed command created is removed."""
+    if not args.output:
+        yield None
+        return
+    existed = os.path.exists(args.output)
+    newline = "" if args.format == "csv" else None
+    with open_path(args.output, "a", "--output", newline=newline) as fh:
+        try:
+            yield fh
+        except BaseException:
+            if not existed:
+                os.remove(args.output)
+            raise
+
+
+def _emit(doc: dict, args, out) -> None:
+    """Print doc as JSON and rewrite out, when given, in args.format."""
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     print(text)
-    if args.output:
+    if out is not None:
+        out.truncate(0)
         if args.format == "json":
-            with open_path(args.output, "w", "--output") as fh:
-                fh.write(text + "\n")
+            out.write(text + "\n")
         else:
-            _write_csv(args.output, doc)
+            _write_csv(out, doc)
 
 
 def _flatten(doc: dict, prefix: str = "") -> dict:
@@ -119,16 +141,15 @@ def _flatten(doc: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _write_csv(path: str, doc: dict) -> None:
+def _write_csv(out, doc: dict) -> None:
     flat = _flatten(doc)
-    with open_path(path, "w", "--output", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        for k in sorted(flat):
-            writer.writerow([k, flat[k]])
+    writer = csv.writer(out)
+    writer.writerow(["key", "value"])
+    for k in sorted(flat):
+        writer.writerow([k, flat[k]])
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> dict:
     if args.n_max < 1:
         raise ConfigError(f"--n-max: must be >= 1, got {args.n_max}")
     doc = _read_config(args)
@@ -138,18 +159,16 @@ def _cmd_scan(args) -> int:
         ring, gauss.sigma, gauss.truncated, n_max=args.n_max,
         table_cap=table_cap_from_dict(doc),
     )
-    _emit(report.to_dict(), args)
-    return EXIT_OK
+    return report.to_dict()
 
 
-def _cmd_attack(args) -> int:
+def _cmd_attack(args) -> dict:
     cpus = os.cpu_count() or 1
     if not 1 <= args.threads <= cpus:
         raise ConfigError(f"--threads: must be in 1..{cpus} (the CPU count), got {args.threads}")
     cfg = config_from_dict(_read_config(args))
     report = run_campaign(cfg, threads=args.threads, record=args.record_samples)
-    _emit(report.to_dict(), args)
-    return EXIT_OK
+    return report.to_dict()
 
 
 def _read_config(args) -> dict:
@@ -165,7 +184,7 @@ def _read_config(args) -> dict:
     return doc
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     if args.min_M is not None and not 0 < args.min_M < 1:
         raise ConfigError(f"--min-M: must lie in (0, 1), got {args.min_M}")
     doc = _read_config(args)
@@ -218,16 +237,14 @@ def _cmd_analyze(args) -> int:
             for ratio in grid:
                 writer.writerow([f"{ratio:.6f}", f"{f_of_r(ratio):.12f}"])
         out["f_of_r_csv"] = args.f_of_r_csv
-    _emit(out, args)
-    return EXIT_OK
+    return out
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> dict:
     cfg = config_from_dict(_read_config(args))
     plan = build_plan(cfg)
     outcome = run_attack_once(plan, load_samples(args.samples, plan).pairs(plan.point))
-    _emit(outcome.to_dict(), args)
-    return EXIT_OK
+    return outcome.to_dict()
 
 
 def main(argv=None) -> int:
@@ -241,7 +258,9 @@ def main(argv=None) -> int:
     try:
         if args.format == "csv" and not args.output:
             raise ConfigError("--format: csv needs --output, the file the CSV is written to")
-        return handlers[args.command](args)
+        with _output(args) as out:
+            _emit(handlers[args.command](args), args, out)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,7 +24,9 @@ it has no secret and the attacks read it through B.
 The unbounded attack's hit counts on the (ell, q) grid (t_i - u_i*g) mod q,
 and the Monte Carlo delta as a per-draw count mod q: the forms that
 attacks.unbounded_small_values_attack and analysis.monte_carlo_delta
-replaced by the log-domain count and the histogram.
+replaced by the log-domain count and the histogram.  The Monte Carlo delta
+with all its draws held at once, the form that monte_carlo_delta replaced
+by its blocks.
 
 The Sigma residue set by enumeration, one Python set per round: the form
 that attacks.build_sigma_table_trace replaced by its numpy mask.
@@ -42,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from plwe_audit.analysis import in_quarter_residues
 from plwe_audit.fields import ExtFieldCtx
 from plwe_audit.rings import RingPoly, RqContext, _require_int64_modulus, eval_matrix
 from plwe_audit.samplers import (
@@ -464,6 +467,29 @@ def reference_monte_carlo_delta(q, sigma_bar_value, rng, draws=10**6):
     """The quarter-interval share of the rounded draws reduced mod q, less 1/2."""
     x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws)).astype(np.int64) % q
     return float(((4 * x < q) | (4 * x >= 3 * q)).mean()) - 0.5
+
+
+def whole_array_monte_carlo_delta(q, sigma_bar_value, rng, draws=10**6):
+    """analysis.monte_carlo_delta with all draws held at once: one
+    rng.normal call, one bincount over the whole span when that span is
+    below the number of draws, else each draw reduced mod q, by np.fmod on
+    the floats below q = 2**53 and in Python ints above."""
+    qv = int(q)
+    x = np.rint(rng.normal(0.0, sigma_bar_value, size=draws))
+    lo, hi = x.min(), x.max()
+    if hi - lo < draws:
+        x -= lo
+        counts = np.bincount(x.astype(np.intp))
+        values = np.arange(int(lo), int(lo) + counts.size) % qv
+        hits = int(counts[in_quarter_residues(values, qv)].sum())
+    else:
+        if qv < 1 << 53:
+            r = np.fmod(x, qv).astype(np.int64)  # in (-q, q), with the sign of the draw
+            r[r < 0] += qv
+        else:
+            r = np.array([int(v) % qv for v in x.tolist()], dtype=np.int64)
+        hits = int(np.count_nonzero(in_quarter_residues(r, qv)))
+    return hits / draws - 0.5
 
 
 def reference_sigma_values(a: int, q: int, r: int, blocklen: int, sigma: float) -> frozenset:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -40,10 +41,24 @@ from plwe_audit.instances import (
     USVA_INSTANCES,
 )
 from plwe_audit.rings import generator_powers, load_ring_doc
-from reference import in_quarter_value, reference_monte_carlo_delta
+from reference import (
+    in_quarter_value,
+    reference_monte_carlo_delta,
+    whole_array_monte_carlo_delta,
+)
 
 P0 = 0.954500
 FOUR_ROOT_TWO = 4.0 * math.sqrt(2.0)
+# monte_carlo_delta against its whole-array form: every sigma_bar at every
+# modulus with a last partial block (10**5 + 7 = 65536 + 34471 draws), and
+# the campaign's 10**6 draws along both axes
+MC_MODULI = (7, 2887, 3677, 4111, 8380417, 2**61 - 1)
+MC_SIGMAS = (0.3, 8.0, 128.0, 919.0, 3.3e4, 1e9, 1e15, 1e20)
+MC_CASES = (
+    [(q, s, 10**5 + 7) for q in MC_MODULI for s in MC_SIGMAS]
+    + [(3677, s, 10**6) for s in MC_SIGMAS]
+    + [(q, 3.3e4, 10**6) for q in MC_MODULI if q != 3677]
+)
 
 
 class TestOffsets:
@@ -153,6 +168,26 @@ class TestDeltaProbability:
         assert got == reference_monte_carlo_delta(q, sbar, np.random.default_rng(seed))
         x = np.rint(np.random.default_rng(seed).normal(0.0, sbar, size=10**6))
         assert (x.max() - x.min() >= 10**6) == (sbar == 1e12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q, sbar, draws", MC_CASES)
+    def test_blocks_equal_the_whole_array_oracle(self, q, sbar, draws):
+        # the bincount, int64 and Python-int reductions of the blocks, and
+        # the stream drawn block by block, against one normal call
+        seed = [67, q % 10**6, int(sbar) % 10**6, draws]
+        got = monte_carlo_delta(q, sbar, np.random.default_rng(seed), draws=draws)
+        assert got == whole_array_monte_carlo_delta(q, sbar, np.random.default_rng(seed), draws)
+
+    def test_draws_are_held_one_block_at_a_time(self):
+        # 10**6 draws as float64 are 8 MB, and the whole-array form peaks near
+        # 18 MB; one block of 2**16 draws is 512 KiB
+        tracemalloc.start()
+        try:
+            monte_carlo_delta(3677, 3.3e4, np.random.default_rng(71))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_draws_past_int64_are_reduced_exactly(self):

@@ -1,9 +1,11 @@
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import signal
+import time
 from datetime import timedelta
 
 import numpy as np
@@ -217,21 +219,34 @@ class TestCampaignRuns:
         assert len(report.trials) == 10
         assert any("error" in t for t in report.trials)
 
-    def test_pool_has_no_more_workers_than_trials(self, monkeypatch):
-        # a pool starts all its workers at the first submit
-        seen = []
+    def test_pool_has_no_more_workers_than_trials(self, tmp_path, monkeypatch):
+        # trial i runs in process i mod min(threads, trials): here for
+        # i mod workers == 0, else in child i mod workers, started in order
+        started, run_trial = [], campaign.run_trial
 
-        class NoPool:
-            def __init__(self, max_workers, **kwargs):
-                seen.append(max_workers)
-                raise RuntimeError("no pool in this test")
+        class Counted(multiprocessing.Process):
+            def start(self):
+                super().start()
+                started.append(self.pid)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        with pytest.raises(RuntimeError, match="no pool"):
-            run_campaign(config_from_dict(_order6_config(trials=2)), threads=64)
-        assert seen == [2]
-        assert run_campaign(config_from_dict(_order6_config(trials=1)), threads=64).n_trials == 1
-        assert seen == [2]
+        def noted(plan, index, samples=None):
+            (tmp_path / str(index)).write_text(str(os.getpid()))
+            return run_trial(plan, index, samples)
+
+        monkeypatch.setattr(multiprocessing, "Process", Counted)
+        monkeypatch.setattr(campaign, "run_trial", noted)
+        for trials, threads in [(2, 64), (1, 64), (5, 3), (4, 1)]:
+            started.clear()
+            doc = _order6_config(trials=trials)
+            report = run_campaign(config_from_dict(doc), threads=threads)
+            workers = min(threads, trials)
+            assert len(started) == workers - 1
+            where = [os.getpid()] + started
+            pids = [int((tmp_path / str(i)).read_text()) for i in range(trials)]
+            assert pids == [where[i % workers] for i in range(trials)]
+            monkeypatch.setattr(campaign, "run_trial", run_trial)
+            assert report.digest_json() == run_campaign(config_from_dict(doc)).digest_json()
+            monkeypatch.setattr(campaign, "run_trial", noted)
 
     def test_reports_are_strict_json(self):
         # 7 has order 2048 mod 12289: the analytic Sigma bound overflows a
@@ -405,17 +420,68 @@ class TestStreamUse:
         b = run_campaign(_golden_config(name), threads=2)
         assert a.digest_json() == b.digest_json()
 
-    def test_config_without_raw_runs_pooled(self, monkeypatch):
+    def test_config_without_raw_runs_pooled(self, tmp_path, monkeypatch):
         cfg = dataclasses.replace(config_from_dict(_order6_config()), raw={})
         sequential = run_campaign(cfg).digest_json()
-        parent, run_trial = os.getpid(), campaign.run_trial
+        run_trial = campaign.run_trial
 
-        def in_worker_only(plan, index, samples=None):
-            assert os.getpid() != parent, "trial ran in the parent process"
+        def noted(plan, index, samples=None):
+            (tmp_path / str(index)).write_text(str(os.getpid()))
             return run_trial(plan, index, samples)
 
-        monkeypatch.setattr(campaign, "run_trial", in_worker_only)
+        monkeypatch.setattr(campaign, "run_trial", noted)
         assert run_campaign(cfg, threads=2).digest_json() == sequential
+        pids = {int(path.read_text()) for path in tmp_path.iterdir()}
+        assert len(pids) == 2 and os.getpid() in pids, "trials ran in one process"
+
+    def test_three_processes_match_sequential(self):
+        name = "fq_unbounded_mc_direct"
+        a = run_campaign(_golden_config(name), threads=1)
+        b = run_campaign(_golden_config(name), threads=3)
+        assert a.digest_json() == b.digest_json()
+        assert hashlib.sha256(b.digest_json().encode()).hexdigest() == GOLDEN[name][1]
+
+
+class TestTrialProcesses:
+    """The children of a pooled campaign: their failures reach the caller,
+    and none outlives run_campaign."""
+
+    @staticmethod
+    def _patched(monkeypatch, in_parent, in_child):
+        parent, run_trial = os.getpid(), campaign.run_trial
+
+        def patched(plan, index, samples=None):
+            (in_parent if os.getpid() == parent else in_child)()
+            return run_trial(plan, index, samples)
+
+        monkeypatch.setattr(campaign, "run_trial", patched)
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch):
+        def fail():
+            raise LookupError("no such residue in the child")
+
+        self._patched(monkeypatch, lambda: None, fail)
+        with pytest.raises(LookupError, match="^no such residue in the child$"):
+            run_campaign(config_from_dict(_order6_config(trials=4)), threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_child_raises_in_the_parent(self, monkeypatch):
+        self._patched(monkeypatch, lambda: None, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(RuntimeError, match=f"exited with code -{int(signal.SIGKILL)} "):
+            run_campaign(config_from_dict(_order6_config(trials=4)), threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_parent_failure_ends_every_child(self, monkeypatch):
+        def fail():
+            raise ValueError("failed in the parent")
+
+        # the children would outlast the test unless they were ended
+        self._patched(monkeypatch, fail, lambda: time.sleep(120))
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="failed in the parent"):
+            run_campaign(config_from_dict(_order6_config(trials=6)), threads=3)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - t0 < 60
 
 
 def _write(tmp_path, name, doc):
@@ -510,7 +576,7 @@ class TestCli:
     @pytest.mark.parametrize("threads", ["0", "-1", str((os.cpu_count() or 1) + 1)])
     def test_attack_refuses_threads_outside_cpu_count(self, tmp_path, capsys, monkeypatch,
                                                       threads):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(multiprocessing, "Process", None)
         cfg = _write(tmp_path, "c.json", _order6_config(trials=4))
         assert cli.main(["attack", "--config", cfg, "--threads", threads]) == 2
         err = capsys.readouterr().err
@@ -1200,6 +1266,53 @@ def test_a_path_that_cannot_be_opened_is_a_config_error(tmp_path, capsys, option
     assert cli.main(argv) == 2
     name = "sample file" if option in ("--record-samples", "replay") else option
     assert capsys.readouterr().err == f"config error: {name} {folder}: Is a directory\n"
+
+
+@pytest.mark.parametrize("command", ["attack", "scan", "analyze", "replay"])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_output_is_refused_before_the_command_runs(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    # the campaign, scan or analysis used to run, and its report to print,
+    # before --output was opened
+    calls = []
+    for name in ("run_campaign", "scan_instance", "delta_probability", "build_plan"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
+    cfg = _write(tmp_path, "c.json", _order6_config(trials=3))
+    target = tmp_path / "folder" if where == "directory" else tmp_path / "missing" / "r.json"
+    if where == "directory":
+        target.mkdir()
+    argv = [command, "--config", cfg, "--output", str(target)]
+    assert cli.main(argv + ([str(tmp_path / "samples.jsonl")] if command == "replay" else [])) == 2
+    out, err = capsys.readouterr()
+    reason = "Is a directory" if where == "directory" else "No such file or directory"
+    assert (out, err) == ("", f"config error: --output {target}: {reason}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_refused_or_failed_command_leaves_the_output_unchanged(tmp_path, capsys, fmt):
+    refused = _write(tmp_path, "r.json", {
+        "instance": dict(USVA_INSTANCES[2]["instance"]),
+        "attack": {"family": "small_values", "mode": "fq", "alpha": 698, "M": 10, "trials": 2},
+    })
+    malformed = _write(tmp_path, "m.json", {**_order6_config(), "seed": -1})
+    out = tmp_path / "report.out"
+    out.write_text("an earlier report\n")
+    for cfg, code in [(refused, 3), (malformed, 2)]:
+        argv = ["attack", "--config", cfg, "--format", fmt]
+        assert cli.main(argv + ["--output", str(out)]) == code
+        assert out.read_text() == "an earlier report\n"
+        # and a refused or failed command creates no file
+        assert cli.main(argv + ["--output", str(tmp_path / "new.out")]) == code
+        assert not (tmp_path / "new.out").exists()
+    assert capsys.readouterr().out == ""
+    ok = _write(tmp_path, "c.json", _order6_config(trials=2))
+    assert cli.main(["attack", "--config", ok, "--format", fmt, "--output", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith("key,value" if fmt == "csv" else "{") and "earlier" not in text
+    if fmt == "json":
+        assert json.loads(text) == json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf", "1.5", "1", "0", "-0.5"])

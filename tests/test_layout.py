@@ -12,7 +12,8 @@ config reader on, an F_q root alpha being (1, alpha), and ExtFieldCtx(n,
 a, modulus) holds it with a as an int; the residue wrapper and the
 arithmetic only tests used are gone from src/, and so are the members only
 tests read.  A closed form that takes the truncation mode derives p0 from
-it, and the series tolerance is a constant."""
+it, and the series tolerance is a constant.  A campaign runs its trials
+through one loop in every process, and no module uses an executor."""
 
 import ast
 import dataclasses
@@ -71,6 +72,9 @@ DELETED = frozenset({
     "in_quarter_value", "_says_plwe",
     # the series grid, which analyze computes with f_of_r
     "f_of_r_table",
+    # the executor's worker hooks: a pooled campaign runs the trial loop of
+    # a sequential one in each process
+    "_init_worker", "_trial_worker", "_worker_plan", "ProcessPoolExecutor",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
@@ -176,3 +180,42 @@ def test_closed_forms_take_what_callers_vary():
     assert [f.name for f in dataclasses.fields(PosteriorBounds)] == [
         "vote_posterior", "not_plwe_posterior", "success_on_plwe", "success_on_uniform"
     ]
+
+
+def test_one_trial_loop():
+    for path in sorted((ROOT / "src" / "plwe_audit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "concurrent" for m in modules), path.name
+    tree = ast.parse((ROOT / "src" / "plwe_audit" / "campaign.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # the module functions each function names, called or passed on
+    named = {
+        name: {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} & set(functions)
+        for name, fn in functions.items()
+    }
+    reached, todo = set(), ["run_campaign"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += named[name]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    sites = []
+    for name, fn in functions.items():
+        in_loop = {
+            id(n) for loop in ast.walk(fn) if isinstance(loop, loops) for n in ast.walk(loop)
+        }
+        sites += [
+            (name, id(n) in in_loop)
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "run_trial"
+        ]
+    assert len(sites) == 1, sites
+    (name, in_loop), = sites
+    assert in_loop and name in reached and name != "run_campaign", sites
