@@ -23,7 +23,7 @@ def describe(name, instance_doc, sigma, truncated):
         return report
     for root in report.roots:
         live = [f.attack for f in root.flags if f.applicable]
-        print(f"   root alpha={root.alpha} (order {root.order}, {root.blocks.case_kind}, "
+        print(f"   root alpha={root.alpha} (order {root.order}, {root.to_dict()['case']}, "
               f"sigma_bar={root.blocks.sigma_bar:.4g}) -> {live or 'no attack applies'}")
     for fac in report.factors:
         live = [f.attack for f in fac.flags if f.applicable]

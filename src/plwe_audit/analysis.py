@@ -66,42 +66,41 @@ def quarter_mask(q: int) -> np.ndarray:
 @dataclass(frozen=True)
 class BlockStructure:
     """How an error evaluated at a root of y^n - a (n = 1: an F_q root a)
-    collapses: r_eff blocks of blocklen raw coefficients weighted by powers
-    of a, out of n_terms coefficients per coordinate."""
+    collapses: counts[k] of the n_terms coefficients per coordinate carry
+    the weight a^k (class_counts), and sigma_bar is the width of their sum."""
 
     order: int  # ord(a); 0 at the root 0
     n_terms: int
-    r_eff: int
-    blocklen: int
-    case_kind: str
+    counts: tuple[int, ...]
     sigma_bar: float
+
+
+@lru_cache(maxsize=256)
+def class_counts(order: int, n_terms: int) -> tuple[int, ...]:
+    """How many of the n_terms coefficients of a coordinate carry each
+    weight a^k at a root of the given order, by the paper's count: the root
+    0 keeps the constant coefficient alone; an order that reaches n_terms
+    gives each coefficient its own weight; a = +-1 splits all n_terms over
+    its one or two classes; a small order r gives r blocks of n_terms // r
+    and leaves out the remainder, which ROADMAP item 9 counts."""
+    if order == 0:
+        return (1,)
+    if 2 < order < n_terms:
+        return (n_terms // order,) * order
+    return tuple(n_terms // order + (k < n_terms % order) for k in range(min(order, n_terms)))
 
 
 def block_structure(point: ExtFieldCtx, N: int, sigma: float) -> BlockStructure:
     """Block structure of one evaluation point, for plans and the analyze
-    report; scans take block_structures.
-
-    sigma_bar^2 = sigma^2 * sum_k L*w_k^2: the weights w_k are the centered
-    powers a^k, k < order, each fed by L = n_terms // order coefficients
-    when the order is below n_terms, else the first n_terms powers with
-    L = 1; at a = +-1 the sum is n_terms.  The sum is an exact integer."""
-    n_terms = max(1, N // point.n)
-    q, a, order = point.q, point.a, point.order
-    if a == 0:
-        # the root 0 kills every coefficient but the constant one
-        return BlockStructure(0, n_terms, 1, 1, "general", math.sqrt(sigma * sigma))
-    if centered_value(a, q) in (1, -1):
-        kind, total = "pm_one", n_terms
-    else:
-        kind = "small_order" if order < n_terms else "general"
-        count, length = (order, n_terms // order) if order < n_terms else (n_terms, 1)
-        total, power = 0, 1
-        for _ in range(count):
-            total += length * centered_value(power, q) ** 2
-            power = power * a % q
-    return BlockStructure(
-        order, n_terms, order, max(1, n_terms // order), kind, math.sqrt(sigma * sigma * total)
-    )
+    report (scans take block_structures): sigma_bar^2 = sigma^2 * sum_k
+    counts[k] * w_k^2, w_k the centered powers a^k, an exact integer sum."""
+    q, order, n_terms = point.q, point.order, max(1, N // point.n)
+    counts = class_counts(order, n_terms)
+    total, power = 0, 1
+    for count in counts:
+        total += count * centered_value(power, q) ** 2
+        power = power * point.a % q
+    return BlockStructure(order, n_terms, counts, math.sqrt(sigma * sigma * total))
 
 
 # block_structures gathers at most this many weights at once, so each of its
@@ -113,37 +112,29 @@ def block_structures(
     n: int, idx: np.ndarray, N: int, sigma: float, G: np.ndarray
 ) -> list[BlockStructure]:
     """block_structure at the root of y^n - G[i], for every discrete log i
-    in idx, G = generator_powers(q), computed together.
-
-    The order of G[i] is (q-1)/gcd(i, q-1).  The points of one order share
-    their weight count K and block length L, and their centered weights
-    G[i*k mod (q-1)], k < K, come from one gather.  The sums of L*w^2 are
-    exact in int64 while (N+1)*q^2 < 2**63, so sigma_bar is the scalar
-    path's sqrt(sigma^2 * sum) bit for bit.
-    """
+    in idx, G = generator_powers(q), computed together.  The points of one
+    order (q-1)/gcd(i, q-1) share their class counts, and their centered
+    weights G[i*k mod (q-1)] come from one gather; the sums of count*w^2
+    are exact in int64 while (N+1)*q^2 < 2**63, so sigma_bar is the scalar
+    path's sqrt(sigma^2 * sum) bit for bit."""
     q = len(G) + 1
     n_terms = max(1, N // n)
     orders = log_orders(idx, q)
     sums = np.empty(len(idx), dtype=np.int64)
     for order in np.unique(orders).tolist():
         rows = np.flatnonzero(orders == order)
-        count, length = (order, n_terms // order) if order < n_terms else (n_terms, 1)
-        k = np.arange(count, dtype=np.int64)
-        step = max(1, _GATHER_ENTRIES // count)
+        counts = np.array(class_counts(order, n_terms), dtype=np.int64)
+        k = np.arange(counts.size, dtype=np.int64)
+        step = max(1, _GATHER_ENTRIES // counts.size)
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step]
             w = G[idx[part, None] * k % (q - 1)]
             w -= q * (2 * w > q)
-            sums[part] = length * (w * w).sum(axis=1)
-    values = G[idx]
-    pm_one = (values == 1) | (values == q - 1)
-    sums[pm_one] = n_terms
-    out = []
-    for order, pm, total in zip(orders.tolist(), pm_one.tolist(), sums.tolist()):
-        kind = "pm_one" if pm else "small_order" if order < n_terms else "general"
-        sbar = math.sqrt(sigma * sigma * total)
-        out.append(BlockStructure(order, n_terms, order, max(1, n_terms // order), kind, sbar))
-    return out
+            sums[part] = (w * w) @ counts
+    return [
+        BlockStructure(order, n_terms, class_counts(order, n_terms), math.sqrt(sigma * sigma * t))
+        for order, t in zip(orders.tolist(), sums.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +342,15 @@ def hit_threshold(ell: int, q, delta: float) -> int:
     return best_tau
 
 
-def extended_threshold(chunks: int, p0: float, m0: int, r_eff: int) -> int:
-    """Vote threshold of the chunked attacks: T = ceil(c * p0^(M0 * r_eff))."""
-    return math.ceil(chunks * p0 ** (m0 * r_eff))
+def extended_threshold(chunks: int, p0: float, m0: int, r: int) -> int:
+    """Vote threshold of the chunked attacks: T = ceil(c * p0^(M0 * r))."""
+    return math.ceil(chunks * p0 ** (m0 * r))
 
 
 @dataclass(frozen=True)
 class GateReport:
     """Evaluation of the published applicability inequality for the chunked
-    attacks: 1 - (|Sigma|/q)^M0 < p0^(M0 * r_eff).
+    attacks: 1 - (|Sigma|/q)^M0 < p0^(M0 * r).
 
     The inequality is recorded, never enforced: it fails for every chunk size
     large enough to be useful, including the sizes behind the published
@@ -372,11 +363,11 @@ class GateReport:
 
 
 def extended_gate(
-    sigma_size: float, q, p0: float, m0: int, r_eff: int
+    sigma_size: float, q, p0: float, m0: int, r: int
 ) -> GateReport:
     qv = int(q)
     lhs = 1.0 - (sigma_size / qv) ** m0
-    rhs = p0 ** (m0 * r_eff)
+    rhs = p0 ** (m0 * r)
     return GateReport(lhs, rhs, lhs < rhs)
 
 
@@ -499,15 +490,16 @@ class AttackFlag:
 
 def point_keys(n: int, a: int, blocks: BlockStructure) -> dict:
     """How scan and analyze reports spell the root of y^n - a: alpha at an
-    F_q root (n = 1, alpha = a), else n, a and the block counts n_prime and
-    n_second; then order, case and sigma_bar."""
+    F_q root (n = 1, alpha = a), else n, a, the coefficients per coordinate
+    n_prime and the shortest class n_second; then order, BDNB's case of
+    sigma_bar (the root 0 is general) and sigma_bar."""
     if n == 1:
         where = {"alpha": a}
     else:
-        where = {"n": n, "a": a, "n_prime": blocks.n_terms, "n_second": blocks.blocklen}
-    return {
-        **where, "order": blocks.order, "case": blocks.case_kind, "sigma_bar": blocks.sigma_bar
-    }
+        where = {"n": n, "a": a, "n_prime": blocks.n_terms, "n_second": min(blocks.counts)}
+    case = ("pm_one" if 0 < blocks.order <= 2
+            else "small_order" if 0 < blocks.order < blocks.n_terms else "general")
+    return {**where, "order": blocks.order, "case": case, "sigma_bar": blocks.sigma_bar}
 
 
 @dataclass(frozen=True)
@@ -562,47 +554,55 @@ class VulnReport:
 
 @dataclass(frozen=True)
 class SmallSetSize:
-    """The Sigma table of r blocks of blocklen error coefficients at width
-    sigma, before it is built: the enumeration bound, the tuple count
-    against the cap, and the analytic size."""
+    """The Sigma table of one class per count, class k summing counts[k]
+    error coefficients at width sigma, before it is built: the enumeration
+    bounds, the tuple count against the cap, and the analytic size."""
 
-    bound: int  # floor(2*sqrt(blocklen)*sigma): each block value has |x_j| <= bound
-    tuples_log10: float  # log10 of the (2*bound+1)^r enumerated tuples
-    tuple_count: int | None  # (2*bound+1)^r, None from 10^18 on
+    # (length, how many classes, bound floor(2*sqrt(length)*sigma)) per
+    # distinct class length, longest first: a class value has |x| <= bound
+    classes: tuple[tuple[int, int, int], ...]
+    tuples_log10: float  # log10 of the prod (2*bound+1) enumerated tuples
+    tuple_count: int | None  # prod (2*bound+1), None from 10^18 on
     feasible: bool  # the tuple count is at most the cap
     log_analytic: float  # log of the analytic size
-    analytic: float  # (4*sqrt(blocklen)*sigma+1)^r, inf beyond a float
+    analytic: float  # prod (4*sqrt(length)*sigma+1), inf beyond a float
 
 
-def small_set_size(r: int, blocklen: int, sigma: float, cap=DEFAULT_TABLE_CAP) -> SmallSetSize:
-    """The size of the Sigma table, for tables, flags and analyze alike."""
-    bound = math.floor(2.0 * math.sqrt(blocklen) * sigma)
-    tuples_log10 = r * math.log10(2 * bound + 1)
-    tuple_count = (2 * bound + 1) ** r if tuples_log10 < 18 else None
+def small_set_size(counts: tuple[int, ...], sigma: float, cap=DEFAULT_TABLE_CAP) -> SmallSetSize:
+    """The size of the Sigma table of the given class counts, for tables,
+    flags and analyze alike."""
+    classes = tuple(
+        (length, counts.count(length), math.floor(2.0 * math.sqrt(length) * sigma))
+        for length in sorted(set(counts), reverse=True)
+    )
+    tuples_log10 = sum(m * math.log10(2 * bound + 1) for _, m, bound in classes)
+    tuple_count = math.prod((2 * b + 1) ** m for _, m, b in classes) if tuples_log10 < 18 else None
     feasible = tuples_log10 <= math.log10(cap) if tuple_count is None else tuple_count <= cap
-    base = 4.0 * math.sqrt(blocklen) * sigma + 1.0
+    bases = [(4.0 * math.sqrt(length) * sigma + 1.0, m) for length, m, _ in classes]
     try:
-        analytic = base**r
+        analytic = math.prod(base**m for base, m in bases)
     except OverflowError:
         analytic = math.inf
-    return SmallSetSize(bound, tuples_log10, tuple_count, feasible, r * math.log(base), analytic)
+    log_analytic = sum(m * math.log(base) for base, m in bases)
+    return SmallSetSize(classes, tuples_log10, tuple_count, feasible, log_analytic, analytic)
 
 
 def small_set_flag(
-    q: int, truncated: bool, r: int, blocklen: int, sigma: float, table_cap: int
+    q: int, truncated: bool, counts: tuple[int, ...], sigma: float, table_cap: int
 ) -> AttackFlag:
     """The small-set precondition: a table feasible under the cap whose
-    analytic size stays below q*p0^r."""
-    p0 = p0_of(truncated)
-    size = small_set_size(r, blocklen, sigma, table_cap)
+    analytic size stays below q*p0^r, r = len(counts)."""
+    p0, r = p0_of(truncated), len(counts)
+    size = small_set_size(counts, sigma, table_cap)
     # the report takes the size as exp of its log, which may differ from
     # the table's power in the last bit; the pinned scan reports read it so
     analytic = math.exp(size.log_analytic) if math.isfinite(size.analytic) else None
     budget = q * p0**r
     ok = size.feasible and size.log_analytic < math.log(q) + r * math.log(p0)
     if not size.feasible:
+        widths = "*".join(f"({2 * bound + 1})^{m}" for _, m, bound in size.classes)
         cond = (
-            f"table infeasible: ({2 * size.bound + 1})^{r} ~ 10^{size.tuples_log10:.0f} "
+            f"table infeasible: {widths} ~ 10^{size.tuples_log10:.0f} "
             f"> cap {table_cap:.1e} (order too large)"
         )
     else:
@@ -611,10 +611,11 @@ def small_set_flag(
             f"{analytic:.1f}" if analytic is not None
             else f"10^{size.log_analytic / math.log(10):.0f}"
         )
-        cond = f"(4*sqrt({blocklen})*sigma+1)^{r} = {shown} {rel} q*p0^{r} = {budget:.1f}"
+        bases = "*".join(f"(4*sqrt({length})*sigma+1)^{m}" for length, m, _ in size.classes)
+        cond = f"{bases} = {shown} {rel} q*p0^{r} = {budget:.1f}"
     details = {
         "r": r,
-        "blocklen": blocklen,
+        "blocklen": min(counts),  # the report's name for the shortest class
         "tuple_count": size.tuple_count,
         "tuple_count_log10": size.tuples_log10,
         "analytic_bound": analytic,
@@ -663,19 +664,20 @@ def scan_instance(
     Extensions are scanned up to degree n_max (default 4: the look-up work
     grows steeply with the degree, so higher extensions are opt-in).  One
     table of generator powers serves the root and divisor search and the
-    block structures of every degree, and each distinct (r_eff, blocklen,
-    sigma_bar) gets its flags once: all roots of x^N + 1 share them.
+    block structures of every degree, and each distinct (n, order,
+    sigma_bar), which fixes the class counts, gets its flags once: all
+    roots of x^N + 1 share them.
     """
     q, N = ctx.q, ctx.N
     G = generator_powers(q)
     seen: dict[tuple, tuple[AttackFlag, ...]] = {}
 
     def point(n: int, a: int, bs: BlockStructure) -> PointVuln:
-        key = (bs.r_eff, bs.blocklen, bs.sigma_bar, n)
+        key = (n, bs.order, bs.sigma_bar)
         if key not in seen:
             prob = delta_probability(q, bs.sigma_bar)
             seen[key] = (
-                small_set_flag(q, truncated, bs.r_eff, bs.blocklen, sigma, table_cap),
+                small_set_flag(q, truncated, bs.counts, sigma, table_cap),
                 small_values_flag(q, truncated, bs.sigma_bar, n),
                 unbounded_flag(q, prob.delta, ratio=prob.ratio, p_event=prob.p_event),
             )

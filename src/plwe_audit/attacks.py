@@ -152,33 +152,35 @@ _MAX_PAIRS = 2**20
 
 
 def build_sigma_table_trace(
-    a: int, q: int, r: int, blocklen: int, sigma: float, cap: int = DEFAULT_TABLE_CAP
+    a: int, q: int, counts: tuple[int, ...], sigma: float, cap: int = DEFAULT_TABLE_CAP
 ) -> np.ndarray:
-    """The Sigma table for evaluation at a root of the binomial y^n - a, n = 1
-    included, as the read-only membership mask over F_q of the residues
-    sum_j x_j a^j mod q, |x_j| <= the bound of analysis.small_set_size: r
-    blocks of blocklen raw error coefficients weighted by the powers of a
-    (of order r).
+    """The Sigma table at a root of the binomial y^n - a, n = 1 included, as
+    the read-only membership mask over F_q of the residues sum_k x_k a^k mod
+    q, one class k per entry of counts (analysis.class_counts) and |x_k| <=
+    that class's bound in analysis.small_set_size.
 
-    Round j adds x * a^j, |x| <= bound, to every residue reached so far; a
-    round with bound 0 adds nothing, and 2*bound+1 >= q offsets reach all
-    of F_q at once.  Each round takes its residues in groups, so every
+    Round k adds x * a^k, |x| <= bound, to every residue reached so far; a
+    zero bound adds nothing, and 2*bound+1 >= q offsets in any class reach
+    all of F_q at once.  Rounds take their residues in groups, so every
     temporary holds at most max(q, _MAX_PAIRS) entries.
     """
-    if r < 1 or blocklen < 1:
-        raise ValueError("need r >= 1 and block length >= 1")
-    size = small_set_size(r, blocklen, sigma, cap)
+    if not counts or min(counts) < 1:
+        raise ValueError("need at least one class, each of length >= 1")
+    size = small_set_size(counts, sigma, cap)
     if not size.feasible:
-        raise TableTooLarge(
-            f"enumeration of {2 * size.bound + 1}^{r} tuples exceeds the cap of {cap}"
-        )
-    mask = np.full(q, 2 * size.bound + 1 >= q)
+        widths = "*".join(f"{2 * bound + 1}^{m}" for _, m, bound in size.classes)
+        raise TableTooLarge(f"enumeration of {widths} tuples exceeds the cap of {cap}")
+    full = 2 * max(bound for _, _, bound in size.classes) + 1 >= q
+    mask = np.full(q, full)
     mask[0] = True
-    if 0 < size.bound < q // 2:  # 2*bound+1 < q
-        offsets = np.arange(-size.bound, size.bound + 1, dtype=np.int64)
-        step = max(q, _MAX_PAIRS) // offsets.size
-        for j in range(r):
-            shifts = offsets * pow(a, j, q) % q
+    # below F_q, the offsets of each class length whose bound is not 0
+    offsets = {} if full else {
+        n: np.arange(-b, b + 1, dtype=np.int64) for n, _, b in size.classes if b
+    }
+    for k, count in enumerate(counts):
+        if count in offsets:
+            step = max(q, _MAX_PAIRS) // offsets[count].size
+            shifts = offsets[count] * pow(a, k, q) % q
             reached = np.flatnonzero(mask)
             for lo in range(0, reached.size, step):
                 mask[(reached[lo : lo + step, None] + shifts) % q] = True
@@ -331,13 +333,13 @@ def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecisio
 
 
 def extended_attack(
-    pairs: Pairs, m0: int, member: np.ndarray, r_eff: int, p0: float
+    pairs: Pairs, m0: int, member: np.ndarray, r: int, p0: float
 ) -> Decision:
     """Filter floor(M/M0) disjoint, index-ordered chunks of M0 samples with
     a basic attack's membership mask and vote: a chunk counts when it keeps
     a survivor (its verdict is not NOT PLWE).  The threshold is the expected
-    count for genuine PLWE input, ceil(c * p0^(M0*r_eff)); r_eff is the table
-    order for small-set masks and 1 for the quarter interval.
+    count for genuine PLWE input, ceil(c * p0^(M0*r)); r is the number of
+    weight classes for small-set masks and 1 for the quarter interval.
     """
     _require_samples(pairs)
     if m0 < 1:
@@ -362,4 +364,4 @@ def extended_attack(
         for lo in range(0, chunks, step):
             full, chunk, _ = _filter(targets[lo : lo + step], scales[lo : lo + step], member)
             votes += int(full.sum()) + np.unique(chunk).size
-    return Decision(votes, extended_threshold(chunks, p0, m0, r_eff))
+    return Decision(votes, extended_threshold(chunks, p0, m0, r))

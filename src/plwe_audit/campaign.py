@@ -176,7 +176,7 @@ def instance_from_dict(doc: dict) -> tuple[RqContext, GaussianSpec]:
         raise ConfigError(f"instance.sigma: expected a number, got {sigma!r}")
     try:
         gauss = GaussianSpec(float(sigma), truncated)
-        # sigma_bar^2 = sigma^2 * sum L*w^2 lies in [sigma^2, sigma^2*N*q^2]
+        # sigma_bar^2 = sigma^2 * sum count*w^2 lies in [sigma^2, sigma^2*N*q^2]
         square = gauss.sigma * gauss.sigma
         if not square > 0:
             raise ValueError(f"need sigma*sigma > 0, got sigma = {gauss.sigma!r}")
@@ -284,7 +284,7 @@ class AttackPlan:
     blocks: analysis.BlockStructure
     # the filter families' mask: the Sigma table or the quarter interval
     member: Optional[np.ndarray]
-    member_r: int  # the mask's order, blocks.r_eff for a Sigma table and 1 otherwise
+    member_r: int  # the mask's classes, len(blocks.counts) for a Sigma table, else 1
     delta: Optional[float]  # the unbounded family's
     preconditions: tuple[str, ...]
 
@@ -370,10 +370,10 @@ def build_plan(cfg: ExperimentConfig) -> AttackPlan:
     lines: list[str] = []
     member, member_r, delta = None, 1, None
     if att.family in SMALL_SET_FAMILIES:
-        member_r = blocks.r_eff
+        member_r = len(blocks.counts)
         try:
             member = build_sigma_table_trace(
-                point.a, q, member_r, blocks.blocklen, cfg.gauss.sigma, cfg.table_cap
+                point.a, q, blocks.counts, cfg.gauss.sigma, cfg.table_cap
             )
         except TableTooLarge as exc:
             raise PreconditionRefused(str(exc)) from exc
@@ -491,6 +491,7 @@ class CampaignReport:
         return sum(1 for t in self.trials if t["correct"]) / len(self.trials)
 
     def to_dict(self) -> dict:
+        invocations = sum(t.get("oracle_invocations", 0) for t in self.trials)
         return {
             "config": self.config_echo,
             "plan": self.plan_summary,
@@ -499,13 +500,8 @@ class CampaignReport:
                 "accuracy": self.accuracy,
                 "correct_on_plwe": self.rate("plwe"),
                 "correct_on_uniform": self.rate("uniform"),
-                "total_oracle_invocations": sum(
-                    t.get("oracle_invocations", 0) for t in self.trials
-                ),
-                "mean_oracle_invocations": sum(
-                    t.get("oracle_invocations", 0) for t in self.trials
-                )
-                / self.n_trials,
+                "total_oracle_invocations": invocations,
+                "mean_oracle_invocations": invocations / self.n_trials,
             },
             "trials": self.trials,
         }
@@ -552,7 +548,7 @@ def _plan_summary(plan: AttackPlan) -> dict:
         **({"alpha": a} if n == 1 else {"n": n, "a": a}),
     }
     if att.family in SMALL_SET_FAMILIES:
-        analytic = small_set_size(plan.member_r, blocks.blocklen, cfg.gauss.sigma).analytic
+        analytic = small_set_size(blocks.counts, cfg.gauss.sigma).analytic
         out["sigma_table_size"] = count
         out["sigma_table_analytic_bound"] = analytic
         out["predicted_bounds"] = {

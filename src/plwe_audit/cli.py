@@ -224,10 +224,10 @@ def _cmd_analyze(args) -> dict:
                 "small_values", truncated, args.min_M, q=q
             ),
         }
-        size = small_set_size(blocks.r_eff, blocks.blocklen, sigma).analytic
-        if blocks.order and size < q:
+        size = small_set_size(blocks.counts, sigma).analytic
+        if size < q:
             out["min_M"]["small_set"] = minimal_samples(
-                "small_set", truncated, args.min_M, q=q, sigma_size=size, r=blocks.r_eff
+                "small_set", truncated, args.min_M, q=q, sigma_size=size, r=len(blocks.counts)
             )
     if args.f_of_r_csv:
         grid = [4.0 * 2.0**0.5 * (i + 1) / 1000.0 for i in range(1000)]

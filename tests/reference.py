@@ -31,6 +31,10 @@ by its blocks.
 The Sigma residue set by enumeration, one Python set per round: the form
 that attacks.build_sigma_table_trace replaced by its numpy mask.
 
+The block structure as r_eff blocks of blocklen coefficients, each with its
+own +-1 and root-0 branch: the form that analysis.class_counts replaced by
+the class counts of a point.
+
 The irreducible binomials y^n - a, n <= 4, by factor search: the oracle
 for the order criterion that fields.ExtFieldCtx applies.
 """
@@ -45,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from plwe_audit.analysis import in_quarter_residues
-from plwe_audit.fields import ExtFieldCtx
+from plwe_audit.fields import ExtFieldCtx, centered_value
 from plwe_audit.rings import RingPoly, RqContext, _require_int64_modulus, eval_matrix
 from plwe_audit.samplers import (
     BudgetExhausted,
@@ -492,16 +496,55 @@ def whole_array_monte_carlo_delta(q, sigma_bar_value, rng, draws=10**6):
     return hits / draws - 0.5
 
 
-def reference_sigma_values(a: int, q: int, r: int, blocklen: int, sigma: float) -> frozenset:
-    """The residues sum_j x_j a^j mod q, j < r, over the integer tuples with
-    |x_j| <= floor(2*sqrt(blocklen)*sigma)."""
-    bound = math.floor(2.0 * math.sqrt(blocklen) * sigma)
+def reference_sigma_values(a: int, q: int, counts: tuple[int, ...], sigma: float) -> frozenset:
+    """The residues sum_j x_j a^j mod q, j < len(counts), over the integer
+    tuples with |x_j| <= floor(2*sqrt(counts[j])*sigma)."""
     values = {0}
     power = 1
-    for _ in range(r):
+    for count in counts:
+        bound = math.floor(2.0 * math.sqrt(count) * sigma)
         values = {(v + x * power) % q for v in values for x in range(-bound, bound + 1)}
         power = power * a % q
     return frozenset(values)
+
+
+@dataclass(frozen=True)
+class ReferenceBlocks:
+    """A point's error image as r_eff blocks of blocklen coefficients."""
+
+    order: int  # ord(a); 0 at the root 0
+    n_terms: int
+    r_eff: int
+    blocklen: int
+    case_kind: str
+    sigma_bar: float
+
+
+def reference_block_structure(point: ExtFieldCtx, N: int, sigma: float) -> ReferenceBlocks:
+    """Block structure of one evaluation point, for plans and the analyze
+    report; scans take block_structures.
+
+    sigma_bar^2 = sigma^2 * sum_k L*w_k^2: the weights w_k are the centered
+    powers a^k, k < order, each fed by L = n_terms // order coefficients
+    when the order is below n_terms, else the first n_terms powers with
+    L = 1; at a = +-1 the sum is n_terms.  The sum is an exact integer."""
+    n_terms = max(1, N // point.n)
+    q, a, order = point.q, point.a, point.order
+    if a == 0:
+        # the root 0 kills every coefficient but the constant one
+        return ReferenceBlocks(0, n_terms, 1, 1, "general", math.sqrt(sigma * sigma))
+    if centered_value(a, q) in (1, -1):
+        kind, total = "pm_one", n_terms
+    else:
+        kind = "small_order" if order < n_terms else "general"
+        count, length = (order, n_terms // order) if order < n_terms else (n_terms, 1)
+        total, power = 0, 1
+        for _ in range(count):
+            total += length * centered_value(power, q) ** 2
+            power = power * a % q
+    return ReferenceBlocks(
+        order, n_terms, order, max(1, n_terms // order), kind, math.sqrt(sigma * sigma * total)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -113,8 +113,8 @@ def test_criterion_05_published_posterior_figures():
     """The four published vote posteriors from the analytic table bounds."""
     t0 = time.perf_counter()
     q = 4099
-    bound_a = math.floor(small_set_size(6, 1, 0.7).analytic)
-    bound_b = math.floor(small_set_size(3, 2, 2.5).analytic)
+    bound_a = math.floor(small_set_size((1,) * 6, 0.7).analytic)
+    bound_b = math.floor(small_set_size((2, 2, 2), 2.5).analytic)
     figures = [
         (bound_a, 6, 350, 0.861),
         (bound_a, 6, 500, 0.998),
@@ -255,7 +255,7 @@ def test_criterion_11_truncated_soundness():
     q = 4099
     ring6 = RqContext((-1, 0, 0, 0, 0, 0, 1), PrimeModulus(q))
     alpha6 = 2018
-    table = build_sigma_table_trace(alpha6, q, 6, 1, 0.7)
+    table = build_sigma_table_trace(alpha6, q, (1,) * 6, 0.7)
     gauss6 = GaussianSpec(0.7, True)
     ok = True
     for seed in range(500):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plwe_audit import instances
@@ -18,6 +18,7 @@ from plwe_audit.analysis import (
     _erf_series,
     block_structure,
     block_structures,
+    class_counts,
     cumulative_binomial,
     delta_probability,
     extended_gate,
@@ -27,6 +28,7 @@ from plwe_audit.analysis import (
     in_quarter_residues,
     minimal_samples,
     monte_carlo_delta,
+    point_keys,
     posterior_bounds,
     quarter_count,
     quarter_mask,
@@ -37,12 +39,16 @@ from plwe_audit.campaign import PreconditionRefused, build_plan, config_from_dic
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, is_prime
 from plwe_audit.instances import (
     KYBER_STYLE_RING,
+    TRACE_INSTANCE_A,
+    TRACE_INSTANCE_B,
     TRACE_RING_A,
     USVA_INSTANCES,
 )
-from plwe_audit.rings import generator_powers, load_ring_doc
+from plwe_audit.rings import eval_matrix, generator_powers, load_ring_doc
 from reference import (
     in_quarter_value,
+    irreducible_constants,
+    reference_block_structure,
     reference_monte_carlo_delta,
     whole_array_monte_carlo_delta,
 )
@@ -97,7 +103,7 @@ class TestSigmaBar:
     def test_minus_one_root(self):
         m = PrimeModulus(3677)
         bs = block_structure(ExtFieldCtx(1, 3676, m), 256, 8.0)
-        assert bs.case_kind == "pm_one"
+        assert point_keys(1, 3676, bs)["case"] == "pm_one"
         assert bs.sigma_bar == pytest.approx(math.sqrt(256) * 8.0)
 
     def test_unit_trace_weight(self):
@@ -109,8 +115,8 @@ class TestSigmaBar:
         # the centered powers of 698 mod 2887 are 1, 698, -699, 85 apiece
         m = PrimeModulus(2887)
         bs = block_structure(ExtFieldCtx(1, 698, m), 256, 8.0)
-        assert bs.case_kind == "small_order"
-        assert (bs.order, bs.r_eff, bs.blocklen) == (3, 3, 85)
+        assert point_keys(1, 698, bs)["case"] == "small_order"
+        assert (bs.order, bs.counts) == (3, (85, 85, 85))
         expected = math.sqrt(85 * 64 * (1 + 698**2 + 699**2))
         assert bs.sigma_bar == pytest.approx(expected)
 
@@ -124,7 +130,8 @@ class TestSigmaBar:
         # order 12 > N = 4: four weights 1, 2, 4, 8 = -5 mod 13, one apiece
         m = PrimeModulus(13)
         bs = block_structure(ExtFieldCtx(1, 2, m), 4, 1.0)
-        assert bs.case_kind == "general"
+        assert point_keys(1, 2, bs)["case"] == "general"
+        assert bs.counts == (1, 1, 1, 1)
         assert bs.sigma_bar == pytest.approx(math.sqrt(1 + 4 + 16 + 25))
 
 
@@ -427,7 +434,7 @@ class TestScanner:
         report = scan_instance(ctx, 0.7, truncated=False)
         entry = next(f for f in report.factors if f.n == 3 and f.a == 2018)
         assert entry.order == 6
-        assert entry.blocks.n_terms == 7 and entry.blocks.blocklen == 1
+        assert entry.blocks.n_terms == 7 and entry.blocks.counts == (1,) * 6
         flag = next(f for f in entry.flags if f.attack == "small_set")
         assert flag.applicable
         assert "3010.9" in flag.condition and "<" in flag.condition
@@ -442,7 +449,7 @@ class TestScanner:
         ctx = load_ring_doc(doc["instance"])
         report = scan_instance(ctx, 8.0, truncated=False)
         entry = next(r for r in report.roots if r.alpha == 3676)
-        assert entry.order == 2 and entry.blocks.case_kind == "pm_one"
+        assert entry.order == 2 and entry.to_dict()["case"] == "pm_one"
         flag = next(f for f in entry.flags if f.attack == "unbounded_small_values")
         assert flag.applicable
         assert flag.details["big_delta"] > 0
@@ -493,6 +500,93 @@ class TestBlockStructures:
                          for i in idx]
 
 
+class TestClassCounts:
+    """class_counts against reference_block_structure, the r_eff blocks of
+    blocklen coefficients that it replaced: sigma_bar is the same bit for
+    bit everywhere, and the counts are the same blocks wherever the order
+    stays within N // n, except at a = -1 with N // n odd."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(SMALL_PRIMES[:24]),
+        st.integers(1, 4),
+        st.integers(1, 64),
+        st.floats(0.05, 50.0),
+        st.data(),
+    )
+    def test_matches_the_block_oracle(self, q, n, N, sigma, data):
+        # the root 0 and +-1 among the F_q roots, else an irreducible y^n - a
+        constants = range(q) if n == 1 else irreducible_constants(q, n)
+        assume(constants)
+        point = ExtFieldCtx(n, data.draw(st.sampled_from(constants)), PrimeModulus(q))
+        got = block_structure(point, N, sigma)
+        want = reference_block_structure(point, N, sigma)
+        assert got.sigma_bar == want.sigma_bar
+        assert (got.order, got.n_terms) == (want.order, want.n_terms)
+        keys = point_keys(n, point.a, got)
+        assert keys["case"] == want.case_kind
+        assert keys.get("n_second", want.blocklen) == min(got.counts) == want.blocklen
+        n_terms = got.n_terms
+        if got.order > n_terms:
+            assert got.counts == (1,) * n_terms and want.r_eff == got.order
+        elif got.order == 2 and n_terms % 2:
+            assert got.counts == (n_terms // 2 + 1, n_terms // 2)
+            assert want.r_eff * want.blocklen == n_terms - 1
+        else:
+            assert got.counts == (want.blocklen,) * want.r_eff
+
+    def test_order_beyond_the_coefficients_sums_each_once(self):
+        # 2 has order 12 mod 13 and N = 4: sigma_bar sums four weights, and
+        # so does the table, where the blocks enumerated twelve
+        point = ExtFieldCtx(1, 2, PrimeModulus(13))
+        got, want = block_structure(point, 4, 1.0), reference_block_structure(point, 4, 1.0)
+        assert got.counts == (1, 1, 1, 1) and (want.r_eff, want.blocklen) == (12, 1)
+        assert got.sigma_bar == want.sigma_bar == math.sqrt(1 + 4 + 16 + 25)
+
+    def test_minus_one_with_odd_coefficients_keeps_all(self):
+        # 7 coefficients at a = -1: classes of 4 and 3, where the blocks held 3 and 3
+        point = ExtFieldCtx(1, 12, PrimeModulus(13))
+        got, want = block_structure(point, 7, 2.0), reference_block_structure(point, 7, 2.0)
+        assert got.counts == (4, 3) and (want.r_eff, want.blocklen) == (2, 3)
+        assert got.sigma_bar == want.sigma_bar == math.sqrt(7) * 2.0
+
+    def test_cases(self):
+        assert class_counts(0, 9) == (1,)
+        assert class_counts(12, 4) == class_counts(4, 4) == (1, 1, 1, 1)
+        assert class_counts(1, 9) == (9,) and class_counts(2, 9) == (5, 4)
+        assert class_counts(3, 10) == (3, 3, 3)
+
+
+def _column0_classes(point: ExtFieldCtx, N: int) -> tuple[int, ...]:
+    """How many coefficients carry each weight a^k in c0(e): the rows
+    i = 0, n, 2n, ... of eval_matrix's column 0, grouped by (i // n) mod
+    order."""
+    rows = np.flatnonzero(eval_matrix(point, N)[:, 0])
+    sizes = np.bincount(rows // point.n % point.order, minlength=point.order)
+    return tuple(sizes[sizes > 0].tolist())
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 9: class_counts takes the paper's N // n coefficients in equal "
+    "blocks, where c0(e) sums ceil(N/n) of them with the remainder kept"
+))
+@pytest.mark.parametrize("inst", [TRACE_INSTANCE_A, TRACE_INSTANCE_B], ids=["ring_a", "ring_b"])
+def test_class_counts_are_the_classes_of_the_evaluation(inst):
+    # N = 23, n = 3: rows 0, 3, ..., 21 hold eight coefficients, where the
+    # paper's count keeps seven; ring A's order 6 splits them 2, 2, 1, 1, 1, 1,
+    # ring B's order 3 splits them 3, 3, 2
+    point = ExtFieldCtx(inst["extension"]["n"], inst["extension"]["a"], PrimeModulus(4099))
+    N = inst["instance"]["N"]
+    assert class_counts(point.order, N // point.n) == _column0_classes(point, N)
+
+
+def test_class_counts_are_the_classes_where_the_blocks_divide():
+    # n | N and order | N // n: 36 coefficients, twelve rows in column 0,
+    # two per power of 2018 (order 6)
+    point = ExtFieldCtx(3, 2018, PrimeModulus(4099))
+    assert class_counts(point.order, 36 // 3) == _column0_classes(point, 36) == (2,) * 6
+
+
 def _falcon_sigma(N):
     # Falcon's published width 1.17 * sqrt(q / 2N)
     return 1.17 * math.sqrt(12289 / (2 * N))
@@ -516,7 +610,9 @@ PINNED_SCANS = [
 
 # sha256 of the sorted-key JSON of each scan report, taken from the
 # per-point scanner (one mult_order and one Python weight loop per point)
-# before scans were batched
+# before scans were batched; the rings with points of order above N // n
+# (bundled4-6, kyber, falcon) re-pinned when their small-set flags came to
+# count N // n classes there instead of order
 SCAN_DIGESTS = {
     "bundled0-False": "e7bd64d3f2a81da0097209973c86d233897815ac4082158ae4f3b1aec6e301af",
     "bundled0-True": "ae5bc18e9f29f50418578b3e6b960adb0b67fbe1d45b6421aa199865e7340e48",
@@ -526,18 +622,18 @@ SCAN_DIGESTS = {
     "bundled2-True": "eb4e293494a5e341524c2523be1a71d65321695b63443d847b2ee26a79530deb",
     "bundled3-False": "d6ed3c7709cef32b71dc4685497b34795b705c0875a4a0bbc7e37bf4ef0e52a6",
     "bundled3-True": "39d2c10a4659c001f3db1925d25e92f8d5dfc92b35de4918717a8e2fb8a91160",
-    "bundled4-False": "6ce1ca779661ae8573b52b88762af94597cdae5c13d6d17fc69abcbcfbbcf180",
-    "bundled4-True": "f0d41106b24a610b4614c6b8f4f298ba6c2cd290fec4dd9be62bc8fbaae4d19d",
-    "bundled5-False": "78cf6c96216d74ad81a9c954fc2c08eef193eb9d00e1bcb675aae1b45cc87b54",
-    "bundled5-True": "d054bbedbec0c1e7d2099bef1faecec77bb6509c8870310f099d81a0051b7629",
-    "bundled6-False": "7f72715f12106737c53357d0a0c1e6382a9fa09c7419fea4dbd760addac30348",
-    "bundled6-True": "5e9e3832cebbdee40dfd914e19cebc0fc72569cabaa299d26eb94264a3ef3b67",
-    "kyber-False": "b43fadf9e03292df4383f7c6b16f6d165e56e24c67c7d2c2f7a1e54939d062ca",
-    "kyber-True": "b4c83da92a95933216e7486fd7f87f013227230bf6981f0ed7663bb07523f78c",
-    "falcon512-False": "393222f888f639614f1aa7b5c2e375d82f1da88dbff71886b045b417b2db864b",
-    "falcon512-True": "94c98bcfd072dbd6e2bf01bfee1bc2d0fbbf9fe1fd424ed074e666ab7bf92f78",
-    "falcon1024-False": "96f662cb8be5d1f10b04412b6c856da96a4cf808b6dce6356699cae9a5944ef7",
-    "falcon1024-True": "00071935fd3037eadef53df8b50a47b6cc69754a21dcb4eda42cf0afc5ea4220",
+    "bundled4-False": "0b5d53c255ba3bc236211eeee91e7b0058396c726ea443b8c69ab2d80a9d0edb",
+    "bundled4-True": "1a0c51ad52d245227e69e28821e3c10f5a57d9116a40954dfce9cf2690e5b506",
+    "bundled5-False": "2bba4ae37e538bfbe050b50b1445033d4fc5fca28468a57493ac10cc2239f93b",
+    "bundled5-True": "a3fc68233e1b1456058413937fe881d80f592f875a3b82b39ad09701a22d6b57",
+    "bundled6-False": "7c391607c6fc31dd4c3864ad412cb7e8371abb9dceb11b97f12c529b1d400365",
+    "bundled6-True": "cc110e3c9f4a05a23ac66bbbde00a0ad70bf9bf213499eec2cabd0b5558eb327",
+    "kyber-False": "7aba2582d6a1396a747452330484efde677d2e28f7d285f63db7cce5eb821c6d",
+    "kyber-True": "debba50b5be3508f39ea508720c63efc34c0cee42a9aae948e71fa6751a09c4f",
+    "falcon512-False": "8754da360cfa0e466e20e2966c7d95c346b8bb533f8933ae43a9fb98ecdada6b",
+    "falcon512-True": "2dcece77cb50a52a5e7d49cd4388206d31e2c50df2749d9fbd31993cea42814f",
+    "falcon1024-False": "63e6ef64b18447f59a339d33451d37c780678f47ce0d649bac57f29cd883cf65",
+    "falcon1024-True": "6aec4a1bddc243d2a00b5c12ae2b0353fe2ecb322e4dde28cc020ae39b734454",
     "ntru_prime761-False": "5999f6ebc22f4711a87534b76680b164e8f2943d674107e4816884a35c5d43e2",
     "ntru_prime761-True": "a121ffa8468cef2038f6e6818b28973e8ebafd296a1cf6ce995fba36f9114241",
 }

@@ -78,13 +78,13 @@ def _residues(mask):
 
 class TestSigmaTables:
     def test_single_block_is_an_interval(self):
-        table = build_sigma_table_trace(1, 13, 1, 4, 1.0)
+        table = build_sigma_table_trace(1, 13, (4,), 1.0)
         assert _residues(table) == frozenset(v % 13 for v in range(-4, 5))
         assert np.count_nonzero(table) == 9
 
     def test_trace_table_order6(self):
-        table = build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 0.7)
-        analytic = small_set_size(6, 1, 0.7).analytic
+        table = build_sigma_table_trace(ALPHA_2018, 4099, (1,) * 6, 0.7)
+        analytic = small_set_size((1,) * 6, 0.7).analytic
         assert abs(analytic - 3.8**6) < 1e-9
         assert analytic < 4099 * 0.954500**6
         # oracle: full tuple enumeration
@@ -95,13 +95,14 @@ class TestSigmaTables:
 
     def test_analytic_bound_beyond_a_float_is_inf(self):
         # 7 has order 2048 mod 12289: 1.8^2048 overflows, 1.8^1024 does not
-        assert small_set_size(2048, 1, 0.2).analytic == math.inf
-        assert small_set_size(1024, 1, 0.2).analytic == 1.8**1024
+        assert small_set_size((1,) * 2048, 0.2).analytic == math.inf
+        assert small_set_size((1,) * 1024, 0.2).analytic == 1.8**1024
 
     def test_trace_table_order3(self):
         a = 2017
-        table = build_sigma_table_trace(a, 4099, 3, 2, 2.5)
-        assert abs(small_set_size(3, 2, 2.5).analytic - (4 * math.sqrt(2) * 2.5 + 1) ** 3) < 1e-9
+        table = build_sigma_table_trace(a, 4099, (2, 2, 2), 2.5)
+        analytic = small_set_size((2, 2, 2), 2.5).analytic
+        assert abs(analytic - (4 * math.sqrt(2) * 2.5 + 1) ** 3) < 1e-9
         oracle = set()
         for xs in product(range(-7, 8), repeat=3):
             oracle.add(sum(x * pow(2017, j, 4099) for j, x in enumerate(xs)) % 4099)
@@ -109,13 +110,20 @@ class TestSigmaTables:
         assert np.count_nonzero(table) <= 15**3
 
     def test_block_sigma_recorded(self):
-        size = small_set_size(3, 2, 2.5)
-        assert size.bound == math.floor(2 * math.sqrt(2) * 2.5) == 7
+        size = small_set_size((2, 2, 2), 2.5)
+        assert size.classes == ((2, 3, math.floor(2 * math.sqrt(2) * 2.5)),) == ((2, 3, 7),)
         assert size.tuple_count == 15**3 and size.feasible
+
+    def test_classes_of_two_lengths(self):
+        # a = -1 with 7 coefficients: classes of 4 and 3, bounds 4 and 3
+        size = small_set_size((4, 3), 1.0)
+        assert size.classes == ((4, 1, 4), (3, 1, 3))
+        assert size.tuple_count == 9 * 7
+        assert size.analytic == (4 * 2.0 + 1) * (4 * math.sqrt(3) + 1)
 
     def test_cap(self):
         with pytest.raises(TableTooLarge):
-            build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 8.0, cap=10**4)
+            build_sigma_table_trace(ALPHA_2018, 4099, (1,) * 6, 8.0, cap=10**4)
 
 
 def _plwe_samples(ctx, gauss, m, seed, rq0_ext=None):
@@ -138,7 +146,7 @@ def _uniform_samples(ctx, m, seed):
 
 
 class TestSmallSetFq:
-    TABLE = build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 0.7)
+    TABLE = build_sigma_table_trace(ALPHA_2018, 4099, (1,) * 6, 0.7)
 
     def test_truncated_true_value_always_survives(self):
         for seed in range(30):
@@ -153,7 +161,7 @@ class TestSmallSetFq:
     def test_singleton_miss_is_not_plwe(self):
         # sigma = 0.1 collapses the table to {0}; a sample with a = 0, b = 1
         # then rejects every guess
-        table = build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 0.1)
+        table = build_sigma_table_trace(ALPHA_2018, 4099, (1,) * 6, 0.1)
         assert _residues(table) == frozenset({0})
         sample = Sample(RING_ORDER6.poly([]), RING_ORDER6.poly([1]))
         verdict = small_set_attack(pairs_at([sample], ALPHA_2018), table)
@@ -193,8 +201,8 @@ class TestSmallSetFq:
     def test_uniform_rejection_bound_exact_vs_analytic(self):
         # the analytic cardinality estimate makes the M = 30 union bound
         # vacuous, but the exact residue set is small enough to salvage it
-        table = build_sigma_table_trace(2017, 4099, 3, 2, 2.5)
-        analytic = 1 - 4099 * (small_set_size(3, 2, 2.5).analytic / 4099) ** 30
+        table = build_sigma_table_trace(2017, 4099, (2, 2, 2), 2.5)
+        analytic = 1 - 4099 * (small_set_size((2, 2, 2), 2.5).analytic / 4099) ** 30
         exact = 1 - 4099 * (np.count_nonzero(table) / 4099) ** 30
         assert analytic < 0 < 0.999 < exact
 
@@ -204,7 +212,7 @@ class TestSmallSetFq:
 
 
 class TestSmallSetTrace:
-    TABLE = build_sigma_table_trace(2017, 4099, 3, 2, 2.5)
+    TABLE = build_sigma_table_trace(2017, 4099, (2, 2, 2), 2.5)
 
     def test_zero_error_survivor_is_trace_of_secret(self):
         from reference import trace
@@ -237,7 +245,7 @@ class TestSmallSetTrace:
         m5 = PrimeModulus(5)
         alpha = 4
         ext1 = ExtFieldCtx(1, alpha, m5)
-        table = build_sigma_table_trace(alpha, 5, 2, 1, 0.7)
+        table = build_sigma_table_trace(alpha, 5, (1, 1), 0.7)
         for seed in range(20):
             if seed % 2:
                 _, samples = _plwe_samples(ring, GaussianSpec(0.7, True), 4, seed)
@@ -511,7 +519,7 @@ class TestLogDomainHitCounts:
 
 
 class TestExtended:
-    MASK = build_sigma_table_trace(ALPHA_2018, 4099, 6, 1, 0.7)
+    MASK = build_sigma_table_trace(ALPHA_2018, 4099, (1,) * 6, 0.7)
 
     def test_truncated_threshold_is_chunk_count(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 30, 0)
@@ -627,7 +635,7 @@ class TestFilterMatchesCandidateMajorLoop:
         n = point.n if isinstance(point, ExtFieldCtx) else 1
         a = point.a if isinstance(point, ExtFieldCtx) else point
         q = samples[0].a.ctx.q
-        table = build_sigma_table_trace(a, q, 2, 1, sigma)
+        table = build_sigma_table_trace(a, q, (1, 1), sigma)
         quarter = attacks.quarter_mask(q)
         pairs = [_scalar_pair(s, point) for s in samples]
         for member in (table, quarter):
@@ -663,7 +671,7 @@ class TestFilterMatchesCandidateMajorLoop:
         a = point.a if isinstance(point, ExtFieldCtx) else point
         q = samples[0].a.ctx.q
         evaluated = pairs_at(samples, point)
-        for member in (build_sigma_table_trace(a, q, 2, 1, sigma), attacks.quarter_mask(q)):
+        for member in (build_sigma_table_trace(a, q, (1, 1), sigma), attacks.quarter_mask(q)):
             full, chunk, _ = attacks._filter(
                 evaluated.targets[:, None], evaluated.scales[:, None], member
             )
@@ -781,7 +789,7 @@ class TestUniformRejectionTrace:
     def test_thirty_samples_reject_uniform_with_exact_table(self):
         # the exact 631-value table drives q*(|Sigma|/q)^30 to ~1e-21, so all
         # 200 uniform batches must come back NOT PLWE
-        table = build_sigma_table_trace(2017, 4099, 3, 2, 2.5)
+        table = build_sigma_table_trace(2017, 4099, (2, 2, 2), 2.5)
         q, M, trials = 4099, 30, 200
         bound = 1 - q * (np.count_nonzero(table) / q) ** M
         assert bound > 1 - 1e-12
@@ -814,16 +822,17 @@ class TestQuarterPassRate:
 class TestSigmaTableInvariants:
     def test_size_never_exceeds_analytic_bound(self):
         cases = [
-            (2018, 4099, 6, 1, 0.7),
-            (2017, 4099, 3, 2, 2.5),
-            (1, 13, 1, 4, 1.0),
+            (2018, 4099, (1,) * 6, 0.7),
+            (2017, 4099, (2, 2, 2), 2.5),
+            (1, 13, (4,), 1.0),
+            (4098, 4099, (4, 3), 2.5),
         ]
-        for a, q, r, blocklen, sigma in cases:
-            table = build_sigma_table_trace(a, q, r, blocklen, sigma)
-            assert np.count_nonzero(table) <= small_set_size(r, blocklen, sigma).analytic
+        for a, q, counts, sigma in cases:
+            table = build_sigma_table_trace(a, q, counts, sigma)
+            assert np.count_nonzero(table) <= small_set_size(counts, sigma).analytic
 
     def test_unit_weight_trace_table_is_interval(self):
-        table = build_sigma_table_trace(1, 4099, 1, 7, 2.5)
+        table = build_sigma_table_trace(1, 4099, (7,), 2.5)
         limit = math.floor(2 * math.sqrt(7) * 2.5)
         assert _residues(table) == frozenset(v % 4099 for v in range(-limit, limit + 1))
 
@@ -844,25 +853,27 @@ class TestSigmaMask:
     @settings(max_examples=120, deadline=None)
     @given(
         st.sampled_from([p for p in range(3, 102) if is_prime(p)]),
-        st.integers(1, 6),
-        st.integers(1, 4),
+        st.one_of(
+            # r equal blocks, or the a = -1 classes of an odd coefficient count
+            st.tuples(st.integers(1, 4), st.integers(1, 6)).map(lambda lr: (lr[0],) * lr[1]),
+            st.integers(1, 4).map(lambda n: (n + 1, n)),
+        ),
         st.floats(0.0, 60.0),
         st.sampled_from([None, -1, 0, 1]),
         st.data(),
     )
-    def test_matches_set_enumeration(self, q, r, blocklen, sigma, near_cap, data):
+    def test_matches_set_enumeration(self, q, counts, sigma, near_cap, data):
         # sigma up to 60 takes 2*bound+1 past q for every q here
         a = data.draw(st.integers(0, q - 1))
-        bound = math.floor(2.0 * math.sqrt(blocklen) * sigma)
-        tuples = (2 * bound + 1) ** r
+        tuples = math.prod(2 * math.floor(2.0 * math.sqrt(c) * sigma) + 1 for c in counts)
         cap = 10**8 if near_cap is None else max(1, tuples + near_cap)
         if tuples > cap:
             with pytest.raises(TableTooLarge):
-                build_sigma_table_trace(a, q, r, blocklen, sigma, cap)
+                build_sigma_table_trace(a, q, counts, sigma, cap)
             return
-        table = build_sigma_table_trace(a, q, r, blocklen, sigma, cap)
-        assert _residues(table) == reference_sigma_values(a, q, r, blocklen, sigma)
-        assert np.count_nonzero(table) == len(reference_sigma_values(a, q, r, blocklen, sigma))
+        table = build_sigma_table_trace(a, q, counts, sigma, cap)
+        assert _residues(table) == reference_sigma_values(a, q, counts, sigma)
+        assert np.count_nonzero(table) == len(reference_sigma_values(a, q, counts, sigma))
         assert not table.flags.writeable
 
     def test_offsets_past_q_give_the_full_mask_in_o_q_memory(self):
@@ -870,7 +881,7 @@ class TestSigmaMask:
         # would take more than max(q, _MAX_PAIRS) int64 entries
         q = 4194301
         table, peak = _peak_bytes(
-            lambda: build_sigma_table_trace(1, q, 1, 1, 1.1e6)
+            lambda: build_sigma_table_trace(1, q, (1,), 1.1e6)
         )
         assert table.all()
         assert peak <= 8 * max(q, attacks._MAX_PAIRS)
@@ -881,7 +892,7 @@ class TestSigmaMask:
         monkeypatch.setattr(attacks, "_MAX_PAIRS", 2**12)
         q = 4099
         table, peak = _peak_bytes(
-            lambda: build_sigma_table_trace(q - 1, q, 2, 1, 500.0)
+            lambda: build_sigma_table_trace(q - 1, q, (1, 1), 500.0)
         )
         assert _residues(table) == frozenset(v % q for v in range(-2000, 2001))
         # a few temporaries of at most max(q, _MAX_PAIRS) int64 entries each
@@ -891,12 +902,12 @@ class TestSigmaMask:
         # Falcon-1024's root 7 has order 2048; at sigma = 0.2 each of the
         # 2048 rounds adds only x = 0, so the mask is {0} at once, no slower
         # than the set enumeration it replaced
-        table = build_sigma_table_trace(7, 12289, 2048, 1, 0.2)
+        table = build_sigma_table_trace(7, 12289, (1,) * 2048, 0.2)
         assert _residues(table) == frozenset({0})
 
         def best(build):
             return min(timeit.repeat(build, number=1, repeat=5))
 
-        assert best(lambda: build_sigma_table_trace(7, 12289, 2048, 1, 0.2)) <= best(
-            lambda: reference_sigma_values(7, 12289, 2048, 1, 0.2)
+        assert best(lambda: build_sigma_table_trace(7, 12289, (1,) * 2048, 0.2)) <= best(
+            lambda: reference_sigma_values(7, 12289, (1,) * 2048, 0.2)
         )

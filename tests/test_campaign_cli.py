@@ -249,10 +249,11 @@ class TestCampaignRuns:
             monkeypatch.setattr(campaign, "run_trial", noted)
 
     def test_reports_are_strict_json(self):
-        # 7 has order 2048 mod 12289: the analytic Sigma bound overflows a
-        # float and the predicted posterior is -inf; the plan writes null
+        # 7 has order 2048 mod 12289, so its table sums N = 1024 classes of
+        # bound 0: the analytic Sigma bound 2.6^1024 overflows a float and
+        # the predicted posterior is -inf; the plan writes null
         report = run_campaign(config_from_dict({
-            "instance": {**CRYPTO_RINGS["falcon1024"], "sigma": 0.2, "truncated": True},
+            "instance": {**CRYPTO_RINGS["falcon1024"], "sigma": 0.4, "truncated": True},
             "attack": {"family": "small_set", "mode": "fq", "alpha": 7, "M": 5, "trials": 2},
             "seed": 1}))
         plan = json.loads(report.to_json())["plan"]
@@ -524,8 +525,8 @@ class TestCli:
         assert doc["fq_roots"] == [] and doc["binomial_factors"] == []
 
     def test_scan_small_sigma_on_high_order_roots(self, tmp_path, capsys):
-        # floor(2*sigma) = 0 makes every table feasible, while
-        # (4*sigma+1)^2048 overflows a float; the flag compares logs
+        # floor(2*sigma) = 0 makes every table feasible; a root of order 2048
+        # sums N = 1024 classes, and q*p0^1024 leaves no room for 1.8^1024
         cfg = _write(tmp_path, "f.json", {
             "instance": {**CRYPTO_RINGS["falcon1024"], "sigma": 0.2, "truncated": False}})
         assert cli.main(["scan", "--config", cfg]) == 0
@@ -535,7 +536,9 @@ class TestCli:
             flag = next(f for f in root["attacks"] if f["attack"] == "small_set")
             assert not flag["applicable"]
             assert flag["details"]["tuple_count"] == 1
-            assert "10^523 >=" in flag["condition"]
+            assert flag["details"]["r"] == 1024
+            assert flag["condition"].startswith("(4*sqrt(1)*sigma+1)^1024 = ")
+            assert flag["condition"].endswith(" >= q*p0^1024 = 0.0")
 
     def test_analyze_min_m_on_large_order_root(self, tmp_path, capsys):
         # 7 has order 2048 mod 12289: (4*sigma+1)^2048 overflows a float
@@ -549,8 +552,8 @@ class TestCli:
 
     @pytest.mark.parametrize("truncated", [True, False])
     def test_small_set_attack_on_large_order_root(self, tmp_path, capsys, truncated):
-        # (4*sigma+1)^2048 overflows a float while the table has one tuple;
-        # untruncated, p0^2048 leaves no budget and the plan is refused
+        # the table of N = 1024 classes has one tuple; untruncated, p0^1024
+        # leaves no budget and the plan is refused
         cfg = _write(tmp_path, "f.json", {
             "instance": {**CRYPTO_RINGS["falcon1024"], "sigma": 0.2, "truncated": truncated},
             "attack": {"family": "small_set", "mode": "fq", "alpha": 7, "M": 5, "trials": 2},
@@ -562,7 +565,7 @@ class TestCli:
         assert cli.main(["attack", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["plan"]["sigma_table_size"] == 1
-        assert doc["plan"]["sigma_table_analytic_bound"] is None
+        assert doc["plan"]["sigma_table_analytic_bound"] == 1.8**1024
         assert doc["aggregate"]["accuracy"] == 1.0
 
     def test_attack_writes_report(self, tmp_path, capsys):
@@ -902,6 +905,19 @@ class TestCli:
             "attack": {"alpha": 1753}})
         assert cli.main(["analyze", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["order"] == 512
+
+    def test_analyze_min_m_at_the_root_zero(self, tmp_path, capsys):
+        # the root 0 of x^4 + x keeps one coefficient: a one-class table of
+        # analytic size 5, whose min_M the scan prints too
+        instance = {"N": 4, "f": [0, 1, 0, 0, 1], "q": 4099, "sigma": 1.0, "truncated": False}
+        cfg = _write(tmp_path, "z.json", {"instance": instance, "attack": {"alpha": 0}})
+        assert cli.main(["analyze", "--config", cfg, "--min-M", "0.99"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["alpha"], doc["order"], doc["case"]) == (0, 0, "general")
+        root = scan_instance(load_ring_doc(instance), 1.0, False).roots[0]
+        flag = next(f for f in root.flags if f.attack == "small_set")
+        assert root.a == 0 and flag.applicable
+        assert doc["min_M"]["small_set"] == flag.details["min_M_for_0.99"] == 2
 
     def test_analyze_min_m_brackets_published_counts(self, tmp_path, capsys):
         cfg = _write(tmp_path, "an.json", {

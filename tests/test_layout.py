@@ -13,7 +13,9 @@ a, modulus) holds it with a as an int; the residue wrapper and the
 arithmetic only tests used are gone from src/, and so are the members only
 tests read.  A closed form that takes the truncation mode derives p0 from
 it, and the series tolerance is a constant.  A campaign runs its trials
-through one loop in every process, and no module uses an executor."""
+through one loop in every process, and no module uses an executor.  A
+point's class counts come from analysis.class_counts alone: a block
+structure holds them, and the Sigma table and its size take them."""
 
 import ast
 import dataclasses
@@ -24,7 +26,14 @@ import numpy as np
 
 import plwe_audit
 from plwe_audit import attacks, fields
-from plwe_audit.analysis import PointVuln, PosteriorBounds, delta_probability, f_of_r
+from plwe_audit.analysis import (
+    BlockStructure,
+    PointVuln,
+    PosteriorBounds,
+    delta_probability,
+    f_of_r,
+    small_set_size,
+)
 from plwe_audit.attacks import AttackVerdict
 from plwe_audit.campaign import AttackPlan, AttackSpec, resolve_point
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, mult_order
@@ -83,6 +92,8 @@ DELETED_ATTRIBUTES = (
     # members only tests read
     (AttackVerdict, "guess"), (PointVuln, "sigma_bar"), (SampleBatch, "__getitem__"),
     (RqContext, "_reduction_rows"), (RingPoly, "as_array"),
+    # the blocks that class counts replaced
+    (BlockStructure, "r_eff"), (BlockStructure, "blocklen"), (BlockStructure, "case_kind"),
 )
 ATTACKS = ("small_set_attack", "small_values_attack", "unbounded_small_values_attack",
            "extended_attack")
@@ -125,7 +136,7 @@ def test_one_arithmetic_path():
 
 
 def test_one_precondition_path():
-    mask = attacks.build_sigma_table_trace(1, 13, 1, 4, 1.0)
+    mask = attacks.build_sigma_table_trace(1, 13, (4,), 1.0)
     assert type(mask) is np.ndarray and mask.dtype == bool and mask.shape == (13,)
     assert not hasattr(attacks, "SigmaTable")
     cli = ROOT / "src" / "plwe_audit" / "cli.py"
@@ -155,7 +166,13 @@ def test_one_point_form():
     assert list(inspect.signature(resolve_point).parameters) == ["ring", "sigma", "n", "a"]
     assert [f.name for f in dataclasses.fields(ExtFieldCtx)] == ["n", "a", "modulus"]
     assert list(inspect.signature(mult_order).parameters) == ["a", "q"]
-    assert list(inspect.signature(attacks.build_sigma_table_trace).parameters)[:2] == ["a", "q"]
+    assert list(inspect.signature(attacks.build_sigma_table_trace).parameters)[:3] == [
+        "a", "q", "counts"
+    ]
+    assert list(inspect.signature(small_set_size).parameters)[0] == "counts"
+    assert [f.name for f in dataclasses.fields(BlockStructure)] == [
+        "order", "n_terms", "counts", "sigma_bar"
+    ]
 
 
 def test_plan_is_frozen_and_holds_what_trials_read():
