@@ -377,7 +377,7 @@ def extended_gate(
 
 @dataclass(frozen=True)
 class PosteriorBounds:
-    """The closed-form lower bounds attached to one attack family.
+    """The closed-form lower bounds of a filtering attack.
 
     vote_posterior      P(PLWE | verdict other than NOT PLWE)
     not_plwe_posterior  P(uniform | NOT PLWE); None when only the asymptotic
@@ -403,53 +403,30 @@ def _one_minus_q_pow(q: int, x: float, m: int) -> float:
         return -math.inf
 
 
-def _per_sample_mass(
-    family: str, truncated: bool, qv: int, sigma_size, r
-) -> tuple[float, float, float]:
-    """(x_plain, x_adj, p0) of one family: the chance x_plain that a wrong
-    candidate passes one sample's test, |Sigma|/q or the quarter share u,
-    x_adj = x_plain / p0^r (r = 1 for small values), and p0, the truncation
+def _per_sample_mass(q: int, size: float, r: int, truncated: bool) -> tuple[float, float, float]:
+    """(x_plain, x_adj, p0) of a filter whose mask holds size residues and
+    r classes: the chance x_plain = size/q that a wrong candidate passes
+    one sample's test, x_adj = size/(q*p0^r), and p0, the truncation
     mode's mass; truncated, p0 = 1 and x_adj is x_plain."""
     p0 = p0_of(truncated)
-    if family == "small_set":
-        if sigma_size is None or r is None:
-            raise ValueError("small_set bounds need sigma_size and r")
-        return sigma_size / qv, sigma_size / (qv * p0**r), p0
-    if family == "small_values":
-        u = quarter_count(qv) / qv
-        return u, u / p0, p0
-    raise ValueError(f"unknown family {family!r}")
+    return size / q, size / (q * p0**r), p0
 
 
-def posterior_bounds(
-    family: str,
-    truncated: bool,
-    *,
-    M: int,
-    q,
-    sigma_size: float | None = None,
-    r: int | None = None,
-) -> PosteriorBounds:
-    """Bounds for "small_set" (needs sigma_size and r) or "small_values"."""
+def posterior_bounds(q, size: float, r: int, truncated: bool, M: int) -> PosteriorBounds:
+    """Bounds after M samples of a filter whose mask holds size residues
+    and r classes: the small-set attack's (|Sigma|, r) or the quarter
+    interval's (quarter_count(q), 1)."""
     qv = int(q)
-    x_plain, x_adj, p0 = _per_sample_mass(family, truncated, qv, sigma_size, r)
+    x_plain, x_adj, p0 = _per_sample_mass(qv, size, r, truncated)
     return PosteriorBounds(
         vote_posterior=_one_minus_q_pow(qv, x_adj, M),
         not_plwe_posterior=1.0 if truncated else None,
-        success_on_plwe=p0 ** (M * (r if family == "small_set" else 1)),
+        success_on_plwe=p0 ** (M * r),
         success_on_uniform=_one_minus_q_pow(qv, x_plain, M),
     )
 
 
-def minimal_samples(
-    family: str,
-    truncated: bool,
-    target: float,
-    *,
-    q,
-    sigma_size: float | None = None,
-    r: int | None = None,
-) -> int | None:
+def minimal_samples(q, size: float, r: int, truncated: bool, target: float) -> int | None:
     """Smallest M whose vote posterior reaches the target, or None when the
     bound cannot reach it for any M.
 
@@ -457,7 +434,7 @@ def minimal_samples(
     the target, so posterior_bounds's own arithmetic settles the last
     samples."""
     qv = int(q)
-    x = _per_sample_mass(family, truncated, qv, sigma_size, r)[1]
+    x = _per_sample_mass(qv, size, r, truncated)[1]
     if x >= 1.0 or not (0.0 < target < 1.0):
         return None
     m = max(1, math.ceil((math.log(qv) - math.log(1.0 - target)) / -math.log(x)))
@@ -567,6 +544,12 @@ class SmallSetSize:
     log_analytic: float  # log of the analytic size
     analytic: float  # prod (4*sqrt(length)*sigma+1), inf beyond a float
 
+    @property
+    def widths(self) -> str:
+        """The enumerated tuples as (2*bound+1)^m per class length, for the
+        flag's and TableTooLarge's texts."""
+        return "*".join(f"({2 * bound + 1})^{m}" for _, m, bound in self.classes)
+
 
 def small_set_size(counts: tuple[int, ...], sigma: float, cap=DEFAULT_TABLE_CAP) -> SmallSetSize:
     """The size of the Sigma table of the given class counts, for tables,
@@ -587,6 +570,15 @@ def small_set_size(counts: tuple[int, ...], sigma: float, cap=DEFAULT_TABLE_CAP)
     return SmallSetSize(classes, tuples_log10, tuple_count, feasible, log_analytic, analytic)
 
 
+def _magnitude(value: float, log_value: float) -> str:
+    """A size or budget in a small-set condition: .1f in [0.05, 2**53), .3g
+    below, and 10^x from 2**53 on (inf included), where the .1f digits are
+    not significant."""
+    if value >= 2**53:
+        return f"10^{log_value / math.log(10):.0f}"
+    return f"{value:.1f}" if value >= 0.05 else f"{value:.3g}"
+
+
 def small_set_flag(
     q: int, truncated: bool, counts: tuple[int, ...], sigma: float, table_cap: int
 ) -> AttackFlag:
@@ -597,22 +589,18 @@ def small_set_flag(
     # the report takes the size as exp of its log, which may differ from
     # the table's power in the last bit; the pinned scan reports read it so
     analytic = math.exp(size.log_analytic) if math.isfinite(size.analytic) else None
-    budget = q * p0**r
-    ok = size.feasible and size.log_analytic < math.log(q) + r * math.log(p0)
+    budget, log_budget = q * p0**r, math.log(q) + r * math.log(p0)
+    ok = size.feasible and size.log_analytic < log_budget
     if not size.feasible:
-        widths = "*".join(f"({2 * bound + 1})^{m}" for _, m, bound in size.classes)
         cond = (
-            f"table infeasible: {widths} ~ 10^{size.tuples_log10:.0f} "
+            f"table infeasible: {size.widths} ~ 10^{size.tuples_log10:.0f} "
             f"> cap {table_cap:.1e} (order too large)"
         )
     else:
         rel = "<" if ok else ">="
-        shown = (
-            f"{analytic:.1f}" if analytic is not None
-            else f"10^{size.log_analytic / math.log(10):.0f}"
-        )
+        shown = _magnitude(math.inf if analytic is None else analytic, size.log_analytic)
         bases = "*".join(f"(4*sqrt({length})*sigma+1)^{m}" for length, m, _ in size.classes)
-        cond = f"{bases} = {shown} {rel} q*p0^{r} = {budget:.1f}"
+        cond = f"{bases} = {shown} {rel} q*p0^{r} = {_magnitude(budget, log_budget)}"
     details = {
         "r": r,
         "blocklen": min(counts),  # the report's name for the shortest class
@@ -622,9 +610,7 @@ def small_set_flag(
         "size_budget": budget,
     }
     if ok:
-        details["min_M_for_0.99"] = minimal_samples(
-            "small_set", truncated, 0.99, q=q, sigma_size=analytic, r=r
-        )
+        details["min_M_for_0.99"] = minimal_samples(q, analytic, r, truncated, 0.99)
     return AttackFlag("small_set", ok, cond, details)
 
 
@@ -637,7 +623,7 @@ def small_values_flag(q: int, truncated: bool, sbar: float, n: int) -> AttackFla
     cond = f"2*sigma_bar = {lhs:.2f} {shown} q/4 = {rhs:.2f}"
     details = {"sigma_bar": sbar}
     if ok:
-        details["min_M_for_0.99"] = minimal_samples("small_values", truncated, 0.99, q=q)
+        details["min_M_for_0.99"] = minimal_samples(q, quarter_count(q), 1, truncated, 0.99)
     return AttackFlag("small_values", ok, cond, details)
 
 

@@ -168,8 +168,7 @@ def build_sigma_table_trace(
         raise ValueError("need at least one class, each of length >= 1")
     size = small_set_size(counts, sigma, cap)
     if not size.feasible:
-        widths = "*".join(f"{2 * bound + 1}^{m}" for _, m, bound in size.classes)
-        raise TableTooLarge(f"enumeration of {widths} tuples exceeds the cap of {cap}")
+        raise TableTooLarge(f"enumeration of {size.widths} tuples exceeds the cap of {cap}")
     full = 2 * max(bound for _, _, bound in size.classes) + 1 >= q
     mask = np.full(q, full)
     mask[0] = True

@@ -42,11 +42,12 @@ from .attacks import (
 )
 from .fields import ExtFieldCtx
 from .rings import (
-    EXHAUSTIVE_SCAN_LIMIT,
     RqContext,
     eval_matrix,
     exact_int,
     load_ring_doc,
+    require_int64_sums,
+    require_table_modulus,
     rq0_witnesses,
 )
 from .samplers import (
@@ -322,11 +323,11 @@ def check_ring(ring: RqContext) -> None:
     """Refuse q >= 2**22 and (N+1)*q^2 >= 2**63: candidate loops and the
     divisor fold allocate O(q) arrays, and ring products, evaluations and
     the fold sum N + 1 products of residues in int64."""
-    q, N = ring.q, ring.N
-    if q >= EXHAUSTIVE_SCAN_LIMIT:
-        raise PreconditionRefused(f"q = {q} < 2**22 = {EXHAUSTIVE_SCAN_LIMIT}")
-    if (N + 1) * q * q >= 1 << 63:
-        raise PreconditionRefused(f"(N+1)*q^2 = {(N + 1) * q * q} < 2**63 = {1 << 63}")
+    try:
+        require_table_modulus(ring.q)
+        require_int64_sums(ring.N, ring.q)
+    except ValueError as exc:
+        raise PreconditionRefused(str(exc)) from exc
 
 
 # The most coefficients M*N that one trial's sample rows may hold: its A and
@@ -554,8 +555,7 @@ def _plan_summary(plan: AttackPlan) -> dict:
         out["predicted_bounds"] = {
             "M": att.M,
             "vote_posterior": posterior_bounds(
-                "small_set", cfg.gauss.truncated, M=att.M, q=q, sigma_size=analytic,
-                r=plan.member_r,
+                q, analytic, plan.member_r, cfg.gauss.truncated, att.M
             ).vote_posterior,
         }
     if plan.delta is not None:

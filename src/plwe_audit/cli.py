@@ -24,6 +24,7 @@ from .analysis import (
     f_of_r,
     minimal_samples,
     point_keys,
+    quarter_count,
     scan_instance,
     small_set_size,
     small_values_flag,
@@ -220,14 +221,12 @@ def _cmd_analyze(args) -> dict:
     if args.min_M is not None:
         out["min_M"] = {
             "target": args.min_M,
-            "small_values": minimal_samples(
-                "small_values", truncated, args.min_M, q=q
-            ),
+            "small_values": minimal_samples(q, quarter_count(q), 1, truncated, args.min_M),
         }
         size = small_set_size(blocks.counts, sigma).analytic
         if size < q:
             out["min_M"]["small_set"] = minimal_samples(
-                "small_set", truncated, args.min_M, q=q, sigma_size=size, r=len(blocks.counts)
+                q, size, len(blocks.counts), truncated, args.min_M
             )
     if args.f_of_r_csv:
         grid = [4.0 * 2.0**0.5 * (i + 1) / 1000.0 for i in range(1000)]

@@ -17,16 +17,25 @@ import numpy as np
 from .fields import ExtFieldCtx, PrimeModulus, binomial_order_irreducible, prime_factors
 
 # Below this modulus, roots and binomial divisors come from one fold over a
-# table of all q - 1 generator powers, in O(q) memory, and the int64 sums of
-# mul_matrix, eval_matrix and the fold stay exact: N + 1 products of two
-# residues, (N+1)*q^2 < 2**63, for every N < 2**19 - 1.  Above it, root and
-# divisor searches are refused, as campaign.check_ring refuses the ring.
+# table of all q - 1 generator powers, and candidate loops hold arrays of
+# length q, in O(q) memory.  Above it, root and divisor searches are
+# refused, as campaign.check_ring refuses the ring.  mul_matrix and
+# eval_matrix guard with it too: it keeps their sums of N + 1 products of
+# two residues below 2**63 for every N < 2**19 - 1.
 EXHAUSTIVE_SCAN_LIMIT = 1 << 22
 
 
-def _require_int64_modulus(q: int) -> None:
+def require_table_modulus(q: int) -> None:
+    """Refuse q >= 2**22, where a table of length q takes 32 MB or more."""
     if q >= EXHAUSTIVE_SCAN_LIMIT:
-        raise ValueError(f"int64 arithmetic needs q < 2**22, got q = {q}")
+        raise ValueError(f"q = {q} < 2**22 = {EXHAUSTIVE_SCAN_LIMIT}")
+
+
+def require_int64_sums(N: int, q: int) -> None:
+    """Refuse (N+1)*q^2 >= 2**63, where a sum of N + 1 products of two
+    residues can leave int64."""
+    if (N + 1) * q * q >= 1 << 63:
+        raise ValueError(f"(N+1)*q^2 = {(N + 1) * q * q} < 2**63 = {1 << 63}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,7 @@ class RqContext:
         """The (N, N) matrix S of multiplication by s: row i holds x^i * s
         mod f, so a * s = a @ S mod q for every coefficient row a.  Exact in
         int64 while q < 2**22."""
-        _require_int64_modulus(self.q)
+        require_table_modulus(self.q)
         base, q = self._x_to_the_N, self.q
         rows = np.zeros((self.N, self.N), dtype=np.int64)
         rows[0] = np.asarray(s, dtype=np.int64) % q
@@ -105,7 +114,7 @@ def eval_matrix(ext: ExtFieldCtx, length: int) -> np.ndarray:
     result is cached and read-only.
     """
     n, q, a = ext.n, ext.q, ext.a
-    _require_int64_modulus(q)
+    require_table_modulus(q)
     W = np.zeros((length, n), dtype=np.int64)
     power = 1
     for j in range(0, length, n):
@@ -122,10 +131,8 @@ def eval_matrix(ext: ExtFieldCtx, length: int) -> np.ndarray:
 
 def generator_powers(q: int) -> np.ndarray:
     """G[i] = g^i mod q for 0 <= i < q - 1, g the least generator of F_q*,
-    in about log2 q doubling steps.  Refused for q >= 2**22, where the
-    table would take 32 MB or more."""
-    if q >= EXHAUSTIVE_SCAN_LIMIT:
-        raise ValueError(f"the generator-power table needs q < 2**22, got q = {q}")
+    in about log2 q doubling steps; refused from q = 2**22 on."""
+    require_table_modulus(q)
     factors = prime_factors(q - 1)
     g = 2
     while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
@@ -156,9 +163,8 @@ def _binomial_fold(ctx: RqContext, n: int, G: np.ndarray) -> np.ndarray:
     the survivors of the previous ones.  Each class sums at most N+1
     products of two residues, exact in int64 while (N+1)*q^2 < 2**63.
     """
-    q, N = ctx.q, ctx.N
-    if (N + 1) * q * q >= 1 << 63:
-        raise ValueError(f"the fold needs (N+1)*q^2 < 2**63, got N = {N}, q = {q}")
+    q = ctx.q
+    require_int64_sums(ctx.N, q)
     idx = np.arange(q - 1, dtype=np.int64)
     for j in range(n):
         terms = [(t, c) for t, c in enumerate(ctx.f_mod[j::n]) if c]

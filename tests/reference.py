@@ -37,6 +37,11 @@ the class counts of a point.
 
 The irreducible binomials y^n - a, n <= 4, by factor search: the oracle
 for the order criterion that fields.ExtFieldCtx applies.
+
+The posterior bounds and the least sample count keyed by attack family,
+"small_set" with its sigma_size and r or "small_values": the forms that
+analysis.posterior_bounds and minimal_samples replaced by a mask's size
+and class count.
 """
 
 from __future__ import annotations
@@ -48,9 +53,14 @@ from typing import Callable
 
 import numpy as np
 
-from plwe_audit.analysis import in_quarter_residues
+from plwe_audit.analysis import (
+    PosteriorBounds,
+    _one_minus_q_pow,
+    in_quarter_residues,
+    quarter_count,
+)
 from plwe_audit.fields import ExtFieldCtx, centered_value
-from plwe_audit.rings import RingPoly, RqContext, _require_int64_modulus, eval_matrix
+from plwe_audit.rings import RingPoly, RqContext, eval_matrix, require_table_modulus
 from plwe_audit.samplers import (
     BudgetExhausted,
     GaussianSpec,
@@ -58,6 +68,7 @@ from plwe_audit.samplers import (
     PlweInstance,
     SampleBatch,
     gaussian_coeffs,
+    p0_of,
     uniform_poly,
 )
 
@@ -223,7 +234,7 @@ def ring_mul(p: RingPoly, s: RingPoly) -> RingPoly:
     degree first, in Python ints: x^k = -x^(k-N) (f_0 + ... + f_(N-1) x^(N-1))."""
     ctx = _same_ctx(p, s)
     q, N = ctx.q, ctx.N
-    _require_int64_modulus(q)
+    require_table_modulus(q)
     conv = (np.convolve(p.coeffs, s.coeffs) % q).tolist()
     terms = [(j, c) for j, c in enumerate(ctx.f_mod[:N]) if c]
     for k in range(len(conv) - 1, N - 1, -1):
@@ -560,3 +571,72 @@ def irreducible_constants(q: int, n: int) -> tuple[int, ...]:
         divisors = [(0, c) for c in range(q)] + [(b, b * b * half % q) for b in range(1, q)]
         reducible |= {(c * c - b * b * c) % q for b, c in divisors}
     return tuple(a for a in range(1, q) if a not in reducible)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms keyed by attack family
+
+
+def _per_sample_mass(
+    family: str, truncated: bool, qv: int, sigma_size, r
+) -> tuple[float, float, float]:
+    """(x_plain, x_adj, p0) of one family: the chance x_plain that a wrong
+    candidate passes one sample's test, |Sigma|/q or the quarter share u,
+    x_adj = x_plain / p0^r (r = 1 for small values), and p0, the truncation
+    mode's mass; truncated, p0 = 1 and x_adj is x_plain."""
+    p0 = p0_of(truncated)
+    if family == "small_set":
+        if sigma_size is None or r is None:
+            raise ValueError("small_set bounds need sigma_size and r")
+        return sigma_size / qv, sigma_size / (qv * p0**r), p0
+    if family == "small_values":
+        u = quarter_count(qv) / qv
+        return u, u / p0, p0
+    raise ValueError(f"unknown family {family!r}")
+
+
+def posterior_bounds(
+    family: str,
+    truncated: bool,
+    *,
+    M: int,
+    q,
+    sigma_size: float | None = None,
+    r: int | None = None,
+) -> PosteriorBounds:
+    """Bounds for "small_set" (needs sigma_size and r) or "small_values"."""
+    qv = int(q)
+    x_plain, x_adj, p0 = _per_sample_mass(family, truncated, qv, sigma_size, r)
+    return PosteriorBounds(
+        vote_posterior=_one_minus_q_pow(qv, x_adj, M),
+        not_plwe_posterior=1.0 if truncated else None,
+        success_on_plwe=p0 ** (M * (r if family == "small_set" else 1)),
+        success_on_uniform=_one_minus_q_pow(qv, x_plain, M),
+    )
+
+
+def minimal_samples(
+    family: str,
+    truncated: bool,
+    target: float,
+    *,
+    q,
+    sigma_size: float | None = None,
+    r: int | None = None,
+) -> int | None:
+    """Smallest M whose vote posterior reaches the target, or None when the
+    bound cannot reach it for any M.
+
+    The closed form can miss by a rounding step where the posterior meets
+    the target, so posterior_bounds's own arithmetic settles the last
+    samples."""
+    qv = int(q)
+    x = _per_sample_mass(family, truncated, qv, sigma_size, r)[1]
+    if x >= 1.0 or not (0.0 < target < 1.0):
+        return None
+    m = max(1, math.ceil((math.log(qv) - math.log(1.0 - target)) / -math.log(x)))
+    while _one_minus_q_pow(qv, x, m) < target:
+        m += 1
+    while m > 1 and _one_minus_q_pow(qv, x, m - 1) >= target:
+        m -= 1
+    return m

@@ -124,9 +124,7 @@ def test_criterion_05_published_posterior_figures():
     ok = bound_a == 3010 and bound_b == 3471
     got = []
     for size, r, M, figure in figures:
-        v = posterior_bounds(
-            "small_set", False, M=M, q=q, sigma_size=size, r=r
-        ).vote_posterior
+        v = posterior_bounds(q, size, r, False, M).vote_posterior
         got.append(round(v, 4))
         ok &= abs(v - figure) <= 0.02
     elapsed = time.perf_counter() - t0

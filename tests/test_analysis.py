@@ -16,6 +16,7 @@ from plwe_audit.analysis import (
     DomainError,
     _dual_series,
     _erf_series,
+    _per_sample_mass,
     block_structure,
     block_structures,
     class_counts,
@@ -46,8 +47,11 @@ from plwe_audit.instances import (
 )
 from plwe_audit.rings import eval_matrix, generator_powers, load_ring_doc
 from reference import (
+    _per_sample_mass as family_per_sample_mass,
     in_quarter_value,
     irreducible_constants,
+    minimal_samples as family_minimal_samples,
+    posterior_bounds as family_posterior_bounds,
     reference_block_structure,
     reference_monte_carlo_delta,
     whole_array_monte_carlo_delta,
@@ -296,6 +300,17 @@ class TestCumulativeBinomial:
         )
 
 
+BOUND_MODULI = [5, 13, 3677, 4099, 12289]
+# the moduli and targets at which the quarter interval's least M is pinned
+# to the family-keyed oracle's
+SWEEP_PRIMES = [q for q in range(3, 20000, 2) if is_prime(q)]
+SWEEP_TARGETS = (0.5, 0.9, 0.99, 0.999)
+
+
+def _bits(bounds) -> list:
+    return [None if v is None else v.hex() for v in dataclasses.astuple(bounds)]
+
+
 class TestPosteriorBounds:
     @pytest.mark.parametrize(
         "size,r,M,figure",
@@ -307,48 +322,47 @@ class TestPosteriorBounds:
         ],
     )
     def test_published_vote_posteriors(self, size, r, M, figure):
-        b = posterior_bounds("small_set", False, M=M, q=4099, sigma_size=size, r=r)
+        b = posterior_bounds(4099, size, r, False, M)
         assert b.vote_posterior == pytest.approx(figure, abs=0.02)
 
     def test_truncated_not_plwe_is_certain(self):
-        b = posterior_bounds("small_set", True, M=10, q=4099, sigma_size=61, r=6)
+        b = posterior_bounds(4099, 61, 6, True, 10)
         assert b.not_plwe_posterior == 1.0
         assert b.success_on_plwe == 1.0
 
     def test_small_values_forms(self):
-        b = posterior_bounds("small_values", False, M=40, q=13)
+        b = posterior_bounds(13, quarter_count(13), 1, False, 40)
         u = 0.5 + 1.0 / 26.0
         assert b.vote_posterior == pytest.approx(1 - 13 * (u / P0) ** 40)
         assert b.success_on_uniform == pytest.approx(1 - 13 * u**40)
         assert b.success_on_plwe == pytest.approx(P0**40)
 
     def test_minimal_samples_brackets_published_run(self):
-        m = minimal_samples("small_set", False, 0.99, q=4099, sigma_size=3471, r=3)
+        m = minimal_samples(4099, 3471, 3, False, 0.99)
         assert 350 < m <= 500
-        b = posterior_bounds("small_set", False, M=m, q=4099, sigma_size=3471, r=3)
+        b = posterior_bounds(4099, 3471, 3, False, m)
         assert b.vote_posterior >= 0.99
 
     def test_overflowing_union_bound_is_vacuous(self):
-        # q * (sigma_size/q)^M exceeds a float: the bound reads -inf
-        b = posterior_bounds("small_set", False, M=5, q=12289, sigma_size=1e300, r=2048)
+        # q * (size/q)^M exceeds a float: the bound reads -inf
+        b = posterior_bounds(12289, 1e300, 2048, False, 5)
         assert b.vote_posterior == b.success_on_uniform == -math.inf
 
     @given(
-        st.sampled_from(["small_set", "small_values"]),
         st.booleans(),
-        st.sampled_from([5, 13, 3677, 4099, 12289]),
+        st.booleans(),
+        st.sampled_from(BOUND_MODULI),
         st.floats(0.01, 0.9999),
         st.floats(0.001, 1.0),
         st.integers(1, 8),
     )
     @settings(max_examples=300, deadline=None)
     def test_minimal_samples_is_the_least_m_reaching_the_target(
-        self, family, truncated, q, target, share, r
+        self, quarter, truncated, q, target, share, r
     ):
-        # share is |Sigma|/q; the small-values family reads neither it nor r
-        kw = {"q": q, "sigma_size": share * q, "r": r} if family == "small_set" else {"q": q}
-        m = minimal_samples(family, truncated, target, **kw)
-        posterior = lambda M: posterior_bounds(family, truncated, M=M, **kw).vote_posterior
+        size, r = (quarter_count(q), 1) if quarter else (share * q, r)
+        m = minimal_samples(q, size, r, truncated, target)
+        posterior = lambda M: posterior_bounds(q, size, r, truncated, M).vote_posterior
         if m is None:
             # a wrong candidate passes every sample: q * x^M >= q for all M
             assert posterior(1) < target and posterior(10**6) < target
@@ -359,9 +373,59 @@ class TestPosteriorBounds:
     def test_minimal_samples_unreachable(self):
         # |Sigma| = q: a wrong candidate passes every sample, in both modes
         for truncated in (False, True):
-            assert minimal_samples(
-                "small_set", truncated, 0.99, q=4099, sigma_size=4099.0, r=1
-            ) is None
+            assert minimal_samples(4099, 4099.0, 1, truncated, 0.99) is None
+
+    @given(
+        st.booleans(),
+        st.sampled_from(SWEEP_PRIMES),
+        st.floats(0.001, 1.0),
+        st.integers(1, 2048),
+        st.integers(1, 2000),
+        st.floats(0.01, 0.9999),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_small_set_forms_equal_the_family_oracle(self, truncated, q, share, r, M, target):
+        size = share * q
+        old = family_posterior_bounds("small_set", truncated, M=M, q=q, sigma_size=size, r=r)
+        assert _bits(posterior_bounds(q, size, r, truncated, M)) == _bits(old)
+        assert minimal_samples(q, size, r, truncated, target) == family_minimal_samples(
+            "small_set", truncated, target, q=q, sigma_size=size, r=r
+        )
+
+    @given(
+        st.booleans(),
+        st.sampled_from(SWEEP_PRIMES),
+        st.integers(1, 2000),
+        st.floats(0.01, 0.9999),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_quarter_forms_match_the_family_oracle(self, truncated, q, M, target):
+        # the adjusted share qc/(q*p0) is the oracle's (qc/q)/p0 within one
+        # ulp, and the success bounds are the oracle's bit for bit; the
+        # union term q*x^M of the vote posterior turns the share's ulp into
+        # M of its own, plus the roundings of its log and exp
+        new = posterior_bounds(q, quarter_count(q), 1, truncated, M)
+        old = family_posterior_bounds("small_values", truncated, M=M, q=q)
+        assert _bits(new)[1:] == _bits(old)[1:]
+        assert math.isclose(1.0 - new.vote_posterior, 1.0 - old.vote_posterior,
+                            rel_tol=M * 2**-48, abs_tol=2**-52)
+        x_new = _per_sample_mass(q, quarter_count(q), 1, truncated)
+        x_old = family_per_sample_mass("small_values", truncated, q, None, None)
+        assert (x_new[0], x_new[2]) == (x_old[0], x_old[2])
+        assert abs(x_new[1] - x_old[1]) <= math.ulp(x_old[1])
+        assert minimal_samples(q, quarter_count(q), 1, truncated, target) == (
+            family_minimal_samples("small_values", truncated, target, q=q)
+        )
+
+    def test_quarter_min_m_sweep_equals_the_family_oracle(self):
+        # every odd prime below 20000, both modes and four targets: the
+        # last-bit change of the adjusted share moves no M
+        for q in SWEEP_PRIMES:
+            for truncated in (False, True):
+                for target in SWEEP_TARGETS:
+                    assert minimal_samples(q, quarter_count(q), 1, truncated, target) == (
+                        family_minimal_samples("small_values", truncated, target, q=q)
+                    ), (q, truncated, target)
 
 
 class TestThresholds:
@@ -659,14 +723,12 @@ def test_scan_min_m_is_minimal_samples_of_the_flag(truncated):
                 if "min_M_for_0.99" not in flag.details:
                     continue
                 seen.add(flag.attack)
-                d = flag.details
-                kw = {"q": report.q}
-                if flag.attack == "small_set":
-                    kw.update(sigma_size=d["analytic_bound"], r=d["r"])
+                d, q = flag.details, report.q
+                size, r = ((d["analytic_bound"], d["r"]) if flag.attack == "small_set"
+                           else (quarter_count(q), 1))
                 m = d["min_M_for_0.99"]
-                assert m == minimal_samples(flag.attack, truncated, 0.99, **kw)
-                posterior = lambda M: posterior_bounds(
-                    flag.attack, truncated, M=M, **kw).vote_posterior
+                assert m == minimal_samples(q, size, r, truncated, 0.99)
+                posterior = lambda M: posterior_bounds(q, size, r, truncated, M).vote_posterior
                 assert posterior(m) >= 0.99 and (m == 1 or posterior(m - 1) < 0.99)
     assert seen == {"small_set", "small_values"}
 

@@ -186,8 +186,7 @@ class TestSmallSetFq:
         # average: 1 - vote_posterior of the truncated bound
         q, trials = 4099, 400
         size = int(np.count_nonzero(self.TABLE))
-        expected = 1 - posterior_bounds(
-            "small_set", True, M=M, q=q, sigma_size=size, r=6).vote_posterior
+        expected = 1 - posterior_bounds(q, size, 6, True, M).vote_posterior
         rng = np.random.default_rng([4099, M])
         counts = [
             len(small_set_attack(

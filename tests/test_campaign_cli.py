@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import time
 from datetime import timedelta
@@ -537,8 +538,10 @@ class TestCli:
             assert not flag["applicable"]
             assert flag["details"]["tuple_count"] == 1
             assert flag["details"]["r"] == 1024
-            assert flag["condition"].startswith("(4*sqrt(1)*sigma+1)^1024 = ")
-            assert flag["condition"].endswith(" >= q*p0^1024 = 0.0")
+            assert flag["condition"] == (
+                "(4*sqrt(1)*sigma+1)^1024 = 10^261 >= q*p0^1024 = 2.4e-17"
+            )
+            assert not re.search(r"\d{16}", flag["condition"])
 
     def test_analyze_min_m_on_large_order_root(self, tmp_path, capsys):
         # 7 has order 2048 mod 12289: (4*sigma+1)^2048 overflows a float
@@ -1372,7 +1375,7 @@ def test_sample_entry_bound_boundary_is_exact():
         check_draws(ring, GaussianSpec(1.0, False), M + 1)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 2: the block model undercounts the coefficients of c0(e) and "
     "the table bound is a Gaussian width, so a truncated error can leave Sigma"
 ))
@@ -1388,9 +1391,9 @@ def test_truncated_small_set_keeps_the_true_value(inst):
     }
     report = run_campaign(config_from_dict(doc))
     plan = report.plan_summary
-    promise = posterior_bounds("small_set", True, M=40, q=doc["instance"]["q"],
-                               sigma_size=plan["sigma_table_analytic_bound"],
-                               r=plan["order"]).success_on_plwe
+    promise = posterior_bounds(doc["instance"]["q"], plan["sigma_table_analytic_bound"],
+                               plan["order"], True, 40).success_on_plwe
     assert promise == 1.0
     kept = [t["true_value_survives"] for t in report.trials if t["truth"] == "plwe"]
-    assert len(kept) == 164 and all(kept)
+    assert len(kept) == 164
+    assert sum(kept) == 164

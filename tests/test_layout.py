@@ -15,7 +15,9 @@ tests read.  A closed form that takes the truncation mode derives p0 from
 it, and the series tolerance is a constant.  A campaign runs its trials
 through one loop in every process, and no module uses an executor.  A
 point's class counts come from analysis.class_counts alone: a block
-structure holds them, and the Sigma table and its size take them."""
+structure holds them, and the Sigma table and its size take them.  The
+posterior closed forms take a filter's mask size and class count, never an
+attack family, and each array limit of rings is checked in one place."""
 
 import ast
 import dataclasses
@@ -32,6 +34,8 @@ from plwe_audit.analysis import (
     PosteriorBounds,
     delta_probability,
     f_of_r,
+    minimal_samples,
+    posterior_bounds,
     small_set_size,
 )
 from plwe_audit.attacks import AttackVerdict
@@ -84,6 +88,9 @@ DELETED = frozenset({
     # the executor's worker hooks: a pooled campaign runs the trial loop of
     # a sequential one in each process
     "_init_worker", "_trial_worker", "_worker_plan", "ProcessPoolExecutor",
+    # the int64 guard that named the table limit, which rings'
+    # require_table_modulus and require_int64_sums replaced
+    "_require_int64_modulus",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
@@ -197,6 +204,26 @@ def test_closed_forms_take_what_callers_vary():
     assert [f.name for f in dataclasses.fields(PosteriorBounds)] == [
         "vote_posterior", "not_plwe_posterior", "success_on_plwe", "success_on_uniform"
     ]
+
+
+def test_closed_forms_take_a_mask_not_a_family():
+    assert list(inspect.signature(posterior_bounds).parameters) == [
+        "q", "size", "r", "truncated", "M"
+    ]
+    assert list(inspect.signature(minimal_samples).parameters) == [
+        "q", "size", "r", "truncated", "target"
+    ]
+    for fn in (posterior_bounds, minimal_samples):
+        assert all(p.default is p.empty for p in inspect.signature(fn).parameters.values())
+    tree = ast.parse((ROOT / "src" / "plwe_audit" / "analysis.py").read_text(encoding="utf-8"))
+    forms = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name in ("_per_sample_mass", "posterior_bounds", "minimal_samples")]
+    assert len(forms) == 3
+    families = {
+        node.value for fn in forms for node in ast.walk(fn)
+        if isinstance(node, ast.Constant) and node.value in ("small_set", "small_values")
+    }
+    assert not families
 
 
 def test_one_trial_loop():
