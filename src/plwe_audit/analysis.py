@@ -154,21 +154,17 @@ class ProbabilityReport:
 
 
 def _erf_series(ratio: float) -> tuple[float, int]:
+    """(p, terms used) up to the first term below DEFAULT_SERIES_TOL past
+    lo = 1, which comes by lo = 6: erf is 1.0 there, and the term 0.0."""
     total = math.erf(ratio / 4.0)
-    terms = 0
     j = 0
     while True:
         lo = ratio * (0.75 + j)
-        hi = ratio * (1.25 + j)
-        term = math.erf(hi) - math.erf(lo)
+        term = math.erf(ratio * (1.25 + j)) - math.erf(lo)
         total += term
-        terms += 1
         j += 1
         if term < DEFAULT_SERIES_TOL and lo > 1.0:
-            break
-        if lo > 8.0:  # erf saturated; nothing left
-            break
-    return total, terms
+            return total, j
 
 
 def _dual_series(ratio: float) -> tuple[float, int]:
@@ -570,7 +566,13 @@ def small_set_size(counts: tuple[int, ...], sigma: float, cap=DEFAULT_TABLE_CAP)
     return SmallSetSize(classes, tuples_log10, tuple_count, feasible, log_analytic, analytic)
 
 
-def _magnitude(value: float, log_value: float) -> str:
+def small_set_budget(q: int, truncated: bool, r: int) -> tuple[float, float]:
+    """q*p0^r, which a Sigma table of r classes must stay below, and its log."""
+    p0 = p0_of(truncated)
+    return q * p0**r, math.log(q) + r * math.log(p0)
+
+
+def magnitude(value: float, log_value: float) -> str:
     """A size or budget in a small-set condition: .1f in [0.05, 2**53), .3g
     below, and 10^x from 2**53 on (inf included), where the .1f digits are
     not significant."""
@@ -584,12 +586,12 @@ def small_set_flag(
 ) -> AttackFlag:
     """The small-set precondition: a table feasible under the cap whose
     analytic size stays below q*p0^r, r = len(counts)."""
-    p0, r = p0_of(truncated), len(counts)
+    r = len(counts)
     size = small_set_size(counts, sigma, table_cap)
     # the report takes the size as exp of its log, which may differ from
     # the table's power in the last bit; the pinned scan reports read it so
     analytic = math.exp(size.log_analytic) if math.isfinite(size.analytic) else None
-    budget, log_budget = q * p0**r, math.log(q) + r * math.log(p0)
+    budget, log_budget = small_set_budget(q, truncated, r)
     ok = size.feasible and size.log_analytic < log_budget
     if not size.feasible:
         cond = (
@@ -598,9 +600,9 @@ def small_set_flag(
         )
     else:
         rel = "<" if ok else ">="
-        shown = _magnitude(math.inf if analytic is None else analytic, size.log_analytic)
+        shown = magnitude(math.inf if analytic is None else analytic, size.log_analytic)
         bases = "*".join(f"(4*sqrt({length})*sigma+1)^{m}" for length, m, _ in size.classes)
-        cond = f"{bases} = {shown} {rel} q*p0^{r} = {_magnitude(budget, log_budget)}"
+        cond = f"{bases} = {shown} {rel} q*p0^{r} = {magnitude(budget, log_budget)}"
     details = {
         "r": r,
         "blocklen": min(counts),  # the report's name for the shortest class

@@ -25,9 +25,11 @@ from .analysis import (
     block_structure,
     delta_probability,
     extended_gate,
+    magnitude,
     monte_carlo_delta,
     posterior_bounds,
     quarter_mask,
+    small_set_budget,
     small_set_size,
     small_values_flag,
     unbounded_flag,
@@ -211,15 +213,15 @@ def point_from_dict(att: dict, N: int) -> tuple[int, int]:
     """The evaluation point of an attack section as the (n, a) of its
     binomial y^n - a for resolve_point: (1, alpha) in fq mode, an F_q root
     being the degree-1 case, and (n, a) with 2 <= n <= N in trace mode.  A
-    section without a mode (analyze's) takes n and a when both are given,
-    else alpha.  Every point field given must be an integer."""
+    section without a mode takes n and a when both are given, else alpha.
+    Every point field given must be an integer."""
     alpha = int_field(att.get("alpha"), "attack.alpha", optional=True)
     n = int_field(att.get("n"), "attack.n", optional=True)
     a = int_field(att.get("a"), "attack.a", optional=True)
     if "mode" in att:
         mode = att["mode"]
     elif alpha is None and (n is None or a is None):
-        raise ConfigError("attack.alpha (or attack.n/attack.a): required for analyze")
+        raise ConfigError("attack.alpha (or attack.n/attack.a): required")
     else:
         mode = "fq" if n is None or a is None else "trace"
     if mode not in MODES:
@@ -242,7 +244,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     family = _need(att, "family", "attack")
     if family not in FAMILIES:
         raise ConfigError(f"attack.family: unknown family {family!r}")
-    _need(att, "mode", "attack")
     n, a = point_from_dict(att, ring.N)
     trials = int_field(att.get("trials", 1), "attack.trials", low=1)
     M = int_field(att.get("M", 0), "attack.M")
@@ -365,7 +366,6 @@ def build_plan(cfg: ExperimentConfig) -> AttackPlan:
     mask or delta; refuse when a documented precondition fails."""
     att = cfg.attack
     q = cfg.ring.q
-    p0 = cfg.gauss.p0
     check_ring(cfg.ring)
     point, blocks = resolve_point(cfg.ring, cfg.gauss.sigma, att.n, att.a)
     lines: list[str] = []
@@ -378,8 +378,10 @@ def build_plan(cfg: ExperimentConfig) -> AttackPlan:
             )
         except TableTooLarge as exc:
             raise PreconditionRefused(str(exc)) from exc
-        size, budget = np.count_nonzero(member), q * p0**member_r
-        _check(lines, size < budget, f"|Sigma| = {size} < q*p0^r = {budget:.1f}")
+        size = np.count_nonzero(member)
+        budget, log_budget = small_set_budget(q, cfg.gauss.truncated, member_r)
+        shown = magnitude(budget, log_budget)
+        _check(lines, size < budget, f"|Sigma| = {size} < q*p0^r = {shown}")
     elif att.family in ("small_values", "extended_small_values"):
         member = quarter_mask(q)
         flag = small_values_flag(q, cfg.gauss.truncated, blocks.sigma_bar, point.n)
@@ -492,7 +494,7 @@ class CampaignReport:
         return sum(1 for t in self.trials if t["correct"]) / len(self.trials)
 
     def to_dict(self) -> dict:
-        invocations = sum(t.get("oracle_invocations", 0) for t in self.trials)
+        invocations = sum(t["oracle_invocations"] for t in self.trials)
         return {
             "config": self.config_echo,
             "plan": self.plan_summary,

@@ -42,6 +42,9 @@ The posterior bounds and the least sample count keyed by attack family,
 "small_set" with its sigma_size and r or "small_values": the forms that
 analysis.posterior_bounds and minimal_samples replaced by a mask's size
 and class count.
+
+The erf series with a second counter beside j and an exit at lo > 8 that
+no ratio reaches: the form that analysis._erf_series replaced by j alone.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from typing import Callable
 import numpy as np
 
 from plwe_audit.analysis import (
+    DEFAULT_SERIES_TOL,
     PosteriorBounds,
     _one_minus_q_pow,
     in_quarter_residues,
@@ -640,3 +644,25 @@ def minimal_samples(
     while m > 1 and _one_minus_q_pow(qv, x, m - 1) >= target:
         m -= 1
     return m
+
+
+# ---------------------------------------------------------------------------
+# the erf series with two counters
+
+
+def _erf_series(ratio: float) -> tuple[float, int]:
+    total = math.erf(ratio / 4.0)
+    terms = 0
+    j = 0
+    while True:
+        lo = ratio * (0.75 + j)
+        hi = ratio * (1.25 + j)
+        term = math.erf(hi) - math.erf(lo)
+        total += term
+        terms += 1
+        j += 1
+        if term < DEFAULT_SERIES_TOL and lo > 1.0:
+            break
+        if lo > 8.0:  # erf saturated; nothing left
+            break
+    return total, terms

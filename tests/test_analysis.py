@@ -47,6 +47,7 @@ from plwe_audit.instances import (
 )
 from plwe_audit.rings import eval_matrix, generator_powers, load_ring_doc
 from reference import (
+    _erf_series as two_counter_erf_series,
     _per_sample_mass as family_per_sample_mass,
     in_quarter_value,
     irreducible_constants,
@@ -227,6 +228,14 @@ class TestDeltaProbability:
             p, _ = _erf_series(ratio)
             delta, _ = _dual_series(ratio)
             assert abs((p - 0.5) - delta) < 1e-12
+
+    @given(st.floats(0.1, 1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_erf_series_matches_the_two_counter_form(self, ratio):
+        # the grid of test_dual_and_erf_series_agree lies in [0.1, 50]
+        p, terms = _erf_series(ratio)
+        want_p, want_terms = two_counter_erf_series(ratio)
+        assert (p.hex(), terms) == (want_p.hex(), want_terms)
 
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5, 3.0, 6.0])
     def test_both_series_match_monte_carlo(self, ratio):

@@ -563,7 +563,7 @@ class TestCli:
             "seed": 1})
         if not truncated:
             assert cli.main(["attack", "--config", cfg]) == 3
-            assert "|Sigma| = 1 < q*p0^r" in capsys.readouterr().err
+            assert capsys.readouterr().err == "refused: |Sigma| = 1 < q*p0^r = 2.4e-17\n"
             return
         assert cli.main(["attack", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -687,6 +687,17 @@ class TestCli:
         assert cli.main(["replay", "--config", cfg, str(samples)]) == 0
         replayed = json.loads(capsys.readouterr().out)
         assert replayed == recorded
+
+    def test_replay_reads_a_section_without_mode(self, tmp_path, capsys):
+        doc = _order6_config(trials=1, M=6)
+        del doc["attack"]["mode"]
+        cfg = _write(tmp_path, "c.json", doc)
+        samples = tmp_path / "samples.jsonl"
+        assert cli.main(["attack", "--config", cfg, "--record-samples", str(samples)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["plan"]["mode"], report["plan"]["alpha"]) == ("fq", 2018)
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 0
+        assert json.loads(capsys.readouterr().out) == report["trials"][0]["outcome"]
 
     @pytest.mark.parametrize(
         "name", ["fq_small_values_honest", "trace_extended_small_set_direct", "trace_unbounded_honest"]
@@ -829,16 +840,31 @@ class TestCli:
             ({"mode": "fq", "n": 3, "a": 2017}, "attack.alpha: required in fq mode"),
             ({"mode": "Fq", "alpha": 5}, "attack.mode: must be one of ('fq', 'trace')"),
             ({"mode": None, "alpha": 5}, "attack.mode: must be one of ('fq', 'trace')"),
+            # without a mode every command takes n and a when both are
+            # given, else alpha; the ring has no F_q root
+            ({"alpha": 5}, "attack.alpha: 5 is not a root of f mod 4099"),
+            ({"n": 3, "a": 2017}, None),
+            ({"alpha": 5, "n": 3, "a": 2017}, None),
+            ({"a": 2017}, "attack.alpha (or attack.n/attack.a): required"),
         ],
     )
     def test_analyze_follows_attack_mode(self, tmp_path, capsys, attack, message):
         cfg = _write(tmp_path, "mode.json", {
             "instance": dict(TRACE_INSTANCE_B["instance"]),
-            "attack": {"family": "small_set", "M": 5, **attack},
+            "attack": {"family": "small_set", "M": 5, "trials": 1, **attack},
         })
-        for command in ("attack", "analyze"):
-            assert cli.main([command, "--config", cfg]) == 2
-            assert capsys.readouterr().err == f"config error: {message}\n"
+        if message is not None:
+            for command in ("attack", "analyze"):
+                assert cli.main([command, "--config", cfg]) == 2
+                assert capsys.readouterr().err == f"config error: {message}\n"
+            return
+        assert cli.main(["attack", "--config", cfg]) == 0
+        plan = json.loads(capsys.readouterr().out)["plan"]
+        assert cli.main(["analyze", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        keys = ("alpha", "n", "a", "order", "sigma_bar")
+        assert [doc.get(k) for k in keys] == [plan.get(k) for k in keys]
+        assert (plan["mode"], plan["n"], plan["a"]) == ("trace", 3, 2017)
 
     @pytest.mark.parametrize("idx,listed", [(2, 0.00017), (3, 0.0001216)])
     def test_analyze_echoes_flat_margins(self, tmp_path, capsys, idx, listed):
