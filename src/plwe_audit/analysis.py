@@ -150,7 +150,6 @@ class ProbabilityReport:
     delta: float  # p_event - 1/2
     big_delta: float  # delta - (+-1/(2q))
     ratio: float  # q / (sqrt(2) * sigma_bar)
-    terms_used: int
 
 
 def _erf_series(ratio: float) -> tuple[float, int]:
@@ -187,15 +186,15 @@ def _dual_series(ratio: float) -> tuple[float, int]:
 DUAL_SERIES_BELOW = 2.0
 
 
-def _quarter_mass(ratio: float) -> tuple[float, float, int]:
-    """(p, p - 1/2, terms used): the dual series below DUAL_SERIES_BELOW,
-    where it keeps the relative precision of a tiny p - 1/2, and the erf
-    series from there on."""
+def _quarter_mass(ratio: float) -> tuple[float, float]:
+    """(p, p - 1/2): the dual series below DUAL_SERIES_BELOW, where it keeps
+    the relative precision of a tiny p - 1/2, and the erf series from there
+    on."""
     if ratio < DUAL_SERIES_BELOW:
-        delta, terms = _dual_series(ratio)
-        return 0.5 + delta, delta, terms
-    p, terms = _erf_series(ratio)
-    return p, p - 0.5, terms
+        delta = _dual_series(ratio)[0]
+        return 0.5 + delta, delta
+    p = _erf_series(ratio)[0]
+    return p, p - 0.5
 
 
 def delta_probability(q, sigma_bar_value: float) -> ProbabilityReport:
@@ -205,8 +204,8 @@ def delta_probability(q, sigma_bar_value: float) -> ProbabilityReport:
         raise DomainError("sigma_bar must be positive")
     qv = int(q)
     ratio = qv / (math.sqrt(2.0) * sigma_bar_value)
-    p, delta, terms = _quarter_mass(ratio)
-    return ProbabilityReport(p, delta, big_delta(qv, delta), ratio, terms)
+    p, delta = _quarter_mass(ratio)
+    return ProbabilityReport(p, delta, big_delta(qv, delta), ratio)
 
 
 def big_delta(q, delta: float) -> float:
@@ -486,7 +485,8 @@ class PointVuln:
     blocks: BlockStructure
     flags: tuple[AttackFlag, ...]
 
-    # the names that scripts/scan_rings.py and perfbench read
+    # read by perfbench alone (scripts/scan_rings.py reads a and
+    # blocks.order); they go once perfbench reads those too
     @property
     def alpha(self) -> int:
         return self.a

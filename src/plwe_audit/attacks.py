@@ -265,11 +265,6 @@ def small_set_attack(pairs: Pairs, member: np.ndarray) -> AttackVerdict:
     return AttackVerdict(tuple(range(member.size)) if full[0] else tuple(np.sort(g).tolist()))
 
 
-def small_values_attack(pairs: Pairs) -> AttackVerdict:
-    """The small-set attack with Sigma the interval [-q/4, q/4)."""
-    return small_set_attack(pairs, quarter_mask(pairs.q))
-
-
 # ---------------------------------------------------------------------------
 # unbounded attack
 

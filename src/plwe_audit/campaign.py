@@ -50,15 +50,16 @@ from .rings import (
     load_ring_doc,
     require_int64_sums,
     require_table_modulus,
-    rq0_witnesses,
 )
 from .samplers import (
     DEFAULT_RQ0_BUDGET,
     NORMAL_DRAW_MAX,
     BudgetExhausted,
     GaussianSpec,
+    NonMemberSample,
     Pairs,
     SampleBatch,
+    p0_of,
     sample_batch,
 )
 
@@ -86,7 +87,7 @@ class AttackSpec:
     a: int
     M: int = 0  # samples per trial; attack.ell for the unbounded family
     M0: int = 0
-    delta: Optional[float | str] = None
+    delta: float | str = "series"
     trials: int = 1
 
 
@@ -198,9 +199,10 @@ def table_cap_from_dict(doc: dict) -> int:
     return int_field(doc.get("table_cap", analysis.DEFAULT_TABLE_CAP), "table_cap", low=1)
 
 
-def _delta(value) -> Optional[float | str]:
+def _delta(value) -> float | str:
+    """attack.delta: "series" when missing (or null), "mc", or a number."""
     if value is None or value in ("series", "mc"):
-        return value
+        return value or "series"
     if not _is_number(value):
         raise ConfigError(f"attack.delta: expected a number, 'series' or 'mc', got {value!r}")
     if not -0.5 <= value <= 0.5:
@@ -292,9 +294,9 @@ class AttackPlan:
 
 
 def _check(lines: list[str], ok: bool, text: str) -> None:
-    lines.append(("ok: " if ok else "violated: ") + text)
     if not ok:
         raise PreconditionRefused(text)
+    lines.append("ok: " + text)
 
 
 def resolve_point(
@@ -387,12 +389,12 @@ def build_plan(cfg: ExperimentConfig) -> AttackPlan:
         flag = small_values_flag(q, cfg.gauss.truncated, blocks.sigma_bar, point.n)
         _check(lines, flag.applicable, flag.condition)
     else:  # unbounded_small_values
-        if att.delta is None or att.delta == "series":
+        if att.delta == "series":
             delta = delta_probability(q, blocks.sigma_bar).delta
         elif att.delta == "mc":
             delta = mc_delta(q, blocks.sigma_bar, cfg.seed)
         else:
-            delta = float(att.delta)
+            delta = att.delta
         flag = unbounded_flag(q, delta)
         _check(lines, flag.applicable, flag.condition)
     if att.family in EXTENDED_FAMILIES:
@@ -406,12 +408,12 @@ def build_plan(cfg: ExperimentConfig) -> AttackPlan:
 
 def run_attack_once(plan: AttackPlan, pairs: Pairs):
     """Dispatch the configured attack on the pairs of one sample batch."""
-    att = plan.cfg.attack
+    cfg, att = plan.cfg, plan.cfg.attack
     if att.family == "unbounded_small_values":
         return unbounded_small_values_attack(pairs, plan.delta)
     if att.family in BASIC_FAMILIES:
         return small_set_attack(pairs, plan.member)
-    return extended_attack(pairs, att.M0, plan.member, plan.member_r, plan.cfg.gauss.p0)
+    return extended_attack(pairs, att.M0, plan.member, plan.member_r, p0_of(cfg.gauss.truncated))
 
 
 def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None) -> dict:
@@ -540,7 +542,7 @@ def _plan_summary(plan: AttackPlan) -> dict:
     and the extended gate are worked out here, from the plan's mask."""
     cfg, att, blocks = plan.cfg, plan.cfg.attack, plan.blocks
     n, a = plan.point.n, plan.point.a
-    q, p0 = cfg.ring.q, cfg.gauss.p0
+    q, p0 = cfg.ring.q, p0_of(cfg.gauss.truncated)
     # |Sigma|, or quarter_count(q) for the quarter interval
     count = None if plan.member is None else int(np.count_nonzero(plan.member))
     out: dict = {
@@ -653,11 +655,11 @@ def _receive(child, rows_in) -> list:
 # sample files (one JSON document per line)
 
 
-def load_samples(path: str, plan: AttackPlan) -> SampleBatch:
-    """Read a sample file for a replay of plan's attack.  A malformed line,
-    a component without exactly N coefficients, a coefficient that is not a
-    JSON integer, an a outside R_{q,0} or fewer samples than one chunk of an
-    extended attack is a ConfigError naming the file and the line."""
+def load_samples(path: str, plan: AttackPlan) -> Pairs:
+    """A replay's pairs: a sample file evaluated at plan's point.  A malformed
+    line, a component without exactly N coefficients, a coefficient that is
+    not a JSON integer, an a outside R_{q,0} or fewer samples than one chunk
+    of an extended attack is a ConfigError naming the file and the line."""
     ring, att, q = plan.cfg.ring, plan.cfg.attack, plan.cfg.ring.q
     with open_path(path, "r", "sample file") as fh:
         lines = fh.read().splitlines()
@@ -680,15 +682,13 @@ def load_samples(path: str, plan: AttackPlan) -> SampleBatch:
             raise ConfigError(f"sample file {path}: line {lineno}: {exc}") from exc
         linenos.append(lineno)
     AB = np.array(rows, dtype=np.int64)
-    batch = SampleBatch(ring, AB[:, : ring.N], AB[:, ring.N :])
-    bad = np.argwhere(rq0_witnesses(batch.A, plan.point))
-    if bad.size:
-        i, k = bad[0]
+    try:
+        pairs = SampleBatch(ring, AB[:, : ring.N], AB[:, ring.N :]).pairs(plan.point)
+    except NonMemberSample as exc:  # the R_{q,0} check of the evaluation
+        where = f"sample file {path}: line {linenos[exc.row]}"
+        raise ConfigError(f"{where}: a lies outside R_q0 (witness k={exc.witness})") from exc
+    if att.family in EXTENDED_FAMILIES and len(pairs) < att.M0:
         raise ConfigError(
-            f"sample file {path}: line {linenos[i]}: a lies outside R_q0 (witness k={k + 1})"
+            f"sample file {path}: {len(pairs)} samples, fewer than attack.M0 = {att.M0}"
         )
-    if att.family in EXTENDED_FAMILIES and len(batch) < att.M0:
-        raise ConfigError(
-            f"sample file {path}: {len(batch)} samples, fewer than attack.M0 = {att.M0}"
-        )
-    return batch
+    return pairs

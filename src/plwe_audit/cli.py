@@ -242,7 +242,7 @@ def _cmd_analyze(args) -> dict:
 def _cmd_replay(args) -> dict:
     cfg = config_from_dict(_read_config(args))
     plan = build_plan(cfg)
-    outcome = run_attack_once(plan, load_samples(args.samples, plan).pairs(plan.point))
+    outcome = run_attack_once(plan, load_samples(args.samples, plan))
     return outcome.to_dict()
 
 

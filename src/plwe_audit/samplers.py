@@ -46,7 +46,15 @@ class BudgetExhausted(Exception):
 
 
 class NonMemberSample(Exception):
-    """An a-component outside R_{q,0} reached an evaluation at the root."""
+    """An a-component outside R_{q,0} reached an evaluation at the root:
+    sample row, whose first nonzero witness sum is witness (k = 1..n-1)."""
+
+    def __init__(self, row: int, witness: int):
+        super().__init__(row, witness)  # the args a pickled copy is rebuilt from
+        self.row, self.witness = row, witness
+
+    def __str__(self) -> str:
+        return f"sample {self.row} lies outside R_q0 (witness k={self.witness})"
 
 
 @dataclass(frozen=True)
@@ -59,10 +67,6 @@ class GaussianSpec:
     def __post_init__(self) -> None:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-
-    @property
-    def p0(self) -> float:
-        return p0_of(self.truncated)
 
 
 def gaussian_coeffs(spec: GaussianSpec, rng: np.random.Generator, size) -> np.ndarray:
@@ -141,7 +145,7 @@ class SampleBatch:
         AW = self.A @ W % q  # column 0: u_i; the others: the witness sums
         if AW[:, 1:].any():
             i, k = np.argwhere(AW[:, 1:])[0]
-            raise NonMemberSample(f"sample {i} lies outside R_q0 (witness k={k + 1})")
+            raise NonMemberSample(int(i), int(k) + 1)
         coord0, u = W[:, 0], AW[:, 0]
         if self.secret is None:
             targets = self.X @ coord0 % q

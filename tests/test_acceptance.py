@@ -16,6 +16,7 @@ from plwe_audit.analysis import (
     delta_probability,
     monte_carlo_delta,
     posterior_bounds,
+    quarter_mask,
     scan_instance,
     small_set_size,
 )
@@ -23,7 +24,6 @@ from plwe_audit.attacks import (
     VERDICT_NOT_PLWE,
     build_sigma_table_trace,
     small_set_attack,
-    small_values_attack,
 )
 from plwe_audit import cli
 from plwe_audit.campaign import config_from_dict, run_campaign
@@ -274,7 +274,7 @@ def test_criterion_11_truncated_soundness():
         rng = np.random.default_rng([7500, seed])
         inst = PlweInstance.generate(ring16, gauss16, rng)
         samples = [plwe_oracle(inst, rng) for _ in range(8)]
-        verdict = small_values_attack(pairs_at(samples, alpha16))
+        verdict = small_set_attack(pairs_at(samples, alpha16), quarter_mask(q2))
         target = eval_poly(inst.secret_for_tests(), alpha16)
         ok &= verdict.kind != VERDICT_NOT_PLWE and target in verdict.survivors
     elapsed = time.perf_counter() - t0

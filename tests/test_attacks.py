@@ -1,4 +1,5 @@
 import math
+import pickle
 import timeit
 import tracemalloc
 from fractions import Fraction
@@ -17,6 +18,7 @@ from plwe_audit.analysis import (
     monte_carlo_delta,
     posterior_bounds,
     quarter_count,
+    quarter_mask,
     small_set_size,
     usva_threshold,
 )
@@ -33,7 +35,6 @@ from plwe_audit.attacks import (
     build_sigma_table_trace,
     extended_attack,
     small_set_attack,
-    small_values_attack,
     unbounded_small_values_attack,
 )
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value, is_prime
@@ -232,9 +233,17 @@ class TestSmallSetTrace:
         assert target in verdict.survivors
 
     def test_non_member_sample_rejected(self):
-        sample = Sample(RING_B.poly([0, 1]), RING_B.poly([]))
-        with pytest.raises(NonMemberSample):
-            small_set_attack(pairs_at([sample], EXT_B), self.TABLE)
+        # 0 is a member; x^2 has only a y^2 coordinate, witness k = 2
+        member = Sample(RING_B.poly([]), RING_B.poly([]))
+        sample = Sample(RING_B.poly([0, 0, 1]), RING_B.poly([]))
+        with pytest.raises(NonMemberSample) as info:
+            small_set_attack(pairs_at([member, sample], EXT_B), self.TABLE)
+        exc = info.value
+        assert (exc.row, exc.witness) == (1, 2)
+        assert str(exc) == "sample 1 lies outside R_q0 (witness k=2)"
+        # a child process sends its exception through a pipe
+        copy = pickle.loads(pickle.dumps(exc))
+        assert (copy.row, copy.witness, str(copy)) == (1, 2, str(exc))
 
     def test_degree_one_extension_matches_fq_attack(self):
         # with n = 1 the subring is everything and the trace is the identity,
@@ -264,7 +273,7 @@ class TestSmallValues:
         alpha = 0
         for a0, b0 in product(range(5), repeat=2):
             sample = Sample(ring.poly([a0]), ring.poly([b0]))
-            verdict = small_values_attack(pairs_at([sample], alpha))
+            verdict = small_set_attack(pairs_at([sample], alpha), quarter_mask(5))
             oracle = tuple(
                 g for g in range(5) if in_quarter_value(b0 - a0 * g, 5)
             )
@@ -273,7 +282,7 @@ class TestSmallValues:
     def test_zero_b_unit_a_survivor_count(self):
         alpha = 0
         sample = Sample(RING_X.poly([1]), RING_X.poly([0]))
-        verdict = small_values_attack(pairs_at([sample], alpha))
+        verdict = small_set_attack(pairs_at([sample], alpha), quarter_mask(13))
         assert set(verdict.survivors) == {g for g in range(13) if in_quarter_value(-g, 13)}
         assert len(verdict.survivors) == quarter_count(13)
 
@@ -291,7 +300,7 @@ class TestSmallValues:
             )
             for _ in range(5)
         ]
-        verdict = small_values_attack(pairs_at(samples, EXT_B))
+        verdict = small_set_attack(pairs_at(samples, EXT_B), quarter_mask(EXT_B.q))
         target = trace(eval_poly(inst.secret_for_tests(), ext_alpha(EXT_B)))
         assert target in verdict.survivors
 
@@ -307,7 +316,7 @@ class TestSmallValues:
         for a_poly in members:
             for b0, b1 in product(range(5), repeat=2):
                 sample = Sample(a_poly, ring.poly([b0, b1]))
-                verdict = small_values_attack(pairs_at([sample], ext))
+                verdict = small_set_attack(pairs_at([sample], ext), quarter_mask(5))
                 for g in verdict.survivors:
                     hits[g] += 1
                 total += 1
@@ -657,7 +666,7 @@ class TestFilterMatchesCandidateMajorLoop:
         assert small_set_attack(pairs_at(samples, point), table).survivors == tuple(
             sorted(_naive_survivors(pairs, table, n))
         )
-        assert small_values_attack(pairs_at(samples, point)).survivors == tuple(
+        assert small_set_attack(pairs_at(samples, point), quarter).survivors == tuple(
             sorted(_naive_survivors(pairs, quarter, n))
         )
 
@@ -732,7 +741,7 @@ class TestTraceSmallValuesSoundness:
                 plwe_oracle(inst, rng, force_a=uniform_rq0_poly(RING_QUAD, EXT_QUAD, rng))
                 for _ in range(4)
             ]
-            verdict = small_values_attack(pairs_at(samples, EXT_QUAD))
+            verdict = small_set_attack(pairs_at(samples, EXT_QUAD), quarter_mask(EXT_QUAD.q))
             assert verdict.kind != VERDICT_NOT_PLWE
 
 
@@ -778,7 +787,7 @@ class TestTruncatedTraceSoundness:
         rng = np.random.default_rng(seed)
         secret = rng.integers(0, ring.q, size=ring.N)
         batch, _ = sample_batch(ring, GaussianSpec(sigma, True), ext, M, rng, secret=secret)
-        verdict = small_values_attack(batch.pairs(ext))
+        verdict = small_set_attack(batch.pairs(ext), quarter_mask(ring.q))
         target = trace(eval_poly(ring.poly(secret.tolist()), ext_alpha(ext)))
         assert target in verdict.survivors
         assert verdict.kind != VERDICT_NOT_PLWE

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import signal
+import sys
 import time
 from datetime import timedelta
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plwe_audit import campaign, cli, fields
+from plwe_audit import campaign, cli, fields, rings
 from plwe_audit.analysis import posterior_bounds, scan_instance
 from plwe_audit.campaign import (
     FAMILIES,
@@ -36,7 +37,7 @@ from plwe_audit.instances import (
 )
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus
 from plwe_audit.rings import RqContext, load_ring_doc
-from plwe_audit.samplers import GaussianSpec, sample_batch
+from plwe_audit.samplers import GaussianSpec, SampleBatch, sample_batch
 from reference import reference_sample_batch, ring_add, ring_mul
 
 ORDER6_INSTANCE = {"N": 6, "f": [-1, 0, 0, 0, 0, 0, 1], "q": 4099,
@@ -791,6 +792,28 @@ class TestCli:
         samples.write_text("\n".join(lines) + "\n")
         assert cli.main(["replay", "--config", cfg, str(samples)]) == 2
         assert f"{samples}: {named}" in capsys.readouterr().err
+
+    def test_replay_evaluates_its_batch_once(self, tmp_path, capsys, monkeypatch):
+        # the replay's R_{q,0} check is the one in SampleBatch.pairs
+        cfg, samples, _ = self._recorded_trace_samples(tmp_path, capsys)
+        calls = {"pairs": 0, "rq0_witnesses": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SampleBatch, "pairs", counted("pairs", SampleBatch.pairs))
+        witnesses = counted("rq0_witnesses", rings.rq0_witnesses)
+        bound = [m for m in list(sys.modules.values())
+                 if vars(m).get("rq0_witnesses") is rings.rq0_witnesses]
+        assert rings in bound
+        for module in bound:
+            monkeypatch.setattr(module, "rq0_witnesses", witnesses)
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 0
+        capsys.readouterr()
+        assert calls == {"pairs": 1, "rq0_witnesses": 0}
 
     def test_replay_refuses_short_rows(self, tmp_path, capsys):
         cfg, samples, lines = self._recorded_trace_samples(tmp_path, capsys)

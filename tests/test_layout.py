@@ -18,7 +18,10 @@ point's class counts come from analysis.class_counts alone: a block
 structure holds them, and the Sigma table and its size take them.  The
 posterior closed forms take a filter's mask size and class count, never an
 attack family, and each array limit of rings is checked in one place.  The
-package root re-exports nothing."""
+package root re-exports nothing.  Each result has one route: a replay
+checks R_{q,0} through the evaluation of SampleBatch.pairs, p0 comes from
+samplers.p0_of, a missing delta is "series", and the small-values attack
+is the small-set attack on the quarter mask."""
 
 import ast
 import dataclasses
@@ -30,6 +33,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import plwe_audit
 from plwe_audit import attacks, fields
@@ -37,6 +41,7 @@ from plwe_audit.analysis import (
     BlockStructure,
     PointVuln,
     PosteriorBounds,
+    ProbabilityReport,
     delta_probability,
     f_of_r,
     minimal_samples,
@@ -44,10 +49,10 @@ from plwe_audit.analysis import (
     small_set_size,
 )
 from plwe_audit.attacks import AttackVerdict
-from plwe_audit.campaign import AttackPlan, AttackSpec, resolve_point
+from plwe_audit.campaign import AttackPlan, AttackSpec, PreconditionRefused, _check, resolve_point
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, mult_order
 from plwe_audit.rings import RingPoly, RqContext, binomial_logs
-from plwe_audit.samplers import SampleBatch
+from plwe_audit.samplers import GaussianSpec, SampleBatch
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_ONLY = frozenset({
@@ -96,6 +101,8 @@ DELETED = frozenset({
     # the int64 guard that named the table limit, which rings'
     # require_table_modulus and require_int64_sums replaced
     "_require_int64_modulus",
+    # the small-set attack on the quarter mask under a second name
+    "small_values_attack",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
@@ -106,9 +113,10 @@ DELETED_ATTRIBUTES = (
     (RqContext, "_reduction_rows"), (RingPoly, "as_array"),
     # the blocks that class counts replaced
     (BlockStructure, "r_eff"), (BlockStructure, "blocklen"), (BlockStructure, "case_kind"),
+    # second spellings of p0_of and of the series' own term counts
+    (GaussianSpec, "p0"), (ProbabilityReport, "terms_used"),
 )
-ATTACKS = ("small_set_attack", "small_values_attack", "unbounded_small_values_attack",
-           "extended_attack")
+ATTACKS = ("small_set_attack", "unbounded_small_values_attack", "extended_attack")
 EXT_ELEMENT_CONSTRUCTORS = frozenset({"element", "from_base", "zero", "one", "alpha"})
 
 
@@ -140,6 +148,9 @@ def test_one_arithmetic_path():
     assert list(inspect.signature(binomial_logs).parameters) == ["ctx", "n", "G"]
     for owner, name in DELETED_ATTRIBUTES:
         assert not hasattr(owner, name), (owner, name)
+        # a dataclass field without a default is no class attribute
+        if dataclasses.is_dataclass(owner):
+            assert name not in {f.name for f in dataclasses.fields(owner)}, (owner, name)
     for name in ATTACKS:
         params = inspect.signature(getattr(attacks, name)).parameters
         assert list(params)[0] == "pairs" and "point" not in params, name
@@ -281,3 +292,25 @@ def test_one_trial_loop():
     assert len(sites) == 1, sites
     (name, in_loop), = sites
     assert in_loop and name in reached and name != "run_campaign", sites
+
+
+def test_one_route_each():
+    """A replay's R_{q,0} check is the one in SampleBatch.pairs, a missing
+    delta is "series" from the config reader on, and a precondition report
+    holds only the lines that held."""
+    campaign = ROOT / "src" / "plwe_audit" / "campaign.py"
+    assert "rq0_witnesses" not in _names(campaign)
+    tree = ast.parse(campaign.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert ast.unparse(functions["load_samples"].returns) == "Pairs"
+    none_tests = [
+        node for node in ast.walk(functions["build_plan"]) if isinstance(node, ast.Compare)
+        and any(isinstance(c, ast.Constant) and c.value is None for c in node.comparators)
+    ]
+    assert not none_tests
+    assert {f.name: f.default for f in dataclasses.fields(AttackSpec)}["delta"] == "series"
+    lines: list[str] = []
+    _check(lines, True, "held")
+    with pytest.raises(PreconditionRefused, match="^failed$"):
+        _check(lines, False, "failed")
+    assert lines == ["ok: held"]

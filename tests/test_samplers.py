@@ -14,6 +14,7 @@ from plwe_audit.samplers import (
     PlweInstance,
     SampleBatch,
     gaussian_coeffs,
+    p0_of,
     sample_batch,
 )
 
@@ -49,8 +50,8 @@ class TestGaussian:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GaussianSpec(0.0, True)
-        assert GaussianSpec(8.0, True).p0 == 1.0
-        assert GaussianSpec(8.0, False).p0 == pytest.approx(0.954500, abs=1e-9)
+        assert p0_of(True) == 1.0
+        assert p0_of(False) == pytest.approx(0.954500, abs=1e-9)
 
     @pytest.mark.parametrize("sigma", [0.7, 2.5, 8.0])
     def test_truncated_support(self, sigma):
