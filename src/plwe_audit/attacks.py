@@ -146,9 +146,13 @@ class HitCountDecision(Decision):
 
 
 # a Sigma table build and extended_attack hold at most max(q, _MAX_PAIRS)
-# entries or candidates at a time, and the unbounded attack at most as many
-# entries of its hit grid
+# entries or candidates at a time
 _MAX_PAIRS = 2**20
+
+# the unbounded attack's hit grid holds at most max(q - 1, _HIT_GROUP)
+# entries and fewer than 2**15 rows at a time: a group fits in a core's L2
+# cache, and its column sums of booleans fit in int16
+_HIT_GROUP = 2**18
 
 
 def build_sigma_table_trace(
@@ -220,6 +224,8 @@ def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
     pair, s = np.divmod(np.flatnonzero(member.take(x)), sigma.size)
     s = sigma.take(s)
     for i in range(start + 1, m):
+        if not pair.size:
+            break
         keep = np.flatnonzero(member.take((lam[i].take(pair) * s + off[i].take(pair)) % q))
         pair, s = pair.take(keep), s.take(keep)
     g = (targets[rows, first].take(pair) - s) * inv.take(pair) % q
@@ -232,12 +238,14 @@ def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
 
     With G = generator_powers(q), windows[l] is the row G[l : l + q - 1] of
     the doubled table G || G (a sliding-window view) and logs[G[j]] = j
-    (logs[0] is unused).  In int32 they hold 8q + 4q bytes, about 48 MB at
-    q near 2**22.
+    (logs[0] is unused).  Both are int16 below q = 2**15, where (-q, q) fits
+    in int16, and int32 from there on: 4q + 2q bytes, or 8q + 4q bytes,
+    about 48 MB at q near 2**22.
     """
-    G = generator_powers(q).astype(np.int32)
-    logs = np.zeros(q, dtype=np.int32)
-    logs[G] = np.arange(q - 1, dtype=np.int32)
+    dtype = np.int16 if q < 2**15 else np.int32
+    G = generator_powers(q).astype(dtype)
+    logs = np.zeros(q, dtype=dtype)
+    logs[G] = np.arange(q - 1, dtype=dtype)
     logs.flags.writeable = False
     return sliding_window_view(np.tile(G, 2), q - 1), logs
 
@@ -274,24 +282,26 @@ def _quarter_hits(pairs: Pairs) -> tuple[int, np.ndarray]:
     in log order: u_i*g = G[l_i + j] for u_i = G[l_i] is row l_i of G || G.
     The quarter residues are the cyclic interval [c, c + w) of
     analysis.quarter_interval; t_i - u_i*g hits iff d = ((t_i - c) mod q) -
-    u_i*g, in (-q, q), read as uint32 is below w, or d < w - q.  A row with
-    u_i = 0 adds its constant hit to every g != 0; rows come in groups of at
-    most max(q, _MAX_PAIRS) entries."""
+    u_i*g, in (-q, q) and held in the tables' dtype, read as unsigned is
+    below w, or d < w - q.  A row with u_i = 0 adds its constant hit to every
+    g != 0; rows come in groups of at most max(q - 1, _HIT_GROUP) entries
+    and fewer than 2**15 rows, whose column sums the tables' dtype holds."""
     q = pairs.q
     windows, logs = _log_tables(q)
+    unsigned = np.uint16 if logs.dtype == np.int16 else np.uint32
     c, w = quarter_interval(q)
     at_zero = quarter_mask(q).take(pairs.targets)  # t_i - u_i*0 = t_i
     zero = pairs.scales == 0
     hits = np.full(q - 1, int(at_zero[zero].sum()), dtype=np.int64)
-    shifted = ((pairs.targets[~zero] - c) % q).astype(np.int32)
+    shifted = ((pairs.targets[~zero] - c) % q).astype(logs.dtype)
     l = logs.take(pairs.scales[~zero])
-    rows = max(q, _MAX_PAIRS) // q
+    rows = min(max(1, _HIT_GROUP // (q - 1)), 2**15 - 1)
     for lo in range(0, l.size, rows):
         d = windows[l[lo : lo + rows]]
         np.subtract(shifted[lo : lo + rows, None], d, out=d)
-        hit = d.view(np.uint32) < w
+        hit = d.view(unsigned) < w
         hit |= d < w - q
-        hits += hit.sum(axis=0, dtype=np.int32)
+        hits += hit.sum(axis=0, dtype=logs.dtype)
     return int(at_zero.sum()), hits
 
 
@@ -307,7 +317,8 @@ def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecisio
     uniform batch with quarter_count(q)/q.
 
     _quarter_hits counts in the log domain with two integer comparisons per
-    entry; its cached _log_tables take about 12q bytes, so q < 2**22.
+    entry; its cached _log_tables take about 6q bytes below q = 2**15 and
+    12q bytes from there up to the limit q < 2**22.
 
     delta is the caller's estimate of P(error image in quarter interval) - 1/2;
     it is never derived here.

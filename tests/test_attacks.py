@@ -417,15 +417,15 @@ class TestUnbounded:
         assert d_fq == d_tr
 
     def test_hit_grid_row_groups_match_one_group(self):
-        # at _MAX_PAIRS = 0 every group of the hit grid is one row of q
-        # entries; at 2q groups of two rows leave a short last group
+        # at _HIT_GROUP = 0 every group of the hit grid is one row of q - 1
+        # entries; at 2(q - 1) groups of two rows leave a short last group
         q = 3677
         ring, alpha = _usva_ring(8, q, q - 1), q - 1
         for samples in (_plwe_samples(ring, GaussianSpec(1.0, False), 25, 31)[1],
                         _uniform_samples(ring, 25, 32)):
             whole = unbounded_small_values_attack(pairs_at(samples, alpha), 0.3)
-            for max_pairs in (0, 2 * q):
-                with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
+            for group in (0, 2 * (q - 1)):
+                with mock.patch.object(attacks, "_HIT_GROUP", group):
                     assert unbounded_small_values_attack(pairs_at(samples, alpha), 0.3) == whole
 
     @given(
@@ -465,8 +465,8 @@ class TestUnbounded:
             sum(in_quarter_value(n_inv * (t - u * g), q) for t, u in pairs)
             for g in range(q)
         ]
-        for max_pairs in (attacks._MAX_PAIRS, 0):  # 0: one sample per group
-            with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
+        for group in (attacks._HIT_GROUP, 0):  # 0: one sample per group
+            with mock.patch.object(attacks, "_HIT_GROUP", group):
                 decision = unbounded_small_values_attack(pairs_at(samples, point), 0.3)
             assert decision.best_hits == max(hits)
             assert decision.votes == sum(hits)
@@ -482,22 +482,26 @@ def _next_prime(n):
 
 class TestLogDomainHitCounts:
     @given(
-        st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(11, 4000).map(_next_prime)),
+        st.one_of(
+            st.sampled_from([2, 3, 5, 7]),
+            st.integers(11, 4000).map(_next_prime),
+            st.sampled_from([32749, 32771]),  # the last int16 and first int32 q
+        ),
         st.integers(1, 60),
         st.sampled_from([0.0, 0.2, 1.0]),
-        st.sampled_from(["default", 0, "2q"]),
+        st.sampled_from(["default", 0, "2rows"]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_modular_grid(self, q, ell, zero_share, max_pairs, seed):
-        # rows with u = 0 are drawn with the given share; _MAX_PAIRS = 0
-        # makes every row group one row, 2q groups of two rows
+    def test_matches_modular_grid(self, q, ell, zero_share, group, seed):
+        # rows with u = 0 are drawn with the given share; _HIT_GROUP = 0
+        # makes every row group one row, 2(q - 1) groups of two rows
         rng = np.random.default_rng(seed)
         targets = rng.integers(0, q, size=ell)
         scales = np.where(rng.random(ell) < zero_share, 0, rng.integers(1, q, size=ell))
         hits = reference_hit_counts(targets, scales, q)
-        limit = {"default": attacks._MAX_PAIRS, "2q": 2 * q}.get(max_pairs, max_pairs)
-        with mock.patch.object(attacks, "_MAX_PAIRS", limit):
+        limit = {"default": attacks._HIT_GROUP, "2rows": 2 * (q - 1)}.get(group, group)
+        with mock.patch.object(attacks, "_HIT_GROUP", limit):
             decision = unbounded_small_values_attack(Pairs(targets, scales, q), 0.3)
             h0, by_log = attacks._quarter_hits(Pairs(targets, scales, q))
         assert decision.votes == int(hits.sum())
@@ -506,6 +510,43 @@ class TestLogDomainHitCounts:
         # the candidate order: compare every candidate's count
         assert h0 == hits[0]
         assert by_log.tolist() == hits[generator_powers(q)].tolist()
+
+    @pytest.mark.parametrize("q, dtype", [(3677, np.int16), (32749, np.int16), (32771, np.int32)])
+    def test_tables_are_narrow_below_2_15(self, q, dtype):
+        # (-q, q) fits in int16 exactly when q < 2**15
+        windows, logs = attacks._log_tables(q)
+        assert windows.dtype == logs.dtype == dtype
+        doubled = windows
+        while doubled.base is not None:  # the array G || G behind the view
+            doubled = doubled.base
+        assert doubled.nbytes + logs.nbytes == (3 * q - 2) * np.dtype(dtype).itemsize
+
+    def test_column_sums_stay_inside_int16(self):
+        # 33000 rows (1, 1) give g = 1 more than 2**15 - 1 hits at q = 3, so
+        # a group of 2**15 rows or more would wrap its int16 column sum
+        q = 3
+        rng = np.random.default_rng(3)
+        targets = np.r_[np.ones(33000, dtype=np.int64), rng.integers(0, q, 7000)]
+        scales = np.r_[np.ones(33000, dtype=np.int64), rng.integers(1, q, 7000)]
+        hits = reference_hit_counts(targets, scales, q)
+        assert hits[1] > 2**15 - 1 and attacks._HIT_GROUP // (q - 1) >= 2**15
+        h0, by_log = attacks._quarter_hits(Pairs(targets, scales, q))
+        assert h0 == hits[0]
+        assert by_log.tolist() == hits[generator_powers(q)].tolist()
+
+    @pytest.mark.parametrize("q, ell", [(3677, 500), (32749, 50), (32771, 50)])
+    def test_grid_temporaries_stay_within_the_group_cap(self, q, ell):
+        # a group's grid (itemsize bytes per entry) and its two boolean masks
+        # hold at most max(q - 1, _HIT_GROUP) entries each; the next group's
+        # grid is built before the last one is freed, so at most two groups'
+        # worth are live, besides O(q) hit counts and O(ell) row arrays
+        rng = np.random.default_rng(q)
+        pairs = Pairs(rng.integers(0, q, ell), rng.integers(1, q, ell), q)
+        attacks._quarter_hits(pairs)  # builds the cached tables
+        _, peak = _peak_bytes(lambda: attacks._quarter_hits(pairs))
+        entries = max(q - 1, attacks._HIT_GROUP)
+        itemsize = attacks._log_tables(q)[1].itemsize
+        assert peak <= 2 * (itemsize + 2) * entries + 16 * q + 64 * ell
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 17, 19, 3677, 4099])
     def test_interval_edges(self, q):
