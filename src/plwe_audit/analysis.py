@@ -460,20 +460,6 @@ class AttackFlag:
         }
 
 
-def point_keys(n: int, a: int, blocks: BlockStructure) -> dict:
-    """How scan and analyze reports spell the root of y^n - a: alpha at an
-    F_q root (n = 1, alpha = a), else n, a, the coefficients per coordinate
-    n_prime and the shortest class n_second; then order, BDNB's case of
-    sigma_bar (the root 0 is general) and sigma_bar."""
-    if n == 1:
-        where = {"alpha": a}
-    else:
-        where = {"n": n, "a": a, "n_prime": blocks.n_terms, "n_second": min(blocks.counts)}
-    case = ("pm_one" if 0 < blocks.order <= 2
-            else "small_order" if 0 < blocks.order < blocks.n_terms else "general")
-    return {**where, "order": blocks.order, "case": case, "sigma_bar": blocks.sigma_bar}
-
-
 @dataclass(frozen=True)
 class PointVuln:
     """A point a scan lists, the root of an irreducible divisor y^n - a of f
@@ -496,8 +482,18 @@ class PointVuln:
         return self.blocks.order
 
     def to_dict(self) -> dict:
+        """The point as scan and analyze print it: alpha at an F_q root, else n,
+        a, n_prime (N // n) and the shortest class n_second; then order, BDNB's
+        case of sigma_bar (the root 0 is general), sigma_bar and the flags."""
+        bs = self.blocks
+        if self.n == 1:
+            where = {"alpha": self.a}
+        else:
+            where = {"n": self.n, "a": self.a, "n_prime": bs.n_terms, "n_second": min(bs.counts)}
+        case = ("pm_one" if 0 < bs.order <= 2
+                else "small_order" if 0 < bs.order < bs.n_terms else "general")
         return {
-            **point_keys(self.n, self.a, self.blocks),
+            **where, "order": bs.order, "case": case, "sigma_bar": bs.sigma_bar,
             "attacks": [f.to_dict() for f in self.flags],
         }
 
@@ -639,6 +635,19 @@ def unbounded_flag(q: int, delta: float, **details) -> AttackFlag:
     return AttackFlag("unbounded_small_values", ok, cond, details)
 
 
+def assess_point(
+    q: int, n: int, blocks: BlockStructure, sigma: float, truncated: bool, table_cap: int
+) -> tuple[AttackFlag, AttackFlag, AttackFlag]:
+    """The small-set, small-values and series unbounded flags at the root of
+    y^n - a with these blocks: what scan lists and analyze prints."""
+    prob = delta_probability(q, blocks.sigma_bar)
+    return (
+        small_set_flag(q, truncated, blocks.counts, sigma, table_cap),
+        small_values_flag(q, truncated, blocks.sigma_bar, n),
+        unbounded_flag(q, prob.delta, ratio=prob.ratio, p_event=prob.p_event),
+    )
+
+
 def scan_instance(
     ctx: RqContext,
     sigma: float,
@@ -663,12 +672,7 @@ def scan_instance(
     def point(n: int, a: int, bs: BlockStructure) -> PointVuln:
         key = (n, bs.order, bs.sigma_bar)
         if key not in seen:
-            prob = delta_probability(q, bs.sigma_bar)
-            seen[key] = (
-                small_set_flag(q, truncated, bs.counts, sigma, table_cap),
-                small_values_flag(q, truncated, bs.sigma_bar, n),
-                unbounded_flag(q, prob.delta, ratio=prob.ratio, p_event=prob.p_event),
-            )
+            seen[key] = assess_point(q, n, bs, sigma, truncated, table_cap)
         return PointVuln(n, a, bs, seen[key])
 
     def points(n: int) -> list[PointVuln]:

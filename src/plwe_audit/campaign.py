@@ -553,6 +553,7 @@ def _plan_summary(plan: AttackPlan) -> dict:
         **({"alpha": a} if n == 1 else {"n": n, "a": a}),
     }
     if att.family in SMALL_SET_FAMILIES:
+        # the power form, where the flag's exp of the log differs in the last bit (ROADMAP item 1)
         analytic = small_set_size(blocks.counts, cfg.gauss.sigma).analytic
         out["sigma_table_size"] = count
         out["sigma_table_analytic_bound"] = analytic

@@ -20,14 +20,12 @@ import sys
 from contextlib import contextmanager
 
 from .analysis import (
-    delta_probability,
+    PointVuln,
+    assess_point,
     f_of_r,
     minimal_samples,
-    point_keys,
     quarter_count,
     scan_instance,
-    small_set_size,
-    small_values_flag,
 )
 from .campaign import (
     ConfigError,
@@ -194,28 +192,25 @@ def _cmd_analyze(args) -> dict:
     n, a = point_from_dict(section(doc.get("attack", {}), "attack"), ring.N)
     point, blocks = resolve_point(ring, sigma, n, a)
     q = ring.q
-    prob = delta_probability(q, blocks.sigma_bar)
+    flags = assess_point(q, point.n, blocks, sigma, truncated, table_cap_from_dict(doc))
+    small_set, small_values, unbounded = flags
     out = {
         "q": q,
-        **point_keys(n, point.a, blocks),
-        "p_event": prob.p_event,
-        "delta": prob.delta,
-        "big_delta": prob.big_delta,
-        "ratio": prob.ratio,
+        **PointVuln(point.n, point.a, blocks, flags).to_dict(),
+        **{k: unbounded.details[k] for k in ("p_event", "delta", "big_delta", "ratio")},
         "warnings": [],
     }
-    fits = small_values_flag(q, truncated, blocks.sigma_bar, point.n)
-    if fits.applicable:
+    if small_values.applicable:
         out["warnings"].append(
-            f"{fits.condition}: the error image fits in the quarter interval, "
+            f"{small_values.condition}: the error image fits in the quarter interval, "
             "so the bounded small-values attack applies instead"
         )
     if args.mc_check:
         mc = mc_delta(q, blocks.sigma_bar, seed_from_dict(doc))
         out["delta_mc"] = mc
-        if abs(mc - prob.delta) > 2e-3:
+        if abs(mc - out["delta"]) > 2e-3:
             out["warnings"].append(
-                f"series delta {prob.delta:.6f} disagrees with the Monte Carlo "
+                f"series delta {out['delta']:.6f} disagrees with the Monte Carlo "
                 f"oracle {mc:.6f}; trust the oracle for campaign thresholds"
             )
     if args.min_M is not None:
@@ -223,11 +218,10 @@ def _cmd_analyze(args) -> dict:
             "target": args.min_M,
             "small_values": minimal_samples(q, quarter_count(q), 1, truncated, args.min_M),
         }
-        size = small_set_size(blocks.counts, sigma).analytic
-        if size < q:
-            out["min_M"]["small_set"] = minimal_samples(
-                q, size, len(blocks.counts), truncated, args.min_M
-            )
+        # the closed form's least M, whether or not the flag holds
+        size, r = small_set.details["analytic_bound"], small_set.details["r"]
+        if size is not None and size < q:
+            out["min_M"]["small_set"] = minimal_samples(q, size, r, truncated, args.min_M)
     if args.f_of_r_csv:
         grid = [4.0 * 2.0**0.5 * (i + 1) / 1000.0 for i in range(1000)]
         with open_path(args.f_of_r_csv, "w", "--f-of-r-csv", newline="") as fh:

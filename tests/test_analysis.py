@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plwe_audit import instances
+from plwe_audit import cli, instances
 from plwe_audit.analysis import (
     DUAL_SERIES_BELOW,
     DomainError,
+    PointVuln,
     _dual_series,
     _erf_series,
     _per_sample_mass,
@@ -29,7 +30,6 @@ from plwe_audit.analysis import (
     in_quarter_residues,
     minimal_samples,
     monte_carlo_delta,
-    point_keys,
     posterior_bounds,
     quarter_count,
     quarter_mask,
@@ -108,7 +108,7 @@ class TestSigmaBar:
     def test_minus_one_root(self):
         m = PrimeModulus(3677)
         bs = block_structure(ExtFieldCtx(1, 3676, m), 256, 8.0)
-        assert point_keys(1, 3676, bs)["case"] == "pm_one"
+        assert PointVuln(1, 3676, bs, ()).to_dict()["case"] == "pm_one"
         assert bs.sigma_bar == pytest.approx(math.sqrt(256) * 8.0)
 
     def test_unit_trace_weight(self):
@@ -120,7 +120,7 @@ class TestSigmaBar:
         # the centered powers of 698 mod 2887 are 1, 698, -699, 85 apiece
         m = PrimeModulus(2887)
         bs = block_structure(ExtFieldCtx(1, 698, m), 256, 8.0)
-        assert point_keys(1, 698, bs)["case"] == "small_order"
+        assert PointVuln(1, 698, bs, ()).to_dict()["case"] == "small_order"
         assert (bs.order, bs.counts) == (3, (85, 85, 85))
         expected = math.sqrt(85 * 64 * (1 + 698**2 + 699**2))
         assert bs.sigma_bar == pytest.approx(expected)
@@ -135,7 +135,7 @@ class TestSigmaBar:
         # order 12 > N = 4: four weights 1, 2, 4, 8 = -5 mod 13, one apiece
         m = PrimeModulus(13)
         bs = block_structure(ExtFieldCtx(1, 2, m), 4, 1.0)
-        assert point_keys(1, 2, bs)["case"] == "general"
+        assert PointVuln(1, 2, bs, ()).to_dict()["case"] == "general"
         assert bs.counts == (1, 1, 1, 1)
         assert bs.sigma_bar == pytest.approx(math.sqrt(1 + 4 + 16 + 25))
 
@@ -597,7 +597,7 @@ class TestClassCounts:
         want = reference_block_structure(point, N, sigma)
         assert got.sigma_bar == want.sigma_bar
         assert (got.order, got.n_terms) == (want.order, want.n_terms)
-        keys = point_keys(n, point.a, got)
+        keys = PointVuln(n, point.a, got, ()).to_dict()
         assert keys["case"] == want.case_kind
         assert keys.get("n_second", want.blocklen) == min(got.counts) == want.blocklen
         n_terms = got.n_terms
@@ -765,3 +765,24 @@ def test_plan_and_scan_agree(name, doc, sigma):
                 continue
             assert flag.applicable, (where, family)
             assert plan.preconditions == ("ok: " + flag.condition,)
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_analyze_and_scan_agree(tmp_path, capsys, truncated):
+    """At every point a scan lists, analyze prints the scan's flags, and its
+    flat margins are the unbounded flag's details."""
+    cfg = tmp_path / "c.json"
+    for _, doc, sigma in PINNED_SCANS[:7]:
+        report = scan_instance(load_ring_doc(doc), sigma, truncated)
+        instance = {**doc, "sigma": sigma, "truncated": truncated}
+        for point in report.roots + report.factors:
+            where = {"alpha": point.a} if point.n == 1 else {"n": point.n, "a": point.a}
+            cfg.write_text(json.dumps({"instance": instance, "attack": where}))
+            assert cli.main(["analyze", "--config", str(cfg)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            want = json.loads(json.dumps(point.to_dict()))
+            assert out["attacks"] == want["attacks"], where
+            unbounded = want["attacks"][2]
+            assert unbounded["attack"] == "unbounded_small_values"
+            for key in ("p_event", "delta", "big_delta", "ratio"):
+                assert out[key] == unbounded["details"][key], (where, key)

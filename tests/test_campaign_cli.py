@@ -1139,6 +1139,9 @@ def test_fuzzed_configs_exit_cleanly(tmp_path, command, instance, attack, extra,
         ("scan", {"instance": {**MIXED_Q7, "sigma": -1}}, "instance.sigma"),
         ("scan", {"instance": MIXED_Q7, "table_cap": "x"}, "table_cap"),
         ("scan", {"instance": MIXED_Q7, "table_cap": 0}, "table_cap"),
+        # analyze used to ignore the cap and exit 0
+        ("analyze", {"instance": TRACE_INSTANCE_B["instance"], "attack": {"n": 3, "a": 2017},
+                     "table_cap": "x"}, "table_cap"),
         ("analyze", {"instance": MIXED_Q7, "attack": {"n": "x", "a": 3}}, "attack.n"),
         ("analyze", {"instance": MIXED_Q7, "attack": {"n": 0, "a": 3}}, "attack.n"),
         ("analyze", {"instance": MIXED_Q7, "attack": [1]}, "attack"),
@@ -1344,7 +1347,7 @@ def test_unwritable_output_is_refused_before_the_command_runs(
     # the campaign, scan or analysis used to run, and its report to print,
     # before --output was opened
     calls = []
-    for name in ("run_campaign", "scan_instance", "delta_probability", "build_plan"):
+    for name in ("run_campaign", "scan_instance", "assess_point", "build_plan"):
         monkeypatch.setattr(cli, name, lambda *args, name=name, **kw: calls.append(name))
     cfg = _write(tmp_path, "c.json", _order6_config(trials=3))
     target = tmp_path / "folder" if where == "directory" else tmp_path / "missing" / "r.json"
@@ -1404,6 +1407,57 @@ def test_analyze_min_m_report_is_strict_json(tmp_path, capsys):
     assert cli.main(["analyze", "--config", cfg, "--min-M", "0.99"]) == 0
     doc = _strict_json(capsys.readouterr().out)
     assert doc["min_M"]["target"] == 0.99 and doc["min_M"]["small_values"] >= 1
+
+
+# sha256 of the sorted-key JSON of analyze reports without their attacks
+# list, taken before analyze read its flags from analysis.assess_point
+ANALYZE_PINS = {
+    # x^3 - 2017 on ring B: min_M.small_set is 491, then null (no M reaches
+    # the target), then absent (the analytic size is above q)
+    "ring_b-2.5": ({**TRACE_INSTANCE_B["instance"], "sigma": 2.5}, {"n": 3, "a": 2017},
+                   ["--min-M", "0.99"],
+                   "e5aefaa42972492c6a50350509b280c98627c0e0733aa0f51bf2f7bd82846a9c"),
+    "ring_b-2.6": ({**TRACE_INSTANCE_B["instance"], "sigma": 2.6}, {"n": 3, "a": 2017},
+                   ["--min-M", "0.99"],
+                   "a6d5752c7488d55aeebb6a48949c184099ff5dacd7ae7e6011598479328f2eb5"),
+    "ring_b-3.0": ({**TRACE_INSTANCE_B["instance"], "sigma": 3.0}, {"n": 3, "a": 2017},
+                   ["--min-M", "0.99"],
+                   "9718d0c52925d10de5855cf3da028e72dc8ef4f10f5e10bd108fd6c7b4b3b9e2"),
+    # the root -1 mod 3677, with the small-values warning and delta_mc
+    "usva1": (USVA_INSTANCES[1]["instance"], {"alpha": 3676}, ["--mc-check"],
+              "3c4823e20515b2e4e43773558b2c08aa0a630bfad3ae6d498f075cc353bb85ca"),
+    "root0": ({"N": 4, "f": [0, 1, 0, 0, 1], "q": 13, "sigma": 1.0, "truncated": True},
+              {"alpha": 0}, [],
+              "7d57834aa061c15a277954f77189fe1b626495fc7a65a1f3fa8bd7975b66d004"),
+    # a modulus the scan refuses
+    "dilithium": ({**CRYPTO_RINGS["dilithium"], "sigma": 1.0, "truncated": False},
+                  {"alpha": 1753}, [],
+                  "b3ab2fcceab4d77af4bfe2d36bcd690adaf5fd138ccf4eca64160364e3c02061"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_PINS))
+def test_analyze_reports_are_pinned(tmp_path, capsys, name):
+    instance, point, options, digest = ANALYZE_PINS[name]
+    cfg = _write(tmp_path, "c.json", {"instance": instance, "attack": point})
+    assert cli.main(["analyze", "--config", cfg, *options]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [f["attack"] for f in doc.pop("attacks")] == [
+        "small_set", "small_values", "unbounded_small_values"
+    ]
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_analyze_reads_the_table_cap(tmp_path, capsys):
+    doc = {"instance": TRACE_INSTANCE_B["instance"], "attack": {"n": 3, "a": 2017}}
+    cfg = _write(tmp_path, "c.json", {**doc, "table_cap": 5})
+    assert cli.main(["analyze", "--config", cfg]) == 0
+    small_set = json.loads(capsys.readouterr().out)["attacks"][0]
+    assert not small_set["applicable"]
+    assert small_set["condition"] == (
+        "table infeasible: (15)^3 ~ 10^4 > cap 5.0e+00 (order too large)"
+    )
 
 
 def test_sample_matrices_beyond_the_entry_bound_are_refused(tmp_path, capsys):

@@ -4,8 +4,10 @@ Sample objects, live in tests/reference.py; no module of src/plwe_audit or
 scripts defines, imports or reads them, and the package does not export
 them.  The attacks read Pairs only and take no evaluation point.  A Sigma
 table is its mask alone, an AttackPlan holds what its trials read and is
-built once and frozen, and the analyze command reads and judges a point
-through the reader, resolver and analysis functions that plans use.  Roots
+built once and frozen, and the analyze command reads a point through the
+reader and resolver that plans use and judges it by the scan's
+analysis.assess_point, the one place outside build_plan that builds a
+flag; build_plan builds only its own family's.  Roots
 and divisors come from the scan's fold alone, and ExtFieldCtx is the one
 irreducibility test.  A point is the (n, a) of its binomial y^n - a from the
 config reader on, an F_q root alpha being (1, alpha), and ExtFieldCtx(n,
@@ -103,6 +105,8 @@ DELETED = frozenset({
     "_require_int64_modulus",
     # the small-set attack on the quarter mask under a second name
     "small_values_attack",
+    # the point's spelling outside PointVuln.to_dict
+    "point_keys",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
@@ -184,6 +188,25 @@ def test_one_precondition_path():
         for alias in node.names
     }
     assert not {"block_structure", "log_small_set_size", "int_field"} & imported
+    # analyze reads a point's flags and margins from analysis.assess_point
+    assert not {
+        "delta_probability", "small_set_flag", "small_values_flag", "unbounded_flag",
+        "small_set_size", "point_keys",
+    } & imported
+    flags = {"small_set_flag", "small_values_flag", "unbounded_flag"}
+    callers = {}
+    for path in sorted((ROOT / "src" / "plwe_audit").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            called = {
+                node.func.id for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            } & flags
+            if called:
+                callers[path.stem, top.name] = called
+    assert callers == {
+        ("analysis", "assess_point"): flags,
+        ("campaign", "build_plan"): {"small_values_flag", "unbounded_flag"},
+    }
     # the attack section's point fields are read by campaign.point_from_dict
     keys = {
         node.slice.value if isinstance(node, ast.Subscript) else node.args[0].value
