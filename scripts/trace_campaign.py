@@ -27,7 +27,6 @@ def main():
         "instance": dict(TRACE_INSTANCE_B["instance"]),
         "attack": {
             "family": "extended_small_set",
-            "mode": "trace",
             "n": TRACE_INSTANCE_B["extension"]["n"],
             "a": TRACE_INSTANCE_B["extension"]["a"],
             "M": args.samples,

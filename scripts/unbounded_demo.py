@@ -49,7 +49,7 @@ def main():
             "sigma": 1.0,
             "truncated": False,
         },
-        "attack": {"family": "unbounded_small_values", "mode": "fq",
+        "attack": {"family": "unbounded_small_values",
                    "alpha": 12, "ell": 60, "delta": "mc", "trials": args.trials},
         "seed": args.seed,
     }
@@ -57,7 +57,7 @@ def main():
 
     large_q = {
         "instance": dict(USVA_INSTANCES[1]["instance"]),
-        "attack": {"family": "unbounded_small_values", "mode": "fq",
+        "attack": {"family": "unbounded_small_values",
                    "alpha": USVA_INSTANCES[1]["alpha"], "ell": 50,
                    "delta": "mc", "trials": args.trials},
         "seed": args.seed,

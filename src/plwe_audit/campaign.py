@@ -76,7 +76,6 @@ BASIC_FAMILIES = ("small_set", "small_values")
 SMALL_SET_FAMILIES = ("small_set", "extended_small_set")
 EXTENDED_FAMILIES = ("extended_small_set", "extended_small_values")
 FAMILIES = BASIC_FAMILIES + EXTENDED_FAMILIES + ("unbounded_small_values",)
-MODES = ("fq", "trace")
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,8 @@ def seed_from_dict(doc: dict) -> int:
 
 
 def table_cap_from_dict(doc: dict) -> int:
-    return int_field(doc.get("table_cap", analysis.DEFAULT_TABLE_CAP), "table_cap", low=1)
+    cap = doc.get("table_cap", analysis.DEFAULT_TABLE_CAP)
+    return int_field(cap, "table_cap", low=1, high=2**63)
 
 
 def _delta(value) -> float | str:
@@ -213,27 +213,17 @@ def _delta(value) -> float | str:
 
 def point_from_dict(att: dict, N: int) -> tuple[int, int]:
     """The evaluation point of an attack section as the (n, a) of its
-    binomial y^n - a for resolve_point: (1, alpha) in fq mode, an F_q root
-    being the degree-1 case, and (n, a) with 2 <= n <= N in trace mode.  A
-    section without a mode takes n and a when both are given, else alpha.
-    Every point field given must be an integer."""
+    binomial y^n - a for resolve_point: (n, a) with 2 <= n <= N when both
+    are given, else (1, alpha), an F_q root being the degree-1 case.  Every
+    point field given must be an integer; no other key, attack.mode
+    included, names the point."""
     alpha = int_field(att.get("alpha"), "attack.alpha", optional=True)
     n = int_field(att.get("n"), "attack.n", optional=True)
     a = int_field(att.get("a"), "attack.a", optional=True)
-    if "mode" in att:
-        mode = att["mode"]
-    elif alpha is None and (n is None or a is None):
-        raise ConfigError("attack.alpha (or attack.n/attack.a): required")
-    else:
-        mode = "fq" if n is None or a is None else "trace"
-    if mode not in MODES:
-        raise ConfigError(f"attack.mode: must be one of {MODES}")
-    if mode == "fq":
-        if alpha is None:
-            raise ConfigError("attack.alpha: required in fq mode")
-        return 1, alpha
     if n is None or a is None:
-        raise ConfigError("attack.n/attack.a: required in trace mode")
+        if alpha is None:
+            raise ConfigError("attack.alpha (or attack.n/attack.a): required")
+        return 1, alpha
     if not 2 <= n <= N:
         raise ConfigError(f"attack.n: must satisfy 2 <= n <= {N}")
     return n, a
@@ -546,7 +536,7 @@ def _plan_summary(plan: AttackPlan) -> dict:
     # |Sigma|, or quarter_count(q) for the quarter interval
     count = None if plan.member is None else int(np.count_nonzero(plan.member))
     out: dict = {
-        "mode": "fq" if n == 1 else "trace",
+        "mode": "fq" if n == 1 else "trace",  # a label read off n, kept in pinned digests
         "order": blocks.order,
         "sigma_bar": blocks.sigma_bar,
         "preconditions": list(plan.preconditions),

@@ -206,36 +206,31 @@ def _rejection_rows(
     the block sizes do not change which rows are drawn.  Draws after the
     m-th acceptance are never used.
 
-    The invocation counts are read from the hit positions of a block: the
-    first accepted row took hits[0] + 1 + since calls, the later ones the
-    gaps hits[1:] - hits[:-1], so the block spends hits[-1] + 1 + since in
-    all.  A round that needs more than max_invocations calls raises
-    BudgetExhausted, as in the reference.
+    Invocations are counted by stream position: a round costs its
+    accepted row's gap from the last acceptance (position -1 before any),
+    the whole run last + 1, and a round that needs more than
+    max_invocations calls raises BudgetExhausted, as in the reference.
     """
     exhausted = f"no R_q0 sample within {max_invocations} invocations"
     per_sample = min(ext.q ** (ext.n - 1), max_invocations)
     kept = []
-    invocations = 0
-    since = 0  # invocations since the last acceptance
+    drawn, last = 0, -1  # rows drawn; stream position of the last accepted row
     while m:
         A = rng.integers(0, ext.q, size=(min(m * per_sample, _REJECTION_BLOCK), N))
         hits = (~rq0_witnesses(A, ext).any(axis=1)).nonzero()[0][:m]
         if hits.size:
             # a gap inside the block is shorter than the block
-            if hits[0] + 1 + since > max_invocations or (
+            if drawn + hits[0] - last > max_invocations or (
                 len(A) > max_invocations and (hits[1:] - hits[:-1] > max_invocations).any()
             ):
                 raise BudgetExhausted(exhausted)
             kept.append(A.take(hits, axis=0))
-            last = int(hits[-1])
-            invocations += last + 1 + since
-            since = len(A) - 1 - last
+            last = drawn + int(hits[-1])
             m -= hits.size
-        else:
-            since += len(A)
-        if m and since >= max_invocations:
+        drawn += len(A)
+        if m and drawn - last > max_invocations:
             raise BudgetExhausted(exhausted)
-    return np.concatenate(kept), invocations
+    return np.concatenate(kept), last + 1
 
 
 def sample_batch(

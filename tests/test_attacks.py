@@ -26,6 +26,7 @@ from plwe_audit.attacks import (
     VERDICT_GUESS,
     VERDICT_NOT_ENOUGH,
     VERDICT_NOT_PLWE,
+    AttackError,
     AttackVerdict,
     Decision,
     HitCountDecision,
@@ -603,6 +604,32 @@ class TestExtended:
     def test_no_samples(self):
         with pytest.raises(NoSamples):
             extended_attack(NO_PAIRS, 5, self.MASK, 6, p0=1.0)
+
+
+_MASK_13 = np.ones(13, dtype=bool)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda pairs: small_set_attack(pairs, _MASK_13), AttackError,
+         "membership mask was built for a different modulus"),
+        (lambda pairs: extended_attack(pairs, 2, _MASK_13, 6, p0=1.0), AttackError,
+         "membership mask was built for a different modulus"),
+        (lambda pairs: extended_attack(pairs, 0, TestExtended.MASK, 6, p0=1.0), ValueError,
+         "chunk size must be >= 1"),
+        (lambda pairs: build_sigma_table_trace(ALPHA_2018, 4099, (), 0.7), ValueError,
+         "need at least one class"),
+        (lambda pairs: build_sigma_table_trace(ALPHA_2018, 4099, (2, 0), 0.7), ValueError,
+         "need at least one class"),
+    ],
+    ids=["small-set-mask-mod-13", "extended-mask-mod-13", "chunk-size-0", "no-class",
+         "empty-class"],
+)
+def test_malformed_arguments_are_refused(call, error, message):
+    _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 6, 0)
+    with pytest.raises(error, match=message):
+        call(pairs_at(samples, ALPHA_2018))
 
 
 # (ring, point) pairs for the filter property: F_q roots, and binomial

@@ -15,11 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plwe_audit import campaign, cli, fields, rings
+from plwe_audit import campaign, cli, fields, instances, rings
 from plwe_audit.analysis import posterior_bounds, scan_instance
 from plwe_audit.campaign import (
     FAMILIES,
-    MODES,
     ConfigError,
     PreconditionRefused,
     build_plan,
@@ -71,9 +70,13 @@ class TestConfigValidation:
             config_from_dict(doc)
 
     def test_trace_requires_divisor_data(self):
+        # n without a is no divisor, and a trace mode does not make it one
         doc = _order6_config()
-        doc["attack"]["mode"] = "trace"
-        with pytest.raises(ConfigError, match="attack.n"):
+        doc["attack"].update(mode="trace", n=3)
+        att = config_from_dict(doc).attack
+        assert (att.n, att.a) == (1, 2018)
+        del doc["attack"]["alpha"]
+        with pytest.raises(ConfigError, match=r"attack.alpha \(or attack.n/attack.a\): required"):
             config_from_dict(doc)
 
     def test_seed_range(self):
@@ -280,7 +283,7 @@ class TestCampaignRuns:
 Q7_PAIR = {"N": 2, "f": [-3, 0, 1], "q": 7, "sigma": 0.7, "truncated": True}
 USVA_ROOT = USVA_INSTANCES[1]
 
-# Small campaigns covering both modes, direct and honest sampling, all five
+# Small campaigns covering roots and divisors, direct and honest sampling, all five
 # families and truncated and untruncated errors, with the sha256 of their
 # digest_json(): a change in how trials consume their random streams shows
 # here.  The values come from the per-sample reference path
@@ -373,6 +376,40 @@ GOLDEN = {
 
 def _golden_config(name):
     return config_from_dict(json.loads(json.dumps(GOLDEN[name][0])))
+
+
+def _campaign_sections():
+    """The GOLDEN configs and the campaign workloads of perfbench/workloads.json
+    (an instance path names an attribute of plwe_audit.instances, then keys)."""
+    docs = {name: doc for name, (doc, _) in GOLDEN.items()}
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.json")
+    with open(path, encoding="utf-8") as fh:
+        workloads = json.load(fh)["workloads"]
+    for name, work in workloads.items():
+        if work["kind"] == "campaign":
+            inst = getattr(instances, work["instance"][0])
+            for key in work["instance"][1:]:
+                inst = inst[key]
+            docs[f"perfbench-{name}"] = {"instance": inst, "attack": work["attack"]}
+    return docs
+
+
+_SECTIONS = _campaign_sections()
+
+
+@pytest.mark.parametrize("name", sorted(_SECTIONS))
+def test_a_sections_point_does_not_depend_on_its_mode(name):
+    doc = json.loads(json.dumps(_SECTIONS[name]))
+    att = doc["attack"]
+    spec = config_from_dict(doc).attack
+    # each section's mode agrees with its fields, so it reads today's point
+    assert (spec.n, spec.a) == ((1, att["alpha"]) if att["mode"] == "fq" else (att["n"], att["a"]))
+    for mode in ({"fq": "trace", "trace": "fq"}[att["mode"]], "junk", None):
+        if mode is None:
+            del att["mode"]
+        else:
+            att["mode"] = mode
+        assert config_from_dict(doc).attack == spec, mode
 
 
 class TestStreamUse:
@@ -688,6 +725,10 @@ class TestCli:
         assert cli.main(["replay", "--config", cfg, str(samples)]) == 0
         replayed = json.loads(capsys.readouterr().out)
         assert replayed == recorded
+        # blank and whitespace-only lines are skipped
+        samples.write_text("\n" + samples.read_text().replace("\n", "\n \t\n\n"))
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 0
+        assert json.loads(capsys.readouterr().out) == recorded
 
     def test_replay_reads_a_section_without_mode(self, tmp_path, capsys):
         doc = _order6_config(trials=1, M=6)
@@ -824,6 +865,11 @@ class TestCli:
         assert cli.main(["replay", "--config", cfg, str(samples)]) == 2
         err = capsys.readouterr().err
         assert str(samples) in err and "line 2" in err and "N = 23" in err
+        # a line is named by its place in the file, blank lines counted
+        lines[1:1] = ["", " \t"]
+        samples.write_text("\n".join(lines) + "\n")
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 2
+        assert f"{samples}: line 4: a and b need N = 23" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [lambda c: c + 0.5, lambda c: True], ids=["half", "true"])
     def test_replay_refuses_non_integer_coefficients(self, tmp_path, capsys, edit):
@@ -838,40 +884,37 @@ class TestCli:
         assert str(samples) in err and "line 4" in err and "must be integers" in err
 
     def test_analyze_reads_the_point_that_attack_reads(self, tmp_path, capsys):
-        # an fq section that also carries n and a: attack evaluates at alpha,
-        # and analyze used to take n/a and call x^2 - 3676 reducible
+        # a section with alpha and both n and a names (n, a) in every
+        # command, whatever its mode says: x^2 - 3676 is reducible mod 3677
         inst = USVA_INSTANCES[1]
         cfg = _write(tmp_path, "fq.json", {
             "instance": dict(inst["instance"]),
             "attack": {"family": "unbounded_small_values", "mode": "fq", "alpha": 3676,
                        "n": 2, "a": 3676, "ell": 20, "trials": 2},
         })
-        assert cli.main(["attack", "--config", cfg]) == 0
-        plan = json.loads(capsys.readouterr().out)["plan"]
-        assert (plan["alpha"], plan["order"]) == (3676, 2)
-        assert cli.main(["analyze", "--config", cfg]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert "n" not in doc and "a" not in doc
-        assert [doc[k] for k in ("alpha", "order", "sigma_bar")] == [
-            plan[k] for k in ("alpha", "order", "sigma_bar")
-        ]
+        for command in ("attack", "analyze", "replay"):
+            argv = [command, "--config", cfg] + ([str(tmp_path / "none")] if command == "replay" else [])
+            assert cli.main(argv) == 2, command
+            assert capsys.readouterr().err == (
+                "config error: attack.a: x^2 - 3676 is reducible mod 3677\n"
+            ), command
 
     @pytest.mark.parametrize(
         "attack,message",
         [
-            ({"mode": "trace", "alpha": 5}, "attack.n/attack.a: required in trace mode"),
-            ({"mode": "fq", "n": 3, "a": 2017}, "attack.alpha: required in fq mode"),
-            ({"mode": "Fq", "alpha": 5}, "attack.mode: must be one of ('fq', 'trace')"),
-            ({"mode": None, "alpha": 5}, "attack.mode: must be one of ('fq', 'trace')"),
-            # without a mode every command takes n and a when both are
-            # given, else alpha; the ring has no F_q root
+            # every command takes n and a when both are given, else alpha,
+            # and reads no mode; the ring has no F_q root
             ({"alpha": 5}, "attack.alpha: 5 is not a root of f mod 4099"),
+            ({"mode": "trace", "alpha": 5}, "attack.alpha: 5 is not a root of f mod 4099"),
+            ({"mode": "Fq", "alpha": 5}, "attack.alpha: 5 is not a root of f mod 4099"),
+            ({"mode": None, "alpha": 5}, "attack.alpha: 5 is not a root of f mod 4099"),
             ({"n": 3, "a": 2017}, None),
+            ({"mode": "fq", "n": 3, "a": 2017}, None),
             ({"alpha": 5, "n": 3, "a": 2017}, None),
             ({"a": 2017}, "attack.alpha (or attack.n/attack.a): required"),
         ],
     )
-    def test_analyze_follows_attack_mode(self, tmp_path, capsys, attack, message):
+    def test_analyze_reads_the_point_whatever_the_mode(self, tmp_path, capsys, attack, message):
         cfg = _write(tmp_path, "mode.json", {
             "instance": dict(TRACE_INSTANCE_B["instance"]),
             "attack": {"family": "small_set", "M": 5, "trials": 1, **attack},
@@ -1051,7 +1094,7 @@ def _attack_sections(draw):
     replaced by junk."""
     attack = {
         "family": draw(st.sampled_from(FAMILIES)),
-        "mode": draw(st.sampled_from(MODES)),
+        "mode": draw(st.sampled_from(["fq", "trace"])),
         "alpha": draw(st.integers(-8, 8)),
         "n": draw(st.integers(0, 4)),
         "a": draw(st.integers(-8, 8)),
@@ -1132,6 +1175,9 @@ def test_fuzzed_configs_exit_cleanly(tmp_path, command, instance, attack, extra,
     assert cli.main(argv) in (0, 2, 3)
 
 
+_FALCON_1024 = {**CRYPTO_RINGS["falcon1024"], "sigma": 2.0, "truncated": False}
+
+
 @pytest.mark.parametrize(
     "command,doc,field",
     [
@@ -1142,6 +1188,10 @@ def test_fuzzed_configs_exit_cleanly(tmp_path, command, instance, attack, extra,
         # analyze used to ignore the cap and exit 0
         ("analyze", {"instance": TRACE_INSTANCE_B["instance"], "attack": {"n": 3, "a": 2017},
                      "table_cap": "x"}, "table_cap"),
+        # a cap past the floats crashed the infeasible-table text of scan and analyze
+        ("scan", {"instance": _FALCON_1024, "table_cap": 10**400}, "table_cap"),
+        ("analyze", {"instance": _FALCON_1024, "attack": {"alpha": 7}, "table_cap": 10**400},
+         "table_cap"),
         ("analyze", {"instance": MIXED_Q7, "attack": {"n": "x", "a": 3}}, "attack.n"),
         ("analyze", {"instance": MIXED_Q7, "attack": {"n": 0, "a": 3}}, "attack.n"),
         ("analyze", {"instance": MIXED_Q7, "attack": [1]}, "attack"),

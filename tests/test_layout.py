@@ -10,10 +10,11 @@ analysis.assess_point, the one place outside build_plan that builds a
 flag; build_plan builds only its own family's.  Roots
 and divisors come from the scan's fold alone, and ExtFieldCtx is the one
 irreducibility test.  A point is the (n, a) of its binomial y^n - a from the
-config reader on, an F_q root alpha being (1, alpha), and ExtFieldCtx(n,
-a, modulus) holds it with a as an int; the residue wrapper and the
-arithmetic only tests used are gone from src/, and so are the members only
-tests read.  A closed form that takes the truncation mode derives p0 from
+config reader on, an F_q root alpha being (1, alpha): the reader takes n
+and a when both are given, else alpha, and reads no attack.mode, and
+ExtFieldCtx(n, a, modulus) holds it with a as an int; the residue wrapper
+and the arithmetic only tests used are gone from src/, and so are the
+members only tests read.  A closed form that takes the truncation mode derives p0 from
 it, and the series tolerance is a constant.  A campaign runs its trials
 through one loop in every process, and no module uses an executor.  A
 point's class counts come from analysis.class_counts alone: a block
@@ -51,7 +52,14 @@ from plwe_audit.analysis import (
     small_set_size,
 )
 from plwe_audit.attacks import AttackVerdict
-from plwe_audit.campaign import AttackPlan, AttackSpec, PreconditionRefused, _check, resolve_point
+from plwe_audit.campaign import (
+    AttackPlan,
+    AttackSpec,
+    PreconditionRefused,
+    _check,
+    point_from_dict,
+    resolve_point,
+)
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, mult_order
 from plwe_audit.rings import RingPoly, RqContext, binomial_logs
 from plwe_audit.samplers import GaussianSpec, SampleBatch
@@ -107,6 +115,8 @@ DELETED = frozenset({
     "small_values_attack",
     # the point's spelling outside PointVuln.to_dict
     "point_keys",
+    # attack.mode, a second spelling of the point
+    "MODES",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
@@ -223,6 +233,22 @@ def test_one_point_form():
         "family", "n", "a", "M", "M0", "delta", "trials"
     ]
     assert list(inspect.signature(resolve_point).parameters) == ["ring", "sigma", "n", "a"]
+    # the reader names the point by its fields alone, and nothing reads attack.mode
+    reader = ast.parse(inspect.getsource(point_from_dict))
+    assert "mode" not in {node.value for node in ast.walk(reader) if isinstance(node, ast.Constant)}
+    paths = sorted((ROOT / "src" / "plwe_audit").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py")
+    )
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            key = (
+                node.slice if isinstance(node, ast.Subscript)
+                else node.args[0] if isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute) and node.func.attr in ("get", "pop")
+                else node.left if isinstance(node, ast.Compare)
+                else None
+            )
+            assert not (isinstance(key, ast.Constant) and key.value == "mode"), path.name
     assert [f.name for f in dataclasses.fields(ExtFieldCtx)] == ["n", "a", "modulus"]
     assert list(inspect.signature(mult_order).parameters) == ["a", "q"]
     assert list(inspect.signature(attacks.build_sigma_table_trace).parameters)[:3] == [
