@@ -126,10 +126,13 @@ def int_field(
         number = exact_int(value, name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    shown = number
+    if abs(number) >= 10**20:  # echo 10^k, as analysis.magnitude shows sizes
+        shown = f"{'-' * (number < 0)}10^{math.log10(abs(number)):.0f}"
     if low is not None and number < low:
-        raise ConfigError(f"{name}: must be >= {low}, got {number}")
+        raise ConfigError(f"{name}: must be >= {low}, got {shown}")
     if high is not None and number >= high:
-        raise ConfigError(f"{name}: must be < {high}, got {number}")
+        raise ConfigError(f"{name}: must be < {high}, got {shown}")
     return number
 
 

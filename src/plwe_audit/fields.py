@@ -132,16 +132,21 @@ def mult_order(a: int, q: int) -> int:
 
 def binomial_order_irreducible(n: int, order: int, q: int) -> bool:
     """Whether y**n - a is irreducible over F_q, n >= 1, for a nonzero a of
-    multiplicative order `order` mod q.
+    multiplicative order `order` mod q: every prime factor of n must divide
+    ord(a) and not (q-1)/ord(a).  That is binomial_log_irreducible at the
+    log (q-1)/ord(a), since each log i of a has gcd(i, q-1) = (q-1)/ord(a)."""
+    return binomial_log_irreducible(n, (q - 1) // order, q)
 
-    Classical criterion: every prime factor of n must divide ord(a) and must
-    not divide (q-1)/ord(a); when 4 | n, additionally q == 1 (mod 4).
-    """
-    cofactor = (q - 1) // order
+
+def binomial_log_irreducible(n: int, i, q: int):
+    """Whether y**n - g**i is irreducible over F_q, n >= 1, g a generator
+    of F_q* (Lidl-Niederreiter, Finite Fields, Thm 3.75): every prime factor
+    of n must divide q - 1 and not i; when 4 | n, additionally q == 1
+    (mod 4).  Elementwise over an integer array i when n >= 2."""
+    keep = n % 4 != 0 or q % 4 == 1
     for p in prime_factors(n):
-        if order % p != 0 or cofactor % p == 0:
-            return False
-    return n % 4 != 0 or q % 4 == 1
+        keep = keep & ((q - 1) % p == 0) & (i % p != 0)
+    return keep
 
 
 @dataclass(frozen=True)

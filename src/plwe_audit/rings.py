@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import ExtFieldCtx, PrimeModulus, binomial_order_irreducible, prime_factors
+from .fields import ExtFieldCtx, PrimeModulus, binomial_log_irreducible, prime_factors
 
 # Below this modulus, roots and binomial divisors come from one fold over a
 # table of all q - 1 generator powers, and candidate loops hold arrays of
@@ -153,41 +153,33 @@ def log_orders(idx: np.ndarray, q: int) -> np.ndarray:
     return (q - 1) // np.gcd(idx, q - 1)
 
 
-def _binomial_fold(ctx: RqContext, n: int, G: np.ndarray) -> np.ndarray:
-    """The discrete logs i, in increasing order, of the a = G[i] in F_q*
-    with x^n - a dividing f mod q; n = 1 gives the nonzero roots.
-
-    With a = g^i, the remainder of f upon division by x^n - a has coordinate
-    j = sum_t f_(tn+j) a^t, and a^t = G[i*t mod (q-1)] for every i at once.
-    Only the nonzero f_k contribute, and each residue class j only narrows
-    the survivors of the previous ones.  Each class sums at most N+1
-    products of two residues, exact in int64 while (N+1)*q^2 < 2**63.
-    """
-    q = ctx.q
-    require_int64_sums(ctx.N, q)
-    idx = np.arange(q - 1, dtype=np.int64)
-    for j in range(n):
-        terms = [(t, c) for t, c in enumerate(ctx.f_mod[j::n]) if c]
-        if not terms:
-            continue
-        acc = np.zeros(len(idx), dtype=np.int64)
-        for t, c in terms:
-            acc += c * G[idx * t % (q - 1)]
-        idx = idx[acc % q == 0]
-    return idx
-
-
 def binomial_logs(ctx: RqContext, n: int, G: np.ndarray) -> np.ndarray:
     """The discrete logs i of the a = G[i] with x^n - a irreducible and
     dividing f mod q, in increasing order of a; n = 1 gives the nonzero
-    roots.  G is generator_powers(q)."""
-    q = ctx.q
-    idx = _binomial_fold(ctx, n, G)
-    if n > 1 and idx.size:
-        orders = log_orders(idx, q)
-        keep = [r for r in np.unique(orders).tolist() if binomial_order_irreducible(n, r, q)]
-        idx = idx[np.isin(orders, keep)]
-    return idx[np.argsort(G[idx])]
+    roots.  G is generator_powers(q).
+
+    Only the logs that fields.binomial_log_irreducible keeps are folded.
+    The remainder of f by x^n - g^i has coordinate j = sum_t f_(tn+j) a^t,
+    a^t = G[i*t mod (q-1)], exact in int64 while (N+1)*q^2 < 2**63.  The
+    residue classes j are folded sparsest first; one with a single term
+    never vanishes, so x^N +- x +- 1 folds nothing at n >= 2.
+    """
+    q, m = ctx.q, ctx.q - 1
+    require_int64_sums(ctx.N, q)
+    classes = [[(t, c) for t, c in enumerate(ctx.f_mod[j::n]) if c] for j in range(n)]
+    classes = sorted(filter(None, classes), key=len)  # f is monic: never empty
+    idx = np.arange(q - 1 if len(classes[0]) > 1 else 0, dtype=np.int64)
+    idx = idx[binomial_log_irreducible(n, idx, q)] if n > 1 else idx
+    for terms in classes:
+        if not idx.size:
+            break
+        acc = np.zeros(idx.size, dtype=np.int64)
+        for t, c in terms:
+            e = idx * t
+            e -= e // m * m  # e % m: numpy divides int64 by a scalar faster
+            acc += c * G.take(e)
+        idx = idx[acc == acc // q * q]
+    return idx[np.argsort(G.take(idx))]
 
 
 # ---------------------------------------------------------------------------

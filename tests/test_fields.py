@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from plwe_audit.fields import (
     ExtFieldCtx,
     PrimeModulus,
     ZeroHasNoOrder,
+    binomial_log_irreducible,
+    binomial_order_irreducible,
     centered_value,
     is_prime,
     mult_order,
@@ -260,6 +263,26 @@ class TestIrreducibleBinomial:
         for n in range(1, 5):
             got = tuple(a for a in range(1, q) if _accepts(n, a, q))
             assert got == irreducible_constants(q, n), (q, n)
+
+    def test_log_form_matches_order_form(self):
+        """The log form at every log i of every prime q < 300 and n <= 12
+        equals the order form at ord(g^i) = (q-1)/gcd(i, q-1) and the
+        classical statement of the criterion, also elementwise over an
+        array of logs."""
+        for q in (p for p in range(3, 300) if is_prime(p)):
+            for n in range(1, 13):
+                primes, want = prime_factors(n), []
+                for i in range(q - 1):
+                    cofactor = gcd(i, q - 1)
+                    order = (q - 1) // cofactor
+                    classical = all(order % p == 0 and cofactor % p for p in primes) and (
+                        n % 4 != 0 or q % 4 == 1
+                    )
+                    got = binomial_log_irreducible(n, i, q)
+                    assert got == binomial_order_irreducible(n, order, q) == classical, (q, n, i)
+                    want.append(classical)
+                if n > 1:
+                    assert binomial_log_irreducible(n, np.arange(q - 1), q).tolist() == want
 
 
 class TestCenteredAndQuarter:

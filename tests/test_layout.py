@@ -8,12 +8,13 @@ built once and frozen, and the analyze command reads a point through the
 reader and resolver that plans use and judges it by the scan's
 analysis.assess_point, the one place outside build_plan that builds a
 flag; build_plan builds only its own family's.  Roots
-and divisors come from the scan's fold alone, and ExtFieldCtx is the one
-irreducibility test.  A point is the (n, a) of its binomial y^n - a from the
-config reader on, an F_q root alpha being (1, alpha): the reader takes n
-and a when both are given, else alpha, and reads no attack.mode, and
-ExtFieldCtx(n, a, modulus) holds it with a as an int; the residue wrapper
-and the arithmetic only tests used are gone from src/, and so are the
+and divisors come from the scan's fold alone, and fields states the
+irreducibility criterion once, in log form.  A point is the (n, a) of its
+binomial y^n - a from the config reader on, an F_q root alpha being
+(1, alpha): the reader takes n and a when both are given, else alpha,
+and reads no attack.mode, and ExtFieldCtx(n, a, modulus) holds it with a
+as an int; the residue wrapper and the arithmetic only tests used are
+gone from src/, and so are the
 members only tests read.  A closed form that takes the truncation mode derives p0 from
 it, and the series tolerance is a constant.  A campaign runs its trials
 through one loop in every process, and no module uses an executor.  A
@@ -117,6 +118,9 @@ DELETED = frozenset({
     "point_keys",
     # attack.mode, a second spelling of the point
     "MODES",
+    # the unpruned fold, which checked every a in F_q* before the
+    # irreducibility filter dropped most of them
+    "_binomial_fold",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
@@ -160,6 +164,15 @@ def test_one_arithmetic_path():
         assert not found, f"{path.relative_to(ROOT)} uses {sorted(found)}"
     assert not EXT_ELEMENT_CONSTRUCTORS & set(vars(ExtFieldCtx))
     assert list(inspect.signature(binomial_logs).parameters) == ["ctx", "n", "G"]
+    # the irreducibility criterion has one home: fields, in log form
+    defined = {
+        (path.name, node.name) for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and "irreducible" in node.name
+    }
+    assert defined == {
+        ("fields.py", "binomial_order_irreducible"), ("fields.py", "binomial_log_irreducible")
+    }
     for owner, name in DELETED_ATTRIBUTES:
         assert not hasattr(owner, name), (owner, name)
         # a dataclass field without a default is no class attribute

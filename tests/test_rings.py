@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plwe_audit.analysis import scan_instance
@@ -14,7 +14,13 @@ from plwe_audit.campaign import (
     config_from_dict,
     resolve_point,
 )
-from plwe_audit.fields import ExtFieldCtx, PrimeModulus, is_prime
+from plwe_audit.fields import (
+    ExtFieldCtx,
+    PrimeModulus,
+    binomial_order_irreducible,
+    is_prime,
+    mult_order,
+)
 from plwe_audit.instances import TRACE_RING_A, TRACE_RING_B
 from plwe_audit.rings import (
     RqContext,
@@ -262,6 +268,7 @@ class TestBinomialFactors:
 # Primes whose q - 1 ranges over powers of two (17, 257), 2 * prime (7, 11,
 # 23, 47), smooth (31, 61, 181, 211) and other shapes.
 FOLD_PRIMES = [p for p in range(3, 300) if is_prime(p)]
+ORACLE_PRIMES = [p for p in range(3, 600) if is_prime(p)]
 
 
 def _brute_order(a, q):
@@ -305,6 +312,30 @@ def planted_rings(draw):
     return RqContext(tuple(f), ctx.modulus)
 
 
+@st.composite
+def fold_cases(draw):
+    """(ctx, n) with q < 600 and n = 1..6: f sparse or dense of degree
+    1..12, times a planted x^n - a half the time, so n > N shows too; half
+    the draws of n = 4 take a q == 3 (mod 4), where x^4 - a is reducible."""
+    n = draw(st.integers(1, 6))
+    primes = ORACLE_PRIMES
+    if n == 4 and draw(st.booleans()):
+        primes = [p for p in primes if p % 4 == 3]
+    q = draw(st.sampled_from(primes))
+    N = draw(st.integers(1, 12))
+    coeff = st.integers(0, q - 1)
+    if draw(st.booleans()):
+        f = draw(st.lists(coeff, min_size=N, max_size=N)) + [1]
+    else:
+        f = [0] * N + [1]
+        for k, c in draw(st.dictionaries(st.integers(0, N - 1), coeff, max_size=3)).items():
+            f[k] = c
+    if draw(st.booleans()):
+        a = draw(st.integers(1, q - 1))
+        f = np.convolve([-a] + [0] * (n - 1) + [1], f).tolist()
+    return RqContext(tuple(f), PrimeModulus(q)), n
+
+
 class TestFoldOracle:
     """The generator-power fold against per-point evaluation over all of F_q."""
 
@@ -334,6 +365,27 @@ class TestFoldOracle:
                 if not any(rem) and a in irreducible_constants(q, n):
                     want.append((a, _brute_order(a, q)))
             assert _fold(ctx, n) == want, n
+
+    @settings(max_examples=150, deadline=None)
+    @given(fold_cases())
+    # n > N at q == 3 (mod 4), and a planted x^4 - 5 there, which is reducible
+    @example((RqContext((1, 1, 1), PrimeModulus(7)), 4))
+    @example((RqContext((-5, 0, 0, 0, 1), PrimeModulus(599)), 4))
+    def test_binomial_logs_match_enumeration(self, case):
+        """G[binomial_logs] lists, in increasing order, the a in F_q* that
+        a Python-int enumeration keeps: the remainder of f upon division
+        by x^n - a vanishes, and x^n - a is irreducible by its order."""
+        ctx, n = case
+        q = ctx.q
+        want = []
+        for a in range(1, q):
+            rem = [0] * n
+            for k, c in enumerate(ctx.f_int):
+                rem[k % n] = (rem[k % n] + c * pow(a, k // n, q)) % q
+            if not any(rem) and binomial_order_irreducible(n, mult_order(a, q), q):
+                want.append(a)
+        G = generator_powers(q)
+        assert G[binomial_logs(ctx, n, G)].tolist() == want
 
     @settings(max_examples=40, deadline=None)
     @given(planted_rings())
