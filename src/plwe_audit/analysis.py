@@ -116,7 +116,10 @@ def block_structures(
     order (q-1)/gcd(i, q-1) share their class counts, and their centered
     weights G[i*k mod (q-1)] come from one gather; the sums of count*w^2
     are exact in int64 while (N+1)*q^2 < 2**63, so sigma_bar is the scalar
-    path's sqrt(sigma^2 * sum) bit for bit."""
+    path's sqrt(sigma^2 * sum) bit for bit.  Points with the same order and
+    sum share one BlockStructure: all 128 of x^256 + 1 mod 3329 at n = 2."""
+    if not idx.size:
+        return []
     q = len(G) + 1
     n_terms = max(1, N // n)
     orders = log_orders(idx, q)
@@ -128,13 +131,16 @@ def block_structures(
         step = max(1, _GATHER_ENTRIES // counts.size)
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step]
-            w = G[idx[part, None] * k % (q - 1)]
-            w -= q * (2 * w > q)
+            e = idx[part, None] * k
+            w = G.take(e - e // (q - 1) * (q - 1))  # G[e % (q-1)], as in binomial_logs
+            w = np.minimum(w, q - w)  # |centered w|
             sums[part] = (w * w) @ counts
-    return [
-        BlockStructure(order, n_terms, class_counts(order, n_terms), math.sqrt(sigma * sigma * t))
-        for order, t in zip(orders.tolist(), sums.tolist())
-    ]
+    keys = list(zip(orders.tolist(), sums.tolist()))
+    shared = {
+        (o, t): BlockStructure(o, n_terms, class_counts(o, n_terms), math.sqrt(sigma * sigma * t))
+        for o, t in set(keys)
+    }
+    return [shared[key] for key in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .attacks import (
     small_set_attack,
     unbounded_small_values_attack,
 )
-from .fields import ExtFieldCtx
+from .fields import ExtFieldCtx, echo_int
 from .rings import (
     RqContext,
     eval_matrix,
@@ -126,13 +126,10 @@ def int_field(
         number = exact_int(value, name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    shown = number
-    if abs(number) >= 10**20:  # echo 10^k, as analysis.magnitude shows sizes
-        shown = f"{'-' * (number < 0)}10^{math.log10(abs(number)):.0f}"
     if low is not None and number < low:
-        raise ConfigError(f"{name}: must be >= {low}, got {shown}")
+        raise ConfigError(f"{name}: must be >= {low}, got {echo_int(number)}")
     if high is not None and number >= high:
-        raise ConfigError(f"{name}: must be < {high}, got {shown}")
+        raise ConfigError(f"{name}: must be < {high}, got {echo_int(number)}")
     return number
 
 
@@ -305,8 +302,7 @@ def resolve_point(
     except ValueError as exc:
         raise ConfigError(f"attack.a: x^{n} - {a % q} is reducible mod {q}") from exc
     # coordinate j of the remainder sums f_k a^(k // n) over k = j mod n
-    a = point.a
-    terms = [(k, c) for k, c in enumerate(ring.f_mod) if c]
+    a, terms = point.a, ring.support
     if any(sum(c * pow(a, k // n, q) for k, c in terms if k % n == j) % q for j in range(n)):
         raise ConfigError(
             f"attack.alpha: {a} is not a root of f mod {q}" if n == 1

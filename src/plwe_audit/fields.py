@@ -3,12 +3,13 @@ that the attacks evaluate at.
 
 Residues are plain ints, stored canonically in [0, q).  Primality,
 factoring, multiplicative orders, centered representatives and the
-irreducibility criterion are exact integer functions; no floating point is
-involved anywhere in this module.
+irreducibility criterion are exact integer functions; the one float is
+echo_int's exponent, which only shortens a message.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -100,6 +101,14 @@ def prime_factors(m: int) -> list[int]:
     return out + sorted(large)
 
 
+def echo_int(value) -> str:
+    """repr(value) for a message, or 10^k (-10^k below zero) for an integer
+    from 10**20 on, as analysis.magnitude shows sizes."""
+    if not isinstance(value, int) or abs(value) < 10**20:
+        return repr(value)
+    return f"{'-' * (value < 0)}10^{math.log10(abs(value)):.0f}"
+
+
 @dataclass(frozen=True)
 class PrimeModulus:
     """An odd prime modulus q with 2 < q < 2**62."""
@@ -108,7 +117,7 @@ class PrimeModulus:
 
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or not (2 < self.q < MAX_MODULUS):
-            raise ValueError(f"q must satisfy 2 < q < 2**62, got {self.q!r}")
+            raise ValueError(f"q must satisfy 2 < q < 2**62, got {echo_int(self.q)}")
         if not is_prime(self.q):
             raise ValueError(f"q must be prime, got {self.q}")
 

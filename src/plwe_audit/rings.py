@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fields import ExtFieldCtx, PrimeModulus, binomial_log_irreducible, prime_factors
+from .fields import ExtFieldCtx, PrimeModulus, binomial_log_irreducible, echo_int, prime_factors
 
 # Below this modulus, roots and binomial divisors come from one fold over a
 # table of all q - 1 generator powers, and candidate loops hold arrays of
@@ -61,7 +62,13 @@ class RqContext:
 
     @cached_property
     def f_mod(self) -> tuple[int, ...]:
-        return tuple(c % self.q for c in self.f_int)
+        q = self.q
+        return tuple(c % q for c in self.f_int)
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, int], ...]:
+        """The (k, f_k mod q) of the nonzero coefficients of f, by degree."""
+        return tuple((k, c) for k, c in enumerate(self.f_mod) if c)
 
     @cached_property
     def _x_to_the_N(self) -> np.ndarray:
@@ -131,21 +138,21 @@ def eval_matrix(ext: ExtFieldCtx, length: int) -> np.ndarray:
 
 def generator_powers(q: int) -> np.ndarray:
     """G[i] = g^i mod q for 0 <= i < q - 1, g the least generator of F_q*,
-    in about log2 q doubling steps; refused from q = 2**22 on."""
+    as the outer product g^(r*j) * g^k, k < r = ceil(sqrt(q - 1)), cut to
+    q - 1 entries; refused from q = 2**22 on."""
     require_table_modulus(q)
     factors = prime_factors(q - 1)
     g = 2
     while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
         g += 1
-    G = np.empty(q - 1, dtype=np.int64)
-    G[0] = 1
-    size, step = 1, g  # step = g^size
-    while size < q - 1:
-        take = min(size, q - 1 - size)
-        G[size : size + take] = G[:take] * step % q
-        size += take
-        step = step * step % q
-    return G
+    r = isqrt(q - 2) + 1  # r * r >= q - 1
+    inner, outer = [1], [1]
+    for _ in range(r - 1):
+        inner.append(inner[-1] * g % q)
+    for _ in range((q - 2) // r):  # ceil((q - 1) / r) rows in all
+        outer.append(outer[-1] * inner[-1] * g % q)  # times g^r
+    G = np.array(outer, dtype=np.int64)[:, None] * np.array(inner, dtype=np.int64) % q
+    return G.ravel()[: q - 1]
 
 
 def log_orders(idx: np.ndarray, q: int) -> np.ndarray:
@@ -158,17 +165,29 @@ def binomial_logs(ctx: RqContext, n: int, G: np.ndarray) -> np.ndarray:
     dividing f mod q, in increasing order of a; n = 1 gives the nonzero
     roots.  G is generator_powers(q).
 
-    Only the logs that fields.binomial_log_irreducible keeps are folded.
-    The remainder of f by x^n - g^i has coordinate j = sum_t f_(tn+j) a^t,
-    a^t = G[i*t mod (q-1)], exact in int64 while (N+1)*q^2 < 2**63.  The
-    residue classes j are folded sparsest first; one with a single term
-    never vanishes, so x^N +- x +- 1 folds nothing at n >= 2.
+    Coordinate j of the remainder of f by x^n - a is sum_t f_(tn+j) a^t
+    over the terms of ctx.support at k = tn + j.  The sparsest class picks
+    the candidate logs: none for one term, every log for three or more, and
+    for c_s a^s + c_t a^t the d = gcd(t - s, q - 1) solutions of
+    (t - s) i = L mod q - 1, L the log of -c_s/c_t, or none when d does not
+    divide L.  The ones binomial_log_irreducible keeps are folded through
+    the other classes, sparsest first, with a^t = G[i*t mod (q-1)], exact
+    in int64 while (N+1)*q^2 < 2**63.
     """
     q, m = ctx.q, ctx.q - 1
     require_int64_sums(ctx.N, q)
-    classes = [[(t, c) for t, c in enumerate(ctx.f_mod[j::n]) if c] for j in range(n)]
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, c in ctx.support:
+        classes[k % n].append((k // n, c))
     classes = sorted(filter(None, classes), key=len)  # f is monic: never empty
-    idx = np.arange(q - 1 if len(classes[0]) > 1 else 0, dtype=np.int64)
+    idx = np.arange(m if len(classes[0]) > 2 else 0, dtype=np.int64)
+    if len(classes[0]) == 2:
+        (s, c_s), (t, c_t) = classes.pop(0)
+        L = int(np.argmax(G == -c_s * pow(c_t, -1, q) % q))
+        d = gcd(t - s, m)
+        if L % d == 0:
+            i0 = L // d * pow((t - s) // d, -1, m // d) % (m // d)
+            idx = np.arange(i0, m, m // d, dtype=np.int64)
     idx = idx[binomial_log_irreducible(n, idx, q)] if n > 1 else idx
     for terms in classes:
         if not idx.size:
@@ -218,6 +237,6 @@ def load_ring_doc(doc: dict) -> RqContext:
             raise ValueError(f"ring document is missing {key!r}")
     N, f, q = exact_int(doc["N"], "N"), doc["f"], exact_int(doc["q"], "q")
     if not isinstance(f, Sequence) or len(f) != N + 1:
-        raise ValueError(f"f must list N+1 = {N + 1} coefficients")
+        raise ValueError(f"f must list N+1 = {echo_int(N + 1)} coefficients")
     coeffs = tuple(c if type(c) is int else exact_int(c, f"f[{k}]") for k, c in enumerate(f))
     return RqContext(coeffs, PrimeModulus(q))

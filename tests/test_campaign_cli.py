@@ -1192,6 +1192,9 @@ _FALCON_1024 = {**CRYPTO_RINGS["falcon1024"], "sigma": 2.0, "truncated": False}
         ("scan", {"instance": _FALCON_1024, "table_cap": 10**400}, "table_cap"),
         ("analyze", {"instance": _FALCON_1024, "attack": {"alpha": 7}, "table_cap": 10**400},
          "table_cap"),
+        # the ring reader echoed a huge q or N in full, as the cap once was
+        ("scan", {"instance": {**_FALCON_1024, "q": 10**400}}, "instance"),
+        ("scan", {"instance": {**_FALCON_1024, "N": 10**400}}, "instance"),
         ("analyze", {"instance": MIXED_Q7, "attack": {"n": "x", "a": 3}}, "attack.n"),
         ("analyze", {"instance": MIXED_Q7, "attack": {"n": 0, "a": 3}}, "attack.n"),
         ("analyze", {"instance": MIXED_Q7, "attack": [1]}, "attack"),
@@ -1225,10 +1228,20 @@ def test_malformed_config_names_the_field(tmp_path, capsys, command, doc, field)
     assert cli.main(command.split() + ["--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")
-    if isinstance(doc, dict) and doc.get("table_cap") == 10**400:
-        # the cap used to be echoed with all its 401 digits
-        assert err == f"config error: {field}: must be < 9223372036854775808, got 10^400\n"
+    parts = [doc, doc.get("instance")] if isinstance(doc, dict) else []
+    huge = [key for part in parts if isinstance(part, dict)
+            for key, value in part.items() if value == 10**400]
+    if huge:
+        # these used to be echoed with all their 401 digits
+        assert err == f"config error: {field}: {_HUGE_ECHOES[huge[0]]}\n"
         assert len(err.encode()) < 120
+
+
+_HUGE_ECHOES = {
+    "table_cap": "must be < 9223372036854775808, got 10^400",
+    "q": "q must satisfy 2 < q < 2**62, got 10^400",
+    "N": "f must list N+1 = 10^400 coefficients",
+}
 
 
 _TRACE_B_SMALL_SET = {

@@ -9,7 +9,10 @@ reader and resolver that plans use and judges it by the scan's
 analysis.assess_point, the one place outside build_plan that builds a
 flag; build_plan builds only its own family's.  Roots
 and divisors come from the scan's fold alone, and fields states the
-irreducibility criterion once, in log form.  A point is the (n, a) of its
+irreducibility criterion once, in log form.  The terms of f have one
+home, RqContext.support: no other code walks the coefficients of f to pick
+out the nonzero ones, and binomial_logs and scan_instance take no tuning
+knob.  A point is the (n, a) of its
 binomial y^n - a from the config reader on, an F_q root alpha being
 (1, alpha): the reader takes n and a when both are given, else alpha,
 and reads no attack.mode, and ExtFieldCtx(n, a, modulus) holds it with a
@@ -50,6 +53,7 @@ from plwe_audit.analysis import (
     f_of_r,
     minimal_samples,
     posterior_bounds,
+    scan_instance,
     small_set_size,
 )
 from plwe_audit.attacks import AttackVerdict
@@ -181,6 +185,35 @@ def test_one_arithmetic_path():
     for name in ATTACKS:
         params = inspect.signature(getattr(attacks, name)).parameters
         assert list(params)[0] == "pairs" and "point" not in params, name
+
+
+def test_one_home_for_the_terms_of_f():
+    """A loop or comprehension over f_mod or f_int that tests its items
+    sits in RqContext.support alone."""
+    loops = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    homes = set()
+    paths = sorted((ROOT / "src" / "plwe_audit").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py")
+    )
+    for path in paths:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, loops):
+                    walks = [(gen.iter, gen.ifs) for gen in node.generators]
+                elif isinstance(node, ast.For):
+                    walks = [(node.iter, [n for n in ast.walk(node) if isinstance(n, ast.If)])]
+                else:
+                    continue
+                for over, tests in walks:
+                    coeffs = {n.attr for n in ast.walk(over) if isinstance(n, ast.Attribute)}
+                    if tests and coeffs & {"f_mod", "f_int"}:
+                        homes.add((path.name, fn.name))
+    assert homes == {("rings.py", "support")}
+    assert list(inspect.signature(scan_instance).parameters) == [
+        "ctx", "sigma", "truncated", "n_max", "table_cap"
+    ]
 
 
 def test_package_root_exports_nothing():

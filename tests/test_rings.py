@@ -21,7 +21,7 @@ from plwe_audit.fields import (
     is_prime,
     mult_order,
 )
-from plwe_audit.instances import TRACE_RING_A, TRACE_RING_B
+from plwe_audit.instances import CRYPTO_RINGS, TRACE_RING_A, TRACE_RING_B
 from plwe_audit.rings import (
     RqContext,
     binomial_logs,
@@ -45,6 +45,7 @@ from reference import (
 
 RING_A = load_ring_doc(TRACE_RING_A)
 RING_B = load_ring_doc(TRACE_RING_B)
+KYBER = load_ring_doc(CRYPTO_RINGS["kyber"])
 
 
 def _slow_mul(p, s, f, q):
@@ -199,6 +200,28 @@ def _scan_roots(ctx):
     return [(r.alpha, r.order) for r in scan_instance(ctx, 1.0, True, n_max=1).roots]
 
 
+class TestGeneratorPowers:
+    @staticmethod
+    def _least_generator(q):
+        return next(g for g in range(2, q) if mult_order(g, q) == q - 1)
+
+    def test_every_prime_below_2000(self):
+        for q in (p for p in range(3, 2000) if is_prime(p)):
+            g = self._least_generator(q)
+            assert generator_powers(q).tolist() == [pow(g, i, q) for i in range(q - 1)], q
+
+    def test_a_prime_just_below_2_to_the_22(self):
+        # the outer product has r = 2048 columns, and its last row holds 2044
+        q = 4194301
+        assert is_prime(q) and (q - 1) % 2048 == 2044
+        g = self._least_generator(q)
+        G = generator_powers(q)
+        assert G.shape == (q - 1,) and G[0] == 1
+        assert np.array_equal(G[1:], G[:-1] * g % q)  # G[i] = g^i by induction
+        tail = range(q - 1 - 2 * 2048, q - 1)  # the last two rows
+        assert G[tail[0]:].tolist() == [pow(g, i, q) for i in tail]
+
+
 class TestFindRoots:
     def test_x2_plus_1_mod_5(self):
         ctx = RqContext((1, 0, 1), PrimeModulus(5))
@@ -336,6 +359,15 @@ def fold_cases(draw):
     return RqContext(tuple(f), PrimeModulus(q)), n
 
 
+class TestSupport:
+    @settings(max_examples=60, deadline=None)
+    @given(fold_rings())
+    @example(RqContext((-4591, 4590, 0, 9182, 1), PrimeModulus(4591)))
+    def test_nonzero_entries_of_f_mod_in_order(self, ctx):
+        assert ctx.support == tuple((k, c) for k, c in enumerate(ctx.f_mod) if c)
+        assert all(0 < c < ctx.q for _, c in ctx.support)
+
+
 class TestFoldOracle:
     """The generator-power fold against per-point evaluation over all of F_q."""
 
@@ -371,6 +403,21 @@ class TestFoldOracle:
     # n > N at q == 3 (mod 4), and a planted x^4 - 5 there, which is reducible
     @example((RqContext((1, 1, 1), PrimeModulus(7)), 4))
     @example((RqContext((-5, 0, 0, 0, 1), PrimeModulus(599)), 4))
+    # two-term sparsest classes, solved in closed form: x^256 + 1 mod 3329,
+    # where L = log(-1) = 1664 and d = gcd(t - s, q - 1) is 256 at n = 1
+    # (no root, as d does not divide L), then 128 and 64 candidate logs
+    @example((KYBER, 1))
+    @example((KYBER, 2))
+    @example((KYBER, 4))
+    # x^3 - 2 mod 11: d = 1, and i0 = 7 L mod 10 needs the inverse of t - s
+    @example((RqContext((-2, 0, 0, 1), PrimeModulus(11)), 1))
+    # x^2 + 1 mod 7: d = 2 does not divide L = log(-1) = 3, so no root
+    @example((RqContext((1, 0, 1), PrimeModulus(7)), 1))
+    # x^6 - 1 mod 7: d = q - 1, so every a is a root
+    @example((RqContext((-1, 0, 0, 0, 0, 0, 1), PrimeModulus(7)), 1))
+    # n = 2 on x^5 + x^3 + x^2 - 6x - 2 mod 13: the even class -2 + a has
+    # two terms, then the odd class -6 + a + a^2 has three; x^2 - 2 divides
+    @example((RqContext((-2, -6, 1, 1, 0, 1), PrimeModulus(13)), 2))
     def test_binomial_logs_match_enumeration(self, case):
         """G[binomial_logs] lists, in increasing order, the a in F_q* that
         a Python-int enumeration keeps: the remainder of f upon division
