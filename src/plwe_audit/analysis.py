@@ -112,29 +112,41 @@ def block_structures(
     n: int, idx: np.ndarray, N: int, sigma: float, G: np.ndarray
 ) -> list[BlockStructure]:
     """block_structure at the root of y^n - G[i], for every discrete log i
-    in idx, G = generator_powers(q), computed together.  The points of one
-    order (q-1)/gcd(i, q-1) share their class counts, and their centered
-    weights G[i*k mod (q-1)] come from one gather; the sums of count*w^2
-    are exact in int64 while (N+1)*q^2 < 2**63, so sigma_bar is the scalar
-    path's sqrt(sigma^2 * sum) bit for bit.  Points with the same order and
-    sum share one BlockStructure: all 128 of x^256 + 1 mod 3329 at n = 2."""
+    in idx, G = generator_powers(q), computed together.  The centered
+    weights |a^k| at a point a of order o = (q-1)/gcd(i, q-1) repeat with
+    period P = o/2 for even o (a^(o/2) = -1), else o, so class_counts folds
+    mod P into exact integer sums C and each point gathers at most P weights
+    |G[i*k mod (q-1)]|; when the P sums are equal, the a^k, k < P, run over
+    the order-o subgroup up to sign, so one row serves every point of that
+    order: the 1024 roots of x^1024 + 1 mod 12289, every order below
+    n_terms.  The sums of count*w^2 are exact in int64 while (N+1)*q^2 <
+    2**63, so sigma_bar is the scalar path's sqrt(sigma^2 * sum) bit for
+    bit; points with one order and sum share one BlockStructure."""
     if not idx.size:
         return []
     q = len(G) + 1
     n_terms = max(1, N // n)
     orders = log_orders(idx, q)
     sums = np.empty(len(idx), dtype=np.int64)
-    for order in np.unique(orders).tolist():
+    for order in set(orders.tolist()):
         rows = np.flatnonzero(orders == order)
-        counts = np.array(class_counts(order, n_terms), dtype=np.int64)
-        k = np.arange(counts.size, dtype=np.int64)
-        step = max(1, _GATHER_ENTRIES // counts.size)
-        for lo in range(0, len(rows), step):
-            part = rows[lo : lo + step]
+        counts = class_counts(order, n_terms)
+        period = order // 2 if order % 2 == 0 else order
+        C = np.array(counts[:period], dtype=np.int64)
+        if len(counts) > period:  # len(counts) <= order <= 2 * period: one fold
+            C[: len(counts) - period] += counts[period:]
+        one_sum = C.size == period and (C == C[0]).all()
+        gather = rows[:1] if one_sum else rows
+        k = np.arange(C.size, dtype=np.int64)
+        step = max(1, _GATHER_ENTRIES // C.size)
+        for lo in range(0, len(gather), step):
+            part = gather[lo : lo + step]
             e = idx[part, None] * k
             w = G.take(e - e // (q - 1) * (q - 1))  # G[e % (q-1)], as in binomial_logs
             w = np.minimum(w, q - w)  # |centered w|
-            sums[part] = (w * w) @ counts
+            sums[part] = (w * w) @ C
+        if one_sum:
+            sums[rows] = sums[rows[0]]
     keys = list(zip(orders.tolist(), sums.tolist()))
     shared = {
         (o, t): BlockStructure(o, n_terms, class_counts(o, n_terms), math.sqrt(sigma * sigma * t))

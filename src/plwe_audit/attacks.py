@@ -240,7 +240,8 @@ def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     the doubled table G || G (a sliding-window view) and logs[G[j]] = j
     (logs[0] is unused).  Both are int16 below q = 2**15, where (-q, q) fits
     in int16, and int32 from there on: 4q + 2q bytes, or 8q + 4q bytes,
-    about 48 MB at q near 2**22.
+    about 48 MB at q near 2**22; the int64 G they are narrowed from is
+    freed once they are built.
     """
     dtype = np.int16 if q < 2**15 else np.int32
     G = generator_powers(q).astype(dtype)

@@ -7,7 +7,8 @@ Subcommands:
   replay   re-run one attack on a recorded sample file
 
 Exit codes: 0 success, 2 malformed configuration, option value or path, 3
-refused precondition.
+refused precondition, 141 standard output closed before the report was
+printed (128 + SIGPIPE; the --output file is written first).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .campaign import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_REFUSED = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -100,7 +102,7 @@ def _output(args):
     """The --output file (None without the option), opened before the
     command runs, so a path that cannot be written is refused first.  It
     is opened to append, which leaves an existing file as it is until
-    _emit rewrites it; a file that a failed command created is removed."""
+    _render rewrites it; a file that a failed command created is removed."""
     if not args.output:
         yield None
         return
@@ -115,16 +117,17 @@ def _output(args):
             raise
 
 
-def _emit(doc: dict, args, out) -> None:
-    """Print doc as JSON and rewrite out, when given, in args.format."""
+def _render(doc: dict, args, out) -> str:
+    """doc as JSON, for standard output; out, when given, is rewritten in
+    args.format first."""
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    print(text)
     if out is not None:
         out.truncate(0)
         if args.format == "json":
             out.write(text + "\n")
         else:
             _write_csv(out, doc)
+    return text
 
 
 def _flatten(doc: dict, prefix: str = "") -> dict:
@@ -252,14 +255,21 @@ def main(argv=None) -> int:
         if args.format == "csv" and not args.output:
             raise ConfigError("--format: csv needs --output, the file the CSV is written to")
         with _output(args) as out:
-            _emit(handlers[args.command](args), args, out)
-        return EXIT_OK
+            text = _render(handlers[args.command](args), args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PreconditionRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: stdout goes to devnull, so
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

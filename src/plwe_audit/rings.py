@@ -139,7 +139,8 @@ def eval_matrix(ext: ExtFieldCtx, length: int) -> np.ndarray:
 def generator_powers(q: int) -> np.ndarray:
     """G[i] = g^i mod q for 0 <= i < q - 1, g the least generator of F_q*,
     as the outer product g^(r*j) * g^k, k < r = ceil(sqrt(q - 1)), cut to
-    q - 1 entries; refused from q = 2**22 on."""
+    q - 1 entries; refused from q = 2**22 on.  Built afresh on each call and
+    held by no cache: 8(q - 1) bytes, 32 MB at the limit."""
     require_table_modulus(q)
     factors = prime_factors(q - 1)
     g = 2
@@ -149,9 +150,11 @@ def generator_powers(q: int) -> np.ndarray:
     inner, outer = [1], [1]
     for _ in range(r - 1):
         inner.append(inner[-1] * g % q)
+    step = inner[-1] * g % q  # g^r
     for _ in range((q - 2) // r):  # ceil((q - 1) / r) rows in all
-        outer.append(outer[-1] * inner[-1] * g % q)  # times g^r
-    G = np.array(outer, dtype=np.int64)[:, None] * np.array(inner, dtype=np.int64) % q
+        outer.append(outer[-1] * step % q)
+    G = np.array(outer, dtype=np.int64)[:, None] * np.array(inner, dtype=np.int64)
+    G -= G // q * q  # G % q, as binomial_logs reduces
     return G.ravel()[: q - 1]
 
 
@@ -171,8 +174,8 @@ def binomial_logs(ctx: RqContext, n: int, G: np.ndarray) -> np.ndarray:
     for c_s a^s + c_t a^t the d = gcd(t - s, q - 1) solutions of
     (t - s) i = L mod q - 1, L the log of -c_s/c_t, or none when d does not
     divide L.  The ones binomial_log_irreducible keeps are folded through
-    the other classes, sparsest first, with a^t = G[i*t mod (q-1)], exact
-    in int64 while (N+1)*q^2 < 2**63.
+    the other classes, sparsest first, with a^t = G[i*t mod (q-1)] (a^0 = 1
+    needs none), exact in int64 while (N+1)*q^2 < 2**63.
     """
     q, m = ctx.q, ctx.q - 1
     require_int64_sums(ctx.N, q)
@@ -188,15 +191,20 @@ def binomial_logs(ctx: RqContext, n: int, G: np.ndarray) -> np.ndarray:
         if L % d == 0:
             i0 = L // d * pow((t - s) // d, -1, m // d) % (m // d)
             idx = np.arange(i0, m, m // d, dtype=np.int64)
+    if not idx.size:
+        return idx
     idx = idx[binomial_log_irreducible(n, idx, q)] if n > 1 else idx
     for terms in classes:
         if not idx.size:
             break
         acc = np.zeros(idx.size, dtype=np.int64)
         for t, c in terms:
-            e = idx * t
-            e -= e // m * m  # e % m: numpy divides int64 by a scalar faster
-            acc += c * G.take(e)
+            if not t:  # a^0 = 1
+                acc += c
+            else:
+                e = idx * t
+                e -= e // m * m  # e % m: numpy divides int64 by a scalar faster
+                acc += c * G.take(e)
         idx = idx[acc == acc // q * q]
     return idx[np.argsort(G.take(idx))]
 

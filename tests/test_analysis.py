@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plwe_audit import cli, instances
@@ -572,6 +572,38 @@ class TestBlockStructures:
         m = PrimeModulus(q)
         assert batch == [block_structure(ExtFieldCtx(1, int(G[i]), m), N // n, sigma)
                          for i in idx]
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([p for p in SMALL_PRIMES if p < 2000]),
+        st.integers(1, 4),
+        st.integers(1, 64),
+        st.floats(0.05, 50.0),
+    )
+    # order 6 at n_terms = 8: six counts of 1 fold mod 3 into three 2s
+    @example(7, 1, 8, 1.3)
+    # orders 25, 50 and 100 at n_terms = 10: P >= 2 * n_terms, a row per point
+    @example(101, 1, 10, 1.3)
+    # x^256 + 1 mod 3329 at n = 2: order 256, n_terms = 128, one row for all
+    @example(3329, 2, 256, 1.3)
+    def test_every_point_of_every_order(self, q, n, N, sigma):
+        """All of F_q* at once, so each order's points arrive together and
+        any one-row sum is checked at every point it serves."""
+        G = generator_powers(q)
+        batch = block_structures(n, np.arange(q - 1, dtype=np.int64), N, sigma, G)
+        m = PrimeModulus(q)
+        assert batch == [block_structure(ExtFieldCtx(1, a, m), N // n, sigma) for a in G.tolist()]
+
+    def test_falcon1024_roots_share_one_structure(self):
+        ctx = load_ring_doc(instances.CRYPTO_RINGS["falcon1024"])
+        roots = scan_instance(ctx, 1.3, False).roots
+        assert len(roots) == 1024
+        assert all(r.blocks is roots[0].blocks for r in roots)
+        for r in (roots[0], roots[337], roots[-1]):
+            want = block_structure(ExtFieldCtx(1, r.a, ctx.modulus), ctx.N, 1.3)
+            assert r.blocks == want
+            assert r.blocks.sigma_bar.hex() == want.sigma_bar.hex()
 
 
 class TestClassCounts:

@@ -6,9 +6,11 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
 import sys
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1452,6 +1454,28 @@ def test_refused_or_failed_command_leaves_the_output_unchanged(tmp_path, capsys,
     assert text.startswith("key,value" if fmt == "csv" else "{") and "earlier" not in text
     if fmt == "json":
         assert json.loads(text) == json.loads(capsys.readouterr().out)
+
+
+def test_closed_stdout_keeps_the_output_and_exits_141(tmp_path, capsys):
+    # the scan used to print first: a closed pipe raised a BrokenPipeError
+    # traceback, exit 1, and the --output file it had created was removed
+    cfg = _write(tmp_path, "f.json", {
+        "instance": {**instances.CRYPTO_RINGS["falcon512"], "sigma": 1.0, "truncated": False}})
+    out = tmp_path / "r.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as `| head -c 10` does once it has its bytes
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "plwe_audit.cli", "scan", "--config", cfg, "--output", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")
+    assert cli.EXIT_PIPE == 141  # 128 + SIGPIPE
+    assert cli.main(["scan", "--config", cfg]) == 0
+    assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "-inf", "1.5", "1", "0", "-0.5"])

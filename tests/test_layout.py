@@ -11,8 +11,10 @@ flag; build_plan builds only its own family's.  Roots
 and divisors come from the scan's fold alone, and fields states the
 irreducibility criterion once, in log form.  The terms of f have one
 home, RqContext.support: no other code walks the coefficients of f to pick
-out the nonzero ones, and binomial_logs and scan_instance take no tuning
-knob.  A point is the (n, a) of its
+out the nonzero ones.  A generator of F_q* is sought, and the table of its
+powers built, in rings.generator_powers alone; analysis and attacks take
+G from it, and scan_instance, binomial_logs and block_structures take no
+tuning knob.  A point is the (n, a) of its
 binomial y^n - a from the config reader on, an F_q root alpha being
 (1, alpha): the reader takes n and a when both are given, else alpha,
 and reads no attack.mode, and ExtFieldCtx(n, a, modulus) holds it with a
@@ -49,6 +51,7 @@ from plwe_audit.analysis import (
     PointVuln,
     PosteriorBounds,
     ProbabilityReport,
+    block_structures,
     delta_probability,
     f_of_r,
     minimal_samples,
@@ -167,7 +170,6 @@ def test_one_arithmetic_path():
         found = _names(path) & (REFERENCE_ONLY | DELETED)
         assert not found, f"{path.relative_to(ROOT)} uses {sorted(found)}"
     assert not EXT_ELEMENT_CONSTRUCTORS & set(vars(ExtFieldCtx))
-    assert list(inspect.signature(binomial_logs).parameters) == ["ctx", "n", "G"]
     # the irreducibility criterion has one home: fields, in log form
     defined = {
         (path.name, node.name) for path in paths
@@ -211,9 +213,46 @@ def test_one_home_for_the_terms_of_f():
                     if tests and coeffs & {"f_mod", "f_int"}:
                         homes.add((path.name, fn.name))
     assert homes == {("rings.py", "support")}
+
+
+def _order_cofactor(node: ast.expr) -> bool:
+    """Whether node is (m - 1) // p, the exponent of a primitivity test."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and isinstance(node.left.right, ast.Constant) and node.left.right.value == 1)
+
+
+def test_one_generator_table():
+    """A primitivity test pow(g, (q - 1) // p, q) sits in
+    rings.generator_powers alone, and analysis and attacks bind G only to
+    what it returns; Pollard rho's g in fields is a gcd, never tested so."""
+    searches = set()
+    for path in sorted((ROOT / "src" / "plwe_audit").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py")
+    ):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow"
+                and len(node.args) == 3 and _order_cofactor(node.args[1])
+                for node in ast.walk(fn)
+            ):
+                searches.add((path.name, fn.name))
+    assert searches == {("rings.py", "generator_powers")}
+    for name in ("analysis.py", "attacks.py"):
+        tree = ast.parse((ROOT / "src" / "plwe_audit" / name).read_text(encoding="utf-8"))
+        bound = [
+            node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "G" for t in node.targets)
+        ]
+        assert bound, name
+        for value in bound:
+            calls = {getattr(c.func, "id", None) for c in ast.walk(value) if isinstance(c, ast.Call)}
+            assert "generator_powers" in calls, (name, ast.unparse(value))
     assert list(inspect.signature(scan_instance).parameters) == [
         "ctx", "sigma", "truncated", "n_max", "table_cap"
     ]
+    assert list(inspect.signature(binomial_logs).parameters) == ["ctx", "n", "G"]
+    assert list(inspect.signature(block_structures).parameters) == ["n", "idx", "N", "sigma", "G"]
 
 
 def test_package_root_exports_nothing():

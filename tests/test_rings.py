@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 from itertools import product
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from plwe_audit import attacks
 from plwe_audit.analysis import scan_instance
 from plwe_audit.campaign import (
     ConfigError,
@@ -220,6 +223,26 @@ class TestGeneratorPowers:
         assert np.array_equal(G[1:], G[:-1] * g % q)  # G[i] = g^i by induction
         tail = range(q - 1 - 2 * 2048, q - 1)  # the last two rows
         assert G[tail[0]:].tolist() == [pow(g, i, q) for i in tail]
+
+    def test_the_limit_is_refused(self):
+        for q in (1 << 22, 4194319):  # the limit, the least prime above it
+            with pytest.raises(ValueError, match=r"< 2\*\*22"):
+                generator_powers(q)
+
+    def test_log_tables_keep_no_int64_table(self, monkeypatch):
+        # the attack tables are narrowed from G; the int64 G is then freed
+        made = []
+
+        def noted(q):
+            G = generator_powers(q)
+            made.append(weakref.ref(G))
+            return G
+
+        monkeypatch.setattr(attacks, "generator_powers", noted)
+        windows, logs = attacks._log_tables.__wrapped__(KYBER.q)
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
+        assert windows.dtype == logs.dtype == np.int16
 
 
 class TestFindRoots:
