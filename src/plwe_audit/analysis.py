@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import betainc
 
 from .fields import ExtFieldCtx, centered_value
 from .rings import RqContext, binomial_logs, generator_powers, log_orders
@@ -19,6 +19,7 @@ from .samplers import p0_of
 
 DEFAULT_SERIES_TOL = 1e-12
 DEFAULT_TABLE_CAP = 10**8
+_LN_2PI = math.log(2 * math.pi)
 
 
 class DomainError(ValueError):
@@ -295,20 +296,68 @@ def _block_hits(x: np.ndarray, q: int) -> int:
 # binomial machinery and thresholds
 
 
-def cumulative_binomial(k: int, trials: int, p: float) -> float:
-    """F(k, n, p) = P(Bin(n, p) <= k), stable up to n ~ 10^6."""
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n), n >= 1: lgamma below 16, else
+    the Stirling series to n^-9 (Loader 2000)."""
+    if n < 16:
+        return math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - 0.5 * _LN_2PI
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: int, m: float) -> float:
+    """Loader's deviance term x log(x/m) + m - x, as x log1p(d/m) - d with
+    d = x - m: its absolute error is a few ulp while |d| <= 1."""
+    d = x - m
+    return x * math.log1p(d / m) - d
+
+
+def _binomial_pmf(k: int, n: int, p: float, q: float) -> float:
+    """P(Bin(n, p) = k) with q = 1 - p, 0 < p < 1, by Loader's saddle-point
+    form, for k within 1 of the mean np."""
+    if k == 0:
+        return math.exp(n * math.log1p(-p))
+    if k == n:
+        return math.exp(n * math.log1p(-q))
+    lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
+    return math.exp(lc - 0.5 * (_LN_2PI + math.log(k) + math.log1p(-k / n)))
+
+
+def binomial_cdf(n: int, p: float) -> list[float]:
+    """[P(Bin(n, p) <= k) for k in -1..n], n >= 0.
+
+    The pmf at the mode m comes from Loader's saddle-point form, the other
+    terms from the ratio recurrence outward from m until they underflow.
+    Below m each value sums the terms from the small end; from m on it is one
+    minus the upper tail, summed the same way, which is at most about 2/3
+    there, so no value cancels.  Relative error at most 1e-12 wherever the
+    value is at least 1e-300 (pinned for n <= 2000); smaller values lose
+    relative precision and underflow to 0.
+    """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must lie in [0, 1], got {p}")
-    if k < 0:
-        return 0.0
-    if k >= trials:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    # regularized incomplete beta: P(Bin(n,p) <= k) = I_{1-p}(n-k, k+1)
-    return float(betainc(trials - k, k + 1, 1.0 - p))
+    q = 1.0 - p
+    m = min(n, int((n + 1) * p))
+    terms = [0.0] * (n + 1)
+    terms[m] = t = 1.0 if p in (0.0, 1.0) else _binomial_pmf(m, n, p, q)
+    for i in range(m, 0, -1):
+        t *= i * q / ((n - i + 1) * p)
+        if not t:
+            break
+        terms[i - 1] = t
+    t = terms[m]
+    for i in range(m, n):
+        t *= (n - i) * p / ((i + 1) * q)
+        if not t:
+            break
+        terms[i + 1] = t
+    upper = [1.0 - s for s in accumulate(reversed(terms[m + 1 :]), initial=0.0)]
+    return list(accumulate(terms[:m], initial=0.0)) + upper[::-1]
+
+
+def cumulative_binomial(k: int, trials: int, p: float) -> float:
+    """F(k, n, p) = P(Bin(n, p) <= k), read from binomial_cdf."""
+    return binomial_cdf(trials, p)[min(max(k, -1), trials) + 1]
 
 
 @lru_cache(maxsize=256)
@@ -343,15 +392,15 @@ def hit_threshold(ell: int, q, delta: float) -> int:
     if ell < 1:
         raise ValueError("need at least one sample")
     qv = int(q)
-    p_uniform = quarter_count(qv) / qv
-    p_true = 0.5 + delta
+    # P(Bin(ell, p) >= tau) = P(Bin(ell, 1 - p) <= ell - tau): the uniform
+    # cdf read backwards gives every false alarm, tau = 0..ell+1
+    false_alarms = reversed(binomial_cdf(ell, 1.0 - quarter_count(qv) / qv))
+    misses = binomial_cdf(ell, 0.5 + delta)  # P(Bin(ell, 1/2 + delta) < tau)
     best_tau, best_err = 0, math.inf
-    for tau in range(ell + 2):
-        # P(Bin(ell, p) >= tau) = P(Bin(ell, 1 - p) <= ell - tau)
-        false_alarm = min(1.0, qv * cumulative_binomial(ell - tau, ell, 1.0 - p_uniform))
-        miss = cumulative_binomial(tau - 1, ell, p_true)
-        if false_alarm + miss <= best_err:  # ties go to the larger tau
-            best_tau, best_err = tau, false_alarm + miss
+    for tau, (false_alarm, miss) in enumerate(zip(false_alarms, misses)):
+        err = min(1.0, qv * false_alarm) + miss
+        if err <= best_err:  # ties go to the larger tau
+            best_tau, best_err = tau, err
     return best_tau
 
 

@@ -221,7 +221,8 @@ def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
     x = lam[start, :, None] * sigma  # the first pass runs on the whole grid
     x += off[start, :, None]
     x %= q
-    pair, s = np.divmod(np.flatnonzero(member.take(x)), sigma.size)
+    x = np.flatnonzero(member.take(x))  # frees the grid, a trial's largest array
+    pair, s = np.divmod(x, sigma.size)
     s = sigma.take(s)
     for i in range(start + 1, m):
         if not pair.size:

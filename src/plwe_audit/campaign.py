@@ -431,10 +431,14 @@ def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None)
             "oracle_invocations": cfg.rq0_budget,
             "wall_time_ms": 1000.0 * (time.perf_counter() - t0),
         }
-    # evaluated at the root first: B is formed only for a recording
-    outcome = run_attack_once(plan, batch.pairs(plan.point))
+    # evaluated at the root first: B is formed only for a recording, and
+    # without one the (M, N) rows are freed before the attack's temporaries
+    pairs = batch.pairs(plan.point)
+    if samples is None:
+        batch = None
+    outcome = run_attack_once(plan, pairs)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    if samples is not None:
+    if batch is not None:
         for a, b in zip(batch.A.tolist(), batch.B.tolist()):
             samples.write(json.dumps({"a": a, "b": b}) + "\n")
     row = {
@@ -443,7 +447,7 @@ def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None)
         "outcome": outcome.to_dict(),
         "correct": outcome.is_plwe == truth_plwe,
         "oracle_invocations": invocations,
-        "samples_used": len(batch),
+        "samples_used": len(pairs),
         "wall_time_ms": wall_ms,
     }
     if truth_plwe and isinstance(outcome, AttackVerdict):

@@ -81,7 +81,7 @@ def gaussian_coeffs(spec: GaussianSpec, rng: np.random.Generator, size) -> np.nd
         while redraws := np.count_nonzero(bad):
             x[bad] = rng.normal(0.0, spec.sigma, size=redraws)
             bad = np.abs(x) > bound
-    return np.rint(x).astype(np.int64)
+    return np.rint(x, out=x).astype(np.int64)
 
 
 def uniform_poly(ctx: RqContext, rng: np.random.Generator) -> RingPoly:
@@ -137,8 +137,9 @@ class SampleBatch:
         coordinate c0, and Tr = n * (y^0 coordinate) makes the targets the y^0
         coordinates of b_i(alpha).  A batch with a secret evaluates first:
         evaluation is a ring homomorphism and u_i lies in F_q, so the target
-        is u_i * c0(s) + c0(e_i) and B is never formed; X - X // q * q reduces
-        the errors faster than int64 %, exactly within campaign.check_draws.
+        is u_i * c0(s) + c0(e_i) and B is never formed; X - X // q * q, formed
+        in place in one temporary, reduces the errors faster than int64 %,
+        exactly within campaign.check_draws.
         """
         q = self.ring.q
         W = eval_matrix(ext, self.ring.N)
@@ -150,7 +151,10 @@ class SampleBatch:
         if self.secret is None:
             targets = self.X @ coord0 % q
         else:
-            targets = (u * (self.secret @ coord0 % q) + (self.X - self.X // q * q) @ coord0) % q
+            e = self.X // q
+            e *= -q
+            e += self.X
+            targets = (u * (self.secret @ coord0 % q) + e @ coord0) % q
         return Pairs(targets, u * pow(ext.n, -1, q) % q, q)
 
 

@@ -45,6 +45,11 @@ and class count.
 
 The erf series with a second counter beside j and an exit at lo > 8 that
 no ratio reaches: the form that analysis._erf_series replaced by j alone.
+
+The binomial cdf as the regularized incomplete beta of scipy, imported inside
+the function so the package never loads scipy, and hit_threshold as 2(ell + 2)
+such tails: the forms that analysis.binomial_cdf replaced by one pmf vector
+per (n, p).  Beside them, the cdf as exact rational sums in integers.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ import numpy as np
 
 from plwe_audit.analysis import (
     DEFAULT_SERIES_TOL,
+    DomainError,
     PosteriorBounds,
     _one_minus_q_pow,
     in_quarter_residues,
@@ -666,3 +672,55 @@ def _erf_series(ratio: float) -> tuple[float, int]:
         if lo > 8.0:  # erf saturated; nothing left
             break
     return total, terms
+
+
+# ---------------------------------------------------------------------------
+# the binomial tail
+
+
+def reference_cumulative_binomial(k: int, trials: int, p: float) -> float:
+    """P(Bin(n, p) <= k) = I_{1-p}(n - k, k + 1).  scipy's betainc loses its
+    relative precision below about 1e-250 (at n = 1726, p = 0.34375, k = 29
+    it reads 1.79e-261 for 9.06e-262)."""
+    from scipy.special import betainc
+
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must lie in [0, 1], got {p}")
+    if k < 0:
+        return 0.0
+    if k >= trials:
+        return 1.0
+    if p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    return float(betainc(trials - k, k + 1, 1.0 - p))
+
+
+def exact_binomial_cdf(n: int, p: float) -> list[float]:
+    """[P(Bin(n, p) <= k) for k in -1..n], 0 < p < 1, each correctly rounded
+    from the exact sum at p = a/b: the terms C(n, i) a^i (b - a)^(n - i) are
+    integers over b^n."""
+    a, b = p.as_integer_ratio()
+    c = b - a
+    term, total, den = c**n, 0, b**n
+    cdf = [0.0]
+    for i in range(n + 1):
+        total += term
+        cdf.append(total / den)  # int / int is correctly rounded
+        term = term * (n - i) * a // ((i + 1) * c)
+    return cdf
+
+
+def reference_hit_threshold(ell: int, q: int, delta: float) -> int:
+    """hit_threshold with two tail calls per tau."""
+    p_uniform = quarter_count(q) / q
+    best_tau, best_err = 0, math.inf
+    for tau in range(ell + 2):
+        false_alarm = min(
+            1.0, q * reference_cumulative_binomial(ell - tau, ell, 1.0 - p_uniform)
+        )
+        miss = reference_cumulative_binomial(tau - 1, ell, 0.5 + delta)
+        if false_alarm + miss <= best_err:
+            best_tau, best_err = tau, false_alarm + miss
+    return best_tau

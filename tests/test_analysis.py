@@ -18,6 +18,7 @@ from plwe_audit.analysis import (
     _dual_series,
     _erf_series,
     _per_sample_mass,
+    binomial_cdf,
     block_structure,
     block_structures,
     class_counts,
@@ -49,11 +50,14 @@ from plwe_audit.rings import eval_matrix, generator_powers, load_ring_doc
 from reference import (
     _erf_series as two_counter_erf_series,
     _per_sample_mass as family_per_sample_mass,
+    exact_binomial_cdf,
     in_quarter_value,
     irreducible_constants,
     minimal_samples as family_minimal_samples,
     posterior_bounds as family_posterior_bounds,
     reference_block_structure,
+    reference_cumulative_binomial,
+    reference_hit_threshold,
     reference_monte_carlo_delta,
     whole_array_monte_carlo_delta,
 )
@@ -308,6 +312,80 @@ class TestCumulativeBinomial:
         assert cumulative_binomial(k, n, float(p)) == pytest.approx(
             float(exact), abs=1e-12
         )
+
+
+def _worst_relative_error(got, want, floor=1e-300):
+    return max((abs(g - w) / w for g, w in zip(got, want, strict=True) if w >= floor), default=0.0)
+
+
+def _binomial_ps(rng, count):
+    # p anywhere in (0, 1), on a 1/64 grid, and near either end
+    draws = (
+        lambda: rng.uniform(0.0, 1.0),
+        lambda: int(rng.integers(1, 64)) / 64,
+        lambda: rng.uniform(0.0, 1e-3),
+        lambda: 1.0 - rng.uniform(0.0, 1e-3),
+    )
+    return [draws[i % len(draws)]() for i in range(count)]
+
+
+class TestBinomialCdf:
+    """binomial_cdf's contract: relative error at most 1e-12 wherever the
+    value is at least 1e-300, against exact rational sums for n <= 2000 and
+    scipy's incomplete beta where that stays exact (above 1e-240)."""
+
+    def test_exact_sums_up_to_60(self):
+        rng = np.random.default_rng(31)
+        for n in range(61):
+            for p in _binomial_ps(rng, 8):
+                assert _worst_relative_error(binomial_cdf(n, p), exact_binomial_cdf(n, p)) <= 1e-12, (n, p)
+
+    def test_exact_sums_up_to_2000(self):
+        # the deep lower tails, down to 1e-300, where betainc is off
+        rng = np.random.default_rng(32)
+        for n, p in zip((2000, 1726, 1381, 640), (0.5, 0.34375, *_binomial_ps(rng, 2))):
+            assert _worst_relative_error(binomial_cdf(n, p), exact_binomial_cdf(n, p)) <= 1e-12, (n, p)
+
+    def test_incomplete_beta_up_to_2000(self):
+        rng = np.random.default_rng(33)
+        for p in _binomial_ps(rng, 24):
+            n = int(rng.integers(61, 2001))
+            want = [reference_cumulative_binomial(k, n, p) for k in range(-1, n + 1)]
+            assert _worst_relative_error(binomial_cdf(n, p), want, 1e-240) <= 1e-12, (n, p)
+
+    def test_edges(self):
+        assert binomial_cdf(0, 0.3) == [0.0, 1.0]
+        assert binomial_cdf(3, 0.0) == [0.0, 1.0, 1.0, 1.0, 1.0]
+        assert binomial_cdf(3, 1.0) == [0.0, 0.0, 0.0, 0.0, 1.0]
+        assert binomial_cdf(1000, 0.5)[-1] == 1.0
+        for p in (-0.1, 1.1, math.nan):
+            with pytest.raises(DomainError):
+                binomial_cdf(5, p)
+
+    @given(st.integers(0, 300), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cumulative_binomial_matches_the_incomplete_beta(self, n, p, data):
+        # equal outside 0 <= k < n and at p in {0, 1}, close elsewhere
+        k = data.draw(st.integers(-2, n + 2))
+        got, want = cumulative_binomial(k, n, p), reference_cumulative_binomial(k, n, p)
+        if not (0 <= k < n and 0.0 < p < 1.0):
+            assert got == want
+        elif want >= 1e-240:
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_hit_threshold_equals_the_incomplete_beta_form(self):
+        # a seeded sample of the grid: 14 primes, sigma_bar = f q for 13
+        # fractions f, ell in 1..79 and 100..1000
+        primes = (5, 7, 13, 17, 97, 257, 769, 2887, 3329, 3677, 4099, 4111, 7681, 12289)
+        fractions = (0.01, 0.02, 0.05, 0.08, 0.1, 0.12, 0.15, 0.2, 0.25, 0.3, 0.4, 0.6, 1.0)
+        ells = (*range(1, 80), *range(100, 1001, 100))
+        rng = np.random.default_rng(34)
+        for _ in range(300):
+            q = int(rng.choice(primes))
+            delta = delta_probability(q, float(rng.choice(fractions)) * q).delta
+            ell = int(rng.choice(ells))
+            want = reference_hit_threshold(ell, q, delta)
+            assert hit_threshold.__wrapped__(ell, q, delta) == want, (ell, q, delta)
 
 
 BOUND_MODULI = [5, 13, 3677, 4099, 12289]

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from datetime import timedelta
 from pathlib import Path
 
@@ -440,6 +441,29 @@ class TestStreamUse:
         assert not calls
         rows = run_campaign(cfg, record=str(tmp_path / "samples.jsonl")).trials
         assert len(calls) == sum(1 for r in rows if r["truth"] == "plwe") > 0
+
+    def test_trials_free_their_rows_before_the_attack(self, tmp_path, monkeypatch):
+        # without a recording the (M, N) rows of a batch are gone before the
+        # filter makes its temporaries, so a trial's peak holds one of the two
+        alive, draw, attack = [], campaign.sample_batch, campaign.run_attack_once
+
+        def drawn(*args, **kwargs):
+            batch, invocations = draw(*args, **kwargs)
+            alive.append(weakref.ref(batch))
+            return batch, invocations
+
+        def attacked(plan, pairs):
+            alive[-1] = alive[-1]() is not None
+            return attack(plan, pairs)
+
+        monkeypatch.setattr(campaign, "sample_batch", drawn)
+        monkeypatch.setattr(campaign, "run_attack_once", attacked)
+        cfg = _golden_config("trace_extended_small_set_direct")
+        run_campaign(cfg)
+        assert alive == [False] * cfg.attack.trials
+        alive.clear()
+        run_campaign(cfg, record=str(tmp_path / "samples.jsonl"))
+        assert alive == [True] * cfg.attack.trials
 
     def test_recording_writes_each_trial_as_it_finishes(self, tmp_path, monkeypatch):
         # before each trial the file holds the samples of every earlier one

@@ -30,7 +30,8 @@ attack family, and each array limit of rings is checked in one place.  The
 package root re-exports nothing.  Each result has one route: a replay
 checks R_{q,0} through the evaluation of SampleBatch.pairs, p0 comes from
 samplers.p0_of, a missing delta is "series", and the small-values attack
-is the small-set attack on the quarter mask."""
+is the small-set attack on the quarter mask.  numpy is the one runtime
+dependency: no module imports scipy."""
 
 import ast
 import dataclasses
@@ -262,12 +263,32 @@ def test_package_root_exports_nothing():
         if not (name.startswith("__") and name.endswith("__")):
             assert isinstance(value, types.ModuleType), name
             assert value.__name__ == f"plwe_audit.{name}", name
-    # so importing one module does not import the others and their scipy
+    # so importing one module does not import the others
+    code = "import sys, plwe_audit.rings; print('plwe_audit.analysis' in sys.modules)"
+    assert _run_python(code) == "False\n"
+
+
+def _run_python(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, plwe_audit.rings; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "False\n"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_runtime_needs_no_scipy():
+    """numpy is the one runtime dependency: no module of src/plwe_audit
+    imports scipy, and importing the CLI or the campaign loads none."""
+    for path in sorted((ROOT / "src" / "plwe_audit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (path.name, names)
+    for module in ("plwe_audit.cli", "plwe_audit.campaign"):
+        code = f"import sys, {module}; print('scipy' in sys.modules)"
+        assert _run_python(code) == "False\n", module
 
 
 def test_one_precondition_path():
