@@ -2,8 +2,8 @@
 """Unbounded small-values attack demo.
 
 Runs the unbounded attack twice and prints both of its statistics per class:
-the paper's aggregate count C = sum_g h_g against its threshold T, and the
-best per-candidate hit count max_g h_g against tau, which decides.  On a
+the paper's aggregate count C = sum_g h_g, and the best per-candidate hit
+count max_g h_g against tau, which decides.  On a
 small modulus zero evaluations of a(x) are frequent enough to move C; on the
 large-modulus instance C is frozen at ell*(q+1)/2 (each sample with
 invertible a(alpha) contributes a constant number of hits), while the best
@@ -27,7 +27,7 @@ def run(name, doc):
     print(f"== {name}")
     print(f"   delta (Monte Carlo) = {report.plan_summary['delta']:.4f}")
     print(f"   aggregate count C: genuine {_span(report, 'plwe', 'votes')}, "
-          f"uniform {_span(report, 'uniform', 'votes')} (T = {outcome['threshold']})")
+          f"uniform {_span(report, 'uniform', 'votes')}")
     print(f"   best candidate max_g h_g: genuine {_span(report, 'plwe', 'best_hits')}, "
           f"uniform {_span(report, 'uniform', 'best_hits')} "
           f"(tau = {outcome['hit_threshold']}, decides)")

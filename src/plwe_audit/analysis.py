@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
@@ -361,23 +360,6 @@ def cumulative_binomial(k: int, trials: int, p: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def usva_threshold(ell: int, q, delta: float) -> int:
-    """Vote threshold of the unbounded attack:
-    T = ceil(l(q-1)(1/2 +- 1/(2q)) + l(1/2 + delta)), the sign fixed by q mod 4.
-
-    Evaluated in exact rational arithmetic so both published closed forms agree
-    to the integer.  A campaign asks with the same arguments on every trial,
-    so results are cached.
-    """
-    if ell < 1:
-        raise ValueError("need at least one sample")
-    qv = int(q)
-    t = ell * (qv - 1) * Fraction(quarter_count(qv), qv)
-    t += ell * (Fraction(1, 2) + Fraction(delta))
-    return math.ceil(t)
-
-
-@lru_cache(maxsize=256)
 def hit_threshold(ell: int, q, delta: float) -> int:
     """Threshold tau on the best per-candidate hit count max_g h_g of the
     unbounded attack, h_g = #{i : t_i - u_i*g in [-q/4, q/4)}.
@@ -407,30 +389,6 @@ def hit_threshold(ell: int, q, delta: float) -> int:
 def extended_threshold(chunks: int, p0: float, m0: int, r: int) -> int:
     """Vote threshold of the chunked attacks: T = ceil(c * p0^(M0 * r))."""
     return math.ceil(chunks * p0 ** (m0 * r))
-
-
-@dataclass(frozen=True)
-class GateReport:
-    """Evaluation of the published applicability inequality for the chunked
-    attacks: 1 - (|Sigma|/q)^M0 < p0^(M0 * r).
-
-    The inequality is recorded, never enforced: it fails for every chunk size
-    large enough to be useful, including the sizes behind the published
-    experiments, so it cannot be a hard run condition.
-    """
-
-    lhs: float
-    rhs: float
-    satisfied: bool
-
-
-def extended_gate(
-    sigma_size: float, q, p0: float, m0: int, r: int
-) -> GateReport:
-    qv = int(q)
-    lhs = 1.0 - (sigma_size / qv) ** m0
-    rhs = p0 ** (m0 * r)
-    return GateReport(lhs, rhs, lhs < rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ Three basic procedures test candidate secrets against a membership predicate:
 the small-set attack checks tentative errors against a look-up table Sigma, the
 small-values attack checks them against the centered interval [-q/4, q/4), and
 the unbounded variant counts interval hits per candidate and decides by the
-best candidate's count.  Each evaluates at a root alpha of an irreducible
-divisor y^n - a of f: samples are restricted to the subring R_{q,0} and
-candidate values folded through the field trace.  An F_q root alpha is the
-case n = 1, a = alpha, where the subring is all of R_q and the trace is the
-identity.  A chunked driver turns the three-way basic verdicts into a two-way
-vote whenever single runs are unreliable.
+best candidate's count against hit_threshold alone.  Each evaluates at a root
+alpha of an irreducible divisor y^n - a of f: samples are restricted to the
+subring R_{q,0} and candidate values folded through the field trace.  An F_q
+root alpha is the case n = 1, a = alpha, where the subring is all of R_q and
+the trace is the identity.  A chunked driver turns the three-way basic
+verdicts into a two-way vote whenever single runs are unreliable; its
+Decision compares the vote count with extended_threshold and nothing else.
 
 Every attack is a pure function of (pairs, parameters): it reads M samples
 only as the Pairs (a_i(alpha), Tr(b_i(alpha))) that SampleBatch.pairs
@@ -34,7 +35,6 @@ from .analysis import (
     quarter_interval,
     quarter_mask,
     small_set_size,
-    usva_threshold,
 )
 from .rings import generator_powers
 from .samplers import Pairs
@@ -118,14 +118,14 @@ class Decision:
 
 
 @dataclass(frozen=True)
-class HitCountDecision(Decision):
-    """Two-way outcome of the unbounded attack.
+class HitCountDecision:
+    """Two-way outcome of the unbounded attack: PLWE when the best
+    per-candidate hit count max_g h_g reaches hit_threshold."""
 
-    votes and threshold keep the aggregate count C = sum_g h_g and its
-    expectation threshold T for reference; the verdict reads only the best
-    per-candidate hit count max_g h_g against hit_threshold.
-    """
-
+    # the aggregate count C = sum_g h_g, which decides nothing (every sample
+    # with invertible a(alpha) adds quarter_count(q) to it); read by
+    # perfbench's identity check alone, it goes once perfbench stops reading it
+    votes: int
     best_hits: int
     hit_threshold: int
 
@@ -133,9 +133,14 @@ class HitCountDecision(Decision):
     def is_plwe(self) -> bool:
         return self.best_hits >= self.hit_threshold
 
+    @property
+    def kind(self) -> str:
+        return "plwe" if self.is_plwe else "uniform"
+
     def to_dict(self) -> dict:
         return {
-            **super().to_dict(),
+            "verdict": self.kind,
+            "votes": self.votes,
             "best_hits": self.best_hits,
             "hit_threshold": self.hit_threshold,
         }
@@ -311,12 +316,12 @@ def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecisio
     """Count the quarter-interval hits h_g of every candidate g and say PLWE
     when the best candidate reaches hit_threshold(ell, q, delta).
 
-    The aggregate count C = sum_g h_g and the expectation threshold T are
-    returned too, but do not decide: a sample with invertible a(alpha) maps
-    g -> t - u*g bijectively onto F_q, so it adds exactly quarter_count(q)
-    to C whatever distribution produced it.  The true candidate of a PLWE
-    batch hits with probability 1/2 + delta per sample, any candidate of a
-    uniform batch with quarter_count(q)/q.
+    The aggregate count C = sum_g h_g is returned too, but does not decide: a
+    sample with invertible a(alpha) maps g -> t - u*g bijectively onto F_q,
+    so it adds exactly quarter_count(q) to C whatever distribution produced
+    it.  The true candidate of a PLWE batch hits with probability
+    1/2 + delta per sample, any candidate of a uniform batch with
+    quarter_count(q)/q.
 
     _quarter_hits counts in the log domain with two integer comparisons per
     entry; its cached _log_tables take about 6q bytes below q = 2**15 and
@@ -329,7 +334,6 @@ def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecisio
     h0, hits = _quarter_hits(pairs)
     return HitCountDecision(
         votes=int(hits.sum()) + h0,
-        threshold=usva_threshold(len(pairs), pairs.q, delta),
         best_hits=max(int(hits.max()), h0),
         hit_threshold=hit_threshold(len(pairs), pairs.q, delta),
     )

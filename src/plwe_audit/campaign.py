@@ -24,7 +24,6 @@ from . import analysis
 from .analysis import (
     block_structure,
     delta_probability,
-    extended_gate,
     magnitude,
     monte_carlo_delta,
     posterior_bounds,
@@ -531,13 +530,10 @@ def _finite_or_null(value):
 
 
 def _plan_summary(plan: AttackPlan) -> dict:
-    """The plan's report fields; the Sigma table size, its analytic bound
-    and the extended gate are worked out here, from the plan's mask."""
+    """The plan's report fields; the Sigma table size and its analytic bound
+    are worked out here, from the plan's mask."""
     cfg, att, blocks = plan.cfg, plan.cfg.attack, plan.blocks
     n, a = plan.point.n, plan.point.a
-    q, p0 = cfg.ring.q, p0_of(cfg.gauss.truncated)
-    # |Sigma|, or quarter_count(q) for the quarter interval
-    count = None if plan.member is None else int(np.count_nonzero(plan.member))
     out: dict = {
         "mode": "fq" if n == 1 else "trace",  # a label read off n, kept in pinned digests
         "order": blocks.order,
@@ -548,19 +544,16 @@ def _plan_summary(plan: AttackPlan) -> dict:
     if att.family in SMALL_SET_FAMILIES:
         # the power form, where the flag's exp of the log differs in the last bit (ROADMAP item 1)
         analytic = small_set_size(blocks.counts, cfg.gauss.sigma).analytic
-        out["sigma_table_size"] = count
+        out["sigma_table_size"] = int(np.count_nonzero(plan.member))
         out["sigma_table_analytic_bound"] = analytic
         out["predicted_bounds"] = {
             "M": att.M,
             "vote_posterior": posterior_bounds(
-                q, analytic, plan.member_r, cfg.gauss.truncated, att.M
+                cfg.ring.q, analytic, plan.member_r, cfg.gauss.truncated, att.M
             ).vote_posterior,
         }
     if plan.delta is not None:
         out["delta"] = plan.delta
-    if att.family in EXTENDED_FAMILIES:
-        gate = extended_gate(count, q, p0, att.M0, plan.member_r)
-        out["extended_gate"] = {"lhs": gate.lhs, "rhs": gate.rhs, "satisfied": gate.satisfied}
     return _finite_or_null(out)
 
 

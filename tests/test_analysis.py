@@ -24,7 +24,6 @@ from plwe_audit.analysis import (
     class_counts,
     cumulative_binomial,
     delta_probability,
-    extended_gate,
     extended_threshold,
     f_of_r,
     hit_threshold,
@@ -35,7 +34,6 @@ from plwe_audit.analysis import (
     quarter_count,
     quarter_mask,
     scan_instance,
-    usva_threshold,
 )
 from plwe_audit.campaign import PreconditionRefused, build_plan, config_from_dict
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, is_prime
@@ -79,7 +77,7 @@ MC_CASES = (
 class TestOffsets:
     def test_sign_by_residue(self):
         # a uniform residue's quarter mass quarter_count(q)/q is 1/2 +- 1/(2q),
-        # the sign fixed by q mod 4; big_delta and usva_threshold read it so
+        # the sign fixed by q mod 4; big_delta and hit_threshold read it so
         for q in filter(is_prime, range(3, 400, 2)):
             offset = Fraction(1, 2 * q) if q % 4 == 1 else Fraction(-1, 2 * q)
             assert Fraction(quarter_count(q), q) - Fraction(1, 2) == offset
@@ -517,9 +515,6 @@ class TestPosteriorBounds:
 
 
 class TestThresholds:
-    def test_usva_threshold_identity_lives_in_analysis(self):
-        assert usva_threshold(100, 3677, 0.1376) == 183914
-
     @given(
         st.integers(1, 40),
         st.sampled_from([5, 7, 13, 3677, 4099]),
@@ -568,16 +563,6 @@ class TestThresholds:
             hit_threshold(10, 13, 0.6)
         with pytest.raises(ValueError):
             hit_threshold(0, 13, 0.2)
-
-    def test_extended_gate_arithmetic(self):
-        gate = extended_gate(3471.85, 4099, P0, 2, 3)
-        assert gate.lhs == pytest.approx(1 - (3471.85 / 4099) ** 2)
-        assert gate.rhs == pytest.approx(P0**6)
-        assert gate.satisfied
-
-    def test_extended_gate_fails_at_useful_chunk_sizes(self):
-        gate = extended_gate(3471.85, 4099, P0, 30, 3)
-        assert not gate.satisfied
 
 
 class TestScanner:
@@ -857,8 +842,10 @@ def test_scan_min_m_is_minimal_samples_of_the_flag(truncated):
 def test_plan_and_scan_agree(name, doc, sigma):
     """At every point a scan lists, build_plan passes the small-values and
     the series unbounded precondition exactly when the scan flags them
-    applicable, and records the flag's condition."""
-    report = scan_instance(load_ring_doc(doc), sigma, False)
+    applicable, and records the flag's condition; wherever the scan flags
+    small_set applicable, truncated or not, build_plan accepts it."""
+    ctx = load_ring_doc(doc)
+    report = scan_instance(ctx, sigma, False)
     points = [({"n": p.n, "a": p.a}, p.flags) for p in report.roots + report.factors]
     instance = {**doc, "sigma": sigma, "truncated": False}
     for family, extra in [("small_values", {"M": 1}),
@@ -875,6 +862,17 @@ def test_plan_and_scan_agree(name, doc, sigma):
                 continue
             assert flag.applicable, (where, family)
             assert plan.preconditions == ("ok: " + flag.condition,)
+    # one way only: the plan counts its real table, which can sit below
+    # q*p0^r where the flag's analytic bound does not (the order-2 roots of
+    # USVA_INSTANCES[0] and [1] plan |Sigma| = 725 against a bound of 131797)
+    for truncated in (False, True):
+        cfg = config_from_dict({"instance": {**instance, "truncated": truncated}, "attack": {
+            "family": "small_set", "mode": "fq", "alpha": 1, "M": 1}})
+        scan = scan_instance(ctx, sigma, truncated)
+        for point in scan.roots + scan.factors:
+            if next(f for f in point.flags if f.attack == "small_set").applicable:
+                attack = dataclasses.replace(cfg.attack, n=point.n, a=point.a)
+                build_plan(dataclasses.replace(cfg, attack=attack))
 
 
 @pytest.mark.parametrize("truncated", [False, True])

@@ -20,7 +20,6 @@ from plwe_audit.analysis import (
     quarter_count,
     quarter_mask,
     small_set_size,
-    usva_threshold,
 )
 from plwe_audit.attacks import (
     VERDICT_GUESS,
@@ -338,38 +337,6 @@ def _usva_ring(N, q, alpha):
 
 
 class TestUnbounded:
-    def test_threshold_example(self):
-        assert usva_threshold(100, 3677, 0.1376) == 183914
-
-    def test_threshold_small(self):
-        assert usva_threshold(1, 13, 0.0) == 7
-
-    @given(
-        st.integers(1, 500),
-        st.sampled_from([5, 13, 3677, 4099]),
-        st.floats(-0.4, 0.5, allow_nan=False),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_threshold_closed_forms_agree(self, ell, q, delta):
-        sign = Fraction(1, 2 * q) if q % 4 == 1 else Fraction(-1, 2 * q)
-        form_a = math.ceil(
-            ell * (q - 1) * (Fraction(1, 2) + sign)
-            + ell * (Fraction(1, 2) + Fraction(delta))
-        )
-        form_b = math.ceil(
-            Fraction(1, 2)
-            * (ell * q + 2 * ell * Fraction(delta) + 2 * ell * sign * q * Fraction(q - 1, q))
-        )
-        assert usva_threshold(ell, q, delta) == form_a == form_b
-
-    def test_threshold_monotone_in_delta(self):
-        prev = None
-        for k in range(50):
-            t = usva_threshold(100, 3677, k / 100.0)
-            if prev is not None:
-                assert t >= prev
-            prev = t
-
     def test_vote_count_is_constant_when_a_never_vanishes(self):
         # for invertible a_i the map g -> b_i - a_i*g is a bijection, so each
         # sample contributes exactly quarter_count(q) votes
@@ -775,17 +742,17 @@ class TestVerdictShape:
         assert Decision(2, 3).kind == "uniform"
 
     def test_hit_count_decision_reads_best_hits(self):
-        # the aggregate count sits below T, yet the best candidate decides
-        decision = HitCountDecision(10, 20, best_hits=5, hit_threshold=5)
-        assert decision.kind == "plwe"
+        # the aggregate count C decides nothing: a small C with a best
+        # candidate at tau says PLWE, a large C with one below says uniform
+        decision = HitCountDecision(10, best_hits=5, hit_threshold=5)
+        assert decision.kind == "plwe" and decision.is_plwe
         assert decision.to_dict() == {
             "verdict": "plwe",
             "votes": 10,
-            "threshold": 20,
             "best_hits": 5,
             "hit_threshold": 5,
         }
-        assert HitCountDecision(30, 20, best_hits=4, hit_threshold=5).kind == "uniform"
+        assert HitCountDecision(30, best_hits=4, hit_threshold=5).kind == "uniform"
 
 
 # degree-8 ring divisible by x^2 + 1 mod 4099 (so a = -1 has order 2)

@@ -184,7 +184,7 @@ class TestCampaignRuns:
         b = run_campaign(config_from_dict(_order6_config()), threads=2)
         assert a.digest_json() == b.digest_json()
 
-    def test_trace_campaign_reports_gate(self):
+    def test_trace_campaign_reports_sigma_table_size(self):
         doc = {
             "instance": dict(TRACE_INSTANCE_B["instance"]),
             "attack": {"family": "extended_small_set", "mode": "trace",
@@ -192,9 +192,6 @@ class TestCampaignRuns:
             "seed": 5,
         }
         report = run_campaign(config_from_dict(doc))
-        gate = report.plan_summary["extended_gate"]
-        assert not gate["satisfied"]
-        assert gate["lhs"] > gate["rhs"]
         assert report.plan_summary["sigma_table_size"] == 631
 
     def test_honest_sampling_accounting(self):
@@ -320,7 +317,7 @@ GOLDEN = {
                        "trials": 4},
             "seed": 13,
         },
-        "940e3644616c1d5194544346dc3da753072dffb5e0f1d24f89f261af5a0e1fdb",
+        "eefa8e25f23c8c66ade6cc6c0c9cfbc5b76480fb8f19d92153c7beb5c8f16887",
     ),
     "trace_extended_small_set_direct": (
         {
@@ -329,7 +326,7 @@ GOLDEN = {
                        "n": 3, "a": 2017, "M": 60, "M0": 10, "trials": 4},
             "seed": 14,
         },
-        "eae94a2d3182514910d866d09ada9c4cc5d89a4674130f6fb8d01f9dca53e500",
+        "0c03dcac6a6cf34ff3dc080191aa13aa2412f051f3733efac2dbc289f88f0128",
     ),
     "trace_extended_small_values_honest": (
         {
@@ -339,7 +336,7 @@ GOLDEN = {
             "sampling": {"honest": True},
             "seed": 21,
         },
-        "ea59f674bc492d31026d276549ae937879c96b1614bf2cf42db0c85fdb39228e",
+        "04b9aced570d06638fcab5a1bffe7b7d4c4e11e241d725563f98d1c89443a330",
     ),
     "trace_unbounded_honest": (
         {
@@ -349,7 +346,7 @@ GOLDEN = {
             "sampling": {"honest": True},
             "seed": 16,
         },
-        "eede509a30543d6c1b5ff778ea193c8dedee97d17d016573d8aa31ef7804e5b9",
+        "845ee7f04b4492d1e8d824d907a64038c89a251601908698663149efee5ce29a",
     ),
     # the campaign of perfbench's trace_n23 workload, at six trials
     "trace_n23": (
@@ -360,7 +357,7 @@ GOLDEN = {
             "sampling": {"honest": False},
             "seed": 23,
         },
-        "fef94be5ba03cb7ac4f2ceb761d0e763efe580e0d70da171521595233ac81e82",
+        "404ee8301020be1eb606aafad5bca809461923074b996f2a74d57dfc15252e3b",
     ),
     # the campaign of perfbench's honest_q7 workload, at its 20 trials: each
     # trial rejects about 980 rows, and the longer ones span two blocks
@@ -372,7 +369,7 @@ GOLDEN = {
             "sampling": {"honest": True},
             "seed": 7,
         },
-        "8546a7fb45eca566c13739a0fef349b9b0bda51ef1cf91ad97bda063ee684b24",
+        "3b49765c3af8065477cdde837c6551f05325f87431ed057dfc8e7c09c0dc29c2",
     ),
 }
 
@@ -1074,14 +1071,13 @@ class TestCli:
 
 
 class TestExtendedSuccessProperty:
-    def test_truncated_voting_beats_coin_when_gate_holds(self):
-        # truncated p0 = 1 satisfies the recorded gate inequality for any
-        # chunk size; the vote then demands every chunk, which genuine input
-        # always delivers and uniform input fails with positive probability
+    def test_truncated_voting_beats_coin(self):
+        # truncated, p0 = 1 and the vote demands every chunk, which genuine
+        # input always delivers and uniform input fails with positive
+        # probability
         doc = _order6_config(trials=200, M=20)
         doc["attack"].update(family="extended_small_set", M0=2)
         report = run_campaign(config_from_dict(doc))
-        assert report.plan_summary["extended_gate"]["satisfied"]
         assert report.rate("plwe") == 1.0
         assert report.accuracy > 0.5
 

@@ -31,7 +31,9 @@ package root re-exports nothing.  Each result has one route: a replay
 checks R_{q,0} through the evaluation of SampleBatch.pairs, p0 comes from
 samplers.p0_of, a missing delta is "series", and the small-values attack
 is the small-set attack on the quarter mask.  numpy is the one runtime
-dependency: no module imports scipy."""
+dependency: no module imports scipy.  A report prints no number that no
+verdict reads: the unbounded outcome is no Decision and carries no paper
+threshold T, and no plan prints the chunked attacks' extended gate."""
 
 import ast
 import dataclasses
@@ -60,7 +62,7 @@ from plwe_audit.analysis import (
     scan_instance,
     small_set_size,
 )
-from plwe_audit.attacks import AttackVerdict
+from plwe_audit.attacks import AttackVerdict, Decision, HitCountDecision
 from plwe_audit.campaign import (
     AttackPlan,
     AttackSpec,
@@ -129,6 +131,9 @@ DELETED = frozenset({
     # the unpruned fold, which checked every a in F_q* before the
     # irreducibility filter dropped most of them
     "_binomial_fold",
+    # the unbounded attack's aggregate threshold T and the chunked attacks'
+    # applicability inequality, which no verdict read
+    "usva_threshold", "GateReport", "extended_gate",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
@@ -141,6 +146,8 @@ DELETED_ATTRIBUTES = (
     (BlockStructure, "r_eff"), (BlockStructure, "blocklen"), (BlockStructure, "case_kind"),
     # second spellings of p0_of and of the series' own term counts
     (GaussianSpec, "p0"), (ProbabilityReport, "terms_used"),
+    # T, printed in every unbounded trial row and read by no verdict
+    (HitCountDecision, "threshold"),
 )
 ATTACKS = ("small_set_attack", "unbounded_small_values_attack", "extended_attack")
 EXT_ELEMENT_CONSTRUCTORS = frozenset({"element", "from_base", "zero", "one", "alpha"})
@@ -185,6 +192,9 @@ def test_one_arithmetic_path():
         # a dataclass field without a default is no class attribute
         if dataclasses.is_dataclass(owner):
             assert name not in {f.name for f in dataclasses.fields(owner)}, (owner, name)
+    # the unbounded outcome decides by its best candidate alone, not by a
+    # Decision's vote count against a threshold
+    assert not issubclass(HitCountDecision, Decision)
     for name in ATTACKS:
         params = inspect.signature(getattr(attacks, name)).parameters
         assert list(params)[0] == "pairs" and "point" not in params, name
