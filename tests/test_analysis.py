@@ -550,6 +550,18 @@ class TestThresholds:
         want = math.ceil(chunks * Fraction(p0) ** (m0 * r))
         assert extended_threshold(chunks, p0, m0, r) == want
 
+    @given(
+        st.integers(1, 300),
+        st.sampled_from([3, 5, 7, 13, 3677, 4099]),
+        st.floats(-0.5, 0.5, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hit_threshold_needs_a_hit(self, ell, q, delta):
+        # tau = 0 and tau = ell + 1 both err with total probability 1 (a
+        # false alarm for sure, a miss for sure), and the tie goes to ell + 1:
+        # a batch with no hit at all is never called PLWE
+        assert 1 <= hit_threshold(ell, q, delta) <= ell + 1
+
     def test_hit_threshold_without_power_is_unreachable(self):
         # every tau errs with total probability >= 1, so the tie rule picks
         # ell + 1 and no batch is called PLWE

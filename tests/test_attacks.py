@@ -754,6 +754,14 @@ class TestVerdictShape:
         }
         assert HitCountDecision(30, best_hits=4, hit_threshold=5).kind == "uniform"
 
+    @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 500), st.integers(1, 501))
+    @settings(max_examples=200, deadline=None)
+    def test_hit_count_decision_ignores_votes(self, votes, other, best_hits, tau):
+        # the verdict is best_hits >= hit_threshold whatever C reads
+        decision = HitCountDecision(votes, best_hits=best_hits, hit_threshold=tau)
+        assert decision.is_plwe == (best_hits >= tau)
+        assert decision.kind == HitCountDecision(other, best_hits, tau).kind
+
 
 # degree-8 ring divisible by x^2 + 1 mod 4099 (so a = -1 has order 2)
 RING_QUAD = RqContext((-2, 0, -2, 0, 0, 0, 1, 0, 1), M4099)

@@ -374,6 +374,13 @@ GOLDEN = {
 }
 
 
+# every field a plan summary may print
+PLAN_FIELDS = frozenset({
+    "mode", "order", "sigma_bar", "preconditions", "alpha", "n", "a", "delta",
+    "sigma_table_size", "sigma_table_analytic_bound", "predicted_bounds",
+})
+
+
 def _golden_config(name):
     return config_from_dict(json.loads(json.dumps(GOLDEN[name][0])))
 
@@ -417,6 +424,21 @@ class TestStreamUse:
     def test_digest_is_pinned(self, name):
         digest = run_campaign(_golden_config(name)).digest_json()
         assert hashlib.sha256(digest.encode()).hexdigest() == GOLDEN[name][1]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_report_prints_only_what_a_verdict_reads(self, name):
+        # no plan prints the chunked attacks' extended gate, and an unbounded
+        # row prints the hit count that decides, not the paper's threshold T
+        report = run_campaign(_golden_config(name))
+        assert set(report.plan_summary) <= PLAN_FIELDS, name
+        for row in report.trials:
+            outcome = row["outcome"]
+            if report.config_echo["attack"]["family"] == "unbounded_small_values":
+                assert set(outcome) == {"verdict", "votes", "best_hits", "hit_threshold"}
+                plwe = outcome["best_hits"] >= outcome["hit_threshold"]
+            else:
+                plwe = outcome["verdict"] not in ("uniform", "not_plwe")
+            assert row["correct"] == (plwe == (row["truth"] == "plwe")), (name, row)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_reference_sampler_gives_the_pinned_digest(self, name, monkeypatch):
