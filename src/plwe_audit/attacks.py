@@ -205,12 +205,28 @@ def _require_samples(pairs: Pairs) -> None:
         raise NoSamples("the sample set is empty")
 
 
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place, for x >= 0: as x - x // q * q in int32, where
+    numpy's division by a scalar beats its %, and with % in int64, which
+    beat the division form at the filter's chunked shape."""
+    if x.dtype == np.int32:
+        x -= x // q * q
+    else:
+        x %= q
+    return x
+
+
 def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
     """(full, chunk, g): g survives chunk c, row c of the (chunks, m) arrays,
     when member[(t_i - u_i * g) mod q] for all its samples i.  full[c] marks
     a chunk without invertible u that keeps all of F_q; the other chunks'
-    surviving pairs come in ascending chunk order."""
+    surviving pairs come in ascending chunk order.
+
+    The residues lam_i * s + off_i of the passes reach at most q(q - 1), so
+    they are int32 while q(q - 1) < 2**31 (q <= 46341), 4 bytes per entry of
+    a grid under max(q, 2**20) entries, and int64 above."""
     q, m = member.size, scales.shape[1]
+    dtype = np.int32 if q * (q - 1) < 2**31 else np.int64
     zero = scales == 0
     alive = ~(zero & ~member[targets]).any(axis=1)  # u = 0 keeps all or nothing
     rows = np.flatnonzero(alive & ~zero.all(axis=1))
@@ -220,19 +236,20 @@ def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
     # error at sample i is off_i + lam_i * s; every sample up to a row's
     # first passes by construction, so passes start after the earliest first
     lam = (scales[rows] * inv[:, None] % q).T
-    off = (targets[rows].T - lam * targets[rows, first]) % q
-    sigma = np.flatnonzero(member)
+    off = ((targets[rows].T - lam * targets[rows, first]) % q).astype(dtype, copy=False)
+    lam = lam.astype(dtype, copy=False)
+    sigma = np.flatnonzero(member).astype(dtype, copy=False)
     start = min(first.min(initial=m) + 1, m - 1)
     x = lam[start, :, None] * sigma  # the first pass runs on the whole grid
     x += off[start, :, None]
-    x %= q
+    _reduce(x, q)
     x = np.flatnonzero(member.take(x))  # frees the grid, a trial's largest array
     pair, s = np.divmod(x, sigma.size)
     s = sigma.take(s)
     for i in range(start + 1, m):
         if not pair.size:
             break
-        keep = np.flatnonzero(member.take((lam[i].take(pair) * s + off[i].take(pair)) % q))
+        keep = np.flatnonzero(member.take(_reduce(lam[i].take(pair) * s + off[i].take(pair), q)))
         pair, s = pair.take(keep), s.take(keep)
     g = (targets[rows, first].take(pair) - s) * inv.take(pair) % q
     return alive & zero.all(axis=1), rows.take(pair), g

@@ -489,6 +489,40 @@ class TestLogDomainHitCounts:
             doubled = doubled.base
         assert doubled.nbytes + logs.nbytes == (3 * q - 2) * np.dtype(dtype).itemsize
 
+    @pytest.mark.parametrize("q, dtype", [(46337, np.int32), (46349, np.int64)])
+    def test_filter_residues_are_int32_while_q_q_minus_1_fits(self, q, dtype):
+        # the survivor filter's residues reach q(q - 1), below 2**31 exactly
+        # when q <= 46341.  Chunk 0 opens with (t, u) = (0, 1), (q - 1, q - 1):
+        # its second sample has lam = off = q - 1, and q - 1 is in Sigma, so
+        # the first pass's grid reaches q(q - 1); so does the vote's first
+        # call with _MAX_PAIRS = 0, which filters one chunk at a time
+        rng = np.random.default_rng(q)
+        member = rng.random(q) < 0.5
+        member[q - 40 :] = True
+        chunks, m0 = 4, 3
+        targets, scales = rng.integers(0, q, (chunks, m0)), rng.integers(1, q, (chunks, m0))
+        targets[0, :2], scales[0, :2] = (0, q - 1), (1, q - 1)
+        reduce, seen = attacks._reduce, []
+
+        def spy(x, q):
+            seen.append((x.dtype, int(x.max())))
+            return reduce(x, q)
+
+        with mock.patch.object(attacks, "_reduce", spy):
+            full, chunk, g = attacks._filter(targets, scales, member)
+            passes = len(seen)
+            with mock.patch.object(attacks, "_MAX_PAIRS", 0):
+                decision = extended_attack(
+                    Pairs(targets.ravel(), scales.ravel(), q), m0, member, 1, 1.0
+                )
+        assert {d for d, _ in seen} == {np.dtype(dtype)}
+        assert seen[0][1] == seen[passes][1] == q * (q - 1)
+        expected = [_naive_survivors(list(zip(t, u)), member, 1)
+                    for t, u in zip(targets.tolist(), scales.tolist())]
+        assert not full.any()
+        assert [set(g[chunk == c].tolist()) for c in range(chunks)] == expected
+        assert decision.votes == sum(1 for survivors in expected if survivors)
+
     def test_column_sums_stay_inside_int16(self):
         # 33000 rows (1, 1) give g = 1 more than 2**15 - 1 hits at q = 3, so
         # a group of 2**15 rows or more would wrap its int16 column sum
