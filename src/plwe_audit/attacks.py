@@ -33,7 +33,6 @@ from .analysis import (
     extended_threshold,
     hit_threshold,
     quarter_interval,
-    quarter_mask,
     small_set_size,
 )
 from .rings import generator_powers
@@ -307,26 +306,26 @@ def _quarter_hits(pairs: Pairs) -> tuple[int, np.ndarray]:
     The quarter residues are the cyclic interval [c, c + w) of
     analysis.quarter_interval; t_i - u_i*g hits iff d = ((t_i - c) mod q) -
     u_i*g, in (-q, q) and held in the tables' dtype, read as unsigned is
-    below w, or d < w - q.  A row with u_i = 0 adds its constant hit to every
-    g != 0; rows come in groups of at most max(q - 1, _HIT_GROUP) entries
+    below w, or d < w - q.  A row with u_i = 0 gathers a zeroed row, so it
+    hits every g != 0 iff t_i does, and h_0 counts the rows with d < w at
+    g = 0; rows come in groups of at most max(q - 1, _HIT_GROUP) entries
     and fewer than 2**15 rows, whose column sums the tables' dtype holds."""
     q = pairs.q
     windows, logs = _log_tables(q)
     unsigned = np.uint16 if logs.dtype == np.int16 else np.uint32
     c, w = quarter_interval(q)
-    at_zero = quarter_mask(q).take(pairs.targets)  # t_i - u_i*0 = t_i
-    zero = pairs.scales == 0
-    hits = np.full(q - 1, int(at_zero[zero].sum()), dtype=np.int64)
-    shifted = ((pairs.targets[~zero] - c) % q).astype(logs.dtype)
-    l = logs.take(pairs.scales[~zero])
+    shifted = ((pairs.targets - c) % q).astype(logs.dtype)
+    l = logs.take(pairs.scales)  # logs[0] is unused: u = 0 rows are zeroed
+    hits = np.zeros(q - 1, dtype=np.int64)
     rows = min(max(1, _HIT_GROUP // (q - 1)), 2**15 - 1)
     for lo in range(0, l.size, rows):
         d = windows[l[lo : lo + rows]]
+        d[pairs.scales[lo : lo + rows] == 0] = 0
         np.subtract(shifted[lo : lo + rows, None], d, out=d)
         hit = d.view(unsigned) < w
         hit |= d < w - q
         hits += hit.sum(axis=0, dtype=logs.dtype)
-    return int(at_zero.sum()), hits
+    return int(np.count_nonzero(shifted < w)), hits
 
 
 def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecision:

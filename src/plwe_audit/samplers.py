@@ -188,8 +188,8 @@ class PlweInstance:
 # ---------------------------------------------------------------------------
 # whole-trial batches
 
-# Rows drawn at most per block of honest rejection sampling.
-_REJECTION_BLOCK = 1024
+# Entries drawn at most per block of honest rejection sampling (2 MiB).
+_REJECTION_BLOCK = 2**18
 
 
 def _rejection_rows(
@@ -203,9 +203,11 @@ def _rejection_rows(
     invocation count: each round draws uniform rows until one lies in
     R_{q,0}, as the reference sample_rq0 in tests/reference.py does.
 
-    Candidate rows come in blocks of one integers call, sized by the
-    expected need, q^(n-1) calls per sample, or by the budget when it is
-    smaller; membership is tested on a whole block at once.  Back-to-back
+    Candidate rows come in blocks of one integers call, sized by the tail
+    of the negative binomial count of calls m rounds need, m*k + 1.5 *
+    sqrt(m*k*(k-1)) with k = q^(n-1) (or the budget, when smaller), and at
+    most m * max_invocations rows and _REJECTION_BLOCK entries (one row at
+    least); membership is tested on a whole block at once.  Back-to-back
     integers calls consume the stream like one call of the stacked size, so
     the block sizes do not change which rows are drawn.  Draws after the
     m-th acceptance are never used.
@@ -216,11 +218,13 @@ def _rejection_rows(
     max_invocations calls raises BudgetExhausted, as in the reference.
     """
     exhausted = f"no R_q0 sample within {max_invocations} invocations"
-    per_sample = min(ext.q ** (ext.n - 1), max_invocations)
+    k = min(ext.q ** (ext.n - 1), max_invocations)
+    cap = max(1, _REJECTION_BLOCK // N)
     kept = []
     drawn, last = 0, -1  # rows drawn; stream position of the last accepted row
     while m:
-        A = rng.integers(0, ext.q, size=(min(m * per_sample, _REJECTION_BLOCK), N))
+        tail = m * k + math.isqrt(9 * m * k * (k - 1) // 4)
+        A = rng.integers(0, ext.q, size=(min(tail, m * max_invocations, cap), N))
         hits = (~rq0_witnesses(A, ext).any(axis=1)).nonzero()[0][:m]
         if hits.size:
             # a gap inside the block is shorter than the block
@@ -255,8 +259,8 @@ def sample_batch(
     all m b rows in one integers call), then the a rows.  Direct
     construction (honest=False) draws the a rows in one integers call,
     solves their R_{q,0} pivots and spends m invocations; honest sampling
-    draws uniform a rows and keeps the members (_rejection_rows).  B is not
-    formed here.
+    draws uniform a rows in tail-sized blocks and keeps the members
+    (_rejection_rows).  B is not formed here.
     """
     q, N = ring.q, ring.N
     X = rng.integers(0, q, size=(m, N)) if secret is None else gaussian_coeffs(gauss, rng, (m, N))

@@ -713,7 +713,7 @@ class TestFilterMatchesCandidateMajorLoop:
         a = point.a if isinstance(point, ExtFieldCtx) else point
         q = samples[0].a.ctx.q
         table = build_sigma_table_trace(a, q, (1, 1), sigma)
-        quarter = attacks.quarter_mask(q)
+        quarter = quarter_mask(q)
         pairs = [_scalar_pair(s, point) for s in samples]
         for member in (table, quarter):
             expected = [
@@ -748,7 +748,7 @@ class TestFilterMatchesCandidateMajorLoop:
         a = point.a if isinstance(point, ExtFieldCtx) else point
         q = samples[0].a.ctx.q
         evaluated = pairs_at(samples, point)
-        for member in (build_sigma_table_trace(a, q, (1, 1), sigma), attacks.quarter_mask(q)):
+        for member in (build_sigma_table_trace(a, q, (1, 1), sigma), quarter_mask(q)):
             full, chunk, _ = attacks._filter(
                 evaluated.targets[:, None], evaluated.scales[:, None], member
             )

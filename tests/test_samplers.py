@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from plwe_audit import samplers
+from plwe_audit.campaign import MAX_SAMPLE_ENTRIES
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value
 from plwe_audit.instances import REJECTION_REPLICA, TRACE_RING_B
 from plwe_audit.rings import RqContext, load_ring_doc
@@ -345,11 +346,14 @@ def _replica_trial(seed):
     return rng.integers(0, 7, size=REPLICA.N), rng
 
 
-@pytest.mark.parametrize("block", [1, 5, samplers._REJECTION_BLOCK])
+# block caps in entries: one row of the replica (N = 3), five rows, whose
+# blocks end long before the 20th hit, and the default
+@pytest.mark.parametrize("block", [REPLICA.N, 5 * REPLICA.N, samplers._REJECTION_BLOCK])
 @pytest.mark.parametrize("seed", [3, 7, 16])
 def test_rejection_blocks_do_not_change_rows_or_counts(monkeypatch, block, seed):
-    # m = 20 at q^(n-1) = 49 asks for 980-row blocks, and a trial needs
-    # about 980 rows, so the default block often ends before the 20th hit
+    # m = 20 at q^(n-1) = 49: a trial needs about 980 rows, and the default
+    # block of 980 + 1.5 * 217 rows holds the 20th hit on these seeds, so
+    # only the smaller caps split a trial into blocks
     gauss = GaussianSpec(1.0, True)
     secret, rng_ref = _replica_trial(seed)
     ref, ref_count, _ = reference_samples(REPLICA, gauss, REPLICA_EXT, 20, rng_ref, secret,
@@ -362,7 +366,7 @@ def test_rejection_blocks_do_not_change_rows_or_counts(monkeypatch, block, seed)
     assert np.array_equal(batch.B, [s.b.coeffs for s in ref])
 
 
-@pytest.mark.parametrize("block", [5, samplers._REJECTION_BLOCK])
+@pytest.mark.parametrize("block", [5 * REPLICA.N, samplers._REJECTION_BLOCK])
 @pytest.mark.parametrize("plwe", [True, False])
 def test_budget_equal_to_the_largest_gap_passes(monkeypatch, block, plwe):
     gauss = GaussianSpec(1.0, True)
@@ -398,8 +402,9 @@ class _RowStream:
 @pytest.mark.parametrize("budget", [5, 4])
 def test_gap_between_two_hits_of_one_block_meets_the_budget(budget):
     # on the replica a row is a member iff its x and x^2 coefficients
-    # vanish; hits at rows 0 and 5 of one block (2 * budget rows) give the
-    # second sample a gap of 5 calls
+    # vanish; hits at rows 0 and 5 of one block give the second sample a
+    # gap of 5 calls.  A budget below q^(n-1) = 49 caps the block at
+    # m * budget rows, 10 or 8 here, so both hits fall in the first block
     member, other = [1, 0, 0], [1, 1, 0]
     rows = [member] + [other] * 4 + [member] + [other] * 10
     if budget < 5:
@@ -408,6 +413,53 @@ def test_gap_between_two_hits_of_one_block_meets_the_budget(budget):
         return
     A, count = samplers._rejection_rows(REPLICA_EXT, 3, 2, _RowStream(rows), budget)
     assert A.tolist() == [member, member] and count == 6
+
+
+class _FirstBlock(Exception):
+    pass
+
+
+class _SizeStream:
+    """Stands in for a generator: records the size of the first integers
+    call and raises, so nothing is allocated."""
+
+    def integers(self, low, high, size):
+        self.size = size
+        raise _FirstBlock
+
+
+@pytest.mark.parametrize("N", [256, 4096, 65536, 262144])
+def test_rejection_block_stays_within_its_entry_cap(N):
+    # the most samples campaign.check_draws lets a trial draw at this N
+    m = MAX_SAMPLE_ENTRIES // N
+    stream = _SizeStream()
+    with pytest.raises(_FirstBlock):
+        samplers._rejection_rows(REPLICA_EXT, N, m, stream, 10**8)
+    rows, cols = stream.size
+    assert cols == N and rows * N <= samplers._REJECTION_BLOCK
+
+
+class _CountingStream:
+    """Wraps a generator and counts its integers calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, low, high, size):
+        self.calls += 1
+        return self.rng.integers(low, high, size=size)
+
+
+def test_rejection_blocks_are_sized_past_the_expected_need():
+    # a block sized by the expected 20 * 49 rows ends before the 20th hit
+    # on about 4 trials in 5 (1.83 blocks per trial over these seeds); the
+    # tail-sized block does on about 1 in 12 (1.085)
+    blocks = 0
+    for seed in range(200):
+        stream = _CountingStream(np.random.default_rng(seed))
+        samplers._rejection_rows(REPLICA_EXT, REPLICA.N, 20, stream, 10**8)
+        blocks += stream.calls
+    assert blocks / 200 <= 1.25
 
 
 def test_sample_batch_round_trips():
