@@ -50,10 +50,9 @@ def in_quarter_residues(v: np.ndarray, q: int) -> np.ndarray:
     return (d >= 0) & (d < w) | (d < w - q)
 
 
-@lru_cache(maxsize=16)
 def quarter_mask(q: int) -> np.ndarray:
     """Read-only mask of the residues mod q whose centered form lies in
-    [-q/4, q/4); cached, since every trial of a campaign asks for it."""
+    [-q/4, q/4); a plan builds it once and holds it for its trials."""
     mask = in_quarter_residues(np.arange(q, dtype=np.int64), q)
     mask.flags.writeable = False
     return mask
@@ -352,11 +351,6 @@ def binomial_cdf(n: int, p: float) -> list[float]:
         terms[i + 1] = t
     upper = [1.0 - s for s in accumulate(reversed(terms[m + 1 :]), initial=0.0)]
     return list(accumulate(terms[:m], initial=0.0)) + upper[::-1]
-
-
-def cumulative_binomial(k: int, trials: int, p: float) -> float:
-    """F(k, n, p) = P(Bin(n, p) <= k), read from binomial_cdf."""
-    return binomial_cdf(trials, p)[min(max(k, -1), trials) + 1]
 
 
 @lru_cache(maxsize=256)

@@ -8,17 +8,17 @@ best candidate's count against hit_threshold alone.  Each evaluates at a root
 alpha of an irreducible divisor y^n - a of f: samples are restricted to the
 subring R_{q,0} and candidate values folded through the field trace.  An F_q
 root alpha is the case n = 1, a = alpha, where the subring is all of R_q and
-the trace is the identity.  A chunked driver turns the three-way basic
+the trace is the identity.  The chunked attack turns the three-way basic
 verdicts into a two-way vote whenever single runs are unreliable; its
 Decision compares the vote count with extended_threshold and nothing else.
 
 Every attack is a pure function of (pairs, parameters): it reads M samples
 only as the Pairs (a_i(alpha), Tr(b_i(alpha))) that SampleBatch.pairs
-evaluates at the root, and takes no point.  The small-set and small-values
-filter starts each chunk (a basic attack is one chunk) from the |Sigma|
-candidates g = (t_j - sigma) / u_j of its first sample j with u_j =
-a_j(alpha) != 0, and one sample-major pass over all chunks keeps exactly the
-survivor sets of the naive candidate-major loop over F_q.
+evaluates at the root, and takes no point.  One chunk driver runs the
+small-set and small-values filter (a basic attack is one chunk), which starts
+each chunk from the |Sigma| candidates g = (t_j - sigma) / u_j of its first
+sample j with u_j = a_j(alpha) != 0; one sample-major pass over all chunks
+keeps exactly the survivor sets of the naive candidate-major loop over F_q.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class HitCountDecision:
 # Sigma tables
 
 
-# a Sigma table build and extended_attack hold at most max(q, _MAX_PAIRS)
+# a Sigma table build and the chunk driver hold at most max(q, _MAX_PAIRS)
 # entries or candidates at a time
 _MAX_PAIRS = 2**20
 
@@ -254,6 +254,24 @@ def _filter(targets: np.ndarray, scales: np.ndarray, member: np.ndarray):
     return alive & zero.all(axis=1), rows.take(pair), g
 
 
+def _chunks(pairs: Pairs, m0: int, member: np.ndarray):
+    """_filter over floor(M/m0) disjoint, index-ordered chunks of m0
+    samples, in groups of chunks whose first pass holds at most
+    max(q, _MAX_PAIRS) entries; a group's chunk indices count from 0."""
+    _require_samples(pairs)
+    if m0 < 1:
+        raise ValueError("chunk size must be >= 1")
+    if m0 > len(pairs):
+        raise InsufficientSamples(f"chunk size {m0} exceeds the {len(pairs)} available samples")
+    if member.size != pairs.q:
+        raise AttackError("membership mask was built for a different modulus")
+    used = len(pairs) // m0 * m0
+    targets, scales = pairs.targets[:used].reshape(-1, m0), pairs.scales[:used].reshape(-1, m0)
+    step = max(1, max(pairs.q, _MAX_PAIRS) // max(1, np.count_nonzero(member)))
+    for lo in range(0, len(targets), step):
+        yield _filter(targets[lo : lo + step], scales[lo : lo + step], member)
+
+
 @lru_cache(maxsize=4)
 def _log_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only tables of the log-domain hit count, for q < 2**22.
@@ -289,10 +307,7 @@ def small_set_attack(pairs: Pairs, member: np.ndarray) -> AttackVerdict:
     looping g over F_q covers all secrets.  All samples form one chunk of
     the survivor filter.
     """
-    _require_samples(pairs)
-    if member.size != pairs.q:
-        raise AttackError("membership mask was built for a different modulus")
-    full, _, g = _filter(pairs.targets[None], pairs.scales[None], member)
+    full, _, g = next(_chunks(pairs, len(pairs), member))
     return AttackVerdict(tuple(range(member.size)) if full[0] else tuple(np.sort(g).tolist()))
 
 
@@ -359,36 +374,16 @@ def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecisio
 # chunked (voting) driver
 
 
-def extended_attack(
-    pairs: Pairs, m0: int, member: np.ndarray, r: int, p0: float
-) -> Decision:
+def extended_attack(pairs: Pairs, m0: int, member: np.ndarray, r: int, p0: float) -> Decision:
     """Filter floor(M/M0) disjoint, index-ordered chunks of M0 samples with
     a basic attack's membership mask and vote: a chunk counts when it keeps
     a survivor (its verdict is not NOT PLWE).  The threshold is the expected
     count for genuine PLWE input, ceil(c * p0^(M0*r)); r is the number of
     weight classes for small-set masks and 1 for the quarter interval.
+    At M0 = 1 every sample with a(alpha) != 0 votes, so the vote cannot
+    tell PLWE from uniform input.
     """
-    _require_samples(pairs)
-    if m0 < 1:
-        raise ValueError("chunk size must be >= 1")
-    if m0 > len(pairs):
-        raise InsufficientSamples(
-            f"chunk size {m0} exceeds the {len(pairs)} available samples"
-        )
-    chunks = len(pairs) // m0
-    pairs = pairs[: chunks * m0]
-    q = pairs.q
-    if member.size != q:
-        raise AttackError("membership mask was built for a different modulus")
-    if m0 == 1:
-        # a lone sample keeps the |Sigma| candidates of its invertible u,
-        # or all of F_q or nothing when u = 0: no filter pass is needed
-        votes = int(np.where(pairs.scales != 0, member.any(), member[pairs.targets]).sum())
-    else:
-        targets, scales = pairs.targets.reshape(chunks, m0), pairs.scales.reshape(chunks, m0)
-        step = max(1, max(q, _MAX_PAIRS) // max(1, np.count_nonzero(member)))
-        votes = 0
-        for lo in range(0, chunks, step):
-            full, chunk, _ = _filter(targets[lo : lo + step], scales[lo : lo + step], member)
-            votes += int(full.sum()) + np.unique(chunk).size
-    return Decision(votes, extended_threshold(chunks, p0, m0, r))
+    votes = sum(
+        int(full.sum()) + np.unique(chunk).size for full, chunk, _ in _chunks(pairs, m0, member)
+    )
+    return Decision(votes, extended_threshold(len(pairs) // m0, p0, m0, r))

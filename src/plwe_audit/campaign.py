@@ -422,20 +422,16 @@ def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None)
             honest=cfg.honest_sampling, max_invocations=cfg.rq0_budget,
         )
     except BudgetExhausted as exc:
-        return {
-            "trial": trial_index,
-            "truth": "plwe" if truth_plwe else "uniform",
-            "error": str(exc),
-            "correct": False,
-            "oracle_invocations": cfg.rq0_budget,
-            "wall_time_ms": 1000.0 * (time.perf_counter() - t0),
-        }
-    # evaluated at the root first: B is formed only for a recording, and
-    # without one the (M, N) rows are freed before the attack's temporaries
-    pairs = batch.pairs(plan.point)
-    if samples is None:
-        batch = None
-    outcome = run_attack_once(plan, pairs)
+        batch = outcome = None
+        invocations, result = exc.invocations, {"error": str(exc)}
+    else:
+        # evaluated at the root first: B is formed only for a recording, and
+        # without one the (M, N) rows are freed before the attack's temporaries
+        pairs = batch.pairs(plan.point)
+        if samples is None:
+            batch = None
+        outcome = run_attack_once(plan, pairs)
+        result = {"outcome": outcome.to_dict(), "samples_used": len(pairs)}
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     if batch is not None:
         for a, b in zip(batch.A.tolist(), batch.B.tolist()):
@@ -443,10 +439,9 @@ def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None)
     row = {
         "trial": trial_index,
         "truth": "plwe" if truth_plwe else "uniform",
-        "outcome": outcome.to_dict(),
-        "correct": outcome.is_plwe == truth_plwe,
+        **result,
+        "correct": outcome is not None and outcome.is_plwe == truth_plwe,
         "oracle_invocations": invocations,
-        "samples_used": len(pairs),
         "wall_time_ms": wall_ms,
     }
     if truth_plwe and isinstance(outcome, AttackVerdict):

@@ -139,14 +139,6 @@ def mult_order(a: int, q: int) -> int:
     return order
 
 
-def binomial_order_irreducible(n: int, order: int, q: int) -> bool:
-    """Whether y**n - a is irreducible over F_q, n >= 1, for a nonzero a of
-    multiplicative order `order` mod q: every prime factor of n must divide
-    ord(a) and not (q-1)/ord(a).  That is binomial_log_irreducible at the
-    log (q-1)/ord(a), since each log i of a has gcd(i, q-1) = (q-1)/ord(a)."""
-    return binomial_log_irreducible(n, (q - 1) // order, q)
-
-
 def binomial_log_irreducible(n: int, i, q: int):
     """Whether y**n - g**i is irreducible over F_q, n >= 1, g a generator
     of F_q* (Lidl-Niederreiter, Finite Fields, Thm 3.75): every prime factor
@@ -181,7 +173,8 @@ class ExtFieldCtx:
             return
         if self.a == 0:
             raise ValueError("the binomial constant must be nonzero for n >= 2")
-        if not binomial_order_irreducible(self.n, self.order, self.q):
+        # each log i of a has gcd(i, q - 1) = (q - 1) / ord(a)
+        if not binomial_log_irreducible(self.n, (self.q - 1) // self.order, self.q):
             raise ValueError(f"y^{self.n} - {self.a} is reducible mod {self.q}")
 
     @property

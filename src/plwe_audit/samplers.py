@@ -42,7 +42,15 @@ def p0_of(truncated: bool) -> float:
 
 
 class BudgetExhausted(Exception):
-    """The rejection sampler ran past its invocation cap."""
+    """A round of rejection sampling needed more than budget calls;
+    invocations counts the completed rounds' calls plus the budget."""
+
+    def __init__(self, budget: int, invocations: int):
+        super().__init__(budget, invocations)  # the args a pickled copy is rebuilt from
+        self.budget, self.invocations = budget, invocations
+
+    def __str__(self) -> str:
+        return f"no R_q0 sample within {self.budget} invocations"
 
 
 class NonMemberSample(Exception):
@@ -100,9 +108,6 @@ class Pairs:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def __getitem__(self, rows: slice) -> "Pairs":
-        return Pairs(self.targets[rows], self.scales[rows], self.q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +220,9 @@ def _rejection_rows(
     Invocations are counted by stream position: a round costs its
     accepted row's gap from the last acceptance (position -1 before any),
     the whole run last + 1, and a round that needs more than
-    max_invocations calls raises BudgetExhausted, as in the reference.
+    max_invocations calls raises BudgetExhausted, as in the reference,
+    after the completed rounds' calls and max_invocations.
     """
-    exhausted = f"no R_q0 sample within {max_invocations} invocations"
     k = min(ext.q ** (ext.n - 1), max_invocations)
     cap = max(1, _REJECTION_BLOCK // N)
     kept = []
@@ -231,13 +236,15 @@ def _rejection_rows(
             if drawn + hits[0] - last > max_invocations or (
                 len(A) > max_invocations and (hits[1:] - hits[:-1] > max_invocations).any()
             ):
-                raise BudgetExhausted(exhausted)
+                ends = np.concatenate(([last], drawn + hits))  # stream positions of acceptances
+                spent = int(ends[np.argmax(np.diff(ends) > max_invocations)]) + 1
+                raise BudgetExhausted(max_invocations, spent + max_invocations)
             kept.append(A.take(hits, axis=0))
             last = drawn + int(hits[-1])
             m -= hits.size
         drawn += len(A)
         if m and drawn - last > max_invocations:
-            raise BudgetExhausted(exhausted)
+            raise BudgetExhausted(max_invocations, last + 1 + max_invocations)
     return np.concatenate(kept), last + 1
 
 

@@ -405,7 +405,7 @@ def sample_rq0(
         count += 1
         if rq0_membership(sample.a, ext).is_member:
             return Rq0Draw(sample, count)
-    raise BudgetExhausted(f"no R_q0 sample within {max_invocations} invocations")
+    raise BudgetExhausted(max_invocations, count)
 
 
 def uniform_rq0_poly(
@@ -457,7 +457,8 @@ def reference_draws(ring, gauss, ext, m, rng, secret=None, honest=False,
                     max_invocations=10**8):
     """The samples of reference_samples as one Rq0Draw each, so every sample
     keeps its own invocation count (1 under direct construction), and the
-    error rows."""
+    error rows; BudgetExhausted counts the completed rounds' calls and the
+    budget of the round that gave up."""
     if secret is None:
         forced, errors = [ring.poly(b) for b in rng.integers(0, ring.q, size=(m, ring.N))], None
         oracle = lambda b, a=None: Sample(uniform_poly(ring, rng) if a is None else a, b)
@@ -467,7 +468,14 @@ def reference_draws(ring, gauss, ext, m, rng, secret=None, honest=False,
         oracle = lambda e, a=None: plwe_oracle(inst, rng, force_a=a, force_error=e)
     if not honest:
         return [Rq0Draw(oracle(x, uniform_rq0_poly(ring, ext, rng)), 1) for x in forced], errors
-    return [sample_rq0(lambda: oracle(x), ext, max_invocations) for x in forced], errors
+    draws = []
+    for x in forced:
+        try:
+            draws.append(sample_rq0(lambda: oracle(x), ext, max_invocations))
+        except BudgetExhausted as exc:
+            spent = sum(d.count for d in draws) + exc.invocations
+            raise BudgetExhausted(max_invocations, spent) from None
+    return draws, errors
 
 
 def reference_sample_batch(ring, gauss, ext, m, rng, secret=None, honest=False,

@@ -740,22 +740,6 @@ class TestFilterMatchesCandidateMajorLoop:
         )
 
 
-    @given(case=_filter_cases(), sigma=st.sampled_from([0.3, 0.6, 1.1]))
-    @settings(max_examples=100, deadline=None)
-    def test_single_sample_chunks_vote_as_the_filter(self, case, sigma):
-        # at M0 = 1 the driver votes without a filter pass
-        point, _, _, samples = case
-        a = point.a if isinstance(point, ExtFieldCtx) else point
-        q = samples[0].a.ctx.q
-        evaluated = pairs_at(samples, point)
-        for member in (build_sigma_table_trace(a, q, (1, 1), sigma), quarter_mask(q)):
-            full, chunk, _ = attacks._filter(
-                evaluated.targets[:, None], evaluated.scales[:, None], member
-            )
-            votes = int(full.sum()) + np.unique(chunk).size
-            assert extended_attack(pairs_at(samples, point), 1, member, 2, 1.0).votes == votes
-
-
 class TestVerdictShape:
     def test_verdict_classification(self):
         assert AttackVerdict(()).kind == VERDICT_NOT_PLWE

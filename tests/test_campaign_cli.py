@@ -39,8 +39,8 @@ from plwe_audit.instances import (
 )
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus
 from plwe_audit.rings import RqContext, load_ring_doc
-from plwe_audit.samplers import GaussianSpec, SampleBatch, sample_batch
-from reference import reference_sample_batch, ring_add, ring_mul
+from plwe_audit.samplers import BudgetExhausted, GaussianSpec, SampleBatch, sample_batch
+from reference import reference_sample_batch, reference_samples, ring_add, ring_mul
 
 ORDER6_INSTANCE = {"N": 6, "f": [-1, 0, 0, 0, 0, 0, 1], "q": 4099,
                    "sigma": 0.7, "truncated": True}
@@ -223,6 +223,31 @@ class TestCampaignRuns:
         report = run_campaign(config_from_dict(doc))
         assert len(report.trials) == 10
         assert any("error" in t for t in report.trials)
+
+    def test_exhausted_rows_report_the_calls_spent(self):
+        # an exhausted row counts its completed rounds' calls plus the
+        # budget of the round that gave up, as the per-sample reference does
+        doc = {
+            "instance": {"N": 2, "f": [-3, 0, 1], "q": 7, "sigma": 0.7, "truncated": True},
+            "attack": {"family": "small_values", "n": 2, "a": 3, "M": 3, "trials": 40},
+            "sampling": {"honest": True},
+            "rq0_budget": 4,
+            "seed": 9,
+        }
+        cfg = config_from_dict(doc)
+        report = run_campaign(cfg)
+        for row in report.trials:
+            rng = np.random.default_rng([9, row["trial"]])
+            secret = rng.integers(0, 7, size=2) if rng.integers(0, 2) else None
+            try:
+                count = reference_samples(cfg.ring, cfg.gauss, ExtFieldCtx(2, 3, PrimeModulus(7)),
+                                          3, rng, secret, True, 4)[1]
+            except BudgetExhausted as exc:
+                count = exc.invocations
+                assert row["error"] == str(exc)
+            assert row["oracle_invocations"] == count
+        spent = {t["trial"]: t["oracle_invocations"] for t in report.trials if "error" in t}
+        assert (spent[1], spent[20], spent[38]) == (8, 8, 7)
 
     def test_pool_has_no_more_workers_than_trials(self, tmp_path, monkeypatch):
         # trial i runs in process i mod min(threads, trials): here for

@@ -33,7 +33,9 @@ samplers.p0_of, a missing delta is "series", and the small-values attack
 is the small-set attack on the quarter mask.  numpy is the one runtime
 dependency: no module imports scipy.  A report prints no number that no
 verdict reads: the unbounded outcome is no Decision and carries no paper
-threshold T, and no plan prints the chunked attacks' extended gate."""
+threshold T, and no plan prints the chunked attacks' extended gate.  The
+survivor filter has one caller, the chunk driver that the basic and the
+chunked attacks share, and no chunk size takes a route of its own."""
 
 import ast
 import dataclasses
@@ -73,7 +75,7 @@ from plwe_audit.campaign import (
 )
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, mult_order
 from plwe_audit.rings import RingPoly, RqContext, binomial_logs
-from plwe_audit.samplers import GaussianSpec, SampleBatch
+from plwe_audit.samplers import GaussianSpec, Pairs, SampleBatch
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_ONLY = frozenset({
@@ -134,6 +136,9 @@ DELETED = frozenset({
     # the unbounded attack's aggregate threshold T and the chunked attacks'
     # applicability inequality, which no verdict read
     "usva_threshold", "GateReport", "extended_gate",
+    # the order form of the irreducibility criterion and the one-k binomial
+    # cdf, which only tests called
+    "binomial_order_irreducible", "cumulative_binomial",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
@@ -141,6 +146,7 @@ DELETED_ATTRIBUTES = (
     (RqContext, "monomial"), (RingPoly, "is_zero"),
     # members only tests read
     (AttackVerdict, "guess"), (PointVuln, "sigma_bar"), (SampleBatch, "__getitem__"),
+    (Pairs, "__getitem__"),
     (RqContext, "_reduction_rows"), (RingPoly, "as_array"),
     # the blocks that class counts replaced
     (BlockStructure, "r_eff"), (BlockStructure, "blocklen"), (BlockStructure, "case_kind"),
@@ -184,9 +190,7 @@ def test_one_arithmetic_path():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.FunctionDef) and "irreducible" in node.name
     }
-    assert defined == {
-        ("fields.py", "binomial_order_irreducible"), ("fields.py", "binomial_log_irreducible")
-    }
+    assert defined == {("fields.py", "binomial_log_irreducible")}
     for owner, name in DELETED_ATTRIBUTES:
         assert not hasattr(owner, name), (owner, name)
         # a dataclass field without a default is no class attribute
@@ -198,6 +202,23 @@ def test_one_arithmetic_path():
     for name in ATTACKS:
         params = inspect.signature(getattr(attacks, name)).parameters
         assert list(params)[0] == "pairs" and "point" not in params, name
+
+
+def test_one_filter_driver():
+    """attacks._filter is called in the chunk driver alone, and
+    extended_attack compares its chunk size with no constant."""
+    tree = ast.parse((ROOT / "src" / "plwe_audit" / "attacks.py").read_text(encoding="utf-8"))
+    sites = [
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_filter"
+    ]
+    assert sites == ["_chunks"]
+    driver = next(fn for fn in tree.body if getattr(fn, "name", None) == "extended_attack")
+    assert not [
+        node for node in ast.walk(driver) if isinstance(node, ast.Compare)
+        and any(isinstance(side, ast.Constant) for side in (node.left, *node.comparators))
+    ]
 
 
 def test_one_home_for_the_terms_of_f():

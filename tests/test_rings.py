@@ -20,7 +20,7 @@ from plwe_audit.campaign import (
 from plwe_audit.fields import (
     ExtFieldCtx,
     PrimeModulus,
-    binomial_order_irreducible,
+    binomial_log_irreducible,
     is_prime,
     mult_order,
 )
@@ -452,7 +452,7 @@ class TestFoldOracle:
             rem = [0] * n
             for k, c in enumerate(ctx.f_int):
                 rem[k % n] = (rem[k % n] + c * pow(a, k // n, q)) % q
-            if not any(rem) and binomial_order_irreducible(n, mult_order(a, q), q):
+            if not any(rem) and binomial_log_irreducible(n, (q - 1) // mult_order(a, q), q):
                 want.append(a)
         G = generator_powers(q)
         assert G[binomial_logs(ctx, n, G)].tolist() == want

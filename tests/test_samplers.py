@@ -300,9 +300,10 @@ def test_sample_batch_matches_per_sample_oracles(data):
     try:
         ref, ref_count, ref_errors = reference_samples(
             ctx, gauss, ext, m, rng_ref, secret_ref, honest, budget)
-    except BudgetExhausted:
-        with pytest.raises(BudgetExhausted):
+    except BudgetExhausted as ref_exc:
+        with pytest.raises(BudgetExhausted) as exc:
             sample_batch(ctx, gauss, ext, m, rng, secret, honest, budget)
+        assert exc.value.invocations == ref_exc.invocations
         return
     batch, count = sample_batch(ctx, gauss, ext, m, rng, secret, honest, budget)
     assert count == ref_count
@@ -330,9 +331,10 @@ def test_sample_batch_budget_ends_rejection_sampling():
     ext = ExtFieldCtx(3, 2017, PrimeModulus(4099))
     rng = np.random.default_rng(42)
     secret = rng.integers(0, 4099, size=ctx.N)
-    with pytest.raises(BudgetExhausted, match="within 5 invocations"):
+    with pytest.raises(BudgetExhausted, match="within 5 invocations") as exc:
         sample_batch(ctx, GaussianSpec(2.5, False), ext, 3, rng, secret,
                      honest=True, max_invocations=5)
+    assert exc.value.invocations == 5
 
 
 REPLICA = load_ring_doc(REJECTION_REPLICA["instance"])
@@ -382,9 +384,11 @@ def test_budget_equal_to_the_largest_gap_passes(monkeypatch, block, plwe):
     assert count == sum(gaps)
     assert np.array_equal(batch.A, [d.sample.a.coeffs for d in draws])
     _, rng = _replica_trial(5)
-    with pytest.raises(BudgetExhausted, match=f"within {largest - 1} invocations"):
+    with pytest.raises(BudgetExhausted, match=f"within {largest - 1} invocations") as exc:
         sample_batch(REPLICA, gauss, REPLICA_EXT, 20, rng, secret, honest=True,
                      max_invocations=largest - 1)
+    # the rounds before the first of the largest gap, then the whole budget
+    assert exc.value.invocations == sum(gaps[: gaps.index(largest)]) + largest - 1
 
 
 class _RowStream:
@@ -408,8 +412,9 @@ def test_gap_between_two_hits_of_one_block_meets_the_budget(budget):
     member, other = [1, 0, 0], [1, 1, 0]
     rows = [member] + [other] * 4 + [member] + [other] * 10
     if budget < 5:
-        with pytest.raises(BudgetExhausted, match=f"within {budget} invocations"):
+        with pytest.raises(BudgetExhausted, match=f"within {budget} invocations") as exc:
             samplers._rejection_rows(REPLICA_EXT, 3, 2, _RowStream(rows), budget)
+        assert exc.value.invocations == 1 + budget  # the first round's call, then the budget
         return
     A, count = samplers._rejection_rows(REPLICA_EXT, 3, 2, _RowStream(rows), budget)
     assert A.tolist() == [member, member] and count == 6
