@@ -14,7 +14,7 @@ import numpy as np
 
 from .fields import ExtFieldCtx, centered_value
 from .rings import RqContext, binomial_logs, generator_powers, log_orders
-from .samplers import p0_of
+from .samplers import NORMAL_DRAW_MAX, p0_of
 
 DEFAULT_SERIES_TOL = 1e-12
 DEFAULT_TABLE_CAP = 10**8
@@ -253,25 +253,55 @@ def monte_carlo_delta(
     reduced mod q.  This is the independent oracle for delta_probability.
 
     The draws are those of rng.normal(0, sigma_bar, draws), made MC_BLOCK at
-    a time as standard normals scaled by sigma_bar and counted exactly by
-    _block_hits, so the result equals the per-draw count mod q bit for bit
-    at every q < 2**62 and every sigma_bar.
+    a time as standard normals z.  With K = (q-1)//4, the quarter residues
+    are the rounded draws v with |v| <= K while |v| < q - K and 4 does not
+    divide q; no draw can leave that range when
+    NORMAL_DRAW_MAX * |sigma_bar| + 1 < q - K.  Then a draw hits iff
+    |z| <= _hit_bound(K, |sigma_bar|), and a block is counted by that one
+    comparison.  Otherwise each block is scaled by sigma_bar, rounded and
+    counted by _block_hits.  Either way the result equals the per-draw
+    count mod q bit for bit at every q < 2**62 and every sigma_bar.
     """
     qv = int(q)
+    k = (qv - 1) // 4
+    s = abs(float(sigma_bar_value))
+    # NORMAL_DRAW_MAX * s is exact and compared with the int exactly
+    bound = _hit_bound(k, s) if qv % 4 and NORMAL_DRAW_MAX * s < qv - k - 1 else None
     block = np.empty(min(draws, MC_BLOCK))
     hits = 0
     for start in range(0, draws, MC_BLOCK):
         x = block[: min(MC_BLOCK, draws - start)]
         rng.standard_normal(out=x)
-        x *= sigma_bar_value
-        np.rint(x, out=x)
-        hits += _block_hits(x, qv)
+        if bound is not None:
+            hits += int(np.count_nonzero(np.abs(x, out=x) <= bound))
+        else:
+            x *= sigma_bar_value
+            np.rint(x, out=x)
+            hits += _block_hits(x, qv)
     return hits / draws - 0.5
+
+
+def _hit_bound(k: int, s: float) -> float:
+    """The largest float z >= 0 with round(s*z) <= k, s >= 0, for the float
+    product s*z rounded half to even as np.rint rounds; inf when
+    round(NORMAL_DRAW_MAX * s) <= k, so that every standard normal draw
+    rounds into [-k, k].  The product is monotone and odd in z, so the
+    draws z with |round(s*z)| <= k are those with |z| <= the bound."""
+    if round(NORMAL_DRAW_MAX * s) <= k:
+        return math.inf
+    z = (k + 0.5) / s
+    while round(s * z) <= k:
+        z = math.nextafter(z, math.inf)
+    while round(s * z) > k:
+        z = math.nextafter(z, 0.0)
+    return z
 
 
 def _block_hits(x: np.ndarray, q: int) -> int:
     """How many rounded draws x (overwritten) lie in the quarter interval
-    mod q.  Draws spanning fewer than MC_BLOCK values are counted per value
+    mod q, for blocks that monte_carlo_delta cannot count by _hit_bound
+    (draws that may wrap mod q, sigma_bar of about q/21 and up, or 4 | q).
+    Draws spanning fewer than MC_BLOCK values are counted per value
     with one bincount, and only the distinct values are reduced mod q;
     wider blocks are reduced draw by draw, in int64 as r - r // q * q while
     every |draw| is below 2**62 (each term then stays in int64), and in

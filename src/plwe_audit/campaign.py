@@ -236,7 +236,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if family not in FAMILIES:
         raise ConfigError(f"attack.family: unknown family {family!r}")
     n, a = point_from_dict(att, ring.N)
-    trials = int_field(att.get("trials", 1), "attack.trials", low=1)
+    # trial indices stay below 2**32, the index of mc_delta's stream
+    trials = int_field(att.get("trials", 1), "attack.trials", low=1, high=2**32 + 1)
     M = int_field(att.get("M", 0), "attack.M")
     M0 = int_field(att.get("M0", 0), "attack.M0")
     ell = int_field(att.get("ell", 0), "attack.ell")
@@ -346,8 +347,9 @@ def check_draws(ring: RqContext, gauss: GaussianSpec, M: int) -> None:
 
 def mc_delta(q: int, sigma_bar: float, seed: int) -> float:
     """monte_carlo_delta on the stream [seed, 2**32], apart from every
-    trial's [seed, trial_index]: the delta of a "delta": "mc" plan, which
-    analyze --mc-check prints."""
+    trial's [seed, trial_index] (config_from_dict keeps attack.trials at
+    most 2**32, so trial_index < 2**32): the delta of a "delta": "mc" plan,
+    which analyze --mc-check prints."""
     return monte_carlo_delta(q, sigma_bar, np.random.default_rng([seed, 2**32]))
 
 

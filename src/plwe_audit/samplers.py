@@ -29,6 +29,8 @@ P0_UNTRUNCATED = 0.954500
 
 # A bound on |z| for Generator.normal's standard draws: its ziggurat returns
 # at most r + x with r < 3.66 and, from 53-bit uniforms, a tail step x < 8.6.
+# campaign.check_draws and analysis.monte_carlo_delta (whose threshold
+# count is exact only while no draw passes it) rely on it.
 NORMAL_DRAW_MAX = 16
 
 # The oracle invocations a trial may spend on its samples, unless the

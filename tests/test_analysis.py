@@ -10,13 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from plwe_audit import cli, instances
+from plwe_audit import analysis, cli, instances
 from plwe_audit.analysis import (
     DUAL_SERIES_BELOW,
     DomainError,
     PointVuln,
     _dual_series,
     _erf_series,
+    _hit_bound,
     _per_sample_mass,
     binomial_cdf,
     block_structure,
@@ -44,6 +45,7 @@ from plwe_audit.instances import (
     USVA_INSTANCES,
 )
 from plwe_audit.rings import eval_matrix, generator_powers, load_ring_doc
+from plwe_audit.samplers import NORMAL_DRAW_MAX
 from reference import (
     _erf_series as two_counter_erf_series,
     _per_sample_mass as family_per_sample_mass,
@@ -71,6 +73,53 @@ MC_CASES = (
     + [(3677, s, 10**6) for s in MC_SIGMAS]
     + [(q, 3.3e4, 10**6) for q in MC_MODULI if q != 3677]
 )
+
+
+def _assert_hit_bound(k, s):
+    """_hit_bound(k, s) against round(s*z) <= k over the floats z next to
+    (k + 1/2)/s: true up to the bound and false past it."""
+    z_star = _hit_bound(k, s)
+    if z_star == math.inf:
+        assert round(s * NORMAL_DRAW_MAX) <= k
+        return
+    assert round(s * z_star) <= k < round(s * math.nextafter(z_star, math.inf))
+    z = (k + 0.5) / s
+    for _ in range(40):
+        z = math.nextafter(z, 0.0)
+    for _ in range(80):
+        assert (round(s * z) <= k) == (z <= z_star), (k, s, z, z_star)
+        z = math.nextafter(z, math.inf)
+
+
+class TestHitBound:
+    @pytest.mark.parametrize("k", [0, 1, 918, 919, 1027, 1028])
+    def test_ties_round_to_even(self, k):
+        # at sigma_bar = 2**e the product (k + 1/2)/s * s is k + 1/2 exactly:
+        # an even k keeps that draw, an odd k drops it
+        powers = [2.0**e for e in range(-3, 12) if round(2.0**e * NORMAL_DRAW_MAX) > k]
+        assert len(powers) >= 5
+        for s in powers:
+            z = (k + 0.5) / s
+            assert s * z == k + 0.5
+            assert (_hit_bound(k, s) >= z) == (k % 2 == 0)
+            _assert_hit_bound(k, s)
+
+    def test_against_the_neighbouring_floats(self):
+        rng = np.random.default_rng(83)
+        for _ in range(400):
+            k = int(rng.integers(0, 2**21))
+            s = float((k + 0.5) / rng.uniform(0.05, NORMAL_DRAW_MAX))
+            _assert_hit_bound(k, s)
+            _assert_hit_bound(k, float(2.0 ** np.floor(np.log2(s))))
+
+    @pytest.mark.parametrize("k", [0, 1, 919, 1027])
+    def test_every_draw_hits_below_the_draw_bound(self, k):
+        # round(16 * s) <= k: no standard normal draw leaves [-k, k]
+        edge = (k + 0.5) / NORMAL_DRAW_MAX
+        for s in (0.0, 5e-324, 1e-300, edge, math.nextafter(edge, 0.0)):
+            assert (_hit_bound(k, s) == math.inf) == (round(s * NORMAL_DRAW_MAX) <= k)
+            _assert_hit_bound(k, s)
+        _assert_hit_bound(k, math.nextafter(edge, math.inf))
 
 
 class TestOffsets:
@@ -191,12 +240,14 @@ class TestDeltaProbability:
         got = monte_carlo_delta(q, sbar, np.random.default_rng(seed), draws=draws)
         assert got == whole_array_monte_carlo_delta(q, sbar, np.random.default_rng(seed), draws)
 
-    def test_draws_are_held_one_block_at_a_time(self):
+    @pytest.mark.parametrize("sbar", [3.3e4, 128.0])
+    def test_draws_are_held_one_block_at_a_time(self, sbar):
         # 10**6 draws as float64 are 8 MB, and the whole-array form peaks near
-        # 18 MB; one block of 2**16 draws is 512 KiB
+        # 18 MB; one block of 2**16 draws is 512 KiB, on the wrapped path
+        # (3.3e4) and the threshold path (128) alike
         tracemalloc.start()
         try:
-            monte_carlo_delta(3677, 3.3e4, np.random.default_rng(71))
+            monte_carlo_delta(3677, sbar, np.random.default_rng(71))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,6 +274,36 @@ class TestDeltaProbability:
         x = np.rint(np.random.default_rng(seed).normal(0.0, sbar, size=draws))
         hits = sum(in_quarter_value(int(v), q) for v in x.tolist())
         assert got == hits / draws - 0.5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q", [3677, 4111, 12289, 8380417])
+    @pytest.mark.parametrize("side", ["threshold", "wrapped"])
+    def test_threshold_path_ends_where_draws_can_wrap(self, monkeypatch, q, side):
+        # q = 3677 and 12289 are 1 mod 4, 4111 and 8380417 are 3 mod 4; the
+        # threshold path runs while NORMAL_DRAW_MAX * sigma_bar < q - K - 1,
+        # and _block_hits counts from that sigma_bar on
+        k = (q - 1) // 4
+        edge = (q - k - 1) / NORMAL_DRAW_MAX
+        assert NORMAL_DRAW_MAX * edge == q - k - 1
+        sbar = math.nextafter(edge, 0.0) if side == "threshold" else edge
+        calls, block_hits = [], analysis._block_hits
+        monkeypatch.setattr(
+            analysis, "_block_hits", lambda x, q: calls.append(q) or block_hits(x, q)
+        )
+        seed, draws = [73, q], 10**5 + 7
+        got = monte_carlo_delta(q, sbar, np.random.default_rng(seed), draws=draws)
+        assert got == whole_array_monte_carlo_delta(q, sbar, np.random.default_rng(seed), draws)
+        assert len(calls) == (0 if side == "threshold" else 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sbar", [1e-300, 5e-324])
+    def test_tiny_sigma_bar_hits_every_draw(self, sbar):
+        # (K + 1/2) / sigma_bar overflows at 5e-324; every draw rounds to 0
+        for q in (3677, 4111):
+            seed = [79, q]
+            got = monte_carlo_delta(q, sbar, np.random.default_rng(seed), draws=10**5 + 7)
+            want = whole_array_monte_carlo_delta(q, sbar, np.random.default_rng(seed), 10**5 + 7)
+            assert got == want == 0.5
 
     def test_dual_and_erf_series_agree(self):
         for ratio in np.geomspace(0.1, 50.0, 80):

@@ -732,6 +732,19 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["aggregate"]["trials"] == 2
 
+    def test_attack_trials_stay_below_the_delta_stream(self, tmp_path, capsys):
+        # trial 2**32 would draw from [seed, 2**32], the stream of mc_delta
+        doc = _order6_config(trials=2**32)
+        assert config_from_dict(doc).attack.trials == 2**32
+        doc["attack"]["trials"] = 2**32 + 1
+        with pytest.raises(ConfigError, match=r"^attack\.trials: must be < 4294967297, got"):
+            config_from_dict(doc)
+        cfg = _write(tmp_path, "c.json", _order6_config(trials=4))
+        assert cli.main(["attack", "--config", cfg, "--trials", str(2**32 + 1)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: attack.trials: must be < 4294967297, got 4294967297\n"
+        )
+
     def test_attack_refusal_exit_code(self, tmp_path, capsys):
         cfg = _write(tmp_path, "r.json", {
             "instance": dict(USVA_INSTANCES[2]["instance"]),
