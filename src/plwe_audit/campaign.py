@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
@@ -573,30 +574,40 @@ def run_campaign(
     return CampaignReport(echo, _plan_summary(plan), rows)
 
 
-def _share(plan: AttackPlan, share: int, workers: int, samples: TextIO | None = None) -> list:
-    """The rows of trials share, share + workers, share + 2*workers, ..."""
-    return [run_trial(plan, i, samples) for i in range(share, plan.cfg.attack.trials, workers)]
+def _share(plan: AttackPlan, share: int, workers: int, samples: TextIO | None = None,
+           cpus: set | None = None) -> list:
+    """The rows of trials share, share + workers, share + 2*workers, ...,
+    run on cpus unless that is None; this process gets back the CPUs it
+    had before once they are done."""
+    before = _bind(cpus) if cpus else None
+    try:
+        return [run_trial(plan, i, samples) for i in range(share, plan.cfg.attack.trials, workers)]
+    finally:
+        if before:
+            _bind(before)
 
 
 def _run_shares(plan: AttackPlan, workers: int, samples: TextIO | None) -> list:
     """Every trial's row, in trial order.  Share k > 0 runs in a child
     process started with the platform's default method (a fork on Linux,
     which inherits the plan), and comes back through one pipe; this process
-    runs share 0 meanwhile.  A child's exception is raised here, and so is
-    an error naming the exit code of a child that sent nothing.  Whatever
-    happens, every child has ended when this returns or raises."""
+    runs share 0 meanwhile, each share on its own CPU (_share_cpus).  A
+    child's exception is raised here, and so is an error naming the exit
+    code of a child that sent nothing.  Whatever happens, every child has
+    ended when this returns or raises."""
+    cpus = _share_cpus(workers)
     children = []
     try:
         for k in range(1, workers):
             rows_in, rows_out = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
-                target=_child_share, args=(rows_out, plan, k, workers),
+                target=_child_share, args=(rows_out, plan, k, workers, cpus[k]),
                 name=f"trial share {k} of {workers}",
             )
             child.start()
             rows_out.close()  # the child holds the one send end, so its exit ends the pipe
             children.append((child, rows_in))
-        shares = [_share(plan, 0, workers, samples)]
+        shares = [_share(plan, 0, workers, samples, cpus[0])]
         shares += [_receive(child, rows_in) for child, rows_in in children]
     finally:
         for child, rows_in in children:
@@ -610,10 +621,33 @@ def _run_shares(plan: AttackPlan, workers: int, samples: TextIO | None) -> list:
     return rows
 
 
-def _child_share(rows_out, plan: AttackPlan, share: int, workers: int) -> None:
-    """A child's share: its rows, or the exception that stopped it."""
+def _share_cpus(workers: int) -> list:
+    """The CPUs each share runs on: share k on the (k mod c)-th of the c
+    CPUs this process may use, or None for every share where there is one
+    share, one CPU or no affinity call.  A scheduler may leave a forked
+    child on its parent's CPU for hundreds of milliseconds, longer than a
+    campaign, so unbound shares can take turns on one core while another
+    idles."""
+    bindable = workers > 1 and hasattr(os, "sched_getaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if bindable else []
+    if len(cpus) < 2:
+        return [None] * workers
+    return [{cpus[k % len(cpus)]} for k in range(workers)]
+
+
+def _bind(cpus: set) -> set:
+    """Run this process on cpus, unless the binding is refused; the CPUs it
+    could run on before."""
+    before = os.sched_getaffinity(0)
+    with suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+    return before
+
+
+def _child_share(rows_out, plan: AttackPlan, share: int, workers: int, cpus: set | None) -> None:
+    """A child's share, run on cpus: its rows, or the exception that stopped it."""
     try:
-        result = (True, _share(plan, share, workers))
+        result = (True, _share(plan, share, workers, cpus=cpus))
     except Exception as exc:
         result = (False, exc)
     rows_out.send(result)

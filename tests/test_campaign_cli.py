@@ -278,6 +278,38 @@ class TestCampaignRuns:
             assert report.digest_json() == run_campaign(config_from_dict(doc)).digest_json()
             monkeypatch.setattr(campaign, "run_trial", noted)
 
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="binds shares only where the process may use two CPUs")
+    def test_each_share_runs_on_its_own_cpu(self, tmp_path, monkeypatch):
+        # share k on the (k mod c)-th allowed CPU; this process gets its
+        # own CPU set back once its share is done
+        run_trial, before = campaign.run_trial, os.sched_getaffinity(0)
+        cpus = sorted(before)
+
+        def noted(plan, index, samples=None):
+            (tmp_path / str(index)).write_text(json.dumps(sorted(os.sched_getaffinity(0))))
+            return run_trial(plan, index, samples)
+
+        monkeypatch.setattr(campaign, "run_trial", noted)
+        for trials, threads in [(6, 3), (4, 1)]:
+            doc = _order6_config(trials=trials)
+            report = run_campaign(config_from_dict(doc), threads=threads)
+            workers = min(threads, trials)
+            bound = [json.loads((tmp_path / str(i)).read_text()) for i in range(trials)]
+            want = [[cpus[i % workers % len(cpus)]] if workers > 1 else cpus for i in range(trials)]
+            assert bound == want
+            assert os.sched_getaffinity(0) == before
+            assert report.digest_json() == run_campaign(config_from_dict(doc)).digest_json()
+
+    def test_a_refused_binding_leaves_the_shares_unbound(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError("binding refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        doc = _order6_config(trials=4)
+        sequential = run_campaign(config_from_dict(doc)).digest_json()
+        assert run_campaign(config_from_dict(doc), threads=2).digest_json() == sequential
+
     def test_reports_are_strict_json(self):
         # 7 has order 2048 mod 12289, so its table sums N = 1024 classes of
         # bound 0: the analytic Sigma bound 2.6^1024 overflows a float and
