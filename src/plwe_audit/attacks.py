@@ -361,13 +361,18 @@ def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecisio
     delta is the caller's estimate of P(error image in quarter interval) - 1/2;
     it is never derived here.
     """
+    votes, best_hits = hit_counts(pairs)
+    return HitCountDecision(votes, best_hits, hit_threshold(len(pairs), pairs.q, delta))
+
+
+def hit_counts(pairs: Pairs) -> tuple[int, int]:
+    """The unbounded attack's counts before any threshold: the aggregate
+    count C = sum_g h_g and the best count max_g h_g.  A campaign's trials
+    take these alone, and the campaign compares max_g h_g with
+    hit_threshold once its delta is known."""
     _require_samples(pairs)
     h0, hits = _quarter_hits(pairs)
-    return HitCountDecision(
-        votes=int(hits.sum()) + h0,
-        best_hits=max(int(hits.max()), h0),
-        hit_threshold=hit_threshold(len(pairs), pairs.q, delta),
-    )
+    return int(hits.sum()) + h0, max(int(hits.max()), h0)
 
 
 # ---------------------------------------------------------------------------

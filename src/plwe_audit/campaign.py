@@ -10,6 +10,7 @@ digest excludes only wall-clock fields.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import multiprocessing
@@ -25,6 +26,7 @@ from . import analysis
 from .analysis import (
     block_structure,
     delta_probability,
+    hit_threshold,
     magnitude,
     monte_carlo_delta,
     posterior_bounds,
@@ -36,9 +38,11 @@ from .analysis import (
 )
 from .attacks import (
     AttackVerdict,
+    HitCountDecision,
     TableTooLarge,
     build_sigma_table_trace,
     extended_attack,
+    hit_counts,
     small_set_attack,
     unbounded_small_values_attack,
 )
@@ -354,9 +358,12 @@ def mc_delta(q: int, sigma_bar: float, seed: int) -> float:
     return monte_carlo_delta(q, sigma_bar, np.random.default_rng([seed, 2**32]))
 
 
-def build_plan(cfg: ExperimentConfig) -> AttackPlan:
+def build_plan(cfg: ExperimentConfig, trials_ready=None) -> AttackPlan:
     """Resolve the evaluation point, its block structure and the membership
-    mask or delta; refuse when a documented precondition fails."""
+    mask or delta; refuse when a documented precondition fails.  Once all
+    that trials read is built (the point, the blocks and the mask) and
+    before delta is drawn, trials_ready, if given, is called with it: the
+    plan without delta, whose preconditions so far held."""
     att = cfg.attack
     q = cfg.ring.q
     check_ring(cfg.ring)
@@ -379,7 +386,11 @@ def build_plan(cfg: ExperimentConfig) -> AttackPlan:
         member = quarter_mask(q)
         flag = small_values_flag(q, cfg.gauss.truncated, blocks.sigma_bar, point.n)
         _check(lines, flag.applicable, flag.condition)
-    else:  # unbounded_small_values
+    if att.family in EXTENDED_FAMILIES:
+        _check(lines, att.M0 <= att.M, f"M0 = {att.M0} <= M = {att.M}")
+    if trials_ready:
+        trials_ready(AttackPlan(cfg, point, blocks, member, member_r, None, tuple(lines)))
+    if att.family == "unbounded_small_values":
         if att.delta == "series":
             delta = delta_probability(q, blocks.sigma_bar).delta
         elif att.delta == "mc":
@@ -388,8 +399,6 @@ def build_plan(cfg: ExperimentConfig) -> AttackPlan:
             delta = att.delta
         flag = unbounded_flag(q, delta)
         _check(lines, flag.applicable, flag.condition)
-    if att.family in EXTENDED_FAMILIES:
-        _check(lines, att.M0 <= att.M, f"M0 = {att.M0} <= M = {att.M}")
     return AttackPlan(cfg, point, blocks, member, member_r, delta, tuple(lines))
 
 
@@ -409,7 +418,9 @@ def run_attack_once(plan: AttackPlan, pairs: Pairs):
 
 def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None) -> dict:
     """One trial of plan's campaign.  Its (A, B) coefficient rows are written
-    to samples, one sample {"a": [...], "b": [...]} per line."""
+    to samples, one sample {"a": [...], "b": [...]} per line.  An unbounded
+    trial reads no delta: its row holds the hit counts, and run_campaign
+    stamps the verdict (_decide)."""
     cfg = plan.cfg
     rng = np.random.default_rng([cfg.seed, trial_index])
     truth_plwe = bool(rng.integers(0, 2))
@@ -433,8 +444,13 @@ def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None)
         pairs = batch.pairs(plan.point)
         if samples is None:
             batch = None
-        outcome = run_attack_once(plan, pairs)
-        result = {"outcome": outcome.to_dict(), "samples_used": len(pairs)}
+        if cfg.attack.family == "unbounded_small_values":
+            votes, best_hits = hit_counts(pairs)
+            outcome, shown = None, {"votes": votes, "best_hits": best_hits}
+        else:
+            outcome = run_attack_once(plan, pairs)
+            shown = outcome.to_dict()
+        result = {"outcome": shown, "samples_used": len(pairs)}
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     if batch is not None:
         for a, b in zip(batch.A.tolist(), batch.B.tolist()):
@@ -562,72 +578,111 @@ def run_campaign(
     It is opened only once the plan is built, so a refused campaign leaves
     no file."""
     check_draws(cfg.ring, cfg.gauss, cfg.attack.M)
-    plan = build_plan(cfg)
-    # trial i runs in process i mod workers, no more processes than trials:
-    # this process runs share 0 and a child each other share; the sample
-    # file is written from this process, so recording runs every trial here
+    # no more processes than trials; the sample file is written from this
+    # process, so recording runs every trial here
     workers = 1 if record else min(threads, cfg.attack.trials)
-    with open_path(record, "w", "sample file") if record else nullcontext() as fh:
-        rows = _run_shares(plan, workers, fh)
+    if workers > 1:
+        plan, rows = _run_shares(cfg, workers)
+    else:
+        plan = build_plan(cfg)
+        with open_path(record, "w", "sample file") if record else nullcontext() as fh:
+            rows = _share(plan, range(cfg.attack.trials), fh)
+    _decide(plan, rows)
     echo = dict(cfg.raw) if cfg.raw else {}
     echo.setdefault("seed", cfg.seed)
     return CampaignReport(echo, _plan_summary(plan), rows)
 
 
-def _share(plan: AttackPlan, share: int, workers: int, samples: TextIO | None = None,
-           cpus: set | None = None) -> list:
-    """The rows of trials share, share + workers, share + 2*workers, ...,
-    run on cpus unless that is None; this process gets back the CPUs it
-    had before once they are done."""
-    before = _bind(cpus) if cpus else None
-    try:
-        return [run_trial(plan, i, samples) for i in range(share, plan.cfg.attack.trials, workers)]
-    finally:
-        if before:
-            _bind(before)
+def _share(plan: AttackPlan, indices, samples: TextIO | None = None) -> list:
+    """The rows of the trials that indices yields, run in this process in
+    that order."""
+    return [run_trial(plan, i, samples) for i in indices]
 
 
-def _run_shares(plan: AttackPlan, workers: int, samples: TextIO | None) -> list:
-    """Every trial's row, in trial order.  Share k > 0 runs in a child
-    process started with the platform's default method (a fork on Linux,
-    which inherits the plan), and comes back through one pipe; this process
-    runs share 0 meanwhile, each share on its own CPU (_share_cpus).  A
-    child's exception is raised here, and so is an error naming the exit
-    code of a child that sent nothing.  Whatever happens, every child has
-    ended when this returns or raises."""
+def _decide(plan: AttackPlan, rows: list) -> None:
+    """Stamp the unbounded attack's verdict, its threshold and correct on
+    every row that holds hit counts; tau = hit_threshold(ell, q, delta) is
+    computed once, from the finished plan."""
+    att = plan.cfg.attack
+    if att.family != "unbounded_small_values":
+        return
+    tau = hit_threshold(att.M, plan.cfg.ring.q, plan.delta)
+    for row in rows:
+        if "outcome" in row:
+            decision = HitCountDecision(**row["outcome"], hit_threshold=tau)
+            row["outcome"] = decision.to_dict()
+            row["correct"] = decision.kind == row["truth"]
+
+
+def _run_shares(cfg: ExperimentConfig, workers: int) -> tuple[AttackPlan, list]:
+    """The plan, and every trial's row in trial order, from workers
+    processes.  build_plan starts workers - 1 children as soon as what
+    trials read is built, so delta is drawn here while they run trials.
+    A child is started with the platform's default method (a fork on
+    Linux, which inherits that plan and the shared trial counter) and
+    sends its rows back through one pipe.  Process k runs trial k, then
+    claims trials from the counter until none is left (_claims), so this
+    process takes fewer trials while it draws delta; each process runs on
+    its own CPU (_share_cpus).  A child's exception is raised here, and so
+    is an error naming the exit code of a child that sent nothing.
+    Whatever happens, every child has ended and this process has its CPU
+    set back when this returns or raises."""
     cpus = _share_cpus(workers)
+    claimed = multiprocessing.Value("q", workers)  # the next unclaimed trial
     children = []
-    try:
+
+    def start_children(trial_plan: AttackPlan) -> None:
+        # numpy loads numpy.random on first use, and every trial draws from
+        # it: load it before the forks, not in each child anew
+        importlib.import_module("numpy.random")
         for k in range(1, workers):
             rows_in, rows_out = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
-                target=_child_share, args=(rows_out, plan, k, workers, cpus[k]),
+                target=_child_share, args=(rows_out, trial_plan, k, claimed, cpus[k]),
                 name=f"trial share {k} of {workers}",
             )
             child.start()
             rows_out.close()  # the child holds the one send end, so its exit ends the pipe
             children.append((child, rows_in))
-        shares = [_share(plan, 0, workers, samples, cpus[0])]
-        shares += [_receive(child, rows_in) for child, rows_in in children]
+        if cpus[0]:  # after the forks: a child started on this CPU waits for it
+            _bind(cpus[0])
+
+    before = os.sched_getaffinity(0) if cpus[0] else None
+    try:
+        plan = build_plan(cfg, start_children)
+        rows = _share(plan, _claims(0, claimed, cfg.attack.trials))
+        for child, rows_in in children:
+            rows += _receive(child, rows_in)
     finally:
         for child, rows_in in children:
             if child.is_alive():
                 child.terminate()
             child.join()
             rows_in.close()
-    rows: list = [None] * plan.cfg.attack.trials
-    for k, share in enumerate(shares):
-        rows[k::workers] = share
-    return rows
+        if before:
+            _bind(before)
+    rows.sort(key=lambda row: row["trial"])
+    return plan, rows
+
+
+def _claims(first: int, claimed, trials: int):
+    """Trial first, then each trial this process claims from the shared
+    counter claimed, until every one of the trials is claimed."""
+    i = first
+    while i < trials:
+        yield i
+        with claimed.get_lock():
+            i = claimed.value
+            claimed.value = i + 1
 
 
 def _share_cpus(workers: int) -> list:
-    """The CPUs each share runs on: share k on the (k mod c)-th of the c
-    CPUs this process may use, or None for every share where there is one
-    share, one CPU or no affinity call.  A scheduler may leave a forked
-    child on its parent's CPU for hundreds of milliseconds, longer than a
-    campaign, so unbound shares can take turns on one core while another
-    idles."""
+    """The CPUs each process of a pool runs on: process k on the (k mod
+    c)-th of the c CPUs this process may use, or None for every process
+    where there is one process, one CPU or no affinity call.  A scheduler
+    may leave a forked child on its parent's CPU for hundreds of
+    milliseconds, longer than a campaign, so unbound processes can take
+    turns on one core while another idles."""
     bindable = workers > 1 and hasattr(os, "sched_getaffinity")
     cpus = sorted(os.sched_getaffinity(0)) if bindable else []
     if len(cpus) < 2:
@@ -635,19 +690,19 @@ def _share_cpus(workers: int) -> list:
     return [{cpus[k % len(cpus)]} for k in range(workers)]
 
 
-def _bind(cpus: set) -> set:
-    """Run this process on cpus, unless the binding is refused; the CPUs it
-    could run on before."""
-    before = os.sched_getaffinity(0)
+def _bind(cpus: set) -> None:
+    """Run this process on cpus, unless the binding is refused."""
     with suppress(OSError):
         os.sched_setaffinity(0, cpus)
-    return before
 
 
-def _child_share(rows_out, plan: AttackPlan, share: int, workers: int, cpus: set | None) -> None:
-    """A child's share, run on cpus: its rows, or the exception that stopped it."""
+def _child_share(rows_out, plan: AttackPlan, first: int, claimed, cpus: set | None) -> None:
+    """A child's trials, from trial first on (_claims), run on cpus: its
+    rows, or the exception that stopped it."""
     try:
-        result = (True, _share(plan, share, workers, cpus=cpus))
+        if cpus:
+            _bind(cpus)
+        result = (True, _share(plan, _claims(first, claimed, plan.cfg.attack.trials)))
     except Exception as exc:
         result = (False, exc)
     rows_out.send(result)

@@ -249,10 +249,12 @@ class TestCampaignRuns:
         spent = {t["trial"]: t["oracle_invocations"] for t in report.trials if "error" in t}
         assert (spent[1], spent[20], spent[38]) == (8, 8, 7)
 
-    def test_pool_has_no_more_workers_than_trials(self, tmp_path, monkeypatch):
-        # trial i runs in process i mod min(threads, trials): here for
-        # i mod workers == 0, else in child i mod workers, started in order
-        started, run_trial = [], campaign.run_trial
+    @staticmethod
+    def _where_trials_run(tmp_path, monkeypatch, note):
+        """Have each run of trial i append a line, note() as JSON, to the
+        file tmp_path/i, and each started child's pid appended to the list
+        returned, which holds this process's pid first."""
+        started, run_trial = [os.getpid()], campaign.run_trial
 
         class Counted(multiprocessing.Process):
             def start(self):
@@ -260,46 +262,69 @@ class TestCampaignRuns:
                 started.append(self.pid)
 
         def noted(plan, index, samples=None):
-            (tmp_path / str(index)).write_text(str(os.getpid()))
+            with open(tmp_path / str(index), "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(note()) + "\n")
             return run_trial(plan, index, samples)
 
         monkeypatch.setattr(multiprocessing, "Process", Counted)
         monkeypatch.setattr(campaign, "run_trial", noted)
+        return started
+
+    @staticmethod
+    def _notes(tmp_path, trials):
+        """The one note of each trial, in trial order, emptying tmp_path;
+        a trial that ran twice or not at all fails."""
+        assert sorted(int(p.name) for p in tmp_path.iterdir()) == list(range(trials))
+        notes = []
+        for i in range(trials):
+            path = tmp_path / str(i)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert len(lines) == 1, (i, lines)
+            notes.append(json.loads(lines[0]))
+            path.unlink()
+        return notes
+
+    def test_pool_has_no_more_workers_than_trials(self, tmp_path, monkeypatch):
+        # min(threads, trials) processes: this one and a child for each
+        # other, started in order; process k runs trial k, the others run
+        # once each, in some process of the pool
+        where = self._where_trials_run(tmp_path, monkeypatch, os.getpid)
         for trials, threads in [(2, 64), (1, 64), (5, 3), (4, 1)]:
-            started.clear()
+            del where[1:]
             doc = _order6_config(trials=trials)
             report = run_campaign(config_from_dict(doc), threads=threads)
             workers = min(threads, trials)
-            assert len(started) == workers - 1
-            where = [os.getpid()] + started
-            pids = [int((tmp_path / str(i)).read_text()) for i in range(trials)]
-            assert pids == [where[i % workers] for i in range(trials)]
-            monkeypatch.setattr(campaign, "run_trial", run_trial)
-            assert report.digest_json() == run_campaign(config_from_dict(doc)).digest_json()
-            monkeypatch.setattr(campaign, "run_trial", noted)
+            assert len(where) == workers
+            pids = self._notes(tmp_path, trials)
+            assert pids[:workers] == where and set(pids) == set(where)
+            sequential = run_campaign(config_from_dict(doc))
+            self._notes(tmp_path, trials)
+            assert report.digest_json() == sequential.digest_json()
 
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
                         reason="binds shares only where the process may use two CPUs")
     def test_each_share_runs_on_its_own_cpu(self, tmp_path, monkeypatch):
-        # share k on the (k mod c)-th allowed CPU; this process gets its
-        # own CPU set back once its share is done
-        run_trial, before = campaign.run_trial, os.sched_getaffinity(0)
+        # process k of the pool runs every trial it takes on the (k mod c)-th
+        # allowed CPU; this process gets its own CPU set back afterwards
+        before = os.sched_getaffinity(0)
         cpus = sorted(before)
-
-        def noted(plan, index, samples=None):
-            (tmp_path / str(index)).write_text(json.dumps(sorted(os.sched_getaffinity(0))))
-            return run_trial(plan, index, samples)
-
-        monkeypatch.setattr(campaign, "run_trial", noted)
+        where = self._where_trials_run(
+            tmp_path, monkeypatch, lambda: [os.getpid(), sorted(os.sched_getaffinity(0))]
+        )
         for trials, threads in [(6, 3), (4, 1)]:
+            del where[1:]
             doc = _order6_config(trials=trials)
             report = run_campaign(config_from_dict(doc), threads=threads)
             workers = min(threads, trials)
-            bound = [json.loads((tmp_path / str(i)).read_text()) for i in range(trials)]
-            want = [[cpus[i % workers % len(cpus)]] if workers > 1 else cpus for i in range(trials)]
-            assert bound == want
+            notes = self._notes(tmp_path, trials)
+            assert [pid for pid, _ in notes[:workers]] == where
+            for pid, bound in notes:
+                k = where.index(pid)
+                assert bound == ([cpus[k % len(cpus)]] if workers > 1 else cpus), (pid, bound)
             assert os.sched_getaffinity(0) == before
-            assert report.digest_json() == run_campaign(config_from_dict(doc)).digest_json()
+            sequential = run_campaign(config_from_dict(doc))
+            self._notes(tmp_path, trials)
+            assert report.digest_json() == sequential.digest_json()
 
     def test_a_refused_binding_leaves_the_shares_unbound(self, monkeypatch):
         def refuse(pid, cpus):
@@ -556,11 +581,11 @@ class TestStreamUse:
         assert lines == [0, 60, 120, 180]
         assert len(path.read_text().splitlines()) == 240
 
-    @pytest.mark.parametrize("name", ["fq_unbounded_mc_direct", "trace_unbounded_honest"])
-    def test_thread_pool_matches_sequential(self, name):
-        a = run_campaign(_golden_config(name), threads=1)
-        b = run_campaign(_golden_config(name), threads=2)
-        assert a.digest_json() == b.digest_json()
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_pooled_digest_is_pinned(self, name, threads):
+        digest = run_campaign(_golden_config(name), threads=threads).digest_json()
+        assert hashlib.sha256(digest.encode()).hexdigest() == GOLDEN[name][1]
 
     def test_config_without_raw_runs_pooled(self, tmp_path, monkeypatch):
         cfg = dataclasses.replace(config_from_dict(_order6_config()), raw={})
@@ -575,13 +600,6 @@ class TestStreamUse:
         assert run_campaign(cfg, threads=2).digest_json() == sequential
         pids = {int(path.read_text()) for path in tmp_path.iterdir()}
         assert len(pids) == 2 and os.getpid() in pids, "trials ran in one process"
-
-    def test_three_processes_match_sequential(self):
-        name = "fq_unbounded_mc_direct"
-        a = run_campaign(_golden_config(name), threads=1)
-        b = run_campaign(_golden_config(name), threads=3)
-        assert a.digest_json() == b.digest_json()
-        assert hashlib.sha256(b.digest_json().encode()).hexdigest() == GOLDEN[name][1]
 
 
 class TestTrialProcesses:
@@ -612,6 +630,78 @@ class TestTrialProcesses:
         with pytest.raises(RuntimeError, match=f"exited with code -{int(signal.SIGKILL)} "):
             run_campaign(config_from_dict(_order6_config(trials=4)), threads=2)
         assert multiprocessing.active_children() == []
+
+    def test_children_run_trials_while_delta_is_drawn(self, tmp_path, monkeypatch):
+        # delta waits until a child has finished a trial: the children are
+        # started from the plan that trials read, before delta is drawn
+        parent, run_trial, draw = os.getpid(), campaign.run_trial, campaign.mc_delta
+
+        def noted(plan, index, samples=None):
+            row = run_trial(plan, index, samples)
+            if os.getpid() != parent:
+                (tmp_path / str(index)).write_text("done")
+            return row
+
+        def waiting(q, sigma_bar, seed):
+            deadline = time.monotonic() + 30
+            while not any(tmp_path.iterdir()):
+                assert time.monotonic() < deadline, "no child finished a trial during delta"
+                time.sleep(0.005)
+            return draw(q, sigma_bar, seed)
+
+        monkeypatch.setattr(campaign, "run_trial", noted)
+        monkeypatch.setattr(campaign, "mc_delta", waiting)
+        name = "fq_unbounded_mc_direct"
+        digest = run_campaign(_golden_config(name), threads=2).digest_json()
+        assert hashlib.sha256(digest.encode()).hexdigest() == GOLDEN[name][1]
+        assert multiprocessing.active_children() == []
+
+    def test_a_refused_delta_ends_every_child(self, tmp_path, monkeypatch):
+        # at sigma = 1e5 the error image is uniform to within the draws'
+        # noise, and seed 1's Monte Carlo delta gives Delta < 0
+        doc = {
+            "instance": {**USVA_ROOT["instance"], "sigma": 1e5},
+            "attack": {"family": "unbounded_small_values", "alpha": USVA_ROOT["alpha"],
+                       "ell": 10, "delta": "mc", "trials": 4},
+            "seed": 1,
+        }
+        record = tmp_path / "samples.jsonl"
+        with pytest.raises(PreconditionRefused, match="^Delta = -") as sequential:
+            run_campaign(config_from_dict(doc), record=str(record))
+        started = []
+
+        class Counted(multiprocessing.Process):
+            def start(self):
+                super().start()
+                started.append(self.pid)
+
+        monkeypatch.setattr(multiprocessing, "Process", Counted)
+        with pytest.raises(PreconditionRefused) as pooled:
+            run_campaign(config_from_dict(doc), threads=2)
+        assert str(pooled.value) == str(sequential.value)
+        assert len(started) == 1, "the child starts before delta is drawn"
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_children_inherit_numpy_random(self):
+        # numpy loads numpy.random on first use; a child forked before that
+        # loads it anew, faulting in about 5 MB of its libraries, so a fresh
+        # interpreter's first pooled campaign must load it before the forks
+        script = (
+            "import sys\n"
+            "from plwe_audit import campaign\n"
+            "child_share = campaign._child_share\n"
+            "def noted(*args):\n"
+            "    print('numpy.random' in sys.modules, flush=True)\n"
+            "    child_share(*args)\n"
+            "campaign._child_share = noted\n"
+            f"doc = {_order6_config(trials=4)!r}\n"
+            "campaign.run_campaign(campaign.config_from_dict(doc), threads=2)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
     def test_parent_failure_ends_every_child(self, monkeypatch):
         def fail():
