@@ -409,8 +409,10 @@ def hit_threshold(ell: int, q, delta: float) -> int:
 
 
 def extended_threshold(chunks: int, p0: float, m0: int, r: int) -> int:
-    """Vote threshold of the chunked attacks: T = ceil(c * p0^(M0 * r))."""
-    return math.ceil(chunks * p0 ** (m0 * r))
+    """Vote threshold of the chunked attacks: T = ceil(c * p0^(M0 * r)), and
+    at least 1, so a vote without a single voting chunk never says PLWE
+    where p0^(M0 * r) underflows to 0 (untruncated, M0 * r near 16000)."""
+    return max(1, math.ceil(chunks * p0 ** (m0 * r)))
 
 
 # ---------------------------------------------------------------------------

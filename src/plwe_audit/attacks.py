@@ -3,14 +3,14 @@
 Three basic procedures test candidate secrets against a membership predicate:
 the small-set attack checks tentative errors against a look-up table Sigma, the
 small-values attack checks them against the centered interval [-q/4, q/4), and
-the unbounded variant counts interval hits per candidate and decides by the
-best candidate's count against hit_threshold alone.  Each evaluates at a root
-alpha of an irreducible divisor y^n - a of f: samples are restricted to the
-subring R_{q,0} and candidate values folded through the field trace.  An F_q
-root alpha is the case n = 1, a = alpha, where the subring is all of R_q and
-the trace is the identity.  The chunked attack turns the three-way basic
-verdicts into a two-way vote whenever single runs are unreliable; its
-Decision compares the vote count with extended_threshold and nothing else.
+the unbounded variant counts interval hits per candidate.  Each evaluates at a
+root alpha of an irreducible divisor y^n - a of f: samples are restricted to
+the subring R_{q,0} and candidate values folded through the field trace.  An
+F_q root alpha is the case n = 1, a = alpha, where the subring is all of R_q
+and the trace is the identity.  The chunked attack turns the three-way basic
+verdicts into a vote count whenever single runs are unreliable.  The two
+voting attacks return their counts alone: the campaign compares each with
+its threshold (campaign._decide).
 
 Every attack is a pure function of (pairs, parameters): it reads M samples
 only as the Pairs (a_i(alpha), Tr(b_i(alpha))) that SampleBatch.pairs
@@ -28,13 +28,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis import (
-    DEFAULT_TABLE_CAP,
-    extended_threshold,
-    hit_threshold,
-    quarter_interval,
-    small_set_size,
-)
+from .analysis import DEFAULT_TABLE_CAP, quarter_interval, small_set_size
 from .rings import generator_powers
 from .samplers import Pairs
 
@@ -94,55 +88,6 @@ class AttackVerdict:
         elif self.kind == VERDICT_NOT_ENOUGH:
             out["survivors"] = list(self.survivors)
         return out
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Two-way outcome of the voting attacks: PLWE when the vote count
-    reaches the threshold."""
-
-    votes: int
-    threshold: int
-
-    @property
-    def is_plwe(self) -> bool:
-        return self.votes >= self.threshold
-
-    @property
-    def kind(self) -> str:
-        return "plwe" if self.is_plwe else "uniform"
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.kind, "votes": self.votes, "threshold": self.threshold}
-
-
-@dataclass(frozen=True)
-class HitCountDecision:
-    """Two-way outcome of the unbounded attack: PLWE when the best
-    per-candidate hit count max_g h_g reaches hit_threshold."""
-
-    # the aggregate count C = sum_g h_g, which decides nothing (every sample
-    # with invertible a(alpha) adds quarter_count(q) to it); read by
-    # perfbench's identity check alone, it goes once perfbench stops reading it
-    votes: int
-    best_hits: int
-    hit_threshold: int
-
-    @property
-    def is_plwe(self) -> bool:
-        return self.best_hits >= self.hit_threshold
-
-    @property
-    def kind(self) -> str:
-        return "plwe" if self.is_plwe else "uniform"
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.kind,
-            "votes": self.votes,
-            "best_hits": self.best_hits,
-            "hit_threshold": self.hit_threshold,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -343,33 +288,22 @@ def _quarter_hits(pairs: Pairs) -> tuple[int, np.ndarray]:
     return int(np.count_nonzero(shifted < w)), hits
 
 
-def unbounded_small_values_attack(pairs: Pairs, delta: float) -> HitCountDecision:
-    """Count the quarter-interval hits h_g of every candidate g and say PLWE
-    when the best candidate reaches hit_threshold(ell, q, delta).
+def hit_counts(pairs: Pairs) -> tuple[int, int]:
+    """The unbounded attack: count the quarter-interval hits h_g of every
+    candidate g, and return the aggregate count C = sum_g h_g and the best
+    count max_g h_g.  The campaign says PLWE when max_g h_g reaches
+    hit_threshold(ell, q, delta) (campaign._decide).
 
-    The aggregate count C = sum_g h_g is returned too, but does not decide: a
-    sample with invertible a(alpha) maps g -> t - u*g bijectively onto F_q,
-    so it adds exactly quarter_count(q) to C whatever distribution produced
-    it.  The true candidate of a PLWE batch hits with probability
-    1/2 + delta per sample, any candidate of a uniform batch with
-    quarter_count(q)/q.
+    C does not decide: a sample with invertible a(alpha) maps g -> t - u*g
+    bijectively onto F_q, so it adds exactly quarter_count(q) to C whatever
+    distribution produced it.  The true candidate of a PLWE batch hits with
+    probability 1/2 + delta per sample, any candidate of a uniform batch
+    with quarter_count(q)/q.
 
     _quarter_hits counts in the log domain with two integer comparisons per
     entry; its cached _log_tables take about 6q bytes below q = 2**15 and
     12q bytes from there up to the limit q < 2**22.
-
-    delta is the caller's estimate of P(error image in quarter interval) - 1/2;
-    it is never derived here.
     """
-    votes, best_hits = hit_counts(pairs)
-    return HitCountDecision(votes, best_hits, hit_threshold(len(pairs), pairs.q, delta))
-
-
-def hit_counts(pairs: Pairs) -> tuple[int, int]:
-    """The unbounded attack's counts before any threshold: the aggregate
-    count C = sum_g h_g and the best count max_g h_g.  A campaign's trials
-    take these alone, and the campaign compares max_g h_g with
-    hit_threshold once its delta is known."""
     _require_samples(pairs)
     h0, hits = _quarter_hits(pairs)
     return int(hits.sum()) + h0, max(int(hits.max()), h0)
@@ -379,16 +313,14 @@ def hit_counts(pairs: Pairs) -> tuple[int, int]:
 # chunked (voting) driver
 
 
-def extended_attack(pairs: Pairs, m0: int, member: np.ndarray, r: int, p0: float) -> Decision:
-    """Filter floor(M/M0) disjoint, index-ordered chunks of M0 samples with
-    a basic attack's membership mask and vote: a chunk counts when it keeps
-    a survivor (its verdict is not NOT PLWE).  The threshold is the expected
-    count for genuine PLWE input, ceil(c * p0^(M0*r)); r is the number of
-    weight classes for small-set masks and 1 for the quarter interval.
-    At M0 = 1 every sample with a(alpha) != 0 votes, so the vote cannot
-    tell PLWE from uniform input.
+def extended_attack(pairs: Pairs, m0: int, member: np.ndarray) -> int:
+    """The chunked attack's vote count: filter floor(M/M0) disjoint,
+    index-ordered chunks of M0 samples with a basic attack's membership
+    mask, and count the chunks that keep a survivor (whose verdict is not
+    NOT PLWE).  The campaign says PLWE when the count reaches
+    extended_threshold (campaign._decide).  At M0 = 1 every sample with
+    a(alpha) != 0 votes, so the vote cannot tell PLWE from uniform input.
     """
-    votes = sum(
+    return sum(
         int(full.sum()) + np.unique(chunk).size for full, chunk, _ in _chunks(pairs, m0, member)
     )
-    return Decision(votes, extended_threshold(len(pairs) // m0, p0, m0, r))

@@ -26,6 +26,7 @@ from . import analysis
 from .analysis import (
     block_structure,
     delta_probability,
+    extended_threshold,
     hit_threshold,
     magnitude,
     monte_carlo_delta,
@@ -38,13 +39,11 @@ from .analysis import (
 )
 from .attacks import (
     AttackVerdict,
-    HitCountDecision,
     TableTooLarge,
     build_sigma_table_trace,
     extended_attack,
     hit_counts,
     small_set_attack,
-    unbounded_small_values_attack,
 )
 from .fields import ExtFieldCtx, echo_int
 from .rings import (
@@ -406,21 +405,23 @@ def build_plan(cfg: ExperimentConfig, trials_ready=None) -> AttackPlan:
 # trial execution
 
 
-def run_attack_once(plan: AttackPlan, pairs: Pairs):
-    """Dispatch the configured attack on the pairs of one sample batch."""
-    cfg, att = plan.cfg, plan.cfg.attack
+def run_attack_once(plan: AttackPlan, pairs: Pairs) -> AttackVerdict | dict:
+    """Dispatch the configured attack on the pairs of one sample batch: a
+    basic attack's verdict, or a vote's counts, which _decide compares with
+    the vote's threshold."""
+    att = plan.cfg.attack
     if att.family == "unbounded_small_values":
-        return unbounded_small_values_attack(pairs, plan.delta)
+        votes, best_hits = hit_counts(pairs)
+        return {"votes": votes, "best_hits": best_hits}
     if att.family in BASIC_FAMILIES:
         return small_set_attack(pairs, plan.member)
-    return extended_attack(pairs, att.M0, plan.member, plan.member_r, p0_of(cfg.gauss.truncated))
+    return {"votes": extended_attack(pairs, att.M0, plan.member)}
 
 
 def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None) -> dict:
     """One trial of plan's campaign.  Its (A, B) coefficient rows are written
-    to samples, one sample {"a": [...], "b": [...]} per line.  An unbounded
-    trial reads no delta: its row holds the hit counts, and run_campaign
-    stamps the verdict (_decide)."""
+    to samples, one sample {"a": [...], "b": [...]} per line.  A vote's row
+    holds its counts, and run_campaign stamps the verdict (_decide)."""
     cfg = plan.cfg
     rng = np.random.default_rng([cfg.seed, trial_index])
     truth_plwe = bool(rng.integers(0, 2))
@@ -444,12 +445,8 @@ def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None)
         pairs = batch.pairs(plan.point)
         if samples is None:
             batch = None
-        if cfg.attack.family == "unbounded_small_values":
-            votes, best_hits = hit_counts(pairs)
-            outcome, shown = None, {"votes": votes, "best_hits": best_hits}
-        else:
-            outcome = run_attack_once(plan, pairs)
-            shown = outcome.to_dict()
+        outcome = run_attack_once(plan, pairs)
+        shown = outcome.to_dict() if isinstance(outcome, AttackVerdict) else outcome
         result = {"outcome": shown, "samples_used": len(pairs)}
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     if batch is not None:
@@ -459,7 +456,7 @@ def run_trial(plan: AttackPlan, trial_index: int, samples: TextIO | None = None)
         "trial": trial_index,
         "truth": "plwe" if truth_plwe else "uniform",
         **result,
-        "correct": outcome is not None and outcome.is_plwe == truth_plwe,
+        "correct": isinstance(outcome, AttackVerdict) and outcome.is_plwe == truth_plwe,
         "oracle_invocations": invocations,
         "wall_time_ms": wall_ms,
     }
@@ -600,18 +597,39 @@ def _share(plan: AttackPlan, indices, samples: TextIO | None = None) -> list:
 
 
 def _decide(plan: AttackPlan, rows: list) -> None:
-    """Stamp the unbounded attack's verdict, its threshold and correct on
-    every row that holds hit counts; tau = hit_threshold(ell, q, delta) is
-    computed once, from the finished plan."""
-    att = plan.cfg.attack
-    if att.family != "unbounded_small_values":
+    """Stamp a vote's threshold tau, its verdict and correct on every row
+    that holds its counts: PLWE when the chunk vote's votes reach tau =
+    extended_threshold(m // M0, p0, M0, r), or the unbounded attack's
+    best_hits reach tau = hit_threshold(m, q, delta).  tau is computed from
+    the finished plan, once per sample count m, a row's samples_used: M in
+    a campaign, the file's count in a replay."""
+    cfg, att = plan.cfg, plan.cfg.attack
+    if att.family in BASIC_FAMILIES:
         return
-    tau = hit_threshold(att.M, plan.cfg.ring.q, plan.delta)
+    sizes = {row["samples_used"] for row in rows if "outcome" in row}
+    if att.family == "unbounded_small_values":
+        stat, key = "best_hits", "hit_threshold"
+        taus = {m: hit_threshold(m, cfg.ring.q, plan.delta) for m in sizes}
+    else:
+        stat, key, p0 = "votes", "threshold", p0_of(cfg.gauss.truncated)
+        taus = {m: extended_threshold(m // att.M0, p0, att.M0, plan.member_r) for m in sizes}
     for row in rows:
         if "outcome" in row:
-            decision = HitCountDecision(**row["outcome"], hit_threshold=tau)
-            row["outcome"] = decision.to_dict()
-            row["correct"] = decision.kind == row["truth"]
+            tau = taus[row["samples_used"]]
+            verdict = "plwe" if row["outcome"][stat] >= tau else "uniform"
+            row["outcome"] = {"verdict": verdict, **row["outcome"], key: tau}
+            row["correct"] = verdict == row["truth"]
+
+
+def replay(plan: AttackPlan, pairs: Pairs) -> dict:
+    """The outcome of plan's attack on recorded pairs, as a trial's row
+    prints it; a vote is decided for the pairs' count (_decide)."""
+    outcome = run_attack_once(plan, pairs)
+    if isinstance(outcome, AttackVerdict):
+        return outcome.to_dict()
+    row = {"truth": None, "outcome": outcome, "samples_used": len(pairs)}
+    _decide(plan, [row])
+    return row["outcome"]
 
 
 def _run_shares(cfg: ExperimentConfig, workers: int) -> tuple[AttackPlan, list]:

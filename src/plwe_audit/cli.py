@@ -40,8 +40,8 @@ from .campaign import (
     open_path,
     point_from_dict,
     read_config,
+    replay,
     resolve_point,
-    run_attack_once,
     run_campaign,
     section,
     seed_from_dict,
@@ -239,8 +239,7 @@ def _cmd_analyze(args) -> dict:
 def _cmd_replay(args) -> dict:
     cfg = config_from_dict(_read_config(args))
     plan = build_plan(cfg)
-    outcome = run_attack_once(plan, load_samples(args.samples, plan))
-    return outcome.to_dict()
+    return replay(plan, load_samples(args.samples, plan))
 
 
 def main(argv=None) -> int:

@@ -23,10 +23,9 @@ it has no secret and the attacks read it through B.
 
 The unbounded attack's hit counts on the (ell, q) grid (t_i - u_i*g) mod q,
 and the Monte Carlo delta as a per-draw count mod q: the forms that
-attacks.unbounded_small_values_attack and analysis.monte_carlo_delta
-replaced by the log-domain count and the histogram.  The Monte Carlo delta
-with all its draws held at once, the form that monte_carlo_delta replaced
-by its blocks.
+attacks.hit_counts and analysis.monte_carlo_delta replaced by the log-domain
+count and the histogram.  The Monte Carlo delta with all its draws held at
+once, the form that monte_carlo_delta replaced by its blocks.
 
 The Sigma residue set by enumeration, one Python set per round: the form
 that attacks.build_sigma_table_trace replaced by its numpy mask.

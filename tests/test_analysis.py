@@ -630,6 +630,14 @@ class TestThresholds:
         want = math.ceil(chunks * Fraction(p0) ** (m0 * r))
         assert extended_threshold(chunks, p0, m0, r) == want
 
+    @pytest.mark.parametrize("chunks, m0, r", [(1, 16384, 1), (40, 2700, 6), (10**6, 10**5, 4)])
+    def test_extended_threshold_is_at_least_one(self, chunks, m0, r):
+        # untruncated, p0^(M0*r) underflows to 0.0 once M0*r passes about
+        # 16000; the threshold stays 1, so a vote without a voting chunk
+        # reads uniform
+        assert P0 ** (m0 * r) == 0.0
+        assert extended_threshold(chunks, P0, m0, r) == 1
+
     @given(
         st.integers(1, 300),
         st.sampled_from([3, 5, 7, 13, 3677, 4099]),

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plwe_audit import attacks
+from plwe_audit import attacks, campaign
 from plwe_audit.analysis import (
     block_structure,
+    extended_threshold,
     hit_threshold,
     monte_carlo_delta,
     posterior_bounds,
@@ -27,19 +28,19 @@ from plwe_audit.attacks import (
     VERDICT_NOT_PLWE,
     AttackError,
     AttackVerdict,
-    Decision,
-    HitCountDecision,
     InsufficientSamples,
     NoSamples,
     TableTooLarge,
     build_sigma_table_trace,
     extended_attack,
+    hit_counts,
     small_set_attack,
-    unbounded_small_values_attack,
 )
+from plwe_audit.campaign import AttackPlan, AttackSpec, ExperimentConfig
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus, centered_value, is_prime
 from plwe_audit.rings import RqContext, binomial_logs, generator_powers, load_ring_doc, log_orders
 from plwe_audit.samplers import (
+    P0_UNTRUNCATED,
     GaussianSpec,
     NonMemberSample,
     Pairs,
@@ -71,6 +72,23 @@ EXT_B = ExtFieldCtx(3, 2017, M4099)
 RING_ORDER6 = RqContext((-1, 0, 0, 0, 0, 0, 1), M4099)
 ALPHA_2018 = 2018
 NO_PAIRS = Pairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 4099)
+
+
+def _decided(ring, counts, m, *, m0=0, r=1, delta=None, truncated=True, truth="plwe"):
+    """The row that campaign._decide makes of a vote's counts over m
+    samples: the unbounded attack's (votes, best_hits) when delta is given,
+    else the chunk vote's votes at chunk size m0 and r classes.  The plan
+    holds what _decide reads and nothing else."""
+    family = "extended_small_set" if delta is None else "unbounded_small_values"
+    spec = AttackSpec(family, 1, 0, m, m0, "series" if delta is None else delta)
+    cfg = ExperimentConfig(ring, GaussianSpec(1.0, truncated), spec, seed=0)
+    if delta is None:
+        outcome = {"votes": counts}
+    else:
+        outcome = dict(zip(("votes", "best_hits"), counts))
+    row = {"truth": truth, "outcome": outcome, "samples_used": m}
+    campaign._decide(AttackPlan(cfg, None, None, None, r, delta, ()), [row])
+    return row
 
 
 def _residues(mask):
@@ -349,8 +367,8 @@ class TestUnbounded:
             s = uniform_oracle(ring, rng)
             if eval_poly(s.a, alpha) != 0:
                 samples.append(s)
-        decision = unbounded_small_values_attack(pairs_at(samples, alpha), 0.2)
-        assert decision.votes == 11 * quarter_count(q)
+        votes, _ = hit_counts(pairs_at(samples, alpha))
+        assert votes == 11 * quarter_count(q)
 
     def test_small_q_distinguishing_accuracy(self):
         # the best candidate's hit count separates the classes; at q = 13
@@ -360,6 +378,7 @@ class TestUnbounded:
         alpha = q - 1
         sbar = math.sqrt(N) * sigma
         delta = monte_carlo_delta(q, sbar, np.random.default_rng(1))
+        tau = hit_threshold(ell, q, delta)
         wins = 0
         trials = 400
         for t in range(trials):
@@ -370,8 +389,8 @@ class TestUnbounded:
                 samples = [plwe_oracle(inst, rng) for _ in range(ell)]
             else:
                 samples = [uniform_oracle(ring, rng) for _ in range(ell)]
-            decision = unbounded_small_values_attack(pairs_at(samples, alpha), delta)
-            wins += decision.is_plwe == truth_plwe
+            _, best_hits = hit_counts(pairs_at(samples, alpha))
+            wins += (best_hits >= tau) == truth_plwe
         assert wins / trials > 0.58
 
     def test_trace_mode_matches_fq_for_degree_one(self):
@@ -380,9 +399,7 @@ class TestUnbounded:
         alpha = 4
         ext1 = ExtFieldCtx(1, alpha, PrimeModulus(5))
         samples = _uniform_samples(ring, 9, 3)
-        d_fq = unbounded_small_values_attack(_scalar_pairs(samples, alpha), 0.1)
-        d_tr = unbounded_small_values_attack(pairs_at(samples, ext1), 0.1)
-        assert d_fq == d_tr
+        assert hit_counts(_scalar_pairs(samples, alpha)) == hit_counts(pairs_at(samples, ext1))
 
     def test_hit_grid_row_groups_match_one_group(self):
         # at _HIT_GROUP = 0 every group of the hit grid is one row of q - 1
@@ -391,10 +408,10 @@ class TestUnbounded:
         ring, alpha = _usva_ring(8, q, q - 1), q - 1
         for samples in (_plwe_samples(ring, GaussianSpec(1.0, False), 25, 31)[1],
                         _uniform_samples(ring, 25, 32)):
-            whole = unbounded_small_values_attack(pairs_at(samples, alpha), 0.3)
+            whole = hit_counts(pairs_at(samples, alpha))
             for group in (0, 2 * (q - 1)):
                 with mock.patch.object(attacks, "_HIT_GROUP", group):
-                    assert unbounded_small_values_attack(pairs_at(samples, alpha), 0.3) == whole
+                    assert hit_counts(pairs_at(samples, alpha)) == whole
 
     @given(
         st.sampled_from(["fq5", "fq13", "trace5"]),
@@ -435,11 +452,12 @@ class TestUnbounded:
         ]
         for group in (attacks._HIT_GROUP, 0):  # 0: one sample per group
             with mock.patch.object(attacks, "_HIT_GROUP", group):
-                decision = unbounded_small_values_attack(pairs_at(samples, point), 0.3)
-            assert decision.best_hits == max(hits)
-            assert decision.votes == sum(hits)
-            assert decision.hit_threshold == hit_threshold(ell, q, 0.3)
-            assert decision.is_plwe == (max(hits) >= decision.hit_threshold)
+                counts = hit_counts(pairs_at(samples, point))
+            assert counts == (sum(hits), max(hits))
+            outcome = _decided(ring, counts, ell, delta=0.3)["outcome"]
+            assert outcome["hit_threshold"] == hit_threshold(ell, q, 0.3)
+            plwe = max(hits) >= outcome["hit_threshold"]
+            assert outcome["verdict"] == ("plwe" if plwe else "uniform")
 
 
 def _next_prime(n):
@@ -470,10 +488,10 @@ class TestLogDomainHitCounts:
         hits = reference_hit_counts(targets, scales, q)
         limit = {"default": attacks._HIT_GROUP, "2rows": 2 * (q - 1)}.get(group, group)
         with mock.patch.object(attacks, "_HIT_GROUP", limit):
-            decision = unbounded_small_values_attack(Pairs(targets, scales, q), 0.3)
+            votes, best_hits = hit_counts(Pairs(targets, scales, q))
             h0, by_log = attacks._quarter_hits(Pairs(targets, scales, q))
-        assert decision.votes == int(hits.sum())
-        assert decision.best_hits == int(hits.max())
+        assert votes == int(hits.sum())
+        assert best_hits == int(hits.max())
         # votes alone is ell * quarter_count(q) on invertible rows, whatever
         # the candidate order: compare every candidate's count
         assert h0 == hits[0]
@@ -512,16 +530,14 @@ class TestLogDomainHitCounts:
             full, chunk, g = attacks._filter(targets, scales, member)
             passes = len(seen)
             with mock.patch.object(attacks, "_MAX_PAIRS", 0):
-                decision = extended_attack(
-                    Pairs(targets.ravel(), scales.ravel(), q), m0, member, 1, 1.0
-                )
+                votes = extended_attack(Pairs(targets.ravel(), scales.ravel(), q), m0, member)
         assert {d for d, _ in seen} == {np.dtype(dtype)}
         assert seen[0][1] == seen[passes][1] == q * (q - 1)
         expected = [_naive_survivors(list(zip(t, u)), member, 1)
                     for t, u in zip(targets.tolist(), scales.tolist())]
         assert not full.any()
         assert [set(g[chunk == c].tolist()) for c in range(chunks)] == expected
-        assert decision.votes == sum(1 for survivors in expected if survivors)
+        assert votes == sum(1 for survivors in expected if survivors)
 
     def test_column_sums_stay_inside_int16(self):
         # 33000 rows (1, 1) give g = 1 more than 2**15 - 1 hits at q = 3, so
@@ -574,37 +590,42 @@ class TestExtended:
 
     def test_truncated_threshold_is_chunk_count(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 30, 0)
-        decision = extended_attack(pairs_at(samples, ALPHA_2018), 3, self.MASK, 6, p0=1.0)
-        assert decision.threshold == 10
-        assert decision.is_plwe
+        votes = extended_attack(pairs_at(samples, ALPHA_2018), 3, self.MASK)
+        row = _decided(RING_ORDER6, votes, 30, m0=3, r=6)
+        assert row["outcome"]["threshold"] == extended_threshold(10, 1.0, 3, 6) == 10
+        assert row["outcome"]["verdict"] == "plwe" and row["correct"]
 
     def test_untruncated_threshold_value(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, False), 100, 1)
-        decision = extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK, 2, p0=0.954500)
+        votes = extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK)
+        row = _decided(RING_ORDER6, votes, 100, m0=5, r=2, truncated=False)
         # ceil(20 * p0^10)
-        assert decision.threshold == math.ceil(20 * 0.954500**10) == 13
+        assert row["outcome"]["threshold"] == math.ceil(20 * 0.954500**10) == 13
+        assert extended_threshold(20, P0_UNTRUNCATED, 5, 2) == 13
 
     def test_remainder_samples_dropped(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 7, 2)
         poisoned = samples[:6] + [Sample(RING_ORDER6.poly([]), RING_ORDER6.poly([1]))]
-        full = extended_attack(pairs_at(poisoned, ALPHA_2018), 3, self.MASK, 6, p0=1.0)
-        trimmed = extended_attack(pairs_at(samples[:6], ALPHA_2018), 3, self.MASK, 6, p0=1.0)
-        assert (full.votes, full.threshold) == (trimmed.votes, trimmed.threshold)
+        full = extended_attack(pairs_at(poisoned, ALPHA_2018), 3, self.MASK)
+        trimmed = extended_attack(pairs_at(samples[:6], ALPHA_2018), 3, self.MASK)
+        assert full == trimmed
+        assert (_decided(RING_ORDER6, full, 7, m0=3, r=6)["outcome"]
+                == _decided(RING_ORDER6, trimmed, 6, m0=3, r=6)["outcome"])
 
     def test_chunking_is_deterministic(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, False), 40, 3)
-        d1 = extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK, 6, p0=0.954500)
-        d2 = extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK, 6, p0=0.954500)
+        d1 = extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK)
+        d2 = extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK)
         assert d1 == d2
 
     def test_insufficient_samples(self):
         _, samples = _plwe_samples(RING_ORDER6, GaussianSpec(0.7, True), 4, 4)
         with pytest.raises(InsufficientSamples):
-            extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK, 6, p0=1.0)
+            extended_attack(pairs_at(samples, ALPHA_2018), 5, self.MASK)
 
     def test_no_samples(self):
         with pytest.raises(NoSamples):
-            extended_attack(NO_PAIRS, 5, self.MASK, 6, p0=1.0)
+            extended_attack(NO_PAIRS, 5, self.MASK)
 
 
 _MASK_13 = np.ones(13, dtype=bool)
@@ -615,9 +636,9 @@ _MASK_13 = np.ones(13, dtype=bool)
     [
         (lambda pairs: small_set_attack(pairs, _MASK_13), AttackError,
          "membership mask was built for a different modulus"),
-        (lambda pairs: extended_attack(pairs, 2, _MASK_13, 6, p0=1.0), AttackError,
+        (lambda pairs: extended_attack(pairs, 2, _MASK_13), AttackError,
          "membership mask was built for a different modulus"),
-        (lambda pairs: extended_attack(pairs, 0, TestExtended.MASK, 6, p0=1.0), ValueError,
+        (lambda pairs: extended_attack(pairs, 0, TestExtended.MASK), ValueError,
          "chunk size must be >= 1"),
         (lambda pairs: build_sigma_table_trace(ALPHA_2018, 4099, (), 0.7), ValueError,
          "need at least one class"),
@@ -730,8 +751,7 @@ class TestFilterMatchesCandidateMajorLoop:
             votes = sum(1 for survivors in expected if survivors)
             for max_pairs in (attacks._MAX_PAIRS, 0):  # 0: a few chunks per pass
                 with mock.patch.object(attacks, "_MAX_PAIRS", max_pairs):
-                    decision = extended_attack(pairs_at(samples, point), m0, member, 2, 1.0)
-                assert decision.votes == votes
+                    assert extended_attack(pairs_at(samples, point), m0, member) == votes
         assert small_set_attack(pairs_at(samples, point), table).survivors == tuple(
             sorted(_naive_survivors(pairs, table, n))
         )
@@ -752,33 +772,80 @@ class TestVerdictShape:
     def test_serialization(self):
         assert AttackVerdict((3,)).to_dict() == {"verdict": "guess", "guess": 3}
         assert AttackVerdict(()).to_dict() == {"verdict": "not_plwe"}
-        assert Decision(5, 3).to_dict() == {
+        # a chunk vote's row: PLWE when the votes reach the threshold, here
+        # the chunk count 3 of truncated errors
+        assert _decided(RING_ORDER6, 5, 3, m0=1, r=6)["outcome"] == {
             "verdict": "plwe",
             "votes": 5,
             "threshold": 3,
         }
-        assert Decision(2, 3).kind == "uniform"
+        row = _decided(RING_ORDER6, 2, 3, m0=1, r=6)
+        assert row["outcome"]["verdict"] == "uniform" and not row["correct"]
+        assert _decided(RING_ORDER6, 2, 3, m0=1, r=6, truth="uniform")["correct"]
 
     def test_hit_count_decision_reads_best_hits(self):
         # the aggregate count C decides nothing: a small C with a best
         # candidate at tau says PLWE, a large C with one below says uniform
-        decision = HitCountDecision(10, best_hits=5, hit_threshold=5)
-        assert decision.kind == "plwe" and decision.is_plwe
-        assert decision.to_dict() == {
+        ring, ell = _usva_ring(4, 3677, 3676), 50
+        tau = hit_threshold(ell, 3677, 0.3)
+        assert 1 < tau <= ell
+        assert _decided(ring, (10, tau), ell, delta=0.3)["outcome"] == {
             "verdict": "plwe",
             "votes": 10,
-            "best_hits": 5,
-            "hit_threshold": 5,
+            "best_hits": tau,
+            "hit_threshold": tau,
         }
-        assert HitCountDecision(30, best_hits=4, hit_threshold=5).kind == "uniform"
+        row = _decided(ring, (10**5, tau - 1), ell, delta=0.3, truth="uniform")
+        assert row["outcome"]["verdict"] == "uniform" and row["correct"]
 
-    @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 500), st.integers(1, 501))
+    @given(
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.integers(0, 500),
+        st.integers(1, 500),
+        st.sampled_from([0.02, 0.1, 0.5]),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_hit_count_decision_ignores_votes(self, votes, other, best_hits, tau):
+    def test_hit_count_decision_ignores_votes(self, votes, other, best_hits, ell, delta):
         # the verdict is best_hits >= hit_threshold whatever C reads
-        decision = HitCountDecision(votes, best_hits=best_hits, hit_threshold=tau)
-        assert decision.is_plwe == (best_hits >= tau)
-        assert decision.kind == HitCountDecision(other, best_hits, tau).kind
+        ring = _usva_ring(4, 13, 12)
+        tau = hit_threshold(ell, 13, delta)
+        outcome = _decided(ring, (votes, best_hits), ell, delta=delta)["outcome"]
+        assert outcome["hit_threshold"] == tau
+        assert outcome["verdict"] == ("plwe" if best_hits >= tau else "uniform")
+        assert _decided(ring, (other, best_hits), ell, delta=delta)["outcome"]["verdict"] == (
+            outcome["verdict"]
+        )
+
+    @given(st.integers(0, 300), st.integers(1, 300), st.integers(1, 12), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_chunk_vote_reads_votes_against_its_threshold(self, votes, m, r, truncated):
+        # the threshold is the chunk count's: floor(m / m0) chunks of m0
+        m0 = 1 + m % 7
+        assume(m0 <= m)
+        p0 = 1.0 if truncated else P0_UNTRUNCATED
+        tau = extended_threshold(m // m0, p0, m0, r)
+        outcome = _decided(RING_ORDER6, votes, m, m0=m0, r=r, truncated=truncated)["outcome"]
+        assert outcome["threshold"] == tau >= 1
+        assert outcome["verdict"] == ("plwe" if votes >= tau else "uniform")
+
+    def test_decide_reads_each_rows_sample_count(self):
+        # tau comes from a row's samples_used, and a row without an outcome
+        # (a trial whose rejection budget ran out) is left as it is
+        rows = [
+            {"truth": "plwe", "outcome": {"votes": 4}, "samples_used": 30},
+            {"truth": "plwe", "outcome": {"votes": 4}, "samples_used": 12},
+            {"truth": "plwe", "error": "budget", "correct": False},
+        ]
+        spec = AttackSpec("extended_small_set", 1, 0, 30, 3)
+        cfg = ExperimentConfig(RING_ORDER6, GaussianSpec(1.0, True), spec, seed=0)
+        campaign._decide(AttackPlan(cfg, None, None, None, 6, None, ()), rows)
+        assert [row.get("outcome") for row in rows] == [
+            {"verdict": "uniform", "votes": 4, "threshold": 10},
+            {"verdict": "plwe", "votes": 4, "threshold": 4},
+            None,
+        ]
+        assert [row["correct"] for row in rows] == [False, True, False]
 
 
 # degree-8 ring divisible by x^2 + 1 mod 4099 (so a = -1 has order 2)

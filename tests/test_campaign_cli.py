@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plwe_audit import campaign, cli, fields, instances, rings
-from plwe_audit.analysis import posterior_bounds, scan_instance
+from plwe_audit.analysis import extended_threshold, hit_threshold, posterior_bounds, scan_instance
 from plwe_audit.campaign import (
     FAMILIES,
     ConfigError,
@@ -39,7 +39,14 @@ from plwe_audit.instances import (
 )
 from plwe_audit.fields import ExtFieldCtx, PrimeModulus
 from plwe_audit.rings import RqContext, load_ring_doc
-from plwe_audit.samplers import BudgetExhausted, GaussianSpec, SampleBatch, sample_batch
+from plwe_audit.samplers import (
+    P0_UNTRUNCATED,
+    BudgetExhausted,
+    GaussianSpec,
+    SampleBatch,
+    p0_of,
+    sample_batch,
+)
 from reference import reference_sample_batch, reference_samples, ring_add, ring_mul
 
 ORDER6_INSTANCE = {"N": 6, "f": [-1, 0, 0, 0, 0, 0, 1], "q": 4099,
@@ -509,17 +516,24 @@ class TestStreamUse:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_report_prints_only_what_a_verdict_reads(self, name):
-        # no plan prints the chunked attacks' extended gate, and an unbounded
-        # row prints the hit count that decides, not the paper's threshold T
+        # no plan prints the chunked attacks' extended gate, an unbounded
+        # row prints the hit count that decides, not the paper's threshold
+        # T, and a chunk vote's row its vote count and threshold
         report = run_campaign(_golden_config(name))
         assert set(report.plan_summary) <= PLAN_FIELDS, name
+        family = report.config_echo["attack"]["family"]
         for row in report.trials:
             outcome = row["outcome"]
-            if report.config_echo["attack"]["family"] == "unbounded_small_values":
+            if family == "unbounded_small_values":
                 assert set(outcome) == {"verdict", "votes", "best_hits", "hit_threshold"}
                 plwe = outcome["best_hits"] >= outcome["hit_threshold"]
+            elif family.startswith("extended_"):
+                assert set(outcome) == {"verdict", "votes", "threshold"}
+                plwe = outcome["votes"] >= outcome["threshold"]
             else:
                 plwe = outcome["verdict"] not in ("uniform", "not_plwe")
+            if "votes" in outcome:
+                assert outcome["verdict"] == ("plwe" if plwe else "uniform"), (name, row)
             assert row["correct"] == (plwe == (row["truth"] == "plwe")), (name, row)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -967,6 +981,37 @@ class TestCli:
             assert cli.main(["replay", "--config", cfg, str(trial)]) == 0
             assert json.loads(capsys.readouterr().out) == row["outcome"]
         assert not lines
+
+    @pytest.mark.parametrize("name", ["trace_extended_small_set_direct", "trace_unbounded_honest"])
+    def test_a_whole_recording_replays_at_its_own_count(self, name, tmp_path, capsys):
+        # the four trials' samples replay as one batch of 4M: the threshold
+        # is the one for the file's count, not for attack.M, and the chunk
+        # votes and the aggregate hit count C are the trials' sums (M is a
+        # multiple of M0, and C adds up over samples)
+        cfg = _write(tmp_path, "c.json", GOLDEN[name][0])
+        samples = tmp_path / "samples.jsonl"
+        assert cli.main(["attack", "--config", cfg, "--record-samples", str(samples)]) == 0
+        rows = json.loads(capsys.readouterr().out)["trials"]
+        plan = build_plan(_golden_config(name))
+        att, q = plan.cfg.attack, plan.cfg.ring.q
+        count = len(samples.read_text().splitlines())
+        assert count == sum(row["samples_used"] for row in rows) == 4 * att.M
+        votes = sum(row["outcome"]["votes"] for row in rows)
+        assert cli.main(["replay", "--config", cfg, str(samples)]) == 0
+        outcome = json.loads(capsys.readouterr().out)
+        if att.family == "unbounded_small_values":
+            tau = hit_threshold(count, q, plan.delta)
+            assert tau != hit_threshold(att.M, q, plan.delta)
+            assert set(outcome) == {"verdict", "votes", "best_hits", "hit_threshold"}
+            assert (outcome["votes"], outcome["hit_threshold"]) == (votes, tau)
+            plwe = outcome["best_hits"] >= tau
+        else:
+            p0 = p0_of(plan.cfg.gauss.truncated)
+            tau = extended_threshold(count // att.M0, p0, att.M0, plan.member_r)
+            assert tau != extended_threshold(att.M // att.M0, p0, att.M0, plan.member_r)
+            assert outcome == {"verdict": outcome["verdict"], "votes": votes, "threshold": tau}
+            plwe = votes >= tau
+        assert outcome["verdict"] == ("plwe" if plwe else "uniform")
 
     def test_replay_rejects_malformed_line(self, tmp_path, capsys):
         cfg = _write(tmp_path, "c.json", _order6_config(trials=1))
@@ -1762,6 +1807,26 @@ def test_sample_matrices_beyond_the_entry_bound_are_refused(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", doc)
     assert cli.main(["attack", "--config", cfg]) == 3
     assert capsys.readouterr().err == "refused: M*N = 23000000000000 <= 2**22 = 4194304\n"
+
+
+def test_a_vote_threshold_is_at_least_one():
+    # untruncated, p0^(M0*r) = p0^16384 underflows to 0.0, and a threshold
+    # of ceil(0.0) = 0 would read PLWE on a chunk vote without a single vote;
+    # M*N = 2**22 is the most samples a trial may hold
+    inst = USVA_INSTANCES[1]
+    doc = {
+        "instance": dict(inst["instance"]),
+        "attack": {"family": "extended_small_values", "alpha": inst["alpha"],
+                   "M": 16384, "M0": 16384, "trials": 6},
+        "seed": 1,
+    }
+    assert P0_UNTRUNCATED**16384 == 0.0 and 16384 * inst["instance"]["N"] == 2**22
+    report = run_campaign(config_from_dict(doc))
+    assert {row["truth"] for row in report.trials} == {"plwe", "uniform"}
+    for row in report.trials:
+        assert row["outcome"]["threshold"] == 1
+        assert row["outcome"]["votes"] == (row["truth"] == "plwe"), row
+        assert row["correct"], row
 
 
 def test_sample_entry_bound_boundary_is_exact():

@@ -32,10 +32,11 @@ checks R_{q,0} through the evaluation of SampleBatch.pairs, p0 comes from
 samplers.p0_of, a missing delta is "series", and the small-values attack
 is the small-set attack on the quarter mask.  numpy is the one runtime
 dependency: no module imports scipy.  A report prints no number that no
-verdict reads: the unbounded outcome is no Decision and carries no paper
-threshold T, and no plan prints the chunked attacks' extended gate.  The
-survivor filter has one caller, the chunk driver that the basic and the
-chunked attacks share, and no chunk size takes a route of its own."""
+verdict reads: the unbounded outcome carries no paper threshold T, and no
+plan prints the chunked attacks' extended gate.  The survivor filter has one
+caller, the chunk driver that the basic and the chunked attacks share, and
+no chunk size takes a route of its own.  The voting attacks return counts,
+and campaign._decide alone compares a count with a vote threshold."""
 
 import ast
 import dataclasses
@@ -64,7 +65,7 @@ from plwe_audit.analysis import (
     scan_instance,
     small_set_size,
 )
-from plwe_audit.attacks import AttackVerdict, Decision, HitCountDecision
+from plwe_audit.attacks import AttackVerdict
 from plwe_audit.campaign import (
     AttackPlan,
     AttackSpec,
@@ -139,6 +140,9 @@ DELETED = frozenset({
     # the order form of the irreducibility criterion and the one-k binomial
     # cdf, which only tests called
     "binomial_order_irreducible", "cumulative_binomial",
+    # the vote outcomes and the unbounded attack that compared its count
+    # with hit_threshold itself: campaign._decide decides every vote
+    "Decision", "HitCountDecision", "unbounded_small_values_attack",
 })
 # names too generic for the AST guard, checked on their owners
 DELETED_ATTRIBUTES = (
@@ -152,10 +156,8 @@ DELETED_ATTRIBUTES = (
     (BlockStructure, "r_eff"), (BlockStructure, "blocklen"), (BlockStructure, "case_kind"),
     # second spellings of p0_of and of the series' own term counts
     (GaussianSpec, "p0"), (ProbabilityReport, "terms_used"),
-    # T, printed in every unbounded trial row and read by no verdict
-    (HitCountDecision, "threshold"),
 )
-ATTACKS = ("small_set_attack", "unbounded_small_values_attack", "extended_attack")
+ATTACKS = ("small_set_attack", "hit_counts", "extended_attack")
 EXT_ELEMENT_CONSTRUCTORS = frozenset({"element", "from_base", "zero", "one", "alpha"})
 
 
@@ -196,9 +198,6 @@ def test_one_arithmetic_path():
         # a dataclass field without a default is no class attribute
         if dataclasses.is_dataclass(owner):
             assert name not in {f.name for f in dataclasses.fields(owner)}, (owner, name)
-    # the unbounded outcome decides by its best candidate alone, not by a
-    # Decision's vote count against a threshold
-    assert not issubclass(HitCountDecision, Decision)
     for name in ATTACKS:
         params = inspect.signature(getattr(attacks, name)).parameters
         assert list(params)[0] == "pairs" and "point" not in params, name
@@ -219,6 +218,26 @@ def test_one_filter_driver():
         node for node in ast.walk(driver) if isinstance(node, ast.Compare)
         and any(isinstance(side, ast.Constant) for side in (node.left, *node.comparators))
     ]
+
+
+def test_one_home_for_thresholds():
+    """extended_threshold and hit_threshold are called in campaign._decide
+    alone: the attacks return counts, and the campaign decides every vote,
+    a replay's included."""
+    callers = set()
+    for path in sorted((ROOT / "src" / "plwe_audit").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in ("extended_threshold", "hit_threshold")
+                for node in ast.walk(top)
+            ):
+                callers.add((path.stem, getattr(top, "name", None)))
+    assert callers == {("campaign", "_decide")}
+    assert not {"extended_threshold", "hit_threshold"} & _names(
+        ROOT / "src" / "plwe_audit" / "attacks.py"
+    )
 
 
 def test_one_home_for_the_terms_of_f():
